@@ -1,11 +1,11 @@
-"""CountKmer + CreateSpMat wall-clock: dict-loop vs batched SoA engine.
+"""CountKmer + CreateSpMat wall-clock: dict-loop oracle vs histogram engine.
 
 With the alignment stage batched (PR 4), the k-mer stages became the
 dominant serial cost: the loop engine dispatches one ``read_kmers`` call
 per read, folds every admitted key through a Python ``dict``, and scans
 reads one by one when building A.  The batch engine runs each rank's
-extraction, admission, counting, and A scan as whole-array column
-operations over the ReadSet's structure-of-arrays view.
+extraction, per-round histograms, selection, and A scan as whole-array
+column operations over the ReadSet's structure-of-arrays view.
 
 This micro-benchmark isolates those two stages on a read-count-heavy
 dataset (many short reads — the shape that stresses per-read dispatch,

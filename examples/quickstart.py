@@ -57,8 +57,8 @@ def main() -> None:
                          "per-pair reference — identical output")
     ap.add_argument("--kmer-impl", choices=("auto",) + KMER_IMPLS,
                     default="auto",
-                    help="k-mer engine: 'batch' counts through vectorized "
-                         "sorted-array tables, 'loop' is the per-read / "
+                    help="k-mer engine: 'batch' counts through exact "
+                         "per-owner histograms, 'loop' is the Bloom-filtered "
                          "per-key dict reference — identical output")
     ap.add_argument("--seed-mode", choices=("auto",) + SEED_MODES,
                     default="auto",

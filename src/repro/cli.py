@@ -18,6 +18,7 @@ updates over HTTP, see :mod:`repro.service`).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .align.batch import ALIGN_IMPLS
@@ -101,11 +102,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "engine-independent)")
         p.add_argument("--kmer-impl", choices=("auto",) + KMER_IMPLS,
                        default=cfg.kmer_impl,
-                       help="k-mer engine: 'batch' extracts and counts "
-                            "through vectorized sorted-array SoA tables "
-                            "(one sweep per rank for CountKmer and the "
-                            "CreateSpMat scan), 'loop' runs the per-read / "
-                            "per-key dict reference oracle; 'auto' honors "
+                       help="k-mer engine: 'batch' counts through exact "
+                            "per-owner histograms (one vectorized sweep "
+                            "per rank for CountKmer and the CreateSpMat "
+                            "scan), 'loop' runs the Bloom-filtered per-read "
+                            "/ per-key dict reference oracle; 'auto' honors "
                             "REPRO_KMER_IMPL, else batch (results are "
                             "engine-independent)")
         p.add_argument("--spgemm-impl", choices=("auto",) + SPGEMM_IMPLS,
@@ -154,8 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default=cfg.memory_budget, metavar="BYTES",
                        help="byte budget for the run's big consumers, e.g. "
                             "64M or 2G: half drives blocked mode's strip "
-                            "count, a quarter caps the k-mer counter's "
-                            "resident tables (sorted runs spill to disk "
+                            "count, a quarter caps the k-mer engine's "
+                            "buffered histograms (sorted runs spill to disk "
                             "beyond it), the rest is headroom")
         p.add_argument("--read-store", choices=("auto",) + READ_STORES,
                        default=cfg.read_store,
@@ -405,15 +406,18 @@ def _cmd_serve(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "assemble":
-        return _cmd_assemble(args)
-    if args.command == "stats":
-        return _cmd_stats(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    return 2  # pragma: no cover
+    command = {"simulate": _cmd_simulate, "assemble": _cmd_assemble,
+               "stats": _cmd_stats, "serve": _cmd_serve}[args.command]
+    try:
+        rc = command(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # The reader went away (``repro stats ... | head``): not an error.
+        # Close stdout quietly so the exit-time flush cannot raise again.
+        with contextlib.suppress(BrokenPipeError):
+            sys.stdout.close()
+        return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

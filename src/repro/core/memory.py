@@ -203,7 +203,7 @@ class BudgetPlan:
     """How one ``--memory-budget`` is apportioned across the big consumers.
 
     The three resident giants of a run are the live candidate strip, the
-    per-rank k-mer tables, and everything else (matrices under SpGEMM,
+    per-rank k-mer histograms, and everything else (matrices under SpGEMM,
     alignment scratch, the interpreter).  One budget covers all three:
 
     ==========  =====  ================================================

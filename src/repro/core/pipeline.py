@@ -99,12 +99,12 @@ class PipelineConfig:
 
     ``kmer_impl`` does the same for the k-mer stages
     (:func:`repro.seqs.kmer_counter.resolve_kmer_impl`): ``"batch"`` runs
-    ``CountKmer`` extraction/admission/counting over sorted
-    structure-of-arrays tables and the ``CreateSpMat`` scan as one
-    vectorized pass per rank; ``"loop"`` keeps the per-read / per-key dict
-    reference oracle; ``"auto"`` honors ``REPRO_KMER_IMPL``, else runs
-    ``batch``.  The k-mer table, A, and everything downstream are
-    byte-identical across engines.
+    ``CountKmer`` as exact per-owner histograms (resident, or spilled to
+    sorted runs under ``memory_budget``'s table share) and the
+    ``CreateSpMat`` scan as one vectorized pass per rank; ``"loop"`` keeps
+    the Bloom-filtered per-read / per-key dict reference oracle; ``"auto"``
+    honors ``REPRO_KMER_IMPL``, else runs ``batch``.  The k-mer table, A,
+    and everything downstream are byte-identical across engines.
 
     ``overlap_mode`` selects the candidate-formation path: ``"monolithic"``
     forms all of ``C = A·Aᵀ`` at once, ``"blocked"`` strip-mines it
@@ -155,8 +155,8 @@ class PipelineConfig:
     a self-cleaning temporary directory).  When a ``memory_budget`` is
     set it is apportioned across the big consumers
     (:func:`repro.core.memory.apportion_budget`): half drives the blocked
-    candidate strip count, a quarter caps the k-mer counter's resident
-    tables (sorted runs spill to disk beyond it), the rest is headroom.
+    candidate strip count, a quarter caps the k-mer engine's buffered
+    histograms (sorted runs spill to disk beyond it), the rest is headroom.
     """
 
     k: int = 17

@@ -118,26 +118,6 @@ class BloomFilter:
         self.add(keys)
         return seen
 
-    def test_and_set(self, keys: np.ndarray) -> np.ndarray:
-        """Pre-state membership plus insertion, one probe sweep per key.
-
-        The batch k-mer engine's primitive: given the *distinct* keys of an
-        exchange round it answers "was this key present before the round?"
-        and inserts them, hashing each key exactly once (:meth:`add_and_test`
-        probes twice — once to test, once to insert — and per occurrence).
-        Equivalent filter state and answers: slot positions only depend on
-        the key, and setting a slot twice is a no-op.  Callers handle
-        intra-round duplicates themselves (a duplicated key is "seen" by
-        definition, whatever the filter says).
-        """
-        keys = np.asarray(keys, dtype=np.uint64)
-        if keys.size == 0:
-            return np.zeros(0, dtype=bool)
-        pos = self._probe_positions(keys)
-        pre = self._slots[pos].all(axis=1)
-        self._slots[pos.ravel()] = 1
-        return pre
-
     @property
     def fill_ratio(self) -> float:
         """Fraction of set slots (diagnostic; high values degrade accuracy)."""

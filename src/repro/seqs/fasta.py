@@ -17,7 +17,8 @@ resident — which is how the pipeline ingests inputs larger than memory.
 The parser is strict: empty records, duplicate headers, nameless headers,
 and sequence data before the first header all raise :class:`ValueError`
 naming the offending record.  Zero-length reads would otherwise flow
-silently into k-mer extraction and alignment as degenerate rows.
+silently into k-mer extraction and alignment as degenerate rows.  Gzip
+files and FASTQ input are refused by name rather than parsed as noise.
 """
 
 from __future__ import annotations
@@ -267,7 +268,7 @@ def _fasta_records(source):
       record *was* appended),
     * a bare ``>`` with no name,
     * two records with the same name (row indices would silently alias),
-    * sequence data before any header.
+    * sequence data before any header (a leading ``@`` is named as FASTQ).
     """
     seen: set[str] = set()
     name: str | None = None
@@ -296,6 +297,9 @@ def _fasta_records(source):
             cur = []
         else:
             if name is None:
+                if line.startswith("@"):
+                    raise ValueError(f"line {lineno} starts with '@': looks "
+                                     f"like FASTQ; only FASTA is supported")
                 raise ValueError(f"malformed FASTA: sequence data before "
                                  f"any '>' header at line {lineno}")
             cur.append(line)
@@ -306,15 +310,26 @@ def _fasta_records(source):
         yield name, "".join(cur)
 
 
+def _open_fasta(path: str | Path) -> io.TextIOBase:
+    """Open a FASTA path as text, refusing gzip (magic ``1f 8b``) by name
+    instead of dying on a ``UnicodeDecodeError`` mid-parse."""
+    with open(path, "rb") as fh:
+        if fh.read(2) == b"\x1f\x8b":
+            raise ValueError(f"{path}: gzip-compressed input is not "
+                             f"supported; decompress first")
+    return open(path)
+
+
 def read_fasta(source: str | Path | io.TextIOBase) -> ReadSet:
     """Parse a FASTA file (or open text handle) into an in-memory ReadSet.
 
     Malformed input — empty records, duplicate or nameless headers,
-    sequence before the first header — raises :class:`ValueError` naming
-    the offending record.  An empty file parses as an empty ReadSet.
+    sequence before the first header, gzip or FASTQ — raises
+    :class:`ValueError` naming the offence.  An empty file parses as an
+    empty ReadSet.
     """
     if isinstance(source, (str, Path)):
-        with open(source) as fh:
+        with _open_fasta(source) as fh:
             return read_fasta(fh)
     names: list[str] = []
     seqs: list[np.ndarray] = []
@@ -335,7 +350,7 @@ def read_fasta_to_store(source: str | Path | io.TextIOBase,
     discarded.
     """
     if isinstance(source, (str, Path)):
-        with open(source) as fh:
+        with _open_fasta(source) as fh:
             return read_fasta_to_store(fh, directory)
     names: list[str] = []
     writer = MmapStoreWriter(directory)

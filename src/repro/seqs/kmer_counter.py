@@ -1,13 +1,12 @@
-"""Two-pass distributed k-mer counting with a Bloom filter.
+"""Distributed k-mer counting: exact per-owner histograms.
 
 Reproduces diBELLA 2D's counter (paper Section IV-C, after HipMer): k-mers
-are hashed to an owner rank; in the first pass every rank ships its k-mers to
-their owners, who insert them into a local Bloom filter — a k-mer is admitted
-to the local counting table only when the filter says it was seen before
-(singleton elimination).  The second pass ships the k-mers again and
-accumulates exact counts for admitted k-mers.  Both passes are
-``MPI_Alltoallv`` exchanges; with ``batches`` rounds per pass the latency
-cost is ``Y = bP`` (Table I).
+are hashed to an owner rank and shipped there in two passes of
+``MPI_Alltoallv`` exchanges — in the paper the first pass feeds a Bloom
+filter that admits a k-mer to the owner's counting table once it has been
+seen twice (singleton elimination), the second accumulates exact counts for
+admitted k-mers.  With ``batches`` rounds per pass the latency cost is
+``Y = bP`` (Table I).
 
 Reliable-k-mer selection then discards k-mers outside
 ``[2, upper]`` where ``upper`` follows BELLA's dataset-specific model
@@ -18,26 +17,31 @@ artifact.  With the paper's CLR parameters (k=17, e≈0.15, d=10–40) this mode
 lands on the small cutoffs the paper reports (they use max frequency 4 for
 H. sapiens).
 
-Two interchangeable engines drive the per-rank work, selected by ``impl``
-(:func:`resolve_kmer_impl`, mirroring the alignment engine's
-``loop | batch | auto`` switch):
+Because the lower bound is at least 2, the protocol's *result* never
+depends on the Bloom filter: false positives only admit singletons, which
+selection discards, and admitted keys are counted exactly — so the reliable
+table is precisely ``{key: lower <= count <= upper}`` of each owner's exact
+histogram (:func:`table_from_histogram`).  The production engine
+(``impl="batch"``) therefore keeps no admission state at all: per exchange
+round each owner reduces its incoming k-mers to a sorted ``(key, count)``
+histogram, the second pass is replayed for its communication cost only, and
+selection is one merge-sum plus filter per owner.  ``table_budget`` decides
+only where that state lives (re-extracted seeds and on-disk sorted runs
+instead of resident arrays); "resident" is the zero-spill case of the same
+code.
 
-* ``"batch"`` — structure-of-arrays throughout: extraction is one
-  :func:`~repro.seqs.kmers.read_kmers_batch` sweep per rank over its SoA
-  read block, and the admission/count tables are **sorted arrays** updated
-  by merge (``np.searchsorted`` membership, vectorized accumulate) — no
-  per-key Python dict traffic anywhere.
-* ``"loop"`` — the original per-read extraction and ``dict[int, int]``
-  tables, kept as the reference oracle.
-
-The resulting :class:`KmerTable` (and the communication records) are
-byte-identical between the two — pinned by the parity and golden suites.
+``impl="loop"`` (:func:`resolve_kmer_impl`) keeps the literal protocol —
+per-read extraction, a real Bloom filter, ``dict[int, int]`` tables, both
+passes — as the reference oracle.  The resulting :class:`KmerTable` and the
+communication records are byte-identical between the two, pinned by the
+parity and golden suites.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import os
-import shutil
 import tempfile
 from dataclasses import dataclass
 
@@ -92,156 +96,35 @@ def resolve_kmer_impl(impl: str | None = None) -> str:
     return impl
 
 
-# -- executor tasks (module-level so the process pool can pickle them) ------
+def _superstep(timer: StageTimer, executor: Executor, fn, tasks, weights,
+               context=None) -> list:
+    """One executor superstep, task ``i`` charged to rank ``i``."""
+    with timer.superstep(STAGE) as step:
+        out, secs = executor.run_timed(fn, tasks, context=context,
+                                       weights=weights)
+        step.charge_many(range(len(tasks)), secs)
+    return out
 
-def _extract_task(ctx, owned_idx):
-    """One rank's seed extraction over its block of reads (loop engine)."""
-    reads, scheme = ctx
-    parts = [scheme.seeds_of_read(reads[int(i)])[0] for i in owned_idx]
-    return np.concatenate(parts) if parts else np.empty(0, np.uint64)
 
+# -- histogram-engine tasks (module-level so the process pool can pickle
+# -- them) ------------------------------------------------------------------
 
 def _extract_batch_task(ctx, span):
-    """One rank's seed extraction as a single SoA sweep (batch engine).
+    """One rank's seed extraction as a single SoA sweep over its read span.
 
-    The task is the rank's read span ``(lo, hi)``; the worker takes its
-    ``(codes, offsets, lengths)`` block from the ReadSet in the context
-    (:meth:`~repro.seqs.fasta.ReadSet.soa_block`).  With the mmap read
-    store a process pool ships only the store path and each worker pages
-    in its own block; in-memory sets ride along in the (pre-pickled)
-    context.  Output order (read-major, window order within a read)
-    matches the loop engine's concatenation exactly for every
-    :class:`~repro.seqs.seeding.SeedScheme`.
+    The worker takes its block from the ReadSet in the context, so with the
+    mmap read store a process pool ships only the store path.  Output order
+    (read-major, window order within a read) matches the loop oracle's
+    concatenation exactly for every :class:`~repro.seqs.seeding.SeedScheme`.
     """
     scheme, reads = ctx
     lo, hi = span
     return scheme.seeds_of_block(*reads.soa_block(lo, hi))[0]
 
 
-def _pass1_task(ctx, task):
-    """First-pass handling at one owner rank: Bloom insert + admission.
-
-    Takes and returns the rank's filter (the only cross-round state the
-    pass needs — with a process pool it is shipped back mutated, with
-    threads it is the same object) plus the keys the Bloom test admitted;
-    the admission table itself stays in the parent so it is never
-    pickled.
-    """
-    bloom, incoming = task
-    seen = bloom.add_and_test(incoming)
-    return bloom, incoming[seen]
-
-
-def _pass1_batch_task(ctx, task):
-    """First-pass handling at one owner rank, batch engine.
-
-    Reduces the round's incoming k-mers to their ``(distinct key, count)``
-    histogram once, probes/sets the Bloom filter once per *distinct* key
-    (:meth:`~repro.seqs.bloom.BloomFilter.test_and_set`), and emits the
-    admitted distinct keys — exactly the key set the loop engine's
-    per-occurrence ``add_and_test`` + ``setdefault`` fold admits: a key is
-    admitted iff the pre-round filter knew it or it occurs at least twice
-    in the round.  The histogram rides back so pass 2 never recomputes it.
-    """
-    bloom, incoming = task
-    uniq, cnt = np.unique(incoming, return_counts=True)
-    pre = bloom.test_and_set(uniq)
-    admitted = uniq[pre | (cnt >= 2)]
-    return bloom, admitted, uniq, cnt
-
-
-def _pass2_task(ctx, task):
-    """Second-pass handling at one owner rank: exact counting.
-
-    ``admitted_keys`` is the rank's sorted admitted-key array — a compact
-    stand-in for the admission table, so membership is one vectorized
-    searchsorted instead of a Python dict probe per k-mer.  Returns the
-    (admitted key, count) arrays for the parent to fold into its table.
-    """
-    admitted_keys, incoming = task
-    if admitted_keys.shape[0] == 0 or incoming.size == 0:
-        return np.empty(0, np.uint64), np.empty(0, np.int64)
-    uniq, cnt = np.unique(incoming, return_counts=True)
-    return _histogram_hits(admitted_keys, uniq, cnt)
-
-
-def _pass2_batch_task(ctx, task):
-    """Second-pass handling, batch engine: count from the cached histogram.
-
-    The per-round incoming set is identical in both passes (same k-mers,
-    same destinations, same round slicing), so the batch engine reuses the
-    ``(uniq, cnt)`` histogram pass 1 computed instead of re-sorting the
-    round's traffic — the exchange itself still runs for the communication
-    accounting.
-    """
-    admitted_keys, uniq, cnt = task
-    if admitted_keys.shape[0] == 0 or uniq.size == 0:
-        return np.empty(0, np.uint64), np.empty(0, np.int64)
-    return _histogram_hits(admitted_keys, uniq, cnt)
-
-
-def _histogram_hits(admitted_keys: np.ndarray, uniq: np.ndarray,
-                    cnt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Filter a sorted (key, count) histogram to the admitted keys."""
-    idx = np.searchsorted(admitted_keys, uniq)
-    idx = np.minimum(idx, admitted_keys.shape[0] - 1)
-    hit = admitted_keys[idx] == uniq
-    return uniq[hit], cnt[hit]
-
-
-def _reliable_task(ctx, table):
-    """Reliable selection at one owner rank (loop engine's dict table)."""
-    lower, upper = ctx
-    if not table:
-        return np.empty(0, np.uint64), np.empty(0, np.int64)
-    kk = np.fromiter(table.keys(), dtype=np.uint64, count=len(table))
-    cc = np.fromiter(table.values(), dtype=np.int64, count=len(table))
-    keep = (cc >= lower) & (cc <= upper)
-    return kk[keep], cc[keep]
-
-
-def _reliable_batch_task(ctx, table):
-    """Reliable selection at one owner rank (batch engine's SoA table)."""
-    lower, upper = ctx
-    keys, counts = table
-    keep = (counts >= lower) & (counts <= upper)
-    return keys[keep], counts[keep]
-
-
-def _merge_admitted(keys: np.ndarray, counts: np.ndarray,
-                    cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Merge newly admitted keys (sorted, distinct) into a SoA table.
-
-    The vectorized ``setdefault``: keys already present keep their counts,
-    unseen keys are spliced in (in sorted position) with count 0.  One
-    merge per exchange round — never a per-key loop, and the table stays
-    sorted incrementally so pass 2 needs no re-sort.
-    """
-    if cand.size == 0:
-        return keys, counts
-    if keys.shape[0]:
-        idx = np.searchsorted(keys, cand)
-        present = np.zeros(cand.shape[0], dtype=bool)
-        inb = idx < keys.shape[0]
-        present[inb] = keys[idx[inb]] == cand[inb]
-        fresh = cand[~present]
-        if fresh.size == 0:
-            return keys, counts
-        at = idx[~present]
-        return (np.insert(keys, at, fresh),
-                np.insert(counts, at, 0))
-    return cand, np.zeros(cand.shape[0], dtype=np.int64)
-
-
-def _group_by_dest_masks(sl: np.ndarray, dl: np.ndarray, nprocs: int
-                         ) -> list[np.ndarray]:
-    """Reference send-list construction: one boolean mask per rank."""
-    return [sl[dl == q] for q in range(nprocs)]
-
-
 def _group_by_dest_sorted(sl: np.ndarray, dl: np.ndarray, nprocs: int
                           ) -> list[np.ndarray]:
-    """Batch engine's send-list construction: one stable sort.
+    """Send-list construction: one stable sort.
 
     A stable sort by destination groups the k-mers per rank while
     preserving their original relative order, so every per-destination
@@ -254,10 +137,14 @@ def _group_by_dest_sorted(sl: np.ndarray, dl: np.ndarray, nprocs: int
     return np.split(sl, cuts)
 
 
-# -- spillable (out-of-core) engine tasks -----------------------------------
+def _send_lists(keys: np.ndarray, nprocs: int) -> list[np.ndarray]:
+    """One rank's per-owner send lists for a slice of its seed stream."""
+    dl = (splitmix64(keys) % np.uint64(nprocs)).astype(np.int64)
+    return _group_by_dest_sorted(keys, dl, nprocs)
+
 
 def _seed_count_task(ctx, span):
-    """Per-read seed counts over one rank's read span (spill engine).
+    """Per-read seed counts over one rank's read span (budgeted source).
 
     Swept in fixed sub-blocks so the transient extraction buffer stays
     bounded regardless of span size — the whole point of the budgeted
@@ -277,53 +164,103 @@ def _seed_count_task(ctx, span):
 
 
 def _round_extract_task(ctx, task):
-    """One rank's send lists for one exchange round (spill engine).
+    """One rank's send lists for one exchange round (budgeted source).
 
     ``task = (r0, r1, skip, take)``: extract the seeds of reads
     ``[r0, r1)``, drop the first ``skip`` (they belong to earlier rounds)
-    and keep ``take``.  Because seed extraction is read-major and
-    :func:`~repro.seqs.kmers.splitmix64` is elementwise, slicing the
-    re-extracted stream is byte-identical to slicing the resident engine's
-    one-shot extraction — same keys, same destinations, same
-    stable-sorted per-destination subarrays, hence the same alltoallv
-    traffic.
+    and keep ``take``.  Extraction is read-major and the owner hash
+    elementwise, so this slice is byte-identical to the same slice of the
+    resident source's one-shot stream — hence the same alltoallv traffic.
     """
     scheme, reads, nprocs = ctx
     r0, r1, skip, take = task
     keys = scheme.seeds_of_block(*reads.soa_block(r0, r1))[0]
-    keys = keys[skip:skip + take]
-    dl = (splitmix64(keys) % np.uint64(nprocs)).astype(np.int64)
-    return _group_by_dest_sorted(keys, dl, nprocs)
+    return _send_lists(keys[skip:skip + take], nprocs)
 
 
 def _round_hist_task(ctx, incoming):
     """One owner rank's ``(distinct key, count)`` histogram of a round."""
-    if incoming.size == 0:
+    uniq, cnt = np.unique(incoming, return_counts=True)
+    return uniq, cnt.astype(np.int64, copy=False)
+
+
+def _reliable_hist_task(ctx, task):
+    """Reliable selection at one owner rank: merge-sum, then filter.
+
+    ``task = (parts, runs)``: the rank's buffered round histograms, or —
+    when it spilled — its sorted runs, replayed by a chunked k-way
+    merge-sum in bounded memory.  Either way the merged stream is the
+    rank's exact per-key totals; see :func:`table_from_histogram` for why
+    filtering them equals the two-pass Bloom-admitted table.
+    """
+    lower, upper = ctx
+    parts, runs = task
+    if runs:
+        chunks = merge_pair_runs(runs)
+    else:  # a round histogram is already sorted-unique
+        chunks = [parts[0] if len(parts) == 1 else combine_histograms(parts)]
+    kparts = [np.empty(0, np.uint64)]
+    cparts = [np.empty(0, np.int64)]
+    for keys, counts in chunks:
+        keep = (counts >= lower) & (counts <= upper)
+        kparts.append(keys[keep])
+        cparts.append(counts[keep])
+    return np.concatenate(kparts), np.concatenate(cparts)
+
+
+# -- loop-oracle tasks -------------------------------------------------------
+
+def _extract_task(ctx, owned_idx):
+    """One rank's seed extraction over its block of reads (loop engine)."""
+    reads, scheme = ctx
+    parts = [scheme.seeds_of_read(reads[int(i)])[0] for i in owned_idx]
+    return np.concatenate(parts) if parts else np.empty(0, np.uint64)
+
+
+def _pass1_task(ctx, task):
+    """First-pass handling at one owner rank: Bloom insert + admission.
+
+    Takes and returns the rank's filter (a process pool ships it back
+    mutated) plus the keys the Bloom test admitted; the admission table
+    itself stays in the parent so it is never pickled.
+    """
+    bloom, incoming = task
+    seen = bloom.add_and_test(incoming)
+    return bloom, incoming[seen]
+
+
+def _pass2_task(ctx, task):
+    """Second-pass handling at one owner rank: exact counting.
+
+    ``admitted_keys`` is the rank's sorted admitted-key array, a compact
+    stand-in for the admission table.  Returns the (admitted key, count)
+    arrays for the parent to fold into its table.
+    """
+    admitted_keys, incoming = task
+    if admitted_keys.shape[0] == 0 or incoming.size == 0:
         return np.empty(0, np.uint64), np.empty(0, np.int64)
     uniq, cnt = np.unique(incoming, return_counts=True)
-    return uniq, cnt.astype(np.int64)
+    idx = np.searchsorted(admitted_keys, uniq)
+    idx = np.minimum(idx, admitted_keys.shape[0] - 1)
+    hit = admitted_keys[idx] == uniq
+    return uniq[hit], cnt[hit]
 
 
-def _reliable_spill_task(ctx, runs):
-    """Reliable selection at one owner rank from its spill runs.
-
-    A chunked k-way merge-sum of the rank's sorted runs yields the exact
-    per-key totals in bounded memory; the ``[lower, upper]`` filter over
-    them is the rank's reliable set (see :func:`table_from_histogram` for
-    why that equals the two-pass Bloom-admitted tables when
-    ``lower >= 2``).
-    """
-    lower, upper, chunk_items = ctx
-    kparts: list[np.ndarray] = []
-    cparts: list[np.ndarray] = []
-    for keys, counts in merge_pair_runs(runs, chunk_items=chunk_items):
-        keep = (counts >= lower) & (counts <= upper)
-        if keep.any():
-            kparts.append(keys[keep])
-            cparts.append(counts[keep])
-    if not kparts:
+def _reliable_task(ctx, table):
+    """Reliable selection at one owner rank (the oracle's dict table)."""
+    lower, upper = ctx
+    if not table:
         return np.empty(0, np.uint64), np.empty(0, np.int64)
-    return np.concatenate(kparts), np.concatenate(cparts)
+    kk = np.fromiter(table.keys(), dtype=np.uint64, count=len(table))
+    cc = np.fromiter(table.values(), dtype=np.int64, count=len(table))
+    keep = (cc >= lower) & (cc <= upper)
+    return kk[keep], cc[keep]
+
+
+def _group_by_dest_masks(sl: np.ndarray, dl: np.ndarray, nprocs: int
+                         ) -> list[np.ndarray]:
+    """Reference send-list construction: one boolean mask per rank."""
+    return [sl[dl == q] for q in range(nprocs)]
 
 
 def kmer_histogram(reads: ReadSet, k: int,
@@ -355,8 +292,7 @@ def merge_histograms(keys: np.ndarray, counts: np.ndarray,
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Merge two sorted k-mer histograms: shared keys add, fresh keys splice.
 
-    The PR-5 sorted-SoA merge (:func:`_merge_admitted`'s splice) extended
-    with count accumulation: membership is one ``searchsorted``, present
+    A linear two-way splice: membership is one ``searchsorted``, present
     keys accumulate in place, absent keys are inserted at their sorted
     positions — the output stays sorted without a re-sort.  Returns new
     arrays; the inputs are never mutated (older service versions keep
@@ -435,13 +371,6 @@ def reliable_upper_bound(depth: float, error_rate: float, k: int,
     return max(4, upper)
 
 
-def _partition_reads(reads: ReadSet, nprocs: int) -> list[np.ndarray]:
-    """Balanced 1D block partition of read indices across ranks."""
-    bounds = block_bounds(len(reads), nprocs)
-    return [np.arange(bounds[p], bounds[p + 1], dtype=np.int64)
-            for p in range(nprocs)]
-
-
 def count_kmers(reads: ReadSet, k: int, comm: SimComm,
                 timer: StageTimer | None = None, *,
                 batches: int = 1, bloom_fp: float = 0.01,
@@ -466,34 +395,33 @@ def count_kmers(reads: ReadSet, k: int, comm: SimComm,
     batches:
         Number of exchange rounds per pass (``b`` in Table I's ``Y = bP``).
     bloom_fp:
-        Bloom filter false-positive target.
+        Bloom filter false-positive target (``loop`` oracle only; the
+        result never depends on the filter).
     lower, upper:
         Reliable multiplicity range (inclusive); compute ``upper`` with
-        :func:`reliable_upper_bound` for dataset-driven values.
+        :func:`reliable_upper_bound` for dataset-driven values.  ``lower``
+        must be at least 2: a two-pass Bloom count cannot observe
+        singletons.
     executor:
         :class:`~repro.exec.Executor` spreading each superstep's per-rank
-        work (extraction, Bloom handling, counting, selection) over real
-        workers; ``None`` keeps the serial reference loop.  The resulting
-        table is byte-identical either way.
+        work over real workers; ``None`` keeps the serial reference loop.
+        The resulting table is byte-identical either way.
     impl:
-        K-mer engine (:func:`resolve_kmer_impl`): ``"batch"`` extracts and
-        counts through sorted structure-of-arrays tables, ``"loop"`` keeps
-        the per-read / per-key dict reference.  Byte-identical output.
+        K-mer engine (:func:`resolve_kmer_impl`): ``"batch"`` is the
+        histogram engine (:func:`_count_kmers_hist`), ``"loop"`` the
+        literal Bloom-filtered protocol (:func:`_count_kmers_loop`), kept
+        as the parity reference.  Byte-identical table and traffic.
     scheme:
         :class:`~repro.seqs.seeding.SeedScheme` choosing which windows of
         each read are counted; ``None`` keeps the full-k default (every
-        window — the paper's behavior, byte-identical to the historical
-        hardwired path).
+        window — the paper's behavior).
     table_budget:
-        Optional byte ceiling for the resident per-rank tables.  When set
-        (and the batch engine with ``lower >= 2`` is active), counting
-        runs the out-of-core engine: each rank buffers per-round
-        histograms up to its ``table_budget / P`` share, spills them to
-        sorted disk runs, and k-way merges the runs at reliable-selection
-        time — byte-identical table and communication records, bounded
-        memory.  ``lower < 2`` (or the ``loop`` oracle) ignores the budget
-        and stays resident: below 2 the Bloom admission is not a pure
-        histogram filter, and the oracle's job is to be simple.
+        Optional byte ceiling for the histogram engine's counting state.
+        ``None`` keeps it resident: one seed extraction per rank, no files.
+        When set, each round's seeds are re-extracted instead of held and
+        an owner whose buffered histograms reach its ``table_budget / P``
+        share flushes them to a sorted disk run.  Output and traffic
+        cannot move (see :func:`_count_kmers_hist`).  Ignored by ``loop``.
     spill_dir:
         Directory under which the spill runs' temporary directory is
         created (``None`` = the system temp dir).  Always removed on exit.
@@ -503,301 +431,215 @@ def count_kmers(reads: ReadSet, k: int, comm: SimComm,
     KmerTable
         The sorted reliable k-mer dictionary with counts.
     """
-    P = comm.nprocs
+    if lower < 2:
+        raise ValueError(
+            f"count_kmers needs lower >= 2, got {lower}: a two-pass "
+            f"Bloom-filtered count cannot observe singletons")
     timer = timer if timer is not None else StageTimer()
     executor = executor if executor is not None else SERIAL
-    impl = resolve_kmer_impl(impl)
     scheme = scheme if scheme is not None else FullKScheme(k)
-    if table_budget is not None and impl == "batch" and lower >= 2:
-        return _count_kmers_spill(
-            reads, k, comm, timer, batches=batches, lower=lower,
-            upper=upper, executor=executor, scheme=scheme,
-            table_budget=table_budget, spill_dir=spill_dir)
+    if resolve_kmer_impl(impl) == "loop":
+        rel_parts = _count_kmers_loop(reads, comm, timer, batches, bloom_fp,
+                                      lower, upper, executor, scheme)
+    else:
+        rel_parts = _count_kmers_hist(reads, comm, timer, batches, lower,
+                                      upper, executor, scheme, table_budget,
+                                      spill_dir)
+    # Global dictionary assembly: an allgather of the per-rank reliable
+    # sets; column ids are the sorted order.
+    comm.allgather([p[0] for p in rel_parts], stage=STAGE)
+    all_k = np.concatenate([p[0] for p in rel_parts])
+    all_c = np.concatenate([p[1] for p in rel_parts])
+    order = np.argsort(all_k)
+    return KmerTable(k=k, kmers=all_k[order], counts=all_c[order],
+                     lower=lower, upper=upper)
+
+
+def _count_kmers_hist(reads: ReadSet, comm: SimComm, timer: StageTimer,
+                      batches: int, lower: int, upper: int,
+                      executor: Executor, scheme: SeedScheme,
+                      table_budget: int | None, spill_dir: str | None
+                      ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The histogram engine: per-owner reliable ``(keys, counts)`` sets.
+
+    1. **Seed source.**  Unbudgeted, each rank extracts its seed stream
+       once and keeps it; round ``b`` is the slice
+       ``[(n·b)/batches, (n·(b+1))/batches)``.  Budgeted, a counting sweep
+       gives each rank a prefix array over its stream, so a round's slice
+       maps to a read range plus skip/take offsets and is re-extracted on
+       demand — nothing stream-sized stays resident.
+    2. **Pass 1, per round** — hash and stable-group the slice by owner,
+       exchange, and reduce each owner's incoming to its
+       ``(distinct key, count)`` histogram.  Owners buffer histograms;
+       under a budget, one whose buffer reaches its ``table_budget / P``
+       share merge-sums it into a sorted run on disk.
+    3. **Pass 2** — the protocol's second exchange ships the same k-mers
+       to the same owners, so its traffic is replayed from the recorded
+       round sizes with placeholder payloads: the simulated communicator
+       charges bytes and messages from array sizes only, and the
+       placeholder pages are never even touched.
+    4. **Reliable selection** — each owner merge-sums its histograms
+       (buffered, or k-way from its runs) and keeps keys with total count
+       in ``[lower, upper]``: exactly the Bloom-admitted two-pass table
+       (:func:`table_from_histogram`), with no admission state at all.
+
+    The budget cannot move output or traffic: both sources cut the same
+    stream at the same offsets, and addition does not care where the
+    partial sums waited.
+    """
+    P = comm.nprocs
     bounds = block_bounds(len(reads), P)
+    spans = [(int(bounds[p]), int(bounds[p + 1])) for p in range(P)]
+    superstep = functools.partial(_superstep, timer, executor)
+
+    if table_budget is None:
+        share, scratch = float("inf"), contextlib.nullcontext()
+        pre = np.concatenate(([0], np.cumsum(reads.lengths)))
+        rank_kmers = superstep(
+            _extract_batch_task, spans,
+            [int(pre[hi] - pre[lo]) for lo, hi in spans], (scheme, reads))
+
+        def round_sends(b: int) -> list[list[np.ndarray]]:
+            send = []
+            with timer.superstep(STAGE) as step:
+                for p, km in enumerate(rank_kmers):
+                    n = km.shape[0]
+                    lo, hi = (n * b) // batches, (n * (b + 1)) // batches
+                    with step.rank(p):
+                        send.append(_send_lists(km[lo:hi], P))
+            return send
+    else:
+        share = max(1, int(table_budget) // P)
+        if spill_dir is not None:
+            os.makedirs(spill_dir, exist_ok=True)
+        scratch = tempfile.TemporaryDirectory(
+            prefix="repro-kmer-spill-", dir=spill_dir,
+            ignore_cleanup_errors=True)
+        seed_counts = superstep(_seed_count_task, spans,
+                                [hi - lo for lo, hi in spans],
+                                (scheme, reads))
+        kcs = [np.concatenate(([0], np.cumsum(c))) for c in seed_counts]
+
+        def round_sends(b: int) -> list[list[np.ndarray]]:
+            tasks = []
+            for (first, _), kc in zip(spans, kcs):
+                n = int(kc[-1])
+                lo, hi = (n * b) // batches, (n * (b + 1)) // batches
+                r0 = int(np.searchsorted(kc, lo, side="right")) - 1
+                r1 = int(np.searchsorted(kc, hi, side="left"))
+                tasks.append((first + r0, first + r1,
+                              lo - int(kc[r0]), hi - lo))
+            return superstep(_round_extract_task, tasks,
+                             [t[3] for t in tasks], (scheme, reads, P))
+
+    with scratch as tmpdir:
+        parts: list[list] = [[] for _ in range(P)]
+        runs: list[list] = [[] for _ in range(P)]
+        live = [0] * P
+
+        def flush(q: int) -> None:
+            path = os.path.join(tmpdir,
+                                f"rank{q:03d}_run{len(runs[q]):04d}.bin")
+            runs[q].append(write_pair_run(path,
+                                          *combine_histograms(parts[q])))
+            parts[q].clear()
+            live[q] = 0
+
+        sizes: list[list[list[int]]] = []
+        for b in range(batches):
+            send = round_sends(b)
+            sizes.append([[int(arr.shape[0]) for arr in row]
+                          for row in send])
+            recv = comm.alltoallv(send, stage=STAGE)
+            incoming = [np.concatenate(recv[q]) if recv[q] else
+                        np.empty(0, np.uint64) for q in range(P)]
+            del send, recv
+            hists = superstep(_round_hist_task, incoming,
+                              [inc.shape[0] for inc in incoming])
+            for q, (uniq, cnt) in enumerate(hists):
+                if uniq.shape[0] == 0:
+                    continue
+                parts[q].append((uniq, cnt))
+                live[q] += uniq.nbytes + cnt.nbytes
+                if live[q] >= share:
+                    flush(q)
+        for round_sizes in sizes:  # pass 2, replayed
+            comm.alltoallv([[np.empty(n, np.uint64) for n in row]
+                            for row in round_sizes], stage=STAGE)
+
+        # An owner that spilled flushes its tail too, so its selection is
+        # a merge of runs alone; one that never did stays in memory.
+        for q in range(P):
+            if runs[q] and parts[q]:
+                flush(q)
+        return superstep(
+            _reliable_hist_task, list(zip(parts, runs)),
+            [sum(r.n for r in runs[q]) + sum(u.shape[0] for u, _ in parts[q])
+             for q in range(P)], (lower, upper))
+
+
+def _count_kmers_loop(reads: ReadSet, comm: SimComm, timer: StageTimer,
+                      batches: int, bloom_fp: float, lower: int, upper: int,
+                      executor: Executor, scheme: SeedScheme
+                      ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The parity oracle: the two-pass protocol as the paper states it.
+
+    Per-read extraction, mask-built send lists, a Bloom filter per owner
+    whose ``add_and_test`` admits keys into a ``dict[int, int]`` table in
+    pass 1, exact counting of admitted keys in pass 2, reliable selection
+    over the dicts — no counting code shared with the histogram engine,
+    which is what makes the parity suites mean something.
+    """
+    P = comm.nprocs
+    superstep = functools.partial(_superstep, timer, executor)
+    bounds = block_bounds(len(reads), P)
+    owned = [np.arange(bounds[p], bounds[p + 1], dtype=np.int64)
+             for p in range(P)]
 
     # Extract (canonical) seed k-mers per rank once; reused by both passes.
-    with timer.superstep(STAGE) as step:
-        if impl == "batch":
-            spans = [(int(bounds[p]), int(bounds[p + 1]))
-                     for p in range(P)]
-            pre = np.concatenate(([0], np.cumsum(reads.lengths)))
-            rank_kmers, secs = executor.run_timed(
-                _extract_batch_task, spans, context=(scheme, reads),
-                weights=[int(pre[hi] - pre[lo]) for lo, hi in spans])
-        else:
-            owned = _partition_reads(reads, P)
-            rank_kmers, secs = executor.run_timed(
-                _extract_task, owned, context=(reads, scheme),
-                weights=[idx.shape[0] for idx in owned])
-        step.charge_many(range(P), secs)
-
+    rank_kmers = superstep(_extract_task, owned,
+                           [idx.shape[0] for idx in owned], (reads, scheme))
     dest = [(splitmix64(km) % np.uint64(P)).astype(np.int64)
             for km in rank_kmers]
 
     total_kmers = sum(km.shape[0] for km in rank_kmers)
     blooms = [BloomFilter(max(64, total_kmers // max(1, P)), bloom_fp)
               for _ in range(P)]
+    admitted: list[dict[int, int]] = [dict() for _ in range(P)]
 
-    def group_by_dest(sl: np.ndarray, dl: np.ndarray) -> list[np.ndarray]:
-        if impl == "batch":
-            return _group_by_dest_sorted(sl, dl, P)
-        return _group_by_dest_masks(sl, dl, P)
-    # The batch engine builds each round's send lists once and replays them
-    # in pass 2 (both passes ship exactly the same k-mers to the same
-    # owners); the loop reference rebuilds them per pass.  The cache holds
-    # one dest-grouped copy of the extracted k-mers (~8 bytes each) across
-    # the stage — the price of skipping pass 2's regrouping sort.
-    send_cache: dict[int, list[list[np.ndarray]]] = {}
-
-    def exchange_rounds(run_round, *, cache_sends: bool = False,
-                        need_incoming: bool = True) -> None:
+    def exchange_rounds(run_round) -> None:
         """One pass = ``batches`` alltoallv rounds + local handling."""
         for b in range(batches):
-            send = send_cache.get(b)
-            if send is None:
-                send = []
-                for p in range(P):
-                    km = rank_kmers[p]
-                    n = km.shape[0]
-                    lo, hi = (n * b) // batches, (n * (b + 1)) // batches
-                    send.append(group_by_dest(km[lo:hi], dest[p][lo:hi]))
-                if cache_sends:
-                    send_cache[b] = send
-            recv = comm.alltoallv(send, stage=STAGE)
-            incoming = [np.concatenate(recv[q]) if recv[q] else
-                        np.empty(0, np.uint64) for q in range(P)] \
-                if need_incoming else None
-            run_round(b, incoming)
-
-    def run_superstep(fn, tasks, weights):
-        """One executor superstep charged to the owner ranks."""
-        with timer.superstep(STAGE) as step:
-            out, secs = executor.run_timed(fn, tasks, weights=weights)
-            step.charge_many(range(P), secs)
-        return out
-
-    if impl == "batch":
-        # Sorted-array SoA admission/count tables: setdefault is a merge,
-        # accumulation a vectorized scatter-add — maintained incrementally
-        # sorted, so no pass ever re-materializes key arrays.  Each round's
-        # (distinct key, count) histogram from pass 1 is kept for pass 2.
-        tab_keys = [np.empty(0, np.uint64) for _ in range(P)]
-        tab_counts = [np.empty(0, np.int64) for _ in range(P)]
-        histograms: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-
-        def pass1(b: int, incoming: list[np.ndarray]) -> None:
-            out = run_superstep(
-                _pass1_batch_task,
-                [(blooms[q], incoming[q]) for q in range(P)],
-                [inc.shape[0] for inc in incoming])
-            histograms[b] = []
-            for q, (bloom, admitted_q, uniq, cnt) in enumerate(out):
-                blooms[q] = bloom
-                histograms[b].append((uniq, cnt))
-                tab_keys[q], tab_counts[q] = _merge_admitted(
-                    tab_keys[q], tab_counts[q], admitted_q)
-
-        def pass2(b: int, incoming) -> None:
-            hist = histograms[b]
-            out = run_superstep(
-                _pass2_batch_task,
-                [(tab_keys[q],) + hist[q] for q in range(P)],
-                [hist[q][0].shape[0] for q in range(P)])
-            for q, (hit_keys, cnt) in enumerate(out):
-                if hit_keys.size:
-                    # hit_keys are unique within a round, so a plain fancy
-                    # add accumulates exactly once per key.
-                    tab_counts[q][np.searchsorted(tab_keys[q],
-                                                  hit_keys)] += cnt
-
-        exchange_rounds(pass1, cache_sends=True)
-        exchange_rounds(pass2, need_incoming=False)
-        rel_tables: list = list(zip(tab_keys, tab_counts))
-        rel_fn = _reliable_batch_task
-        rel_weights = [kk.shape[0] for kk in tab_keys]
-    else:
-        admitted: list[dict[int, int]] = [dict() for _ in range(P)]
-
-        def pass1(b: int, incoming: list[np.ndarray]) -> None:
-            out = run_superstep(
-                _pass1_task,
-                [(blooms[q], incoming[q]) for q in range(P)],
-                [inc.shape[0] for inc in incoming])
-            for q, (bloom, new_keys) in enumerate(out):
-                blooms[q] = bloom
-                table = admitted[q]
-                for kv in new_keys:
-                    table.setdefault(int(kv), 0)
-
-        def pass2(b: int, incoming: list[np.ndarray]) -> None:
-            out = run_superstep(
-                _pass2_task,
-                [(pass2_keys[q], incoming[q]) for q in range(P)],
-                [inc.shape[0] for inc in incoming])
-            for q, (hit_keys, counts) in enumerate(out):
-                table = admitted[q]
-                for kv, c in zip(hit_keys, counts):
-                    table[int(kv)] += int(c)
-
-        exchange_rounds(pass1)
-        # The admitted key sets are frozen once pass 1 completes, so the
-        # sorted key arrays the pass-2 workers search are materialized
-        # exactly once — not per exchange round (the old per-batch
-        # ``np.fromiter`` rebuild was O(table) extra work per round).
-        pass2_keys = [np.sort(np.fromiter(admitted[q].keys(),
-                                          dtype=np.uint64,
-                                          count=len(admitted[q])))
-                      for q in range(P)]
-        exchange_rounds(pass2)
-        rel_tables = list(admitted)
-        rel_fn = _reliable_task
-        rel_weights = [len(t) for t in admitted]
-
-    # Reliable selection + global dictionary assembly (an allgather of the
-    # per-rank reliable sets; column ids are the sorted order).
-    with timer.superstep(STAGE) as step:
-        rel_parts, secs = executor.run_timed(
-            rel_fn, rel_tables, context=(lower, upper),
-            weights=rel_weights)
-        step.charge_many(range(P), secs)
-    comm.allgather([p[0] for p in rel_parts], stage=STAGE)
-    all_k = np.concatenate([p[0] for p in rel_parts])
-    all_c = np.concatenate([p[1] for p in rel_parts])
-    order = np.argsort(all_k)
-    return KmerTable(k=k, kmers=all_k[order], counts=all_c[order],
-                     lower=lower, upper=upper)
-
-
-def _count_kmers_spill(reads: ReadSet, k: int, comm: SimComm,
-                       timer: StageTimer, *, batches: int, lower: int,
-                       upper: int, executor: Executor, scheme: SeedScheme,
-                       table_budget: int, spill_dir: str | None
-                       ) -> KmerTable:
-    """Out-of-core counting: spillable sorted-run tables, exact output.
-
-    The resident batch engine holds three table-shaped giants: the full
-    extracted seed stream, the cached per-round send lists, and the
-    per-rank admission/count tables.  This engine bounds all three at a
-    ``table_budget`` while producing the *identical* :class:`KmerTable`
-    and the *identical* communication records:
-
-    1. **Counting sweep** — per-read seed counts (bounded sub-blocks)
-       give each rank a prefix array over its seed stream, so any round's
-       slice ``[(n·b)/batches, (n·(b+1))/batches)`` maps to a read range
-       plus skip/take offsets.
-    2. **Pass 1, per round** — re-extract exactly that slice, hash and
-       stable-group by owner (byte-identical send lists to the resident
-       engine, see :func:`_round_extract_task`), exchange, and reduce each
-       owner's incoming to its ``(distinct key, count)`` histogram.
-       Owners buffer histograms up to their ``table_budget / P`` share,
-       then merge-sum and flush a sorted run to disk
-       (:func:`~repro.seqs.spill.write_pair_run`).
-    3. **Pass 2** — the two-pass protocol's second exchange ships the
-       same k-mers to the same owners, so its traffic is replayed from
-       the recorded round sizes with placeholder payloads: the simulated
-       communicator charges bytes and message counts from array sizes
-       only, making the replayed accounting byte-identical while the
-       placeholder pages are never even touched.
-    4. **Reliable selection** — each rank k-way merge-sums its runs in
-       bounded chunks and keeps keys with total count in
-       ``[lower, upper]``.  For ``lower >= 2`` this is exactly the
-       Bloom-admitted two-pass table (:func:`table_from_histogram`'s
-       argument: admission only ever adds singletons beyond the
-       ``count >= 2`` keys, and those fall to the lower bound), so no
-       admission state needs to exist at all.
-
-    The trade is one extra extraction sweep (the counting pass) for a
-    resident footprint that no longer scales with the table size — the
-    out-of-core half of the ROADMAP's "inputs ≫ RAM" item.
-    """
-    P = comm.nprocs
-    bounds = block_bounds(len(reads), P)
-    spans = [(int(bounds[p]), int(bounds[p + 1])) for p in range(P)]
-
-    with timer.superstep(STAGE) as step:
-        counts_out, secs = executor.run_timed(
-            _seed_count_task, spans, context=(scheme, reads),
-            weights=[hi - lo for lo, hi in spans])
-        step.charge_many(range(P), secs)
-    kcs = [np.concatenate(([0], np.cumsum(c))) for c in counts_out]
-
-    share = max(1, int(table_budget) // P)
-    if spill_dir is not None:
-        os.makedirs(spill_dir, exist_ok=True)
-    tmpdir = tempfile.mkdtemp(prefix="repro-kmer-spill-", dir=spill_dir)
-    try:
-        runs: list[list] = [[] for _ in range(P)]
-        buffers: list[list] = [[] for _ in range(P)]
-        live = [0] * P
-
-        def flush(q: int) -> None:
-            if not buffers[q]:
-                return
-            uniq, cnt = combine_histograms(buffers[q])
-            path = os.path.join(tmpdir,
-                                f"rank{q:03d}_run{len(runs[q]):04d}.bin")
-            runs[q].append(write_pair_run(path, uniq, cnt))
-            buffers[q].clear()
-            live[q] = 0
-
-        # Pass 1: extract-exchange-histogram one round at a time.
-        sizes: list[list[list[int]]] = []
-        for b in range(batches):
-            tasks = []
-            for p in range(P):
-                kc = kcs[p]
-                n = int(kc[-1])
+            send = []
+            for km, dl in zip(rank_kmers, dest):
+                n = km.shape[0]
                 lo, hi = (n * b) // batches, (n * (b + 1)) // batches
-                r0 = int(np.searchsorted(kc, lo, side="right")) - 1
-                r1 = int(np.searchsorted(kc, hi, side="left"))
-                tasks.append((spans[p][0] + r0, spans[p][0] + r1,
-                              lo - int(kc[r0]), hi - lo))
-            with timer.superstep(STAGE) as step:
-                send, secs = executor.run_timed(
-                    _round_extract_task, tasks, context=(scheme, reads, P),
-                    weights=[t[3] for t in tasks])
-                step.charge_many(range(P), secs)
-            sizes.append([[int(arr.shape[0]) for arr in send[p]]
-                          for p in range(P)])
+                send.append(_group_by_dest_masks(km[lo:hi], dl[lo:hi], P))
             recv = comm.alltoallv(send, stage=STAGE)
-            incoming = [np.concatenate(recv[q]) if recv[q] else
-                        np.empty(0, np.uint64) for q in range(P)]
-            with timer.superstep(STAGE) as step:
-                hists, secs = executor.run_timed(
-                    _round_hist_task, incoming,
-                    weights=[inc.shape[0] for inc in incoming])
-                step.charge_many(range(P), secs)
-            for q, (uniq, cnt) in enumerate(hists):
-                if uniq.shape[0] == 0:
-                    continue
-                buffers[q].append((uniq, cnt))
-                live[q] += uniq.nbytes + cnt.nbytes
-                if live[q] >= share:
-                    flush(q)
-        for q in range(P):
-            flush(q)
+            run_round([np.concatenate(recv[q]) if recv[q] else
+                       np.empty(0, np.uint64) for q in range(P)])
 
-        # Pass 2: replay the second exchange's traffic from the recorded
-        # sizes.  The payload of a size-matched placeholder is never read
-        # (pass 2 exists for the protocol's communication cost), so the
-        # accounting is identical without re-extracting anything.
-        for b in range(batches):
-            send = [[np.empty(sizes[b][p][q], np.uint64)
-                     for q in range(P)] for p in range(P)]
-            comm.alltoallv(send, stage=STAGE)
+    def pass1(incoming: list[np.ndarray]) -> None:
+        out = superstep(_pass1_task, list(zip(blooms, incoming)),
+                        [inc.shape[0] for inc in incoming])
+        for q, (bloom, new_keys) in enumerate(out):
+            blooms[q] = bloom
+            for kv in new_keys:
+                admitted[q].setdefault(int(kv), 0)
 
-        with timer.superstep(STAGE) as step:
-            rel_parts, secs = executor.run_timed(
-                _reliable_spill_task, runs,
-                context=(lower, upper, 1 << 16),
-                weights=[sum(r.n for r in rq) for rq in runs])
-            step.charge_many(range(P), secs)
-    finally:
-        shutil.rmtree(tmpdir, ignore_errors=True)
+    def pass2(incoming: list[np.ndarray]) -> None:
+        out = superstep(_pass2_task, list(zip(pass2_keys, incoming)),
+                        [inc.shape[0] for inc in incoming])
+        for q, (hit_keys, counts) in enumerate(out):
+            for kv, c in zip(hit_keys, counts):
+                admitted[q][int(kv)] += int(c)
 
-    comm.allgather([p[0] for p in rel_parts], stage=STAGE)
-    all_k = np.concatenate([p[0] for p in rel_parts])
-    all_c = np.concatenate([p[1] for p in rel_parts])
-    order = np.argsort(all_k)
-    return KmerTable(k=k, kmers=all_k[order], counts=all_c[order],
-                     lower=lower, upper=upper)
+    exchange_rounds(pass1)
+    # The admitted key sets are frozen once pass 1 completes, so the sorted
+    # key arrays the pass-2 workers search are materialized exactly once.
+    pass2_keys = [np.sort(np.fromiter(table.keys(), dtype=np.uint64,
+                                      count=len(table)))
+                  for table in admitted]
+    exchange_rounds(pass2)
+    return superstep(_reliable_task, admitted, [len(t) for t in admitted],
+                     (lower, upper))

@@ -1,17 +1,18 @@
-"""Sorted spill runs for the out-of-core k-mer tables.
+"""Merge-sum of ``(key, count)`` histograms, in memory and from sorted runs.
 
-When a rank's buffered ``(key, count)`` histogram exceeds its share of the
-``--memory-budget``, the k-mer counter flushes it to disk as one **sorted
-run** (:func:`write_pair_run`) and frees the memory.  At
-reliable-selection time the runs are replayed through
-:func:`merge_pair_runs`, a chunked k-way merge-sum that yields the global
-``(sorted unique keys, summed counts)`` stream while holding only
+The k-mer counter's owners buffer one sorted-unique histogram per exchange
+round and merge-sum them at reliable-selection time
+(:func:`combine_histograms`).  Under a ``--memory-budget``, an owner whose
+buffer reaches its share flushes it to disk as one **sorted run**
+(:func:`write_pair_run`) and frees the memory; selection then replays the
+runs through :func:`merge_pair_runs`, a chunked k-way merge-sum that yields
+the same ``(sorted unique keys, summed counts)`` stream while holding only
 ``O(runs × chunk)`` items resident — never the full table.
 
-Equivalence to the resident tables is exact, not approximate: addition is
-associative/commutative over however the rounds were cut, and each run is
-itself sorted-unique, so the merged stream is byte-for-byte the histogram
-an unbudgeted run would have built in memory.
+The two are exactly equivalent: addition is associative/commutative over
+however the rounds were cut, and each run is itself sorted-unique, so the
+merged stream is byte-for-byte the histogram an unbudgeted run sums in
+memory.
 
 The on-disk format is the numpy structured dtype :data:`PAIR_DTYPE`
 written contiguously — readable back in arbitrary ``[lo, hi)`` windows via
@@ -64,8 +65,7 @@ def combine_histograms(parts: list[tuple[np.ndarray, np.ndarray]]
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Merge-sum ``(keys, counts)`` parts into one sorted-unique table.
 
-    The same splice the resident counter applies per exchange round:
-    concatenate, stable-sort by key, collapse equal keys by summing their
+    Concatenate, stable-sort by key, collapse equal keys by summing their
     counts.  Works for any number of parts, each itself in any order.
     """
     if not parts:
@@ -77,9 +77,8 @@ def combine_histograms(parts: list[tuple[np.ndarray, np.ndarray]]
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     counts = counts[order]
-    uniq, start = np.unique(keys, return_index=True)
-    summed = np.add.reduceat(counts, start)
-    return uniq, summed
+    start = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[start], np.add.reduceat(counts, start)
 
 
 def merge_pair_runs(runs: list[PairRun], chunk_items: int = 1 << 16):

@@ -98,21 +98,6 @@ def test_property_second_occurrence_always_admitted(pre, batch):
     assert seen[~first_occurrence].all()
 
 
-@settings(max_examples=60, deadline=None)
-@given(keys_arrays, keys_arrays)
-def test_property_test_and_set_matches_add_and_test(pre, batch):
-    """The batch engine's single-probe primitive equals the reference on
-    distinct keys: same pre-state answers, same final filter state."""
-    uniq = np.unique(batch)
-    ref, fast = (BloomFilter(capacity=max(1, pre.size + batch.size))
-                 for _ in range(2))
-    ref.add(pre)
-    fast.add(pre)
-    assert np.array_equal(ref._slots, fast._slots)
-    assert np.array_equal(ref.add_and_test(uniq), fast.test_and_set(uniq))
-    assert np.array_equal(ref._slots, fast._slots)
-
-
 @settings(max_examples=40, deadline=None)
 @given(keys_arrays)
 def test_property_intra_batch_duplicates(batch):
@@ -127,11 +112,6 @@ def test_property_intra_batch_duplicates(batch):
     # Duplicates must be seen regardless of the filter's false positives.
     assert seen[order][dup_of_prev].all()
     assert bf.contains(batch).all()
-
-
-def test_test_and_set_empty():
-    bf = BloomFilter(capacity=10)
-    assert bf.test_and_set(np.empty(0, dtype=np.uint64)).shape == (0,)
 
 
 def test_n_bits_power_of_two():

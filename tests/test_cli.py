@@ -160,3 +160,25 @@ def test_serve_parser_defaults_match_config():
     assert args.executor == cfg.executor
     assert args.seed_mode == cfg.seed_mode
     assert args.seed_w == cfg.seed_w
+
+
+def test_closed_pipe_is_not_an_error(tmp_path):
+    """Regression: ``repro stats reads.fa | head`` ended in a
+    BrokenPipeError traceback and exit code 1."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(repro.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "simulate", str(tmp_path / "r.fa"),
+         "--genome-length", "3000", "--depth", "3", "--seed", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader goes away before anything is written
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert "Traceback" not in stderr and "BrokenPipe" not in stderr

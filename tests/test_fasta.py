@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.seqs.dna import decode, encode
 from repro.seqs.fasta import (ReadSet, chunked_read_ranges, read_fasta,
-                              write_fasta)
+                              read_fasta_to_store, write_fasta)
 
 
 def _toy_reads():
@@ -143,6 +143,33 @@ def test_read_fasta_rejects_nameless_header():
 def test_read_fasta_rejects_data_before_header():
     with pytest.raises(ValueError, match="before any '>' header"):
         read_fasta(io.StringIO("ACGT\n>a\nACGT\n"))
+
+
+def test_read_fasta_refuses_gzip_by_name(tmp_path):
+    """Regression: a gzip file used to die with a bare UnicodeDecodeError."""
+    import gzip
+    path = tmp_path / "reads.fa.gz"
+    with gzip.open(path, "wt") as fh:
+        fh.write(">a\nACGT\n")
+    with pytest.raises(ValueError, match="gzip-compressed input is not "
+                                         "supported; decompress first"):
+        read_fasta(path)
+    with pytest.raises(ValueError, match="gzip-compressed"):
+        read_fasta_to_store(path, str(tmp_path / "store"))
+    assert not (tmp_path / "store").exists()
+
+
+def test_read_fasta_refuses_fastq_by_name(tmp_path):
+    """Regression: FASTQ used to be reported as "sequence data before any
+    '>' header"."""
+    fastq = "@r0\nACGT\n+\nIIII\n"
+    with pytest.raises(ValueError, match="looks like FASTQ; only FASTA is "
+                                         "supported"):
+        read_fasta(io.StringIO(fastq))
+    path = tmp_path / "reads.fq"
+    path.write_text(fastq)
+    with pytest.raises(ValueError, match="looks like FASTQ"):
+        read_fasta_to_store(path, str(tmp_path / "store"))
 
 
 def test_read_fasta_empty_file_is_empty_readset():

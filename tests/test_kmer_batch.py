@@ -1,11 +1,12 @@
-"""Parity suite: the batched SoA k-mer engine vs the dict-loop oracle.
+"""Parity suite: the histogram k-mer engine vs the dict-loop oracle.
 
 ``kmer_impl="batch"`` must be a pure performance axis: the reliable
 :class:`~repro.seqs.kmer_counter.KmerTable`, the A matrix, and the
-communication records have to be byte-identical to the per-read / per-key
-reference for every process count, batch count, multiplicity window,
-executor, and adversarial input shape (intra-batch duplicates, canonical
-self-complement k-mers, empty ranks, all-unreliable tables).
+communication records have to be byte-identical to the Bloom-filtered
+per-read / per-key reference for every process count, batch count,
+multiplicity window (``lower >= 2``), executor, and adversarial input shape
+(intra-batch duplicates, canonical self-complement k-mers, empty ranks,
+all-unreliable tables).
 """
 
 import numpy as np
@@ -96,7 +97,7 @@ def test_read_kmers_batch_noncontiguous_subset():
                 min_size=1, max_size=10),
        st.integers(1, 4),      # P
        st.integers(1, 3),      # batches
-       st.integers(1, 2),      # lower
+       st.sampled_from([2, 3]),  # lower
        st.integers(2, 6))      # upper
 def test_count_parity_hypothesis(read_lists, P, batches, lower, upper):
     reads = _readset(read_lists)
@@ -106,6 +107,15 @@ def test_count_parity_hypothesis(read_lists, P, batches, lower, upper):
                      upper=upper)
     _assert_tables_equal(tl, tb)
     assert trl.summary() == trb.summary()
+
+
+@pytest.mark.parametrize("impl", ("loop", "batch"))
+def test_lower_below_two_is_refused(impl):
+    """A two-pass Bloom count cannot observe singletons: neither engine
+    pretends to."""
+    reads = _readset([[0, 1, 2, 3, 0, 1, 2]])
+    with pytest.raises(ValueError, match="lower >= 2"):
+        _count(reads, impl, lower=1)
 
 
 @pytest.mark.parametrize("executor,workers", [("serial", 1), ("thread", 3),

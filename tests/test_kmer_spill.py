@@ -1,12 +1,15 @@
-"""Spillable sorted-run k-mer tables ≡ the resident batch engine.
+"""``table_budget`` is a pure memory axis of the one histogram engine.
 
-``table_budget`` must be a pure memory axis: the reliable table (keys AND
-counts), the per-rank communication record, and the seeding-scheme
-interaction have to be byte-identical to the resident two-pass engine for
-every process count, batch count, and executor — the spill engine flushes
-sorted ``(key, count)`` runs to disk when a rank's buffered histogram
-exceeds its share of the budget and k-way merges them at selection time.
+The reliable table (keys AND counts), the per-rank communication record,
+and the seeding-scheme interaction have to be byte-identical to the
+Bloom-filtered ``loop`` oracle for every budget (``None`` = resident, no
+disk; tiny = a run per round; generous = re-extraction but no spill),
+process count, batch count, and executor — a budgeted owner flushes sorted
+``(key, count)`` runs to disk when its buffered histograms reach its share
+and k-way merges them at selection time.
 """
+
+import tempfile
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.exec import get_executor
 from repro.mpisim import CommTracker, SimComm, StageTimer
 from repro.seqs import (ErrorModel, GenomeSpec, ReadSimSpec, simulate_reads)
-from repro.seqs.kmer_counter import count_kmers
+from repro.seqs.kmer_counter import count_kmers, kmer_histogram
 from repro.seqs.spill import (PAIR_DTYPE, combine_histograms,
                               merge_pair_runs, write_pair_run)
 
@@ -30,14 +33,45 @@ def spill_reads():
 
 
 def _count(reads, *, P=1, batches=1, scheme=None, executor=None,
-           table_budget=None, spill_dir=None):
+           table_budget=None, spill_dir=None, impl="batch"):
     tracker = CommTracker(P)
     comm = SimComm(P, tracker)
     table = count_kmers(reads, 17, comm, StageTimer(), batches=batches,
                         lower=2, upper=40, executor=executor,
-                        impl="batch", scheme=scheme,
+                        impl=impl, scheme=scheme,
                         table_budget=table_budget, spill_dir=spill_dir)
     return table, tracker
+
+
+# ``"share"`` is resolved per cell to one rank's share of the exact table's
+# bytes, given as the whole budget: at P=1 an owner spills right at the
+# threshold, at P=4 mid-stream.
+BUDGETS = (None, 1, "share", 1 << 40)
+
+
+@pytest.mark.parametrize("P", (1, 4))
+@pytest.mark.parametrize("batches", (1, 3))
+@pytest.mark.parametrize("table_budget", BUDGETS)
+def test_budget_sweep_matches_loop_oracle(spill_reads, tmp_path, monkeypatch,
+                                          P, batches, table_budget):
+    ref, ref_tracker = _count(spill_reads, P=P, batches=batches,
+                              impl="loop")
+    if table_budget == "share":
+        keys, _ = kmer_histogram(spill_reads, 17)
+        table_budget = keys.shape[0] * PAIR_DTYPE.itemsize // P
+    if table_budget is None:
+        def no_tmpdir(*args, **kwargs):
+            raise AssertionError("unbudgeted count_kmers touched the disk")
+        monkeypatch.setattr(tempfile, "mkdtemp", no_tmpdir)
+    res, res_tracker = _count(spill_reads, P=P, batches=batches,
+                              table_budget=table_budget,
+                              spill_dir=str(tmp_path))
+    assert np.array_equal(res.kmers, ref.kmers)
+    assert np.array_equal(res.counts, ref.counts)
+    assert res.kmers.dtype == ref.kmers.dtype
+    assert res.counts.dtype == ref.counts.dtype
+    assert res_tracker.summary() == ref_tracker.summary()
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("P", (1, 4))
