@@ -51,7 +51,7 @@ def _child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     # The child measures the *configured* store/budget path only.
-    for var in ("REPRO_READ_STORE", "REPRO_STORE_DIR", "REPRO_OVERLAP_MODE"):
+    for var in ("REPRO_READ_STORE", "REPRO_OVERLAP_MODE"):
         env.pop(var, None)
     return env
 
@@ -98,7 +98,7 @@ def _child_main(mode: str, fasta: str, workdir: str) -> None:
         "s_digest": h.hexdigest(), "tracker_digest": tracker,
         "n_reads": result.n_reads, "n_kmers": result.n_kmers,
         "nnz_s": result.nnz_s, "n_strips": result.n_strips,
-        "read_store": result.read_store,
+        "read_store": result.config.read_store,
     }))
 
 

@@ -100,7 +100,7 @@ def test_pipeline_e2e_speedup(benchmark):
         "bench": "pipeline_e2e",
         "dataset": {"genome_length": GENOME_LENGTH, "depth": DEPTH,
                     "error_rate": ERROR_RATE, "n_reads": len(reads),
-                    "align_mode": "xdrop", "align_impl": ref.align_impl,
+                    "align_mode": "xdrop", "align_impl": ref.config.align_impl,
                     "nprocs": 4},
         "host_cpus": cpus,
         "workers": WORKERS,

@@ -23,24 +23,14 @@ import argparse
 import time
 
 from repro import CORI_HASWELL, PipelineConfig, extract_contigs, run_pipeline
-from repro.align.batch import ALIGN_IMPLS
-from repro.core.memory import OVERLAP_MODES, format_bytes, parse_bytes
-from repro.exec import available_executors
-from repro.seqs.kmer_counter import KMER_IMPLS
-from repro.seqs.seeding import DEFAULT_SEED_W, SEED_MODES
+from repro.core.memory import format_bytes, parse_bytes
+from repro.options import add_flags
 from repro.seqs import ErrorModel, GenomeSpec, ReadSimSpec, simulate_reads
+from repro.seqs.seeding import DEFAULT_SEED_W
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--workers", type=int, default=None,
-                    help="parallel workers (default: REPRO_WORKERS, else 1)")
-    ap.add_argument("--executor", choices=available_executors(),
-                    default="auto")
-    ap.add_argument("--overlap-mode", choices=("auto",) + OVERLAP_MODES,
-                    default="auto",
-                    help="'blocked' strip-mines the candidate matrix for a "
-                         "~n_strips-fold lower memory peak, same output")
     ap.add_argument("--memory-budget", type=parse_bytes, default=None,
                     metavar="BYTES",
                     help="candidate-matrix byte budget (e.g. 64M); implies "
@@ -50,24 +40,10 @@ def main() -> None:
                     help="'chain' (default here, for a fast demo) is the "
                          "alignment-free estimate; 'xdrop' runs real banded "
                          "alignments — affordable via the batched engine")
-    ap.add_argument("--align-impl", choices=("auto",) + ALIGN_IMPLS,
-                    default="auto",
-                    help="alignment engine: 'batch' sweeps whole chunks of "
-                         "candidate pairs per kernel call, 'loop' is the "
-                         "per-pair reference — identical output")
-    ap.add_argument("--kmer-impl", choices=("auto",) + KMER_IMPLS,
-                    default="auto",
-                    help="k-mer engine: 'batch' counts through exact "
-                         "per-owner histograms, 'loop' is the Bloom-filtered "
-                         "per-key dict reference — identical output")
-    ap.add_argument("--seed-mode", choices=("auto",) + SEED_MODES,
-                    default="auto",
-                    help="seeding scheme: 'full' seeds every k-mer window, "
-                         "'minimizer'/'syncmer' sketch ~1/w of them — "
-                         "smaller A and C, near-identical overlap graph")
     ap.add_argument("--seed-w", type=int, default=DEFAULT_SEED_W,
                     help="sketch window (k-mers per minimizer window / "
                          "syncmer density 1/w)")
+    add_flags(ap)  # every option axis of the README's "Options" table
     args = ap.parse_args()
     # 1. Simulate a 30 kb genome at 15x depth with 5% CLR-style errors.
     genome, reads, layout = simulate_reads(
@@ -83,25 +59,20 @@ def main() -> None:
     #    candidate pairs in lockstep kernel sweeps, ~an order of magnitude
     #    faster than per-pair dispatch); --workers spreads the per-rank
     #    compute over real cores (same output, smaller wall-clock).
-    config = PipelineConfig(k=17, nprocs=4, align_mode=args.align_mode,
-                            align_impl=args.align_impl,
-                            kmer_impl=args.kmer_impl,
-                            depth_hint=15, error_hint=0.05,
-                            workers=args.workers, executor=args.executor,
-                            overlap_mode=args.overlap_mode,
-                            memory_budget=args.memory_budget,
-                            seed_mode=args.seed_mode, seed_w=args.seed_w)
+    config = PipelineConfig.from_args(args, k=17, nprocs=4, depth_hint=15,
+                                      error_hint=0.05)
     t0 = time.perf_counter()
     result = run_pipeline(reads, config)
     wall = time.perf_counter() - t0
+    ran = result.config  # the resolved config: what actually ran
     print(f"Pipeline wall-clock: {wall:.2f} s "
-          f"(executor={config.executor}, workers={args.workers or 'env/1'}, "
-          f"align={config.align_mode}/{result.align_impl}, "
-          f"kmer={result.kmer_impl}, seed={result.seed_mode})")
-    if result.seed_mode != "full":
-        print(f"Sketched seeding: {result.seed_mode} (w={args.seed_w}) — "
+          f"(executor={ran.executor}, workers={ran.workers}, "
+          f"align={ran.align_mode}/{ran.align_impl}, "
+          f"kmer={ran.kmer_impl}, seed={ran.seed_mode})")
+    if ran.seed_mode != "full":
+        print(f"Sketched seeding: {ran.seed_mode} (w={ran.seed_w}) — "
               f"nnz(A) = {result.nnz_a:,} vs ~every-window full-k")
-    if result.overlap_mode == "blocked":
+    if ran.overlap_mode == "blocked":
         print(f"Blocked overlap mode: {result.n_strips} strips, peak "
               f"candidate memory "
               f"{format_bytes(result.peak_candidate_bytes)}")

@@ -22,7 +22,7 @@ import time
 
 from repro import CORI_HASWELL, SUMMIT_CPU, PipelineConfig, run_pipeline
 from repro.eval import load_preset, parallel_efficiency
-from repro.seqs.kmer_counter import KMER_IMPLS
+from repro.options import add_flags
 
 
 def main(argv: list[str]) -> None:
@@ -30,18 +30,12 @@ def main(argv: list[str]) -> None:
     ap.add_argument("preset", nargs="?", default="toy")
     ap.add_argument("procs", nargs="?", default="1,4,16",
                     help="comma-separated simulated process counts")
-    ap.add_argument("--workers", type=int, default=None,
-                    help="real parallel workers (default: REPRO_WORKERS)")
     ap.add_argument("--align-mode", choices=("xdrop", "chain"),
                     default="chain",
                     help="'xdrop' runs real banded alignments per candidate "
                          "pair via the batched engine")
-    ap.add_argument("--kmer-impl", choices=("auto",) + KMER_IMPLS,
-                    default="auto",
-                    help="k-mer engine (identical output; 'batch' is the "
-                         "vectorized SoA fast path)")
+    add_flags(ap)  # --workers, --kmer-impl, ...: the README "Options" table
     args = ap.parse_args(argv[1:])
-    workers = args.workers
     preset_name = args.preset
     procs = [int(x) for x in args.procs.split(",")]
 
@@ -50,15 +44,13 @@ def main(argv: list[str]) -> None:
 
     results = []
     for P in procs:
-        cfg = PipelineConfig(k=17, nprocs=P, align_mode=args.align_mode,
-                             kmer_impl=args.kmer_impl,
-                             depth_hint=preset.depth,
-                             error_hint=preset.error_rate,
-                             workers=workers)
+        cfg = PipelineConfig.from_args(args, k=17, nprocs=P,
+                                       depth_hint=preset.depth,
+                                       error_hint=preset.error_rate)
         t0 = time.perf_counter()
         results.append(run_pipeline(reads, cfg))
         print(f"  ran P={P} (wall {time.perf_counter() - t0:.2f} s, "
-              f"workers={workers or 'env/1'})")
+              f"workers={results[-1].config.workers})")
 
     for machine in (CORI_HASWELL, SUMMIT_CPU):
         times = [r.modeled_total(machine) for r in results]

@@ -4,8 +4,7 @@ bidirected string-graph edges."""
 
 from .xdrop import (AlignmentResult, Scoring, chain_extend, seed_extend_align,
                     xdrop_extend)
-from .batch import (ALIGN_IMPLS, ALIGN_IMPL_ENV, chain_extend_batch,
-                    extend_seeds_xdrop_batch, resolve_align_impl,
+from .batch import (chain_extend_batch, extend_seeds_xdrop_batch,
                     xdrop_extend_batch)
 from .overlapper import (B_END, E_END, OverlapClass, classify_overlap,
                          classify_overlap_batch)
@@ -13,7 +12,6 @@ from .overlapper import (B_END, E_END, OverlapClass, classify_overlap,
 __all__ = [
     "AlignmentResult", "Scoring", "chain_extend", "seed_extend_align",
     "xdrop_extend",
-    "ALIGN_IMPLS", "ALIGN_IMPL_ENV", "resolve_align_impl",
     "xdrop_extend_batch", "extend_seeds_xdrop_batch", "chain_extend_batch",
     "B_END", "E_END", "OverlapClass", "classify_overlap",
     "classify_overlap_batch",

@@ -21,58 +21,24 @@ score/tie-break/x-drop rules — only run over a 2D ``(problem, diagonal)``
 state with per-problem live masks.  Problems retire from the working set as
 their diagonal sets die, so the arrays shrink as the batch drains and the
 cost converges to the serial engine's per-problem work.  The per-pair path
-stays the reference oracle behind the ``loop | batch | auto`` switch
-(:func:`resolve_align_impl`), and the parity suite pins byte-identical
+stays the reference oracle behind the ``align_impl`` axis
+(:data:`repro.options.ALIGN_IMPL`), and the parity suite pins byte-identical
 results between the two.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from .xdrop import LV_NEG, SNAKE_CHUNK, Scoring
 
 __all__ = [
-    "ALIGN_IMPLS", "ALIGN_IMPL_ENV", "DEFAULT_ALIGN_IMPL",
-    "resolve_align_impl",
     "xdrop_extend_batch", "extend_seeds_xdrop_batch", "chain_extend_batch",
 ]
-
-#: Alignment-engine names accepted by ``PipelineConfig.align_impl`` (plus
-#: ``"auto"``, which resolves through :func:`resolve_align_impl`).
-ALIGN_IMPLS = ("loop", "batch")
-
-#: Environment variable consulted by ``align_impl="auto"``.
-ALIGN_IMPL_ENV = "REPRO_ALIGN_IMPL"
-
-#: What ``"auto"`` resolves to when the environment does not override it.
-DEFAULT_ALIGN_IMPL = "batch"
 
 #: Sentinel for masked cells in the tie-break reach comparison — below any
 #: real ``2·F - d`` (bounded by read lengths) but far from int64 overflow.
 _REACH_NEG = np.int64(-(2 ** 60))
-
-
-def resolve_align_impl(impl: str | None = None) -> str:
-    """Resolve an alignment-engine name to ``"loop"`` or ``"batch"``.
-
-    ``None`` and ``"auto"`` defer to the :data:`ALIGN_IMPL_ENV` environment
-    variable when set (mirroring ``REPRO_EXECUTOR`` / ``REPRO_OVERLAP_MODE``),
-    else pick :data:`DEFAULT_ALIGN_IMPL`; explicit names pass through
-    validated.  Both engines produce byte-identical output — the switch is a
-    pure performance axis, with ``loop`` kept as the reference oracle.
-    """
-    if impl is None:
-        impl = "auto"
-    if impl == "auto":
-        env = os.environ.get(ALIGN_IMPL_ENV, "").strip().lower()
-        impl = env if env and env != "auto" else DEFAULT_ALIGN_IMPL
-    if impl not in ALIGN_IMPLS:
-        raise ValueError(f"unknown align impl {impl!r}; expected one of "
-                         f"{', '.join(ALIGN_IMPLS + ('auto',))}")
-    return impl
 
 
 def _slide_snakes_2d(codes: np.ndarray,

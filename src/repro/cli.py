@@ -21,23 +21,15 @@ import argparse
 import contextlib
 import sys
 
-from .align.batch import ALIGN_IMPLS
 from .core.contigs import extract_contigs
-from .core.memory import (OVERLAP_MODES, apportion_budget, format_bytes,
-                          parse_bytes)
+from .core.memory import apportion_budget, format_bytes, parse_bytes
 from .core.pipeline import STAGES, PipelineConfig, run_pipeline_from_fasta
-from .dsparse.backend import available_backends
-from .dsparse.masked import SPGEMM_IMPLS
-from .exec import available_executors
 from .mpisim.machine import MACHINES
+from .options import AXES, add_flags
 from .seqs.dna import GenomeSpec, decode
-from .seqs.kmer_counter import KMER_IMPLS
-from .seqs.read_store import READ_STORES
-from .seqs.seeding import SEED_MODES
 from .seqs.fasta import read_fasta, write_fasta
 from .seqs.simulator import ErrorModel, ReadSimSpec, simulate_reads
-from .service import REFRESH_MODES, AssemblyService, ServiceConfig, \
-    make_server
+from .service import AssemblyService, ServiceConfig, make_server
 
 __all__ = ["main", "build_parser"]
 
@@ -81,76 +73,43 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--repeat-length", type=int, default=2_000)
     sim.add_argument("--seed", type=int, default=0)
 
-    # argparse defaults come straight from PipelineConfig so the two can
-    # never drift apart (the parity test in tests/test_cli.py pins this).
-    cfg = PipelineConfig()
+    asm = sub.add_parser("assemble", help="run the pipeline, write contigs")
+    _add_run_flags(asm)
+    asm.add_argument("--layout", default="layout.tsv",
+                     help="output contig layout TSV")
 
-    def add_pipeline_args(p):
+    st = sub.add_parser("stats", help="run the pipeline, print statistics")
+    _add_run_flags(st)
+
+    scfg = ServiceConfig()
+    srv = sub.add_parser("serve",
+                         help="run the incremental assembly HTTP service")
+    srv.add_argument("--host", default=scfg.host)
+    srv.add_argument("--port", type=int, default=scfg.port)
+    srv.add_argument("--cache-entries", type=int,
+                     default=scfg.cache_entries,
+                     help="query cache LRU capacity")
+    srv.add_argument("--initial", default=None, metavar="FASTA",
+                     help="optional FASTA ingested as the first batch "
+                          "before serving")
+    _add_run_flags(srv, service=True)
+    return parser
+
+
+def _add_run_flags(p, service: bool = False) -> None:
+    """Flags of a command that runs the pipeline.
+
+    The plain parameters take their defaults from :class:`PipelineConfig`;
+    every option axis comes from the table (:func:`repro.options.add_flags`),
+    ``serve`` taking its service subset.
+    """
+    cfg = PipelineConfig()
+    if not service:
         p.add_argument("reads", help="input FASTA")
-        p.add_argument("--k", type=int, default=cfg.k)
-        p.add_argument("--nprocs", type=int, default=cfg.nprocs,
-                       help="simulated process count (perfect square)")
-        p.add_argument("--align-mode", choices=("xdrop", "chain"),
-                       default=cfg.align_mode)
-        p.add_argument("--align-impl", choices=("auto",) + ALIGN_IMPLS,
-                       default=cfg.align_impl,
-                       help="alignment engine: 'batch' runs one vectorized "
-                            "x-drop sweep over whole chunks of candidate "
-                            "pairs, 'loop' aligns pair by pair (the "
-                            "reference oracle); 'auto' honors "
-                            "REPRO_ALIGN_IMPL, else batch (results are "
-                            "engine-independent)")
-        p.add_argument("--kmer-impl", choices=("auto",) + KMER_IMPLS,
-                       default=cfg.kmer_impl,
-                       help="k-mer engine: 'batch' counts through exact "
-                            "per-owner histograms (one vectorized sweep "
-                            "per rank for CountKmer and the CreateSpMat "
-                            "scan), 'loop' runs the Bloom-filtered per-read "
-                            "/ per-key dict reference oracle; 'auto' honors "
-                            "REPRO_KMER_IMPL, else batch (results are "
-                            "engine-independent)")
-        p.add_argument("--spgemm-impl", choices=("auto",) + SPGEMM_IMPLS,
-                       default=cfg.spgemm_impl,
-                       help="SpGEMM engine for the multi-field semiring "
-                            "products: 'masked' decomposes C = A*At into a "
-                            "native count product plus a mask-pruned ESC "
-                            "seed pass and squares R under its own pattern "
-                            "in transitive reduction, 'esc' runs the "
-                            "monolithic expand-sort-compress reference "
-                            "oracle; 'auto' honors REPRO_SPGEMM_IMPL, else "
-                            "masked (results are engine-independent)")
-        p.add_argument("--fuzz", type=int, default=cfg.fuzz)
-        p.add_argument("--depth-hint", type=float, default=cfg.depth_hint)
-        p.add_argument("--error-hint", type=float, default=cfg.error_hint)
         p.add_argument("--machine", choices=sorted(MACHINES), default="cori")
-        p.add_argument("--backend", choices=available_backends(),
-                       default=cfg.backend,
-                       help="local sparse-kernel backend: 'auto' lowers "
-                            "scalar semirings to scipy CSR kernels and "
-                            "runs multi-field semirings on the numpy ESC "
-                            "reference (results are backend-independent)")
-        p.add_argument("--workers", type=int, default=cfg.workers,
-                       help="parallel workers for the simulated ranks' "
-                            "local compute (default: the REPRO_WORKERS "
-                            "environment variable, else 1)")
-        p.add_argument("--executor", choices=available_executors(),
-                       default=cfg.executor,
-                       help="execution engine: 'auto' runs serial for one "
-                            "worker and a fork-safe process pool otherwise "
-                            "(results are executor-independent)")
-        p.add_argument("--overlap-mode",
-                       choices=("auto",) + OVERLAP_MODES,
-                       default=cfg.overlap_mode,
-                       help="candidate-formation path: 'blocked' strip-"
-                            "mines C = A*At (paper Section VIII) so peak "
-                            "candidate memory drops ~n_strips-fold with "
-                            "byte-identical output; 'auto' honors "
-                            "REPRO_OVERLAP_MODE, else monolithic")
-        p.add_argument("--n-strips", type=_strip_count,
-                       default=cfg.n_strips,
-                       help="explicit strip count for blocked mode "
-                            "(default: derived from --memory-budget, "
-                            "else 4)")
+        p.add_argument("--n-strips", type=_strip_count, default=cfg.n_strips,
+                       help="explicit strip count for --overlap-mode blocked "
+                            "(default: derived from --memory-budget, else 4)")
         p.add_argument("--memory-budget", type=_budget_bytes,
                        default=cfg.memory_budget, metavar="BYTES",
                        help="byte budget for the run's big consumers, e.g. "
@@ -158,112 +117,19 @@ def build_parser() -> argparse.ArgumentParser:
                             "count, a quarter caps the k-mer engine's "
                             "buffered histograms (sorted runs spill to disk "
                             "beyond it), the rest is headroom")
-        p.add_argument("--read-store", choices=("auto",) + READ_STORES,
-                       default=cfg.read_store,
-                       help="read-base backend: 'inmem' keeps per-read "
-                            "arrays resident, 'mmap' persists the 2-bit "
-                            "code buffer to disk once and serves all SoA "
-                            "views as read-only memmaps (workers reopen by "
-                            "path; RSS stops scaling with input size); "
-                            "'auto' honors REPRO_READ_STORE, else inmem "
-                            "(results are backend-independent)")
-        p.add_argument("--store-dir", default=cfg.store_dir, metavar="DIR",
-                       help="directory for the mmap read store and k-mer "
-                            "spill runs (default: honors REPRO_STORE_DIR, "
-                            "else a self-cleaning temporary directory)")
-        p.add_argument("--seed-mode", choices=("auto",) + SEED_MODES,
-                       default=cfg.seed_mode,
-                       help="seeding scheme: 'full' seeds with every "
-                            "reliable k-mer window (the paper's behavior), "
-                            "'minimizer'/'syncmer' sketch reads to "
-                            "~2/(w+1) / 1/w of their windows before "
-                            "counting and A construction — shrinking "
-                            "nnz(A)/nnz(C) ~w-fold at a small recall "
-                            "cost; 'auto' honors REPRO_SEED_MODE, else "
-                            "full")
-        p.add_argument("--seed-w", type=int, default=cfg.seed_w,
-                       help="window parameter of the sketched seed modes "
-                            "(k-mers per minimizer window; syncmer submer "
-                            "length is k - w + 1); ignored by --seed-mode "
-                            "full")
-        p.add_argument("--fault-spec", dest="fault_plan",
-                       default=cfg.fault_plan, metavar="SPEC",
-                       help="deterministic fault injection spec, e.g. "
-                            "'exec.chunk:crash@3;summa.block:exc@2' "
-                            "(site:kind@counts clauses joined by ';'); "
-                            "the default honors REPRO_FAULT_SPEC, and '' "
-                            "pins the run fault-free — either way output "
-                            "is byte-identical to a fault-free run")
-        p.add_argument("--checkpoint-dir", default=cfg.checkpoint_dir,
-                       metavar="DIR",
-                       help="crash-safe per-strip checkpoint directory for "
-                            "--overlap-mode blocked: completed strips "
-                            "persist there, and re-running a killed "
-                            "command with the same DIR resumes at the "
-                            "last completed strip (default: honors "
-                            "REPRO_CHECKPOINT_DIR, else off)")
-
-    asm = sub.add_parser("assemble", help="run the pipeline, write contigs")
-    add_pipeline_args(asm)
-    asm.add_argument("--layout", default="layout.tsv",
-                     help="output contig layout TSV")
-
-    st = sub.add_parser("stats", help="run the pipeline, print statistics")
-    add_pipeline_args(st)
-
-    # Serve defaults come from ServiceConfig / PipelineConfig the same way
-    # (pinned by the same parity test).
-    scfg = ServiceConfig()
-    srv = sub.add_parser("serve",
-                         help="run the incremental assembly HTTP service")
-    srv.add_argument("--host", default=scfg.host)
-    srv.add_argument("--port", type=int, default=scfg.port)
-    srv.add_argument("--refresh-mode",
-                     choices=("auto",) + REFRESH_MODES,
-                     default=scfg.refresh_mode,
-                     help="refresh engine: 'incremental' folds each batch "
-                          "into the live state via delta products, "
-                          "'recompute' reruns the pipeline from scratch "
-                          "(the byte-identical oracle); 'auto' honors "
-                          "REPRO_REFRESH_MODE, else incremental")
-    srv.add_argument("--cache-entries", type=int,
-                     default=scfg.cache_entries,
-                     help="query cache LRU capacity")
-    srv.add_argument("--initial", default=None, metavar="FASTA",
-                     help="optional FASTA ingested as the first batch "
-                          "before serving")
-    srv.add_argument("--k", type=int, default=cfg.k)
-    srv.add_argument("--nprocs", type=int, default=cfg.nprocs,
-                     help="simulated process count (perfect square)")
-    srv.add_argument("--align-mode", choices=("xdrop", "chain"),
-                     default=cfg.align_mode)
-    srv.add_argument("--align-impl", choices=("auto",) + ALIGN_IMPLS,
-                     default=cfg.align_impl)
-    srv.add_argument("--kmer-impl", choices=("auto",) + KMER_IMPLS,
-                     default=cfg.kmer_impl)
-    srv.add_argument("--spgemm-impl", choices=("auto",) + SPGEMM_IMPLS,
-                     default=cfg.spgemm_impl)
-    srv.add_argument("--seed-mode", choices=("auto",) + SEED_MODES,
-                     default=cfg.seed_mode,
-                     help="seeding scheme of the session (full, minimizer, "
-                          "or syncmer); incremental refreshes refuse "
-                          "batches under a different scheme")
-    srv.add_argument("--seed-w", type=int, default=cfg.seed_w)
-    srv.add_argument("--fuzz", type=int, default=cfg.fuzz)
-    srv.add_argument("--depth-hint", type=float, default=cfg.depth_hint)
-    srv.add_argument("--error-hint", type=float, default=cfg.error_hint)
-    srv.add_argument("--backend", choices=available_backends(),
-                     default=cfg.backend)
-    srv.add_argument("--workers", type=int, default=cfg.workers)
-    srv.add_argument("--executor", choices=available_executors(),
-                     default=cfg.executor)
-    srv.add_argument("--fault-spec", dest="fault_plan",
-                     default=cfg.fault_plan, metavar="SPEC",
-                     help="persistent fault-injection plan for the service "
-                          "(counters span ingests, so 'service.refresh:"
-                          "exc@3' fails exactly the third ingest); failed "
-                          "refreshes commit nothing and return 503")
-    return parser
+    p.add_argument("--k", type=int, default=cfg.k)
+    p.add_argument("--nprocs", type=int, default=cfg.nprocs,
+                   help="simulated process count (perfect square)")
+    p.add_argument("--align-mode", choices=("xdrop", "chain"),
+                   default=cfg.align_mode)
+    p.add_argument("--fuzz", type=int, default=cfg.fuzz)
+    p.add_argument("--depth-hint", type=float, default=cfg.depth_hint)
+    p.add_argument("--error-hint", type=float, default=cfg.error_hint)
+    p.add_argument("--seed-w", type=int, default=cfg.seed_w,
+                   help="window parameter of the sketched seed modes "
+                        "(k-mers per minimizer window; syncmer submer "
+                        "length is k - w + 1); ignored by --seed-mode full")
+    add_flags(p, service=service)
 
 
 def _cmd_simulate(args) -> int:
@@ -282,44 +148,25 @@ def _cmd_simulate(args) -> int:
 
 
 def _run(args):
-    cfg = PipelineConfig(k=args.k, nprocs=args.nprocs,
-                         align_mode=args.align_mode,
-                         align_impl=args.align_impl,
-                         kmer_impl=args.kmer_impl,
-                         spgemm_impl=args.spgemm_impl, fuzz=args.fuzz,
-                         depth_hint=args.depth_hint,
-                         error_hint=args.error_hint,
-                         backend=args.backend,
-                         workers=args.workers, executor=args.executor,
-                         overlap_mode=args.overlap_mode,
-                         n_strips=args.n_strips,
-                         memory_budget=args.memory_budget,
-                         seed_mode=args.seed_mode, seed_w=args.seed_w,
-                         fault_plan=args.fault_plan,
-                         checkpoint_dir=args.checkpoint_dir,
-                         read_store=args.read_store,
-                         store_dir=args.store_dir)
-    return run_pipeline_from_fasta(args.reads, cfg)
+    return run_pipeline_from_fasta(args.reads, PipelineConfig.from_args(args))
 
 
 def _print_stats(result, machine_name: str) -> None:
     machine = MACHINES[machine_name]
+    cfg = result.config
     print(f"reads: {result.n_reads}   reliable k-mers: {result.n_kmers}")
-    print(f"alignment: {result.config.align_mode} mode, "
-          f"{result.align_impl} engine")
-    print(f"k-mer counting: {result.kmer_impl} engine")
-    print(f"spgemm: {result.spgemm_impl} engine")
-    if result.seed_mode == "full":
-        print("seeding: full (every k-mer window)")
-    else:
-        print(f"seeding: {result.seed_mode} scheme "
-              f"(w = {result.config.seed_w})")
-    if result.overlap_mode == "blocked":
-        print(f"overlap mode: blocked ({result.n_strips} strips)")
-    if result.read_store != "inmem":
-        print(f"read store: {result.read_store}")
-    if result.config.memory_budget is not None:
-        bp = apportion_budget(result.config.memory_budget)
+    print(f"align_mode: {cfg.align_mode}")
+    notes = {}
+    if cfg.overlap_mode == "blocked":
+        notes["overlap_mode"] = f" ({result.n_strips} strips)"
+    if cfg.seed_mode != "full":
+        notes["seed_mode"] = f" (w = {cfg.seed_w})"
+    for axis in AXES:
+        value = getattr(cfg, axis.name, None)
+        if value is not None:
+            print(f"{axis.name}: {value}{notes.get(axis.name, '')}")
+    if cfg.memory_budget is not None:
+        bp = apportion_budget(cfg.memory_budget)
         print(f"memory budget: {format_bytes(bp.total)} "
               f"(candidate {format_bytes(bp.candidate)}, "
               f"tables {format_bytes(bp.tables)}, "
@@ -370,19 +217,12 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    pcfg = PipelineConfig(k=args.k, nprocs=args.nprocs,
-                          align_mode=args.align_mode,
-                          align_impl=args.align_impl,
-                          kmer_impl=args.kmer_impl,
-                          spgemm_impl=args.spgemm_impl, fuzz=args.fuzz,
-                          depth_hint=args.depth_hint,
-                          error_hint=args.error_hint,
-                          backend=args.backend, workers=args.workers,
-                          executor=args.executor,
-                          seed_mode=args.seed_mode, seed_w=args.seed_w)
+    # The fault plan is the service's (persistent across ingests), not
+    # each pipeline run's.
     service = AssemblyService(ServiceConfig(
         host=args.host, port=args.port, refresh_mode=args.refresh_mode,
-        cache_entries=args.cache_entries, pipeline=pcfg),
+        cache_entries=args.cache_entries,
+        pipeline=PipelineConfig.from_args(args, fault_plan=None)),
         fault_spec=args.fault_plan)
     if args.initial is not None:
         reads = read_fasta(args.initial)

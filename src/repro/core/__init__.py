@@ -5,9 +5,8 @@ from .semirings import (A_FLIP, A_NFIELDS, A_POS, BidirectedMinPlus, C_COUNT,
                         C_NFIELDS, C_PA1, C_PA2, C_PB1, C_PB2, C_STRAND1,
                         C_STRAND2, PositionsSemiring, R_END_I, R_END_J,
                         R_NFIELDS, R_OLEN, R_SUFFIX, n_slot)
-from .memory import (DEFAULT_N_STRIPS, OVERLAP_MODES, StripPlan,
-                     estimate_candidate_nnz, format_bytes, parse_bytes,
-                     plan_strips, resolve_overlap_mode)
+from .memory import (DEFAULT_N_STRIPS, StripPlan, estimate_candidate_nnz,
+                     format_bytes, parse_bytes, plan_strips)
 from .string_graph import StringGraph
 from .overlap import (AlignmentFilter, align_candidates, build_a_matrix,
                       candidate_overlaps, exchange_reads)
@@ -23,9 +22,8 @@ __all__ = [
     "C_NFIELDS", "C_PA1", "C_PA2", "C_PB1", "C_PB2", "C_STRAND1",
     "C_STRAND2", "PositionsSemiring",
     "R_END_I", "R_END_J", "R_NFIELDS", "R_OLEN", "R_SUFFIX", "n_slot",
-    "DEFAULT_N_STRIPS", "OVERLAP_MODES", "StripPlan",
-    "estimate_candidate_nnz", "format_bytes", "parse_bytes",
-    "plan_strips", "resolve_overlap_mode",
+    "DEFAULT_N_STRIPS", "StripPlan",
+    "estimate_candidate_nnz", "format_bytes", "parse_bytes", "plan_strips",
     "StringGraph",
     "AlignmentFilter", "align_candidates", "build_a_matrix",
     "candidate_overlaps", "exchange_reads",

@@ -28,15 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..align.batch import resolve_align_impl
 from ..align.xdrop import Scoring
 from ..dsparse.backend import Backend, get_backend
 from ..dsparse.distmat import DistMat
-from ..dsparse.masked import resolve_spgemm_impl
 from ..exec import Executor, SERIAL
 from ..mpisim.comm import SimComm
 from ..mpisim.grid import block_bounds
 from ..mpisim.tracker import CommTracker, StageTimer
+from ..options import ALIGN_IMPL, SPGEMM_IMPL
 from ..resilience.checkpoint import StripCheckpoint
 from ..resilience.faults import maybe_fault
 from ..seqs.fasta import ReadSet
@@ -185,8 +184,8 @@ def candidate_overlaps_blocked(A: DistMat, reads: ReadSet, k: int,
     backend = get_backend(backend)
     scoring = scoring if scoring is not None else Scoring()
     filt = filt if filt is not None else AlignmentFilter()
-    align_impl = resolve_align_impl(align_impl)
-    spgemm_impl = resolve_spgemm_impl(spgemm_impl)
+    align_impl = ALIGN_IMPL.resolve(align_impl)
+    spgemm_impl = SPGEMM_IMPL.resolve(spgemm_impl)
     n = A.shape[0]
     At = A.transpose(backend=backend)
     bounds = block_bounds(n, n_strips)

@@ -18,45 +18,27 @@ budget chosen with it is safe, not merely likely.
 
 :func:`plan_strips` turns the estimate into a strip count:
 ``n_strips = ceil(estimated_bytes / budget)``, clamped to ``[1, n_reads]``.
-:func:`resolve_overlap_mode` gives the pipeline's ``overlap_mode="auto"``
-the same environment override pattern as the execution engine
-(``REPRO_OVERLAP_MODE``), which is how CI forces the whole suite through
-the blocked path.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import re
 from dataclasses import dataclass
 
 from .semirings import C_NFIELDS
 
 __all__ = [
-    "OVERLAP_MODES", "OVERLAP_MODE_ENV", "DEFAULT_N_STRIPS",
-    "CHECKPOINT_DIR_ENV",
+    "DEFAULT_N_STRIPS",
     "coo_nbytes", "estimate_candidate_nnz", "estimate_a_nnz",
     "StripPlan", "plan_strips",
     "BudgetPlan", "apportion_budget",
-    "parse_bytes", "format_bytes", "resolve_overlap_mode",
-    "resolve_checkpoint_dir",
+    "parse_bytes", "format_bytes",
 ]
-
-#: Overlap-path names accepted by ``PipelineConfig.overlap_mode`` (plus
-#: ``"auto"``, which resolves through :func:`resolve_overlap_mode`).
-OVERLAP_MODES = ("monolithic", "blocked")
-
-#: Environment variable consulted by ``overlap_mode="auto"``.
-OVERLAP_MODE_ENV = "REPRO_OVERLAP_MODE"
 
 #: Strip count used in blocked mode when neither ``n_strips`` nor a
 #: ``memory_budget`` is given.
 DEFAULT_N_STRIPS = 4
-
-#: Environment variable consulted when no explicit checkpoint directory is
-#: configured (mirrors :data:`OVERLAP_MODE_ENV`).
-CHECKPOINT_DIR_ENV = "REPRO_CHECKPOINT_DIR"
 
 
 def coo_nbytes(nnz: int, nfields: int) -> int:
@@ -242,35 +224,3 @@ def apportion_budget(total: int) -> BudgetPlan:
         raise ValueError(f"memory budget must be positive, got {total}")
     return BudgetPlan(total=total, candidate=max(1, total // 2),
                       tables=max(1, total // 4))
-
-
-def resolve_overlap_mode(mode: str | None = None) -> str:
-    """Resolve an overlap-mode name to ``"monolithic"`` or ``"blocked"``.
-
-    ``None`` and ``"auto"`` defer to the :data:`OVERLAP_MODE_ENV`
-    environment variable when set (mirroring ``REPRO_EXECUTOR``), else pick
-    the monolithic default; explicit names pass through validated.
-    """
-    if mode is None:
-        mode = "auto"
-    if mode == "auto":
-        env = os.environ.get(OVERLAP_MODE_ENV, "").strip().lower()
-        mode = env if env and env != "auto" else "monolithic"
-    if mode not in OVERLAP_MODES:
-        raise ValueError(f"unknown overlap mode {mode!r}; expected one of "
-                         f"{', '.join(OVERLAP_MODES + ('auto',))}")
-    return mode
-
-
-def resolve_checkpoint_dir(directory: str | None = None) -> str | None:
-    """Resolve the strip-checkpoint directory, if any.
-
-    An explicit ``directory`` wins; otherwise the
-    :data:`CHECKPOINT_DIR_ENV` environment variable is consulted, and
-    ``None`` (checkpointing off) is the default — strip checkpointing only
-    applies on the blocked overlap path.
-    """
-    if directory:
-        return str(directory)
-    env = os.environ.get(CHECKPOINT_DIR_ENV, "").strip()
-    return env or None

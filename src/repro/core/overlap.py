@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..align.batch import (chain_extend_batch, extend_seeds_xdrop_batch,
-                           resolve_align_impl)
+from ..align.batch import chain_extend_batch, extend_seeds_xdrop_batch
 from ..align.overlapper import (OverlapClass, classify_overlap,
                                 classify_overlap_batch)
 from ..align.xdrop import AlignmentResult, Scoring, chain_extend, \
@@ -34,7 +33,6 @@ from ..align.xdrop import AlignmentResult, Scoring, chain_extend, \
 from ..dsparse.backend import Backend, get_backend
 from ..dsparse.coomat import CooMat
 from ..dsparse.distmat import DistMat
-from ..dsparse.masked import resolve_spgemm_impl
 from ..dsparse.semiring import PlusTimes
 from ..dsparse.summa import summa
 from ..exec import Executor, SERIAL
@@ -42,8 +40,9 @@ from ..exec.partition import weighted_chunks
 from ..mpisim.comm import SimComm
 from ..mpisim.grid import ProcessGrid2D, block_bounds
 from ..mpisim.tracker import CommTracker, StageTimer
+from ..options import ALIGN_IMPL, KMER_IMPL, SPGEMM_IMPL
 from ..seqs.fasta import ReadSet
-from ..seqs.kmer_counter import KmerTable, resolve_kmer_impl
+from ..seqs.kmer_counter import KmerTable
 from ..seqs.seeding import FullKScheme, SeedScheme
 from .memory import coo_nbytes
 from .semirings import (A_FLIP, A_POS, C_COUNT, C_NFIELDS, C_PA1, C_PA2,
@@ -146,7 +145,7 @@ def build_a_matrix(reads: ReadSet, table: KmerTable, grid: ProcessGrid2D,
     2D block owners; that routing is the ``CreateSpMat`` traffic.  The
     per-rank scans are independent and run on ``executor``.
 
-    ``impl`` selects the scan engine (:func:`resolve_kmer_impl`):
+    ``impl`` selects the scan engine (:data:`repro.options.KMER_IMPL`):
     ``"batch"`` runs each rank's scan as one vectorized
     :meth:`~repro.seqs.seeding.SeedScheme.seeds_of_block` pass with
     column-op lookup and dedup; ``"loop"`` scans read by read (the
@@ -158,7 +157,7 @@ def build_a_matrix(reads: ReadSet, table: KmerTable, grid: ProcessGrid2D,
     """
     timer = timer if timer is not None else StageTimer()
     executor = executor if executor is not None else SERIAL
-    impl = resolve_kmer_impl(impl)
+    impl = KMER_IMPL.resolve(impl)
     scheme = scheme if scheme is not None else FullKScheme(table.k)
     stage = "CreateSpMat"
     P = comm.nprocs
@@ -312,13 +311,13 @@ def candidate_overlaps(A: DistMat, comm: SimComm,
     alignment.  Diagonal entries (a read with itself) are discarded.
     ``backend`` selects the local kernels (transpose, SpGEMM, filter);
     ``executor`` parallelizes SUMMA's local block work; ``spgemm_impl``
-    (:func:`~repro.dsparse.masked.resolve_spgemm_impl`) picks the product
+    (:data:`repro.options.SPGEMM_IMPL`) picks the product
     engine — ``"masked"`` decomposes count and seed passes
     (:func:`summa_positions`), ``"esc"`` is the monolithic oracle.
     """
     timer = timer if timer is not None else StageTimer()
     backend = get_backend(backend)
-    spgemm_impl = resolve_spgemm_impl(spgemm_impl)
+    spgemm_impl = SPGEMM_IMPL.resolve(spgemm_impl)
     At = A.transpose(backend=backend)
     C = summa_positions(A, At, comm, timer, backend, executor, spgemm_impl)
     q = C.grid.q
@@ -592,7 +591,8 @@ def align_candidates(C: DistMat, reads: ReadSet, k: int, comm: SimComm,
     (the paper discards contained overlaps at the transitive-reduction
     boundary regardless of score, Section IV-D).
 
-    ``impl`` selects the alignment engine (:func:`resolve_align_impl`):
+    ``impl`` selects the alignment engine
+    (:data:`repro.options.ALIGN_IMPL`):
 
     * ``"batch"`` (the ``auto`` default) packs the candidate pairs into
       structure-of-arrays buffers and aligns **nnz-weighted chunks of
@@ -612,7 +612,7 @@ def align_candidates(C: DistMat, reads: ReadSet, k: int, comm: SimComm,
     scoring = scoring if scoring is not None else Scoring()
     filt = filt if filt is not None else AlignmentFilter()
     executor = executor if executor is not None else SERIAL
-    impl = resolve_align_impl(impl)
+    impl = ALIGN_IMPL.resolve(impl)
     stage = "Alignment"
     n = C.shape[0]
     lengths = reads.lengths

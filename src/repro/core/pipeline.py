@@ -16,34 +16,30 @@ plot.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from ..align.batch import resolve_align_impl
 from ..align.xdrop import Scoring
 from ..dsparse.backend import get_backend
 from ..dsparse.coomat import CooMat
-from ..dsparse.masked import resolve_spgemm_impl
-from ..exec import get_executor, resolve_workers
+from ..exec import executor_name, get_executor
 from ..mpisim.comm import SimComm
 from ..mpisim.grid import ProcessGrid2D
 from ..mpisim.machine import MachineModel
 from ..mpisim.tracker import CommTracker, StageTimer
-from ..resilience.faults import (FaultPlan, active_plan, current_plan,
-                                 resolve_fault_plan)
+from ..options import AXES, EXECUTOR, FAULT_PLAN, READ_STORE
+from ..resilience.faults import FaultPlan, active_plan, current_plan
 from ..seqs.fasta import ReadSet, read_fasta, read_fasta_to_store
-from ..seqs.kmer_counter import (count_kmers, reliable_upper_bound,
-                                 resolve_kmer_impl)
-from ..seqs.read_store import resolve_read_store, resolve_store_dir
-from ..seqs.seeding import DEFAULT_SEED_W, make_scheme, resolve_seed_mode
+from ..seqs.kmer_counter import count_kmers, reliable_upper_bound
+from ..seqs.seeding import DEFAULT_SEED_W, make_scheme
 from .blocked import candidate_overlaps_blocked
-from .memory import (apportion_budget, plan_strips, resolve_checkpoint_dir,
-                     resolve_overlap_mode)
+from .memory import apportion_budget, plan_strips
 from .overlap import (AlignmentFilter, align_candidates, build_a_matrix,
                       candidate_overlaps, exchange_reads)
 from .string_graph import StringGraph
@@ -64,99 +60,34 @@ class PipelineConfig:
     Defaults mirror the paper's settings (k = 17; reliable k-mer ceiling from
     the BELLA model; x-drop alignment).  ``nprocs`` must be a perfect square
     (the 2D grid); ``align_mode='chain'`` switches to the alignment-free
-    coordinate estimate for large runs.  ``backend`` names the local
-    sparse-kernel backend (:func:`repro.dsparse.get_backend`): ``"auto"``
-    routes scalar semirings onto scipy CSR kernels and multi-field
-    semirings onto the numpy ESC reference; results are byte-identical
-    across backends.
+    coordinate estimate for large runs.
 
-    ``workers`` / ``executor`` select the shared-memory execution engine
-    (:func:`repro.exec.get_executor`) that actually parallelizes the
-    simulated ranks' local work: ``workers=None`` reads ``REPRO_WORKERS``
-    (default 1), ``executor="auto"`` picks the serial reference for one
-    worker and the process pool otherwise.  Like ``backend``, this is a
-    pure performance axis — output is byte-identical for every executor
-    and worker count.
+    The option axes — engines, backend, workers/executor, overlap mode,
+    seeding, read store, directories, fault plan — are declared once in
+    :data:`repro.options.AXES` (the README's "Options" table): flag,
+    environment variable, accepted values, default and meaning.  Their
+    fields here default to *unset* (``"auto"`` / ``None``);
+    :meth:`resolved` pins each one — explicit, else environment, else
+    default — and :func:`run_pipeline` does that exactly once per run.
+    What the table cannot carry:
 
-    ``align_impl`` selects the alignment engine for the x-drop/chain
-    stage (:func:`repro.align.resolve_align_impl`): ``"batch"`` packs all
-    candidate pairs into structure-of-arrays buffers and extends them in
-    lockstep batched kernel sweeps (the fast path), ``"loop"`` dispatches
-    one Python call per pair (the reference oracle), ``"auto"`` honors the
-    ``REPRO_ALIGN_IMPL`` environment variable, else runs ``batch``.  Output
-    is byte-identical across engines.
-
-    ``spgemm_impl`` selects the engine for the two multi-field semiring
-    products (:func:`repro.dsparse.masked.resolve_spgemm_impl`):
-    ``"masked"`` decomposes ``C = A·Aᵀ`` into a native scalar count product
-    plus a mask-pruned ESC seed pass, and squares ``R`` under its own
-    pattern in transitive reduction; ``"esc"`` runs the monolithic
-    expand-sort-compress reference; ``"auto"`` honors
-    ``REPRO_SPGEMM_IMPL``, else runs ``masked``.  C, R, S, and the
-    communication records are byte-identical across engines (only the
-    ``TrReduction`` live-set peak differs — the masked ``N`` genuinely
-    holds fewer entries).
-
-    ``kmer_impl`` does the same for the k-mer stages
-    (:func:`repro.seqs.kmer_counter.resolve_kmer_impl`): ``"batch"`` runs
-    ``CountKmer`` as exact per-owner histograms (resident, or spilled to
-    sorted runs under ``memory_budget``'s table share) and the
-    ``CreateSpMat`` scan as one vectorized pass per rank; ``"loop"`` keeps
-    the Bloom-filtered per-read / per-key dict reference oracle; ``"auto"``
-    honors ``REPRO_KMER_IMPL``, else runs ``batch``.  The k-mer table, A,
-    and everything downstream are byte-identical across engines.
-
-    ``overlap_mode`` selects the candidate-formation path: ``"monolithic"``
-    forms all of ``C = A·Aᵀ`` at once, ``"blocked"`` strip-mines it
-    (paper Section VIII) so peak candidate memory drops by ~``n_strips``
-    while S stays byte-identical; ``"auto"`` honors the
-    ``REPRO_OVERLAP_MODE`` environment variable, else runs monolithic.  In
-    blocked mode an explicit ``n_strips`` wins; otherwise ``memory_budget``
-    (bytes the live candidate strip may occupy — see
-    :func:`repro.core.memory.plan_strips`) picks the count from the
-    measured ``nnz(A)`` and the BELLA density model.
-
-    ``seed_mode`` selects the seeding scheme
-    (:func:`repro.seqs.seeding.resolve_seed_mode`): ``"full"`` seeds with
-    every reliable k-mer window (the paper's behavior, byte-identical to
-    the historical hardwired path), ``"minimizer"`` / ``"syncmer"`` sketch
-    each read down to ~``2/(w+1)`` / ``1/w`` of its windows before
-    counting and A construction — shrinking nnz(A), nnz(C), alignment
-    work, and service refresh cost at a small recall cost measured by
-    ``benchmarks/bench_seed_mode.py``; ``"auto"`` honors
-    ``REPRO_SEED_MODE``, else runs ``full``.  ``seed_w`` is the window
-    parameter of the sketched schemes (ignored by ``full``).  Unlike the
-    ``*_impl`` axes this one intentionally changes output — but for a
-    fixed mode it stays byte-identical across executors, engines, strip
-    counts, and service batchings (schemes are pure per-read functions).
-
-    ``fault_plan`` arms deterministic fault injection for the run
-    (:class:`repro.resilience.FaultPlan` spec grammar, e.g.
-    ``"exec.chunk:crash@3;summa.block:exc@2"``); ``None`` defers to
-    ``REPRO_FAULT_SPEC`` when no plan is already armed, and an empty
-    string pins the run fault-free regardless of the environment.  The
-    recovery machinery re-runs only lost work, so every surviving run is
-    byte-identical to a fault-free one.  ``checkpoint_dir`` enables
-    crash-safe per-strip checkpointing on the blocked overlap path
-    (``None`` defers to ``REPRO_CHECKPOINT_DIR``): a killed run
-    re-invoked with the same directory resumes at the last completed
-    strip.
-
-    ``read_store`` selects the read-base backend
-    (:func:`repro.seqs.read_store.resolve_read_store`): ``"inmem"`` keeps
-    per-read code arrays resident (the historical behavior), ``"mmap"``
-    persists the concatenated 2-bit buffer plus offsets/lengths to disk
-    once and serves every ``soa``/``soa_block`` view as a read-only
-    ``np.memmap`` — process workers reopen the store by path instead of
-    receiving the bases over the pipe, and peak RSS stops scaling with
-    input size; ``"auto"`` honors ``REPRO_READ_STORE``, else runs
-    in-memory.  Output is byte-identical across backends.  ``store_dir``
-    places the store files (``None`` defers to ``REPRO_STORE_DIR``, else
-    a self-cleaning temporary directory).  When a ``memory_budget`` is
-    set it is apportioned across the big consumers
-    (:func:`repro.core.memory.apportion_budget`): half drives the blocked
-    candidate strip count, a quarter caps the k-mer engine's buffered
-    histograms (sorted runs spill to disk beyond it), the rest is headroom.
+    * ``fault_plan`` precedence: an explicit spec always arms a fresh
+      :class:`~repro.resilience.FaultPlan` for the run (``""`` pins it
+      fault-free); with none, a plan that is already armed (the service's
+      persistent cross-ingest plan) stays in place, and only with neither
+      does ``REPRO_FAULT_SPEC`` get a say.
+    * ``memory_budget`` is apportioned across the big consumers
+      (:func:`repro.core.memory.apportion_budget`): half bounds the live
+      candidate strip (:func:`repro.core.memory.plan_strips` picks the
+      blocked strip count from the measured ``nnz(A)``), a quarter caps the
+      k-mer engine's buffered histograms (sorted runs spill beyond it), the
+      rest is headroom — the same split for every read store, so a
+      budgeted run is byte-identical between ``inmem`` and ``mmap``.
+    * ``n_strips`` (explicit strip count, beats the budget) and
+      ``checkpoint_dir`` only mean something on the blocked path; under
+      ``monolithic`` they are refused, not ignored.
+    * ``seed_w`` is the window of the sketched seed modes (``full``
+      ignores it).
     """
 
     k: int = 17
@@ -186,10 +117,44 @@ class PipelineConfig:
     read_store: str = "auto"
     store_dir: str | None = None
 
+    def resolved(self) -> "PipelineConfig":
+        """This config with every axis pinned to a concrete value.
+
+        Two axes need more than their table row: ``executor`` also depends
+        on the worker count (:func:`repro.exec.executor_name`), and an
+        unset ``fault_plan`` consults the environment only when no plan is
+        armed (see the class docstring).
+        """
+        values = {axis.name: axis.resolve(getattr(self, axis.name))
+                  for axis in AXES
+                  if axis.pipeline and axis not in (EXECUTOR, FAULT_PLAN)}
+        values["executor"] = executor_name(self.executor, values["workers"])
+        if self.fault_plan is None and current_plan() is None:
+            values["fault_plan"] = FAULT_PLAN.resolve()
+        if values["overlap_mode"] == "monolithic":
+            for name in ("n_strips", "checkpoint_dir"):
+                if getattr(self, name) is not None:
+                    raise ValueError(
+                        f"{name}={getattr(self, name)!r} only applies to "
+                        f"overlap_mode='blocked', but overlap_mode resolves "
+                        f"to 'monolithic'")
+        return replace(self, **values)
+
+    @classmethod
+    def from_args(cls, args, **overrides) -> "PipelineConfig":
+        """A config from every field an argparse namespace carries."""
+        values = {f.name: getattr(args, f.name) for f in fields(cls)
+                  if hasattr(args, f.name)}
+        return cls(**{**values, **overrides})
+
 
 @dataclass
 class PipelineResult:
-    """Everything a diBELLA 2D run produces (matrices, stats, accounting)."""
+    """Everything a diBELLA 2D run produces (matrices, stats, accounting).
+
+    ``config`` is the *resolved* config the run used: no axis is left at
+    ``"auto"``, so ``result.config.align_impl`` names the engine that ran.
+    """
 
     config: PipelineConfig
     n_reads: int
@@ -203,13 +168,8 @@ class PipelineResult:
     tr_rounds: int
     timer: StageTimer
     tracker: CommTracker
-    overlap_mode: str = "monolithic"
+    #: Strips the candidate matrix was formed in (1 on the monolithic path).
     n_strips: int = 1
-    align_impl: str = "batch"
-    kmer_impl: str = "batch"
-    spgemm_impl: str = "masked"
-    seed_mode: str = "full"
-    read_store: str = "inmem"
     #: The pre-reduction overlap matrix (global, canonical order).  The
     #: incremental assembly service splices delta rows into it on refresh;
     #: batch callers may ignore it.
@@ -300,134 +260,110 @@ def _require_nonempty_reads(reads: ReadSet) -> None:
             f"zero-length reads cannot enter k-mer extraction")
 
 
+@contextlib.contextmanager
+def _store_target(cfg: PipelineConfig):
+    """Directory for this run's mmap read store.
+
+    ``<store_dir>/reads`` when a store directory is configured, else a
+    temporary directory removed when the block exits.
+    """
+    if cfg.store_dir is not None:
+        os.makedirs(cfg.store_dir, exist_ok=True)
+        yield os.path.join(cfg.store_dir, "reads")
+        return
+    tmp = tempfile.mkdtemp(prefix="repro-read-store-")
+    try:
+        yield tmp
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
 def run_pipeline(reads: ReadSet, config: PipelineConfig | None = None, *,
                  read_fastq_seconds: float = 0.0) -> PipelineResult:
     """Run overlap detection + transitive reduction on a ReadSet.
 
-    ``read_fastq_seconds`` lets :func:`run_pipeline_from_fasta` charge the
-    parse time it measured to the ``ReadFastq`` stage.  With
-    ``read_store="mmap"`` an in-memory ReadSet is persisted to an on-disk
-    store first (under ``store_dir`` when set, else a temporary directory
-    removed when the run finishes); store-backed ReadSets pass through
-    unchanged.
+    The config is resolved here, once (:meth:`PipelineConfig.resolved`);
+    the result carries the resolved copy.  ``read_fastq_seconds`` lets
+    :func:`run_pipeline_from_fasta` charge the parse time it measured to
+    the ``ReadFastq`` stage.  With ``read_store="mmap"`` an in-memory
+    ReadSet is persisted to an on-disk store first (under ``store_dir``
+    when set, else a temporary directory removed when the run finishes);
+    store-backed ReadSets pass through unchanged.
     """
-    config = config if config is not None else PipelineConfig()
-    backend = get_backend(config.backend)
-    overlap_mode = resolve_overlap_mode(config.overlap_mode)
-    align_impl = resolve_align_impl(config.align_impl)
-    kmer_impl = resolve_kmer_impl(config.kmer_impl)
-    spgemm_impl = resolve_spgemm_impl(config.spgemm_impl)
-    seed_mode = resolve_seed_mode(config.seed_mode)
-    scheme = make_scheme(seed_mode, config.k, config.seed_w)
-    checkpoint_dir = resolve_checkpoint_dir(config.checkpoint_dir)
-    read_store = resolve_read_store(config.read_store)
+    cfg = (config if config is not None else PipelineConfig()).resolved()
     _require_nonempty_reads(reads)
-    store_dir = resolve_store_dir(config.store_dir)
-    tmp_store: str | None = None
-    if read_store == "mmap" and reads.store is None:
-        if store_dir is not None:
-            os.makedirs(store_dir, exist_ok=True)
-            reads = reads.to_store(os.path.join(store_dir, "reads"))
-        else:
-            tmp_store = tempfile.mkdtemp(prefix="repro-read-store-")
-            reads = reads.to_store(tmp_store)
-    elif reads.store is not None:
-        read_store = "mmap"
-    try:
-        return _run_pipeline_inner(
-            reads, config, backend, overlap_mode, align_impl, kmer_impl,
-            spgemm_impl, seed_mode, scheme, checkpoint_dir, read_store,
-            store_dir, read_fastq_seconds)
-    finally:
-        if tmp_store is not None:
-            shutil.rmtree(tmp_store, ignore_errors=True)
+    with contextlib.ExitStack() as stack:
+        if reads.store is not None:
+            cfg = replace(cfg, read_store="mmap")
+        elif cfg.read_store == "mmap":
+            reads = reads.to_store(stack.enter_context(_store_target(cfg)))
+        return _run_pipeline_inner(reads, cfg, read_fastq_seconds)
 
 
-def _run_pipeline_inner(reads, config, backend, overlap_mode, align_impl,
-                        kmer_impl, spgemm_impl, seed_mode, scheme,
-                        checkpoint_dir, read_store, store_dir,
-                        read_fastq_seconds):
-    # Fault-plan precedence: an explicit config spec always arms a fresh
-    # plan ("" pins the run fault-free); otherwise an already-armed plan
-    # (e.g. the service's persistent cross-ingest plan) is left in place,
-    # and only then does REPRO_FAULT_SPEC get a say.
-    if config.fault_plan is not None:
-        plan = FaultPlan(config.fault_plan)
-    elif current_plan() is None:
-        plan = resolve_fault_plan(None)
-    else:
-        plan = None
-    grid = ProcessGrid2D(config.nprocs)
-    tracker = CommTracker(config.nprocs)
-    comm = SimComm(config.nprocs, tracker)
+def _run_pipeline_inner(reads, cfg, read_fastq_seconds):
+    backend = get_backend(cfg.backend)
+    scheme = make_scheme(cfg.seed_mode, cfg.k, cfg.seed_w)
+    faults = (FaultPlan(cfg.fault_plan) if cfg.fault_plan is not None
+              else None)
+    grid = ProcessGrid2D(cfg.nprocs)
+    tracker = CommTracker(cfg.nprocs)
+    comm = SimComm(cfg.nprocs, tracker)
     timer = StageTimer()
     if read_fastq_seconds:
         timer.add("ReadFastq", read_fastq_seconds)
 
-    upper = config.kmer_upper
+    upper = cfg.kmer_upper
     if upper is None:
-        upper = reliable_upper_bound(config.depth_hint, config.error_hint,
-                                     config.k)
-    # One --memory-budget covers the big consumers (see apportion_budget):
-    # the candidate share drives the strip count below, the table share
-    # caps the k-mer counter's resident tables.  The split is applied for
-    # every read-store backend so a budgeted run stays byte-identical
-    # between inmem and mmap.
-    budget = (apportion_budget(config.memory_budget)
-              if config.memory_budget is not None else None)
-    with active_plan(plan), \
-            get_executor(config.executor,
-                         resolve_workers(config.workers)) as ex:
-        table = count_kmers(reads, config.k, comm, timer,
-                            batches=config.kmer_batches, upper=upper,
-                            executor=ex, impl=kmer_impl, scheme=scheme,
+        upper = reliable_upper_bound(cfg.depth_hint, cfg.error_hint, cfg.k)
+    budget = (apportion_budget(cfg.memory_budget)
+              if cfg.memory_budget is not None else None)
+    with active_plan(faults), get_executor(cfg.executor, cfg.workers) as ex:
+        table = count_kmers(reads, cfg.k, comm, timer,
+                            batches=cfg.kmer_batches, upper=upper,
+                            executor=ex, impl=cfg.kmer_impl, scheme=scheme,
                             table_budget=(budget.tables if budget else None),
-                            spill_dir=store_dir)
+                            spill_dir=cfg.store_dir)
 
         A = build_a_matrix(reads, table, grid, comm, timer, executor=ex,
-                           impl=kmer_impl, scheme=scheme)
+                           impl=cfg.kmer_impl, scheme=scheme)
         nnz_a = A.nnz()
         # Read exchange is issued right after partitioning so it overlaps
         # with counting and SpGEMM (paper Section IV-D); accounting order is
         # equivalent.
         exchange_reads(reads, grid, comm)
-        if overlap_mode == "blocked":
-            plan = plan_strips(nnz_a, len(table), len(reads),
-                               memory_budget=(budget.candidate if budget
-                                              else None),
-                               n_strips=config.n_strips)
+        if cfg.overlap_mode == "blocked":
+            strips = plan_strips(nnz_a, len(table), len(reads),
+                                 memory_budget=(budget.candidate if budget
+                                                else None),
+                                 n_strips=cfg.n_strips)
             blk = candidate_overlaps_blocked(
-                A, reads, config.k, comm, plan.n_strips, timer,
-                mode=config.align_mode, scoring=config.scoring,
-                filt=config.filt, fuzz=config.fuzz, backend=backend,
-                executor=ex, align_impl=align_impl,
-                spgemm_impl=spgemm_impl, checkpoint_dir=checkpoint_dir)
+                A, reads, cfg.k, comm, strips.n_strips, timer,
+                mode=cfg.align_mode, scoring=cfg.scoring, filt=cfg.filt,
+                fuzz=cfg.fuzz, backend=backend, executor=ex,
+                align_impl=cfg.align_impl, spgemm_impl=cfg.spgemm_impl,
+                checkpoint_dir=cfg.checkpoint_dir)
             nnz_c, R, n_strips = blk.nnz_c, blk.R, blk.n_strips
         else:
             C = candidate_overlaps(A, comm, timer, backend=backend,
-                                   executor=ex, spgemm_impl=spgemm_impl)
+                                   executor=ex, spgemm_impl=cfg.spgemm_impl)
             nnz_c = C.nnz()
-            R = align_candidates(C, reads, config.k, comm, timer,
-                                 mode=config.align_mode,
-                                 scoring=config.scoring,
-                                 filt=config.filt, fuzz=config.fuzz,
-                                 executor=ex, impl=align_impl)
+            R = align_candidates(C, reads, cfg.k, comm, timer,
+                                 mode=cfg.align_mode, scoring=cfg.scoring,
+                                 filt=cfg.filt, fuzz=cfg.fuzz,
+                                 executor=ex, impl=cfg.align_impl)
             n_strips = 1
         nnz_r = R.nnz()
-        tr = transitive_reduction(R, comm, timer, fuzz=config.fuzz,
-                                  max_rounds=config.max_tr_rounds,
+        tr = transitive_reduction(R, comm, timer, fuzz=cfg.fuzz,
+                                  max_rounds=cfg.max_tr_rounds,
                                   backend=backend, executor=ex,
-                                  spgemm_impl=spgemm_impl)
+                                  spgemm_impl=cfg.spgemm_impl)
     S_global = tr.S.to_global()
     return PipelineResult(
-        config=config, n_reads=len(reads), n_kmers=len(table),
+        config=cfg, n_reads=len(reads), n_kmers=len(table),
         string_graph=StringGraph.from_coomat(S_global), S=S_global,
         nnz_a=nnz_a, nnz_c=nnz_c, nnz_r=nnz_r, nnz_s=tr.S.nnz(),
         tr_rounds=tr.rounds, timer=timer, tracker=tracker,
-        overlap_mode=overlap_mode, n_strips=n_strips,
-        align_impl=align_impl, kmer_impl=kmer_impl,
-        spgemm_impl=spgemm_impl, seed_mode=seed_mode,
-        read_store=read_store, R=R.to_global())
+        n_strips=n_strips, R=R.to_global())
 
 
 def run_pipeline_from_fasta(path, config: PipelineConfig | None = None
@@ -440,24 +376,15 @@ def run_pipeline_from_fasta(path, config: PipelineConfig | None = None
     larger than memory.
     """
     cfg = config if config is not None else PipelineConfig()
-    tmp_store: str | None = None
-    try:
+    cfg = replace(cfg, read_store=READ_STORE.resolve(cfg.read_store))
+    with contextlib.ExitStack() as stack:
         t0 = time.perf_counter()
-        if resolve_read_store(cfg.read_store) == "mmap":
-            store_dir = resolve_store_dir(cfg.store_dir)
-            if store_dir is not None:
-                os.makedirs(store_dir, exist_ok=True)
-                target = os.path.join(store_dir, "reads")
-            else:
-                tmp_store = tempfile.mkdtemp(prefix="repro-read-store-")
-                target = tmp_store
-            reads = read_fasta_to_store(path, target)
+        if cfg.read_store == "mmap":
+            reads = read_fasta_to_store(
+                path, stack.enter_context(_store_target(cfg)))
         else:
             reads = read_fasta(path)
         parse_seconds = time.perf_counter() - t0
         # Parallel MPI-IO splits the parse across ranks; charge the share.
         return run_pipeline(reads, cfg,
                             read_fastq_seconds=parse_seconds / cfg.nprocs)
-    finally:
-        if tmp_store is not None:
-            shutil.rmtree(tmp_store, ignore_errors=True)

@@ -37,11 +37,11 @@ import numpy as np
 from ..dsparse.backend import Backend, get_backend
 from ..dsparse.distmat import DistMat
 from ..dsparse.elementwise import reduce_rows
-from ..dsparse.masked import resolve_spgemm_impl
 from ..dsparse.summa import summa
 from ..exec import Executor, SERIAL
 from ..mpisim.comm import SimComm
 from ..mpisim.tracker import StageTimer
+from ..options import SPGEMM_IMPL
 from .memory import coo_nbytes
 from .semirings import BidirectedMinPlus, R_END_I, R_END_J, R_SUFFIX, n_slot
 
@@ -135,7 +135,7 @@ def transitive_reduction(R: DistMat, comm: SimComm,
         SUMMA products (the runtime-dominating part of the loop) and the
         per-block mask + prune tasks; ``None`` runs them serially.
     spgemm_impl:
-        SpGEMM engine (:func:`~repro.dsparse.masked.resolve_spgemm_impl`).
+        SpGEMM engine (:data:`repro.options.SPGEMM_IMPL`).
         The transitive mask only consults ``N`` at ``nonzeros(R) ∩
         nonzeros(N)``, so under ``"masked"`` the squaring passes ``R``'s own
         pattern as the output mask — every product landing outside it is
@@ -147,7 +147,7 @@ def transitive_reduction(R: DistMat, comm: SimComm,
     timer = timer if timer is not None else StageTimer()
     backend = get_backend(backend)
     executor = executor if executor is not None else SERIAL
-    spgemm_impl = resolve_spgemm_impl(spgemm_impl)
+    spgemm_impl = SPGEMM_IMPL.resolve(spgemm_impl)
     grid = R.grid
     q = grid.q
     ij = [(i, j) for i in range(q) for j in range(q)]

@@ -20,14 +20,11 @@ from .distmat import DistMat
 from .semiring import Semiring, PlusTimes, MinPlus, BoolOr, INF
 from .backend import (
     Backend, NumpyBackend, ScipyBackend, AutoBackend,
-    get_backend, register_backend, available_backends, DEFAULT_BACKEND,
+    get_backend, register_backend, available_backends,
 )
 from .spgemm import expand_products, packed_order, spgemm_esc, \
     spgemm_gustavson, multiway_merge
-from .masked import (
-    SPGEMM_IMPLS, SPGEMM_IMPL_ENV, DEFAULT_SPGEMM_IMPL,
-    resolve_spgemm_impl, mask_select, spgemm_esc_masked,
-)
+from .masked import mask_select, spgemm_esc_masked
 from .summa import summa
 from .elementwise import (
     reduce_rows, apply_vector, dimapply_rows, ewise_compare_mask,
@@ -40,11 +37,9 @@ __all__ = [
     "Semiring", "PlusTimes", "MinPlus", "BoolOr", "INF",
     "Backend", "NumpyBackend", "ScipyBackend", "AutoBackend",
     "get_backend", "register_backend", "available_backends",
-    "DEFAULT_BACKEND",
     "expand_products", "packed_order", "spgemm_esc", "spgemm_gustavson",
     "multiway_merge",
-    "SPGEMM_IMPLS", "SPGEMM_IMPL_ENV", "DEFAULT_SPGEMM_IMPL",
-    "resolve_spgemm_impl", "mask_select", "spgemm_esc_masked",
+    "mask_select", "spgemm_esc_masked",
     "summa",
     "reduce_rows", "apply_vector", "dimapply_rows", "ewise_compare_mask",
     "prune_mask", "apply_entries", "prune_entries",

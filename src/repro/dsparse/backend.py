@@ -60,6 +60,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from ..options import BACKEND
 from .coomat import CooMat
 from .masked import mask_select, spgemm_esc_masked
 from .semiring import Semiring
@@ -68,11 +69,7 @@ from .spgemm import expand_products, multiway_merge, spgemm_esc
 __all__ = [
     "Backend", "NumpyBackend", "ScipyBackend", "AutoBackend",
     "get_backend", "register_backend", "available_backends",
-    "DEFAULT_BACKEND",
 ]
-
-#: Name resolved by ``get_backend(None)``.
-DEFAULT_BACKEND = "auto"
 
 
 class Backend:
@@ -299,20 +296,19 @@ def available_backends() -> list[str]:
 
 
 def get_backend(name: "str | Backend | None" = None) -> Backend:
-    """Resolve a backend by name (``None`` → :data:`DEFAULT_BACKEND`).
+    """The backend registered under ``name``.
 
-    Accepts an already-resolved :class:`Backend` unchanged, so plumbing
-    layers can pass either form through.
+    Registered names (including the dispatching ``"auto"`` backend) pass
+    through; ``None`` and unknown names go through the ``backend`` axis
+    (:data:`repro.options.BACKEND`), which supplies the default or the
+    named ``ValueError``.  Accepts an already-built :class:`Backend`
+    unchanged, so plumbing layers can pass either form through.
     """
     if isinstance(name, Backend):
         return name
-    if name is None:
-        name = DEFAULT_BACKEND
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown backend {name!r}; available: "
-                       f"{', '.join(available_backends())}") from None
+    if name not in _REGISTRY:
+        name = BACKEND.resolve(name)
+    return _REGISTRY[name]
 
 
 register_backend("numpy", NumpyBackend())

@@ -23,15 +23,12 @@ surviving group are gathered through the operand values and the semiring
 multiply (:func:`_truncated_sort_reduce`), so the wide output-value arrays
 never exist at elementary-product scale.
 
-The module also owns the ``spgemm_impl`` pipeline axis (``esc | masked |
-auto``, mirroring ``align_impl``/``kmer_impl``): :func:`resolve_spgemm_impl`
-is consulted by the pipeline/CLI plumbing, and ``masked`` is what ``auto``
-resolves to — the ESC path stays available as the byte-identical oracle.
+The ``spgemm_impl`` axis (:data:`repro.options.SPGEMM_IMPL`) selects between
+this kernel's callers and the monolithic ESC path, which stays available as
+the byte-identical oracle.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -39,41 +36,7 @@ from .coomat import CooMat
 from .semiring import Semiring
 from .spgemm import _sort_reduce, expand_products, spgemm_esc
 
-__all__ = [
-    "SPGEMM_IMPLS", "SPGEMM_IMPL_ENV", "DEFAULT_SPGEMM_IMPL",
-    "resolve_spgemm_impl", "mask_select", "spgemm_esc_masked",
-]
-
-#: SpGEMM-engine names accepted by ``PipelineConfig.spgemm_impl`` (plus
-#: ``"auto"``, which resolves through :func:`resolve_spgemm_impl`).
-SPGEMM_IMPLS = ("esc", "masked")
-
-#: Environment variable consulted by ``spgemm_impl="auto"``.
-SPGEMM_IMPL_ENV = "REPRO_SPGEMM_IMPL"
-
-#: What ``"auto"`` resolves to when the environment does not override it.
-DEFAULT_SPGEMM_IMPL = "masked"
-
-
-def resolve_spgemm_impl(impl: str | None = None) -> str:
-    """Resolve an SpGEMM-engine name to ``"esc"`` or ``"masked"``.
-
-    ``None`` and ``"auto"`` defer to the :data:`SPGEMM_IMPL_ENV` environment
-    variable when set (mirroring ``REPRO_ALIGN_IMPL`` / ``REPRO_KMER_IMPL``),
-    else pick :data:`DEFAULT_SPGEMM_IMPL`; explicit names pass through
-    validated.  Both engines produce byte-identical pipeline output — the
-    switch is a pure performance axis, with ``esc`` kept as the oracle.
-    """
-    if impl is None:
-        impl = "auto"
-    if impl == "auto":
-        env = os.environ.get(SPGEMM_IMPL_ENV, "").strip().lower()
-        impl = env if env and env != "auto" else DEFAULT_SPGEMM_IMPL
-    if impl not in SPGEMM_IMPLS:
-        raise ValueError(f"unknown spgemm impl {impl!r}; expected one of "
-                         f"{', '.join(SPGEMM_IMPLS + ('auto',))}")
-    return impl
-
+__all__ = ["mask_select", "spgemm_esc_masked"]
 
 def _packable(shape: tuple[int, int]) -> bool:
     """Whether (row, col) coordinates of ``shape`` pack into one int64 key."""

@@ -114,7 +114,7 @@ def summa(A: DistMat, B: DistMat, semiring: Semiring, comm: SimComm,
     backend:
         Local-kernel backend (name or instance) for the block multiplies and
         the per-block accumulation; ``None`` selects the default
-        (:data:`~repro.dsparse.backend.DEFAULT_BACKEND`) auto-dispatch.
+        auto-dispatching backend.
     executor:
         :class:`~repro.exec.Executor` running the local block work (the
         ``q²`` multiplies per SUMMA stage, the ``q²`` final merges) in

@@ -11,12 +11,12 @@ See :mod:`repro.exec.executor` for the contract and
 """
 
 from .executor import (Executor, ProcessExecutor, SerialExecutor, SERIAL,
-                       ThreadExecutor, available_executors, get_executor,
-                       register_executor, resolve_workers)
+                       ThreadExecutor, available_executors, executor_name,
+                       get_executor, register_executor)
 from .partition import weighted_chunks
 
 __all__ = [
     "Executor", "SerialExecutor", "ThreadExecutor", "ProcessExecutor",
     "SERIAL", "get_executor", "register_executor", "available_executors",
-    "resolve_workers", "weighted_chunks",
+    "executor_name", "weighted_chunks",
 ]

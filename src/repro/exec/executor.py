@@ -44,13 +44,13 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
-import os
 import pickle
 import time
 from concurrent.futures import (BrokenExecutor, Future, ProcessPoolExecutor,
                                 ThreadPoolExecutor)
 from typing import Any, Callable
 
+from ..options import EXECUTOR, WORKERS
 from ..resilience.faults import check_fault, trip
 from ..resilience.retry import DEFAULT_RETRY, RetryPolicy
 from .partition import weighted_chunks
@@ -58,8 +58,7 @@ from .partition import weighted_chunks
 __all__ = [
     "Executor", "SerialExecutor", "ThreadExecutor", "ProcessExecutor",
     "get_executor", "register_executor", "available_executors",
-    "resolve_workers", "SERIAL", "DEFAULT_EXECUTOR", "WORKERS_ENV",
-    "EXECUTOR_ENV", "CHUNK_FAULT_SITE",
+    "executor_name", "SERIAL", "CHUNK_FAULT_SITE",
 ]
 
 log = logging.getLogger("repro.resilience")
@@ -71,14 +70,6 @@ CHUNK_FAULT_SITE = "exec.chunk"
 
 #: Name resolved by ``get_executor("auto", workers)`` when ``workers > 1``.
 PARALLEL_DEFAULT = "process"
-
-#: Name resolved by ``get_executor(None)`` (before env overrides).
-DEFAULT_EXECUTOR = "auto"
-
-#: Environment variables consulted by :func:`resolve_workers` /
-#: :func:`get_executor` when the caller passes ``None``.
-WORKERS_ENV = "REPRO_WORKERS"
-EXECUTOR_ENV = "REPRO_EXECUTOR"
 
 #: Chunks submitted per worker — enough slack for uneven chunks to
 #: rebalance across the pool without drowning in submission overhead
@@ -418,42 +409,36 @@ def available_executors() -> list[str]:
     return sorted(_REGISTRY) + ["auto"]
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    """Explicit worker count, else the ``REPRO_WORKERS`` env var, else 1."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV, "").strip()
-    return max(1, int(env)) if env else 1
+def executor_name(name: str | None, workers: int) -> str:
+    """The registry name ``name`` stands for with ``workers`` workers.
+
+    Registered names pass through; anything else goes through the
+    ``executor`` axis (:data:`repro.options.EXECUTOR`: explicit, else
+    ``REPRO_EXECUTOR``, validated), and an ``"auto"`` that survives picks
+    serial for one worker and the process pool otherwise.
+    """
+    if name in _REGISTRY:
+        return name
+    name = EXECUTOR.resolve(name)
+    if name == "auto":
+        name = "serial" if workers <= 1 else PARALLEL_DEFAULT
+    return name
 
 
 def get_executor(name: "str | Executor | None" = None,
                  workers: int | None = None) -> Executor:
     """Build an executor by name with ``workers`` parallel workers.
 
-    ``None`` defaults to ``"auto"``; ``"auto"`` defers to the
-    ``REPRO_EXECUTOR`` env var when set, else picks serial for one worker
-    and the process pool otherwise — so the environment can steer every
-    default-configured run (the CI determinism leg) without touching
-    explicit choices.  An already-built :class:`Executor` passes through
-    unchanged so plumbing layers accept either form.
+    ``None`` / ``"auto"`` defer to the environment (``REPRO_EXECUTOR``,
+    ``REPRO_WORKERS``) through the option table — so the environment can
+    steer every default-configured run (the CI determinism leg) without
+    touching explicit choices.  An already-built :class:`Executor` passes
+    through unchanged so plumbing layers accept either form.
     """
     if isinstance(name, Executor):
         return name
-    if name is None:
-        name = DEFAULT_EXECUTOR
-    workers = resolve_workers(workers)
-    if name == "auto":
-        env = os.environ.get(EXECUTOR_ENV, "").strip()
-        if env and env != "auto":
-            name = env
-        else:
-            name = "serial" if workers <= 1 else PARALLEL_DEFAULT
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown executor {name!r}; available: "
-                       f"{', '.join(available_executors())}") from None
-    return cls(workers)
+    workers = WORKERS.resolve(workers)
+    return _REGISTRY[executor_name(name, workers)](workers)
 
 
 register_executor("serial", SerialExecutor)

@@ -24,15 +24,15 @@ resume in :mod:`repro.core.blocked`, transactional commits in
 """
 
 from .checkpoint import CheckpointMismatch, StripCheckpoint
-from .faults import (FAULT_KINDS, FAULT_SPEC_ENV, FaultInjected, FaultPlan,
+from .faults import (FAULT_KINDS, FaultInjected, FaultPlan,
                      InjectedWorkerCrash, active_plan, check_fault,
-                     current_plan, maybe_fault, resolve_fault_plan, trip)
+                     current_plan, maybe_fault, trip)
 from .retry import DEFAULT_RETRY, RetryPolicy
 
 __all__ = [
-    "FaultPlan", "FaultInjected", "InjectedWorkerCrash", "FAULT_SPEC_ENV",
+    "FaultPlan", "FaultInjected", "InjectedWorkerCrash",
     "FAULT_KINDS", "active_plan", "current_plan", "check_fault",
-    "maybe_fault", "trip", "resolve_fault_plan",
+    "maybe_fault", "trip",
     "RetryPolicy", "DEFAULT_RETRY",
     "StripCheckpoint", "CheckpointMismatch",
 ]

@@ -39,15 +39,10 @@ import os
 from contextlib import contextmanager
 
 __all__ = [
-    "FAULT_SPEC_ENV", "FAULT_KINDS", "CRASH_EXIT_CODE",
+    "FAULT_KINDS", "CRASH_EXIT_CODE",
     "FaultInjected", "InjectedWorkerCrash", "FaultPlan",
     "active_plan", "current_plan", "check_fault", "maybe_fault", "trip",
-    "resolve_fault_plan",
 ]
-
-#: Environment variable consulted by :func:`resolve_fault_plan` when no
-#: explicit spec is given (mirrors ``REPRO_WORKERS`` & friends).
-FAULT_SPEC_ENV = "REPRO_FAULT_SPEC"
 
 #: Injection kinds a clause may name.
 FAULT_KINDS = ("exc", "crash")
@@ -215,17 +210,3 @@ def maybe_fault(site: str) -> None:
     kind = plan.check(site)
     if kind is not None:
         trip(kind, site, plan._counts.get(site, 0))
-
-
-def resolve_fault_plan(spec: str | None = None) -> FaultPlan | None:
-    """A fresh plan from an explicit spec, else ``REPRO_FAULT_SPEC``.
-
-    Returns ``None`` (no injection) when neither names any clause, so the
-    result can be handed straight to :func:`active_plan`.
-    """
-    if spec:
-        return FaultPlan(spec)
-    env = os.environ.get(FAULT_SPEC_ENV, "").strip()
-    if env:
-        return FaultPlan(env)
-    return None

@@ -8,13 +8,12 @@ from .kmers import (MAX_K, canonical_kmers, kmer_to_string, pack_kmers,
 from .bloom import BloomFilter
 from .fasta import (ReadSet, chunked_read_ranges, read_fasta,
                     read_fasta_to_store, write_fasta)
-from .read_store import (READ_STORES, MmapReadStore, MmapStoreWriter,
-                         StoreMismatch, content_digest, resolve_read_store,
-                         resolve_store_dir)
+from .read_store import (MmapReadStore, MmapStoreWriter, StoreMismatch,
+                         content_digest)
 from .simulator import ErrorModel, ReadSimSpec, TrueLayout, simulate_reads
 from .minimizers import minimizers, minimizers_batch
-from .seeding import (SEED_MODES, FullKScheme, MinimizerScheme, SeedScheme,
-                      SyncmerScheme, make_scheme, resolve_seed_mode)
+from .seeding import (FullKScheme, MinimizerScheme, SeedScheme,
+                      SyncmerScheme, make_scheme)
 from .kmer_counter import KmerTable, count_kmers, reliable_upper_bound
 
 __all__ = [
@@ -25,11 +24,10 @@ __all__ = [
     "BloomFilter",
     "ReadSet", "chunked_read_ranges", "read_fasta", "read_fasta_to_store",
     "write_fasta",
-    "READ_STORES", "MmapReadStore", "MmapStoreWriter", "StoreMismatch",
-    "content_digest", "resolve_read_store", "resolve_store_dir",
+    "MmapReadStore", "MmapStoreWriter", "StoreMismatch", "content_digest",
     "ErrorModel", "ReadSimSpec", "TrueLayout", "simulate_reads",
     "minimizers", "minimizers_batch",
-    "SEED_MODES", "SeedScheme", "FullKScheme", "MinimizerScheme",
-    "SyncmerScheme", "make_scheme", "resolve_seed_mode",
+    "SeedScheme", "FullKScheme", "MinimizerScheme", "SyncmerScheme",
+    "make_scheme",
     "KmerTable", "count_kmers", "reliable_upper_bound",
 ]

@@ -30,8 +30,8 @@ only where that state lives (re-extracted seeds and on-disk sorted runs
 instead of resident arrays); "resident" is the zero-spill case of the same
 code.
 
-``impl="loop"`` (:func:`resolve_kmer_impl`) keeps the literal protocol —
-per-read extraction, a real Bloom filter, ``dict[int, int]`` tables, both
+``impl="loop"`` (:data:`repro.options.KMER_IMPL`) keeps the literal protocol
+— per-read extraction, a real Bloom filter, ``dict[int, int]`` tables, both
 passes — as the reference oracle.  The resulting :class:`KmerTable` and the
 communication records are byte-identical between the two, pinned by the
 parity and golden suites.
@@ -52,6 +52,7 @@ from ..exec import Executor, SERIAL
 from ..mpisim.comm import SimComm
 from ..mpisim.grid import block_bounds
 from ..mpisim.tracker import StageTimer
+from ..options import KMER_IMPL
 from .bloom import BloomFilter
 from .fasta import ReadSet
 from .kmers import splitmix64
@@ -59,42 +60,9 @@ from .seeding import FullKScheme, SeedScheme
 from .spill import combine_histograms, merge_pair_runs, write_pair_run
 
 __all__ = ["KmerTable", "reliable_upper_bound", "count_kmers",
-           "KMER_IMPLS", "KMER_IMPL_ENV", "DEFAULT_KMER_IMPL",
-           "resolve_kmer_impl", "kmer_histogram", "merge_histograms",
-           "table_from_histogram"]
+           "kmer_histogram", "merge_histograms", "table_from_histogram"]
 
 STAGE = "CountKmer"
-
-#: K-mer engine names accepted by ``PipelineConfig.kmer_impl`` (plus
-#: ``"auto"``, which resolves through :func:`resolve_kmer_impl`).
-KMER_IMPLS = ("loop", "batch")
-
-#: Environment variable consulted by ``kmer_impl="auto"``.
-KMER_IMPL_ENV = "REPRO_KMER_IMPL"
-
-#: What ``"auto"`` resolves to when the environment does not override it.
-DEFAULT_KMER_IMPL = "batch"
-
-
-def resolve_kmer_impl(impl: str | None = None) -> str:
-    """Resolve a k-mer engine name to ``"loop"`` or ``"batch"``.
-
-    ``None`` and ``"auto"`` defer to the :data:`KMER_IMPL_ENV` environment
-    variable when set (mirroring ``REPRO_ALIGN_IMPL`` / ``REPRO_EXECUTOR``),
-    else pick :data:`DEFAULT_KMER_IMPL`; explicit names pass through
-    validated.  Both engines produce byte-identical output — the switch is a
-    pure performance axis, with ``loop`` kept as the reference oracle.
-    """
-    if impl is None:
-        impl = "auto"
-    if impl == "auto":
-        env = os.environ.get(KMER_IMPL_ENV, "").strip().lower()
-        impl = env if env and env != "auto" else DEFAULT_KMER_IMPL
-    if impl not in KMER_IMPLS:
-        raise ValueError(f"unknown kmer impl {impl!r}; expected one of "
-                         f"{', '.join(KMER_IMPLS + ('auto',))}")
-    return impl
-
 
 def _superstep(timer: StageTimer, executor: Executor, fn, tasks, weights,
                context=None) -> list:
@@ -407,7 +375,7 @@ def count_kmers(reads: ReadSet, k: int, comm: SimComm,
         work over real workers; ``None`` keeps the serial reference loop.
         The resulting table is byte-identical either way.
     impl:
-        K-mer engine (:func:`resolve_kmer_impl`): ``"batch"`` is the
+        K-mer engine (:data:`repro.options.KMER_IMPL`): ``"batch"`` is the
         histogram engine (:func:`_count_kmers_hist`), ``"loop"`` the
         literal Bloom-filtered protocol (:func:`_count_kmers_loop`), kept
         as the parity reference.  Byte-identical table and traffic.
@@ -438,7 +406,7 @@ def count_kmers(reads: ReadSet, k: int, comm: SimComm,
     timer = timer if timer is not None else StageTimer()
     executor = executor if executor is not None else SERIAL
     scheme = scheme if scheme is not None else FullKScheme(k)
-    if resolve_kmer_impl(impl) == "loop":
+    if KMER_IMPL.resolve(impl) == "loop":
         rel_parts = _count_kmers_loop(reads, comm, timer, batches, bloom_fp,
                                       lower, upper, executor, scheme)
     else:

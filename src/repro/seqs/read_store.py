@@ -27,9 +27,8 @@ Pickling ships only ``(directory, fingerprint)``: process-executor workers
 reopen the files by path instead of receiving the bases over the pipe,
 which is also what makes the store cheap to fan out.
 
-``resolve_read_store`` gives ``read_store="auto"`` the same environment
-override pattern as every other engine axis (``REPRO_READ_STORE``), which
-is how CI forces the whole suite through the mmap path.
+The ``read_store`` axis (:data:`repro.options.READ_STORE`) selects between
+this store and resident per-read arrays.
 """
 
 from __future__ import annotations
@@ -44,25 +43,9 @@ import numpy as np
 from ..resilience.checkpoint import atomic_write
 
 __all__ = [
-    "READ_STORES", "READ_STORE_ENV", "STORE_DIR_ENV", "DEFAULT_READ_STORE",
     "STORE_FORMAT", "StoreMismatch", "content_digest",
     "MmapReadStore", "MmapStoreWriter",
-    "resolve_read_store", "resolve_store_dir",
 ]
-
-#: Read-store backends accepted by ``PipelineConfig.read_store`` (plus
-#: ``"auto"``, which resolves through :func:`resolve_read_store`).
-READ_STORES = ("inmem", "mmap")
-
-#: Environment variable consulted by ``read_store="auto"``.
-READ_STORE_ENV = "REPRO_READ_STORE"
-
-#: Environment variable consulted when no explicit store directory is
-#: configured (mirrors ``REPRO_CHECKPOINT_DIR``).
-STORE_DIR_ENV = "REPRO_STORE_DIR"
-
-#: Backend used when neither the config nor the environment picks one.
-DEFAULT_READ_STORE = "inmem"
 
 #: Store layout version; bump on incompatible changes.
 STORE_FORMAT = 1
@@ -95,38 +78,6 @@ def content_digest(codes: np.ndarray, lengths: np.ndarray) -> str:
         h.update(np.ascontiguousarray(codes[lo:lo + _HASH_CHUNK]).data)
     h.update(np.ascontiguousarray(lengths, dtype=np.int64).data)
     return h.hexdigest()
-
-
-def resolve_read_store(name: str | None = None) -> str:
-    """Resolve a read-store name to ``"inmem"`` or ``"mmap"``.
-
-    ``None`` and ``"auto"`` defer to the :data:`READ_STORE_ENV` environment
-    variable when set (mirroring ``REPRO_EXECUTOR``), else pick the
-    in-memory default; explicit names pass through validated.
-    """
-    if name is None:
-        name = "auto"
-    if name == "auto":
-        env = os.environ.get(READ_STORE_ENV, "").strip().lower()
-        name = env if env and env != "auto" else DEFAULT_READ_STORE
-    if name not in READ_STORES:
-        raise ValueError(f"unknown read store {name!r}; expected one of "
-                         f"{', '.join(READ_STORES + ('auto',))}")
-    return name
-
-
-def resolve_store_dir(directory: str | None = None) -> str | None:
-    """Resolve the read-store directory, if any.
-
-    An explicit ``directory`` wins; otherwise the :data:`STORE_DIR_ENV`
-    environment variable is consulted, and ``None`` is the default — the
-    pipeline then builds the store under a self-cleaning temporary
-    directory.
-    """
-    if directory:
-        return str(directory)
-    env = os.environ.get(STORE_DIR_ENV, "").strip()
-    return env or None
 
 
 class MmapReadStore:

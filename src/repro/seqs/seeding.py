@@ -28,65 +28,34 @@ executors, strips, or service batches.  ``seeds_of_block`` mirrors
 the full-k scheme is an exact passthrough and every downstream consumer
 (counting, A construction, occurrence tables) is scheme-agnostic.
 
-The ``seed_mode`` axis resolves through :func:`resolve_seed_mode`
-(``auto`` → :data:`SEED_MODE_ENV` → ``full``), mirroring the
-``align_impl`` / ``kmer_impl`` / ``spgemm_impl`` switches.
+The ``seed_mode`` axis (:data:`repro.options.SEED_MODE`) names the scheme;
+:func:`make_scheme` builds it.
 """
 
 from __future__ import annotations
 
 import abc
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..options import SEED_MODE
 from .kmers import (canonical_kmers, pack_kmers, read_kmers_batch,
                     splitmix64)
 from .minimizers import minimizers_batch
 
-__all__ = ["SEED_MODES", "SEED_MODE_ENV", "DEFAULT_SEED_MODE",
-           "DEFAULT_SEED_W", "resolve_seed_mode", "make_scheme",
-           "SeedScheme", "FullKScheme", "MinimizerScheme", "SyncmerScheme"]
-
-#: Seeding scheme names accepted by ``PipelineConfig.seed_mode`` (plus
-#: ``"auto"``, which resolves through :func:`resolve_seed_mode`).
-SEED_MODES = ("full", "minimizer", "syncmer")
-
-#: Environment variable consulted by ``seed_mode="auto"``.
-SEED_MODE_ENV = "REPRO_SEED_MODE"
-
-#: What ``"auto"`` resolves to when the environment does not override it.
-DEFAULT_SEED_MODE = "full"
+__all__ = ["DEFAULT_SEED_W", "make_scheme", "SeedScheme", "FullKScheme",
+           "MinimizerScheme", "SyncmerScheme"]
 
 #: Default window parameter for the sketched schemes (k-mers per minimizer
 #: window; the syncmer submer length is derived as ``s = k - w + 1``).
 DEFAULT_SEED_W = 8
 
 
-def resolve_seed_mode(mode: str | None = None) -> str:
-    """Resolve a seeding mode name to one of :data:`SEED_MODES`.
-
-    ``None`` and ``"auto"`` defer to the :data:`SEED_MODE_ENV` environment
-    variable when set (mirroring ``REPRO_ALIGN_IMPL`` / ``REPRO_KMER_IMPL``),
-    else pick :data:`DEFAULT_SEED_MODE` (``full`` — the byte-identical
-    paper behavior); explicit names pass through validated.
-    """
-    if mode is None:
-        mode = "auto"
-    if mode == "auto":
-        env = os.environ.get(SEED_MODE_ENV, "").strip().lower()
-        mode = env if env and env != "auto" else DEFAULT_SEED_MODE
-    if mode not in SEED_MODES:
-        raise ValueError(f"unknown seed mode {mode!r}; expected one of "
-                         f"{', '.join(SEED_MODES + ('auto',))}")
-    return mode
-
-
 def make_scheme(mode: str | None, k: int, w: int = DEFAULT_SEED_W
                 ) -> "SeedScheme":
     """Build the :class:`SeedScheme` for a (possibly ``auto``) mode name."""
-    mode = resolve_seed_mode(mode)
+    mode = SEED_MODE.resolve(mode)
     if mode == "full":
         return FullKScheme(k=k)
     if mode == "minimizer":

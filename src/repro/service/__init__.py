@@ -27,16 +27,14 @@ Layers
     the stdlib ``http.server`` JSON API around it.
 """
 
-from .config import (DEFAULT_REFRESH_MODE, REFRESH_MODE_ENV, REFRESH_MODES,
-                     ServiceConfig, resolve_refresh_mode)
+from .config import ServiceConfig
 from .incremental import refresh
 from .query_cache import QueryCache
 from .server import (AssemblyService, BadBatch, RefreshFailed, make_server)
 from .state import AssemblyState, SessionStore
 
 __all__ = [
-    "ServiceConfig", "REFRESH_MODES", "REFRESH_MODE_ENV",
-    "DEFAULT_REFRESH_MODE", "resolve_refresh_mode",
+    "ServiceConfig",
     "AssemblyState", "SessionStore", "refresh",
     "QueryCache", "AssemblyService", "make_server",
     "BadBatch", "RefreshFailed",

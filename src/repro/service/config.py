@@ -1,52 +1,21 @@
-"""Service configuration and the ``refresh_mode`` correctness axis.
+"""Service configuration.
 
-``refresh_mode`` mirrors the pipeline's ``align_impl`` / ``kmer_impl`` /
-``spgemm_impl`` switches: two interchangeable engines with byte-identical
-output, one fast (``incremental`` — fold the batch into the live state via
-delta products) and one reference oracle (``recompute`` — rerun
+``refresh_mode`` (:data:`repro.options.REFRESH_MODE`) mirrors the pipeline's
+``align_impl`` / ``kmer_impl`` / ``spgemm_impl`` switches: two
+interchangeable engines with byte-identical output, one fast
+(``incremental`` — fold the batch into the live state via delta products)
+and one reference oracle (``recompute`` — rerun
 :func:`~repro.core.pipeline.run_pipeline` from scratch on the concatenated
-reads).  ``"auto"`` defers to the :data:`REFRESH_MODE_ENV` environment
-variable so CI can pin either engine across a whole test leg.
+reads).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from ..core.pipeline import PipelineConfig
 
-__all__ = ["REFRESH_MODES", "REFRESH_MODE_ENV", "DEFAULT_REFRESH_MODE",
-           "resolve_refresh_mode", "ServiceConfig"]
-
-#: Refresh engine names accepted by ``ServiceConfig.refresh_mode`` (plus
-#: ``"auto"``, which resolves through :func:`resolve_refresh_mode`).
-REFRESH_MODES = ("incremental", "recompute")
-
-#: Environment variable consulted by ``refresh_mode="auto"``.
-REFRESH_MODE_ENV = "REPRO_REFRESH_MODE"
-
-#: What ``"auto"`` resolves to when the environment does not override it.
-DEFAULT_REFRESH_MODE = "incremental"
-
-
-def resolve_refresh_mode(mode: str | None = None) -> str:
-    """Resolve a refresh mode to ``"incremental"`` or ``"recompute"``.
-
-    ``None`` and ``"auto"`` defer to :data:`REFRESH_MODE_ENV` when set, else
-    pick :data:`DEFAULT_REFRESH_MODE`; explicit names pass through
-    validated.  Both engines produce byte-identical states — the switch is
-    a pure performance axis, with ``recompute`` kept as the oracle.
-    """
-    if mode is None:
-        mode = "auto"
-    if mode == "auto":
-        env = os.environ.get(REFRESH_MODE_ENV, "").strip().lower()
-        mode = env if env and env != "auto" else DEFAULT_REFRESH_MODE
-    if mode not in REFRESH_MODES:
-        raise ValueError(f"unknown refresh mode {mode!r}; expected one of "
-                         f"{', '.join(REFRESH_MODES + ('auto',))}")
-    return mode
+__all__ = ["ServiceConfig"]
 
 
 @dataclass(frozen=True)

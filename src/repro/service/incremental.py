@@ -68,7 +68,6 @@ from dataclasses import replace
 import numpy as np
 import scipy.sparse as sp
 
-from ..align.batch import resolve_align_impl
 from ..core.contigs import extract_contigs
 from ..core.overlap import (align_candidates, charge_a_routing,
                             exchange_reads)
@@ -79,19 +78,19 @@ from ..core.transitive_reduction import transitive_reduction
 from ..dsparse.backend import get_backend
 from ..dsparse.coomat import CooMat
 from ..dsparse.distmat import DistMat
-from ..dsparse.masked import resolve_spgemm_impl
 from ..dsparse.summa import summa, summa_comm_replay
-from ..exec import get_executor, resolve_workers
+from ..exec import get_executor
 from ..mpisim.comm import SimComm
 from ..mpisim.grid import ProcessGrid2D, block_bounds
 from ..mpisim.tracker import CommTracker, StageTimer
+from ..options import REFRESH_MODE
 from ..resilience.faults import maybe_fault
 from ..seqs.fasta import ReadSet
 from ..seqs.kmer_counter import (kmer_histogram, merge_histograms,
                                  reliable_upper_bound, table_from_histogram)
 from ..seqs.kmers import splitmix64
 from ..seqs.seeding import FullKScheme, SeedScheme, make_scheme
-from .config import ServiceConfig, resolve_refresh_mode
+from .config import ServiceConfig
 from .state import AssemblyState
 
 __all__ = ["refresh", "batch_occurrences"]
@@ -402,7 +401,7 @@ def _incremental(state: AssemblyState, batch: ReadSet,
     summa_comm_replay(A_full, At, comm, "SpGEMM")
 
     old_r = state.R
-    with get_executor(pcfg.executor, resolve_workers(pcfg.workers)) as ex:
+    with get_executor(pcfg.executor, pcfg.workers) as ex:
         if aff.shape[0]:
             lo, hi = aff // np.int64(n), aff % np.int64(n)
             rows_aff = np.unique(lo)
@@ -418,8 +417,7 @@ def _incremental(state: AssemblyState, batch: ReadSet,
                                   mode=pcfg.align_mode,
                                   scoring=pcfg.scoring, filt=pcfg.filt,
                                   fuzz=pcfg.fuzz, executor=ex,
-                                  impl=resolve_align_impl(pcfg.align_impl)
-                                  ).to_global()
+                                  impl=pcfg.align_impl).to_global()
             cd_pack = Cd.to_global()
             cd_pack = cd_pack.row * np.int64(n) + cd_pack.col
         else:
@@ -448,7 +446,7 @@ def _incremental(state: AssemblyState, batch: ReadSet,
         tr = transitive_reduction(
             R_dist, comm, timer, fuzz=pcfg.fuzz,
             max_rounds=pcfg.max_tr_rounds, backend=backend, executor=ex,
-            spgemm_impl=resolve_spgemm_impl(pcfg.spgemm_impl))
+            spgemm_impl=pcfg.spgemm_impl)
 
     S_global = tr.S.to_global()
     graph = StringGraph.from_coomat(S_global)
@@ -472,9 +470,9 @@ def refresh(state: AssemblyState, batch: ReadSet,
             mode: str | None = None) -> AssemblyState:
     """Version ``v + 1`` from version ``v`` plus a read batch.
 
-    ``mode`` overrides the config's ``refresh_mode`` (both resolve through
-    :func:`~repro.service.config.resolve_refresh_mode`, so ``"auto"``
-    honors ``REPRO_REFRESH_MODE``).  Whatever the pipeline config's
+    ``mode`` overrides the config's ``refresh_mode``; both it and the
+    pipeline config's axes are resolved here, once per refresh
+    (:data:`repro.options.AXES`).  Whatever the pipeline config's
     ``overlap_mode`` says, the candidate path is monolithic — the blocked
     mode strip-mines a batch-sized product that the incremental engine
     never forms.  An empty initial state always bootstraps through the
@@ -488,13 +486,15 @@ def refresh(state: AssemblyState, batch: ReadSet,
     scratch under the new scheme and re-tags the state.
     """
     config = config if config is not None else ServiceConfig()
-    mode = resolve_refresh_mode(mode if mode is not None
+    mode = REFRESH_MODE.resolve(mode if mode is not None
                                 else config.refresh_mode)
     # Pin the in-memory read backend too: the service's versioned states
     # extend/concat their ReadSets across refreshes, and a per-refresh
     # store rebuild would put an ingest-sized disk write on every delta.
+    # The blocked-only options go with the blocked path.
     pcfg = replace(config.pipeline, overlap_mode="monolithic",
-                   read_store="inmem")
+                   read_store="inmem", n_strips=None,
+                   checkpoint_dir=None).resolved()
     # Injection point for the chaos suite: fires before any new state is
     # built, so a failed refresh leaves nothing half-made to roll back.
     maybe_fault("service.refresh")

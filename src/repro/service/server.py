@@ -33,7 +33,8 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..core.semirings import R_END_I, R_END_J, R_OLEN, R_SUFFIX
-from ..resilience.faults import active_plan, resolve_fault_plan
+from ..options import FAULT_PLAN
+from ..resilience.faults import FaultPlan, active_plan
 from ..seqs.dna import encode
 from ..seqs.fasta import ReadSet
 from .config import ServiceConfig
@@ -73,9 +74,9 @@ class AssemblyService:
     """Session store + refresh engine + query cache, behind plain methods.
 
     ``fault_spec`` arms a *persistent* fault plan
-    (:func:`repro.resilience.resolve_fault_plan` grammar; ``None`` defers
-    to ``REPRO_FAULT_SPEC``) whose per-site counters live as long as the
-    service — so ``service.refresh:exc@3`` fails exactly the third ingest
+    (:class:`repro.resilience.FaultPlan` grammar; ``None`` defers to
+    ``REPRO_FAULT_SPEC``, ``""`` pins the service fault-free) whose
+    per-site counters live as long as the service — so ``service.refresh:exc@3`` fails exactly the third ingest
     of the process, whichever client sends it.
     """
 
@@ -84,7 +85,8 @@ class AssemblyService:
         self.config = config if config is not None else ServiceConfig()
         self.store = SessionStore(AssemblyState.initial())
         self.cache = QueryCache(self.config.cache_entries)
-        self.fault_plan = resolve_fault_plan(fault_spec)
+        spec = FAULT_PLAN.resolve(fault_spec)
+        self.fault_plan = FaultPlan(spec) if spec is not None else None
         self._ingest_lock = threading.Lock()
 
     # -- mutation ----------------------------------------------------------

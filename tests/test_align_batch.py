@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.align.batch import (chain_extend_batch, extend_seeds_xdrop_batch,
-                               resolve_align_impl, xdrop_extend_batch)
+                               xdrop_extend_batch)
 from repro.align.xdrop import (Scoring, chain_extend, seed_extend_align,
                                xdrop_extend, xdrop_extend_dp)
 from repro.core.overlap import AlignmentFilter, align_candidates
@@ -365,21 +365,3 @@ def test_same_diagonal_second_seed_chain_mode():
     same_diag = (45, 25, 0)       # pa - pb identical -> same diagonal
     ref = r_of([(0, 1, seed1, None)])
     _assert_same(r_of([(0, 1, seed1, same_diag)]), ref)
-
-
-# ---------------------------------------------------------------------------
-# The impl switch.
-# ---------------------------------------------------------------------------
-
-def test_resolve_align_impl(monkeypatch):
-    monkeypatch.delenv("REPRO_ALIGN_IMPL", raising=False)
-    assert resolve_align_impl(None) == "batch"
-    assert resolve_align_impl("auto") == "batch"
-    assert resolve_align_impl("loop") == "loop"
-    assert resolve_align_impl("batch") == "batch"
-    monkeypatch.setenv("REPRO_ALIGN_IMPL", "loop")
-    assert resolve_align_impl("auto") == "loop"
-    assert resolve_align_impl(None) == "loop"
-    assert resolve_align_impl("batch") == "batch"  # explicit beats env
-    with pytest.raises(ValueError):
-        resolve_align_impl("vectorized")

@@ -78,7 +78,7 @@ def test_get_backend_default_and_passthrough():
 
 
 def test_get_backend_unknown_name():
-    with pytest.raises(KeyError, match="unknown backend"):
+    with pytest.raises(ValueError, match="unknown backend"):
         get_backend("cuda")
 
 
@@ -248,12 +248,5 @@ def test_pipeline_byte_identical_across_backends(tiny_reads):
 
 def test_pipeline_rejects_unknown_backend(tiny_reads):
     cfg = PipelineConfig(nprocs=1, backend="nope")
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown backend"):
         run_pipeline(tiny_reads, cfg)
-
-
-def test_cli_exposes_backend_flag():
-    from repro.cli import build_parser
-    args = build_parser().parse_args(["stats", "x.fa", "--backend", "scipy"])
-    assert args.backend == "scipy"
-    assert build_parser().parse_args(["stats", "x.fa"]).backend == "auto"

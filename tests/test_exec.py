@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exec import (ProcessExecutor, SERIAL, SerialExecutor,
                         ThreadExecutor, available_executors, get_executor,
-                        register_executor, resolve_workers, weighted_chunks)
+                        register_executor, weighted_chunks)
 from repro.exec.executor import Executor
 
 
@@ -165,7 +165,7 @@ def test_available_and_get_executor(monkeypatch):
     assert isinstance(get_executor("auto", 4), ProcessExecutor)
     # pass-through of built instances.
     assert get_executor(SERIAL) is SERIAL
-    with pytest.raises(KeyError, match="unknown executor"):
+    with pytest.raises(ValueError, match="unknown executor"):
         get_executor("gpu")
 
 
@@ -182,16 +182,6 @@ def test_register_executor_validates():
     finally:
         from repro.exec.executor import _REGISTRY
         _REGISTRY.pop("custom-test", None)
-
-
-def test_resolve_workers_env(monkeypatch):
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    assert resolve_workers(None) == 1
-    assert resolve_workers(3) == 3
-    assert resolve_workers(0) == 1
-    monkeypatch.setenv("REPRO_WORKERS", "5")
-    assert resolve_workers(None) == 5
-    assert resolve_workers(2) == 2  # explicit beats env
 
 
 def test_get_executor_env_name(monkeypatch):

@@ -27,7 +27,6 @@ from repro.core.contigs import extract_contigs
 from repro.core.overlap import (align_candidates, build_a_matrix,
                                 candidate_overlaps)
 from repro.core.pipeline import PipelineConfig, run_pipeline
-from repro.dsparse.masked import resolve_spgemm_impl
 from repro.mpisim import CommTracker, ProcessGrid2D, SimComm, StageTimer
 from repro.seqs import ErrorModel, GenomeSpec, ReadSimSpec, simulate_reads
 from repro.seqs.kmer_counter import count_kmers
@@ -159,7 +158,7 @@ def test_golden_pipeline(golden_reads, executor_workers, overlap_mode,
     }
     # Both SpGEMM engines are golden (the CI matrix pins each); only the
     # TrReduction live-set peak legitimately differs between them.
-    peaks_key = "peaks" if resolve_spgemm_impl("auto") == "masked" \
+    peaks_key = "peaks" if result.config.spgemm_impl == "masked" \
         else "peaks_esc"
     expect = {
         "S": GOLDEN["S"],

@@ -18,8 +18,7 @@ from repro.exec import get_executor
 from repro.mpisim import CommTracker, ProcessGrid2D, SimComm, StageTimer
 from repro.seqs.dna import encode
 from repro.seqs.fasta import ReadSet
-from repro.seqs.kmer_counter import (KmerTable, count_kmers,
-                                     resolve_kmer_impl)
+from repro.seqs.kmer_counter import KmerTable, count_kmers
 from repro.seqs.kmers import read_kmers, read_kmers_batch
 
 def _readset(arrays):
@@ -235,18 +234,3 @@ def test_a_matrix_empty_table():
     for impl in ("loop", "batch"):
         g, _, _ = _build_a(reads, table, impl, P=1)
         assert g.nnz == 0
-
-
-# -- resolver ----------------------------------------------------------------
-
-def test_resolve_kmer_impl(monkeypatch):
-    assert resolve_kmer_impl("loop") == "loop"
-    assert resolve_kmer_impl("batch") == "batch"
-    monkeypatch.delenv("REPRO_KMER_IMPL", raising=False)
-    assert resolve_kmer_impl(None) == "batch"
-    assert resolve_kmer_impl("auto") == "batch"
-    monkeypatch.setenv("REPRO_KMER_IMPL", "loop")
-    assert resolve_kmer_impl("auto") == "loop"
-    assert resolve_kmer_impl("batch") == "batch"  # explicit beats env
-    with pytest.raises(ValueError):
-        resolve_kmer_impl("vectorized")

@@ -20,14 +20,13 @@ from repro.core.semirings import BidirectedMinPlus, PositionsSemiring
 from repro.dsparse.backend import get_backend
 from repro.dsparse.coomat import CooMat
 from repro.dsparse.distmat import DistMat
-from repro.dsparse.masked import (DEFAULT_SPGEMM_IMPL, SPGEMM_IMPL_ENV,
-                                  SPGEMM_IMPLS, mask_select,
-                                  resolve_spgemm_impl, spgemm_esc_masked)
+from repro.dsparse.masked import mask_select, spgemm_esc_masked
 from repro.dsparse.semiring import BoolOr, MinPlus, PlusTimes
 from repro.dsparse.spgemm import packed_order, spgemm_esc
 from repro.dsparse.summa import summa
 from repro.exec import SERIAL, ThreadExecutor
 from repro.mpisim import CommTracker, ProcessGrid2D, SimComm, StageTimer
+from repro.options import SPGEMM_IMPL
 from repro.seqs import ErrorModel, GenomeSpec, ReadSimSpec, simulate_reads
 
 NUMPY = get_backend("numpy")
@@ -72,39 +71,6 @@ def _assert_identical(a: CooMat, b: CooMat):
     assert np.array_equal(a.col, b.col)
     assert np.array_equal(a.vals, b.vals)
     assert a.vals.dtype == b.vals.dtype == np.int64
-
-
-# -- engine resolution ---------------------------------------------------------
-
-def test_resolve_defaults_to_masked(monkeypatch):
-    monkeypatch.delenv(SPGEMM_IMPL_ENV, raising=False)
-    assert DEFAULT_SPGEMM_IMPL == "masked"
-    assert resolve_spgemm_impl(None) == "masked"
-    assert resolve_spgemm_impl("auto") == "masked"
-
-
-def test_resolve_explicit_passthrough():
-    for impl in SPGEMM_IMPLS:
-        assert resolve_spgemm_impl(impl) == impl
-
-
-def test_resolve_honors_environment(monkeypatch):
-    monkeypatch.setenv(SPGEMM_IMPL_ENV, "esc")
-    assert resolve_spgemm_impl("auto") == "esc"
-    assert resolve_spgemm_impl(None) == "esc"
-    # Explicit names beat the environment.
-    assert resolve_spgemm_impl("masked") == "masked"
-    # env "auto" (or garbage whitespace) falls back to the default.
-    monkeypatch.setenv(SPGEMM_IMPL_ENV, "  AUTO ")
-    assert resolve_spgemm_impl("auto") == DEFAULT_SPGEMM_IMPL
-
-
-def test_resolve_rejects_unknown(monkeypatch):
-    with pytest.raises(ValueError, match="unknown spgemm impl"):
-        resolve_spgemm_impl("gustavson-masked")
-    monkeypatch.setenv(SPGEMM_IMPL_ENV, "bogus")
-    with pytest.raises(ValueError, match="unknown spgemm impl"):
-        resolve_spgemm_impl("auto")
 
 
 # -- mask_select ---------------------------------------------------------------
@@ -362,7 +328,7 @@ def tiny_reads():
 @pytest.mark.parametrize("overlap_mode", ["monolithic", "blocked"])
 def test_pipeline_byte_identical_across_engines(tiny_reads, overlap_mode):
     results = {}
-    for impl in SPGEMM_IMPLS:
+    for impl in SPGEMM_IMPL.choices:
         cfg = PipelineConfig(nprocs=4, align_mode="chain", fuzz=20,
                              depth_hint=9, error_hint=0.0,
                              overlap_mode=overlap_mode,
@@ -389,7 +355,7 @@ def test_pipeline_reports_engine_and_paths(tiny_reads):
     cfg = PipelineConfig(nprocs=4, align_mode="chain", fuzz=20,
                          depth_hint=9, error_hint=0.0, spgemm_impl="masked")
     result = run_pipeline(tiny_reads, cfg)
-    assert result.spgemm_impl == "masked"
+    assert result.config.spgemm_impl == "masked"
     paths = result.spgemm_paths
     # The overlap product splits into a native count pass + a masked ESC
     # seed pass; the TR squaring is masked ESC throughout.
@@ -399,20 +365,12 @@ def test_pipeline_reports_engine_and_paths(tiny_reads):
                        PipelineConfig(nprocs=4, align_mode="chain", fuzz=20,
                                       depth_hint=9, error_hint=0.0,
                                       spgemm_impl="esc"))
-    assert esc.spgemm_impl == "esc"
+    assert esc.config.spgemm_impl == "esc"
     assert set(esc.spgemm_paths["SpGEMM"]) == {"esc"}
     assert set(esc.spgemm_paths["TrReduction"]) == {"esc"}
 
 
 def test_pipeline_rejects_unknown_engine(tiny_reads):
     cfg = PipelineConfig(nprocs=1, spgemm_impl="nope")
-    with pytest.raises(ValueError, match="unknown spgemm impl"):
+    with pytest.raises(ValueError, match="unknown spgemm_impl"):
         run_pipeline(tiny_reads, cfg)
-
-
-def test_cli_exposes_spgemm_flag():
-    from repro.cli import build_parser
-    args = build_parser().parse_args(["stats", "x.fa",
-                                      "--spgemm-impl", "esc"])
-    assert args.spgemm_impl == "esc"
-    assert build_parser().parse_args(["stats", "x.fa"]).spgemm_impl == "auto"

@@ -3,10 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.memory import (DEFAULT_N_STRIPS, OVERLAP_MODE_ENV,
-                               apportion_budget, coo_nbytes,
-                               estimate_candidate_nnz, format_bytes,
-                               parse_bytes, plan_strips, resolve_overlap_mode)
+from repro.core.memory import (DEFAULT_N_STRIPS, apportion_budget,
+                               coo_nbytes, estimate_candidate_nnz,
+                               format_bytes, parse_bytes, plan_strips)
 from repro.core.semirings import C_NFIELDS
 
 
@@ -150,29 +149,3 @@ def test_plan_empty_matrix():
 def test_plan_rejects_nonpositive_budget():
     with pytest.raises(ValueError):
         plan_strips(1000, 100, 500, memory_budget=0)
-
-
-# -- mode resolution --------------------------------------------------------
-
-def test_resolve_overlap_mode_defaults(monkeypatch):
-    monkeypatch.delenv(OVERLAP_MODE_ENV, raising=False)
-    assert resolve_overlap_mode(None) == "monolithic"
-    assert resolve_overlap_mode("auto") == "monolithic"
-    assert resolve_overlap_mode("blocked") == "blocked"
-    assert resolve_overlap_mode("monolithic") == "monolithic"
-
-
-def test_resolve_overlap_mode_env(monkeypatch):
-    monkeypatch.setenv(OVERLAP_MODE_ENV, "blocked")
-    assert resolve_overlap_mode("auto") == "blocked"
-    # Explicit names beat the environment.
-    assert resolve_overlap_mode("monolithic") == "monolithic"
-
-
-def test_resolve_overlap_mode_rejects_unknown(monkeypatch):
-    monkeypatch.delenv(OVERLAP_MODE_ENV, raising=False)
-    with pytest.raises(ValueError):
-        resolve_overlap_mode("strip-mined")
-    monkeypatch.setenv(OVERLAP_MODE_ENV, "bogus")
-    with pytest.raises(ValueError):
-        resolve_overlap_mode("auto")

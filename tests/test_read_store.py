@@ -16,9 +16,8 @@ from repro import PipelineConfig, run_pipeline
 from repro.exec.executor import ProcessExecutor
 from repro.seqs import (MmapReadStore, ReadSet, StoreMismatch,
                         content_digest, read_fasta, read_fasta_to_store,
-                        resolve_read_store, resolve_store_dir, write_fasta)
+                        write_fasta)
 from repro.seqs.dna import encode
-from repro.seqs.read_store import READ_STORE_ENV, STORE_DIR_ENV
 
 
 def _toy_reads():
@@ -158,35 +157,6 @@ def test_torn_store_refused(tmp_path):
         MmapReadStore(str(tmp_path / "nowhere"))
 
 
-# -- resolution ---------------------------------------------------------------
-
-def test_resolve_read_store_defaults(monkeypatch):
-    monkeypatch.delenv(READ_STORE_ENV, raising=False)
-    assert resolve_read_store(None) == "inmem"
-    assert resolve_read_store("auto") == "inmem"
-    assert resolve_read_store("mmap") == "mmap"
-    assert resolve_read_store("inmem") == "inmem"
-
-
-def test_resolve_read_store_env(monkeypatch):
-    monkeypatch.setenv(READ_STORE_ENV, "mmap")
-    assert resolve_read_store("auto") == "mmap"
-    # Explicit names beat the environment.
-    assert resolve_read_store("inmem") == "inmem"
-    monkeypatch.setenv(READ_STORE_ENV, "bogus")
-    with pytest.raises(ValueError):
-        resolve_read_store("auto")
-
-
-def test_resolve_store_dir(monkeypatch, tmp_path):
-    monkeypatch.delenv(STORE_DIR_ENV, raising=False)
-    assert resolve_store_dir(None) is None
-    assert resolve_store_dir(str(tmp_path)) == str(tmp_path)
-    monkeypatch.setenv(STORE_DIR_ENV, "/some/dir")
-    assert resolve_store_dir(None) == "/some/dir"
-    assert resolve_store_dir(str(tmp_path)) == str(tmp_path)
-
-
 # -- pipeline parity ----------------------------------------------------------
 
 def _cfg(**kw):
@@ -218,7 +188,7 @@ def test_pipeline_mmap_store_byte_identical(clean_dataset, inmem_reference,
     res = run_pipeline(reads, _cfg(read_store="mmap",
                                    store_dir=str(tmp_path),
                                    executor=executor, workers=workers))
-    assert res.read_store == "mmap"
+    assert res.config.read_store == "mmap"
     _assert_identical(res, inmem_reference)
     # The store was built where we asked.
     assert os.path.exists(tmp_path / "reads" / "store.json")
@@ -231,7 +201,7 @@ def test_pipeline_mmap_with_memory_budget(clean_dataset, inmem_reference):
     res = run_pipeline(reads, _cfg(read_store="mmap",
                                    overlap_mode="blocked",
                                    memory_budget=1 << 20))
-    assert res.read_store == "mmap"
+    assert res.config.read_store == "mmap"
     assert np.array_equal(res.S.vals, inmem_reference.S.vals)
     assert np.array_equal(res.S.row, inmem_reference.S.row)
     assert res.n_kmers == inmem_reference.n_kmers
@@ -239,8 +209,7 @@ def test_pipeline_mmap_with_memory_budget(clean_dataset, inmem_reference):
 
 def test_pipeline_auto_uses_env(clean_dataset, monkeypatch, tmp_path):
     _genome, reads, _layout = clean_dataset
-    monkeypatch.setenv(READ_STORE_ENV, "mmap")
-    monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path))
-    res = run_pipeline(reads, _cfg())
-    assert res.read_store == "mmap"
+    monkeypatch.setenv("REPRO_READ_STORE", "mmap")
+    res = run_pipeline(reads, _cfg(store_dir=str(tmp_path)))
+    assert res.config.read_store == "mmap"
     assert os.path.exists(tmp_path / "reads" / "store.json")

@@ -31,7 +31,7 @@ from repro.exec import (ProcessExecutor, SerialExecutor, ThreadExecutor,
 from repro.resilience import (DEFAULT_RETRY, CheckpointMismatch,
                               FaultInjected, FaultPlan, InjectedWorkerCrash,
                               RetryPolicy, StripCheckpoint, active_plan,
-                              current_plan, resolve_fault_plan)
+                              current_plan)
 from repro.resilience.checkpoint import MANIFEST_VERSION
 from repro.seqs import ErrorModel, GenomeSpec, ReadSimSpec, simulate_reads
 from repro.seqs.dna import decode
@@ -143,15 +143,6 @@ def test_fault_plan_star_and_empty():
 def test_fault_plan_rejects_bad_clauses(bad):
     with pytest.raises(ValueError):
         FaultPlan(bad)
-
-
-def test_resolve_fault_plan_env(monkeypatch):
-    monkeypatch.delenv("REPRO_FAULT_SPEC", raising=False)
-    assert resolve_fault_plan(None) is None
-    monkeypatch.setenv("REPRO_FAULT_SPEC", "exec.chunk:exc@1")
-    assert resolve_fault_plan(None).sites() == ["exec.chunk"]
-    # An explicit spec wins over the environment.
-    assert resolve_fault_plan("summa.block:exc@2").sites() == ["summa.block"]
 
 
 def test_active_plan_nesting():
@@ -409,15 +400,6 @@ def test_checkpoint_refuses_mismatched_config(chaos_reads, tmp_path):
     with pytest.raises(CheckpointMismatch):
         run_pipeline(chaos_reads, _config(overlap_mode="blocked",
                                           checkpoint_dir=ckdir, fuzz=61))
-
-
-def test_checkpoint_dir_env_is_honored(chaos_reads, baseline, tmp_path,
-                                       monkeypatch):
-    ckdir = str(tmp_path / "ck-env")
-    monkeypatch.setenv("REPRO_CHECKPOINT_DIR", ckdir)
-    result = run_pipeline(chaos_reads, _config(overlap_mode="blocked"))
-    assert _digests(result) == baseline["blocked"]
-    assert os.path.isdir(ckdir)
 
 
 def test_checkpoint_resume_under_executor(chaos_reads, baseline, tmp_path):

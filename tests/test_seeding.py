@@ -33,14 +33,14 @@ from repro.core.overlap import _dedup_second_seeds
 from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.core.semirings import (C_COUNT, C_NFIELDS, C_PA1, C_PA2, C_PB1,
                                   C_PB2, C_STRAND1, C_STRAND2)
+from repro.options import SEED_MODE
 from repro.seqs import (ErrorModel, GenomeSpec, ReadSet, ReadSimSpec,
                         simulate_reads)
 from repro.seqs.dna import revcomp_codes
 from repro.seqs.kmers import read_kmers_batch
 from repro.seqs.minimizers import minimizers, minimizers_batch
-from repro.seqs.seeding import (DEFAULT_SEED_W, SEED_MODE_ENV, SEED_MODES,
-                                FullKScheme, MinimizerScheme, SyncmerScheme,
-                                make_scheme, resolve_seed_mode)
+from repro.seqs.seeding import (DEFAULT_SEED_W, FullKScheme, MinimizerScheme,
+                                SyncmerScheme, make_scheme)
 from repro.service import AssemblyState, ServiceConfig, refresh
 
 K = 17
@@ -68,31 +68,8 @@ def _seed_digest(arrays) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Resolver + config plumbing
+# Config plumbing
 # ---------------------------------------------------------------------------
-
-def test_resolve_seed_mode_defaults(monkeypatch):
-    monkeypatch.delenv(SEED_MODE_ENV, raising=False)
-    assert resolve_seed_mode(None) == "full"
-    assert resolve_seed_mode("auto") == "full"
-    for mode in SEED_MODES:
-        assert resolve_seed_mode(mode) == mode
-
-
-def test_resolve_seed_mode_env(monkeypatch):
-    monkeypatch.setenv(SEED_MODE_ENV, "minimizer")
-    assert resolve_seed_mode("auto") == "minimizer"
-    assert resolve_seed_mode(None) == "minimizer"
-    # Explicit modes beat the environment.
-    assert resolve_seed_mode("syncmer") == "syncmer"
-    monkeypatch.setenv(SEED_MODE_ENV, "auto")
-    assert resolve_seed_mode("auto") == "full"
-
-
-def test_resolve_seed_mode_rejects_unknown():
-    with pytest.raises(ValueError, match="seed mode"):
-        resolve_seed_mode("minimiser")
-
 
 def test_make_scheme_ids_and_validation():
     assert make_scheme("full", K, W).scheme_id == f"full:k={K}"
@@ -328,10 +305,10 @@ def _result_digest(res) -> str:
 def test_pipeline_auto_follows_environment(seeding_dataset):
     """The CI seed-mode legs run exactly this: ``auto`` must resolve
     through ``REPRO_SEED_MODE`` and drive the whole pipeline."""
-    expected = resolve_seed_mode("auto")
+    expected = SEED_MODE.resolve("auto")
     res = run_pipeline(seeding_dataset,
                        PipelineConfig(k=K, nprocs=4, seed_mode="auto"))
-    assert res.seed_mode == expected
+    assert res.config.seed_mode == expected
     assert res.config.seed_w == DEFAULT_SEED_W
     assert res.nnz_a > 0 and res.nnz_c > 0 and res.nnz_s > 0
     if expected != "full":
@@ -342,12 +319,12 @@ def test_pipeline_auto_follows_environment(seeding_dataset):
 
 def test_pipeline_full_equals_auto_without_env(seeding_dataset,
                                                monkeypatch):
-    monkeypatch.delenv(SEED_MODE_ENV, raising=False)
+    monkeypatch.delenv(SEED_MODE.env, raising=False)
     auto = run_pipeline(seeding_dataset,
                         PipelineConfig(k=K, nprocs=4, seed_mode="auto"))
     full = run_pipeline(seeding_dataset,
                         PipelineConfig(k=K, nprocs=4, seed_mode="full"))
-    assert auto.seed_mode == "full"
+    assert auto.config.seed_mode == "full"
     assert _result_digest(auto) == _result_digest(full)
 
 
@@ -359,7 +336,7 @@ def test_sketch_pipeline_deterministic_across_executors(seeding_dataset,
         res = run_pipeline(seeding_dataset, PipelineConfig(
             k=K, nprocs=4, seed_mode=mode, seed_w=W,
             executor=executor, workers=workers))
-        assert res.seed_mode == mode
+        assert res.config.seed_mode == mode
         digests.add(_result_digest(res))
     assert len(digests) == 1
 

@@ -19,8 +19,7 @@ import pytest
 from repro.core.contigs import extract_contigs
 from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.seqs import ErrorModel, GenomeSpec, ReadSimSpec, simulate_reads
-from repro.service import (REFRESH_MODE_ENV, AssemblyState, ServiceConfig,
-                           refresh, resolve_refresh_mode)
+from repro.service import AssemblyState, ServiceConfig, refresh
 
 K = 17
 NPROCS = 4
@@ -179,15 +178,3 @@ def test_empty_batch_bumps_version_only(service_reads):
     bumped = refresh(state, service_reads.subset(np.arange(0)), config)
     assert bumped.version == state.version + 1
     assert _state_digests(bumped) == _state_digests(state)
-
-
-def test_refresh_mode_resolution(monkeypatch):
-    monkeypatch.delenv(REFRESH_MODE_ENV, raising=False)
-    assert resolve_refresh_mode() == "incremental"
-    assert resolve_refresh_mode("auto") == "incremental"
-    assert resolve_refresh_mode("recompute") == "recompute"
-    monkeypatch.setenv(REFRESH_MODE_ENV, "recompute")
-    assert resolve_refresh_mode("auto") == "recompute"
-    assert resolve_refresh_mode("incremental") == "incremental"
-    with pytest.raises(ValueError, match="unknown refresh mode"):
-        resolve_refresh_mode("eager")
