@@ -27,13 +27,14 @@ __all__ = ["Scoring", "AlignmentResult", "xdrop_extend", "xdrop_extend_dp",
 
 _NEG = np.int64(-(2 ** 40))
 
-#: "Dead cell" sentinel of the greedy LV engines: far below any reachable
-#: furthest point or match count, far above int64 overflow even after the
-#: recurrence adds small offsets.  Shared with the batched 2D engine
-#: (:mod:`repro.align.batch`) so both prune on identical values.
+#: "Dead cell" sentinel of the greedy LV engine below: far below any
+#: reachable furthest point or match count, far above int64 overflow even
+#: after the recurrence adds small offsets.  (The batched engine,
+#: :mod:`repro.align.batch`, packs its cells differently and has its own.)
 LV_NEG = np.int64(-(2 ** 50))
 
-#: Characters compared per snake-slide gulp (both engines).
+#: Characters compared per snake-slide gulp of the engine below (the
+#: batched engine compares one 8-base machine word at a time instead).
 SNAKE_CHUNK = 16
 
 

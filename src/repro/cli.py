@@ -177,7 +177,8 @@ def _print_stats(result, machine_name: str) -> None:
           f"{result.tr_rounds} reduction rounds")
     paths = result.spgemm_paths
     if paths:
-        print("spgemm kernel dispatch per stage (block products):")
+        print("kernel work per stage (spgemm block products per path; "
+              "x-drop sweep rounds, cells, words):")
         for stage in STAGES:
             if stage in paths:
                 breakdown = "  ".join(f"{path}={n}" for path, n in

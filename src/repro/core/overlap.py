@@ -449,8 +449,9 @@ def _align_task(ctx, task):
 
 #: Ceiling on candidate pairs per batch-kernel call (the ``max_items`` cap
 #: handed to the nnz-weighted partitioner).  Chunks this size keep the
-#: lockstep sweep's ``(problems × window)`` state in bounded memory while
-#: still amortizing dispatch over thousands of pairs.
+#: lockstep sweep's flat cell state (the sum of the problems' live spans)
+#: in bounded memory while still amortizing dispatch over thousands of
+#: pairs.
 _MAX_BATCH_PAIRS = 4096
 
 
@@ -493,44 +494,38 @@ def _gather_pairs(C: DistMat, lengths: np.ndarray
 def _align_pairs_batch(codes: np.ndarray, offsets: np.ndarray,
                        lengths: np.ndarray, gi: np.ndarray, gj: np.ndarray,
                        cvals: np.ndarray, k: int, mode: str,
-                       scoring: Scoring
+                       scoring: Scoring, tally: dict | None = None
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                   np.ndarray, np.ndarray, np.ndarray]:
     """Best-seed alignment coordinates for a batch of candidate pairs.
 
-    Extends seed 1 of every pair and seed 2 of the pairs that carry one
-    (post-dedup) through the batched engines, then keeps seed 2's result
-    exactly where its score is strictly greater — the same strictly-greater
-    rule as the per-pair loop's seed iteration.  Returns per-pair
+    Seed 1 of every pair and seed 2 of the pairs that carry one (post-dedup)
+    are stacked into **one** call of the batched engine — in x-drop mode one
+    lockstep sweep over both seeds and both directions, so the chunk pays
+    the sweep's per-round overhead once (``tally`` collects its work
+    counters).  Results are per seed, so seed 2's is then kept exactly where
+    its score is strictly greater — the same strictly-greater rule as the
+    per-pair loop's seed iteration.  Returns per-pair
     ``(score, ba, ea, bb, eb, strand)`` columns.
     """
-    a_len = lengths[gi]
-    b_len = lengths[gj]
-    a_off = offsets[gi]
-    b_off = offsets[gj]
-
-    def one_seed(sel, pa, pb, strand):
-        if mode == "chain":
-            return chain_extend_batch(a_len[sel], b_len[sel], pa, pb,
-                                      strand, k)
-        return extend_seeds_xdrop_batch(codes, a_off[sel], a_len[sel],
-                                        b_off[sel], b_len[sel], pa, pb,
-                                        strand, k, scoring)
-
-    every = slice(None)
-    score, ba, ea, bb, eb = one_seed(every, cvals[:, C_PA1],
-                                     cvals[:, C_PB1], cvals[:, C_STRAND1])
-    strand = cvals[:, C_STRAND1].copy()
+    n_pairs = gi.shape[0]
     idx2 = np.flatnonzero(cvals[:, C_PA2] >= 0)
-    if idx2.size:
-        s2 = one_seed(idx2, cvals[idx2, C_PA2], cvals[idx2, C_PB2],
-                      cvals[idx2, C_STRAND2])
-        better = s2[0] > score[idx2]
-        upd = idx2[better]
-        for dst, src in zip((score, ba, ea, bb, eb), s2):
-            dst[upd] = src[better]
-        strand[upd] = cvals[upd, C_STRAND2]
-    return score, ba, ea, bb, eb, strand
+    pair = np.concatenate([np.arange(n_pairs), idx2])
+    pa = np.concatenate([cvals[:, C_PA1], cvals[idx2, C_PA2]])
+    pb = np.concatenate([cvals[:, C_PB1], cvals[idx2, C_PB2]])
+    strand = np.concatenate([cvals[:, C_STRAND1], cvals[idx2, C_STRAND2]])
+    a, b = gi[pair], gj[pair]
+    if mode == "chain":
+        cols = chain_extend_batch(lengths[a], lengths[b], pa, pb, strand, k)
+    else:
+        cols = extend_seeds_xdrop_batch(codes, offsets[a], lengths[a],
+                                        offsets[b], lengths[b], pa, pb,
+                                        strand, k, scoring, tally)
+    cols = (*cols, strand)
+    better = cols[0][n_pairs:] > cols[0][idx2]
+    for col in cols:
+        col[idx2[better]] = col[n_pairs:][better]
+    return tuple(col[:n_pairs] for col in cols)
 
 
 def _align_chunk_task(ctx, task):
@@ -539,7 +534,8 @@ def _align_chunk_task(ctx, task):
     One batch-kernel invocation covers the whole chunk: seed extension,
     score filter, and overlap classification all run as column operations,
     and the surviving dovetails come back as ready-to-concatenate R COO
-    arrays (two directed rows per pair, in chunk order).  The context
+    arrays (two directed rows per pair, in chunk order) followed by the
+    x-drop sweep's work counters (empty in chain mode).  The context
     carries the ReadSet itself (not its SoA arrays): a store-backed set
     ships as just the store path, and each worker's ``soa()`` call maps
     the shared on-disk buffer instead of receiving the bases.
@@ -547,8 +543,9 @@ def _align_chunk_task(ctx, task):
     reads, k, mode, scoring, filt, fuzz = ctx
     codes, offsets, lengths = reads.soa()
     gi, gj, cvals = task
+    tally: dict[str, int] = {}
     score, ba, ea, bb, eb, strand = _align_pairs_batch(
-        codes, offsets, lengths, gi, gj, cvals, k, mode, scoring)
+        codes, offsets, lengths, gi, gj, cvals, k, mode, scoring, tally)
     olen = ea - ba
     passes = (olen >= filt.min_overlap) & \
         (score >= np.maximum(np.int64(filt.min_score),
@@ -572,7 +569,7 @@ def _align_chunk_task(ctx, task):
     vals[1::2, R_END_I] = end_j[sel]
     vals[1::2, R_END_J] = end_i[sel]
     vals[:, R_OLEN] = np.repeat(olen[sel], 2)
-    return rows, cols, vals
+    return rows, cols, vals, tally
 
 
 def align_candidates(C: DistMat, reads: ReadSet, k: int, comm: SimComm,
@@ -697,6 +694,9 @@ def _run_batch_impl(reads, gi, gj, cvals, ranks, weights, k, mode, scoring,
             for rank, share in zip(uniq,
                                    np.bincount(inv, weights=w) / total):
                 step.charge(int(rank), sec * float(share))
+    for *_, tally in results:
+        for name, count in tally.items():
+            timer.count_kernel(stage, name, count)
 
     return (np.concatenate([r[0] for r in results]),
             np.concatenate([r[1] for r in results]),

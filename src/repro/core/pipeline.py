@@ -177,7 +177,8 @@ class PipelineResult:
 
     @property
     def spgemm_paths(self) -> dict[str, dict[str, int]]:
-        """Per-stage SpGEMM kernel-dispatch counters (``repro stats``)."""
+        """Per-stage kernel-work counters (``repro stats``): SpGEMM block
+        products per kernel path, x-drop sweep rounds/cells/words."""
         return self.timer.kernel_counts()
 
     # -- paper statistics ---------------------------------------------------

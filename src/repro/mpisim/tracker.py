@@ -167,18 +167,21 @@ class StageTimer:
         return dict(self.stage_peak_bytes)
 
     def count_kernel(self, stage: str, path: str, n: int = 1) -> None:
-        """Tally ``n`` block products of ``stage`` taking kernel ``path``.
+        """Add ``n`` to ``stage``'s exact kernel-work counter ``path``.
 
-        Paths are the :meth:`repro.dsparse.backend.Backend.spgemm_with_path`
-        names (``"csr"``, ``"masked_csr"``, ``"esc"``, ``"masked_esc"``) —
-        the per-stage dispatch breakdown ``repro stats`` prints so bench
-        regressions are attributable to a routing change.
+        For the SpGEMM stages the counters are block products per
+        :meth:`repro.dsparse.backend.Backend.spgemm_with_path` name
+        (``"csr"``, ``"masked_csr"``, ``"esc"``, ``"masked_esc"``); for
+        ``Alignment`` they are the batched x-drop sweep's ``rounds``,
+        ``cells`` and ``words`` (:func:`repro.align.batch.xdrop_extend_batch`).
+        ``repro stats`` prints them per stage, so a bench regression is
+        attributable to a routing change or to more kernel work.
         """
         per_stage = self.stage_kernel_counts.setdefault(stage, {})
         per_stage[path] = per_stage.get(path, 0) + int(n)
 
     def kernel_counts(self) -> dict[str, dict[str, int]]:
-        """Per-stage SpGEMM kernel-dispatch counters (copies)."""
+        """Per-stage kernel-work counters (copies)."""
         return {stage: dict(paths)
                 for stage, paths in self.stage_kernel_counts.items()}
 

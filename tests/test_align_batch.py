@@ -6,8 +6,16 @@ for every input — same R entries, same coordinates, same payloads — since
 contract with hypothesis-driven random read sets (both strands, both
 alignment modes, boundary seeds) plus the edge cases a lockstep sweep can
 get wrong: empty batches, empty extension sides, pairs that all retire in
-round 0, and filters that prune everything.
+round 0, and filters that prune everything.  The kernel-level cases run
+where the ragged word-at-a-time sweep actually works: long noisy reads
+(hundreds of edit rounds, wide bands), every zero-copy view (backward walks,
+XOR-complemented strands), match runs around the 8-base word size, problems
+touching both ends of a minimal — or memory-mapped — ``codes`` buffer, and
+the sweep's exact work counters.
 """
+
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +137,228 @@ def test_batch_kernel_mixed_lifetimes():
 
 
 # ---------------------------------------------------------------------------
+# Kernel on every view, at every buffer edge, with its work counters.
+# ---------------------------------------------------------------------------
+
+#: How a sequence is stored: (s backward, t backward, t complemented).
+VIEWS = list(itertools.product((False, True), repeat=3))
+
+
+def _mutate(rng, s, rate):
+    """A copy of ``s`` with substitutions, insertions and deletions."""
+    out = []
+    for c in s.tolist():
+        r = rng.random()
+        if r < rate / 3:
+            continue
+        if r < 2 * rate / 3:
+            c = (c + int(rng.integers(1, 4))) % 4
+        elif r < rate:
+            out.append(int(rng.integers(0, 4)))
+        out.append(c)
+    return np.array(out, np.uint8)
+
+
+def _pack(pairs, views):
+    """Lay ``(s, t)`` pairs out back to back in one minimal ``codes`` buffer
+    (no padding: the first pair's ``s`` starts at byte 0, the last pair's
+    ``t`` ends at the last byte), each stored per its view, and return the
+    buffer with the SoA arguments that read the pairs back."""
+    bufs, cols, off = [], [], 0
+    for (s, t), (s_back, t_back, t_comp) in zip(pairs, views):
+        row = []
+        for seq, back, comp in ((s, s_back, False), (t, t_back, t_comp)):
+            stored = (np.uint8(3) - seq) if comp else seq
+            bufs.append(stored[::-1] if back else stored)
+            row += [off + seq.size - 1 if back else off,
+                    -1 if back else 1, seq.size]
+            off += seq.size
+        cols.append(row + [3 if t_comp else 0])
+    codes = np.concatenate(bufs) if bufs else np.empty(0, np.uint8)
+    sb, ss, sl, tb, ts, tl, tx = np.array(cols, np.int64).reshape(-1, 7).T
+    return codes, (sb, ss, sl, tb, ts, tl, tx)
+
+
+def _assert_kernel_parity(pairs, sc=SC, views=None, codes_hook=None,
+                          **kernel_kwargs):
+    """The batch over ``pairs`` equals ``xdrop_extend`` pair by pair."""
+    if views is None:
+        views = [VIEWS[p % len(VIEWS)] for p in range(len(pairs))]
+    codes, soa = _pack(pairs, views)
+    if codes_hook is not None:
+        codes = codes_hook(codes)
+    best, ei, ej = xdrop_extend_batch(codes, *soa, sc, **kernel_kwargs)
+    for p, (s, t) in enumerate(pairs):
+        assert (int(best[p]), int(ei[p]), int(ej[p])) == \
+            xdrop_extend(s, t, sc), (p, views[p], s.size, t.size)
+
+
+@pytest.mark.parametrize("rate,xdrop", [(0.12, 50), (0.2, 50), (0.3, 50),
+                                        (0.3, 200)])
+def test_kernel_parity_long_noisy_reads(rate, xdrop):
+    """400–1000 bp at CLR error rates: a hundred-odd to several hundred edit
+    rounds per full-length problem, spans of dozens of diagonals (over a
+    hundred on average at x = 200; the tally test below measures it), with
+    truncated partners retiring early beside them — far from the short 3 %
+    cases above."""
+    rng = np.random.default_rng(int(rate * 100))
+    pairs = []
+    for length in (400, 650, 1000, 800):
+        s = rng.integers(0, 4, length).astype(np.uint8)
+        t = _mutate(rng, s, rate)
+        pairs += [(s, t), (s, t[:t.size // 3]), (s[:60], t)]
+    _assert_kernel_parity(pairs, Scoring(xdrop=xdrop))
+
+
+@pytest.mark.parametrize("view", VIEWS)
+@pytest.mark.parametrize("run", [7, 8, 9, 15, 16, 17, 64])
+def test_kernel_exact_runs_around_the_word_size(run, view):
+    """Snakes of exactly ``run`` bases, ended by a mismatch, by the end of
+    one read, and by the end of both."""
+    rng = np.random.default_rng(run)
+    head = rng.integers(0, 4, run).astype(np.uint8)
+    tail = rng.integers(0, 4, 30).astype(np.uint8)
+    miss = ((tail[:1] + 1) % 4).astype(np.uint8)
+    pairs = [(np.concatenate([head, tail]),
+              np.concatenate([head, miss, tail[1:]])),
+             (np.concatenate([head, tail]), head),
+             (head, np.concatenate([head, tail])),
+             (head, head.copy())]
+    _assert_kernel_parity(pairs, views=[view] * len(pairs))
+
+
+@pytest.mark.parametrize("sc", [Scoring(1, -2, -3, 30), Scoring(2, -1, -1, 15),
+                                Scoring(1, -1, -2, 7)])
+def test_kernel_parity_nondefault_scoring(sc):
+    rng = np.random.default_rng(sc.xdrop)
+    pairs = []
+    for rate in (0.03, 0.1, 0.2):
+        for _ in range(4):
+            s = rng.integers(0, 4, int(rng.integers(80, 300))
+                             ).astype(np.uint8)
+            pairs.append((s, _mutate(rng, s, rate)))
+    _assert_kernel_parity(pairs, sc)
+
+
+EDGE_LENGTHS = [(1, 1), (3, 2), (7, 7), (8, 8), (5, 9), (9, 5), (6, 23),
+                (23, 6), (40, 40)]
+
+
+@pytest.mark.parametrize("view", VIEWS)
+def test_kernel_at_both_ends_of_a_minimal_buffer(view):
+    """Word loads must stay inside ``codes``: the problem *is* the buffer
+    (``s`` starts at byte 0, ``t`` ends at the last byte; backward walks
+    end within 7 bytes of offset 0), down to buffers shorter than one word,
+    with snakes that run to the sequence ends and ones that stop early."""
+    rng = np.random.default_rng(7)
+    for m, n in EDGE_LENGTHS:
+        s = rng.integers(0, 4, m).astype(np.uint8)
+        for t in (np.resize(s, n), _mutate(rng, np.resize(s, n), 0.3),
+                  rng.integers(0, 4, n).astype(np.uint8)):
+            for pair in ((s, t), (t, s)):
+                _assert_kernel_parity([pair], views=[view])
+    # The same problems sharing one buffer: only the first and the last
+    # touch its ends, the rest must not notice.
+    pairs = [(rng.integers(0, 4, m).astype(np.uint8),
+              rng.integers(0, 4, n).astype(np.uint8))
+             for m, n in EDGE_LENGTHS]
+    _assert_kernel_parity(pairs + [(s, s.copy()) for s, _ in pairs],
+                          views=[view] * (2 * len(pairs)))
+
+
+def test_kernel_reads_a_readonly_memmap(tmp_path):
+    """``read_store=mmap`` hands the kernel a read-only ``np.memmap``; the
+    strided word view must work on it without a copy or a write."""
+    rng = np.random.default_rng(11)
+    pairs = []
+    for length in (5, 8, 40, 300):
+        s = rng.integers(0, 4, length).astype(np.uint8)
+        pairs += [(s, _mutate(rng, s, 0.1))] * len(VIEWS)
+
+    def on_disk(codes):
+        path = tmp_path / "codes.bin"
+        codes.tofile(path)
+        mapped = np.memmap(path, dtype=np.uint8, mode="r")
+        assert not mapped.flags.writeable
+        return mapped
+
+    _assert_kernel_parity(pairs, codes_hook=on_disk)
+
+
+def test_kernel_memory_is_independent_of_the_buffer_size():
+    """The word gathers must touch only the bases they compare: the same
+    problems inside a 32 MB ``codes`` (a whole read set; ``np.zeros`` pages
+    stay unmapped until read) allocate a small fraction of it.  A gather
+    that first normalizes its source — ``ndarray.take`` on the unaligned
+    word view — copies 8 × the buffer on every load."""
+    rng = np.random.default_rng(13)
+    pairs = []
+    for length in (30, 120, 400):
+        s = rng.integers(0, 4, length).astype(np.uint8)
+        pairs += [(s, _mutate(rng, s, 0.15))] * len(VIEWS)
+    views = VIEWS * 3
+    small, soa = _pack(pairs, views)
+    big = np.zeros(32 << 20, np.uint8)
+    at = big.size // 2 + 3
+    big[at:at + small.size] = small
+    sb, ss, sl, tb, ts, tl, tx = soa
+    tracemalloc.start()
+    try:
+        got = xdrop_extend_batch(big, sb + at, ss, sl, tb + at, ts, tl, tx, SC)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < big.size // 16, peak
+    for mine, ref in zip(got, xdrop_extend_batch(small, *soa, SC)):
+        assert np.array_equal(mine, ref)
+
+
+def test_kernel_refuses_lengths_beyond_its_cell_fields():
+    """``F`` and ``M`` live in 30-bit fields: a problem that could overflow
+    them is refused by name before any base is read."""
+    codes = np.zeros(16, np.uint8)
+    one = np.ones(1, np.int64)
+    zero = np.zeros(1, np.int64)
+    for s_len, t_len in ((2 ** 30, 1), (1, 2 ** 30), (2 ** 29, 2 ** 29),
+                         (2 ** 40, 0)):
+        with pytest.raises(ValueError, match=r"s_len \+ t_len = \d+ >= "
+                                             r"2\*\*30"):
+            xdrop_extend_batch(codes, zero, one, s_len * one, zero, one,
+                               t_len * one, zero, SC)
+    with pytest.raises(ValueError, match="steps must be"):
+        xdrop_extend_batch(codes, zero, 2 * one, 4 * one, zero, one,
+                           4 * one, zero, SC)
+    with pytest.raises(ValueError, match="uint8"):
+        xdrop_extend_batch(codes.astype(np.int64), zero, one, 4 * one, zero,
+                           one, 4 * one, zero, SC)
+
+
+def test_kernel_cost_is_additive_over_problems():
+    """Cost tracks input: a wide problem added to a batch of narrow ones
+    costs exactly its own rounds, cells and word compares — no problem pays
+    for a neighbour's band or lifetime."""
+    rng = np.random.default_rng(21)
+    narrow = []
+    for length in (40, 90, 150, 150, 200):
+        s = rng.integers(0, 4, length).astype(np.uint8)
+        narrow.append((s, _mutate(rng, s, 0.02)))
+    s = rng.integers(0, 4, 1000).astype(np.uint8)
+    wide = [(s, _mutate(rng, s, 0.3))]
+    sc = Scoring(xdrop=200)
+    alone, rest, both = {}, {}, {}
+    for pairs, tally in ((wide, alone), (narrow, rest),
+                         (narrow + wide, both)):
+        _assert_kernel_parity(pairs, sc, tally=tally)
+    # The wide problem really is one: hundreds of rounds, a band of over a
+    # hundred diagonals on average, most of the union's work.
+    assert alone["rounds"] > 200
+    assert alone["cells"] > 100 * alone["rounds"]
+    assert alone["cells"] > rest["cells"]
+    for name in ("rounds", "cells", "words"):
+        assert both[name] == rest[name] + alone[name], name
+
+
+# ---------------------------------------------------------------------------
 # Seed-level parity: batched seed extension vs seed_extend_align /
 # chain_extend, including strand-1 strided views and boundary seeds.
 # ---------------------------------------------------------------------------
@@ -181,6 +411,60 @@ def test_seed_extension_parity_random(seed):
             (cref.score, cref.ba, cref.ea, cref.bb, cref.eb)
 
 
+def _noisy_copies(rng, genome, rate, anchors):
+    """Two independently mutated copies of ``genome`` that share the exact
+    k-mers starting at ``anchors``; returns both and, per anchor, its start
+    on each copy."""
+    copies, starts = [], []
+    for _ in range(2):
+        parts, at, prev = [], [], 0
+        for g in anchors:
+            parts.append(_mutate(rng, genome[prev:g], rate))
+            at.append(sum(p.size for p in parts))
+            parts.append(genome[g:g + K])
+            prev = g + K
+        parts.append(_mutate(rng, genome[prev:], rate))
+        copies.append(np.concatenate(parts))
+        starts.append(at)
+    return copies[0], copies[1], list(zip(*starts))
+
+
+def _revcomp(seq):
+    return (np.uint8(3) - seq)[::-1].copy()
+
+
+@pytest.mark.parametrize("rate", [0.12, 0.25])
+def test_seed_extension_parity_long_noisy_both_strands(rate):
+    """True seeds on 400–1000 bp noisy overlaps, both strands, full-length
+    and truncated partners: left and right extensions of every seed share
+    one sweep and must match ``seed_extend_align`` seed for seed."""
+    rng = np.random.default_rng(int(rate * 100))
+    seqs, cases = [], []
+    for length in (400, 700, 1000):
+        genome = rng.integers(0, 4, length).astype(np.uint8)
+        a, b, seeds = _noisy_copies(rng, genome, rate,
+                                    (length // 4, 3 * length // 4))
+        short = b[:seeds[0][1] + K + 35]          # loses the second seed
+        for partner, usable in ((b, seeds), (short, seeds[:1])):
+            for strand in (0, 1):
+                i = len(seqs)
+                seqs += [a, _revcomp(partner) if strand else partner]
+                cases += [(i, i + 1, pa,
+                           partner.size - K - pb if strand else pb, strand)
+                          for pa, pb in usable]
+    reads = ReadSet([f"r{i}" for i in range(len(seqs))], seqs)
+    codes, offsets, lengths = _soa(reads)
+    gi, gj, pa, pb, strand = np.array(cases, np.int64).T
+    got = extend_seeds_xdrop_batch(codes, offsets[gi], lengths[gi],
+                                   offsets[gj], lengths[gj], pa, pb, strand,
+                                   K, SC)
+    for t, (i, j, p_a, p_b, s_) in enumerate(cases):
+        ref = seed_extend_align(reads[i], reads[j], p_a, p_b, K, s_, SC)
+        assert tuple(int(col[t]) for col in got) == \
+            (ref.score, ref.ba, ref.ea, ref.bb, ref.eb)
+        assert ref.ea - ref.ba > 100              # the seeds are real
+
+
 # ---------------------------------------------------------------------------
 # align_candidates parity: impl="loop" vs impl="batch" on synthetic C.
 # ---------------------------------------------------------------------------
@@ -205,13 +489,14 @@ def _make_candidates(reads, entries, nprocs=4):
     return DistMat.empty((n, n), grid, C_NFIELDS)
 
 
-def _align_both(reads, C, mode="xdrop", filt=None, fuzz=10, executor=None):
+def _align_both(reads, C, mode="xdrop", filt=None, fuzz=10, executor=None,
+                scoring=None):
     out = []
     for impl in ("loop", "batch"):
         comm = SimComm(C.grid.nprocs, CommTracker(C.grid.nprocs))
         R = align_candidates(C, reads, K, comm, StageTimer(), mode=mode,
-                             filt=filt, fuzz=fuzz, executor=executor,
-                             impl=impl)
+                             scoring=scoring, filt=filt, fuzz=fuzz,
+                             executor=executor, impl=impl)
         out.append(R.to_global())
     return out
 
@@ -289,7 +574,9 @@ def test_align_candidates_all_pairs_pruned():
 @pytest.mark.parametrize("executor,workers",
                          [("thread", 4), ("process", 4)])
 def test_batch_impl_identical_across_executors(executor, workers):
-    """Chunked batch tasks reassemble in order on every executor."""
+    """Chunked batch tasks reassemble in order on every executor, and the
+    sweep's work counters — sums over problems — do not depend on how the
+    pairs were chunked (2 chunks serially, 8 on four workers)."""
     rng = np.random.default_rng(9)
     reads = _overlapping_readset(rng, n_reads=12)
     lengths = reads.lengths
@@ -308,15 +595,97 @@ def test_batch_impl_identical_across_executors(executor, workers):
 
     def run(ex):
         comm = SimComm(C.grid.nprocs, CommTracker(C.grid.nprocs))
+        timer = StageTimer()
         with ex:
-            R = align_candidates(C, reads, K, comm, StageTimer(),
+            R = align_candidates(C, reads, K, comm, timer,
                                  mode="xdrop", filt=filt, fuzz=30,
                                  executor=ex, impl="batch")
-        return R.to_global()
+        return R.to_global(), timer.kernel_counts()["Alignment"]
 
-    ref = run(get_executor("serial", 1))
-    got = run(get_executor(executor, workers))
+    ref, ref_work = run(get_executor("serial", 1))
+    got, got_work = run(get_executor(executor, workers))
     _assert_same(ref, got)
+    assert got_work == ref_work
+    assert sorted(ref_work) == ["cells", "rounds", "words"]
+    assert ref_work["cells"] > ref_work["rounds"] > 0 < ref_work["words"]
+
+
+def test_align_candidates_second_seed_selection():
+    """Pairs whose two seeds sit on either side of an unalignable block:
+    each seed's extension covers one side only, so which seed is kept
+    decides the pair's R entry.  The batch engine extends both seeds in one
+    sweep; its strictly-greater rule must keep exactly what the per-pair
+    loop keeps — seed 1 for some of these pairs, seed 2 for others."""
+    rng = np.random.default_rng(17)
+    sc = Scoring(xdrop=20)
+
+    def noise(n):
+        return rng.integers(0, 4, n).astype(np.uint8)
+
+    seqs, entries, kept = [], [], []
+    sides = [(260, 120), (120, 260), (200, 200), (90, 300), (300, 90)]
+    for p, (left, right) in enumerate(sides):
+        al, bl, [(pa1, pb1)] = _noisy_copies(rng, noise(left), 0.08,
+                                             (left // 2,))
+        ar, br, [(pa2, pb2)] = _noisy_copies(rng, noise(right), 0.08,
+                                             (right // 2,))
+        a = np.concatenate([noise(300), al, noise(150), ar])
+        b = np.concatenate([bl, noise(260), br, noise(300)])
+        pa1, pa2 = pa1 + 300, pa2 + 300 + al.size + 150
+        pb2 += bl.size + 260
+        strand = p % 2
+        if strand:
+            pb1, pb2 = b.size - K - pb1, b.size - K - pb2
+            b = _revcomp(b)
+        seeds = [(pa1, pb1, strand), (pa2, pb2, strand)]
+        if p >= 3:
+            seeds.reverse()
+        scores = [seed_extend_align(a, b, *seed[:2], K, strand, sc).score
+                  for seed in seeds]
+        kept.append(2 if scores[1] > scores[0] else 1)
+        entries.append((2 * p, 2 * p + 1, *seeds))
+        seqs += [a, b]
+    assert set(kept) == {1, 2}
+    reads = ReadSet([f"r{i}" for i in range(len(seqs))], seqs)
+    C = _make_candidates(reads, entries)
+    filt = AlignmentFilter(min_score=5, min_overlap=20, ratio=0.1)
+    gl, gb = _align_both(reads, C, filt=filt, fuzz=200, scoring=sc)
+    _assert_same(gl, gb)
+    assert gb.nnz > 0
+
+
+@pytest.mark.parametrize("executor,workers", [("serial", 1), ("process", 2)])
+def test_align_candidates_parity_on_store_backed_reads(tmp_path, executor,
+                                                       workers):
+    """A store-backed set hands the kernel memmap'd ``codes`` (process
+    workers reopen the store by path); R must equal the loop oracle's on
+    the in-memory set."""
+    rng = np.random.default_rng(13)
+    reads = _overlapping_readset(rng, n_reads=10)
+    stored = reads.to_store(str(tmp_path / "store"))
+    lengths = reads.lengths
+    entries = {}
+    for _ in range(25):
+        i, j = sorted(int(x) for x in rng.integers(0, len(reads), 2))
+        if i != j:
+            entries[(i, j)] = (i, j, *(
+                (int(rng.integers(0, lengths[i] - K + 1)),
+                 int(rng.integers(0, lengths[j] - K + 1)),
+                 int(rng.integers(0, 2))) for _ in range(2)))
+    C = _make_candidates(reads, list(entries.values()))
+    filt = AlignmentFilter(min_score=5, min_overlap=20, ratio=0.1)
+
+    def run(rs, impl, ex):
+        comm = SimComm(C.grid.nprocs, CommTracker(C.grid.nprocs))
+        with ex:
+            return align_candidates(C, rs, K, comm, StageTimer(), filt=filt,
+                                    fuzz=30, executor=ex,
+                                    impl=impl).to_global()
+
+    ref = run(reads, "loop", get_executor("serial", 1))
+    assert isinstance(stored.soa()[0], np.memmap)
+    _assert_same(ref, run(stored, "batch", get_executor(executor, workers)))
+    assert ref.nnz > 0
 
 
 # ---------------------------------------------------------------------------
