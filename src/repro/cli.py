@@ -151,6 +151,16 @@ def _run(args):
     return run_pipeline_from_fasta(args.reads, PipelineConfig.from_args(args))
 
 
+def _print_counts(title: str, counts: dict[str, dict[str, int]]) -> None:
+    if counts:
+        print(title)
+        for stage in STAGES:
+            if stage in counts:
+                breakdown = "  ".join(f"{name}={n}" for name, n in
+                                      sorted(counts[stage].items()))
+                print(f"  {stage:13s} {breakdown}")
+
+
 def _print_stats(result, machine_name: str) -> None:
     machine = MACHINES[machine_name]
     cfg = result.config
@@ -175,15 +185,10 @@ def _print_stats(result, machine_name: str) -> None:
     print(f"nnz(R) = {result.nnz_r}  (r = {result.r_density:.1f})")
     print(f"nnz(S) = {result.nnz_s}  (s = {result.s_density:.1f}), "
           f"{result.tr_rounds} reduction rounds")
-    paths = result.spgemm_paths
-    if paths:
-        print("kernel work per stage (spgemm block products per path; "
-              "x-drop sweep rounds, cells, words):")
-        for stage in STAGES:
-            if stage in paths:
-                breakdown = "  ".join(f"{path}={n}" for path, n in
-                                      sorted(paths[stage].items()))
-                print(f"  {stage:13s} {breakdown}")
+    _print_counts("kernel work per stage (spgemm block products per path; "
+                  "x-drop sweep rounds, cells, words):", result.spgemm_paths)
+    _print_counts("masked spgemm work per stage (products expanded by ESC; "
+                  "probes looked up by the dot kernel):", result.spgemm_work)
     peaks = result.peak_bytes
     if peaks:
         print("peak live matrix bytes per stage:")

@@ -268,9 +268,12 @@ def summa_positions(A: DistMat, At: DistMat, comm: SimComm,
        mask);
     2. the strict upper triangle of that pattern (shifted by
        ``col_offset`` for blocked strips) becomes the output mask;
-    3. the multi-field seed-gathering ESC pass runs **masked** to the
-       surviving coordinates — roughly the diagonal plus half the
-       off-diagonal products never reach the sort.
+    3. the multi-field seed-gathering pass runs **masked** to the
+       surviving coordinates, each block product on the kernel
+       :func:`repro.dsparse.masked.masked_route` picks — the dot kernel
+       fetches two products per coordinate without expanding any; masked
+       ESC keeps the diagonal and half the off-diagonal products from the
+       sort.
 
     A fused implementation broadcasts each A/At block once per SUMMA stage
     and computes both sub-products from the received pair, so the count

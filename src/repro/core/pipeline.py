@@ -181,6 +181,12 @@ class PipelineResult:
         products per kernel path, x-drop sweep rounds/cells/words."""
         return self.timer.kernel_counts()
 
+    @property
+    def spgemm_work(self) -> dict[str, dict[str, int]]:
+        """Per-stage masked-SpGEMM work (``repro stats``): ``products``
+        expanded by ESC, ``probes`` looked up by the dot kernel."""
+        return self.timer.work_counts()
+
     # -- paper statistics ---------------------------------------------------
     @property
     def a_density(self) -> float:

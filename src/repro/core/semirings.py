@@ -80,7 +80,7 @@ class PositionsSemiring(Semiring):
 
     #: A freshly multiplied group's reduce reads only its first two products
     #: (the stored seed pair) and its size (the count field — every product
-    #: carries count 1), so the masked ESC kernel may multiply just two
+    #: carries count 1), so the masked kernels may multiply just two
     #: products per output coordinate.  See Semiring.reduce_truncated.
     product_reduce_depth = 2
 

@@ -24,7 +24,8 @@ from .backend import (
 )
 from .spgemm import expand_products, packed_order, spgemm_esc, \
     spgemm_gustavson, multiway_merge
-from .masked import mask_select, spgemm_esc_masked
+from .masked import (mask_select, masked_route, spgemm_dot_masked,
+                     spgemm_esc_masked, spgemm_masked)
 from .summa import summa
 from .elementwise import (
     reduce_rows, apply_vector, dimapply_rows, ewise_compare_mask,
@@ -39,7 +40,8 @@ __all__ = [
     "get_backend", "register_backend", "available_backends",
     "expand_products", "packed_order", "spgemm_esc", "spgemm_gustavson",
     "multiway_merge",
-    "mask_select", "spgemm_esc_masked",
+    "mask_select", "masked_route", "spgemm_dot_masked", "spgemm_esc_masked",
+    "spgemm_masked",
     "summa",
     "reduce_rows", "apply_vector", "dimapply_rows", "ewise_compare_mask",
     "prune_mask", "apply_entries", "prune_entries",

@@ -13,9 +13,10 @@ Shipped backends
 
 ``numpy``
     The reference implementation: the vectorized expand-sort-compress
-    SpGEMM (:func:`~repro.dsparse.spgemm.spgemm_esc`, or its masked
-    variant :func:`~repro.dsparse.masked.spgemm_esc_masked` when the caller
-    supplies an output-pattern mask) and pure-numpy element-wise kernels.
+    SpGEMM (:func:`~repro.dsparse.spgemm.spgemm_esc`; with an
+    output-pattern mask, :func:`~repro.dsparse.masked.spgemm_masked`, which
+    picks per block product between the masked ESC and the mask-driven
+    dot kernel) and pure-numpy element-wise kernels.
     Handles every semiring, including the multi-field ones
     (:class:`~repro.core.semirings.PositionsSemiring`,
     :class:`~repro.core.semirings.BidirectedMinPlus`).
@@ -39,11 +40,12 @@ Multi-field semirings always execute on the ESC kernels, but since the
 masked engine (``spgemm_impl="masked"``, PR 6) the *consumers* decompose
 them: the overlap stage computes the scalar count field natively and feeds
 the surviving pattern back as a mask for the multi-field seed pass, and
-transitive reduction squares ``R`` under its own pattern — so the ESC work
-left is proportional to the masked output, not the full product.  Every
-product still reports which path it took through :meth:`Backend.
-spgemm_with_path` (``"esc" | "masked_esc" | "csr" | "masked_csr"``), the
-hook the per-stage kernel-dispatch counters are built on.
+transitive reduction squares ``R`` under its own pattern.  Every product
+reports which path it took through :meth:`Backend.spgemm_with_path`
+(``"esc" | "masked_esc" | "masked_dot" | "csr" | "masked_csr"``), the hook
+the per-stage kernel-dispatch counters are built on, and the masked kernels
+add their exact work (``products`` expanded, ``probes`` looked up) to the
+caller's ``tally``.
 
 ``auto``
     The default: per-call dispatch with exactly the ``scipy`` policy —
@@ -62,7 +64,7 @@ import scipy.sparse as sp
 
 from ..options import BACKEND
 from .coomat import CooMat
-from .masked import mask_select, spgemm_esc_masked
+from .masked import mask_select, spgemm_masked
 from .semiring import Semiring
 from .spgemm import expand_products, multiway_merge, spgemm_esc
 
@@ -95,14 +97,17 @@ class Backend:
         return self.spgemm_with_path(A, B, semiring, mask)[0]
 
     def spgemm_with_path(self, A: CooMat, B: CooMat, semiring: Semiring,
-                         mask: CooMat | None = None
-                         ) -> tuple[CooMat, str]:
+                         mask: CooMat | None = None,
+                         tally: dict | None = None) -> tuple[CooMat, str]:
         """Like :meth:`spgemm`, also naming the kernel path taken.
 
-        The path string (``"esc"``, ``"masked_esc"``, ``"csr"``,
-        ``"masked_csr"``) feeds the per-stage dispatch counters
-        (:meth:`repro.mpisim.StageTimer.count_kernel`); executor tasks carry
-        it back to the parent alongside the block product.
+        The path string (``"esc"``, ``"masked_esc"``, ``"masked_dot"``,
+        ``"csr"``, ``"masked_csr"``) feeds the per-stage dispatch counters
+        (:meth:`repro.mpisim.StageTimer.count_kernel`); ``tally`` (optional
+        dict) accumulates the masked kernels' exact work — ``products``
+        expanded by ESC, ``probes`` looked up by the dot kernel — for
+        :meth:`repro.mpisim.StageTimer.count_work`.  Executor tasks carry
+        both back to the parent alongside the block product.
         """
         raise NotImplementedError
 
@@ -158,9 +163,9 @@ class NumpyBackend(Backend):
 
     name = "numpy"
 
-    def spgemm_with_path(self, A, B, semiring, mask=None):
+    def spgemm_with_path(self, A, B, semiring, mask=None, tally=None):
         if mask is not None:
-            return spgemm_esc_masked(A, B, semiring, mask), "masked_esc"
+            return spgemm_masked(A, B, semiring, mask, tally)
         return spgemm_esc(A, B, semiring), "esc"
 
 
@@ -174,16 +179,6 @@ def _canonical(C: sp.csr_matrix) -> sp.csr_matrix:
     if C.has_sorted_indices:
         return C
     return C.tocsc().tocsr()
-
-
-def _pattern_csr(A: CooMat) -> sp.csr_matrix:
-    """A's pattern with unit weights, sharing its cached CSR index arrays."""
-    base = A.to_csr(0)
-    out = sp.csr_matrix(A.shape, dtype=np.int64)
-    out.indptr = base.indptr
-    out.indices = base.indices
-    out.data = np.ones(A.nnz, dtype=np.int64)
-    return out
 
 
 class ScipyBackend(NumpyBackend):
@@ -221,7 +216,7 @@ class ScipyBackend(NumpyBackend):
             return None
         return None
 
-    def spgemm_with_path(self, A, B, semiring, mask=None):
+    def spgemm_with_path(self, A, B, semiring, mask=None, tally=None):
         if A.shape[1] != B.shape[0]:
             raise ValueError(f"inner dimensions differ: {A.shape} x {B.shape}")
         lowering = self.can_lower(A, B, semiring)
@@ -229,11 +224,11 @@ class ScipyBackend(NumpyBackend):
             C = CooMat.from_csr(_canonical(A.to_csr(0) @ B.to_csr(0)),
                                 checked=True)
         elif lowering == "bool_or":
-            raw = _canonical(_pattern_csr(A) @ _pattern_csr(B))
+            raw = _canonical(A.pattern_csr() @ B.pattern_csr())
             np.minimum(raw.data, 1, out=raw.data)
             C = CooMat.from_csr(raw, checked=True)
         else:
-            return super().spgemm_with_path(A, B, semiring, mask)
+            return super().spgemm_with_path(A, B, semiring, mask, tally)
         if mask is not None:
             # Native product first, then intersect: byte-identical to the
             # masked ESC chain (masked_csr = csr ∩ mask = esc ∩ mask).
@@ -260,12 +255,14 @@ class ScipyBackend(NumpyBackend):
         return CooMat.from_csr(acc, checked=True)
 
     def transpose(self, A):
-        if A.nfields != 1 or A.nnz == 0:
-            return A.transpose()
-        # CSR -> CSC is the transpose for free; the CSC -> CSR conversion is
-        # a single C-level counting pass, beating the numpy lexsort.
-        return CooMat.from_csr(_canonical(A.to_csr(0).T.tocsr()),
-                               checked=True)
+        # Column-major order of A *is* the canonical order of Aᵀ: one
+        # C-level counting pass yields the permutation, and every value
+        # field rides it — no lexsort, whatever the field count.
+        indptr, order = A.csc_order()
+        cols = np.repeat(np.arange(A.shape[1], dtype=np.int64),
+                         np.diff(indptr))
+        return CooMat((A.shape[1], A.shape[0]), cols, A.row[order],
+                      A.vals[order], checked=True)
 
 
 class AutoBackend(ScipyBackend):

@@ -120,12 +120,32 @@ class CooMat:
             data = self.vals[:, field]
             if not data.flags.c_contiguous:
                 data = np.ascontiguousarray(data)
-            csr = sp.csr_matrix(self.shape, dtype=np.int64)
-            csr.indptr = self.csr_indptr()
-            csr.indices = self.col
-            csr.data = data
-            self._csr[field] = csr
+            csr = self._csr[field] = self._csr_over(data)
         return csr
+
+    def _csr_over(self, data: np.ndarray) -> sp.csr_matrix:
+        """A CSR matrix of ``data`` over this matrix's (shared) indices."""
+        csr = sp.csr_matrix(self.shape, dtype=np.int64)
+        csr.indptr = self.csr_indptr()
+        csr.indices = self.col
+        csr.data = data
+        return csr
+
+    def pattern_csr(self) -> sp.csr_matrix:
+        """The pattern with unit weights, sharing the cached CSR indices."""
+        return self._csr_over(np.ones(self.nnz, dtype=np.int64))
+
+    def csc_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, order)``: the entries regrouped column by column.
+
+        ``order[indptr[j]:indptr[j + 1]]`` lists the storage indices of
+        column ``j``'s entries, rows ascending — CSC order.  One linear
+        CSR→CSC counting pass over a CSR whose ``data`` is
+        ``arange(nnz)``; nothing is compared or sorted, whatever the field
+        count.  The transpose and the mask-driven SpGEMM both read it.
+        """
+        csc = self._csr_over(np.arange(self.nnz, dtype=np.int64)).tocsc()
+        return csc.indptr.astype(np.int64, copy=False), csc.data
 
     @classmethod
     def from_csr(cls, mat: sp.csr_matrix, *, checked: bool = False

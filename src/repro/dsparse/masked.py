@@ -1,34 +1,52 @@
-"""Masked semiring SpGEMM — output-pattern-pruned ESC.
+"""Masked semiring SpGEMM — two kernels and a pre-expansion choice.
 
-CombBLAS's masked SpGEMM (paper Section IV-D) never materializes products
-that fall outside a known output pattern.  :func:`spgemm_esc_masked` is the
-reproduction's equivalent for the ESC kernel: after expansion, every
-elementary product whose output coordinate is absent from the mask is
-dropped **before** the semiring multiply and the sort/compress — the two
-superlinear steps of ESC — so the kernel's cost tracks the mask's nnz, not
-the full product's.
+CombBLAS's masked SpGEMM (paper Section IV-D) never forms products outside
+a known output pattern and picks its local kernel per block.  Here
+``(A ⊗ B) ∩ mask`` has two kernels, and :func:`spgemm_masked` picks one per
+block product:
 
-Byte-identity with ``unmasked ∩ mask`` is structural, not numeric: the
-coordinate filter removes only *whole* output groups (a coordinate is either
-in the mask or not) and the surviving products keep their expansion order,
-so the stable sort produces exactly the groups — in exactly the within-group
-order — that the unmasked kernel produces for those coordinates.  Order-
-sensitive reduces (``PositionsSemiring``'s first-two-seeds backfill) are
-therefore preserved verbatim.
+:func:`spgemm_esc_masked` — expand-sort-compress, pruned.
+    Every elementary product of the *unmasked* ``A ⊗ B`` is expanded (as an
+    index pair) and looked up in the mask; only the survivors reach the
+    semiring multiply and the sort.  So the two superlinear steps track the
+    masked products, but expansion and the mask lookup still pay for every
+    product, inside the mask or not.  Handles every semiring.
 
-Semirings that declare ``product_reduce_depth = k`` (the positions semiring:
-its reduce reads a group's first two products plus the group size) get a
-second pruning stage: after the stable key sort, only ``k`` products per
-surviving group are gathered through the operand values and the semiring
-multiply (:func:`_truncated_sort_reduce`), so the wide output-value arrays
-never exist at elementary-product scale.
+:func:`spgemm_dot_masked` — mask-driven (the inner-product, "dot",
+formulation).
+    For semirings that declare ``product_reduce_depth = d`` (the positions
+    semiring: its reduce reads a group's first two products plus the group
+    size).  Group sizes come from the scalar pattern product
+    ``pattern(A) @ pattern(B)`` on scipy CSR, intersected with the mask;
+    the first ``d`` products of each surviving ``(i, j)`` come from
+    intersecting row ``i`` of ``A`` with column ``j`` of ``B``: the
+    shorter of the two is walked in geometrically growing windows and
+    looked up in the other operand's sorted keys until ``d`` commons have
+    shown.  No elementary product is expanded: cost tracks the mask's nnz
+    and how deep into a line its pairs' first commons sit, not the
+    product's flops.
 
-The ``spgemm_impl`` axis (:data:`repro.options.SPGEMM_IMPL`) selects between
-this kernel's callers and the monolithic ESC path, which stays available as
-the byte-identical oracle.
+Byte-identity with ``unmasked ∩ mask`` is structural in both.  ESC's
+coordinate filter removes only *whole* output groups and the surviving
+products keep their expansion order under the stable sort; expansion order
+inside one group is ascending inner index ``k`` (``A``'s row ``i`` is
+k-sorted and ``B`` holds at most one ``(k, j)``), which is exactly the
+order in which the dot kernel's sorted-row/sorted-column intersection
+meets the commons.  Order-sensitive reduces (``PositionsSemiring``'s
+first-two-seeds backfill) are therefore preserved verbatim by either.
+
+Which kernel wins depends on the block: ESC pays per product, the dot
+kernel per probed row/column element.  :func:`masked_route` decides from
+quantities known *before* expanding — see its docstring for the rule and
+the sweep behind its constant.  The ``spgemm_impl`` axis
+(:data:`repro.options.SPGEMM_IMPL`) selects between these kernels' callers
+and the monolithic ESC path, which stays available as the byte-identical
+oracle.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,11 +54,31 @@ from .coomat import CooMat
 from .semiring import Semiring
 from .spgemm import _sort_reduce, expand_products, spgemm_esc
 
-__all__ = ["mask_select", "spgemm_esc_masked"]
+__all__ = ["mask_select", "spgemm_masked", "spgemm_esc_masked",
+           "spgemm_dot_masked", "masked_route", "MaskedRoute"]
+
+#: First window of the dot kernel's walk; it doubles for the pairs it does
+#: not resolve.  Eight resolves most pairs of a block whose rows are dense
+#: in commons; 4 and 16 measured within 15 % of it on ``hifi_deep``.
+_WINDOW = 8
+
+#: The dot kernel is chosen when ESC's products outnumber its *estimated*
+#: probes at least this many times, and there are enough of them for its
+#: fixed cost to matter less (see :func:`masked_route`).
+_DOT_MIN_GAIN = 8
+_DOT_MIN_FLOPS = 2 ** 15
+
 
 def _packable(shape: tuple[int, int]) -> bool:
     """Whether (row, col) coordinates of ``shape`` pack into one int64 key."""
     return not shape[0] or shape[0] <= (2 ** 63 - 1) // max(1, shape[1])
+
+
+def _dot_packable(A: CooMat, B: CooMat) -> bool:
+    """Whether the dot kernel's three key spaces fit int64: the output's
+    (row, col), A's (row, k) and B's column-major (col, k)."""
+    return _packable((A.shape[0], B.shape[1])) and _packable(A.shape) and \
+        _packable((B.shape[1], B.shape[0]))
 
 
 def mask_select(A: CooMat, mask: CooMat) -> CooMat:
@@ -57,22 +95,112 @@ def mask_select(A: CooMat, mask: CooMat) -> CooMat:
     return A.select(keep)
 
 
-def spgemm_esc_masked(A: CooMat, B: CooMat, semiring: Semiring,
-                      mask: CooMat) -> CooMat:
-    """``(A ⊗ B) ∩ mask`` without materializing the unmasked product.
-
-    ``mask`` is consulted for its coordinate pattern only (values ignored).
-    Byte-identical to ``mask_select(spgemm_esc(A, B, semiring), mask)`` —
-    see the module docstring for why.  Shapes whose coordinates cannot pack
-    into int64 keys (beyond ~9.2e18 cells) fall back to exactly that
-    compute-then-filter form rather than wrapping keys silently.
-    """
+def _output_shape(A: CooMat, B: CooMat, mask: CooMat) -> tuple[int, int]:
     if A.shape[1] != B.shape[0]:
         raise ValueError(f"inner dimensions differ: {A.shape} x {B.shape}")
     out_shape = (A.shape[0], B.shape[1])
     if mask.shape != out_shape:
         raise ValueError(f"mask shape {mask.shape} != output shape "
                          f"{out_shape}")
+    return out_shape
+
+
+def _bump(tally: dict | None, name: str, n: int) -> None:
+    if tally is not None:
+        tally[name] = tally.get(name, 0) + int(n)
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + n) for s, n in zip(starts, lens)])``."""
+    offsets = np.cumsum(lens) - lens
+    return np.repeat(starts - offsets, lens) + \
+        np.arange(int(lens.sum()), dtype=np.int64)
+
+
+# -- kernel choice -------------------------------------------------------------
+
+class MaskedRoute(NamedTuple):
+    """The inputs and outcome of :func:`masked_route` (all pre-expansion)."""
+
+    flops: int          #: elementary products ESC would expand
+    nnz_mask: int       #: masked output coordinates
+    span: int           #: Σ over masked (i, j) of min(len A row i, len B col j)
+    est_probes: float   #: the dot kernel's estimated probes
+    dot: bool           #: take the dot kernel
+
+
+def masked_route(A: CooMat, B: CooMat, mask: CooMat, depth: int
+                 ) -> MaskedRoute:
+    """Choose the masked kernel for one block product, before expanding.
+
+    ESC pays per elementary product: ``flops``, read off the two row
+    pointers.  The dot kernel pays per element it looks up; walking the
+    shorter line of every masked pair in full would be ``span`` look-ups,
+    but a pair with ``c`` commons spread over that line shows its first
+    ``depth`` of them after about ``depth / c`` of it, and ``c`` averages
+    at most ``flops / nnz(mask)`` (the block's compression ratio), so
+
+        ``est_probes = span · min(1, depth · nnz(mask) / flops)``
+
+    and the dot kernel is taken when ``flops ≥ 8 · est_probes`` and
+    ``flops ≥ 2¹⁵``.  Both constants are the crossover of a sweep timing
+    the two kernels on synthetic read-by-k-mer operands (nnz 5 k / 40 k /
+    200 k, row lengths 32–2048, k-mer retention 5–80 %, triangle mask) and
+    on every block product of the four benchmark workloads.  With
+    ``g = flops / est_probes``: ESC was ahead at every point with
+    ``g ≤ 6`` (by 1.05–4.3×) and the dot kernel at every point with
+    ``g ≥ 10`` (by 1.14–9×) except below ~2¹⁵ products, where a call is
+    under a millisecond on either kernel and the dot kernel's fixed cost
+    (one scipy matmul, one CSC pass, a few window rounds) is most of it.
+    The estimate itself is optimistic by 2–10× (sizes vary inside a
+    block, a triangle mask holds half the flops, windows round up); the
+    factor absorbs that.  On the benchmark (seed 14): ``hifi_deep``'s
+    blocks sit at ``g`` = 68–303 (dot, 6.6–7.5× faster), ``service_stream``'s
+    deltas at 19–83 000 (dot, 1.7–2×), ``chain_wide``'s at 0.07–1.9 (ESC,
+    1.5–2.4× faster there) and ``clr_xdrop``'s at 0.4–6 with ≤ 2 700
+    products a block (ESC, 4×).
+    """
+    b_ptr = B.csr_indptr()
+    flops = int((b_ptr[A.col + 1] - b_ptr[A.col]).sum())
+    a_len = np.diff(A.csr_indptr())
+    b_len = np.bincount(B.col, minlength=B.shape[1])
+    span = int(np.minimum(a_len[mask.row], b_len[mask.col]).sum())
+    est = span * min(1.0, depth * mask.nnz / max(1, flops))
+    return MaskedRoute(flops, mask.nnz, span, est,
+                       flops >= max(_DOT_MIN_GAIN * est, _DOT_MIN_FLOPS))
+
+
+def spgemm_masked(A: CooMat, B: CooMat, semiring: Semiring, mask: CooMat,
+                  tally: dict | None = None) -> tuple[CooMat, str]:
+    """``(A ⊗ B) ∩ mask`` on the kernel :func:`masked_route` picks.
+
+    Returns the product and the path label (``"masked_dot"`` or
+    ``"masked_esc"``); semirings without ``product_reduce_depth``, empty
+    operands and non-packable shapes always take ESC.  ``tally`` receives
+    the chosen kernel's exact work.
+    """
+    _output_shape(A, B, mask)
+    depth = semiring.product_reduce_depth
+    if depth is not None and mask.nnz and A.nnz and B.nnz and \
+            _dot_packable(A, B) and masked_route(A, B, mask, depth).dot:
+        return spgemm_dot_masked(A, B, semiring, mask, tally), "masked_dot"
+    return spgemm_esc_masked(A, B, semiring, mask, tally), "masked_esc"
+
+
+# -- expand-sort-compress, pruned ----------------------------------------------
+
+def spgemm_esc_masked(A: CooMat, B: CooMat, semiring: Semiring,
+                      mask: CooMat, tally: dict | None = None) -> CooMat:
+    """``(A ⊗ B) ∩ mask`` without materializing the unmasked product.
+
+    ``mask`` is consulted for its coordinate pattern only (values ignored).
+    Byte-identical to ``mask_select(spgemm_esc(A, B, semiring), mask)`` —
+    see the module docstring for why.  Shapes whose coordinates cannot pack
+    into int64 keys (beyond ~9.2e18 cells) fall back to exactly that
+    compute-then-filter form rather than wrapping keys silently.  ``tally``
+    (optional dict) gains ``products``: the index pairs expanded.
+    """
+    out_shape = _output_shape(A, B, mask)
     if not _packable(out_shape):
         return mask_select(spgemm_esc(A, B, semiring), mask)
     if mask.nnz == 0 or A.nnz == 0 or B.nnz == 0:
@@ -80,6 +208,7 @@ def spgemm_esc_masked(A: CooMat, B: CooMat, semiring: Semiring,
     a_idx, b_idx = expand_products(A, B)
     if a_idx.shape[0] == 0:
         return CooMat.empty(out_shape, semiring.out_nfields)
+    _bump(tally, "products", a_idx.shape[0])
     ci = A.row[a_idx]
     cj = B.col[b_idx]
     # Coordinate prune FIRST: products outside the mask never reach the
@@ -87,15 +216,21 @@ def spgemm_esc_masked(A: CooMat, B: CooMat, semiring: Semiring,
     # the mask side is assume_unique.
     keys = ci * np.int64(out_shape[1]) + cj
     keep = np.isin(keys, mask.keys())
-    if not keep.all():
-        a_idx, b_idx, keys = a_idx[keep], b_idx[keep], keys[keep]
-        ci, cj = ci[keep], cj[keep]
-    if keys.shape[0] == 0:
-        return CooMat.empty(out_shape, semiring.out_nfields)
     depth = semiring.product_reduce_depth
     if depth is not None:
-        return _truncated_sort_reduce(out_shape, keys, ci, cj, a_idx, b_idx,
-                                      A, B, semiring, depth)
+        # The truncated reduce reads coordinates at group leads only, where
+        # the packed key gives them back: nothing else rides along.
+        del ci, cj
+        if not keep.all():
+            a_idx, b_idx, keys = a_idx[keep], b_idx[keep], keys[keep]
+        if keys.shape[0] == 0:
+            return CooMat.empty(out_shape, semiring.out_nfields)
+        return _truncated_sort_reduce(out_shape, keys, a_idx, b_idx, A, B,
+                                      semiring, depth)
+    if not keep.all():
+        a_idx, b_idx, ci, cj = a_idx[keep], b_idx[keep], ci[keep], cj[keep]
+    if ci.shape[0] == 0:
+        return CooMat.empty(out_shape, semiring.out_nfields)
     cvals, valid = semiring.multiply(A.vals[a_idx], B.vals[b_idx])
     if valid is not None:
         ci, cj, cvals = ci[valid], cj[valid], cvals[valid]
@@ -104,8 +239,8 @@ def spgemm_esc_masked(A: CooMat, B: CooMat, semiring: Semiring,
     return _sort_reduce(out_shape, ci, cj, cvals, semiring)
 
 
-def _truncated_sort_reduce(out_shape, keys, ci, cj, a_idx, b_idx, A, B,
-                           semiring, depth):
+def _truncated_sort_reduce(out_shape, keys, a_idx, b_idx, A, B, semiring,
+                           depth):
     """Sort-compress that multiplies only ``depth`` products per group.
 
     The semiring declared (``product_reduce_depth``) that a fresh group's
@@ -125,14 +260,136 @@ def _truncated_sort_reduce(out_shape, keys, ci, cj, a_idx, b_idx, A, B,
     counts = np.diff(np.append(starts, sk.shape[0]))
     clipped = np.minimum(counts, depth)
     tstarts = np.cumsum(clipped) - clipped
-    within = np.arange(int(clipped.sum()), dtype=np.int64) - \
-        np.repeat(tstarts, clipped)
-    sel = order[np.repeat(starts, clipped) + within]
-    cvals, valid = semiring.multiply(A.vals[a_idx[sel]], B.vals[b_idx[sel]])
+    sel = order[_ranges(starts, clipped)]
+    ci, cj = np.divmod(sk[starts], np.int64(out_shape[1]))
+    return _reduce_selected(out_shape, ci, cj, counts, tstarts, a_idx[sel],
+                            b_idx[sel], A, B, semiring)
+
+
+def _reduce_selected(out_shape, ci, cj, counts, tstarts, a_sel, b_sel, A, B,
+                     semiring) -> CooMat:
+    """The tail both kernels share: multiply each group's selected products
+    (``a_sel``/``b_sel`` index the operands' storage, groups back to back
+    from ``tstarts``) and fold them with the true group sizes ``counts``."""
+    cvals, valid = semiring.multiply(A.vals[a_sel], B.vals[b_sel])
     if valid is not None:  # the depth contract forbids validity masks
         raise ValueError(f"{type(semiring).__name__} sets "
                          f"product_reduce_depth but multiply returned a "
                          f"validity mask")
     reduced = semiring.reduce_truncated(cvals, tstarts, counts)
-    lead = order[starts]
-    return CooMat(out_shape, ci[lead], cj[lead], reduced, checked=True)
+    return CooMat(out_shape, ci, cj, reduced, checked=True)
+
+
+# -- mask-driven dot kernel ----------------------------------------------------
+
+def spgemm_dot_masked(A: CooMat, B: CooMat, semiring: Semiring,
+                      mask: CooMat, tally: dict | None = None,
+                      window: int = _WINDOW) -> CooMat:
+    """``(A ⊗ B) ∩ mask`` from one row and one column per masked pair.
+
+    Requires ``semiring.product_reduce_depth``.  Byte-identical to
+    :func:`spgemm_esc_masked` (module docstring); shapes that cannot pack
+    fall back to it.  ``window`` is the first probe window (it doubles; any
+    value ≥ 1 gives the same bytes).  ``tally`` (optional dict) gains
+    ``probes``: the row/column elements looked up, each at most once — so
+    at most ``Σ min(len_i, len_j)`` over the masked pairs that have
+    products, whatever their group sizes.
+    """
+    depth = semiring.product_reduce_depth
+    if depth is None:
+        raise ValueError(f"{type(semiring).__name__} declares no "
+                         f"product_reduce_depth; the dot kernel cannot "
+                         f"truncate its groups")
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    out_shape = _output_shape(A, B, mask)
+    if not _dot_packable(A, B):
+        return spgemm_esc_masked(A, B, semiring, mask, tally)
+    if mask.nnz == 0 or A.nnz == 0 or B.nnz == 0:
+        return CooMat.empty(out_shape, semiring.out_nfields)
+    # Group sizes: the depth contract rules out validity masks, so a group
+    # holds one product per common inner index — the pattern product.
+    sized = mask_select(CooMat.from_csr(A.pattern_csr() @ B.pattern_csr(),
+                                        checked=True), mask)
+    if sized.nnz == 0:
+        return CooMat.empty(out_shape, semiring.out_nfields)
+    counts = sized.vals[:, 0]
+    need = np.minimum(counts, depth)
+    tstarts = np.cumsum(need) - need
+    a_sel, b_sel, probes = _first_commons(A, B, sized.row, sized.col, need,
+                                          tstarts, window)
+    _bump(tally, "probes", probes)
+    return _reduce_selected(out_shape, sized.row, sized.col, counts, tstarts,
+                            a_sel, b_sel, A, B, semiring)
+
+
+def _first_commons(A, B, pi, pj, need, tstarts, window):
+    """Storage indices of each pair's first ``need`` common inner indices.
+
+    Pair ``p`` is row ``pi[p]`` of ``A`` against column ``pj[p]`` of ``B``,
+    known to share at least ``need[p] ≥ 1`` inner indices ``k``.  The
+    shorter of the two is walked k-ascending (``B``'s columns through one
+    linear CSR→CSC permutation) and each element looked up in the other
+    operand's sorted ``(row | column, k)`` keys.  Returns ``(a_sel, b_sel,
+    probes)``, the selections laid out group by group from ``tstarts``,
+    k ascending inside a group.
+    """
+    inner = np.int64(A.shape[1])
+    a_ptr = A.csr_indptr()
+    b_ptr, b_order = B.csc_order()
+    b_inner = B.row[b_order]
+    b_keys = B.col[b_order] * inner + b_inner      # column-major, sorted
+    a_len = a_ptr[pi + 1] - a_ptr[pi]
+    b_len = b_ptr[pj + 1] - b_ptr[pj]
+    a_sel = np.empty(int(need.sum()), dtype=np.int64)
+    b_at = np.empty_like(a_sel)                    # column-major positions
+    by_row = a_len <= b_len
+    by_col = ~by_row
+    probes = _probe(a_ptr[pi[by_row]], a_len[by_row], A.col, b_keys,
+                    pj[by_row] * inner, need[by_row], tstarts[by_row],
+                    window, a_sel, b_at)
+    probes += _probe(b_ptr[pj[by_col]], b_len[by_col], b_inner, A.keys(),
+                     pi[by_col] * inner, need[by_col], tstarts[by_col],
+                     window, b_at, a_sel)
+    return a_sel, b_order[b_at], probes
+
+
+def _probe(lo, length, inner_of, hay, base, need, dest, window, walked_sel,
+           found_sel) -> int:
+    """Walk each pair's segment in growing windows until ``need`` hits.
+
+    Pair ``p`` walks ``inner_of[lo[p] : lo[p] + length[p]]`` (ascending)
+    and looks each ``k`` up as ``base[p] + k`` in the sorted ``hay``.  A
+    window's hits are exactly the pair's commons up to the window's end,
+    i.e. its *next* commons in order, so a pair retires once it has
+    ``need[p]`` of them and only unresolved pairs see the next, doubled,
+    window; no element is looked up twice.  The ``r``-th hit of pair ``p``
+    lands at ``dest[p] + r`` of ``walked_sel`` (position in ``inner_of``)
+    and ``found_sel`` (position in ``hay``).  Returns the elements looked up.
+    """
+    used = np.zeros(lo.shape[0], dtype=np.int64)
+    got = np.zeros_like(used)
+    active = np.arange(lo.shape[0], dtype=np.int64)
+    probes = 0
+    while active.shape[0]:
+        width = np.minimum(length[active] - used[active], window)
+        walked = _ranges(lo[active] + used[active], width)
+        probes += walked.shape[0]
+        pair = np.repeat(active, width)
+        key = base[pair] + inner_of[walked]
+        found = np.searchsorted(hay, key)
+        found[found == hay.shape[0]] = 0    # past the end: cannot be equal
+        hit = np.flatnonzero(hay[found] == key)
+        pair = pair[hit]
+        hits = np.bincount(pair, minlength=lo.shape[0])[active]
+        rank = got[pair] + np.arange(hit.shape[0], dtype=np.int64) - \
+            np.repeat(np.cumsum(hits) - hits, hits)
+        take = rank < need[pair]
+        at = dest[pair[take]] + rank[take]
+        walked_sel[at] = walked[hit[take]]
+        found_sel[at] = found[hit[take]]
+        used[active] += width
+        got[active] += hits
+        active = active[got[active] < need[active]]
+        window *= 2
+    return probes

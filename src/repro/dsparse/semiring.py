@@ -57,7 +57,9 @@ class Semiring:
     #: products depends only on the group's first ``k`` products plus the
     #: true group size — so the masked ESC kernel may multiply just those
     #: ``k`` per group and fold them with :meth:`reduce_truncated` instead of
-    #: materializing every product value.  ``None`` (default) disables the
+    #: materializing every product value, and the mask-driven dot kernel
+    #: may fetch just those ``k`` without expanding any product
+    #: (:mod:`repro.dsparse.masked`).  ``None`` (default) disables the
     #: fast path; reduces that consume every product (MinPlus-style minima,
     #: sums of non-constant values) must leave it off.
     product_reduce_depth: int | None = None

@@ -32,13 +32,16 @@ __all__ = ["summa", "summa_comm_replay"]
 def _spgemm_task(ctx, operands):
     """Executor task: one local block product (module-level for pickling).
 
-    Returns ``(block, path)`` so process-pool workers carry the kernel path
-    back to the parent for the per-stage dispatch counters.
+    Returns ``(block, path, work)`` so process-pool workers carry the kernel
+    path and its exact work tally back to the parent for the per-stage
+    counters.
     """
     backend, semiring = ctx
     a, b, m = operands
     maybe_fault("summa.block")
-    return backend.spgemm_with_path(a, b, semiring, mask=m)
+    work: dict[str, int] = {}
+    block, path = backend.spgemm_with_path(a, b, semiring, mask=m, tally=work)
+    return block, path, work
 
 
 def _merge_task(ctx, task):
@@ -166,8 +169,10 @@ def summa(A: DistMat, B: DistMat, semiring: Semiring, comm: SimComm,
             results, secs = executor.run_timed(_spgemm_task, tasks,
                                                context=ctx, weights=weights)
             step.charge_many((grid.rank_of(i, j) for i, j in ij), secs)
-            for (i, j), (part, path) in zip(ij, results):
+            for (i, j), (part, path, work) in zip(ij, results):
                 timer.count_kernel(stage, path)
+                for name, n in work.items():
+                    timer.count_work(stage, name, n)
                 if part.nnz:
                     partials[i][j].append(part)
 

@@ -145,6 +145,7 @@ class StageTimer:
         self.stage_supersteps: dict[str, int] = defaultdict(int)
         self.stage_peak_bytes: dict[str, int] = {}
         self.stage_kernel_counts: dict[str, dict[str, int]] = {}
+        self.stage_work_counts: dict[str, dict[str, int]] = {}
 
     @contextmanager
     def superstep(self, stage: str):
@@ -171,19 +172,33 @@ class StageTimer:
 
         For the SpGEMM stages the counters are block products per
         :meth:`repro.dsparse.backend.Backend.spgemm_with_path` name
-        (``"csr"``, ``"masked_csr"``, ``"esc"``, ``"masked_esc"``); for
-        ``Alignment`` they are the batched x-drop sweep's ``rounds``,
+        (``"csr"``, ``"masked_csr"``, ``"esc"``, ``"masked_esc"``,
+        ``"masked_dot"``) — and nothing else, so their sum is the stage's
+        kernel calls; what those calls *did* goes to :meth:`count_work`.
+        For ``Alignment`` they are the batched x-drop sweep's ``rounds``,
         ``cells`` and ``words`` (:func:`repro.align.batch.xdrop_extend_batch`).
         ``repro stats`` prints them per stage, so a bench regression is
         attributable to a routing change or to more kernel work.
         """
-        per_stage = self.stage_kernel_counts.setdefault(stage, {})
-        per_stage[path] = per_stage.get(path, 0) + int(n)
+        _add(self.stage_kernel_counts, stage, path, n)
 
     def kernel_counts(self) -> dict[str, dict[str, int]]:
         """Per-stage kernel-work counters (copies)."""
-        return {stage: dict(paths)
-                for stage, paths in self.stage_kernel_counts.items()}
+        return _copy(self.stage_kernel_counts)
+
+    def count_work(self, stage: str, name: str, n: int) -> None:
+        """Add ``n`` to ``stage``'s exact masked-SpGEMM work counter ``name``.
+
+        ``products`` are the elementary products the masked ESC kernel
+        expanded, ``probes`` the row/column elements the dot kernel looked
+        up (:mod:`repro.dsparse.masked`).  Both are sums over block
+        products, so they add over SUMMA stages, strips and workers.
+        """
+        _add(self.stage_work_counts, stage, name, n)
+
+    def work_counts(self) -> dict[str, dict[str, int]]:
+        """Per-stage masked-SpGEMM work counters (copies)."""
+        return _copy(self.stage_work_counts)
 
     def merge(self, other: "StageTimer") -> None:
         """Fold another timer in: seconds/supersteps add, peaks take max.
@@ -198,15 +213,29 @@ class StageTimer:
             self.stage_supersteps[stage] += count
         for stage, peak in other.stage_peak_bytes.items():
             self.record_peak_bytes(stage, peak)
-        for stage, paths in other.stage_kernel_counts.items():
-            for path, n in paths.items():
-                self.count_kernel(stage, path, n)
+        for mine, theirs in ((self.stage_kernel_counts,
+                              other.stage_kernel_counts),
+                             (self.stage_work_counts,
+                              other.stage_work_counts)):
+            for stage, per_stage in theirs.items():
+                for name, n in per_stage.items():
+                    _add(mine, stage, name, n)
 
     def total(self) -> float:
         return float(sum(self.stage_seconds.values()))
 
     def breakdown(self) -> dict[str, float]:
         return dict(self.stage_seconds)
+
+
+def _add(counts: dict[str, dict[str, int]], stage: str, name: str,
+         n: int) -> None:
+    per_stage = counts.setdefault(stage, {})
+    per_stage[name] = per_stage.get(name, 0) + int(n)
+
+
+def _copy(counts: dict[str, dict[str, int]]) -> dict[str, dict[str, int]]:
+    return {stage: dict(per_stage) for stage, per_stage in counts.items()}
 
 
 class _Superstep:

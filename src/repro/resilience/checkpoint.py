@@ -32,7 +32,8 @@ __all__ = ["CheckpointMismatch", "StripCheckpoint", "MANIFEST_VERSION",
            "atomic_write"]
 
 #: Manifest format version; bump on incompatible layout changes.
-MANIFEST_VERSION = 1
+#: 2: the pickled strip timers carry ``stage_work_counts``.
+MANIFEST_VERSION = 2
 
 
 class CheckpointMismatch(ValueError):

@@ -175,6 +175,34 @@ def test_property_transpose_parity(seed, density, nfields):
     _assert_identical(SCIPY.transpose(A), NUMPY.transpose(A))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 31), st.floats(0.0, 1.0),
+       st.sampled_from([1, 2, 4, 7]), st.sampled_from([(19, 11), (1, 30),
+                                                       (30, 1), (6, 6)]))
+def test_property_transpose_any_field_count(seed, density, nfields, shape):
+    """The permutation transpose (no sort) against the copy-and-lexsort
+    oracle for A- (2), R- (4) and C-typed (7 fields) blocks at every
+    density, including negative and repeated values."""
+    rng = np.random.default_rng(seed)
+    pattern = _rand_mat(rng, *shape, density, 1)
+    A = CooMat(shape, pattern.row, pattern.col,
+               rng.integers(-3, 4, (pattern.nnz, nfields)), checked=True)
+    T = SCIPY.transpose(A)
+    _assert_identical(T, NUMPY.transpose(A))
+    # Canonical as built (checked=True skipped the check): keys strictly up.
+    assert (np.diff(T.keys()) > 0).all()
+    _assert_identical(SCIPY.transpose(T), A)
+
+
+@pytest.mark.parametrize("nfields", [1, 2, 7])
+def test_transpose_empty_blocks(nfields):
+    for bk in (NUMPY, SCIPY):
+        for shape in ((3, 4), (0, 5), (5, 0)):
+            T = bk.transpose(CooMat.empty(shape, nfields))
+            assert T.shape == shape[::-1] and T.nnz == 0
+            assert T.nfields == nfields and T.vals.dtype == np.int64
+
+
 def test_merge_into_larger_frame_parity():
     """merge() must honor the requested output shape on every backend,
     including when it exceeds the parts' own shape (CSR fast path must

@@ -71,6 +71,29 @@ def test_parser_defaults():
     assert args.align_mode == "xdrop"  # the PipelineConfig default
 
 
+def test_stats_prints_spgemm_routing_and_work(tmp_path, capsys):
+    """The masked engine's routing (block products per path) and its exact
+    work counters reach ``repro stats``; the oracle engine shows neither."""
+    reads = tmp_path / "reads.fa"
+    main(["simulate", str(reads), "--genome-length", "6000",
+          "--depth", "8", "--error-rate", "0.0", "--seed", "2"])
+    common = ["stats", str(reads), "--nprocs", "1", "--fuzz", "20",
+              "--depth-hint", "8", "--error-hint", "0.0",
+              "--overlap-mode", "monolithic"]
+    assert main(common + ["--spgemm-impl", "masked"]) == 0
+    out = capsys.readouterr().out
+    assert "spgemm_impl: masked" in out
+    assert "SpGEMM        csr=1  masked_dot=1" in out
+    assert "masked spgemm work per stage" in out
+    work = out.split("masked spgemm work per stage")[1]
+    assert "SpGEMM        probes=" in work
+    assert "TrReduction   products=" in work
+    assert main(common + ["--spgemm-impl", "esc"]) == 0
+    out = capsys.readouterr().out
+    assert "SpGEMM        esc=1" in out
+    assert "masked spgemm work" not in out
+
+
 def test_stats_prints_kmer_engine(tmp_path, capsys):
     reads = tmp_path / "reads.fa"
     main(["simulate", str(reads), "--genome-length", "6000",

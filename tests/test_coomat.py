@@ -90,6 +90,30 @@ def test_transpose():
     assert t.nnz == 2
 
 
+def test_csc_order_is_the_column_major_permutation():
+    rng = np.random.default_rng(8)
+    s = sp.random(17, 9, density=0.3, format="coo", random_state=rng)
+    m = CooMat((17, 9), s.row, s.col, rng.integers(0, 99, (s.nnz, 3)))
+    indptr, order = m.csc_order()
+    assert indptr.dtype == order.dtype == np.int64
+    assert np.array_equal(order, np.lexsort((m.row, m.col)))
+    assert np.array_equal(np.diff(indptr), np.bincount(m.col, minlength=9))
+    # Read-only storage (a forked worker's pages) is enough.
+    for arr in (m.row, m.col, m.vals):
+        arr.flags.writeable = False
+    assert np.array_equal(m.csc_order()[1], order)
+    indptr, order = CooMat.empty((4, 6), 2).csc_order()
+    assert order.shape == (0,) and np.array_equal(indptr, np.zeros(7))
+
+
+def test_pattern_csr_shares_indices():
+    m = CooMat((3, 4), [0, 0, 2], [1, 3, 0], [[5, 1], [-2, 0], [0, 7]])
+    p = m.pattern_csr()
+    assert p.indices is m.col and p.indptr is m.csr_indptr()
+    assert np.array_equal(p.toarray(), [[0, 1, 0, 1], [0, 0, 0, 0],
+                                        [1, 0, 0, 0]])
+
+
 def test_submatrix_local_coords():
     m = CooMat((4, 4), [0, 1, 2, 3], [0, 1, 2, 3], [[1], [2], [3], [4]])
     b = m.submatrix(1, 3, 1, 3)

@@ -8,7 +8,15 @@ through every layer (Backend.spgemm, SUMMA, the transitive-reduction
 squaring, the full pipeline) without changing a single output byte.  The
 only observable differences are performance artifacts: kernel-dispatch
 counters and the recorded ``TrReduction`` live-set peak.
+
+PR 18 added a second masked kernel for semirings that declare
+``product_reduce_depth``: ``spgemm_dot_masked`` carries the same contract
+and is checked *directly* (not through the router) wherever ESC is, and
+``masked_route`` — the pre-expansion choice between the two — is pinned by
+its label, its work counters and its memory.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,11 +28,13 @@ from repro.core.semirings import BidirectedMinPlus, PositionsSemiring
 from repro.dsparse.backend import get_backend
 from repro.dsparse.coomat import CooMat
 from repro.dsparse.distmat import DistMat
-from repro.dsparse.masked import mask_select, spgemm_esc_masked
+from repro.dsparse.masked import (mask_select, masked_route,
+                                  spgemm_dot_masked, spgemm_esc_masked,
+                                  spgemm_masked)
 from repro.dsparse.semiring import BoolOr, MinPlus, PlusTimes
 from repro.dsparse.spgemm import packed_order, spgemm_esc
 from repro.dsparse.summa import summa
-from repro.exec import SERIAL, ThreadExecutor
+from repro.exec import SERIAL, ProcessExecutor, ThreadExecutor
 from repro.mpisim import CommTracker, ProcessGrid2D, SimComm, StageTimer
 from repro.options import SPGEMM_IMPL
 from repro.seqs import ErrorModel, GenomeSpec, ReadSimSpec, simulate_reads
@@ -104,25 +114,56 @@ def test_mask_select_empty_cases():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 31), st.sampled_from(sorted(SEMIRINGS)),
        st.floats(0.0, 0.3), st.floats(0.0, 0.3), st.floats(0.0, 0.4),
-       st.booleans())
+       st.booleans(), st.booleans(), st.sampled_from([1, 2, 8]))
 def test_property_masked_kernel_identity(seed, semiring_name, da, db,
-                                         dmask, negatives):
-    """masked ESC ≡ unmasked ESC ∩ mask, for every semiring and pattern."""
+                                         dmask, negatives, b_is_at, window):
+    """Both masked kernels ≡ unmasked ESC ∩ mask, for every semiring and
+    pattern — each called directly, then through the router and backends."""
     rng = np.random.default_rng(seed)
     cls, nf = SEMIRINGS[semiring_name]
     lo = -5 if negatives else 1
     A = _rand_mat(rng, 17, 23, da, nf, lo=lo)
-    B = NUMPY.transpose(A) if semiring_name in ("positions",
-                                                "bidirected_min_plus") \
+    # The direction-checked MinPlus needs R-typed square operands; the
+    # positions multiply takes any two A-typed operands, so B ≠ Aᵀ too.
+    B = NUMPY.transpose(A) if semiring_name == "bidirected_min_plus" or \
+        (semiring_name == "positions" and b_is_at) \
         else _rand_mat(rng, 23, 14, db, nf, lo=lo)
     out_shape = (A.shape[0], B.shape[1])
     mask = _rand_mat(rng, *out_shape, dmask, 1)
     semiring = cls()
     oracle = mask_select(spgemm_esc(A, B, semiring), mask)
     _assert_identical(spgemm_esc_masked(A, B, semiring, mask), oracle)
+    if semiring.product_reduce_depth is not None:
+        _assert_identical(spgemm_dot_masked(A, B, semiring, mask,
+                                            window=window), oracle)
+    routed, path = spgemm_masked(A, B, semiring, mask)
+    _assert_identical(routed, oracle)
+    assert path in ("masked_esc", "masked_dot")
     # The backend seam agrees too, on every backend.
     for bk in (NUMPY, SCIPY, AUTO):
         _assert_identical(bk.spgemm(A, B, semiring, mask=mask), oracle)
+
+
+def _positions_operand(rng, rows, cols, density):
+    return _rand_mat(rng, rows, cols, density, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 31), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+       st.floats(0.0, 1.0), st.sampled_from([1, 3, 8]))
+def test_property_dot_kernel_all_densities(seed, da, db, dmask, window):
+    """The dot kernel at every operand and mask density up to full —
+    long rows, dense groups, empty rows/columns, mask entries without
+    products — against both ESC forms, B ≠ Aᵀ."""
+    rng = np.random.default_rng(seed)
+    A = _positions_operand(rng, 13, 40, da)
+    B = _positions_operand(rng, 40, 11, db)
+    mask = _rand_mat(rng, 13, 11, dmask, 1)
+    semiring = PositionsSemiring()
+    oracle = mask_select(spgemm_esc(A, B, semiring), mask)
+    _assert_identical(spgemm_esc_masked(A, B, semiring, mask), oracle)
+    _assert_identical(spgemm_dot_masked(A, B, semiring, mask, window=window),
+                      oracle)
 
 
 def test_masked_with_full_product_mask_is_unmasked():
@@ -135,31 +176,40 @@ def test_masked_with_full_product_mask_is_unmasked():
     mask = CooMat((15, 15), full.row, full.col,
                   np.ones((full.nnz, 1), dtype=np.int64))
     _assert_identical(spgemm_esc_masked(A, At, semiring, mask), full)
+    _assert_identical(spgemm_dot_masked(A, At, semiring, mask), full)
+
+
+#: Both masked kernels behind one signature; the dot kernel needs a
+#: semiring with a truncation depth, so shared cases use PositionsSemiring.
+KERNELS = {"esc": spgemm_esc_masked, "dot": spgemm_dot_masked}
 
 
 def test_masked_empty_operands_and_mask():
-    semiring = PlusTimes()
+    semiring = PositionsSemiring()
     rng = np.random.default_rng(6)
-    A = _rand_mat(rng, 8, 9, 0.3, 1)
-    B = _rand_mat(rng, 9, 7, 0.3, 1)
-    empty_mask = CooMat.empty((8, 7))
-    out = spgemm_esc_masked(A, B, semiring, empty_mask)
-    assert out.nnz == 0 and out.shape == (8, 7)
+    A = _positions_operand(rng, 8, 9, 0.3)
+    B = _positions_operand(rng, 9, 7, 0.3)
     mask = _rand_mat(rng, 8, 7, 0.4, 1)
-    assert spgemm_esc_masked(CooMat.empty((8, 9)), B, semiring,
-                             mask).nnz == 0
-    assert spgemm_esc_masked(A, CooMat.empty((9, 7)), semiring,
-                             mask).nnz == 0
+    # Operands that share no inner index: products nowhere, mask or not.
+    lone_a = CooMat((8, 9), [2], [1], [[5, 0]])
+    lone_b = CooMat((9, 7), [4], [3], [[6, 1]])
+    for run in KERNELS.values():
+        out = run(A, B, semiring, CooMat.empty((8, 7)))
+        assert out.nnz == 0 and out.shape == (8, 7) and out.nfields == 7
+        assert run(CooMat.empty((8, 9), 2), B, semiring, mask).nnz == 0
+        assert run(A, CooMat.empty((9, 7), 2), semiring, mask).nnz == 0
+        assert run(lone_a, lone_b, semiring, mask).nnz == 0
 
 
 def test_masked_shape_validation():
-    semiring = PlusTimes()
-    with pytest.raises(ValueError, match="inner dimensions"):
-        spgemm_esc_masked(CooMat.empty((3, 4)), CooMat.empty((5, 3)),
-                          semiring, CooMat.empty((3, 3)))
-    with pytest.raises(ValueError, match="mask shape"):
-        spgemm_esc_masked(CooMat.empty((3, 4)), CooMat.empty((4, 2)),
-                          semiring, CooMat.empty((3, 3)))
+    semiring = PositionsSemiring()
+    for run in KERNELS.values():
+        with pytest.raises(ValueError, match="inner dimensions"):
+            run(CooMat.empty((3, 4), 2), CooMat.empty((5, 3), 2), semiring,
+                CooMat.empty((3, 3)))
+        with pytest.raises(ValueError, match="mask shape"):
+            run(CooMat.empty((3, 4), 2), CooMat.empty((4, 2), 2), semiring,
+                CooMat.empty((3, 3)))
 
 
 def test_masked_unpackable_shape_falls_back():
@@ -176,6 +226,16 @@ def test_masked_unpackable_shape_falls_back():
     oracle = mask_select(spgemm_esc(A, B, semiring), mask)
     _assert_identical(spgemm_esc_masked(A, B, semiring, mask), oracle)
     assert oracle.nnz == 1 and oracle.row[0] == 0 and oracle.col[0] == 0
+    # The dot kernel and the router decline the same shapes the same way.
+    A2 = CooMat(A.shape, A.row, A.col, [[2, 0], [3, 1]])
+    B2 = CooMat(B.shape, B.row, B.col, [[4, 1], [5, 1]])
+    semiring = PositionsSemiring()
+    oracle = mask_select(spgemm_esc(A2, B2, semiring), mask)
+    assert oracle.nnz == 1
+    _assert_identical(spgemm_dot_masked(A2, B2, semiring, mask), oracle)
+    routed, path = spgemm_masked(A2, B2, semiring, mask)
+    _assert_identical(routed, oracle)
+    assert path == "masked_esc"
 
 
 def test_packed_order_overflow_guard_matches_lexsort():
@@ -233,8 +293,151 @@ def test_truncation_contract_rejects_validity_masks():
     rng = np.random.default_rng(14)
     A = _rand_mat(rng, 10, 10, 0.3, 4)
     mask = _rand_mat(rng, 10, 10, 0.5, 1)
-    with pytest.raises(ValueError, match="product_reduce_depth"):
-        spgemm_esc_masked(A, NUMPY.transpose(A), _Liar(), mask)
+    for run in KERNELS.values():
+        with pytest.raises(ValueError, match="_Liar sets product_reduce_depth"):
+            run(A, NUMPY.transpose(A), _Liar(), mask)
+
+
+def test_dot_kernel_requires_truncation_depth():
+    """Without a declared depth there is no "first d products" to fetch:
+    the dot kernel says so instead of guessing (the router never asks)."""
+    rng = np.random.default_rng(15)
+    A = _rand_mat(rng, 10, 10, 0.3, 4)
+    mask = _rand_mat(rng, 10, 10, 0.5, 1)
+    with pytest.raises(ValueError, match="BidirectedMinPlus declares no "
+                                         "product_reduce_depth"):
+        spgemm_dot_masked(A, NUMPY.transpose(A), BidirectedMinPlus(), mask)
+    _, path = spgemm_masked(A, NUMPY.transpose(A), BidirectedMinPlus(), mask)
+    assert path == "masked_esc"
+    with pytest.raises(ValueError, match="window"):
+        spgemm_dot_masked(_positions_operand(rng, 4, 4, 0.5),
+                          _positions_operand(rng, 4, 4, 0.5),
+                          PositionsSemiring(), mask=_rand_mat(rng, 4, 4, 1, 1),
+                          window=0)
+
+
+# -- the dot kernel's window walk ----------------------------------------------
+
+def _rows_sharing(commons, length, inner, rng):
+    """Two sorted index rows of ``length`` inside ``range(inner)`` whose
+    intersection is exactly ``commons``."""
+    commons = np.asarray(commons, dtype=np.int64)
+    rest = np.setdiff1d(np.arange(inner), commons)
+    rest = rng.permutation(rest)
+    n = length - commons.shape[0]
+    return (np.sort(np.concatenate([commons, rest[:n]])),
+            np.sort(np.concatenate([commons, rest[n:2 * n]])))
+
+
+def _pair_operands(row_a, col_b, inner, rng):
+    """A (1 x inner) holding ``row_a`` and B (inner x 1) holding ``col_b``."""
+    def vals(n):
+        return np.stack([rng.integers(0, 900, n), rng.integers(0, 2, n)], 1)
+    A = CooMat((1, inner), np.zeros_like(row_a), row_a, vals(row_a.shape[0]))
+    B = CooMat((inner, 1), col_b, np.zeros_like(col_b), vals(col_b.shape[0]))
+    return A, B
+
+
+@pytest.mark.parametrize("window", [1, 2, 8, 64])
+def test_dot_last_element_singleton(window):
+    """A size-1 group whose only common index is the last element of two
+    long rows: the walk has to reach the very end, whatever the window."""
+    rng = np.random.default_rng(21)
+    inner = 400
+    row_a, col_b = _rows_sharing([inner - 1], 150, inner, rng)
+    assert row_a[-1] == col_b[-1] == inner - 1
+    A, B = _pair_operands(row_a, col_b, inner, rng)
+    mask = CooMat((1, 1), [0], [0], [[1]])
+    semiring = PositionsSemiring()
+    tally = {}
+    out = spgemm_dot_masked(A, B, semiring, mask, tally, window=window)
+    _assert_identical(out, spgemm_esc_masked(A, B, semiring, mask))
+    assert out.vals[0, 0] == 1                      # the group's true size
+    assert tally == {"probes": 150}                 # every element, once
+
+
+def test_dot_window_growth_is_incremental():
+    """Initial window 1 on a pair whose second common sits at index 10 of
+    the walked row: windows 1, 2, 4, 8 (three growths), 15 look-ups, none
+    repeated — and a window that already holds both commons stops there."""
+    rng = np.random.default_rng(22)
+    commons = [5, 100, 200, 299]
+    # A's fillers are odd, B's even, so the rows meet at ``commons`` only;
+    # A walks (equal lengths) and holds 5 at index 0, 100 at index 10.
+    row_a = np.array([5] + list(range(7, 25, 2)) + [100] +
+                     list(range(101, 121, 2)) + [200, 299])
+    col_b = np.array([5] + list(range(6, 44, 2)) + [100, 200, 299])
+    assert row_a.shape == col_b.shape and row_a[10] == 100
+    assert sorted(set(row_a) & set(col_b)) == commons
+    A, B = _pair_operands(row_a, col_b, 300, rng)
+    mask = CooMat((1, 1), [0], [0], [[1]])
+    semiring = PositionsSemiring()
+    oracle = spgemm_esc_masked(A, B, semiring, mask)
+    assert oracle.vals[0, 0] == 4
+    tally = {}
+    _assert_identical(spgemm_dot_masked(A, B, semiring, mask, tally,
+                                        window=1), oracle)
+    assert tally == {"probes": 1 + 2 + 4 + 8}
+    tally = {}
+    _assert_identical(spgemm_dot_masked(A, B, semiring, mask, tally,
+                                        window=16), oracle)
+    assert tally == {"probes": 16}
+
+
+def test_dot_walks_the_shorter_side():
+    """A long row against a one-element column costs one look-up, and the
+    other way round; groups keep ESC's k-ascending seed order either way."""
+    rng = np.random.default_rng(23)
+    inner = 500
+    long_row = np.sort(rng.permutation(inner)[:300])
+    k = long_row[-1:]
+    semiring = PositionsSemiring()
+    mask = CooMat((1, 1), [0], [0], [[1]])
+    for row_a, col_b in ((long_row, k), (k, long_row)):
+        A, B = _pair_operands(row_a, col_b, inner, rng)
+        tally = {}
+        out = spgemm_dot_masked(A, B, semiring, mask, tally)
+        _assert_identical(out, spgemm_esc_masked(A, B, semiring, mask))
+        assert out.nnz == 1 and tally == {"probes": 1}
+
+
+def test_dot_mask_entries_without_products_and_empty_lines():
+    """Mask coordinates whose row/column share nothing, rows and columns
+    that are empty, and a mask far denser than the product."""
+    semiring = PositionsSemiring()
+    #      k: 0  1  2  3  4  5
+    # row 0:  x  .  x  .  .  .
+    # row 1:  .  .  .  .  .  .      (empty row)
+    # row 2:  .  x  .  x  .  x
+    A = CooMat((3, 6), [0, 0, 2, 2, 2], [0, 2, 1, 3, 5],
+               [[10, 0], [11, 1], [12, 0], [13, 1], [14, 0]])
+    # col 0 = {0, 2}, col 1 = {} (empty column), col 2 = {1, 4}, col 3 = {3, 5}
+    B = CooMat((6, 4), [0, 2, 1, 4, 3, 5], [0, 0, 2, 2, 3, 3],
+               [[20, 0], [21, 0], [22, 1], [23, 1], [24, 0], [25, 1]])
+    full = CooMat((3, 4), np.repeat(np.arange(3), 4), np.tile(np.arange(4), 3),
+                  np.ones((12, 1), dtype=np.int64))
+    oracle = mask_select(spgemm_esc(A, B, semiring), full)
+    assert list(zip(oracle.row, oracle.col)) == [(0, 0), (2, 2), (2, 3)]
+    for window in (1, 8):
+        _assert_identical(spgemm_dot_masked(A, B, semiring, full,
+                                            window=window), oracle)
+    _assert_identical(spgemm_esc_masked(A, B, semiring, full), oracle)
+
+
+def test_masked_kernels_accept_read_only_operands():
+    """Operands mapped read-only (a store-backed block, a forked worker's
+    pages) go through both kernels untouched."""
+    rng = np.random.default_rng(24)
+    A = _positions_operand(rng, 12, 30, 0.5)
+    B = _positions_operand(rng, 30, 9, 0.5)
+    mask = _rand_mat(rng, 12, 9, 0.6, 1)
+    semiring = PositionsSemiring()
+    oracle = mask_select(spgemm_esc(A, B, semiring), mask)
+    for m in (A, B, mask):
+        for arr in (m.row, m.col, m.vals):
+            arr.flags.writeable = False
+    for run in KERNELS.values():
+        _assert_identical(run(A, B, semiring, mask), oracle)
 
 
 # -- backend dispatch paths ----------------------------------------------------
@@ -255,13 +458,161 @@ def test_spgemm_with_path_labels():
     assert path == "csr"
     _, path = SCIPY.spgemm_with_path(A1, A1, PlusTimes(), mask=mask1)
     assert path == "masked_csr"
-    # Multi-field semirings never lower: scipy/auto run the (masked) ESC.
-    for bk in (SCIPY, AUTO):
+    # Multi-field semirings never lower: every backend runs the numpy
+    # kernels — masked, the one masked_route picks (ESC on this sparse,
+    # low-compression input; the routing tests below cover the other side).
+    assert not masked_route(A2, At2, mask2, 2).dot
+    for bk in (NUMPY, SCIPY, AUTO):
         _, path = bk.spgemm_with_path(A2, At2, PositionsSemiring(),
                                       mask=mask2)
         assert path == "masked_esc"
         _, path = bk.spgemm_with_path(A2, At2, PositionsSemiring())
         assert path == "esc"
+
+
+# -- kernel choice: routing, counters, memory ----------------------------------
+
+def _read_kmer_operands(rng, n_reads, read_len, genome, keep=0.9):
+    """Read-by-k-mer operands (A, Aᵀ, strict-upper-triangle mask of A·Aᵀ):
+    ``n_reads`` windows of ``read_len`` k-mer slots over a ``genome`` whose
+    k-mer ids are shuffled, each slot kept with probability ``keep``."""
+    ids = rng.permutation(genome)
+    starts = rng.integers(0, genome - read_len, n_reads)
+    rows = np.repeat(np.arange(n_reads), read_len)
+    cols = ids[(starts[:, None] + np.arange(read_len)[None, :]).ravel()]
+    kept = rng.random(rows.shape[0]) < keep
+    rows, cols = rows[kept], cols[kept]
+    A = CooMat((n_reads, genome), rows, cols,
+               np.stack([rng.integers(0, 5000, rows.shape[0]),
+                         rng.integers(0, 2, rows.shape[0])], axis=1))
+    At = NUMPY.transpose(A)
+    full = (A.pattern_csr() @ At.pattern_csr()).tocoo()
+    upper = full.row < full.col
+    mask = CooMat(full.shape, full.row[upper], full.col[upper],
+                  np.ones((int(upper.sum()), 1), dtype=np.int64))
+    return A, At, mask
+
+
+def test_route_follows_compression():
+    """Many shared columns per masked pair (long, clean reads) take the dot
+    kernel; few (short, noisy reads at equal nnz) take ESC — through the
+    backend's path label, the same rule on both."""
+    semiring = PositionsSemiring()
+    rng = np.random.default_rng(31)
+    labels = {}
+    for name, args in (("high", (60, 600, 4000, 0.9)),
+                       ("low", (1200, 150, 40000, 0.2))):
+        A, At, mask = _read_kmer_operands(rng, *args)
+        route = masked_route(A, At, mask, semiring.product_reduce_depth)
+        out, labels[name] = AUTO.spgemm_with_path(A, At, semiring, mask=mask)
+        _assert_identical(out, spgemm_esc_masked(A, At, semiring, mask))
+        # The rule's inputs, so a failure names the quantity that moved.
+        print(name, "nnz(A) =", A.nnz, route,
+              "products/mask entry =", route.flops / route.nnz_mask,
+              "flops/est_probes =", route.flops / route.est_probes)
+        assert route.dot == (labels[name] == "masked_dot"), route
+    assert labels == {"high": "masked_dot", "low": "masked_esc"}
+
+
+def test_route_is_a_pure_function_of_pre_expansion_quantities():
+    """flops from the row pointers, span from the masked pairs' lengths,
+    the estimate and the decision from those — checked against a dense
+    recomputation on asymmetric products, below and above the flops floor."""
+    rng = np.random.default_rng(32)
+    taken = []
+    for rows, inner, cols in ((14, 50, 9), (60, 200, 45)):
+        A = _positions_operand(rng, rows, inner, 0.4)
+        B = _positions_operand(rng, inner, cols, 0.7)
+        mask = _rand_mat(rng, rows, cols, 0.5, 1)
+        pa = A.pattern_csr().toarray()
+        pb = B.pattern_csr().toarray()
+        route = masked_route(A, B, mask, 2)
+        assert route.flops == int((pa @ pb).sum())
+        assert route.nnz_mask == mask.nnz
+        assert route.span == int(np.minimum(pa.sum(1)[mask.row],
+                                            pb.sum(0)[mask.col]).sum())
+        assert route.est_probes == \
+            route.span * min(1, 2 * mask.nnz / route.flops)
+        assert route.flops >= 8 * route.est_probes, route
+        assert route.dot == (route.flops >= 2 ** 15), route
+        taken.append(route.dot)
+    assert taken == [False, True]
+
+
+def test_dot_probes_bounded_and_additive_over_blocks():
+    """On the dot path ``probes`` never exceeds the masked pairs' shorter
+    lines (let alone ``Σ len_i + len_j``), whatever the group sizes; ESC's
+    ``products`` is the block's flops; and SUMMA's per-stage work counters
+    are the plain sum over its block products."""
+    semiring = PositionsSemiring()
+    rng = np.random.default_rng(33)
+    A, At, mask = _read_kmer_operands(rng, 96, 600, 4000, 0.9)
+    route = masked_route(A, At, mask, 2)
+    a_len = np.diff(A.csr_indptr())
+    b_len = np.bincount(At.col, minlength=At.shape[1])
+    tally = {}
+    spgemm_dot_masked(A, At, semiring, mask, tally)
+    assert set(tally) == {"probes"}
+    assert 0 < tally["probes"] <= route.span <= \
+        int((a_len[mask.row] + b_len[mask.col]).sum())
+    tally = {}
+    spgemm_esc_masked(A, At, semiring, mask, tally)
+    assert tally == {"products": route.flops}
+
+    grid = ProcessGrid2D(4)
+    dA = DistMat.from_coo(A.shape, grid, A.row, A.col, A.vals)
+    dAt = dA.transpose(backend=AUTO)
+    dmask = DistMat.from_coo(mask.shape, grid, mask.row, mask.col, mask.vals)
+    timer = StageTimer()
+    summa(dA, dAt, semiring, SimComm(4, CommTracker(4)), "Stage", timer,
+          mask=dmask)
+    expect_paths, expect_work = {}, {}
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                _, path = spgemm_masked(dA.blocks[i][k], dAt.blocks[k][j],
+                                        semiring, dmask.blocks[i][j],
+                                        expect_work)
+                expect_paths[path] = expect_paths.get(path, 0) + 1
+    assert timer.kernel_counts() == {"Stage": expect_paths}
+    assert timer.work_counts() == {"Stage": expect_work}
+    assert expect_paths["masked_dot"] >= 4 and expect_work["probes"] > 0
+    # The counters ride StageTimer.merge like every other stage record.
+    twice = StageTimer()
+    twice.merge(timer)
+    twice.merge(timer)
+    assert twice.work_counts()["Stage"]["probes"] == 2 * expect_work["probes"]
+
+
+def _traced_peak(run, *args):
+    tracemalloc.start()
+    try:
+        out = run(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dot_memory_tracks_operands_not_flops():
+    """Peak allocation of the dot path on a ≥ 100-products-per-mask-entry
+    input is a small multiple of ``nnz(A) + nnz(B) + probes`` words
+    (measured: 2.0), below the 8 bytes per elementary product that ESC's
+    narrowest product-scale array alone costs, and an order of magnitude
+    below what ESC really allocates (measured: 25x)."""
+    semiring = PositionsSemiring()
+    rng = np.random.default_rng(34)
+    A, At, mask = _read_kmer_operands(rng, 120, 1500, 12000, 0.9)
+    route = masked_route(A, At, mask, 2)
+    assert route.dot and route.flops >= 100 * mask.nnz
+    A.csr_indptr(), At.csr_indptr()          # cached derivatives: not ours
+    tally = {}
+    out, peak = _traced_peak(spgemm_dot_masked, A, At, semiring, mask, tally)
+    esc, esc_peak = _traced_peak(spgemm_esc_masked, A, At, semiring, mask)
+    _assert_identical(out, esc)
+    words = A.nnz + At.nnz + tally["probes"]
+    assert peak < 4 * 8 * words, (peak, words)
+    assert peak < 8 * route.flops / 2, (peak, route.flops)
+    assert 10 * peak < esc_peak, (peak, esc_peak)
 
 
 # -- masked SUMMA --------------------------------------------------------------
@@ -286,6 +637,37 @@ def test_summa_masked_matches_filtered(P, make_executor):
               mask=mask)
     expect = mask_select(spgemm_esc(GA, GB, PlusTimes()), gmask)
     _assert_identical(C.to_global(), expect)
+
+
+@pytest.mark.parametrize("P", [1, 4, 9])
+@pytest.mark.parametrize("make_executor",
+                         [lambda: SERIAL, lambda: ThreadExecutor(3),
+                          lambda: ProcessExecutor(2)],
+                         ids=["serial", "thread3", "process2"])
+def test_summa_masked_dot_matches_filtered(P, make_executor):
+    """The positions product under a mask, on blocks the router sends to
+    the dot kernel: same bytes as the global ESC ∩ mask on every grid and
+    executor, with the work tally carried back from pool workers."""
+    rng = np.random.default_rng(40 + P)
+    GA, _, _ = _read_kmer_operands(rng, 72, 900, 3000, 0.9)
+    GB = _positions_operand(rng, GA.shape[1], 29, 0.8)      # B ≠ Aᵀ
+    gmask = _rand_mat(rng, 72, 29, 0.5, 1)
+    grid = ProcessGrid2D(P)
+    A = DistMat.from_coo(GA.shape, grid, GA.row, GA.col, GA.vals)
+    B = DistMat.from_coo(GB.shape, grid, GB.row, GB.col, GB.vals)
+    mask = DistMat.from_coo(gmask.shape, grid, gmask.row, gmask.col,
+                            gmask.vals)
+    semiring = PositionsSemiring()
+    timer = StageTimer()
+    with make_executor() as executor:
+        C = summa(A, B, semiring, SimComm(P, CommTracker(P)), "t", timer,
+                  executor=executor, mask=mask)
+    _assert_identical(C.to_global(),
+                      mask_select(spgemm_esc(GA, GB, semiring), gmask))
+    paths = timer.kernel_counts()["t"]
+    assert sum(paths.values()) == grid.q ** 3
+    assert paths.get("masked_dot", 0) > 0, paths
+    assert timer.work_counts()["t"]["probes"] > 0
 
 
 def test_summa_mask_validation():
@@ -353,14 +735,22 @@ def test_pipeline_byte_identical_across_engines(tiny_reads, overlap_mode):
 
 def test_pipeline_reports_engine_and_paths(tiny_reads):
     cfg = PipelineConfig(nprocs=4, align_mode="chain", fuzz=20,
-                         depth_hint=9, error_hint=0.0, spgemm_impl="masked")
+                         depth_hint=9, error_hint=0.0, spgemm_impl="masked",
+                         overlap_mode="monolithic")
     result = run_pipeline(tiny_reads, cfg)
     assert result.config.spgemm_impl == "masked"
     paths = result.spgemm_paths
-    # The overlap product splits into a native count pass + a masked ESC
-    # seed pass; the TR squaring is masked ESC throughout.
-    assert set(paths["SpGEMM"]) == {"csr", "masked_esc"}
+    # The overlap product splits into a native count pass + a masked seed
+    # pass: error-free reads share hundreds of k-mers per candidate pair,
+    # so every block with a non-empty mask takes the dot kernel (the
+    # below-diagonal block's triangle mask is empty: 2 of the 8 stay on
+    # ESC's early exit).  The MinPlus TR squaring has no truncation depth:
+    # masked ESC throughout.
+    assert paths["SpGEMM"] == {"csr": 8, "masked_dot": 6, "masked_esc": 2}
     assert set(paths["TrReduction"]) == {"masked_esc"}
+    work = result.spgemm_work
+    assert set(work["SpGEMM"]) == {"probes"} and work["SpGEMM"]["probes"] > 0
+    assert set(work["TrReduction"]) == {"products"}
     esc = run_pipeline(tiny_reads,
                        PipelineConfig(nprocs=4, align_mode="chain", fuzz=20,
                                       depth_hint=9, error_hint=0.0,
@@ -368,6 +758,28 @@ def test_pipeline_reports_engine_and_paths(tiny_reads):
     assert esc.config.spgemm_impl == "esc"
     assert set(esc.spgemm_paths["SpGEMM"]) == {"esc"}
     assert set(esc.spgemm_paths["TrReduction"]) == {"esc"}
+    assert esc.spgemm_work == {}        # the oracle engine passes no mask
+
+
+def test_default_pipeline_paths_follow_resolved_engine(tiny_reads):
+    """Whatever engine, overlap mode and executor the environment resolves
+    (the ``spgemm-esc``, ``blocked`` and ``process-4`` CI legs), the
+    reported paths and work counters are that engine's and agree with each
+    other."""
+    result = run_pipeline(tiny_reads,
+                          PipelineConfig(nprocs=4, align_mode="chain",
+                                         fuzz=20, depth_hint=9,
+                                         error_hint=0.0))
+    paths, work = result.spgemm_paths, result.spgemm_work
+    if result.config.spgemm_impl == "masked":
+        # Which masked kernel depends on block size (strips fall under the
+        # dot kernel's flops floor); the work counters name the one taken.
+        seed_pass = set(paths["SpGEMM"]) - {"csr"}
+        assert seed_pass and seed_pass <= {"masked_dot", "masked_esc"}
+        assert ("masked_dot" in seed_pass) == ("probes" in work["SpGEMM"])
+        assert sum(work["SpGEMM"].values()) > 0
+    else:
+        assert set(paths["SpGEMM"]) == {"esc"} and work == {}
 
 
 def test_pipeline_rejects_unknown_engine(tiny_reads):
