@@ -187,8 +187,10 @@ def _print_stats(result, machine_name: str) -> None:
           f"{result.tr_rounds} reduction rounds")
     _print_counts("kernel work per stage (spgemm block products per path; "
                   "x-drop sweep rounds, cells, words):", result.spgemm_paths)
-    _print_counts("masked spgemm work per stage (products expanded by ESC; "
-                  "probes looked up by the dot kernel):", result.spgemm_work)
+    _print_counts("exact work per stage (k-mer lookup windows, table probes, "
+                  "binary-search leftover; masked spgemm products expanded "
+                  "by ESC, probes looked up by the dot kernel):",
+                  result.work_counts)
     peaks = result.peak_bytes
     if peaks:
         print("peak live matrix bytes per stage:")

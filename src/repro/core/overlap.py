@@ -74,15 +74,20 @@ class AlignmentFilter:
 
 
 def _a_scan_task(ctx, span):
-    """Executor task: one 1D rank's (read, seed k-mer) entry scan."""
+    """Executor task: one 1D rank's (read, seed k-mer) entry scan.
+
+    Returns ``(entries | None, tally)``; ``tally`` is the dictionary
+    lookup's exact work (:meth:`~repro.seqs.kmer_counter.KmerTable.lookup`).
+    """
     reads, table, scheme = ctx
     lo, hi = span
     rr, cc, vv = [], [], []
+    tally: dict[str, int] = {}
     for gi in range(lo, hi):
         keys, seed_pos, seed_flip = scheme.seeds_of_read(reads[gi])
         if keys.shape[0] == 0:
             continue
-        col = table.lookup(keys)
+        col = table.lookup(keys, tally)
         ok = col >= 0
         if not ok.any():
             continue
@@ -95,8 +100,8 @@ def _a_scan_task(ctx, span):
         cc.append(col[first])
         vv.append(np.stack([pos[first], flip[first]], axis=1))
     if not rr:
-        return None
-    return np.concatenate(rr), np.concatenate(cc), np.vstack(vv)
+        return None, tally
+    return (np.concatenate(rr), np.concatenate(cc), np.vstack(vv)), tally
 
 
 def _a_scan_batch_task(ctx, task):
@@ -109,16 +114,17 @@ def _a_scan_batch_task(ctx, task):
     Extraction, dictionary lookup, and first-occurrence dedup all run over
     the whole block at once.  Output entries are ordered by (read, column)
     with the first-occurrence position/flip per (read, k-mer) — exactly
-    the loop task's order.
+    the loop task's order, and the same ``(entries | None, tally)`` shape.
     """
     table, scheme, reads = ctx
     lo, hi = task
     codes, offsets, lengths = reads.soa_block(lo, hi)
     canon, ridx, pos, flip = scheme.seeds_of_block(codes, offsets, lengths)
-    col = table.lookup(canon)
+    tally: dict[str, int] = {}
+    col = table.lookup(canon, tally)
     ok = col >= 0
     if not ok.any():
-        return None
+        return None, tally
     ridx, col, pos = ridx[ok], col[ok], pos[ok]
     flip = flip[ok].astype(np.int64)
     # Keep the first occurrence per (read, k-mer): entries arrive in
@@ -129,7 +135,7 @@ def _a_scan_batch_task(ctx, task):
     comp = ridx * np.int64(len(table)) + col
     _, first = np.unique(comp, return_index=True)
     ridx, col, pos, flip = ridx[first], col[first], pos[first], flip[first]
-    return ridx + lo, col, np.stack([pos, flip], axis=1)
+    return (ridx + lo, col, np.stack([pos, flip], axis=1)), tally
 
 
 def build_a_matrix(reads: ReadSet, table: KmerTable, grid: ProcessGrid2D,
@@ -143,7 +149,9 @@ def build_a_matrix(reads: ReadSet, table: KmerTable, grid: ProcessGrid2D,
     in the reliable dictionary (a distributed-hash lookup in a real run)
     and routes the resulting ``(read, column, pos, flip)`` entries to their
     2D block owners; that routing is the ``CreateSpMat`` traffic.  The
-    per-rank scans are independent and run on ``executor``.
+    per-rank scans are independent and run on ``executor``; the lookup's
+    exact work (``windows``, ``probes``, ``leftover``) comes back with each
+    scan and is summed into ``timer``'s work counters.
 
     ``impl`` selects the scan engine (:data:`repro.options.KMER_IMPL`):
     ``"batch"`` runs each rank's scan as one vectorized
@@ -177,17 +185,18 @@ def build_a_matrix(reads: ReadSet, table: KmerTable, grid: ProcessGrid2D,
                 _a_scan_task, spans, context=(reads, table, scheme),
                 weights=[hi - lo for lo, hi in spans])
         step.charge_many(range(P), secs)
-    rows_parts = [part[0] for part in parts if part is not None]
-    cols_parts = [part[1] for part in parts if part is not None]
-    vals_parts = [part[2] for part in parts if part is not None]
-
-    if rows_parts:
-        row = np.concatenate(rows_parts)
-        col = np.concatenate(cols_parts)
-        vals = np.vstack(vals_parts)
+    for _, tally in parts:
+        for name, count in tally.items():
+            timer.count_work(stage, name, count)
+    parts = [entries for entries, _ in parts if entries is not None]
+    if parts:
+        row = np.concatenate([part[0] for part in parts])
+        col = np.concatenate([part[1] for part in parts])
+        vals = np.vstack([part[2] for part in parts])
     else:
         row = col = np.empty(0, np.int64)
         vals = np.empty((0, 2), np.int64)
+    del parts   # or routing and distribution would hold A's entries twice
 
     charge_a_routing(row, col, n, m, grid, comm, stage=stage)
 
@@ -208,21 +217,21 @@ def charge_a_routing(row: np.ndarray, col: np.ndarray, n_reads: int,
     merged entry arrays without re-running the scan.
     """
     P = comm.nprocs
-    bounds = block_bounds(n_reads, P)
-    rb = grid.row_bounds(n_reads)
-    cb = grid.col_bounds(n_kmers)
-    bi = np.searchsorted(rb, row, side="right") - 1
-    bj = np.searchsorted(cb, col, side="right") - 1
-    dest = bi * grid.q + bj
-    src = np.searchsorted(bounds, row, side="right") - 1
     entry_bytes = 8 * 4  # row, col, pos, flip
-    for p in range(P):
-        mine = src == p
-        offrank = dest[mine] != p
-        n_off = int(offrank.sum())
-        if n_off:
-            n_dests = int(np.unique(dest[mine][offrank]).shape[0])
-            comm.tracker.record(stage, p, n_off * entry_bytes, n_dests)
+    # One census of (source, destination) pairs answers both questions for
+    # every rank at once; the diagonal is the entries that stay home.  The
+    # pair id ``src * P + dest`` is built in place on the 1D source ranks.
+    pair = np.searchsorted(block_bounds(n_reads, P), row, side="right")
+    pair -= 1
+    pair *= P
+    pair += grid.owners_of(row, col, n_reads, n_kmers)
+    moved = np.bincount(pair, minlength=P * P).reshape(P, P)
+    np.fill_diagonal(moved, 0)
+    n_off = moved.sum(axis=1)
+    n_dests = np.count_nonzero(moved, axis=1)
+    for p in np.flatnonzero(n_off):
+        comm.tracker.record(stage, int(p), int(n_off[p]) * entry_bytes,
+                            int(n_dests[p]))
 
 
 def _pattern_of(M: DistMat) -> DistMat:

@@ -182,9 +182,10 @@ class PipelineResult:
         return self.timer.kernel_counts()
 
     @property
-    def spgemm_work(self) -> dict[str, dict[str, int]]:
-        """Per-stage masked-SpGEMM work (``repro stats``): ``products``
-        expanded by ESC, ``probes`` looked up by the dot kernel."""
+    def work_counts(self) -> dict[str, dict[str, int]]:
+        """Per-stage exact work (``repro stats``): the A scan's lookup
+        ``windows``/``probes``/``leftover``; masked SpGEMM ``products``
+        expanded by ESC and ``probes`` looked up by the dot kernel."""
         return self.timer.work_counts()
 
     # -- paper statistics ---------------------------------------------------

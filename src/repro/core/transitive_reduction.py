@@ -37,6 +37,7 @@ import numpy as np
 from ..dsparse.backend import Backend, get_backend
 from ..dsparse.distmat import DistMat
 from ..dsparse.elementwise import reduce_rows
+from ..dsparse.membership import match_sorted
 from ..dsparse.summa import summa
 from ..exec import Executor, SERIAL
 from ..mpisim.comm import SimComm
@@ -87,12 +88,9 @@ def _mask_prune_task(ctx, task):
     rb, nb, bound = task
     if rb.nnz == 0 or nb.nnz == 0:
         return rb
-    rk, nk = rb.keys(), nb.keys()
-    common = np.intersect1d(rk, nk, assume_unique=True)
-    if common.shape[0] == 0:
+    ir, inn = match_sorted(rb.keys(), nb.keys())
+    if ir.shape[0] == 0:
         return rb
-    ir = np.searchsorted(rk, common)
-    inn = np.searchsorted(nk, common)
     slots = n_slot(rb.vals[ir, R_END_I], rb.vals[ir, R_END_J])
     transitive = nb.vals[inn, slots] <= bound[ir]
     if not transitive.any():

@@ -3,7 +3,8 @@
 2D block-distributed matrices (:class:`~repro.dsparse.distmat.DistMat`) over
 local COO/CSR blocks (:class:`~repro.dsparse.coomat.CooMat`), semiring
 algebra (:mod:`~repro.dsparse.semiring`), vectorized local SpGEMM
-(:mod:`~repro.dsparse.spgemm`), distributed Sparse SUMMA
+(:mod:`~repro.dsparse.spgemm`), sorted-key membership
+(:mod:`~repro.dsparse.membership`), distributed Sparse SUMMA
 (:mod:`~repro.dsparse.summa`) and the element-wise kernels of Algorithm 2
 (:mod:`~repro.dsparse.elementwise`).
 
@@ -24,6 +25,7 @@ from .backend import (
 )
 from .spgemm import expand_products, packed_order, spgemm_esc, \
     spgemm_gustavson, multiway_merge
+from .membership import in_sorted, match_sorted
 from .masked import (mask_select, masked_route, spgemm_dot_masked,
                      spgemm_esc_masked, spgemm_masked)
 from .summa import summa
@@ -40,6 +42,7 @@ __all__ = [
     "get_backend", "register_backend", "available_backends",
     "expand_products", "packed_order", "spgemm_esc", "spgemm_gustavson",
     "multiway_merge",
+    "in_sorted", "match_sorted",
     "mask_select", "masked_route", "spgemm_dot_masked", "spgemm_esc_masked",
     "spgemm_masked",
     "summa",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..mpisim.grid import ProcessGrid2D
+from ..mpisim.grid import ProcessGrid2D, partition_by_owner
 from .coomat import CooMat
 
 __all__ = ["DistMat"]
@@ -46,16 +46,22 @@ class DistMat:
         q = grid.q
         rb = grid.row_bounds(shape[0])
         cb = grid.col_bounds(shape[1])
-        bi = np.searchsorted(rb, row, side="right") - 1
-        bj = np.searchsorted(cb, col, side="right") - 1
+        if row.shape[0] and not (0 <= row.min() and row.max() < shape[0] and
+                                 0 <= col.min() and col.max() < shape[1]):
+            raise ValueError(f"coordinates outside the {shape[0]}x{shape[1]} "
+                             f"matrix")
+        # One stable partition by owning block: each block's entries keep
+        # their input order, as a boolean mask per block would leave them.
+        order, cut = partition_by_owner(
+            grid.owners_of(row, col, shape[0], shape[1]), q * q)
         blocks: list[list[CooMat]] = []
         for i in range(q):
             brow: list[CooMat] = []
             for j in range(q):
-                m = (bi == i) & (bj == j)
+                mine = order[cut[i * q + j]:cut[i * q + j + 1]]
                 block = CooMat(
                     (int(rb[i + 1] - rb[i]), int(cb[j + 1] - cb[j])),
-                    row[m] - rb[i], col[m] - cb[j], vals[m])
+                    row[mine] - rb[i], col[mine] - cb[j], vals[mine])
                 brow.append(block)
             blocks.append(brow)
         return cls(shape, grid, blocks, vals.shape[1])

@@ -25,6 +25,7 @@ from ..mpisim.comm import SimComm
 from .backend import Backend, get_backend
 from .coomat import CooMat
 from .distmat import DistMat
+from .membership import in_sorted, match_sorted
 
 __all__ = [
     "reduce_rows",
@@ -93,15 +94,6 @@ def dimapply_rows(A: DistMat, v: np.ndarray, out_field: int = 0) -> DistMat:
     return DistMat(A.shape, A.grid, blocks, 1)
 
 
-def _match_mask(a: CooMat, b: CooMat) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (into a and b) of their common coordinates."""
-    ka, kb = a.keys(), b.keys()
-    common = np.intersect1d(ka, kb, assume_unique=True)
-    ia = np.searchsorted(ka, common)
-    ib = np.searchsorted(kb, common)
-    return ia, ib
-
-
 def ewise_compare_mask(M: DistMat, N: DistMat,
                        predicate: Callable[[np.ndarray, np.ndarray], np.ndarray]
                        ) -> DistMat:
@@ -120,7 +112,7 @@ def ewise_compare_mask(M: DistMat, N: DistMat,
         brow = []
         for j in range(q):
             mb, nb = M.blocks[i][j], N.blocks[i][j]
-            im, inn = _match_mask(mb, nb)
+            im, inn = match_sorted(mb.keys(), nb.keys())
             if im.shape[0] == 0:
                 brow.append(CooMat.empty(mb.shape, 1))
                 continue
@@ -152,7 +144,7 @@ def prune_mask(R: DistMat, I: DistMat,
             if ib.nnz == 0 or rb.nnz == 0:
                 brow.append(rb)
                 continue
-            keep = ~np.isin(rb.keys(), ib.keys(), assume_unique=True)
+            keep = ~in_sorted(ib.keys(), rb.keys())
             brow.append(backend.select(rb, keep))
         blocks.append(brow)
     return DistMat(R.shape, R.grid, blocks, R.nfields)

@@ -7,10 +7,13 @@ block product:
 
 :func:`spgemm_esc_masked` — expand-sort-compress, pruned.
     Every elementary product of the *unmasked* ``A ⊗ B`` is expanded (as an
-    index pair) and looked up in the mask; only the survivors reach the
-    semiring multiply and the sort.  So the two superlinear steps track the
-    masked products, but expansion and the mask lookup still pay for every
-    product, inside the mask or not.  Handles every semiring.
+    index pair) and looked up in the mask
+    (:func:`~repro.dsparse.membership.in_sorted`: one indexed byte per
+    product while a block's key span is small, a binary search otherwise);
+    only the survivors reach the semiring multiply and the sort.  So the
+    two superlinear steps track the masked products, but expansion and the
+    mask lookup still pay for every product, inside the mask or not.
+    Handles every semiring.
 
 :func:`spgemm_dot_masked` — mask-driven (the inner-product, "dot",
 formulation).
@@ -51,6 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .coomat import CooMat
+from .membership import in_sorted
 from .semiring import Semiring
 from .spgemm import _sort_reduce, expand_products, spgemm_esc
 
@@ -85,13 +89,14 @@ def mask_select(A: CooMat, mask: CooMat) -> CooMat:
     """Entries of ``A`` whose coordinates appear in ``mask`` (order kept).
 
     Both operands are canonical, so their packed key arrays are sorted and
-    unique — membership is a single ``np.isin`` over int64 keys.
+    unique — membership is one
+    :func:`~repro.dsparse.membership.in_sorted` over int64 keys.
     """
     if A.shape != mask.shape:
         raise ValueError(f"mask shape {mask.shape} != matrix shape {A.shape}")
     if A.nnz == 0 or mask.nnz == 0:
         return CooMat.empty(A.shape, A.nfields)
-    keep = np.isin(A.keys(), mask.keys(), assume_unique=True)
+    keep = in_sorted(mask.keys(), A.keys())
     return A.select(keep)
 
 
@@ -212,10 +217,9 @@ def spgemm_esc_masked(A: CooMat, B: CooMat, semiring: Semiring,
     ci = A.row[a_idx]
     cj = B.col[b_idx]
     # Coordinate prune FIRST: products outside the mask never reach the
-    # semiring multiply or the sort.  Product keys repeat per group, so only
-    # the mask side is assume_unique.
+    # semiring multiply or the sort.
     keys = ci * np.int64(out_shape[1]) + cj
-    keep = np.isin(keys, mask.keys())
+    keep = in_sorted(mask.keys(), keys)
     depth = semiring.product_reduce_depth
     if depth is not None:
         # The truncated reduce reads coordinates at group leads only, where

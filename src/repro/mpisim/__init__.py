@@ -10,13 +10,13 @@ substitution preserves the paper's measured quantities.
 """
 
 from .comm import SimComm, nbytes_of
-from .grid import ProcessGrid2D, block_bounds
+from .grid import ProcessGrid2D, block_bounds, partition_by_owner
 from .machine import MachineModel, CORI_HASWELL, SUMMIT_CPU, MACHINES
 from .tracker import CommTracker, StageTimer
 
 __all__ = [
     "SimComm", "nbytes_of",
-    "ProcessGrid2D", "block_bounds",
+    "ProcessGrid2D", "block_bounds", "partition_by_owner",
     "MachineModel", "CORI_HASWELL", "SUMMIT_CPU", "MACHINES",
     "CommTracker", "StageTimer",
 ]

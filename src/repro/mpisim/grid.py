@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-__all__ = ["ProcessGrid2D", "block_bounds"]
+__all__ = ["ProcessGrid2D", "block_bounds", "partition_by_owner"]
 
 
 def block_bounds(n: int, parts: int) -> np.ndarray:
@@ -29,6 +29,28 @@ def block_bounds(n: int, parts: int) -> np.ndarray:
     sizes = np.full(parts, base, dtype=np.int64)
     sizes[:rem] += 1
     return np.concatenate([[0], np.cumsum(sizes)])
+
+
+def partition_by_owner(owner: np.ndarray, n_owners: int
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Stable partition of items by owner id: ``(order, bounds)``.
+
+    ``order[bounds[p]:bounds[p + 1]]`` lists the items of owner ``p`` in
+    their original relative order — what one boolean mask per owner
+    selects, in one pass.  Owner ids are a small universe, so the stable
+    argsort runs on the narrowest unsigned dtype that holds them (numpy
+    radix-sorts 8- and 16-bit keys) and the cuts come from a ``bincount``;
+    nothing compares 64-bit keys.  Ids outside ``[0, n_owners)`` are
+    refused.
+    """
+    if owner.shape[0] and not 0 <= owner.min() <= owner.max() < n_owners:
+        raise ValueError(f"owner ids must lie in [0, {n_owners}), got "
+                         f"{owner.min()}..{owner.max()}")
+    narrow = owner.astype(np.min_scalar_type(max(0, n_owners - 1)),
+                          copy=False)
+    bounds = np.zeros(n_owners + 1, dtype=np.int64)
+    np.cumsum(np.bincount(narrow, minlength=n_owners), out=bounds[1:])
+    return np.argsort(narrow, kind="stable"), bounds
 
 
 class ProcessGrid2D:
@@ -70,6 +92,20 @@ class ProcessGrid2D:
         br = int(np.searchsorted(rb, i, side="right") - 1)
         bc = int(np.searchsorted(cb, j, side="right") - 1)
         return self.rank_of(br, bc)
+
+    def owners_of(self, row: np.ndarray, col: np.ndarray, n_rows: int,
+                  n_cols: int) -> np.ndarray:
+        """:meth:`owner_of` for whole coordinate arrays: one rank id each.
+
+        Built in place on the block-row index, so nothing entry-sized
+        beyond the result and one ``searchsorted`` output is alive at once.
+        """
+        owner = np.searchsorted(self.row_bounds(n_rows), row, side="right")
+        owner -= 1
+        owner *= self.q
+        owner += np.searchsorted(self.col_bounds(n_cols), col, side="right")
+        owner -= 1
+        return owner
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ProcessGrid2D({self.q}x{self.q})"

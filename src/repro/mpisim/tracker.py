@@ -187,17 +187,21 @@ class StageTimer:
         return _copy(self.stage_kernel_counts)
 
     def count_work(self, stage: str, name: str, n: int) -> None:
-        """Add ``n`` to ``stage``'s exact masked-SpGEMM work counter ``name``.
+        """Add ``n`` to ``stage``'s exact work counter ``name``.
 
-        ``products`` are the elementary products the masked ESC kernel
-        expanded, ``probes`` the row/column elements the dot kernel looked
-        up (:mod:`repro.dsparse.masked`).  Both are sums over block
-        products, so they add over SUMMA stages, strips and workers.
+        For the SpGEMM stages: ``products`` are the elementary products
+        the masked ESC kernel expanded, ``probes`` the row/column elements
+        the dot kernel looked up (:mod:`repro.dsparse.masked`) — sums over
+        block products, so they add over SUMMA stages, strips and workers.
+        For ``CreateSpMat``: the dictionary lookup's ``windows`` (seed
+        k-mers looked up), ``probes`` (table keys compared) and
+        ``leftover`` (queries finished by binary search) — sums over
+        queries (:meth:`repro.seqs.kmer_counter.KmerTable.lookup`).
         """
         _add(self.stage_work_counts, stage, name, n)
 
     def work_counts(self) -> dict[str, dict[str, int]]:
-        """Per-stage masked-SpGEMM work counters (copies)."""
+        """Per-stage exact work counters (copies)."""
         return _copy(self.stage_work_counts)
 
     def merge(self, other: "StageTimer") -> None:

@@ -78,6 +78,7 @@ from ..core.transitive_reduction import transitive_reduction
 from ..dsparse.backend import get_backend
 from ..dsparse.coomat import CooMat
 from ..dsparse.distmat import DistMat
+from ..dsparse.membership import in_sorted
 from ..dsparse.summa import summa, summa_comm_replay
 from ..exec import get_executor
 from ..mpisim.comm import SimComm
@@ -138,15 +139,6 @@ def batch_occurrences(reads: ReadSet, k: int, row_offset: int = 0,
             flip[order][head].astype(np.int64))
 
 
-def _in_sorted(sorted_arr: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Membership of ``values`` in a sorted array, as a boolean mask."""
-    if sorted_arr.shape[0] == 0 or values.shape[0] == 0:
-        return np.zeros(values.shape[0], dtype=bool)
-    idx = np.minimum(np.searchsorted(sorted_arr, values),
-                     sorted_arr.shape[0] - 1)
-    return sorted_arr[idx] == values
-
-
 def _a_entries(occ_key, occ_read, occ_pos, occ_flip, table
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """A's global COO entries: the occurrence table filtered to ``table``."""
@@ -193,12 +185,12 @@ def _affected_pairs(arow, acol, state: AssemblyState, table, n: int,
     parts = []
     if added_keys.shape[0]:
         added_cols = table.lookup(added_keys)
-        sel = _in_sorted(added_cols, acol)
+        sel = in_sorted(added_cols, acol)
         compact = np.searchsorted(added_cols, acol[sel])
         parts.append(_pair_product(arow[sel], compact, arow[sel], compact,
                                    n, added_cols.shape[0]))
     if removed_keys.shape[0]:
-        sel = _in_sorted(removed_keys, state.occ_key)
+        sel = in_sorted(removed_keys, state.occ_key)
         r2 = state.occ_read[sel]
         c2 = np.searchsorted(removed_keys, state.occ_key[sel])
         parts.append(_pair_product(r2, c2, r2, c2, n,
@@ -405,7 +397,7 @@ def _incremental(state: AssemblyState, batch: ReadSet,
         if aff.shape[0]:
             lo, hi = aff // np.int64(n), aff % np.int64(n)
             rows_aff = np.unique(lo)
-            sel = _in_sorted(rows_aff, arow)
+            sel = in_sorted(rows_aff, arow)
             A_aff = DistMat.from_coo(
                 (n, m), grid, arow[sel], acol[sel],
                 np.stack([apos[sel], aflip[sel]], axis=1))
@@ -428,7 +420,7 @@ def _incremental(state: AssemblyState, batch: ReadSet,
         if old_r is not None and old_r.nnz:
             opack = np.minimum(old_r.row, old_r.col) * np.int64(n) + \
                 np.maximum(old_r.row, old_r.col)
-            keep = ~_in_sorted(aff, opack)
+            keep = ~in_sorted(aff, opack)
             r_row = np.concatenate([old_r.row[keep], Rd.row])
             r_col = np.concatenate([old_r.col[keep], Rd.col])
             r_vals = np.vstack([old_r.vals[keep], Rd.vals])
@@ -438,7 +430,7 @@ def _incremental(state: AssemblyState, batch: ReadSet,
 
         # Candidate-pair bookkeeping (nnz_c without re-forming A·Aᵀ).
         opc = state.c_ri * np.int64(n) + state.c_rj
-        c_pack = np.unique(np.concatenate([opc[~_in_sorted(aff, opc)],
+        c_pack = np.unique(np.concatenate([opc[~in_sorted(aff, opc)],
                                            cd_pack]))
 
         R_dist = DistMat.from_coo((n, n), grid, R_global.row, R_global.col,

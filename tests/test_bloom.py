@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.seqs.bloom import BloomFilter
-from repro.seqs.kmer_counter import KmerTable
 
 keys_arrays = st.lists(st.integers(0, 2 ** 62), min_size=0,
                        max_size=200).map(
@@ -118,33 +117,3 @@ def test_n_bits_power_of_two():
     for cap in (1, 7, 100, 12345):
         bf = BloomFilter(capacity=cap)
         assert bf.n_bits & (bf.n_bits - 1) == 0
-
-
-# -- KmerTable.lookup edge cases --------------------------------------------
-
-def _table(keys):
-    keys = np.array(sorted(keys), dtype=np.uint64)
-    return KmerTable(k=17, kmers=keys,
-                     counts=np.full(keys.shape[0], 2, dtype=np.int64),
-                     lower=2, upper=4)
-
-
-def test_lookup_empty_table():
-    table = _table([])
-    ids = table.lookup(np.array([0, 5, 2 ** 62], dtype=np.uint64))
-    assert (ids == -1).all()
-    assert table.lookup(np.empty(0, dtype=np.uint64)).shape == (0,)
-
-
-def test_lookup_below_and_above_all_entries():
-    table = _table([100, 200, 300])
-    ids = table.lookup(np.array([0, 99, 301, 2 ** 62], dtype=np.uint64))
-    assert (ids == -1).all()
-    ids = table.lookup(np.array([100, 300, 200], dtype=np.uint64))
-    assert ids.tolist() == [0, 2, 1]
-
-
-def test_lookup_single_entry_table():
-    table = _table([42])
-    ids = table.lookup(np.array([41, 42, 43], dtype=np.uint64))
-    assert ids.tolist() == [-1, 0, -1]

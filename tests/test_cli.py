@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -73,7 +75,8 @@ def test_parser_defaults():
 
 def test_stats_prints_spgemm_routing_and_work(tmp_path, capsys):
     """The masked engine's routing (block products per path) and its exact
-    work counters reach ``repro stats``; the oracle engine shows neither."""
+    work counters reach ``repro stats`` next to the A scan's lookup
+    counters; the oracle engine shows only the latter."""
     reads = tmp_path / "reads.fa"
     main(["simulate", str(reads), "--genome-length", "6000",
           "--depth", "8", "--error-rate", "0.0", "--seed", "2"])
@@ -84,14 +87,18 @@ def test_stats_prints_spgemm_routing_and_work(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "spgemm_impl: masked" in out
     assert "SpGEMM        csr=1  masked_dot=1" in out
-    assert "masked spgemm work per stage" in out
-    work = out.split("masked spgemm work per stage")[1]
+    work = out.split("exact work per stage")[1]
+    assert re.search(r"CreateSpMat   leftover=\d+  probes=\d+  windows=\d+",
+                     work)
     assert "SpGEMM        probes=" in work
     assert "TrReduction   products=" in work
     assert main(common + ["--spgemm-impl", "esc"]) == 0
     out = capsys.readouterr().out
     assert "SpGEMM        esc=1" in out
-    assert "masked spgemm work" not in out
+    work = out.split("exact work per stage")[1]
+    assert "CreateSpMat   leftover=" in work
+    assert "SpGEMM        probes=" not in work
+    assert "TrReduction   products=" not in work
 
 
 def test_stats_prints_kmer_engine(tmp_path, capsys):

@@ -30,6 +30,61 @@ def test_from_coo_to_global_roundtrip():
     assert np.array_equal(back.vals, G.vals)
 
 
+def _from_coo_by_masks(shape, grid, row, col, vals):
+    """``DistMat.from_coo`` as it was: one boolean mask per block."""
+    q = grid.q
+    rb, cb = grid.row_bounds(shape[0]), grid.col_bounds(shape[1])
+    bi = np.searchsorted(rb, row, side="right") - 1
+    bj = np.searchsorted(cb, col, side="right") - 1
+    return [[CooMat((int(rb[i + 1] - rb[i]), int(cb[j + 1] - cb[j])),
+                    row[(bi == i) & (bj == j)] - rb[i],
+                    col[(bi == i) & (bj == j)] - cb[j],
+                    vals[(bi == i) & (bj == j)])
+             for j in range(q)] for i in range(q)]
+
+
+@pytest.mark.parametrize("q", [1, 2, 4])
+@pytest.mark.parametrize("nfields", [1, 3])
+def test_from_coo_blocks_match_the_mask_oracle(q, nfields):
+    """Unsorted global entries, an empty block row and an empty block
+    column, dimensions that do not divide by ``q`` (and a 3 x 2 matrix with
+    zero-height blocks): every block equals the per-block-mask build."""
+    rng = np.random.default_rng(10 * q + nfields)
+    grid = ProcessGrid2D(q * q)
+    for shape in ((37, 29), (3, 2)):
+        cells = rng.permutation(shape[0] * shape[1])[:shape[0] * shape[1] // 3]
+        row, col = np.divmod(cells, shape[1])
+        keep = np.ones(cells.shape[0], dtype=bool)
+        if q > 1 and shape[0] > 3:       # empty out block row 1, column 0
+            rb, cb = grid.row_bounds(shape[0]), grid.col_bounds(shape[1])
+            keep = ~((row >= rb[1]) & (row < rb[2])) & (col >= cb[1])
+        row, col = row[keep], col[keep]
+        vals = rng.integers(-9, 9, (row.shape[0], nfields))
+        D = DistMat.from_coo(shape, grid, row, col, vals)
+        want = _from_coo_by_masks(shape, grid, row, col, vals)
+        assert D.nfields == nfields
+        for i in range(q):
+            for j in range(q):
+                got, ref = D.blocks[i][j], want[i][j]
+                assert got.shape == ref.shape
+                assert np.array_equal(got.row, ref.row)
+                assert np.array_equal(got.col, ref.col)
+                assert np.array_equal(got.vals, ref.vals)
+        if q > 1 and shape[0] > 3:
+            assert all(D.blocks[1][j].nnz == 0 for j in range(q))
+            assert all(D.blocks[i][0].nnz == 0 for i in range(q))
+
+
+def test_from_coo_refuses_coordinates_outside_the_matrix():
+    grid = ProcessGrid2D(4)
+    one = np.ones(2, dtype=np.int64)
+    for row, col in (([0, 5], [0, 0]), ([0, -1], [0, 0]),
+                     ([0, 0], [0, 4]), ([0, 0], [-1, 0])):
+        with pytest.raises(ValueError, match="outside the 5x4 matrix"):
+            DistMat.from_coo((5, 4), grid, np.array(row), np.array(col), one)
+    assert DistMat.from_coo((5, 4), grid, [], [], np.empty((0, 2))).nnz() == 0
+
+
 def test_blocks_cover_dimensions():
     grid = ProcessGrid2D(9)
     D = DistMat.empty((10, 7), grid)

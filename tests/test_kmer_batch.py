@@ -9,6 +9,8 @@ multiplicity window (``lower >= 2``), executor, and adversarial input shape
 all-unreliable tables).
 """
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -18,8 +20,10 @@ from repro.exec import get_executor
 from repro.mpisim import CommTracker, ProcessGrid2D, SimComm, StageTimer
 from repro.seqs.dna import encode
 from repro.seqs.fasta import ReadSet
-from repro.seqs.kmer_counter import KmerTable, count_kmers
-from repro.seqs.kmers import read_kmers, read_kmers_batch
+from repro.seqs.kmer_counter import (KmerTable, _group_by_dest_masks,
+                                     _group_by_dest_sorted, _send_lists,
+                                     count_kmers)
+from repro.seqs.kmers import read_kmers, read_kmers_batch, splitmix64
 
 def _readset(arrays):
     return ReadSet([f"r{i}" for i in range(len(arrays))],
@@ -185,6 +189,72 @@ def test_multi_batch_matches_single_batch():
         for batches in (2, 3, 5):
             got, _ = _count(reads, impl, P=3, batches=batches, upper=30)
             _assert_tables_equal(ref, got)
+
+
+def test_seed_stream_is_released_with_its_last_round(monkeypatch):
+    """The resident seed stream is the stage's largest array and dead once
+    the last round's send lists exist: it must be gone while that round's
+    owner histograms — the stage's memory peak — are formed, and still
+    there for every earlier round."""
+    from repro.seqs import kmer_counter as kc
+    rng = np.random.default_rng(4)
+    reads = _readset([rng.integers(0, 4, 80) for _ in range(12)])
+    streams, alive_at_hist = [], []
+    real_extract, real_hist = kc._extract_batch_task, kc._round_hist_task
+
+    def extract(ctx, span):
+        stream = real_extract(ctx, span)
+        streams.append(weakref.ref(stream))
+        return stream
+
+    def hist(ctx, incoming):
+        alive_at_hist.append(sum(ref() is not None for ref in streams))
+        return real_hist(ctx, incoming)
+
+    monkeypatch.setattr(kc, "_extract_batch_task", extract)
+    monkeypatch.setattr(kc, "_round_hist_task", hist)
+    P, batches = 3, 2
+    got, _ = _count(reads, "batch", P=P, batches=batches, upper=30)
+    assert alive_at_hist == [P] * P + [0] * P
+    monkeypatch.undo()
+    _assert_tables_equal(_count(reads, "batch", P=P, batches=1, upper=30)[0],
+                         got)
+
+
+# -- send lists: the owner partition vs one mask per rank --------------------
+
+@pytest.mark.parametrize("nprocs", [1, 2, 16, 255, 256, 257, 70_000])
+def test_send_lists_match_the_mask_oracle(nprocs):
+    """Every rank-id width the partition narrows to (uint8 up to 256 ranks,
+    uint16, uint32) and ranks that receive nothing: each send list is the
+    boolean-mask oracle's, element for element in stream order."""
+    rng = np.random.default_rng(nprocs)
+    keys = rng.integers(0, 4 ** 17, 3000, dtype=np.uint64)
+    keys[::7] = keys[0]                       # repeats keep stream order
+    dest = rng.integers(0, nprocs, keys.shape[0])
+    dest[:5] = nprocs - 1                     # the top id is in range
+    got = _group_by_dest_sorted(keys, dest, nprocs)
+    assert len(got) == nprocs
+    dense = nprocs <= 300                     # 70 000 masks would be slow
+    want = _group_by_dest_masks(keys, dest, nprocs) if dense else \
+        {q: keys[dest == q] for q in np.unique(dest)}
+    for q in (range(nprocs) if dense else want):
+        assert np.array_equal(got[q], want[q])
+    assert sum(part.shape[0] for part in got) == keys.shape[0]
+    if dense:    # and through the hash, as count_kmers calls it
+        owner = (splitmix64(keys) % np.uint64(nprocs)).astype(np.int64)
+        for a, b in zip(_send_lists(keys, nprocs),
+                        _group_by_dest_masks(keys, owner, nprocs)):
+            assert np.array_equal(a, b)
+
+
+def test_send_lists_refuse_out_of_range_owners():
+    keys = np.arange(4, dtype=np.uint64)
+    for dest in ([0, 1, 2, 3], [0, -1, 1, 2], [0, 1, 2, 256 + 1]):
+        with pytest.raises(ValueError, match="owner ids"):
+            _group_by_dest_sorted(keys, np.array(dest), 3)
+    empty = _group_by_dest_sorted(keys[:0], np.empty(0, np.int64), 3)
+    assert [part.shape for part in empty] == [(0,)] * 3
 
 
 # -- A-matrix parity ---------------------------------------------------------

@@ -748,7 +748,7 @@ def test_pipeline_reports_engine_and_paths(tiny_reads):
     # masked ESC throughout.
     assert paths["SpGEMM"] == {"csr": 8, "masked_dot": 6, "masked_esc": 2}
     assert set(paths["TrReduction"]) == {"masked_esc"}
-    work = result.spgemm_work
+    work = result.work_counts
     assert set(work["SpGEMM"]) == {"probes"} and work["SpGEMM"]["probes"] > 0
     assert set(work["TrReduction"]) == {"products"}
     esc = run_pipeline(tiny_reads,
@@ -758,7 +758,8 @@ def test_pipeline_reports_engine_and_paths(tiny_reads):
     assert esc.config.spgemm_impl == "esc"
     assert set(esc.spgemm_paths["SpGEMM"]) == {"esc"}
     assert set(esc.spgemm_paths["TrReduction"]) == {"esc"}
-    assert esc.spgemm_work == {}        # the oracle engine passes no mask
+    # The oracle engine passes no mask: only the A scan's lookup counts.
+    assert set(esc.work_counts) == {"CreateSpMat"}
 
 
 def test_default_pipeline_paths_follow_resolved_engine(tiny_reads):
@@ -770,7 +771,7 @@ def test_default_pipeline_paths_follow_resolved_engine(tiny_reads):
                           PipelineConfig(nprocs=4, align_mode="chain",
                                          fuzz=20, depth_hint=9,
                                          error_hint=0.0))
-    paths, work = result.spgemm_paths, result.spgemm_work
+    paths, work = result.spgemm_paths, result.work_counts
     if result.config.spgemm_impl == "masked":
         # Which masked kernel depends on block size (strips fall under the
         # dot kernel's flops floor); the work counters name the one taken.
@@ -779,7 +780,8 @@ def test_default_pipeline_paths_follow_resolved_engine(tiny_reads):
         assert ("masked_dot" in seed_pass) == ("probes" in work["SpGEMM"])
         assert sum(work["SpGEMM"].values()) > 0
     else:
-        assert set(paths["SpGEMM"]) == {"esc"} and work == {}
+        assert set(paths["SpGEMM"]) == {"esc"}
+        assert set(work) == {"CreateSpMat"}
 
 
 def test_pipeline_rejects_unknown_engine(tiny_reads):

@@ -145,6 +145,20 @@ def test_owner_of():
     assert g.owner_of(9, 9, 10, 10) == 3
 
 
+@pytest.mark.parametrize("P", [1, 4, 9])
+def test_owners_of_is_owner_of_per_entry(P):
+    """Uneven dimensions (7 x 11 over up to 3 x 3 blocks), every cell, and
+    read-only inputs: the array form agrees with the scalar one."""
+    g = ProcessGrid2D(P)
+    row, col = np.divmod(np.arange(7 * 11), 11)
+    row.setflags(write=False)
+    col.setflags(write=False)
+    got = g.owners_of(row, col, 7, 11)
+    assert got.dtype == np.int64
+    assert got.tolist() == [g.owner_of(i, j, 7, 11) for i, j in zip(row, col)]
+    assert g.owners_of(row[:0], col[:0], 7, 11).shape == (0,)
+
+
 # -- tracker / timer -----------------------------------------------------------
 
 def test_tracker_words_and_messages():

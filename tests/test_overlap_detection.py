@@ -5,11 +5,12 @@ import pytest
 
 from repro.core.overlap import (AlignmentFilter, align_candidates,
                                 build_a_matrix, candidate_overlaps,
-                                exchange_reads)
+                                charge_a_routing, exchange_reads)
 from repro.core.semirings import C_COUNT, R_SUFFIX
 from repro.core.string_graph import StringGraph
 from repro.eval.metrics import graph_edge_recall, overlap_recall_precision
-from repro.mpisim import CommTracker, ProcessGrid2D, SimComm, StageTimer
+from repro.mpisim import (CommTracker, ProcessGrid2D, SimComm, StageTimer,
+                          block_bounds)
 from repro.seqs.kmer_counter import count_kmers
 
 
@@ -41,6 +42,54 @@ def test_a_matrix_dims(clean_dataset):
     _genome, reads, _layout = clean_dataset
     table, A, grid, comm, timer = _stack(reads)
     assert A.shape == (len(reads), len(table))
+
+
+class _RecordingTracker:
+    """Keeps the ``record`` calls themselves, in order."""
+
+    def __init__(self):
+        self.calls = []
+
+    def record(self, stage, rank, n_bytes, n_messages):
+        self.calls.append((stage, rank, n_bytes, n_messages))
+
+
+def _routing_by_rank_masks(row, col, n, m, grid, P):
+    """``charge_a_routing`` as it was: a mask and a ``unique`` per rank."""
+    bi = np.searchsorted(grid.row_bounds(n), row, side="right") - 1
+    bj = np.searchsorted(grid.col_bounds(m), col, side="right") - 1
+    dest = bi * grid.q + bj
+    src = np.searchsorted(block_bounds(n, P), row, side="right") - 1
+    calls = []
+    for p in range(P):
+        off = dest[src == p] != p
+        if off.sum():
+            calls.append(("CreateSpMat", p, int(off.sum()) * 32,
+                          int(np.unique(dest[src == p][off]).shape[0])))
+    return calls
+
+
+@pytest.mark.parametrize("P", [1, 4, 16])
+def test_charge_a_routing_matches_per_rank_masks(P):
+    """Same ``record`` calls in the same rank order; ranks that own no
+    read, or whose entries all stay home, are skipped — not charged 0."""
+    rng = np.random.default_rng(P)
+    n, m = 41, 300
+    grid = ProcessGrid2D(P)
+    row = np.sort(rng.integers(0, n, 500))
+    row = row[row != 7]                     # a read with no entries
+    col = rng.integers(0, m, row.shape[0])
+    # Rank 0's reads sit in block row 0; keep their columns in block (0, 0).
+    home = row < block_bounds(n, P)[1]
+    col[home] = rng.integers(0, grid.col_bounds(m)[1], int(home.sum()))
+    tracker = _RecordingTracker()
+    charge_a_routing(row, col, n, m, grid, SimComm(P, tracker))
+    assert tracker.calls == _routing_by_rank_masks(row, col, n, m, grid, P)
+    assert all(type(x) is int for call in tracker.calls for x in call[1:])
+    assert [call[1] for call in tracker.calls] == list(range(1, P))
+    nothing = _RecordingTracker()
+    charge_a_routing(row[:0], col[:0], n, m, grid, SimComm(P, nothing))
+    assert nothing.calls == []
 
 
 @pytest.mark.parametrize("P", [1, 4])
