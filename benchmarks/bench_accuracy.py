@@ -11,24 +11,18 @@ on the contig walks.
 The second test scores the sketched seeding modes (minimizer / syncmer,
 ``--seed-mode``) against the full-k oracle on the same reads — recall of
 full-k's correctly-detected true overlaps, contig N50, genome coverage,
-misjoins — and records the per-mode rows in ``BENCH_accuracy.json`` at
-the repo root.  Two error regimes on purpose: at ``toy``'s 2% error,
+misjoins.  Two error regimes on purpose: at ``toy``'s 2% error,
 true overlaps share long exact runs and sketching is nearly lossless; at
 ``ecoli_like``'s 13% CLR-style error, shared k-mers are scattered
 singletons and sketching pays a real recall tax — the regime dependence
-the seeding layer exists to expose (the hard nnz/recall gates live in
-``bench_seed_mode.py`` on a low-error dataset).
+the seeding layer exists to expose (the error-free nnz(A)/recall floor is
+tier-1, in ``tests/test_seeding.py``).
 """
 
-import json
 import math
-from pathlib import Path
 
 from repro.eval.experiments import accuracy_table, seed_mode_table
 from repro.eval.report import format_table
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-JSON_PATH = REPO_ROOT / "BENCH_accuracy.json"
 
 
 def test_accuracy(benchmark):
@@ -58,7 +52,6 @@ def test_seed_mode_accuracy(benchmark):
                 for name in SEED_RECALL_FLOORS}
 
     tables = benchmark.pedantic(run, rounds=1, iterations=1)
-    all_rows = []
     for name, rows in tables.items():
         print()
         print(format_table(
@@ -67,7 +60,6 @@ def test_seed_mode_accuracy(benchmark):
                      "recall_truth", "recall_vs_full", "contig_n50_bp",
                      "genome_coverage", "misjoins"],
             title=f"Seeding modes vs full-k oracle ({name}, w=8)"))
-        all_rows.extend(rows)
 
         by_mode = {r["seed_mode"]: r for r in rows}
         full = by_mode["full"]
@@ -81,12 +73,3 @@ def test_seed_mode_accuracy(benchmark):
             # regime's floor and the layout usable.
             assert r["recall_vs_full"] > SEED_RECALL_FLOORS[name]
             assert r["genome_coverage"] > 0.5
-
-    record = {
-        "bench": "seed_mode_accuracy",
-        "seed_w": 8,
-        "rows": [{k: (None if isinstance(v, float) and math.isnan(v)
-                      else v) for k, v in r.items()} for r in all_rows],
-    }
-    JSON_PATH.write_text(json.dumps(record, indent=2) + "\n")
-    print(f"wrote {JSON_PATH.name} ({len(all_rows)} seed-mode rows)")

@@ -186,7 +186,7 @@ def _print_stats(result, machine_name: str) -> None:
     print(f"nnz(S) = {result.nnz_s}  (s = {result.s_density:.1f}), "
           f"{result.tr_rounds} reduction rounds")
     _print_counts("kernel work per stage (spgemm block products per path; "
-                  "x-drop sweep rounds, cells, words):", result.spgemm_paths)
+                  "x-drop sweep rounds, cells, words):", result.kernel_counts)
     _print_counts("exact work per stage (k-mer lookup windows, table probes, "
                   "binary-search leftover; masked spgemm products expanded "
                   "by ESC, probes looked up by the dot kernel):",
@@ -214,8 +214,8 @@ def _cmd_assemble(args) -> int:
                                                   contig.orientations)):
                 fh.write(f"contig{cid}\t{t}\t{rid}\t"
                          f"{'-' if orient else '+'}\n")
-    print(f"wrote {args.layout}: {len(contigs)} contigs "
-          f"(largest {len(contigs[0])} reads)")
+    largest = f" (largest {len(contigs[0])} reads)" if contigs else ""
+    print(f"wrote {args.layout}: {len(contigs)} contigs{largest}")
     return 0
 
 

@@ -176,7 +176,7 @@ class PipelineResult:
     R: CooMat | None = None
 
     @property
-    def spgemm_paths(self) -> dict[str, dict[str, int]]:
+    def kernel_counts(self) -> dict[str, dict[str, int]]:
         """Per-stage kernel-work counters (``repro stats``): SpGEMM block
         products per kernel path, x-drop sweep rounds/cells/words."""
         return self.timer.kernel_counts()

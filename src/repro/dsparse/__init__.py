@@ -10,7 +10,7 @@ algebra (:mod:`~repro.dsparse.semiring`), vectorized local SpGEMM
 
 Local kernels are pluggable: :mod:`~repro.dsparse.backend` routes every
 block-level operation (SpGEMM, merge, filter, reduction, transpose) through
-a registered :class:`~repro.dsparse.backend.Backend` — ``numpy`` (the ESC
+a :class:`~repro.dsparse.backend.Backend` — ``numpy`` (the ESC
 reference), ``scipy`` (native CSR matmul for scalar semirings), or ``auto``
 (the default per-call dispatch) — mirroring CombBLAS's per-block kernel
 switching that the paper identifies as the runtime-dominating choice.
@@ -20,8 +20,7 @@ from .coomat import CooMat
 from .distmat import DistMat
 from .semiring import Semiring, PlusTimes, MinPlus, BoolOr, INF
 from .backend import (
-    Backend, NumpyBackend, ScipyBackend, AutoBackend,
-    get_backend, register_backend, available_backends,
+    Backend, NumpyBackend, ScipyBackend, AutoBackend, get_backend,
 )
 from .spgemm import expand_products, packed_order, spgemm_esc, \
     spgemm_gustavson, multiway_merge
@@ -38,8 +37,7 @@ from .redistrib import to_2d_grid, to_block_rows
 __all__ = [
     "CooMat", "DistMat",
     "Semiring", "PlusTimes", "MinPlus", "BoolOr", "INF",
-    "Backend", "NumpyBackend", "ScipyBackend", "AutoBackend",
-    "get_backend", "register_backend", "available_backends",
+    "Backend", "NumpyBackend", "ScipyBackend", "AutoBackend", "get_backend",
     "expand_products", "packed_order", "spgemm_esc", "spgemm_gustavson",
     "multiway_merge",
     "in_sorted", "match_sorted",

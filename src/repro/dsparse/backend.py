@@ -52,9 +52,6 @@ caller's ``tally``.
     scalar lowerable products take the CSR fast path, everything else the
     numpy reference.  Because fallback is bitwise-exact, results never
     depend on the backend choice.
-
-Third parties can plug in alternatives (e.g. a GraphBLAS or GPU kernel set)
-with :func:`register_backend`.
 """
 
 from __future__ import annotations
@@ -69,8 +66,7 @@ from .semiring import Semiring
 from .spgemm import expand_products, multiway_merge, spgemm_esc
 
 __all__ = [
-    "Backend", "NumpyBackend", "ScipyBackend", "AutoBackend",
-    "get_backend", "register_backend", "available_backends",
+    "Backend", "NumpyBackend", "ScipyBackend", "AutoBackend", "get_backend",
 ]
 
 
@@ -277,37 +273,19 @@ class AutoBackend(ScipyBackend):
     name = "auto"
 
 
-_REGISTRY: dict[str, Backend] = {}
-
-
-def register_backend(name: str, backend: Backend) -> None:
-    """Register (or replace) a backend under ``name``."""
-    if not isinstance(backend, Backend):
-        raise TypeError(f"expected a Backend instance, got {backend!r}")
-    _REGISTRY[name] = backend
-
-
-def available_backends() -> list[str]:
-    """Sorted names accepted by :func:`get_backend` (and the CLI flag)."""
-    return sorted(_REGISTRY)
+_BACKENDS: dict[str, Backend] = {
+    "numpy": NumpyBackend(), "scipy": ScipyBackend(), "auto": AutoBackend()}
 
 
 def get_backend(name: "str | Backend | None" = None) -> Backend:
-    """The backend registered under ``name``.
+    """The backend called ``name``.
 
-    Registered names (including the dispatching ``"auto"`` backend) pass
-    through; ``None`` and unknown names go through the ``backend`` axis
-    (:data:`repro.options.BACKEND`), which supplies the default or the
-    named ``ValueError``.  Accepts an already-built :class:`Backend`
-    unchanged, so plumbing layers can pass either form through.
+    ``None`` and unknown names go through the ``backend`` axis
+    (:data:`repro.options.BACKEND`), which supplies the default (the
+    dispatching ``"auto"`` backend) or the named ``ValueError``.  Accepts
+    an already-built :class:`Backend` unchanged, so plumbing layers can
+    pass either form through.
     """
     if isinstance(name, Backend):
         return name
-    if name not in _REGISTRY:
-        name = BACKEND.resolve(name)
-    return _REGISTRY[name]
-
-
-register_backend("numpy", NumpyBackend())
-register_backend("scipy", ScipyBackend())
-register_backend("auto", AutoBackend())
+    return _BACKENDS[BACKEND.resolve(name)]

@@ -11,12 +11,10 @@ See :mod:`repro.exec.executor` for the contract and
 """
 
 from .executor import (Executor, ProcessExecutor, SerialExecutor, SERIAL,
-                       ThreadExecutor, available_executors, executor_name,
-                       get_executor, register_executor)
+                       ThreadExecutor, executor_name, get_executor)
 from .partition import weighted_chunks
 
 __all__ = [
     "Executor", "SerialExecutor", "ThreadExecutor", "ProcessExecutor",
-    "SERIAL", "get_executor", "register_executor", "available_executors",
-    "executor_name", "weighted_chunks",
+    "SERIAL", "get_executor", "executor_name", "weighted_chunks",
 ]

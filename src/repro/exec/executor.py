@@ -57,8 +57,7 @@ from .partition import weighted_chunks
 
 __all__ = [
     "Executor", "SerialExecutor", "ThreadExecutor", "ProcessExecutor",
-    "get_executor", "register_executor", "available_executors",
-    "executor_name", "SERIAL", "CHUNK_FAULT_SITE",
+    "get_executor", "executor_name", "SERIAL", "CHUNK_FAULT_SITE",
 ]
 
 log = logging.getLogger("repro.resilience")
@@ -394,31 +393,19 @@ class ProcessExecutor(_PoolExecutor):
 #: Shared zero-state serial instance — the default for library call sites.
 SERIAL = SerialExecutor()
 
-_REGISTRY: dict[str, type[Executor]] = {}
-
-
-def register_executor(name: str, cls: type[Executor]) -> None:
-    """Register (or replace) an executor class under ``name``."""
-    if not (isinstance(cls, type) and issubclass(cls, Executor)):
-        raise TypeError(f"expected an Executor subclass, got {cls!r}")
-    _REGISTRY[name] = cls
-
-
-def available_executors() -> list[str]:
-    """Sorted names accepted by :func:`get_executor` (and the CLI flag)."""
-    return sorted(_REGISTRY) + ["auto"]
+_EXECUTORS: dict[str, type[Executor]] = {
+    "serial": SerialExecutor, "thread": ThreadExecutor,
+    "process": ProcessExecutor}
 
 
 def executor_name(name: str | None, workers: int) -> str:
-    """The registry name ``name`` stands for with ``workers`` workers.
+    """The executor ``name`` stands for with ``workers`` workers.
 
-    Registered names pass through; anything else goes through the
-    ``executor`` axis (:data:`repro.options.EXECUTOR`: explicit, else
-    ``REPRO_EXECUTOR``, validated), and an ``"auto"`` that survives picks
-    serial for one worker and the process pool otherwise.
+    ``name`` goes through the ``executor`` axis
+    (:data:`repro.options.EXECUTOR`: explicit, else ``REPRO_EXECUTOR``,
+    validated), and an ``"auto"`` that survives picks serial for one
+    worker and the process pool otherwise.
     """
-    if name in _REGISTRY:
-        return name
     name = EXECUTOR.resolve(name)
     if name == "auto":
         name = "serial" if workers <= 1 else PARALLEL_DEFAULT
@@ -438,9 +425,4 @@ def get_executor(name: "str | Executor | None" = None,
     if isinstance(name, Executor):
         return name
     workers = WORKERS.resolve(workers)
-    return _REGISTRY[executor_name(name, workers)](workers)
-
-
-register_executor("serial", SerialExecutor)
-register_executor("thread", ThreadExecutor)
-register_executor("process", ProcessExecutor)
+    return _EXECUTORS[executor_name(name, workers)](workers)

@@ -98,14 +98,14 @@ def _worker_count(text: Any) -> int:
 
 
 ALIGN_IMPL = Axis(
-    "align_impl", "--align-impl", "REPRO_ALIGN_IMPL", "batch",
+    "align_impl", "--align-impl", None, "batch",
     "alignment engine: 'batch' runs one vectorized x-drop sweep over whole "
     "chunks of candidate pairs, 'loop' aligns pair by pair (the reference "
     "oracle)",
     choices=("loop", "batch"), service=True)
 
 KMER_IMPL = Axis(
-    "kmer_impl", "--kmer-impl", "REPRO_KMER_IMPL", "batch",
+    "kmer_impl", "--kmer-impl", None, "batch",
     "k-mer engine: 'batch' counts through exact per-owner histograms (one "
     "vectorized sweep per rank for CountKmer and the CreateSpMat scan), "
     "'loop' runs the Bloom-filtered per-read / per-key dict reference "
@@ -113,7 +113,7 @@ KMER_IMPL = Axis(
     choices=("loop", "batch"), service=True)
 
 SPGEMM_IMPL = Axis(
-    "spgemm_impl", "--spgemm-impl", "REPRO_SPGEMM_IMPL", "masked",
+    "spgemm_impl", "--spgemm-impl", None, "masked",
     "SpGEMM engine for the multi-field semiring products: 'masked' "
     "decomposes C = A*At into a native count product plus a mask-pruned "
     "ESC seed pass and squares R under its own pattern in transitive "

@@ -34,6 +34,16 @@ def test_assemble_end_to_end(tmp_path, capsys):
     assert "nnz(S)" in out and "contigs" in out
 
 
+def test_assemble_empty_input_reports_zero_contigs(tmp_path, capsys):
+    reads = tmp_path / "empty.fa"
+    reads.write_text("")
+    layout = tmp_path / "layout.tsv"
+    rc = main(["assemble", str(reads), "--layout", str(layout)])
+    assert rc == 0
+    assert layout.read_text() == "contig\tposition\tread\torientation\n"
+    assert f"wrote {layout}: 0 contigs\n" in capsys.readouterr().out
+
+
 def test_stats_command(tmp_path, capsys):
     reads = tmp_path / "reads.fa"
     main(["simulate", str(reads), "--genome-length", "6000",

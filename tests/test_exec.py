@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exec import (ProcessExecutor, SERIAL, SerialExecutor,
-                        ThreadExecutor, available_executors, get_executor,
-                        register_executor, weighted_chunks)
+                        ThreadExecutor, get_executor, weighted_chunks)
 from repro.exec.executor import Executor
 
 
@@ -154,8 +153,6 @@ def test_available_and_get_executor(monkeypatch):
     # Env overrides off: this test pins the *default* resolution rules.
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
     monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-    names = available_executors()
-    assert {"serial", "thread", "process", "auto"} <= set(names)
     assert isinstance(get_executor("serial", 1), SerialExecutor)
     assert isinstance(get_executor("thread", 2), ThreadExecutor)
     ex = get_executor("process", 2)
@@ -167,21 +164,6 @@ def test_available_and_get_executor(monkeypatch):
     assert get_executor(SERIAL) is SERIAL
     with pytest.raises(ValueError, match="unknown executor"):
         get_executor("gpu")
-
-
-def test_register_executor_validates():
-    with pytest.raises(TypeError):
-        register_executor("bogus", object)  # not an Executor subclass
-
-    class Custom(SerialExecutor):
-        name = "custom-test"
-
-    register_executor("custom-test", Custom)
-    try:
-        assert isinstance(get_executor("custom-test", 1), Custom)
-    finally:
-        from repro.exec.executor import _REGISTRY
-        _REGISTRY.pop("custom-test", None)
 
 
 def test_get_executor_env_name(monkeypatch):

@@ -739,7 +739,7 @@ def test_pipeline_reports_engine_and_paths(tiny_reads):
                          overlap_mode="monolithic")
     result = run_pipeline(tiny_reads, cfg)
     assert result.config.spgemm_impl == "masked"
-    paths = result.spgemm_paths
+    paths = result.kernel_counts
     # The overlap product splits into a native count pass + a masked seed
     # pass: error-free reads share hundreds of k-mers per candidate pair,
     # so every block with a non-empty mask takes the dot kernel (the
@@ -756,32 +756,28 @@ def test_pipeline_reports_engine_and_paths(tiny_reads):
                                       depth_hint=9, error_hint=0.0,
                                       spgemm_impl="esc"))
     assert esc.config.spgemm_impl == "esc"
-    assert set(esc.spgemm_paths["SpGEMM"]) == {"esc"}
-    assert set(esc.spgemm_paths["TrReduction"]) == {"esc"}
+    assert set(esc.kernel_counts["SpGEMM"]) == {"esc"}
+    assert set(esc.kernel_counts["TrReduction"]) == {"esc"}
     # The oracle engine passes no mask: only the A scan's lookup counts.
     assert set(esc.work_counts) == {"CreateSpMat"}
 
 
 def test_default_pipeline_paths_follow_resolved_engine(tiny_reads):
-    """Whatever engine, overlap mode and executor the environment resolves
-    (the ``spgemm-esc``, ``blocked`` and ``process-4`` CI legs), the
-    reported paths and work counters are that engine's and agree with each
-    other."""
+    """Whatever overlap mode and executor the environment resolves (the
+    ``blocked`` and ``process-4`` CI legs), the reported paths and work
+    counters are the default masked engine's and agree with each other."""
     result = run_pipeline(tiny_reads,
                           PipelineConfig(nprocs=4, align_mode="chain",
                                          fuzz=20, depth_hint=9,
                                          error_hint=0.0))
-    paths, work = result.spgemm_paths, result.work_counts
-    if result.config.spgemm_impl == "masked":
-        # Which masked kernel depends on block size (strips fall under the
-        # dot kernel's flops floor); the work counters name the one taken.
-        seed_pass = set(paths["SpGEMM"]) - {"csr"}
-        assert seed_pass and seed_pass <= {"masked_dot", "masked_esc"}
-        assert ("masked_dot" in seed_pass) == ("probes" in work["SpGEMM"])
-        assert sum(work["SpGEMM"].values()) > 0
-    else:
-        assert set(paths["SpGEMM"]) == {"esc"}
-        assert set(work) == {"CreateSpMat"}
+    paths, work = result.kernel_counts, result.work_counts
+    assert result.config.spgemm_impl == "masked"
+    # Which masked kernel depends on block size (strips fall under the
+    # dot kernel's flops floor); the work counters name the one taken.
+    seed_pass = set(paths["SpGEMM"]) - {"csr"}
+    assert seed_pass and seed_pass <= {"masked_dot", "masked_esc"}
+    assert ("masked_dot" in seed_pass) == ("probes" in work["SpGEMM"])
+    assert sum(work["SpGEMM"].values()) > 0
 
 
 def test_pipeline_rejects_unknown_engine(tiny_reads):

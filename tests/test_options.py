@@ -5,6 +5,7 @@ moment it is declared and no per-axis copy of these checks exists.
 """
 
 import dataclasses
+import glob
 import os
 import re
 
@@ -103,7 +104,7 @@ def test_table_matches_config_fields():
         assert {n for n, v in owner.items() if v == "auto"} <= named
     assert len(named) == len(AXES) == len({a.flag for a in AXES})
     envs = [a.env for a in ENV_AXES]
-    assert len(set(envs)) == len(envs) == 9
+    assert len(set(envs)) == len(envs) == 6
 
 
 @pytest.mark.parametrize("command", ["assemble", "stats", "serve"])
@@ -133,6 +134,26 @@ def test_readme_option_table_is_generated():
                       text, re.S)
     assert block, "README.md lost its options markers"
     assert block.group(1) == options.markdown_table()
+
+
+def test_cited_paths_exist():
+    """Every repo path (or glob, or bare ``bench_*.py`` name) the README,
+    the CI workflow and the verify skill cite exists, so a deletion cannot
+    leave a dead recipe behind."""
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    cited = re.compile(r"(?<![\w/])(?:src|tests|bench|benchmarks|examples)/"
+                       r"[\w./*-]*\w|\bbench_\w+\.py")
+    for doc in ("README.md", ".github/workflows/ci.yml",
+                ".claude/skills/verify/SKILL.md"):
+        with open(os.path.join(root, doc), encoding="utf-8") as fh:
+            paths = set(cited.findall(fh.read()))
+        for path in sorted(paths):
+            if path.startswith("benchmarks/results"):
+                continue        # gitignored output, absent from a checkout
+            if path.startswith("bench_"):
+                path = os.path.join("benchmarks", path)
+            assert glob.glob(os.path.join(root, path)), \
+                f"{doc} cites {path}, which does not exist"
 
 
 # -- PipelineConfig.resolved / run_pipeline -------------------------------------
@@ -174,7 +195,7 @@ def test_service_drops_blocked_only_options(clean_dataset):
 
 def test_run_pipeline_reads_each_env_var_once(clean_dataset, monkeypatch):
     _genome, reads, _layout = clean_dataset
-    monkeypatch.setenv("REPRO_ALIGN_IMPL", "loop")
+    monkeypatch.setenv("REPRO_OVERLAP_MODE", "blocked")
     lookups = []
     real_get = os.environ.get
 
@@ -187,5 +208,5 @@ def test_run_pipeline_reads_each_env_var_once(clean_dataset, monkeypatch):
     result = run_pipeline(reads, PipelineConfig(
         nprocs=4, align_mode="chain", depth_hint=12, error_hint=0.0,
         fuzz=20))
-    assert result.config.align_impl == "loop"
+    assert result.config.overlap_mode == "blocked"
     assert sorted(lookups) == sorted(a.env for a in ENV_AXES)

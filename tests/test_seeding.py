@@ -339,6 +339,15 @@ def test_sketch_pipeline_deterministic_across_executors(seeding_dataset,
         assert res.config.seed_mode == mode
         digests.add(_result_digest(res))
     assert len(digests) == 1
+    # What the sketch buys and costs at w = 8 (fixed seeds, so exact):
+    # nnz(A) shrinks at least 3x and at least 0.95 of full-k's overlaps
+    # survive.
+    full = run_pipeline(seeding_dataset,
+                        PipelineConfig(k=K, nprocs=4, seed_mode="full"))
+    assert full.nnz_a >= 3 * res.nnz_a
+    full_pairs = set(zip(full.R.row.tolist(), full.R.col.tolist()))
+    kept = full_pairs & set(zip(res.R.row.tolist(), res.R.col.tolist()))
+    assert len(kept) >= 0.95 * len(full_pairs) > 0
 
 
 # ---------------------------------------------------------------------------
