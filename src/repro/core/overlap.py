@@ -206,7 +206,7 @@ def build_a_matrix(reads: ReadSet, table: KmerTable, grid: ProcessGrid2D,
 
 def charge_a_routing(row: np.ndarray, col: np.ndarray, n_reads: int,
                      n_kmers: int, grid: ProcessGrid2D, comm: SimComm,
-                     stage: str = "CreateSpMat") -> None:
+                     stage: str = "CreateSpMat") -> np.ndarray:
     """Charge the ``CreateSpMat`` routing of global A entries to the grid.
 
     Every entry moves from its 1D source rank (the balanced block owner of
@@ -215,6 +215,10 @@ def charge_a_routing(row: np.ndarray, col: np.ndarray, n_reads: int,
     per distinct destination.  Factored out of :func:`build_a_matrix` so
     the incremental service can replay the stage's exact traffic from the
     merged entry arrays without re-running the scan.
+
+    Returns the ``q × q`` array of A's per-block entry counts — what the
+    grid owners receive, and all SUMMA's traffic depends on
+    (:func:`~repro.dsparse.summa.summa_comm_replay`).
     """
     P = comm.nprocs
     entry_bytes = 8 * 4  # row, col, pos, flip
@@ -226,12 +230,14 @@ def charge_a_routing(row: np.ndarray, col: np.ndarray, n_reads: int,
     pair *= P
     pair += grid.owners_of(row, col, n_reads, n_kmers)
     moved = np.bincount(pair, minlength=P * P).reshape(P, P)
+    block_counts = moved.sum(axis=0).reshape(grid.q, grid.q)
     np.fill_diagonal(moved, 0)
     n_off = moved.sum(axis=1)
     n_dests = np.count_nonzero(moved, axis=1)
     for p in np.flatnonzero(n_off):
         comm.tracker.record(stage, int(p), int(n_off[p]) * entry_bytes,
                             int(n_dests[p]))
+    return block_counts
 
 
 def _pattern_of(M: DistMat) -> DistMat:

@@ -17,8 +17,11 @@ StageTimer` superstep (critical-path max over ranks).
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..exec import Executor, SERIAL
 from ..mpisim.comm import SimComm
+from ..mpisim.grid import ProcessGrid2D
 from ..resilience.faults import maybe_fault
 from ..mpisim.tracker import StageTimer
 from .backend import Backend, get_backend
@@ -51,47 +54,63 @@ def _merge_task(ctx, task):
     return backend.merge(parts, semiring, shape)
 
 
-def _stage_broadcasts(A: DistMat, B: DistMat, k: int, comm: SimComm,
-                      stage: str) -> tuple[list[list[CooMat]],
-                                           list[list[CooMat]]]:
+def _stage_broadcasts(grid: ProcessGrid2D, a_blocks: list[list],
+                      b_blocks: list[list], k: int, comm: SimComm,
+                      stage: str) -> tuple[list[list], list[list]]:
     """Stage ``k``'s row/column broadcasts (the whole of SUMMA's traffic).
 
     Both :func:`summa` and :func:`summa_comm_replay` issue their collectives
     through this one helper, so the replay's accounting cannot drift from
-    the real product's.
+    the real product's.  ``a_blocks[i][j]`` / ``b_blocks[i][j]`` are the
+    operands' per-block payloads.
     """
-    grid = A.grid
     q = grid.q
     # Row broadcasts: A block (i, k) to all of process row i.
-    recvA = [comm.sub(grid.row_ranks(i)).bcast(A.blocks[i][k], root=k,
+    recvA = [comm.sub(grid.row_ranks(i)).bcast(a_blocks[i][k], root=k,
                                                stage=stage)
              for i in range(q)]
     # Column broadcasts: B block (k, j) to all of process column j.
-    recvB = [comm.sub(grid.col_ranks(j)).bcast(B.blocks[k][j], root=k,
+    recvB = [comm.sub(grid.col_ranks(j)).bcast(b_blocks[k][j], root=k,
                                                stage=stage)
              for j in range(q)]
     return recvA, recvB
 
 
-def summa_comm_replay(A: DistMat, B: DistMat, comm: SimComm, stage: str
-                      ) -> None:
-    """Re-issue SUMMA's broadcasts for ``A ⊗ B`` without multiplying.
+def summa_comm_replay(grid: ProcessGrid2D, a_counts: np.ndarray,
+                      b_counts: np.ndarray, nfields: int, comm: SimComm,
+                      stage: str) -> None:
+    """Re-issue SUMMA's broadcasts for ``A ⊗ B`` from block sizes alone.
 
     The product's communication is a pure function of the operands' block
     sizes — stage ``k`` broadcasts A's block column ``k`` along process rows
-    and B's block row ``k`` along process columns, whatever the semiring.
-    The incremental service uses this to charge a refreshed dataset's exact
-    ``SpGEMM``/``TrReduction``-shaped traffic when it already knows the
-    product's value from a delta computation.  (Under the masked engine the
-    count pass runs against a throwaway communicator, so one replay of the
-    full operands covers both engines' recorded traffic.)
+    and B's block row ``k`` along process columns, whatever the semiring —
+    so ``a_counts[i, j]`` / ``b_counts[i, j]`` (each ``q × q``: the nonzeros
+    of block ``(i, j)``) plus the operands' value-field count are all it
+    needs; no operand is built.  The incremental service uses this to charge
+    a refreshed dataset's exact ``SpGEMM`` traffic when it already knows
+    the product's value from a delta computation.  (Under the masked engine
+    the count pass runs against a throwaway communicator, so one replay of
+    the full operands covers both engines' recorded traffic.)
     """
-    if A.grid.q != B.grid.q:
-        raise ValueError("operands must share a process grid")
-    if A.shape[1] != B.shape[0]:
-        raise ValueError(f"inner dimensions differ: {A.shape} x {B.shape}")
-    for k in range(A.grid.q):
-        _stage_broadcasts(A, B, k, comm, stage)
+    q = grid.q
+    a_counts = np.asarray(a_counts)
+    b_counts = np.asarray(b_counts)
+    if a_counts.shape != (q, q) or b_counts.shape != (q, q):
+        raise ValueError(f"block counts must be {q}x{q}, got "
+                         f"{a_counts.shape} and {b_counts.shape}")
+    # A block ships its int64 row and col arrays plus an (nnz, nfields)
+    # int64 value array.  Payload contents never reach the charge
+    # accounting — only nbytes do — so uninitialized buffers of the block's
+    # byte size are exact, and their pages are never touched.
+    entry_bytes = 8 * (2 + nfields)
+
+    def payloads(counts: np.ndarray) -> list[list[np.ndarray]]:
+        return [[np.empty(int(c) * entry_bytes, np.uint8) for c in row]
+                for row in counts]
+
+    a_blocks, b_blocks = payloads(a_counts), payloads(b_counts)
+    for k in range(q):
+        _stage_broadcasts(grid, a_blocks, b_blocks, k, comm, stage)
 
 
 def summa(A: DistMat, B: DistMat, semiring: Semiring, comm: SimComm,
@@ -159,7 +178,8 @@ def summa(A: DistMat, B: DistMat, semiring: Semiring, comm: SimComm,
     partials: list[list[list[CooMat]]] = [[[] for _ in range(q)] for _ in range(q)]
 
     for k in range(q):
-        recvA, recvB = _stage_broadcasts(A, B, k, comm, stage)
+        recvA, recvB = _stage_broadcasts(grid, A.blocks, B.blocks, k, comm,
+                                         stage)
 
         tasks = [(recvA[i][j], recvB[j][i],
                   mask.blocks[i][j] if mask is not None else None)

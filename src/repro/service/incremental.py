@@ -22,21 +22,28 @@ Why the incremental path is exact
 
 * **A.**  The state keeps the reliability-independent occurrence table —
   first-window occurrence per (read, distinct canonical k-mer), sorted by
-  (key, read) — so A for the new version is a filter of the merged table
-  through the new reliable set.  The batch's occurrences splice in by
-  sorted merge; new read indices exceed all old ones, so
-  ``searchsorted(..., side="right")`` keeps ties in (key, read) order.
+  (read, key) — so A for the new version is a filter of the merged table
+  through the new reliable set.  New read indices exceed all old ones, so
+  the batch's occurrences splice in by appending.  Column ids are the
+  sorted order of the reliable keys, so the filter emits A's entries in
+  canonical row-major order and A's row pointer is one ``bincount``:
+  nothing A-sized is ever sorted.
 
 * **C.**  A pair's C entry is the ordered reduce over its shared reliable
   columns, and relabeling columns (sorted keys → sorted ids) preserves
   that order.  A pair's entry can therefore only change if it gains a
   shared **added** column, loses a shared **removed** column, or involves
   a **new** read — the affected set ``P₁ ∪ P₂ ∪ P₃``, computed by three
-  scipy pattern products.  The delta product runs the *full* rows of A
-  for the affected row coordinates against the full Aᵀ under the
-  affected-pair mask, so each surviving entry reduces over exactly the
-  same ordered product list as the monolithic product (PR 6 pinned
-  masked ≡ unmasked ∩ mask).
+  scipy pattern products.  The delta product runs the rows of A for the
+  affected row coordinates against Aᵀ restricted to the affected column
+  coordinates, under the affected-pair mask.  ``C(i, j)`` reduces over
+  ``A(i, k) ⊗ Aᵀ(k, j)`` and reads row ``i`` of A and column ``j`` of Aᵀ
+  and nothing else, and both operands keep the full product's dimensions
+  and block bounds, so each surviving entry reduces over exactly the same
+  ordered product list as the monolithic product (masked ≡ unmasked ∩
+  mask; the two masked kernels are byte-identical, so the smaller operands
+  flipping a block's route changes nothing).  Neither the full A nor Aᵀ
+  is ever distributed or transposed.
 
 * **R.**  Alignment is per-pair and deterministic, so R is determined by
   the set of C entries: drop old rows whose unordered pair is affected,
@@ -56,8 +63,13 @@ Why the incremental path is exact
   per-read routing census, so old reads' k-mers are never re-extracted),
   ``CreateSpMat`` entry routing, ``ExchangeRead``, and SUMMA's broadcast
   schedule (a pure function of the operand block sizes —
-  :func:`~repro.dsparse.summa.summa_comm_replay`).  Replays cost array
-  scans, not products.
+  :func:`~repro.dsparse.summa.summa_comm_replay`; A's per-block counts
+  come out of the routing census, and block ``(i, j)`` of Aᵀ holds as
+  many entries as block ``(j, i)`` of A).  Replays cost array scans, not
+  products.
+
+The batch's seeds are extracted once per refresh; that one stream feeds
+its histogram, its occurrence table and its routing census.
 """
 
 from __future__ import annotations
@@ -72,12 +84,13 @@ from ..core.contigs import extract_contigs
 from ..core.overlap import (align_candidates, charge_a_routing,
                             exchange_reads)
 from ..core.pipeline import PipelineConfig, run_pipeline
-from ..core.semirings import PositionsSemiring, R_NFIELDS
+from ..core.semirings import A_NFIELDS, PositionsSemiring, R_NFIELDS
 from ..core.string_graph import StringGraph
 from ..core.transitive_reduction import transitive_reduction
 from ..dsparse.backend import get_backend
 from ..dsparse.coomat import CooMat
 from ..dsparse.distmat import DistMat
+from ..dsparse.masked import _ranges
 from ..dsparse.membership import in_sorted
 from ..dsparse.summa import summa, summa_comm_replay
 from ..exec import get_executor
@@ -87,8 +100,8 @@ from ..mpisim.tracker import CommTracker, StageTimer
 from ..options import REFRESH_MODE
 from ..resilience.faults import maybe_fault
 from ..seqs.fasta import ReadSet
-from ..seqs.kmer_counter import (kmer_histogram, merge_histograms,
-                                 reliable_upper_bound, table_from_histogram)
+from ..seqs.kmer_counter import (merge_histograms, reliable_upper_bound,
+                                 table_from_histogram)
 from ..seqs.kmers import splitmix64
 from ..seqs.seeding import FullKScheme, SeedScheme, make_scheme
 from .config import ServiceConfig
@@ -108,28 +121,31 @@ def _scheme_of(pcfg: PipelineConfig) -> SeedScheme:
     return make_scheme(pcfg.seed_mode, pcfg.k, pcfg.seed_w)
 
 
-def batch_occurrences(reads: ReadSet, k: int, row_offset: int = 0,
-                      scheme: SeedScheme | None = None
+def batch_occurrences(seeds: tuple[np.ndarray, np.ndarray, np.ndarray,
+                                   np.ndarray], row_offset: int = 0
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                  np.ndarray]:
-    """First-window occurrence table of a read set, sorted by (key, read).
+    """First-window occurrence table of a seed stream, sorted by (read, key).
 
-    One ``(key, read, pos, flip)`` row per (read, distinct canonical seed
-    k-mer), keeping the earliest window — the dedup rule of the A scan
+    ``seeds`` is a :meth:`~repro.seqs.seeding.SeedScheme.seeds_of_block`
+    stream ``(key, read, pos, flip)`` — read-major, windows in position
+    order.  One row per (read, distinct canonical seed k-mer) survives,
+    keeping the earliest window — the dedup rule of the A scan
     (:func:`~repro.core.overlap.build_a_matrix`), applied *before* any
     reliability filter.  Reliability is a property of the k-mer value, so
     filtering the deduped table through a reliable set later yields
-    exactly the A entries that scan would emit.  ``row_offset`` shifts
-    read indices into the combined set's coordinates.  The splice logic is
-    scheme-agnostic: a sketched scheme just feeds fewer ``(key, read,
-    pos, flip)`` rows through the same sort/dedup.
+    exactly the A entries that scan would emit, already in A's row-major
+    order.  ``row_offset`` shifts read indices into the combined set's
+    coordinates.  The table is scheme-agnostic: a sketched scheme just
+    feeds fewer rows through the same sort/dedup.
     """
-    scheme = scheme if scheme is not None else FullKScheme(k)
-    canon, ridx, pos, flip = scheme.seeds_of_block(*reads.soa())
+    canon, ridx, pos, flip = seeds
     if canon.size == 0:
         return (np.empty(0, np.uint64), np.empty(0, np.int64),
                 np.empty(0, np.int64), np.empty(0, np.int64))
-    order = np.lexsort((pos, ridx, canon))
+    # Stable, so a (read, key)'s windows keep their position order and the
+    # first of each run is the earliest.
+    order = np.lexsort((canon, ridx))
     canon, ridx = canon[order], ridx[order]
     head = np.empty(canon.shape[0], dtype=bool)
     head[0] = True
@@ -141,34 +157,54 @@ def batch_occurrences(reads: ReadSet, k: int, row_offset: int = 0,
 
 def _a_entries(occ_key, occ_read, occ_pos, occ_flip, table
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A's global COO entries: the occurrence table filtered to ``table``."""
+    """A's global COO entries, row-major: the occurrence table filtered to
+    ``table`` (column ids ascend with the keys, which ascend per read)."""
     col = table.lookup(occ_key)
-    ok = col >= 0
+    ok = np.flatnonzero(col >= 0)
     return occ_read[ok], col[ok], occ_pos[ok], occ_flip[ok]
 
 
-def _pair_product(rA, cA, rB, cB, n: int, m: int) -> np.ndarray:
+def _row_pointer(rows: np.ndarray, n: int) -> np.ndarray:
+    """CSR row pointer of ``n`` rows over row-major row indices."""
+    indptr = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr
+
+
+def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Entry indices of the given rows, in row order."""
+    start = indptr[rows]
+    return _ranges(start, indptr[rows + 1] - start)
+
+
+def _pattern(indptr: np.ndarray, cols: np.ndarray, m: int
+             ) -> sp.csr_matrix:
+    """Unit-valued CSR over a row pointer and its row-major columns."""
+    return sp.csr_matrix((np.ones(cols.shape[0], np.int64), cols, indptr),
+                         shape=(indptr.shape[0] - 1, m))
+
+
+def _pair_product(left: sp.csr_matrix, right: sp.csr_matrix, n: int,
+                  col_offset: int = 0) -> np.ndarray:
     """Packed strict-upper pairs ``lo·n + hi`` with a shared column.
 
-    ``(i, j)`` is emitted when row ``i`` of the left pattern and row ``j``
-    of the right pattern share a column — one scipy pattern product,
-    canonicalized to unordered off-diagonal pairs.
+    ``(i, j + col_offset)`` is emitted when row ``i`` of the left pattern
+    and row ``j`` of the right pattern share a column — one scipy pattern
+    product, canonicalized to unordered off-diagonal pairs.  scipy
+    converts ``right`` to its transpose's CSR, so the smaller pattern goes
+    there.
     """
-    if rA.shape[0] == 0 or rB.shape[0] == 0 or m == 0:
+    if left.nnz == 0 or right.nnz == 0:
         return np.empty(0, np.int64)
-    left = sp.csr_matrix((np.ones(rA.shape[0], np.int64), (rA, cA)),
-                         shape=(n, m))
-    right = sp.csr_matrix((np.ones(rB.shape[0], np.int64), (rB, cB)),
-                          shape=(n, m))
     prod = (left @ right.T).tocoo()
     i = prod.row.astype(np.int64)
-    j = prod.col.astype(np.int64)
+    j = prod.col.astype(np.int64) + col_offset
     off = i != j
     i, j = i[off], j[off]
     return np.unique(np.minimum(i, j) * np.int64(n) + np.maximum(i, j))
 
 
-def _affected_pairs(arow, acol, state: AssemblyState, table, n: int,
+def _affected_pairs(arow, acol, indptr, state: AssemblyState, table,
                     n_old: int) -> np.ndarray:
     """``P₁ ∪ P₂ ∪ P₃``: the pairs whose C entry may differ from version v.
 
@@ -176,8 +212,11 @@ def _affected_pairs(arow, acol, state: AssemblyState, table, n: int,
     range) in the new A; ``P₂`` — pairs sharing a **removed** column
     (count grew past ``upper``) in the *old* A; ``P₃`` — pairs involving a
     new read.  Counts only grow, so added/removed are disjoint and no
-    other pair's ordered shared-column list changes.
+    other pair's ordered shared-column list changes.  A's entries are
+    row-major with row pointer ``indptr``; every pattern below is too
+    (filters keep that order), so each is built without a sort.
     """
+    n = indptr.shape[0] - 1
     old_table = state.table
     added_keys = table.kmers[old_table.lookup(table.kmers) < 0]
     removed_keys = old_table.kmers[table.lookup(old_table.kmers) < 0]
@@ -186,44 +225,59 @@ def _affected_pairs(arow, acol, state: AssemblyState, table, n: int,
     if added_keys.shape[0]:
         added_cols = table.lookup(added_keys)
         sel = in_sorted(added_cols, acol)
-        compact = np.searchsorted(added_cols, acol[sel])
-        parts.append(_pair_product(arow[sel], compact, arow[sel], compact,
-                                   n, added_cols.shape[0]))
+        p1 = _pattern(_row_pointer(arow[sel], n),
+                      np.searchsorted(added_cols, acol[sel]),
+                      added_cols.shape[0])
+        parts.append(_pair_product(p1, p1, n))
     if removed_keys.shape[0]:
         sel = in_sorted(removed_keys, state.occ_key)
-        r2 = state.occ_read[sel]
-        c2 = np.searchsorted(removed_keys, state.occ_key[sel])
-        parts.append(_pair_product(r2, c2, r2, c2, n,
-                                   removed_keys.shape[0]))
-    new_rows = arow >= n_old
-    if new_rows.any():
-        parts.append(_pair_product(arow[new_rows], acol[new_rows],
-                                   arow, acol, n, len(table)))
+        p2 = _pattern(_row_pointer(state.occ_read[sel], n),
+                      np.searchsorted(removed_keys, state.occ_key[sel]),
+                      removed_keys.shape[0])
+        parts.append(_pair_product(p2, p2, n))
+    first_new = int(indptr[n_old])
+    if first_new < acol.shape[0]:
+        new_rows = _pattern(indptr[n_old:] - first_new, acol[first_new:],
+                            len(table))
+        parts.append(_pair_product(_pattern(indptr, acol, len(table)),
+                                   new_rows, n, col_offset=n_old))
     if not parts:
         return np.empty(0, np.int64)
     return np.unique(np.concatenate(parts))
 
 
-def _route_census(reads: ReadSet, k: int, P: int,
-                  scheme: SeedScheme | None = None) -> np.ndarray:
-    """``(n_reads, P)`` counts of each read's seed k-mers per hash owner.
+def _route_census(seeds: tuple[np.ndarray, ...], n: int, P: int
+                  ) -> np.ndarray:
+    """``(n, P)`` counts of each read's seed k-mers per hash owner.
 
-    Row ``r`` is a pure function of read ``r``'s bases (owner =
-    ``splitmix64(canonical seed) mod P``; schemes are per-read pure), so
-    censuses concatenate across batches and a version's census is its
-    predecessor's rows plus the batch's.
+    ``seeds`` is the ``n`` reads' seed stream.  Row ``r`` is a pure
+    function of read ``r``'s bases (owner = ``splitmix64(canonical seed)
+    mod P``; schemes are per-read pure), so censuses concatenate across
+    batches and a version's census is its predecessor's rows plus the
+    batch's.
     """
-    scheme = scheme if scheme is not None else FullKScheme(k)
-    n = len(reads)
-    census = np.zeros((n, P), np.int64)
-    if n == 0:
-        return census
-    canon, ridx, _pos, _flip = scheme.seeds_of_block(*reads.soa())
-    if canon.size:
-        dst = (splitmix64(canon) % np.uint64(P)).astype(np.int64)
-        census = np.bincount(ridx.astype(np.int64) * np.int64(P) + dst,
-                             minlength=n * P).reshape(n, P)
-    return census
+    canon, ridx = seeds[0], seeds[1]
+    if canon.size == 0:
+        return np.zeros((n, P), np.int64)
+    dst = (splitmix64(canon) % np.uint64(P)).astype(np.int64)
+    return np.bincount(ridx.astype(np.int64) * np.int64(P) + dst,
+                       minlength=n * P).reshape(n, P)
+
+
+def _seed_tables(reads: ReadSet, scheme: SeedScheme, P: int,
+                 row_offset: int = 0):
+    """Histogram, occurrence table and routing census of ``reads``.
+
+    All three come from one seed extraction: ``((keys, counts), occ,
+    census)``, with the histogram sorted by key
+    (:func:`~repro.seqs.kmer_counter.kmer_histogram`'s form) and ``occ``
+    as :func:`batch_occurrences` returns it.
+    """
+    seeds = scheme.seeds_of_block(*reads.soa())
+    keys, counts = np.unique(seeds[0], return_counts=True)
+    return ((keys, counts.astype(np.int64)),
+            batch_occurrences(seeds, row_offset),
+            _route_census(seeds, len(reads), P))
 
 
 def _replay_count_kmers(reads: ReadSet, route_counts: np.ndarray, table,
@@ -312,14 +366,14 @@ def _recompute(state: AssemblyState, batch: ReadSet, pcfg: PipelineConfig
     if n == 0:
         return _bumped_empty(state, "recompute")
     result = run_pipeline(combined, pcfg)
-    k = pcfg.k
     scheme = _scheme_of(pcfg)
-    hist_keys, hist_counts = kmer_histogram(combined, k, scheme=scheme)
-    table = table_from_histogram(hist_keys, hist_counts, k, lower=2,
+    (hist_keys, hist_counts), occ, route_counts = _seed_tables(
+        combined, scheme, pcfg.nprocs)
+    table = table_from_histogram(hist_keys, hist_counts, pcfg.k, lower=2,
                                  upper=_resolved_upper(pcfg))
-    occ = batch_occurrences(combined, k, scheme=scheme)
     arow, acol, _apos, _aflip = _a_entries(*occ, table)
-    c_pack = _pair_product(arow, acol, arow, acol, n, len(table))
+    a_pattern = _pattern(_row_pointer(arow, n), acol, len(table))
+    c_pack = _pair_product(a_pattern, a_pattern, n)
     graph = result.string_graph
     return AssemblyState(
         version=state.version + 1, reads=combined,
@@ -328,8 +382,7 @@ def _recompute(state: AssemblyState, batch: ReadSet, pcfg: PipelineConfig
         R=result.R, S=result.S, graph=graph,
         contigs=extract_contigs(graph),
         c_ri=c_pack // np.int64(n), c_rj=c_pack % np.int64(n),
-        route_counts=_route_census(combined, k, pcfg.nprocs,
-                                   scheme=scheme),
+        route_counts=route_counts,
         counts=_counts(n, result.n_kmers, result.nnz_a, result.nnz_c,
                        result.nnz_r, result.nnz_s, result.tr_rounds),
         tracker=result.tracker, timer=result.timer,
@@ -354,56 +407,63 @@ def _incremental(state: AssemblyState, batch: ReadSet,
     shadow = SimComm(P, CommTracker(P))
     timer = StageTimer()
 
-    # Counting state: histogram merge, reliable filter, occurrence splice.
-    bk, bc = kmer_histogram(batch, k, scheme=scheme)
+    # Counting state from the batch's one seed stream: histogram merge,
+    # reliable filter, occurrence append, census rows.
+    (bk, bc), batch_occ, batch_census = _seed_tables(batch, scheme, P,
+                                                     row_offset=n_old)
     hist_keys, hist_counts = merge_histograms(state.hist_keys,
                                               state.hist_counts, bk, bc)
     table = table_from_histogram(hist_keys, hist_counts, k, lower=2,
                                  upper=_resolved_upper(pcfg))
-    nk, nr, npos, nflip = batch_occurrences(batch, k, row_offset=n_old,
-                                            scheme=scheme)
-    at = np.searchsorted(state.occ_key, nk, side="right")
-    occ_key = np.insert(state.occ_key, at, nk)
-    occ_read = np.insert(state.occ_read, at, nr)
-    occ_pos = np.insert(state.occ_pos, at, npos)
-    occ_flip = np.insert(state.occ_flip, at, nflip)
+    occ_key, occ_read, occ_pos, occ_flip = (
+        np.concatenate([old, new]) for old, new in zip(
+            (state.occ_key, state.occ_read, state.occ_pos, state.occ_flip),
+            batch_occ))
 
     arow, acol, apos, aflip = _a_entries(occ_key, occ_read, occ_pos,
                                          occ_flip, table)
     m = len(table)
-    aff = _affected_pairs(arow, acol, state, table, n, n_old)
+    indptr = _row_pointer(arow, n)
+    aff = _affected_pairs(arow, acol, indptr, state, table, n_old)
 
     if state.route_counts.shape == (n_old, P):
-        route_counts = np.vstack([state.route_counts,
-                                  _route_census(batch, k, P,
-                                                scheme=scheme)])
+        route_counts = np.vstack([state.route_counts, batch_census])
     else:  # census missing or built for a different grid: rebuild once
-        route_counts = _route_census(combined, k, P, scheme=scheme)
-
-    A_full = DistMat.from_coo((n, m), grid, arow, acol,
-                              np.stack([apos, aflip], axis=1))
-    At = A_full.transpose(backend=backend)
+        route_counts = _route_census(scheme.seeds_of_block(*combined.soa()),
+                                     n, P)
 
     # Traffic replays for the stages the delta path skips (TrReduction runs
-    # for real below and charges itself).
+    # for real below and charges itself).  SUMMA's broadcasts depend only
+    # on A's and Aᵀ's block sizes: Aᵀ's block (i, j) is A's block (j, i).
     _replay_count_kmers(combined, route_counts, table, comm,
                         pcfg.kmer_batches, scheme=scheme)
-    charge_a_routing(arow, acol, n, m, grid, comm)
+    a_counts = charge_a_routing(arow, acol, n, m, grid, comm)
     exchange_reads(combined, grid, comm)
-    summa_comm_replay(A_full, At, comm, "SpGEMM")
+    summa_comm_replay(grid, a_counts, a_counts.T, A_NFIELDS, comm, "SpGEMM")
 
     old_r = state.R
     with get_executor(pcfg.executor, pcfg.workers) as ex:
         if aff.shape[0]:
             lo, hi = aff // np.int64(n), aff % np.int64(n)
-            rows_aff = np.unique(lo)
-            sel = in_sorted(rows_aff, arow)
+            # The column operand: Aᵀ's affected columns, i.e. A's rows
+            # ``hi`` with coordinates swapped — a stable sort by column
+            # leaves them in Aᵀ's row-major order, since rows already
+            # ascend.  The row operand: A's affected rows, less the entries
+            # whose inner index k the column operand lacks (they pair with
+            # nothing, so every C(i, j) keeps its ordered product list).
+            cols = _row_entries(indptr, np.unique(hi))
+            rows = _row_entries(indptr, np.unique(lo))
+            rows = rows[in_sorted(np.unique(acol[cols]), acol[rows])]
+            cols = cols[np.argsort(acol[cols], kind="stable")]
             A_aff = DistMat.from_coo(
-                (n, m), grid, arow[sel], acol[sel],
-                np.stack([apos[sel], aflip[sel]], axis=1))
+                (n, m), grid, arow[rows], acol[rows],
+                np.stack([apos[rows], aflip[rows]], axis=1))
+            At_aff = DistMat.from_coo(
+                (m, n), grid, acol[cols], arow[cols],
+                np.stack([apos[cols], aflip[cols]], axis=1))
             mask = DistMat.from_coo((n, n), grid, lo, hi,
                                     np.ones((lo.shape[0], 1), np.int64))
-            Cd = summa(A_aff, At, PositionsSemiring(), shadow, "SpGEMM",
+            Cd = summa(A_aff, At_aff, PositionsSemiring(), shadow, "SpGEMM",
                        timer, backend=backend, executor=ex, mask=mask)
             Rd = align_candidates(Cd, combined, k, shadow, timer,
                                   mode=pcfg.align_mode,

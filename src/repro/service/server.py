@@ -138,10 +138,13 @@ class AssemblyService:
     def overlaps(self, read: int) -> dict:
         def compute(state: AssemblyState) -> dict:
             out = []
-            if state.R is not None:
-                sel = state.R.row == read
-                for col, vals in zip(state.R.col[sel].tolist(),
-                                     state.R.vals[sel]):
+            R = state.R
+            # R is canonical, so row ``read`` is one slice of its cached row
+            # pointer — guarded, as a negative id would index from the end.
+            if R is not None and 0 <= read < R.shape[0]:
+                indptr = R.csr_indptr()
+                sel = slice(int(indptr[read]), int(indptr[read + 1]))
+                for col, vals in zip(R.col[sel].tolist(), R.vals[sel]):
                     out.append({"read": col,
                                 "suffix": int(vals[R_SUFFIX]),
                                 "end_i": int(vals[R_END_I]),

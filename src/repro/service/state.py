@@ -49,10 +49,11 @@ class AssemblyState:
       (sorted), the mergeable form of the counting state; the reliable
       table is a pure filter of it.
     * ``occ_*`` — the first-window occurrence per (read, distinct canonical
-      k-mer), sorted by (k-mer key, read), *independent* of reliability; A
+      k-mer), sorted by (read, k-mer key), *independent* of reliability; A
       for any version is the occurrence table filtered through that
-      version's reliable set, so admission churn never forces a rescan of
-      old reads.
+      version's reliable set — already in A's row-major order — so
+      admission churn never forces a rescan of old reads, and a batch's
+      occurrences (new, larger read ids) are appended.
     * ``R`` — the pre-reduction overlap matrix, which delta refreshes
       splice rows into.
     * ``c_ri``/``c_rj`` — the strict-upper candidate pair list (sorted

@@ -9,7 +9,7 @@ from repro.dsparse.coomat import CooMat
 from repro.dsparse.distmat import DistMat
 from repro.dsparse.semiring import MinPlus, PlusTimes
 from repro.dsparse.spgemm import spgemm_esc
-from repro.dsparse.summa import summa
+from repro.dsparse.summa import _stage_broadcasts, summa, summa_comm_replay
 from repro.mpisim import CommTracker, ProcessGrid2D, SimComm
 
 
@@ -155,6 +155,57 @@ def test_summa_charges_sqrtP_messages_per_rank():
     # (i, j) roots the row broadcast when k == j and the col broadcast when
     # k == i — each costs q-1 messages, so max messages per rank = 2(q-1).
     assert rec.max_messages == 2 * (q - 1)
+
+
+def _rand_fields(rng, shape, nfields, grid):
+    """A random DistMat whose entries carry ``nfields`` value fields."""
+    cells = rng.permutation(shape[0] * shape[1])
+    cells = cells[:rng.integers(0, cells.shape[0] + 1)]
+    row, col = np.divmod(cells, shape[1])
+    vals = rng.integers(0, 50, (cells.shape[0], nfields))
+    return DistMat.from_coo(shape, grid, row, col, vals)
+
+
+def _block_counts(M):
+    return np.array([[b.nnz for b in brow] for brow in M.blocks])
+
+
+def _records(tracker):
+    return {stage: (rec.bytes_per_rank.tolist(),
+                    rec.messages_per_rank.tolist())
+            for stage, rec in tracker.records.items()}
+
+
+@pytest.mark.parametrize("q", [1, 2, 4])
+@pytest.mark.parametrize("nfields", [1, 2, 4])
+def test_summa_comm_replay_from_block_counts(q, nfields):
+    """The sizes-only replay charges exactly what broadcasting the operands'
+    blocks does — and, for one field, what the real product charges."""
+    rng = np.random.default_rng(100 * q + nfields)
+    grid = ProcessGrid2D(q * q)
+    for _ in range(4):
+        n, m, l = rng.integers(1, 40, 3)
+        A = _rand_fields(rng, (n, m), nfields, grid)
+        B = _rand_fields(rng, (m, l), nfields, grid)
+        by_blocks = CommTracker(q * q)
+        for k in range(q):
+            _stage_broadcasts(grid, A.blocks, B.blocks, k,
+                              SimComm(q * q, by_blocks), "SpGEMM")
+        by_counts = CommTracker(q * q)
+        summa_comm_replay(grid, _block_counts(A), _block_counts(B), nfields,
+                          SimComm(q * q, by_counts), "SpGEMM")
+        assert _records(by_counts) == _records(by_blocks)
+        if nfields == 1:
+            product = CommTracker(q * q)
+            summa(A, B, PlusTimes(), SimComm(q * q, product), "SpGEMM")
+            assert _records(by_counts) == _records(product)
+
+
+def test_summa_comm_replay_refuses_misshapen_counts():
+    grid = ProcessGrid2D(4)
+    with pytest.raises(ValueError, match="2x2"):
+        summa_comm_replay(grid, np.zeros((2, 2)), np.zeros((1, 2)), 2,
+                          SimComm(4, CommTracker(4)), "SpGEMM")
 
 
 def test_summa_grid_mismatch():

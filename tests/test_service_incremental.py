@@ -12,13 +12,16 @@ leave the reliable set and previously-aligned pairs must be re-examined
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.contigs import extract_contigs
 from repro.core.pipeline import PipelineConfig, run_pipeline
+from repro.dsparse.distmat import DistMat
 from repro.seqs import ErrorModel, GenomeSpec, ReadSimSpec, simulate_reads
+from repro.seqs.seeding import FullKScheme
 from repro.service import AssemblyState, ServiceConfig, refresh
 
 K = 17
@@ -167,6 +170,112 @@ def test_reliability_churn_actually_exercised(service_reads):
     assert removed_any, (
         "no reliable k-mer ever crossed the upper bound; lower KMER_UPPER "
         "so the removed-column delta path is actually tested")
+
+
+@pytest.fixture(scope="module")
+def regime_batches():
+    """The benchmark's regime in miniature: 1 % error, many small deltas.
+
+    Reads are grouped by where they lie: the bootstrap holds reads ending
+    before 55 % of the genome, ``far`` reads start past 65 % (so no read
+    ingested before them covers their region), ``bridge`` reads are the
+    rest.  After the bootstrap: four covered-region reads, one single read,
+    the first far reads, the bridge, then the remaining far reads in two
+    batches — six deltas.
+    """
+    _genome, reads, layout = simulate_reads(
+        ReadSimSpec(GenomeSpec(length=8_000, seed=31), depth=10,
+                    mean_len=650, min_len=350, sigma_len=0.2,
+                    error=ErrorModel(rate=0.01), seed=32))
+    g = int(layout.end.max())
+    by_start = np.argsort(layout.start, kind="stable")
+    resident = by_start[layout.end[by_start] <= 0.55 * g]
+    far = by_start[layout.start[by_start] >= 0.65 * g]
+    bridge = np.setdiff1d(by_start, np.concatenate([resident, far]))
+    third = far.shape[0] // 3
+    groups = [resident[:-5], resident[-5:-1], resident[-1:], far[:third],
+              bridge, far[third:2 * third], far[2 * third:]]
+    assert all(gr.shape[0] for gr in groups)
+    assert layout.end[np.concatenate(groups[:3])].max() < \
+        layout.start[groups[3]].min()
+    return [reads.subset(gr) for gr in groups]
+
+
+@pytest.fixture(scope="module")
+def regime_refs(regime_batches):
+    """From-scratch digests per version, per seed mode (computed lazily)."""
+    refs = {}
+
+    def get(seed_mode: str) -> list[dict]:
+        if seed_mode not in refs:
+            prefix, out = regime_batches[0], []
+            for i, batch in enumerate(regime_batches):
+                prefix = prefix if i == 0 else prefix.concat(batch)
+                out.append(_scratch_digests(run_pipeline(
+                    prefix, _regime_config(seed_mode))))
+            refs[seed_mode] = out
+        return refs[seed_mode]
+    return get
+
+
+def _regime_config(seed_mode, executor="serial", workers=1):
+    return replace(_pipeline_config(executor, workers), align_mode="chain",
+                   seed_mode=seed_mode)
+
+
+@pytest.mark.parametrize("executor,workers", [("serial", 1), ("process", 2)])
+@pytest.mark.parametrize("seed_mode", ["full", "minimizer"])
+def test_incremental_matches_scratch_in_chain_regime(regime_batches,
+                                                     regime_refs, seed_mode,
+                                                     executor, workers):
+    """Chain alignment over 1 % error reads, full-k and minimizer seeds, six
+    small deltas (one a single read, one in a region nothing resident
+    covers): every version equals the scratch run on its prefix."""
+    config = ServiceConfig(refresh_mode="incremental",
+                           pipeline=_regime_config(seed_mode, executor,
+                                                   workers))
+    state = AssemblyState.initial()
+    for batch, ref in zip(regime_batches, regime_refs(seed_mode)):
+        state = refresh(state, batch, config)
+        assert _state_digests(state) == ref, f"version {state.version}"
+    assert state.refresh_mode == "incremental"
+
+
+def test_refresh_stays_delta_sized(service_reads, monkeypatch):
+    """One incremental refresh extracts seeds once (the batch's), transposes
+    nothing, and distributes nothing as large as A."""
+    config = ServiceConfig(refresh_mode="incremental",
+                           pipeline=replace(_pipeline_config(),
+                                            seed_mode="full",
+                                            kmer_batches=1))
+    n = len(service_reads)
+    state = refresh(AssemblyState.initial(),
+                    service_reads.subset(np.arange(n - 12)), config)
+    calls = {"seeds": 0, "transpose": 0}
+    sizes = []
+    seeds_of_block = FullKScheme.seeds_of_block
+    transpose = DistMat.transpose
+    from_coo = DistMat.from_coo.__func__
+
+    def counting_seeds(self, *args):
+        calls["seeds"] += 1
+        return seeds_of_block(self, *args)
+
+    def counting_transpose(self, backend=None):
+        calls["transpose"] += 1
+        return transpose(self, backend)
+
+    def sized_from_coo(cls, shape, grid, row, col, vals):
+        sizes.append(len(row))
+        return from_coo(cls, shape, grid, row, col, vals)
+
+    monkeypatch.setattr(FullKScheme, "seeds_of_block", counting_seeds)
+    monkeypatch.setattr(DistMat, "transpose", counting_transpose)
+    monkeypatch.setattr(DistMat, "from_coo", classmethod(sized_from_coo))
+    new = refresh(state, service_reads.subset(np.arange(n - 12, n)), config)
+    assert new.refresh_mode == "incremental"
+    assert calls == {"seeds": 1, "transpose": 0}
+    assert sizes and max(sizes) < new.counts["nnz_a"]
 
 
 def test_empty_batch_bumps_version_only(service_reads):

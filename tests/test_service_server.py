@@ -159,9 +159,10 @@ def test_error_paths(base_url):
 
 def test_overlaps_unknown_read_is_empty(base_url, server_reads):
     _post(f"{base_url}/reads", _batch_payload(server_reads, 0, 20))
-    status, body = _get(f"{base_url}/overlaps/999999")
-    assert status == 200
-    assert body["overlaps"] == []
+    for read in (999999, -1):
+        status, body = _get(f"{base_url}/overlaps/{read}")
+        assert status == 200
+        assert body["overlaps"] == []
 
 
 def _raw_request(base_url: str, request: bytes):
