@@ -50,9 +50,9 @@ class _SingleSlotMinPlus(Semiring):
 
 def _ablated_reduction(graph: StringGraph, fuzz: int) -> StringGraph:
     """Algorithm 2 with the single-slot semiring (no end-orientation match
-    in the comparison step)."""
+    in the comparison step), over the non-contained reads' dovetails."""
     mat = graph.to_coomat()
-    R = mat
+    R = mat.select(mat.vals[:, R_SUFFIX] >= 0)
     while True:
         prev = R.nnz
         if prev == 0:

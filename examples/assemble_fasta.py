@@ -16,7 +16,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro import PipelineConfig, extract_contigs, run_pipeline_from_fasta
+from repro import (PipelineConfig, extract_contigs, run_pipeline_from_fasta,
+                   write_layout)
 from repro.seqs import (ErrorModel, GenomeSpec, ReadSimSpec, simulate_reads,
                         write_fasta)
 
@@ -50,15 +51,12 @@ def main(argv: list[str]) -> None:
 
     contigs = extract_contigs(result.string_graph)
     contigs.sort(key=len, reverse=True)
-    with open(out, "w") as fh:
-        fh.write("contig\tposition\tread\torientation\n")
-        for cid, contig in enumerate(contigs):
-            for t, (rid, orient) in enumerate(zip(contig.reads,
-                                                  contig.orientations)):
-                fh.write(f"contig{cid}\t{t}\t{rid}\t{'-' if orient else '+'}\n")
+    write_layout(out, contigs)
     multi = sum(1 for c in contigs if len(c) > 1)
+    contained = sum(len(c.contained) for c in contigs)
     print(f"Wrote {out}: {len(contigs)} contigs ({multi} with >1 read, "
-          f"largest {len(contigs[0])} reads)")
+          f"largest {len(contigs[0])} reads; {contained} contained reads "
+          f"placed in their containers' contigs)")
 
 
 if __name__ == "__main__":

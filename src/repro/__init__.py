@@ -21,7 +21,8 @@ paper-vs-measured record of every table and figure.
 from .core import (AlignmentFilter, Contig, PipelineConfig, PipelineResult,
                    STAGES, StringGraph, best_overlap_cleaning,
                    extract_contigs, run_pipeline,
-                   run_pipeline_from_fasta, transitive_reduction)
+                   run_pipeline_from_fasta, transitive_reduction,
+                   write_layout)
 from .mpisim import CORI_HASWELL, MACHINES, SUMMIT_CPU
 
 __version__ = "1.0.0"
@@ -30,7 +31,7 @@ __all__ = [
     "AlignmentFilter", "Contig", "PipelineConfig", "PipelineResult",
     "STAGES", "StringGraph", "best_overlap_cleaning",
     "extract_contigs", "run_pipeline",
-    "run_pipeline_from_fasta", "transitive_reduction",
+    "run_pipeline_from_fasta", "transitive_reduction", "write_layout",
     "CORI_HASWELL", "MACHINES", "SUMMIT_CPU",
     "__version__",
 ]

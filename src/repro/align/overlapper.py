@@ -118,17 +118,17 @@ def classify_overlap(len_i: int, len_j: int, aln: AlignmentResult,
 def classify_overlap_batch(len_i: np.ndarray, len_j: np.ndarray,
                            ba: np.ndarray, ea: np.ndarray, bb: np.ndarray,
                            eb: np.ndarray, strand: np.ndarray, fuzz: int
-                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                      np.ndarray, np.ndarray, np.ndarray]:
+                           ) -> tuple[np.ndarray, ...]:
     """Vectorized :func:`classify_overlap` over alignment-coordinate columns.
 
-    Same decision tree as the scalar version — containment first (shorter
-    read wins near-equal pairs), then the two dovetail orderings with the
-    ``i sticks out left`` branch taking precedence on ties — evaluated as
-    pure column operations.  Returns
-    ``(dovetail, suffix_ij, suffix_ji, end_i, end_j, overlap_len)`` arrays;
-    the suffix/end columns are only meaningful where ``dovetail`` is true
-    (contained and internal overlaps are discarded by the caller either way).
+    Same decision tree as the scalar version — containment first (the
+    shorter read is the contained one when each covers the other, ``i`` on
+    equal lengths), then the two dovetail orderings with the ``i sticks out
+    left`` branch taking precedence on ties — evaluated as pure column
+    operations.  Returns ``(dovetail, contained_i, contained_j, suffix_ij,
+    suffix_ji, end_i, end_j, overlap_len)`` arrays: the three kind columns
+    are disjoint (a row in none of them is ``"internal"``), and the
+    suffix/end columns are only meaningful where ``dovetail`` is true.
     """
     left_i = ba
     right_i = len_i - ea
@@ -136,8 +136,11 @@ def classify_overlap_batch(len_i: np.ndarray, len_j: np.ndarray,
     right_j = len_j - eb
     overlap_len = ea - ba
 
-    contained = ((left_i <= fuzz) & (right_i <= fuzz)) | \
-                ((left_j <= fuzz) & (right_j <= fuzz))
+    i_covered = (left_i <= fuzz) & (right_i <= fuzz)
+    j_covered = (left_j <= fuzz) & (right_j <= fuzz)
+    contained_i = i_covered & (~j_covered | (len_i <= len_j))
+    contained_j = j_covered & ~contained_i
+    contained = i_covered | j_covered
     first_i = ~contained & (left_i >= left_j) & (right_j >= right_i)
     dove_i = first_i & ~((left_j > fuzz) | (right_i > fuzz))
     first_j = ~contained & ~first_i & (left_j >= left_i) & \
@@ -154,4 +157,5 @@ def classify_overlap_batch(len_i: np.ndarray, len_j: np.ndarray,
     end_j = np.where(strand == 0,
                      np.where(dove_i, np.int64(B_END), np.int64(E_END)),
                      np.where(dove_i, np.int64(E_END), np.int64(B_END)))
-    return dovetail, suffix_ij, suffix_ji, end_i, end_j, overlap_len
+    return (dovetail, contained_i, contained_j, suffix_ij, suffix_ji, end_i,
+            end_j, overlap_len)

@@ -44,9 +44,11 @@ def myers_transitive_reduction(graph: StringGraph, fuzz: int = 150,
     -------
     StringGraph
         The reduced graph.  Like Algorithm 2, the procedure iterates to a
-        fixed point (multi-hop redundancies need several passes).
+        fixed point (multi-hop redundancies need several passes).  Myers
+        removes contained reads first (``graph.container``), so their edges
+        never witness a reduction — the order the pipeline follows too.
     """
-    g = graph
+    g = graph.without_contained()
     while True:
         marked = _one_pass(g, fuzz, use_rowmax)
         if not marked:

@@ -100,7 +100,8 @@ def sora_transitive_reduction(graph: StringGraph, nodes: int,
     # them, and repeat until no edge is removed.  Result equivalence with
     # Myers lets us execute the passes via the same one-pass kernel while
     # counting the shuffles a GraphX aggregateMessages pass performs.
-    g = graph
+    # Contained reads leave first, as in Myers' construction.
+    g = graph.without_contained()
     supersteps = 0
     shuffle_bytes = 0.0
     while True:

@@ -21,7 +21,7 @@ import argparse
 import contextlib
 import sys
 
-from .core.contigs import extract_contigs
+from .core.contigs import extract_contigs, write_layout
 from .core.memory import apportion_budget, format_bytes, parse_bytes
 from .core.pipeline import STAGES, PipelineConfig, run_pipeline_from_fasta
 from .mpisim.machine import MACHINES
@@ -185,6 +185,8 @@ def _print_stats(result, machine_name: str) -> None:
     print(f"nnz(R) = {result.nnz_r}  (r = {result.r_density:.1f})")
     print(f"nnz(S) = {result.nnz_s}  (s = {result.s_density:.1f}), "
           f"{result.tr_rounds} reduction rounds")
+    n_contained = int((result.string_graph.container >= 0).sum())
+    print(f"contained reads: {n_contained} of {result.n_reads}")
     _print_counts("kernel work per stage (spgemm block products per path; "
                   "x-drop sweep rounds, cells, words):", result.kernel_counts)
     _print_counts("exact work per stage (k-mer lookup windows, table probes, "
@@ -207,13 +209,7 @@ def _cmd_assemble(args) -> int:
     _print_stats(result, args.machine)
     contigs = extract_contigs(result.string_graph)
     contigs.sort(key=len, reverse=True)
-    with open(args.layout, "w") as fh:
-        fh.write("contig\tposition\tread\torientation\n")
-        for cid, contig in enumerate(contigs):
-            for t, (rid, orient) in enumerate(zip(contig.reads,
-                                                  contig.orientations)):
-                fh.write(f"contig{cid}\t{t}\t{rid}\t"
-                         f"{'-' if orient else '+'}\n")
+    write_layout(args.layout, contigs)
     largest = f" (largest {len(contigs[0])} reads)" if contigs else ""
     print(f"wrote {args.layout}: {len(contigs)} contigs{largest}")
     return 0

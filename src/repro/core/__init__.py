@@ -14,7 +14,8 @@ from .transitive_reduction import (TransitiveReductionResult,
                                    transitive_reduction)
 from .pipeline import (STAGES, PipelineConfig, PipelineResult, run_pipeline,
                        run_pipeline_from_fasta)
-from .contigs import Contig, best_overlap_cleaning, extract_contigs
+from .contigs import (Contig, best_overlap_cleaning, extract_contigs,
+                      write_layout)
 from .blocked import BlockedOverlapResult, candidate_overlaps_blocked
 
 __all__ = [
@@ -30,6 +31,6 @@ __all__ = [
     "TransitiveReductionResult", "transitive_reduction",
     "STAGES", "PipelineConfig", "PipelineResult", "run_pipeline",
     "run_pipeline_from_fasta",
-    "Contig", "best_overlap_cleaning", "extract_contigs",
+    "Contig", "best_overlap_cleaning", "extract_contigs", "write_layout",
     "BlockedOverlapResult", "candidate_overlaps_blocked",
 ]

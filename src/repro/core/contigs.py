@@ -6,20 +6,23 @@ that downstream clustering as a usable extension: maximal unbranched walks of
 the bidirected string graph become contigs.
 
 A read end is *unbranched* when exactly one string-graph edge attaches to it.
-A contig is a maximal valid walk through unbranched interior ends; each read
-appears in one contig (or as a singleton).  The walk respects bidirected
-semantics: it enters each read at one end and leaves from the other.
+A contig is a maximal valid walk through unbranched interior ends; each
+non-contained read appears in one contig's walk (or as a singleton), and
+each contained read rides along in its root container's contig.  The walk
+respects bidirected semantics: it enters each read at one end and leaves
+from the other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .string_graph import StringGraph
 
-__all__ = ["Contig", "best_overlap_cleaning", "extract_contigs"]
+__all__ = ["Contig", "best_overlap_cleaning", "extract_contigs",
+           "write_layout"]
 
 
 @dataclass
@@ -27,11 +30,15 @@ class Contig:
     """A maximal unbranched walk: ordered reads with their orientations.
 
     ``orientations[t]`` is 0 when read ``reads[t]`` is traversed forward
-    (entered at its Begin end), 1 when traversed reverse.
+    (entered at its Begin end), 1 when traversed reverse.  ``contained``
+    lists the contained reads whose root container is on the walk
+    (ascending); they are not part of the walk, so ``len`` and every
+    path metric count ``reads`` only.
     """
 
     reads: list[int]
     orientations: list[int]
+    contained: list[int] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.reads)
@@ -40,12 +47,12 @@ class Contig:
 def best_overlap_cleaning(graph: StringGraph) -> StringGraph:
     """Keep only mutual-best edges per read end (miniasm-style cleaning).
 
-    Even a correctly reduced string graph keeps more than one edge per read
-    end wherever containment gaps break two-hop paths (a contained overlap
-    carries no edge, so the transitivity witness is missing).  The standard
-    remedy before contig walking: at every (read, end) attachment keep the
-    edge with the *smallest suffix* (longest overlap), and keep an overlap
-    only when both endpoints choose it — the Best Overlap Graph.
+    A reduced string graph can keep more than one edge per read end where
+    a two-hop witness is missing — an overlap the aligner lost, or an
+    inconsistent pair near a repeat.  The standard remedy before contig
+    walking: at every (read, end) attachment keep the edge with the
+    *smallest suffix* (longest overlap), and keep an overlap only when both
+    endpoints choose it — the Best Overlap Graph.
     """
     best: dict[tuple[int, int], int] = {}
     for e in range(graph.n_edges):
@@ -61,14 +68,7 @@ def best_overlap_cleaning(graph: StringGraph) -> StringGraph:
         if rev is not None and int(graph.dst[rev]) == int(graph.src[e]) \
                 and int(graph.end_dst[rev]) == int(graph.end_src[e]):
             keep.append(e)
-    keep_arr = np.array(sorted(keep), dtype=np.int64)
-    if keep_arr.shape[0] == 0:
-        return StringGraph(graph.n_reads, *(np.empty(0, np.int64)
-                                            for _ in range(5)))
-    return StringGraph(graph.n_reads, graph.src[keep_arr],
-                       graph.dst[keep_arr], graph.suffix[keep_arr],
-                       graph.end_src[keep_arr], graph.end_dst[keep_arr],
-                       graph.overlap_len[keep_arr])
+    return graph.select(np.array(sorted(keep), dtype=np.int64))
 
 
 def _attachment_index(graph: StringGraph) -> dict[tuple[int, int], list[int]]:
@@ -84,15 +84,19 @@ def extract_contigs(graph: StringGraph, clean: bool = True) -> list[Contig]:
 
     Each physical overlap contributes directed entries in both orientations,
     so following out-edges with the opposite-end rule walks the bidirected
-    graph correctly.  Walks stop at branch points (an end with ≠ 1 attached
-    edge) and at already-visited reads; every read lands in exactly one
-    contig.  With ``clean=True`` (default) the graph first goes through
-    :func:`best_overlap_cleaning`.
+    graph correctly.  Walks cover the non-contained reads only (edges at
+    contained reads are ignored) and stop at branch points (an end with
+    ≠ 1 attached edge) and at already-visited reads; every non-contained
+    read lands in exactly one contig's walk, and every contained read in
+    its root container's ``Contig.contained``.  With ``clean=True``
+    (default) the graph first goes through :func:`best_overlap_cleaning`.
     """
+    graph = graph.without_contained()
     if clean:
         graph = best_overlap_cleaning(graph)
     att = _attachment_index(graph)
-    visited = np.zeros(graph.n_reads, dtype=bool)
+    # Contained reads start out visited: no walk starts at or enters one.
+    visited = graph.container >= 0
     contigs: list[Contig] = []
 
     def walk(start: int, leave_end: int) -> tuple[list[int], list[int]]:
@@ -139,4 +143,30 @@ def extract_contigs(graph: StringGraph, clean: bool = True) -> list[Contig]:
         reads.extend(fwd_reads)
         orients.extend(fwd_orient)
         contigs.append(Contig(reads, orients))
+
+    contig_of = np.empty(graph.n_reads, dtype=np.int64)
+    for cid, contig in enumerate(contigs):
+        contig_of[contig.reads] = cid
+    for r in np.flatnonzero(graph.container >= 0).tolist():
+        contigs[contig_of[graph.container[r]]].contained.append(r)
     return contigs
+
+
+def write_layout(path, contigs: list[Contig]) -> None:
+    """Write a contig layout TSV, one row per read.
+
+    Columns ``contig``, ``position``, ``read``, ``orientation`` (``+`` /
+    ``-``) for every read of every walk, in walk order; each contig's
+    contained reads follow its walk with position ``-`` and orientation
+    ``.`` (they lie inside their root container; the layout does not
+    orient them).  ``contigs`` are written in the order given.
+    """
+    with open(path, "w") as fh:
+        fh.write("contig\tposition\tread\torientation\n")
+        for cid, contig in enumerate(contigs):
+            for t, (rid, orient) in enumerate(zip(contig.reads,
+                                                  contig.orientations)):
+                fh.write(f"contig{cid}\t{t}\t{rid}\t"
+                         f"{'-' if orient else '+'}\n")
+            for rid in contig.contained:
+                fh.write(f"contig{cid}\t-\t{rid}\t.\n")

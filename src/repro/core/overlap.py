@@ -16,7 +16,8 @@ This module covers Algorithm 1 lines 4–8:
 * :func:`align_candidates` — seed-and-extend alignment (x-drop or chain
   mode) on every C nonzero, score pruning, overlap classification, and
   assembly of the symmetric overlap matrix ``R`` with
-  ``[suffix, end_i, end_j, overlap_len]`` payloads.
+  ``[suffix, end_i, end_j, overlap_len]`` payloads (dovetails) and marked
+  containment entries.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ from ..seqs.seeding import FullKScheme, SeedScheme
 from .memory import coo_nbytes
 from .semirings import (A_FLIP, A_POS, C_COUNT, C_NFIELDS, C_PA1, C_PA2,
                         C_PB1, C_PB2, C_STRAND1, C_STRAND2,
-                        PositionsSemiring, R_END_I, R_END_J, R_NFIELDS,
-                        R_OLEN, R_SUFFIX)
+                        PositionsSemiring, R_CONTAINED, R_CONTAINS, R_END_I,
+                        R_END_J, R_NFIELDS, R_NO_END, R_OLEN, R_SUFFIX)
 
 __all__ = ["AlignmentFilter", "build_a_matrix", "charge_a_routing",
            "candidate_overlaps", "exchange_reads", "align_candidates"]
@@ -447,8 +448,9 @@ def _dedup_second_seeds(cvals: np.ndarray, b_len: np.ndarray, k: int,
 def _align_task(ctx, task):
     """Executor task: align one candidate pair, filter, classify.
 
-    Returns the two directed R payload rows of a surviving dovetail overlap,
-    or ``None`` for pairs pruned by score or classification.
+    Returns the two directed R payload rows ``(gi, gj)`` and ``(gj, gi)`` of
+    a surviving dovetail or containment overlap, or ``None`` for pairs
+    pruned by score or classified internal.
     """
     reads, k, mode, scoring, filt, fuzz = ctx
     gi, gj, cval = task
@@ -459,10 +461,15 @@ def _align_task(ctx, task):
     if not filt.passes(res.score, olen):
         return None
     oc = classify_overlap(reads[gi].shape[0], reads[gj].shape[0], res, fuzz)
-    if oc.kind != "dovetail":
+    if oc.kind == "dovetail":
+        return ((oc.suffix_ij, oc.end_i, oc.end_j, oc.overlap_len),
+                (oc.suffix_ji, oc.end_j, oc.end_i, oc.overlap_len))
+    if oc.kind == "internal":
         return None
-    return ((oc.suffix_ij, oc.end_i, oc.end_j, oc.overlap_len),
-            (oc.suffix_ji, oc.end_j, oc.end_i, oc.overlap_len))
+    inner, outer = ((R_CONTAINED, R_CONTAINS) if oc.kind == "contained_i"
+                    else (R_CONTAINS, R_CONTAINED))
+    return ((inner, R_NO_END, R_NO_END, oc.overlap_len),
+            (outer, R_NO_END, R_NO_END, oc.overlap_len))
 
 
 #: Ceiling on candidate pairs per batch-kernel call (the ``max_items`` cap
@@ -551,8 +558,9 @@ def _align_chunk_task(ctx, task):
 
     One batch-kernel invocation covers the whole chunk: seed extension,
     score filter, and overlap classification all run as column operations,
-    and the surviving dovetails come back as ready-to-concatenate R COO
-    arrays (two directed rows per pair, in chunk order) followed by the
+    and the surviving dovetail and containment pairs come back as
+    ready-to-concatenate R COO arrays (two directed rows per pair, in chunk
+    order — :func:`_align_task`'s payloads) followed by the
     x-drop sweep's work counters (empty in chain mode).  The context
     carries the ReadSet itself (not its SoA arrays): a store-backed set
     ships as just the store path, and each worker's ``soa()`` call maps
@@ -568,10 +576,11 @@ def _align_chunk_task(ctx, task):
     passes = (olen >= filt.min_overlap) & \
         (score >= np.maximum(np.int64(filt.min_score),
                              (filt.ratio * olen).astype(np.int64)))
-    dovetail, suffix_ij, suffix_ji, end_i, end_j, olen = \
+    dovetail, in_i, in_j, suffix_ij, suffix_ji, end_i, end_j, olen = \
         classify_overlap_batch(lengths[gi], lengths[gj], ba, ea, bb, eb,
                                strand, fuzz)
-    sel = passes & dovetail
+    sel = passes & (dovetail | in_i | in_j)
+    dove, in_i = dovetail[sel], in_i[sel]
     n_hit = int(sel.sum())
     rows = np.empty(2 * n_hit, dtype=np.int64)
     cols = np.empty(2 * n_hit, dtype=np.int64)
@@ -580,12 +589,14 @@ def _align_chunk_task(ctx, task):
     rows[1::2] = gj[sel]
     cols[0::2] = gj[sel]
     cols[1::2] = gi[sel]
-    vals[0::2, R_SUFFIX] = suffix_ij[sel]
-    vals[0::2, R_END_I] = end_i[sel]
-    vals[0::2, R_END_J] = end_j[sel]
-    vals[1::2, R_SUFFIX] = suffix_ji[sel]
-    vals[1::2, R_END_I] = end_j[sel]
-    vals[1::2, R_END_J] = end_i[sel]
+    vals[0::2, R_SUFFIX] = np.where(
+        dove, suffix_ij[sel], np.where(in_i, R_CONTAINED, R_CONTAINS))
+    vals[0::2, R_END_I] = np.where(dove, end_i[sel], R_NO_END)
+    vals[0::2, R_END_J] = np.where(dove, end_j[sel], R_NO_END)
+    vals[1::2, R_SUFFIX] = np.where(
+        dove, suffix_ji[sel], np.where(in_i, R_CONTAINS, R_CONTAINED))
+    vals[1::2, R_END_I] = vals[0::2, R_END_J]
+    vals[1::2, R_END_J] = vals[0::2, R_END_I]
     vals[:, R_OLEN] = np.repeat(olen[sel], 2)
     return rows, cols, vals, tally
 
@@ -601,10 +612,13 @@ def align_candidates(C: DistMat, reads: ReadSet, k: int, comm: SimComm,
     """Pairwise-align all C nonzeros and build the overlap matrix ``R``.
 
     Alignment is the element-wise APPLY on C; score pruning is the PRUNE
-    (Algorithm 1 lines 7–8).  Dovetail survivors contribute both directed
-    entries of ``R``; contained and internal overlaps are discarded here
-    (the paper discards contained overlaps at the transitive-reduction
-    boundary regardless of score, Section IV-D).
+    (Algorithm 1 lines 7–8).  Dovetail and containment survivors contribute
+    both directed entries of ``R`` (containments under the markers of
+    :mod:`repro.core.semirings`); internal overlaps are discarded here.
+    The paper discards contained overlaps at the transitive-reduction
+    boundary (Section IV-D); :func:`~repro.core.transitive_reduction.
+    transitive_reduction` goes one step further, as Myers does, and drops
+    the contained *reads* on entry.
 
     ``impl`` selects the alignment engine
     (:data:`repro.options.ALIGN_IMPL`):

@@ -24,8 +24,15 @@ matrix                 fields
 ``A`` (reads×k-mers)   ``[pos, flipped]``
 ``C`` (candidates)     ``[count, pA1, pB1, strand1, pA2, pB2, strand2]``
 ``R``/``S`` (overlap)  ``[suffix, end_i, end_j, overlap_len]``
+``R``/``S`` (contain)  ``[R_CONTAINED | R_CONTAINS, R_NO_END, R_NO_END, overlap_len]``
 ``N`` (two-hop)        ``[min_suffix[slot] for slot in (B,B),(B,E),(E,B),(E,E)]``
 =====================  =============================================
+
+A containment pair keeps both directed entries in ``R``: ``(i, j)`` marked
+``R_CONTAINED`` (read i lies inside read j) and ``(j, i)`` marked
+``R_CONTAINS``.  Dovetail suffixes are at least 1, so a negative suffix is
+what tells the two entry kinds apart.  ``S`` keeps one ``R_CONTAINED``
+entry per contained read, pointing at its root (non-contained) container.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ __all__ = [
     "C_COUNT", "C_PA1", "C_PB1", "C_STRAND1", "C_PA2", "C_PB2", "C_STRAND2",
     "C_NFIELDS",
     "R_SUFFIX", "R_END_I", "R_END_J", "R_OLEN", "R_NFIELDS",
+    "R_CONTAINED", "R_CONTAINS", "R_NO_END",
     "n_slot",
     "PositionsSemiring", "BidirectedMinPlus",
 ]
@@ -49,6 +57,10 @@ A_POS, A_FLIP = 0, 1
 C_COUNT, C_PA1, C_PB1, C_STRAND1, C_PA2, C_PB2, C_STRAND2 = range(7)
 # R-matrix fields.
 R_SUFFIX, R_END_I, R_END_J, R_OLEN = range(4)
+# Containment-entry markers: R_SUFFIX of (contained, container) and of
+# (container, contained); both end fields hold R_NO_END.
+R_CONTAINED, R_CONTAINS = -1, -2
+R_NO_END = -1
 
 #: Field counts derived from the layout constants above — the single source
 #: of truth for code that must build empty/estimated matrices of these

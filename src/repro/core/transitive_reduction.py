@@ -26,6 +26,14 @@ attachments at the middle read are opposite ends (valid walk — rule (a));
 the mask step compares the direct edge's end pair against the same-slot
 minimum of ``N`` (rules (b) and (c)), because ``N`` keeps one minimum per
 (end_i, end_j) combination.
+
+Before the loop, contained reads leave (Myers' order, :func:`_drop_contained`):
+one row reduce over ``R``'s containment entries picks every contained read's
+container, one allgather shares that vector, and the contained reads' rows
+and columns go with every containment entry.  Reducing first and dropping
+after would over-reduce: a contained read witnesses two-hop paths that vanish
+with it.  ``S`` is the reduced dovetail matrix plus one ``R_CONTAINED`` entry
+per contained read, pointing at its root container.
 """
 
 from __future__ import annotations
@@ -35,16 +43,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dsparse.backend import Backend, get_backend
+from ..dsparse.coomat import CooMat
 from ..dsparse.distmat import DistMat
 from ..dsparse.elementwise import reduce_rows
 from ..dsparse.membership import match_sorted
 from ..dsparse.summa import summa
 from ..exec import Executor, SERIAL
 from ..mpisim.comm import SimComm
+from ..mpisim.grid import block_bounds
 from ..mpisim.tracker import StageTimer
 from ..options import SPGEMM_IMPL
 from .memory import coo_nbytes
-from .semirings import BidirectedMinPlus, R_END_I, R_END_J, R_SUFFIX, n_slot
+from .semirings import (BidirectedMinPlus, R_CONTAINED, R_END_I, R_END_J,
+                        R_NFIELDS, R_NO_END, R_OLEN, R_SUFFIX, n_slot)
+from .string_graph import (NO_CONTAINER, container_key, containment_roots,
+                           decode_container_key)
 
 __all__ = ["TransitiveReductionResult", "transitive_reduction"]
 
@@ -58,12 +71,13 @@ class TransitiveReductionResult:
     Attributes
     ----------
     S:
-        The string matrix (transitively reduced overlap matrix).
+        The string matrix: the transitively reduced dovetails between
+        non-contained reads plus one containment entry per contained read.
     rounds:
         Iterations until the nonzero count stabilized (the small constant
         ``t`` in Table I's latency ``t√P``).
     removed:
-        Total directed entries pruned.
+        Directed entries of ``R`` not in ``S``.
     """
 
     S: DistMat
@@ -100,6 +114,77 @@ def _mask_prune_task(ctx, task):
     return backend.select(rb, keep)
 
 
+def _drop_contained(R: DistMat, comm: SimComm, timer: StageTimer,
+                    backend: Backend) -> tuple[DistMat, DistMat]:
+    """Split ``R`` into the loop's input and ``S``'s containment entries.
+
+    A row reduce (min) over the ``R_CONTAINED`` entries' container keys
+    gives each contained read its container — longest overlap, then lowest
+    index (:func:`~repro.core.string_graph.container_key`) — and an
+    allgather hands the vector to every rank, which then knows the roots
+    (:func:`~repro.core.string_graph.containment_roots`) and which rows and
+    columns to drop.  Both collectives are charged to ``TrReduction``; the
+    drop itself is block-local.  Returns ``(dovetails between non-contained
+    reads, one R_CONTAINED entry per contained read → its root)``; each
+    entry carries the overlap length of the read's own best containment.
+    """
+    grid, q, n = R.grid, R.grid.q, R.shape[0]
+    keys = []
+    for i in range(q):
+        brow = []
+        for j in range(q):
+            b = R.blocks[i][j]
+            inside = np.flatnonzero(b.vals[:, R_SUFFIX] == R_CONTAINED)
+            brow.append(CooMat(b.shape, b.row[inside], b.col[inside],
+                               container_key(b.col[inside] + R.col_bounds[j],
+                                             b.vals[inside, R_OLEN], n),
+                               checked=True))
+        keys.append(brow)
+    best = reduce_rows(DistMat(R.shape, grid, keys, 1), 0, np.minimum,
+                       NO_CONTAINER, comm, STAGE, backend=backend)
+    parent, olen = decode_container_key(best, n)
+    bounds = block_bounds(n, comm.nprocs)
+    comm.allgather([parent[bounds[p]:bounds[p + 1]]
+                    for p in range(comm.nprocs)], stage=STAGE)
+    root = containment_roots(parent)
+    kept = root < 0
+
+    blocks = []
+    with timer.superstep(STAGE) as step:
+        for i in range(q):
+            brow = []
+            for j in range(q):
+                b = R.blocks[i][j]
+                with step.rank(grid.rank_of(i, j)):
+                    keep = (b.vals[:, R_SUFFIX] >= 0) & \
+                        kept[b.row + R.row_bounds[i]] & \
+                        kept[b.col + R.col_bounds[j]]
+                    brow.append(b if keep.all() else backend.select(b, keep))
+            blocks.append(brow)
+    inside = np.flatnonzero(~kept)
+    vals = np.empty((inside.shape[0], R_NFIELDS), dtype=np.int64)
+    vals[:, R_SUFFIX] = R_CONTAINED
+    vals[:, R_END_I] = vals[:, R_END_J] = R_NO_END
+    vals[:, R_OLEN] = olen[inside]
+    return (DistMat(R.shape, grid, blocks, R.nfields),
+            DistMat.from_coo(R.shape, grid, inside, root[inside], vals))
+
+
+def _union(A: DistMat, B: DistMat) -> DistMat:
+    """Blockwise union of two matrices with disjoint patterns."""
+    q = A.grid.q
+    blocks = []
+    for i in range(q):
+        brow = []
+        for j in range(q):
+            a, b = A.blocks[i][j], B.blocks[i][j]
+            brow.append(a if b.nnz == 0 else CooMat(
+                a.shape, np.concatenate([a.row, b.row]),
+                np.concatenate([a.col, b.col]), np.vstack([a.vals, b.vals])))
+        blocks.append(brow)
+    return DistMat(A.shape, A.grid, blocks, A.nfields)
+
+
 def transitive_reduction(R: DistMat, comm: SimComm,
                          timer: StageTimer | None = None, *,
                          fuzz: int = 150, max_rounds: int = 32,
@@ -113,7 +198,9 @@ def transitive_reduction(R: DistMat, comm: SimComm,
     ----------
     R:
         Symmetric overlap matrix with ``[suffix, end_i, end_j, olen]``
-        payloads (contained overlaps already removed).
+        dovetail payloads and marked containment entries
+        (:mod:`repro.core.semirings`); the contained reads are dropped on
+        entry, before the first squaring.
     comm:
         Simulated communicator; all traffic lands in stage ``TrReduction``.
     timer:
@@ -150,6 +237,7 @@ def transitive_reduction(R: DistMat, comm: SimComm,
     q = grid.q
     ij = [(i, j) for i in range(q) for j in range(q)]
     initial = R.nnz()
+    R, contained = _drop_contained(R, comm, timer, backend)
     rounds = 0
     while rounds < max_rounds:
         prev = R.nnz()
@@ -186,5 +274,6 @@ def transitive_reduction(R: DistMat, comm: SimComm,
                                  lambda a, b: a + b, stage=STAGE, item_bytes=8)
         if nnz_now == prev:
             break
-    return TransitiveReductionResult(S=R, rounds=rounds,
-                                     removed=initial - R.nnz())
+    S = _union(R, contained)
+    return TransitiveReductionResult(S=S, rounds=rounds,
+                                     removed=initial - S.nnz())

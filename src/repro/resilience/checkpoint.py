@@ -33,7 +33,8 @@ __all__ = ["CheckpointMismatch", "StripCheckpoint", "MANIFEST_VERSION",
 
 #: Manifest format version; bump on incompatible layout changes.
 #: 2: the pickled strip timers carry ``stage_work_counts``.
-MANIFEST_VERSION = 2
+#: 3: the strips' R entries include the containment pairs.
+MANIFEST_VERSION = 3
 
 
 class CheckpointMismatch(ValueError):

@@ -50,7 +50,10 @@ Why the incremental path is exact
   append the delta alignment's rows, re-canonicalize.  An old pair
   outside the affected set still shares an unchanged reliable column
   (else it lost every shared column and is in ``P₂``), so it stays in C
-  with an identical entry — keeping its R rows verbatim is exact.
+  with an identical entry — keeping its R rows verbatim is exact.  That
+  holds for containment pairs too: a batch read that contains a resident
+  one forms a new-read pair (``P₃``), and the transitive reduction derives
+  which reads are contained from R on every version.
 
 * **S / contigs.**  Transitive reduction is re-run in full on the real
   communicator — it is global (any edge can unlock a reduction anywhere)

@@ -11,8 +11,11 @@ method    path               effect
 ``POST``  ``/reads``         ingest ``{"reads": [{"name", "seq"}, ...]}``
                              → refresh → version bump
 ``GET``   ``/version``       current dataset version + read count
-``GET``   ``/overlaps/<i>``  read ``i``'s R row (cached)
-``GET``   ``/contigs``       contig layout, largest first (cached)
+``GET``   ``/overlaps/<i>``  read ``i``'s R row, containment entries
+                             included (negative ``suffix`` markers;
+                             cached)
+``GET``   ``/contigs``       contig layout, largest first, each with its
+                             ``contained`` reads (cached)
 ``GET``   ``/stats``         counts, per-stage comm, cache counters
 ========  =================  ==========================================
 
@@ -144,12 +147,13 @@ class AssemblyService:
             if R is not None and 0 <= read < R.shape[0]:
                 indptr = R.csr_indptr()
                 sel = slice(int(indptr[read]), int(indptr[read + 1]))
-                for col, vals in zip(R.col[sel].tolist(), R.vals[sel]):
+                for col, vals in zip(R.col[sel].tolist(),
+                                     R.vals[sel].tolist()):
                     out.append({"read": col,
-                                "suffix": int(vals[R_SUFFIX]),
-                                "end_i": int(vals[R_END_I]),
-                                "end_j": int(vals[R_END_J]),
-                                "overlap_len": int(vals[R_OLEN])})
+                                "suffix": vals[R_SUFFIX],
+                                "end_i": vals[R_END_I],
+                                "end_j": vals[R_END_J],
+                                "overlap_len": vals[R_OLEN]})
             return {"version": state.version, "read": read,
                     "overlaps": out}
         return self._cached("overlaps", {"read": int(read)}, compute)
@@ -159,7 +163,8 @@ class AssemblyService:
             ordered = sorted(state.contigs, key=len, reverse=True)
             return {"version": state.version,
                     "contigs": [{"reads": list(c.reads),
-                                 "orientations": list(c.orientations)}
+                                 "orientations": list(c.orientations),
+                                 "contained": list(c.contained)}
                                 for c in ordered]}
         return self._cached("contigs", {}, compute)
 

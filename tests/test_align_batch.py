@@ -26,7 +26,8 @@ from repro.align.batch import (chain_extend_batch, extend_seeds_xdrop_batch,
 from repro.align.xdrop import (Scoring, chain_extend, seed_extend_align,
                                xdrop_extend, xdrop_extend_dp)
 from repro.core.overlap import AlignmentFilter, align_candidates
-from repro.core.semirings import C_NFIELDS
+from repro.core.semirings import (C_NFIELDS, R_CONTAINED, R_CONTAINS,
+                                  R_END_I, R_END_J, R_NO_END, R_SUFFIX)
 from repro.dsparse.distmat import DistMat
 from repro.exec import get_executor
 from repro.mpisim import CommTracker, ProcessGrid2D, SimComm, StageTimer
@@ -544,6 +545,45 @@ def test_align_candidates_parity_random(seed, mode):
     filt = AlignmentFilter(min_score=5, min_overlap=20, ratio=0.1)
     gl, gb = _align_both(reads, C, mode=mode, filt=filt, fuzz=30)
     _assert_same(gl, gb)
+
+
+@pytest.mark.parametrize("mode", ["xdrop", "chain"])
+def test_align_candidates_keep_marked_containment_pairs(mode):
+    """Nested reads (both strands) come back as containment pairs under
+    the semirings' markers — byte-identical from both engines: read 1 lies
+    in read 0, and 3 ⊂ 2 ⊂ 4 is a containment chain."""
+    rng = np.random.default_rng(21)
+    genome = rng.integers(0, 4, 700).astype(np.uint8)
+    spans = [(0, 320), (100, 220), (260, 600), (300, 460), (250, 610)]
+    strands = [0, 0, 0, 1, 1]
+    seqs = [_revcomp(genome[lo:hi]) if s else genome[lo:hi].copy()
+            for (lo, hi), s in zip(spans, strands)]
+    reads = ReadSet([f"r{i}" for i in range(len(seqs))], seqs)
+
+    def pos(r, g):
+        lo, hi = spans[r]
+        return hi - K - g if strands[r] else g - lo
+
+    entries = []
+    for i, j in itertools.combinations(range(len(spans)), 2):
+        lo, hi = max(spans[i][0], spans[j][0]), min(spans[i][1], spans[j][1])
+        if hi - lo >= 60:
+            g = (lo + hi) // 2
+            entries.append((i, j, (pos(i, g), pos(j, g),
+                                   strands[i] ^ strands[j]), None))
+    C = _make_candidates(reads, entries)
+    filt = AlignmentFilter(min_score=5, min_overlap=20, ratio=0.1)
+    gl, gb = _align_both(reads, C, mode=mode, filt=filt, fuzz=10)
+    _assert_same(gl, gb)
+    marks = dict(zip(zip(gb.row.tolist(), gb.col.tolist()),
+                     gb.vals[:, R_SUFFIX].tolist()))
+    inside = {(1, 0), (3, 2), (2, 4), (3, 4)}
+    assert {e for e, m in marks.items() if m == R_CONTAINED} == inside
+    assert {e for e, m in marks.items() if m == R_CONTAINS} == \
+        {(j, i) for i, j in inside}
+    assert marks[(0, 4)] >= 1 and marks[(4, 0)] >= 1    # a dovetail
+    contained = gb.vals[gb.vals[:, R_SUFFIX] < 0]
+    assert (contained[:, [R_END_I, R_END_J]] == R_NO_END).all()
 
 
 def test_align_candidates_empty_batch():

@@ -7,6 +7,7 @@ import pytest
 
 from repro import PipelineConfig, run_pipeline
 from repro.core.overlap import build_a_matrix, candidate_overlaps
+from repro.core.semirings import R_SUFFIX
 from repro.core.string_graph import StringGraph
 from repro.dsparse.coomat import CooMat
 from repro.dsparse.distmat import DistMat
@@ -31,7 +32,10 @@ def test_pipeline_single_read():
 
 
 def test_pipeline_identical_reads_all_contained():
-    """Identical reads are mutual near-containments: no dovetail edges."""
+    """Identical reads are mutual near-containments: no dovetail edges.
+
+    Equal lengths make the lower index the contained one, so every read
+    but the last is contained and the chain 0 → 1 → 2 → 3 roots at 3."""
     rng = np.random.default_rng(0)
     base = rng.integers(0, 4, 500).astype(np.uint8)
     reads = ReadSet([f"r{i}" for i in range(4)],
@@ -39,7 +43,10 @@ def test_pipeline_identical_reads_all_contained():
     res = run_pipeline(reads, PipelineConfig(
         k=17, nprocs=1, align_mode="chain", kmer_upper=20, fuzz=20))
     assert res.nnz_c > 0      # candidates found
-    assert res.nnz_r == 0     # but all classified contained
+    assert res.nnz_r == 2 * res.nnz_c                  # all contained...
+    assert (res.R.vals[:, R_SUFFIX] < 0).all()         # ...and marked so
+    assert res.string_graph.n_edges == 0
+    assert res.string_graph.container.tolist() == [3, 3, 3, -1]
 
 
 def test_pipeline_reads_shorter_than_k():

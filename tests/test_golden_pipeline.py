@@ -54,30 +54,36 @@ KMER_IMPLS = ["loop", "batch"]
 #: peak inside the peaks dicts — is byte-identical to the PR 5 values;
 #: ``test_golden_pipeline_esc_engine`` still pins the full pre-PR-6 peaks
 #: through the ESC oracle.
+#:
+#: Contained-read removal moved every digest once: R keeps the containment
+#: pairs (nnz 1338 → 1926), the transitive reduction drops the contained
+#: reads before squaring (S: 726 → 169 entries — 66 dovetails over the 34
+#: kept reads plus 103 containment pointers), and TrReduction's traffic
+#: and live set follow.
 GOLDEN = {
-    "S": "bce02a9f21bd33e20a0a076940bb08a6c1e628435f6bd9fe8301ea8e43211ad2",
-    "R": "50d4eaa5a0aa3dc9fd206419f558d12b2fe60398c87b566fada2cf168afbe93a",
-    "contigs": "3c6ae1b223e149e8d8cbd24c9f57923bb7da71a9a125d775575210eb9d80bf6a",
-    "counts": (88231, 1334, 1338, 726),  # nnz A, C, R, S
+    "S": "03662da72cbdcd8d30c57aa904f3056a07847c86b38bbfec5229faa7a7a2a324",
+    "R": "6cb0ab0a53e35a24d100b8e7dcbf8dd74e9ee27bfe9672231297b9a545b09122",
+    "contigs": "9ccab1f5aae97a86548ad4445efd47418f3568e176f3f9f08f389014218ac32a",
+    "counts": (88231, 1334, 1926, 169),  # nnz A, C, R, S
     "tracker": {
         "monolithic":
-            "4dbd7670092db728b0f2868a88731a4d34366e051ec330ea6ab0684af4ecf35c",
+            "05d8894184f6d0c4af3e15c4b80e76ff07edbf002c3ae8652f5c296573457b00",
         "blocked":
-            "84581ee8562fb7bbc8c791e1dcdcc6ff3b4f57bca1a78e2f0b2cabe99fae073a",
+            "e012671909b8070c38134498756057a8b3abaf7cc11ca38637a25e6721a65861",
     },
     "peaks": {
         "monolithic":
-            "710cc8a302621b111d4e9087898d7e42bdad01381eaefa2e4df29ae81bec82da",
+            "7f02a5cb587d64dde35526a073d08ae9a9423ee9db7ed38d6a39e71e8fceac82",
         "blocked":
-            "0caa120861bd85567e14156e31e075a72fc03717fef79215330fc538e5f5bcea",
+            "01d7f7f68a2620cdd580224b13286134df698a4cd68977b77d693407a444f8e2",
     },
     # The monolithic/blocked peaks of the ESC (pre-PR-6 default) engine,
     # whose TrReduction live set is the full unmasked N.
     "peaks_esc": {
         "monolithic":
-            "8f1c6d1424630f3b0ed71e3f125dd77e3f488c3072400deab3e413934365692d",
+            "40a0459e460cb4c6bae9f5b3b523e408efd24262eb0b9210decaaa2aa895160f",
         "blocked":
-            "a3076683323e2272c31b93bf693cd39c4571d67c31e861a99e3f5f079685ea17",
+            "41d91dea0eefdd53084835421cc034bc327e60194c9b64a49705c15be443f281",
     },
 }
 

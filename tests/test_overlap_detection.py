@@ -6,7 +6,7 @@ import pytest
 from repro.core.overlap import (AlignmentFilter, align_candidates,
                                 build_a_matrix, candidate_overlaps,
                                 charge_a_routing, exchange_reads)
-from repro.core.semirings import C_COUNT, R_SUFFIX
+from repro.core.semirings import C_COUNT, R_CONTAINED, R_CONTAINS, R_SUFFIX
 from repro.core.string_graph import StringGraph
 from repro.eval.metrics import graph_edge_recall, overlap_recall_precision
 from repro.mpisim import (CommTracker, ProcessGrid2D, SimComm, StageTimer,
@@ -142,7 +142,10 @@ def test_r_suffixes_positive(clean_dataset):
     C = candidate_overlaps(A, comm, timer)
     R = align_candidates(C, reads, 17, comm, timer, mode="chain", fuzz=20)
     G = R.to_global()
-    assert (G.vals[:, R_SUFFIX] >= 1).all()
+    suffix = G.vals[:, R_SUFFIX]
+    # Dovetails carry an overhang; containment entries carry a marker.
+    assert ((suffix >= 1) | np.isin(suffix, [R_CONTAINED, R_CONTAINS])).all()
+    assert (suffix == R_CONTAINED).sum() == (suffix == R_CONTAINS).sum() > 0
 
 
 def test_r_graph_recall_vs_truth(clean_dataset):
@@ -151,10 +154,10 @@ def test_r_graph_recall_vs_truth(clean_dataset):
     C = candidate_overlaps(A, comm, timer)
     R = align_candidates(C, reads, 17, comm, timer, mode="chain", fuzz=20)
     g = StringGraph.from_coomat(R.to_global())
-    # R keeps dovetails only (contained overlaps are dropped by design,
-    # Section IV-D, and near-containments within the fuzz margin classify
-    # the same way), so measure recall over true *proper* pairs: overlap
-    # >= 500 and each read extends beyond the other by more than the fuzz.
+    # The graph's edges are R's dovetails only (containments, near ones
+    # within the fuzz margin included, go to ``container``), so measure
+    # recall over true *proper* pairs: overlap >= 500 and each read
+    # extends beyond the other by more than the fuzz.
     fuzz = 20
     truth = layout.overlap_pairs(500)
 

@@ -26,7 +26,9 @@ def test_pipeline_produces_string_graph(clean_run):
     res = clean_run
     assert res.nnz_s > 0
     assert res.nnz_s <= res.nnz_r
-    assert res.string_graph.n_edges == res.nnz_s
+    # S = the graph's dovetail edges + one entry per contained read.
+    graph = res.string_graph
+    assert graph.n_edges + int((graph.container >= 0).sum()) == res.nnz_s
 
 
 def test_pipeline_densities_ordered(clean_run):

@@ -9,9 +9,11 @@ read.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.align.overlapper import B_END, E_END, classify_overlap
+from repro.align.overlapper import (B_END, E_END, classify_overlap,
+                                    classify_overlap_batch)
 from repro.align.xdrop import AlignmentResult
 
 
@@ -136,3 +138,72 @@ def test_collinear_triple_walkable(s0, length, f0, gap1, f1, gap2, f2):
     # end of edge (0,1) at read 1 is e01.end_j; edge (1,2) leaves read 1
     # via e12.end_i: a genome-collinear chain must attach at opposite ends.
     assert e01.end_j != e12.end_i
+
+
+# -- batch classifier parity --------------------------------------------------
+
+def _batch_kinds(rows, fuzz):
+    """``classify_overlap_batch`` over ``(len_i, len_j, ba, ea, bb, eb,
+    strand)`` rows: per-row kind names plus the raw output columns."""
+    cols = [np.array(c, dtype=np.int64) for c in zip(*rows)]
+    out = classify_overlap_batch(*cols, fuzz)
+    dove, in_i, in_j = out[:3]
+    assert not ((dove & in_i) | (dove & in_j) | (in_i & in_j)).any()
+    kinds = np.where(dove, "dovetail", np.where(
+        in_i, "contained_i", np.where(in_j, "contained_j", "internal")))
+    return kinds.tolist(), out
+
+
+def _assert_batch_matches_scalar(rows, fuzz):
+    kinds, (_d, _i, _j, suffix_ij, suffix_ji, end_i, end_j, olen) = \
+        _batch_kinds(rows, fuzz)
+    for t, (li, lj, ba, ea, bb, eb, strand) in enumerate(rows):
+        oc = classify_overlap(li, lj, AlignmentResult(0, ba, ea, bb, eb,
+                                                      strand), fuzz)
+        assert kinds[t] == oc.kind
+        assert olen[t] == oc.overlap_len
+        if oc.kind == "dovetail":
+            assert (suffix_ij[t], suffix_ji[t], end_i[t], end_j[t]) == \
+                (oc.suffix_ij, oc.suffix_ji, oc.end_i, oc.end_j)
+
+
+#: One row per kind, and the two mutual-containment tie-breaks: equal
+#: lengths make read i the contained one, otherwise the shorter read is.
+KIND_CASES = [
+    ((100, 120, 60, 100, 0, 40, 0), "dovetail"),
+    ((100, 300, 0, 100, 50, 150, 1), "contained_i"),
+    ((300, 100, 50, 150, 0, 100, 0), "contained_j"),
+    ((300, 300, 50, 150, 120, 220, 0), "internal"),
+    ((100, 100, 0, 100, 0, 100, 0), "contained_i"),
+    ((100, 100, 2, 99, 1, 100, 1), "contained_i"),
+    ((102, 100, 1, 101, 0, 100, 0), "contained_j"),
+    ((100, 102, 0, 100, 1, 101, 1), "contained_i"),
+]
+
+
+@pytest.mark.parametrize("row,kind", KIND_CASES)
+def test_batch_classifier_kinds_pinned(row, kind):
+    assert _batch_kinds([row], fuzz=5)[0] == [kind]
+    _assert_batch_matches_scalar([row], fuzz=5)
+
+
+alignment_rows = st.tuples(
+    st.integers(60, 200),     # len_i
+    st.booleans(),            # equal lengths (mutual containment ties)
+    st.integers(60, 200),     # len_j otherwise
+    st.integers(0, 30), st.integers(0, 30),   # unaligned tips of i
+    st.integers(0, 30), st.integers(0, 30),   # unaligned tips of oriented j
+    st.integers(0, 1),        # strand
+).map(lambda r: (r[0], r[0] if r[1] else r[2], r[3], r[0] - r[4], r[5],
+                 (r[0] if r[1] else r[2]) - r[6], r[7]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(alignment_rows, min_size=1, max_size=24),
+       st.integers(0, 20))
+def test_batch_classifier_matches_scalar(rows, fuzz):
+    """Every kind — dovetail, contained_i, contained_j, internal — and
+    every dovetail payload column agree with the scalar rule, row by row.
+    Tips up to 30 against fuzz up to 20 reach all four kinds, and half the
+    rows have equal lengths, where mutual containment picks read i."""
+    _assert_batch_matches_scalar(rows, fuzz)

@@ -361,6 +361,19 @@ def test_strip_checkpoint_rejects_future_manifest(tmp_path):
         StripCheckpoint(str(d), "fp", 2).open()
 
 
+def test_strip_checkpoint_refuses_format_2(tmp_path):
+    """Format-2 strips hold R without its containment pairs; resuming from
+    one would silently reduce a different R, so the manifest is refused."""
+    assert MANIFEST_VERSION == 3
+    d = tmp_path / "ck"
+    StripCheckpoint(str(d), "fp", 2).open()
+    manifest = json.loads((d / "manifest.json").read_text())
+    manifest["format"] = 2
+    (d / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointMismatch, match="format 2"):
+        StripCheckpoint(str(d), "fp", 2).open()
+
+
 def test_checkpointed_run_matches_plain_run(chaos_reads, baseline, tmp_path):
     result = run_pipeline(chaos_reads,
                           _config(overlap_mode="blocked",
