@@ -37,8 +37,14 @@ def test_fig9_measured_scaled(benchmark):
         title="Fig. 9 (measured, scaled datasets; comm negligible at this "
               "scale)"))
     for r in rows:
-        # Parity band: neither implementation collapses at laptop scale.
-        assert 0.5 < r["speedup_2d_over_1d"] < 2.5, r
+        # Floor only: the 2D pipeline must not collapse against the 1D
+        # baseline at laptop scale.  There is no upper bound: these
+        # seconds are compute-dominated, so the ratio measures how far the
+        # 2D kernels have been optimized past the untuned 1D baseline
+        # (every 2D kernel speed-up raises it), not the paper's claim —
+        # which is a communication-volume crossover, checked at paper
+        # scale by the projection below.
+        assert r["speedup_2d_over_1d"] > 0.5, r
     # Both systems strong-scale.
     for ds in {r["dataset"] for r in rows}:
         series = sorted((r for r in rows if r["dataset"] == ds),

@@ -163,10 +163,10 @@ def run_dibella1d(reads: ReadSet, k: int = 17, nprocs: int = 1, *,
                 rj = Atq.col[b_idx]
                 # The product is symmetric; keep each unordered pair once
                 # per shared k-mer (ri < rj also drops the diagonal).
-                # Expanding both triangles and filtering matches the 2D
-                # path's cost structure (candidate_overlaps also computes
-                # the full A·Aᵀ before its upper-triangle filter), keeping
-                # the Fig. 9 compute comparison like-for-like.
+                # Both triangles are expanded, then filtered; the 2D path
+                # (candidate_overlaps) never computes a block wholly below
+                # the diagonal, so Fig. 9's compute comparison is not
+                # like-for-like on this step.
                 keep = ri < rj
                 if not keep.any():
                     continue

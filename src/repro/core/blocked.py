@@ -40,8 +40,9 @@ from ..resilience.checkpoint import StripCheckpoint
 from ..resilience.faults import maybe_fault
 from ..seqs.fasta import ReadSet
 from .memory import coo_nbytes
-from .overlap import AlignmentFilter, align_candidates, summa_positions
-from .semirings import R_NFIELDS
+from .overlap import (AlignmentFilter, align_candidates, full_product_nnz,
+                      row_census, summa_positions)
+from .semirings import C_NFIELDS, R_NFIELDS
 
 __all__ = ["BlockedOverlapResult", "candidate_overlaps_blocked"]
 
@@ -62,9 +63,12 @@ class BlockedOverlapResult:
     n_strips:
         Number of strips executed.
     peak_strip_bytes:
-        Byte size of the largest live candidate strip (measured before the
-        upper-triangle prune — the true expansion peak), as recorded in the
-        timer's ``SpGEMM`` high-water mark.
+        Byte size of the largest candidate strip as an unpruned SUMMA would
+        hold it (diagonal and lower triangle included — the expansion
+        peak), as recorded in the timer's ``SpGEMM`` high-water mark.  The
+        strips compute only their upper triangles; the rest is counted by
+        symmetry from every strip's row census
+        (:func:`~repro.core.overlap.full_product_nnz`).
     """
 
     R: DistMat
@@ -75,16 +79,17 @@ class BlockedOverlapResult:
 
 
 def _strip_task(ctx, task):
-    """Executor task: one strip's SUMMA + triangle prune + alignment.
+    """Executor task: one strip's upper-triangle SUMMA + alignment.
 
     Runs against a private communicator/timer so strips can execute on any
-    worker; returns the strip's global R entries plus its accounting for
-    the parent to merge in strip order.  The task carries its own narrow
-    ``Aᵀ`` strip (sliced in the parent), so a process pool never ships the
-    full transpose to a worker.
+    worker; returns the strip's global R entries, its candidate count, its
+    row census over the strips (the input of the parent's peak count) and
+    its accounting, for the parent to merge in strip order.  The task
+    carries its own narrow ``Aᵀ`` strip (sliced in the parent), so a
+    process pool never ships the full transpose to a worker.
     """
     A, reads, k, nprocs, mode, scoring, filt, fuzz, backend, align_impl, \
-        spgemm_impl = ctx
+        spgemm_impl, starts = ctx
     lo, hi, At_strip = task
     backend = get_backend(backend)
     tracker = CommTracker(nprocs)
@@ -92,25 +97,12 @@ def _strip_task(ctx, task):
     timer = StageTimer()
     n = A.shape[0]
 
-    # The strip product (the expansion peak — the strip as SUMMA produced
-    # it, before pruning — is recorded inside, from the count pattern when
-    # the masked engine decomposes the product with the strip's column
-    # offset in its triangle mask).
+    # The strip product, already restricted to the strict upper triangle
+    # in *global* coordinates (the strip's columns start at ``lo``).
     C_strip = summa_positions(A, At_strip, comm, timer, backend, None,
                               spgemm_impl, col_offset=lo)
-    # Keep the strict upper triangle in *global* coordinates.
-    q = C_strip.grid.q
-    blocks = []
-    for i in range(q):
-        brow = []
-        for j in range(q):
-            b = C_strip.blocks[i][j]
-            gr = b.row + C_strip.row_bounds[i]
-            gc = b.col + C_strip.col_bounds[j] + lo
-            brow.append(backend.select(b, gr < gc))
-        blocks.append(brow)
-    C_strip = DistMat(C_strip.shape, C_strip.grid, blocks, C_strip.nfields)
     strip_nnz = C_strip.nnz()
+    census = row_census(C_strip, starts)
 
     # Align and prune this strip immediately (the memory saver): the
     # aligner works in global row coordinates; shift columns back.
@@ -120,7 +112,7 @@ def _strip_task(ctx, task):
                                fuzz=fuzz, impl=align_impl)
     g = R_strip.to_global()
     coo = (g.row, g.col, g.vals) if g.nnz else None
-    return coo, strip_nnz, timer, tracker
+    return coo, strip_nnz, census, timer, tracker
 
 
 def _strip_fingerprint(A: DistMat, reads: ReadSet, k: int, nprocs: int,
@@ -191,13 +183,14 @@ def candidate_overlaps_blocked(A: DistMat, reads: ReadSet, k: int,
     bounds = block_bounds(n, n_strips)
     spans = [(int(bounds[s]), int(bounds[s + 1])) for s in range(n_strips)
              if bounds[s] < bounds[s + 1]]
+    starts = np.array([lo for lo, _hi in spans] + [n], dtype=np.int64)
     # Slice the strips up front and let At go: together the strips hold
     # exactly At's entries, and each worker only ever receives its own.
     tasks = [(lo, hi, At.column_slice(lo, hi)) for lo, hi in spans]
     del At
 
     ctx = (A, reads, k, comm.nprocs, mode, scoring, filt, fuzz, backend,
-           align_impl, spgemm_impl)
+           align_impl, spgemm_impl, starts)
     # Weight by the strip's At entries — the SUMMA flops and downstream
     # candidate count scale with them, while block_bounds makes the column
     # widths near-uniform and thus balance-blind under skew.
@@ -211,20 +204,23 @@ def candidate_overlaps_blocked(A: DistMat, reads: ReadSet, k: int,
                                     mode, scoring, filt, fuzz, align_impl,
                                     spgemm_impl, spans)
 
-    nnz_c = 0
-    peak = 0
-    peak_bytes = 0
+    strip_nnz = np.zeros(len(spans), dtype=np.int64)
+    census = np.zeros(len(spans), dtype=np.int64)
     partial_R: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     # Ordered merge: strip order, independent of the execution schedule.
-    for coo, strip_nnz, strip_timer, strip_tracker in results:
-        nnz_c += strip_nnz
-        peak = max(peak, strip_nnz)
-        peak_bytes = max(peak_bytes,
-                         strip_timer.stage_peak_bytes.get("SpGEMM", 0))
+    for s, (coo, nnz_s, census_s, strip_timer, strip_tracker) in \
+            enumerate(results):
+        strip_nnz[s] = nnz_s
+        census += census_s
         timer.merge(strip_timer)
         comm.tracker.merge(strip_tracker)
         if coo is not None:
             partial_R.append(coo)
+    # The expansion peak: the largest strip as an unpruned SUMMA would
+    # hold it, counted by symmetry once every strip's census is in.
+    full = full_product_nnz(A, starts, strip_nnz, census)
+    peak_bytes = coo_nbytes(int(full.max(initial=0)), C_NFIELDS)
+    timer.record_peak_bytes("SpGEMM", peak_bytes)
 
     if partial_R:
         rows = np.concatenate([p[0] for p in partial_R])
@@ -238,7 +234,8 @@ def candidate_overlaps_blocked(A: DistMat, reads: ReadSet, k: int,
     # strip-mining shrinks the candidate peak (SpGEMM), never R's.
     timer.record_peak_bytes("Alignment", coo_nbytes(rows.shape[0], R_NFIELDS))
     R = DistMat.from_coo((n, n), A.grid, rows, cols, vals)
-    return BlockedOverlapResult(R=R, nnz_c=nnz_c, peak_strip_nnz=peak,
+    return BlockedOverlapResult(R=R, nnz_c=int(strip_nnz.sum()),
+                                peak_strip_nnz=int(strip_nnz.max(initial=0)),
                                 n_strips=n_strips,
                                 peak_strip_bytes=peak_bytes)
 

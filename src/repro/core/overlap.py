@@ -32,15 +32,13 @@ from ..align.overlapper import (OverlapClass, classify_overlap,
 from ..align.xdrop import AlignmentResult, Scoring, chain_extend, \
     seed_extend_align
 from ..dsparse.backend import Backend, get_backend
-from ..dsparse.coomat import CooMat
 from ..dsparse.distmat import DistMat
-from ..dsparse.semiring import PlusTimes
 from ..dsparse.summa import summa
 from ..exec import Executor, SERIAL
 from ..exec.partition import weighted_chunks
 from ..mpisim.comm import SimComm
 from ..mpisim.grid import ProcessGrid2D, block_bounds
-from ..mpisim.tracker import CommTracker, StageTimer
+from ..mpisim.tracker import StageTimer
 from ..options import ALIGN_IMPL, KMER_IMPL, SPGEMM_IMPL
 from ..seqs.fasta import ReadSet
 from ..seqs.kmer_counter import KmerTable
@@ -241,81 +239,77 @@ def charge_a_routing(row: np.ndarray, col: np.ndarray, n_reads: int,
     return block_counts
 
 
-def _pattern_of(M: DistMat) -> DistMat:
-    """``M``'s pattern with unit values (blocks share M's index arrays)."""
-    blocks = [[CooMat(b.shape, b.row, b.col,
-                      np.ones((b.nnz, 1), dtype=np.int64), checked=True)
-               for b in brow] for brow in M.blocks]
-    return DistMat(M.shape, M.grid, blocks, 1)
-
-
-def _upper_triangle_mask(count: DistMat, col_offset: int = 0) -> DistMat:
-    """Strict-upper-triangle subset of ``count``'s pattern.
-
-    ``col_offset`` shifts local columns into global coordinates for the
-    blocked mode's strips (strip columns start at ``lo``).
-    """
-    q = count.grid.q
-    blocks = []
-    for i in range(q):
-        brow = []
-        for j in range(q):
-            b = count.blocks[i][j]
-            gr = b.row + count.row_bounds[i]
-            gc = b.col + count.col_bounds[j] + col_offset
-            brow.append(b.select(gr < gc))
-        blocks.append(brow)
-    return DistMat(count.shape, count.grid, blocks, 1)
-
-
 def summa_positions(A: DistMat, At: DistMat, comm: SimComm,
                     timer: StageTimer, backend: Backend,
                     executor: Executor | None, spgemm_impl: str,
                     col_offset: int = 0) -> DistMat:
-    """The candidate product ``C = A·Aᵀ`` under the positions semiring.
+    """The candidate product ``C = A·Aᵀ`` under the positions semiring,
+    strict upper triangle only.
 
-    ``spgemm_impl="esc"`` runs the monolithic 7-field product.
-    ``"masked"`` decomposes it (the tentpole's CombBLAS-style split):
+    ``col_offset`` is the global index of ``At``'s first column (a blocked
+    strip's ``lo``), so "upper" is always global row < global column.
 
-    1. the **count field** runs as a scalar PlusTimes product over the
-       operands' unit-valued patterns — ``A``'s pattern is all-ones, so the
-       native CSR lowering applies exactly and produces the same nonzero
-       set as the full product (the positions multiply has no validity
-       mask);
-    2. the strict upper triangle of that pattern (shifted by
-       ``col_offset`` for blocked strips) becomes the output mask;
-    3. the multi-field seed-gathering pass runs **masked** to the
-       surviving coordinates, each block product on the kernel
-       :func:`repro.dsparse.masked.masked_route` picks — the dot kernel
-       fetches two products per coordinate without expanding any; masked
-       ESC keeps the diagonal and half the off-diagonal products from the
-       sort.
+    ``spgemm_impl="masked"`` runs **one** positions-semiring SUMMA with the
+    triangle as a coordinate predicate (``summa(upper=col_offset)``): each
+    block task gets its block's global origin; a block wholly on or below
+    the diagonal is skipped without computing; elsewhere each block product
+    takes the kernel :func:`repro.dsparse.masked.spgemm_upper` picks — ESC
+    filtered by the predicate below the dot kernel's flops floor, above it
+    one pattern product whose upper part routes the block and sizes the
+    dot kernel's groups.  ``"esc"`` runs the monolithic 7-field product and
+    prunes to the triangle afterwards.
 
-    A fused implementation broadcasts each A/At block once per SUMMA stage
-    and computes both sub-products from the received pair, so the count
-    pass adds no traffic: it runs against a throwaway communicator, and the
-    masked pass — broadcasting the same full 2-field blocks as the
-    monolithic product — carries the stage's entire (identical) volume.
-    Output, entry order, and the recorded SpGEMM peak (the full product's
-    footprint, which the count pattern sizes exactly) are all byte-identical
-    between the two engines.
+    Output and entry order are byte-identical between the two engines, and
+    so is the traffic: both broadcast the same full 2-field blocks.  The
+    SpGEMM peak (the unpruned product's footprint) is the caller's to
+    record — see :func:`full_product_nnz`.
     """
     if spgemm_impl == "masked":
-        count = summa(_pattern_of(A), _pattern_of(At), PlusTimes(),
-                      SimComm(comm.nprocs, CommTracker(comm.nprocs)),
-                      "SpGEMM", timer, backend=backend, executor=executor)
-        timer.record_peak_bytes("SpGEMM",
-                                coo_nbytes(count.nnz(), C_NFIELDS))
-        mask = _upper_triangle_mask(count, col_offset)
         return summa(A, At, PositionsSemiring(), comm, "SpGEMM", timer,
-                     backend=backend, executor=executor, mask=mask)
+                     backend=backend, executor=executor, upper=col_offset)
     C = summa(A, At, PositionsSemiring(), comm, "SpGEMM", timer,
               backend=backend, executor=executor)
-    # The candidate-matrix high-water mark: the full product as SUMMA
-    # produced it, before the triangle prune (what the blocked mode divides
-    # by its strip count).
-    timer.record_peak_bytes("SpGEMM", coo_nbytes(C.nnz(), C.nfields))
-    return C
+    blocks = [[backend.select(b, b.row + C.row_bounds[i] <
+                              b.col + C.col_bounds[j] + col_offset)
+               for j, b in enumerate(brow)]
+              for i, brow in enumerate(C.blocks)]
+    return DistMat(C.shape, C.grid, blocks, C.nfields)
+
+
+def _global_rows(M: DistMat) -> np.ndarray:
+    """The global row of every entry of ``M``, block by block."""
+    return np.concatenate([b.row + M.row_bounds[i]
+                           for i, brow in enumerate(M.blocks) for b in brow])
+
+
+def _per_strip(rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """How many of ``rows`` fall in each range ``[starts[t], starts[t+1])``."""
+    return np.bincount(np.searchsorted(starts, rows, side="right") - 1,
+                       minlength=starts.shape[0] - 1)
+
+
+def row_census(C: DistMat, starts: np.ndarray) -> np.ndarray:
+    """Entries of ``C`` per row range: element ``t`` counts those whose
+    global row lies in ``[starts[t], starts[t + 1])``."""
+    return _per_strip(_global_rows(C), starts)
+
+
+def full_product_nnz(A: DistMat, starts: np.ndarray, upper_nnz: np.ndarray,
+                     census: np.ndarray) -> np.ndarray:
+    """Entries of each column strip of the *unpruned* ``A·Aᵀ``, by symmetry.
+
+    Strip ``t`` holds columns ``[starts[t], starts[t + 1])``; the
+    candidate product keeps only its strict upper triangle, whose entries
+    in strip ``t`` number ``upper_nnz[t]``.  The full strip also holds the
+    diagonal entry of each of its reads that has a k-mer (a non-empty row
+    of ``A``) and, mirrored, every upper entry whose *row* falls in strip
+    ``t`` — ``census[t]``, summed over all strips' :func:`row_census`.
+    With one strip this is ``2·nnz(C) + non-empty rows``.
+    """
+    nonempty = np.zeros(A.shape[0], dtype=bool)
+    nonempty[_global_rows(A)] = True
+    diag = _per_strip(np.flatnonzero(nonempty), starts)
+    return np.asarray(upper_nnz) + diag + np.asarray(census)
 
 
 def candidate_overlaps(A: DistMat, comm: SimComm,
@@ -331,26 +325,22 @@ def candidate_overlaps(A: DistMat, comm: SimComm,
     ``backend`` selects the local kernels (transpose, SpGEMM, filter);
     ``executor`` parallelizes SUMMA's local block work; ``spgemm_impl``
     (:data:`repro.options.SPGEMM_IMPL`) picks the product
-    engine — ``"masked"`` decomposes count and seed passes
+    engine — ``"masked"`` prunes to the triangle inside the one SUMMA
     (:func:`summa_positions`), ``"esc"`` is the monolithic oracle.
+
+    The recorded ``SpGEMM`` peak is the full product as an unpruned SUMMA
+    would hold it, ``2·nnz(C) + non-empty rows of A``
+    (:func:`full_product_nnz` over one strip).
     """
     timer = timer if timer is not None else StageTimer()
     backend = get_backend(backend)
     spgemm_impl = SPGEMM_IMPL.resolve(spgemm_impl)
     At = A.transpose(backend=backend)
     C = summa_positions(A, At, comm, timer, backend, executor, spgemm_impl)
-    q = C.grid.q
-    rb, cbb = C.row_bounds, C.col_bounds
-    blocks = []
-    for i in range(q):
-        brow = []
-        for j in range(q):
-            b = C.blocks[i][j]
-            gr = b.row + rb[i]
-            gc = b.col + cbb[j]
-            brow.append(backend.select(b, gr < gc))
-        blocks.append(brow)
-    return DistMat(C.shape, C.grid, blocks, C.nfields)
+    one_strip = np.array([0, A.shape[0]])
+    full = full_product_nnz(A, one_strip, [C.nnz()], [C.nnz()])
+    timer.record_peak_bytes("SpGEMM", coo_nbytes(int(full[0]), C_NFIELDS))
+    return C
 
 
 def exchange_reads(reads: ReadSet, grid: ProcessGrid2D, comm: SimComm,

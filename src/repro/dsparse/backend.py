@@ -37,15 +37,15 @@ Shipped backends
     values and BoolOr all-nonzero values to lower).
 
 Multi-field semirings always execute on the ESC kernels, but since the
-masked engine (``spgemm_impl="masked"``, PR 6) the *consumers* decompose
-them: the overlap stage computes the scalar count field natively and feeds
-the surviving pattern back as a mask for the multi-field seed pass, and
-transitive reduction squares ``R`` under its own pattern.  Every product
-reports which path it took through :meth:`Backend.spgemm_with_path`
-(``"esc" | "masked_esc" | "masked_dot" | "csr" | "masked_csr"``), the hook
-the per-stage kernel-dispatch counters are built on, and the masked kernels
-add their exact work (``products`` expanded, ``probes`` looked up) to the
-caller's ``tally``.
+masked engine (``spgemm_impl="masked"``) the *consumers* prune them: the
+overlap stage keeps the strict upper triangle by coordinate (``upper=``),
+forming a scalar pattern product only on blocks large enough for the dot
+kernel, and transitive reduction squares ``R`` under its own pattern.
+Every product reports which path it took through
+:meth:`Backend.spgemm_with_path` (``"esc" | "masked_esc" | "masked_dot" |
+"csr" | "masked_csr"``), the hook the per-stage kernel-dispatch counters
+are built on, and the masked kernels add their exact work (``products``
+expanded, ``probes`` looked up) to the caller's ``tally``.
 
 ``auto``
     The default: per-call dispatch with exactly the ``scipy`` policy —
@@ -61,7 +61,7 @@ import scipy.sparse as sp
 
 from ..options import BACKEND
 from .coomat import CooMat
-from .masked import mask_select, spgemm_masked
+from .masked import mask_select, spgemm_masked, spgemm_upper
 from .semiring import Semiring
 from .spgemm import expand_products, multiway_merge, spgemm_esc
 
@@ -94,9 +94,14 @@ class Backend:
 
     def spgemm_with_path(self, A: CooMat, B: CooMat, semiring: Semiring,
                          mask: CooMat | None = None,
-                         tally: dict | None = None) -> tuple[CooMat, str]:
+                         tally: dict | None = None,
+                         upper: tuple[int, int] | None = None
+                         ) -> tuple[CooMat, str]:
         """Like :meth:`spgemm`, also naming the kernel path taken.
 
+        ``upper`` (the block's global origin, instead of a ``mask``)
+        restricts the product to the strict upper triangle of the global
+        frame by coordinate (:func:`~repro.dsparse.masked.spgemm_upper`).
         The path string (``"esc"``, ``"masked_esc"``, ``"masked_dot"``,
         ``"csr"``, ``"masked_csr"``) feeds the per-stage dispatch counters
         (:meth:`repro.mpisim.StageTimer.count_kernel`); ``tally`` (optional
@@ -159,7 +164,10 @@ class NumpyBackend(Backend):
 
     name = "numpy"
 
-    def spgemm_with_path(self, A, B, semiring, mask=None, tally=None):
+    def spgemm_with_path(self, A, B, semiring, mask=None, tally=None,
+                         upper=None):
+        if upper is not None:
+            return spgemm_upper(A, B, semiring, upper, tally)
         if mask is not None:
             return spgemm_masked(A, B, semiring, mask, tally)
         return spgemm_esc(A, B, semiring), "esc"
@@ -212,10 +220,12 @@ class ScipyBackend(NumpyBackend):
             return None
         return None
 
-    def spgemm_with_path(self, A, B, semiring, mask=None, tally=None):
+    def spgemm_with_path(self, A, B, semiring, mask=None, tally=None,
+                         upper=None):
         if A.shape[1] != B.shape[0]:
             raise ValueError(f"inner dimensions differ: {A.shape} x {B.shape}")
-        lowering = self.can_lower(A, B, semiring)
+        lowering = None if upper is not None else \
+            self.can_lower(A, B, semiring)
         if lowering == "plus_times":
             C = CooMat.from_csr(_canonical(A.to_csr(0) @ B.to_csr(0)),
                                 checked=True)
@@ -224,7 +234,8 @@ class ScipyBackend(NumpyBackend):
             np.minimum(raw.data, 1, out=raw.data)
             C = CooMat.from_csr(raw, checked=True)
         else:
-            return super().spgemm_with_path(A, B, semiring, mask, tally)
+            return super().spgemm_with_path(A, B, semiring, mask, tally,
+                                            upper)
         if mask is not None:
             # Native product first, then intersect: byte-identical to the
             # masked ESC chain (masked_csr = csr ∩ mask = esc ∩ mask).

@@ -20,14 +20,25 @@ formulation).
     For semirings that declare ``product_reduce_depth = d`` (the positions
     semiring: its reduce reads a group's first two products plus the group
     size).  Group sizes come from the scalar pattern product
-    ``pattern(A) @ pattern(B)`` on scipy CSR, intersected with the mask;
-    the first ``d`` products of each surviving ``(i, j)`` come from
+    ``pattern(A) @ pattern(B)`` on scipy CSR, intersected with the mask
+    (or handed in already intersected, ``sized=True``); the first ``d``
+    products of each surviving ``(i, j)`` come from
     intersecting row ``i`` of ``A`` with column ``j`` of ``B``: the
     shorter of the two is walked in geometrically growing windows and
     looked up in the other operand's sorted keys until ``d`` commons have
     shown.  No elementary product is expanded: cost tracks the mask's nnz
     and how deep into a line its pairs' first commons sit, not the
     product's flops.
+
+The overlap product ``C = A·Aᵀ`` keeps only its strict upper triangle, and
+needs no mask for it: :func:`spgemm_upper` takes the block's global origin
+and keeps ``row < col`` by coordinate.  Every partial product of a SUMMA
+stage lies inside the final product's pattern, so the predicate selects
+exactly what a mask of the final pattern's triangle would.  Below
+``2¹⁵`` products ESC filters by the predicate; above, the block's pattern
+product is formed once and its upper part is both the route's mask and the
+dot kernel's group sizes (ESC, if routed there, still filters by the
+predicate).
 
 Byte-identity with ``unmasked ∩ mask`` is structural in both.  ESC's
 coordinate filter removes only *whole* output groups and the surviving
@@ -59,7 +70,8 @@ from .semiring import Semiring
 from .spgemm import _sort_reduce, expand_products, spgemm_esc
 
 __all__ = ["mask_select", "spgemm_masked", "spgemm_esc_masked",
-           "spgemm_dot_masked", "masked_route", "MaskedRoute"]
+           "spgemm_dot_masked", "spgemm_upper", "masked_route",
+           "MaskedRoute"]
 
 #: First window of the dot kernel's walk; it doubles for the pairs it does
 #: not resolve.  Eight resolves most pairs of a block whose rows are dense
@@ -100,11 +112,12 @@ def mask_select(A: CooMat, mask: CooMat) -> CooMat:
     return A.select(keep)
 
 
-def _output_shape(A: CooMat, B: CooMat, mask: CooMat) -> tuple[int, int]:
+def _output_shape(A: CooMat, B: CooMat,
+                  mask: CooMat | None = None) -> tuple[int, int]:
     if A.shape[1] != B.shape[0]:
         raise ValueError(f"inner dimensions differ: {A.shape} x {B.shape}")
     out_shape = (A.shape[0], B.shape[1])
-    if mask.shape != out_shape:
+    if mask is not None and mask.shape != out_shape:
         raise ValueError(f"mask shape {mask.shape} != output shape "
                          f"{out_shape}")
     return out_shape
@@ -134,8 +147,14 @@ class MaskedRoute(NamedTuple):
     dot: bool           #: take the dot kernel
 
 
-def masked_route(A: CooMat, B: CooMat, mask: CooMat, depth: int
-                 ) -> MaskedRoute:
+def _flops(A: CooMat, B: CooMat) -> int:
+    """Elementary products of ``A ⊗ B``, read off ``B``'s row pointer."""
+    b_ptr = B.csr_indptr()
+    return int((b_ptr[A.col + 1] - b_ptr[A.col]).sum())
+
+
+def masked_route(A: CooMat, B: CooMat, mask: CooMat, depth: int,
+                 flops: int | None = None) -> MaskedRoute:
     """Choose the masked kernel for one block product, before expanding.
 
     ESC pays per elementary product: ``flops``, read off the two row
@@ -163,10 +182,11 @@ def masked_route(A: CooMat, B: CooMat, mask: CooMat, depth: int
     blocks sit at ``g`` = 68–303 (dot, 6.6–7.5× faster), ``service_stream``'s
     deltas at 19–83 000 (dot, 1.7–2×), ``chain_wide``'s at 0.07–1.9 (ESC,
     1.5–2.4× faster there) and ``clr_xdrop``'s at 0.4–6 with ≤ 2 700
-    products a block (ESC, 4×).
+    products a block (ESC, 4×).  A caller that has already counted
+    ``flops`` passes it in.
     """
-    b_ptr = B.csr_indptr()
-    flops = int((b_ptr[A.col + 1] - b_ptr[A.col]).sum())
+    if flops is None:
+        flops = _flops(A, B)
     a_len = np.diff(A.csr_indptr())
     b_len = np.bincount(B.col, minlength=B.shape[1])
     span = int(np.minimum(a_len[mask.row], b_len[mask.col]).sum())
@@ -192,6 +212,50 @@ def spgemm_masked(A: CooMat, B: CooMat, semiring: Semiring, mask: CooMat,
     return spgemm_esc_masked(A, B, semiring, mask, tally), "masked_esc"
 
 
+def spgemm_upper(A: CooMat, B: CooMat, semiring: Semiring,
+                 origin: tuple[int, int], tally: dict | None = None
+                 ) -> tuple[CooMat, str]:
+    """``A ⊗ B`` restricted to the strict upper triangle of a global frame.
+
+    The block's entry ``(i, j)`` sits at global ``(r0 + i, c0 + j)`` for
+    ``origin = (r0, c0)`` and is kept iff ``r0 + i < c0 + j``: a coordinate
+    predicate stands in for a triangle mask, so no mask is formed.  The
+    result and the path label are :func:`spgemm_masked`'s under the
+    triangle of the product's own pattern:
+
+    * a block wholly on or below the diagonal is empty without computing
+      (``"masked_esc"``, as an empty mask is);
+    * below ``2¹⁵`` products, where :func:`masked_route` never picks the
+      dot kernel, ESC expands and filters by the predicate (shapes that
+      cannot pack keys filter the unmasked product instead);
+    * at or above, the pattern product is formed once and its upper part is
+      both :func:`masked_route`'s mask and the dot kernel's group sizes.
+
+    ``tally`` gains the chosen kernel's work, as in :func:`spgemm_masked`.
+    """
+    out_shape = _output_shape(A, B)
+    diag = np.int64(origin[1] - origin[0])    # keep local (i, j): i - j < diag
+    if A.nnz == 0 or B.nnz == 0 or diag <= 1 - out_shape[1]:
+        return CooMat.empty(out_shape, semiring.out_nfields), "masked_esc"
+    depth = semiring.product_reduce_depth
+    flops = _flops(A, B)
+    if depth is not None and _dot_packable(A, B) and \
+            flops >= _DOT_MIN_FLOPS:
+        upper = _pattern_product(A, B)
+        upper = upper.select(upper.row - upper.col < diag)
+        if upper.nnz == 0:
+            return CooMat.empty(out_shape, semiring.out_nfields), "masked_esc"
+        if masked_route(A, B, upper, depth, flops).dot:
+            return spgemm_dot_masked(A, B, semiring, upper, tally,
+                                     sized=True), "masked_dot"
+    if not _packable(out_shape):
+        C = spgemm_esc(A, B, semiring)
+        return C.select(C.row - C.col < diag), "masked_esc"
+    return _esc_pruned(A, B, semiring, out_shape,
+                       lambda keys, ci, cj: ci - cj < diag,
+                       tally), "masked_esc"
+
+
 # -- expand-sort-compress, pruned ----------------------------------------------
 
 def spgemm_esc_masked(A: CooMat, B: CooMat, semiring: Semiring,
@@ -208,7 +272,17 @@ def spgemm_esc_masked(A: CooMat, B: CooMat, semiring: Semiring,
     out_shape = _output_shape(A, B, mask)
     if not _packable(out_shape):
         return mask_select(spgemm_esc(A, B, semiring), mask)
-    if mask.nnz == 0 or A.nnz == 0 or B.nnz == 0:
+    if mask.nnz == 0:
+        return CooMat.empty(out_shape, semiring.out_nfields)
+    return _esc_pruned(A, B, semiring, out_shape,
+                       lambda keys, ci, cj: in_sorted(mask.keys(), keys),
+                       tally)
+
+
+def _esc_pruned(A, B, semiring, out_shape, keep_of, tally) -> CooMat:
+    """The pruned ESC both masked forms share: expand, keep the products
+    ``keep_of(keys, ci, cj)`` selects, multiply and sort-compress those."""
+    if A.nnz == 0 or B.nnz == 0:
         return CooMat.empty(out_shape, semiring.out_nfields)
     a_idx, b_idx = expand_products(A, B)
     if a_idx.shape[0] == 0:
@@ -219,7 +293,7 @@ def spgemm_esc_masked(A: CooMat, B: CooMat, semiring: Semiring,
     # Coordinate prune FIRST: products outside the mask never reach the
     # semiring multiply or the sort.
     keys = ci * np.int64(out_shape[1]) + cj
-    keep = in_sorted(mask.keys(), keys)
+    keep = keep_of(keys, ci, cj)
     depth = semiring.product_reduce_depth
     if depth is not None:
         # The truncated reduce reads coordinates at group leads only, where
@@ -286,9 +360,17 @@ def _reduce_selected(out_shape, ci, cj, counts, tstarts, a_sel, b_sel, A, B,
 
 # -- mask-driven dot kernel ----------------------------------------------------
 
+def _pattern_product(A: CooMat, B: CooMat) -> CooMat:
+    """``pattern(A) @ pattern(B)`` on scipy CSR: every coordinate of
+    ``A ⊗ B`` with its group size (one product per common inner index,
+    since the depth contract rules out validity masks)."""
+    return CooMat.from_csr(A.pattern_csr() @ B.pattern_csr(), checked=True)
+
+
 def spgemm_dot_masked(A: CooMat, B: CooMat, semiring: Semiring,
                       mask: CooMat, tally: dict | None = None,
-                      window: int = _WINDOW) -> CooMat:
+                      window: int = _WINDOW, *, sized: bool = False
+                      ) -> CooMat:
     """``(A ⊗ B) ∩ mask`` from one row and one column per masked pair.
 
     Requires ``semiring.product_reduce_depth``.  Byte-identical to
@@ -298,6 +380,12 @@ def spgemm_dot_masked(A: CooMat, B: CooMat, semiring: Semiring,
     ``probes``: the row/column elements looked up, each at most once — so
     at most ``Σ min(len_i, len_j)`` over the masked pairs that have
     products, whatever their group sizes.
+
+    The group sizes come from the pattern product intersected with
+    ``mask``.  ``sized=True`` declares that ``mask`` already is such an
+    intersection — a subset of ``pattern(A) @ pattern(B)`` carrying the
+    group sizes as its values, as :func:`spgemm_upper` hands it on — so the
+    pattern product is not formed a second time.
     """
     depth = semiring.product_reduce_depth
     if depth is None:
@@ -311,20 +399,17 @@ def spgemm_dot_masked(A: CooMat, B: CooMat, semiring: Semiring,
         return spgemm_esc_masked(A, B, semiring, mask, tally)
     if mask.nnz == 0 or A.nnz == 0 or B.nnz == 0:
         return CooMat.empty(out_shape, semiring.out_nfields)
-    # Group sizes: the depth contract rules out validity masks, so a group
-    # holds one product per common inner index — the pattern product.
-    sized = mask_select(CooMat.from_csr(A.pattern_csr() @ B.pattern_csr(),
-                                        checked=True), mask)
-    if sized.nnz == 0:
+    groups = mask if sized else mask_select(_pattern_product(A, B), mask)
+    if groups.nnz == 0:
         return CooMat.empty(out_shape, semiring.out_nfields)
-    counts = sized.vals[:, 0]
+    counts = groups.vals[:, 0]
     need = np.minimum(counts, depth)
     tstarts = np.cumsum(need) - need
-    a_sel, b_sel, probes = _first_commons(A, B, sized.row, sized.col, need,
+    a_sel, b_sel, probes = _first_commons(A, B, groups.row, groups.col, need,
                                           tstarts, window)
     _bump(tally, "probes", probes)
-    return _reduce_selected(out_shape, sized.row, sized.col, counts, tstarts,
-                            a_sel, b_sel, A, B, semiring)
+    return _reduce_selected(out_shape, groups.row, groups.col, counts,
+                            tstarts, a_sel, b_sel, A, B, semiring)
 
 
 def _first_commons(A, B, pi, pj, need, tstarts, window):

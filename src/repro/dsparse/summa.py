@@ -40,10 +40,11 @@ def _spgemm_task(ctx, operands):
     counters.
     """
     backend, semiring = ctx
-    a, b, m = operands
+    a, b, m, origin = operands
     maybe_fault("summa.block")
     work: dict[str, int] = {}
-    block, path = backend.spgemm_with_path(a, b, semiring, mask=m, tally=work)
+    block, path = backend.spgemm_with_path(a, b, semiring, mask=m, tally=work,
+                                           upper=origin)
     return block, path, work
 
 
@@ -88,9 +89,10 @@ def summa_comm_replay(grid: ProcessGrid2D, a_counts: np.ndarray,
     of block ``(i, j)``) plus the operands' value-field count are all it
     needs; no operand is built.  The incremental service uses this to charge
     a refreshed dataset's exact ``SpGEMM`` traffic when it already knows
-    the product's value from a delta computation.  (Under the masked engine
-    the count pass runs against a throwaway communicator, so one replay of
-    the full operands covers both engines' recorded traffic.)
+    the product's value from a delta computation.  (Both engines broadcast
+    the same full operands once per stage — the masked engine's triangle
+    is a coordinate predicate, its delta product an explicit mask — so one
+    replay covers either engine's recorded traffic.)
     """
     q = grid.q
     a_counts = np.asarray(a_counts)
@@ -117,7 +119,8 @@ def summa(A: DistMat, B: DistMat, semiring: Semiring, comm: SimComm,
           stage: str, timer: StageTimer | None = None,
           backend: Backend | str | None = None,
           executor: Executor | None = None,
-          mask: DistMat | None = None) -> DistMat:
+          mask: DistMat | None = None,
+          upper: int | None = None) -> DistMat:
     """Distributed ``C = A ⊗ B`` via Sparse SUMMA.
 
     Parameters
@@ -148,6 +151,15 @@ def summa(A: DistMat, B: DistMat, semiring: Semiring, comm: SimComm,
         is ``(A ⊗ B) ∩ mask``, with each rank pruning its local products to
         its own mask block before the sort/reduce (CombBLAS masked SpGEMM;
         the mask is already distributed, so no extra communication moves).
+    upper:
+        Instead of a mask, keep the strict upper triangle of the global
+        frame: entry ``(r, c)`` survives iff ``r < c + upper``, where
+        ``upper`` is the global index of the output's first column (``0``,
+        or a blocked strip's offset).  Each block task gets its block's
+        global origin and filters by coordinate
+        (:func:`~repro.dsparse.masked.spgemm_upper`); a partial product
+        lies inside the final pattern, so this is exactly the final
+        pattern's triangle as a mask — without forming it.
 
     Returns
     -------
@@ -165,6 +177,8 @@ def summa(A: DistMat, B: DistMat, semiring: Semiring, comm: SimComm,
     timer = timer if timer is not None else StageTimer()
     backend = get_backend(backend)
     executor = executor if executor is not None else SERIAL
+    if mask is not None and upper is not None:
+        raise ValueError("pass a mask or an upper-triangle offset, not both")
     if mask is not None:
         if mask.grid.q != q:
             raise ValueError("mask must live on the operands' process grid")
@@ -173,6 +187,10 @@ def summa(A: DistMat, B: DistMat, semiring: Semiring, comm: SimComm,
                              f"{(A.shape[0], B.shape[1])}")
     ctx = (backend, semiring)
     ij = [(i, j) for i in range(q) for j in range(q)]
+    rb = grid.row_bounds(A.shape[0])
+    cb = grid.col_bounds(B.shape[1])
+    origins = [None if upper is None else
+               (int(rb[i]), int(cb[j]) + upper) for i, j in ij]
 
     # Partial products accumulated per output block.
     partials: list[list[list[CooMat]]] = [[[] for _ in range(q)] for _ in range(q)]
@@ -182,9 +200,9 @@ def summa(A: DistMat, B: DistMat, semiring: Semiring, comm: SimComm,
                                          stage)
 
         tasks = [(recvA[i][j], recvB[j][i],
-                  mask.blocks[i][j] if mask is not None else None)
-                 for i, j in ij]
-        weights = [a.nnz + b.nnz for a, b, _m in tasks]
+                  mask.blocks[i][j] if mask is not None else None, origin)
+                 for (i, j), origin in zip(ij, origins)]
+        weights = [a.nnz + b.nnz for a, b, _m, _o in tasks]
         with timer.superstep(stage) as step:
             results, secs = executor.run_timed(_spgemm_task, tasks,
                                                context=ctx, weights=weights)
@@ -197,8 +215,6 @@ def summa(A: DistMat, B: DistMat, semiring: Semiring, comm: SimComm,
                     partials[i][j].append(part)
 
     # Final per-block accumulation (local, no communication).
-    rb = grid.row_bounds(A.shape[0])
-    cb = grid.col_bounds(B.shape[1])
     tasks = [(partials[i][j],
               (int(rb[i + 1] - rb[i]), int(cb[j + 1] - cb[j])))
              for i, j in ij]

@@ -115,10 +115,11 @@ KMER_IMPL = Axis(
 SPGEMM_IMPL = Axis(
     "spgemm_impl", "--spgemm-impl", None, "masked",
     "SpGEMM engine for the multi-field semiring products: 'masked' "
-    "decomposes C = A*At into a native count product plus a mask-pruned "
-    "ESC seed pass and squares R under its own pattern in transitive "
-    "reduction, 'esc' runs the monolithic expand-sort-compress reference "
-    "oracle (only the TrReduction live-set peak differs)",
+    "computes C = A*At in one SUMMA that keeps the strict upper triangle "
+    "by coordinate, each block on the dot or pruned ESC kernel, and "
+    "squares R under its own pattern in transitive reduction, 'esc' runs "
+    "the monolithic expand-sort-compress reference oracle (only the "
+    "TrReduction live-set peak differs)",
     choices=("esc", "masked"), service=True)
 
 BACKEND = Axis(

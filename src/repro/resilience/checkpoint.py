@@ -15,10 +15,10 @@ silently merging strips of a different run — the checkpoint equivalent of
 the service's cross-scheme refusal.
 
 Payloads are pickled verbatim (they are the strip tasks' return values:
-COO arrays plus the strip's private timer/tracker), so a resumed run
-merges byte-identical accounting and produces byte-identical R/S/tracker
-output — the determinism contract every other axis of this codebase
-already honors.
+COO arrays, the strip's row census and its private timer/tracker), so a
+resumed run merges byte-identical accounting and produces byte-identical
+R/S/tracker output — the determinism contract every other axis of this
+codebase already honors.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ __all__ = ["CheckpointMismatch", "StripCheckpoint", "MANIFEST_VERSION",
 #: Manifest format version; bump on incompatible layout changes.
 #: 2: the pickled strip timers carry ``stage_work_counts``.
 #: 3: the strips' R entries include the containment pairs.
-MANIFEST_VERSION = 3
+#: 4: each strip payload carries its row census (the SpGEMM peak's input).
+MANIFEST_VERSION = 4
 
 
 class CheckpointMismatch(ValueError):

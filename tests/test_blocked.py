@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core.blocked import candidate_overlaps_blocked
 from repro.core.memory import coo_nbytes
 from repro.core.overlap import AlignmentFilter, align_candidates, \
-    build_a_matrix, candidate_overlaps
+    build_a_matrix, candidate_overlaps, full_product_nnz, row_census, \
+    summa_positions
 from repro.core.semirings import R_NFIELDS
 from repro.core.transitive_reduction import transitive_reduction
+from repro.dsparse.backend import get_backend
 from repro.mpisim import CommTracker, ProcessGrid2D, SimComm, StageTimer
+from repro.mpisim.grid import block_bounds
 from repro.seqs.kmer_counter import count_kmers
 
 
@@ -160,3 +164,64 @@ def test_blocked_more_strips_than_reads_ok():
     res = candidate_overlaps_blocked(A, reads, 17, comm, 10, timer,
                                      mode="chain", fuzz=20)
     assert res.R.shape == (2, 2)
+
+
+def _brute_force_strip_peak(A, n_strips):
+    """Bytes of the largest column strip of the full, unpruned
+    ``pattern(A) · pattern(A)ᵀ`` — what an unpruned SUMMA holds."""
+    g = A.to_global()
+    pa = sp.csr_matrix((np.ones(g.nnz), (g.row, g.col)), shape=g.shape)
+    full = (pa @ pa.T).tocsc()
+    bounds = block_bounds(A.shape[0], n_strips)
+    return coo_nbytes(max(full[:, lo:hi].nnz
+                          for lo, hi in zip(bounds[:-1], bounds[1:])), 7)
+
+
+@pytest.mark.parametrize("dataset", ["clean_dataset", "noisy_dataset"])
+@pytest.mark.parametrize("strips", [1, 2, 4, 7])
+@pytest.mark.parametrize("executor", ["serial", "process"])
+def test_blocked_peak_equals_brute_force(request, dataset, strips, executor):
+    """The recorded SpGEMM peak — counted by symmetry from each strip's
+    upper triangle and row census — equals the brute-force full strip
+    product, on any executor, and the masked engine's equals the ESC
+    oracle's (which prunes its full product only after forming it)."""
+    from repro.exec import get_executor
+    _genome, reads, _layout = request.getfixturevalue(dataset)
+    A, comm, _timer = _setup(reads, P=4)
+    expect = _brute_force_strip_peak(A, strips)
+    peaks = {}
+    for impl in ("masked", "esc"):
+        timer = StageTimer()
+        with get_executor(executor, 2) as ex:
+            res = candidate_overlaps_blocked(
+                A, reads, 17, SimComm(4, CommTracker(4)), strips, timer,
+                mode="chain", fuzz=20, executor=ex, spgemm_impl=impl)
+        assert res.peak_strip_bytes == timer.peak_bytes()["SpGEMM"]
+        peaks[impl] = res.peak_strip_bytes
+    assert peaks == {"masked": expect, "esc": expect}
+    if strips == 1:
+        timer = StageTimer()
+        candidate_overlaps(A, SimComm(4, CommTracker(4)), timer)
+        assert timer.peak_bytes()["SpGEMM"] == expect
+
+
+@pytest.mark.parametrize("strips", [1, 2, 4, 7])
+def test_full_product_nnz_matches_every_strip(noisy_dataset, strips):
+    """Not only the largest: every strip's count by symmetry — its own
+    upper entries, its non-empty A rows and the census of upper entries
+    whose row falls in it — is the brute-force strip of the full product."""
+    _genome, reads, _layout = noisy_dataset
+    A, comm, timer = _setup(reads, P=4)
+    g = A.to_global()
+    pa = sp.csr_matrix((np.ones(g.nnz), (g.row, g.col)), shape=g.shape)
+    full = (pa @ pa.T).tocsc()
+    bounds = block_bounds(A.shape[0], strips)
+    At = A.transpose()
+    upper, census = [], 0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        C = summa_positions(A, At.column_slice(lo, hi), comm, timer,
+                            get_backend(None), None, "masked", col_offset=lo)
+        upper.append(C.nnz())
+        census = census + row_census(C, bounds)
+    assert list(full_product_nnz(A, bounds, upper, census)) == \
+        [full[:, lo:hi].nnz for lo, hi in zip(bounds[:-1], bounds[1:])]

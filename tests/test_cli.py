@@ -96,7 +96,7 @@ def test_stats_prints_spgemm_routing_and_work(tmp_path, capsys):
     assert main(common + ["--spgemm-impl", "masked"]) == 0
     out = capsys.readouterr().out
     assert "spgemm_impl: masked" in out
-    assert "SpGEMM        csr=1  masked_dot=1" in out
+    assert "SpGEMM        masked_dot=1\n" in out
     work = out.split("exact work per stage")[1]
     assert re.search(r"CreateSpMat   leftover=\d+  probes=\d+  windows=\d+",
                      work)

@@ -23,6 +23,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from repro.core.overlap import build_a_matrix, candidate_overlaps
 from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.core.semirings import BidirectedMinPlus, PositionsSemiring
 from repro.dsparse.backend import get_backend
@@ -30,7 +31,7 @@ from repro.dsparse.coomat import CooMat
 from repro.dsparse.distmat import DistMat
 from repro.dsparse.masked import (mask_select, masked_route,
                                   spgemm_dot_masked, spgemm_esc_masked,
-                                  spgemm_masked)
+                                  spgemm_masked, spgemm_upper)
 from repro.dsparse.semiring import BoolOr, MinPlus, PlusTimes
 from repro.dsparse.spgemm import packed_order, spgemm_esc
 from repro.dsparse.summa import summa
@@ -38,6 +39,7 @@ from repro.exec import SERIAL, ProcessExecutor, ThreadExecutor
 from repro.mpisim import CommTracker, ProcessGrid2D, SimComm, StageTimer
 from repro.options import SPGEMM_IMPL
 from repro.seqs import ErrorModel, GenomeSpec, ReadSimSpec, simulate_reads
+from repro.seqs.kmer_counter import count_kmers
 
 NUMPY = get_backend("numpy")
 SCIPY = get_backend("scipy")
@@ -696,6 +698,113 @@ def test_summa_counts_kernel_paths():
     assert counts == {"Stage": {"masked_csr": 8}}
 
 
+# -- the upper triangle as a coordinate predicate ------------------------------
+
+def _triangle(shape, origin):
+    """The dense strict-upper-triangle mask of a block at global ``origin``."""
+    rows, cols = np.divmod(np.arange(shape[0] * shape[1]), shape[1])
+    keep = rows + origin[0] < cols + origin[1]
+    return CooMat(shape, rows[keep], cols[keep],
+                  np.ones((int(keep.sum()), 1), dtype=np.int64))
+
+
+def _upper_groups(A, B, origin):
+    """The dot kernel's pre-sized input, built independently with scipy:
+    the pattern product's strict upper part, group sizes as values."""
+    def pattern(M):
+        return sp.csr_matrix((np.ones(M.nnz), (M.row, M.col)), shape=M.shape)
+
+    full = CooMat.from_scipy(pattern(A) @ pattern(B))
+    return mask_select(full, _triangle(full.shape, origin))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31), st.floats(0.0, 0.8), st.floats(0.0, 0.8),
+       st.integers(0, 40), st.integers(-16, 16), st.sampled_from([0, 7]),
+       st.booleans(), st.sampled_from([1, 8]))
+def test_property_upper_kernel_identity(seed, da, db, row0, shift, offset,
+                                        b_is_at, window):
+    """Both routes of the predicate-masked block kernel ≡ unmasked ESC ∩
+    triangle.  ``col0 - row0 = shift + offset`` sweeps blocks wholly above
+    the diagonal (≥ 13, the row count), wholly on or below it (≤ -10, one
+    less than the column count) and across it; ``offset`` is a strip's
+    column offset folded into the column origin, as SUMMA folds it."""
+    rng = np.random.default_rng(seed)
+    A = _positions_operand(rng, 13, 40, da)
+    B = NUMPY.transpose(A).submatrix(0, 40, 0, 11) if b_is_at else \
+        _positions_operand(rng, 40, 11, db)
+    origin = (row0, row0 + shift + offset)
+    semiring = PositionsSemiring()
+    oracle = mask_select(spgemm_esc(A, B, semiring),
+                         _triangle((13, 11), origin))
+    # ESC route: under 2¹⁵ products the router never takes the dot kernel.
+    tally = {}
+    routed, path = spgemm_upper(A, B, semiring, origin, tally)
+    _assert_identical(routed, oracle)
+    assert path == "masked_esc"
+    if shift + offset <= -10:        # wholly on or below: nothing computed
+        assert (routed.nnz, tally) == (0, {})
+    # Dot route, on the pre-sized groups the router would hand it.
+    _assert_identical(spgemm_dot_masked(A, B, semiring,
+                                        _upper_groups(A, B, origin),
+                                        window=window, sized=True), oracle)
+    for bk in (NUMPY, SCIPY, AUTO):
+        out, _ = bk.spgemm_with_path(A, B, semiring, upper=origin)
+        _assert_identical(out, oracle)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 31), st.sampled_from([1, 4, 9]),
+       st.integers(0, 35), st.integers(1, 35))
+def test_property_summa_upper_matches_triangle(seed, P, lo, width):
+    """SUMMA with ``upper=lo`` on a column strip ``Aᵀ[:, lo:lo+width]`` ≡
+    the global ESC product ∩ {row < col + lo}, on every grid."""
+    rng = np.random.default_rng(seed)
+    n = 36
+    GA = _positions_operand(rng, n, 50, 0.25)
+    hi = min(n, lo + width)
+    grid = ProcessGrid2D(P)
+    A = DistMat.from_coo(GA.shape, grid, GA.row, GA.col, GA.vals)
+    strip = A.transpose(backend=AUTO).column_slice(lo, hi)
+    semiring = PositionsSemiring()
+    timer = StageTimer()
+    C = summa(A, strip, semiring, SimComm(P, CommTracker(P)), "t", timer,
+              upper=lo)
+    gs = strip.to_global()
+    expect = mask_select(spgemm_esc(GA, gs, semiring),
+                         _triangle((n, hi - lo), (0, lo)))
+    _assert_identical(C.to_global(), expect)
+    assert sum(timer.kernel_counts()["t"].values()) == grid.q ** 3
+
+
+def test_upper_routes_like_the_triangle_mask():
+    """On a single block the predicate kernel takes the same route, does
+    the same work and gives the same bytes as the masked router under the
+    triangle of the product's own pattern — on both sides of the floor."""
+    semiring = PositionsSemiring()
+    rng = np.random.default_rng(35)
+    paths = []
+    for args in ((60, 600, 4000, 0.9), (1200, 150, 40000, 0.2),
+                 (40, 60, 2000, 0.9)):
+        A, At, mask = _read_kmer_operands(rng, *args)
+        want_tally, got_tally = {}, {}
+        want, want_path = spgemm_masked(A, At, semiring, mask, want_tally)
+        got, got_path = spgemm_upper(A, At, semiring, (0, 0), got_tally)
+        _assert_identical(got, want)
+        assert (got_path, got_tally) == (want_path, want_tally)
+        paths.append(got_path)
+    assert paths == ["masked_dot", "masked_esc", "masked_esc"]
+
+
+def test_summa_rejects_mask_and_upper_together():
+    grid = ProcessGrid2D(4)
+    rng = np.random.default_rng(36)
+    A, _ = _rand_dist(rng, (10, 10), 0.2, grid)
+    with pytest.raises(ValueError, match="not both"):
+        summa(A, A, PlusTimes(), SimComm(4, CommTracker(4)), "t", mask=A,
+              upper=0)
+
+
 # -- end-to-end: pipeline output is engine-independent -------------------------
 
 @pytest.fixture(scope="module")
@@ -722,8 +831,8 @@ def test_pipeline_byte_identical_across_engines(tiny_reads, overlap_mode):
     assert (esc.nnz_a, esc.nnz_c, esc.nnz_r, esc.nnz_s) == \
            (masked.nnz_a, masked.nnz_c, masked.nnz_r, masked.nnz_s)
     assert esc.tr_rounds == masked.tr_rounds
-    # Identical communication: the decomposed count product runs on an
-    # untracked shadow communicator, so the tracker records match bytewise.
+    # Identical communication: both engines broadcast the same operand
+    # blocks once per SUMMA stage, so the tracker records match bytewise.
     assert esc.tracker.summary() == masked.tracker.summary()
     # The one intended divergence: the masked TrReduction live set (R + the
     # pattern-pruned N) can only be smaller than the unmasked one.
@@ -740,13 +849,13 @@ def test_pipeline_reports_engine_and_paths(tiny_reads):
     result = run_pipeline(tiny_reads, cfg)
     assert result.config.spgemm_impl == "masked"
     paths = result.kernel_counts
-    # The overlap product splits into a native count pass + a masked seed
-    # pass: error-free reads share hundreds of k-mers per candidate pair,
-    # so every block with a non-empty mask takes the dot kernel (the
-    # below-diagonal block's triangle mask is empty: 2 of the 8 stay on
-    # ESC's early exit).  The MinPlus TR squaring has no truncation depth:
-    # masked ESC throughout.
-    assert paths["SpGEMM"] == {"csr": 8, "masked_dot": 6, "masked_esc": 2}
+    # The overlap product is one SUMMA over q³ = 8 block products, the
+    # triangle a coordinate predicate: error-free reads share hundreds of
+    # k-mers per candidate pair, so every block above or across the
+    # diagonal takes the dot kernel (the below-diagonal block is skipped
+    # on ESC's early exit, 2 of the 8).  No count pass, so no `csr`.  The
+    # MinPlus TR squaring has no truncation depth: masked ESC throughout.
+    assert paths["SpGEMM"] == {"masked_dot": 6, "masked_esc": 2}
     assert set(paths["TrReduction"]) == {"masked_esc"}
     work = result.work_counts
     assert set(work["SpGEMM"]) == {"probes"} and work["SpGEMM"]["probes"] > 0
@@ -762,6 +871,39 @@ def test_pipeline_reports_engine_and_paths(tiny_reads):
     assert set(esc.work_counts) == {"CreateSpMat"}
 
 
+def test_candidate_overlaps_is_one_product(tiny_reads, monkeypatch):
+    """C = A·Aᵀ is one SUMMA: q³ block products, none on the scalar count
+    path, and a scipy pattern product only on the block-stages the dot
+    kernel may take (≥ 2¹⁵ elementary products) — not one per block for a
+    mask, and never a second one for the dot kernel's group sizes."""
+    P = 4
+    grid = ProcessGrid2D(P)
+    comm = SimComm(P, CommTracker(P))
+    table = count_kmers(tiny_reads, 17, comm, StageTimer(), upper=40)
+    A = build_a_matrix(tiny_reads, table, grid, comm, StageTimer())
+    At = A.transpose(backend=AUTO)
+    big = sum(int((A.blocks[i][k].pattern_csr() @
+                   At.blocks[k][j].pattern_csr()).sum()) >= 2 ** 15
+              for i in range(grid.q) for j in range(grid.q)
+              for k in range(grid.q))
+    matmuls = []
+    real = sp.csr_matrix.__matmul__
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__",
+                        lambda a, b: matmuls.append(1) or real(a, b))
+    timer = StageTimer()
+    C = candidate_overlaps(A, comm, timer, backend="auto",
+                           spgemm_impl="masked")
+    paths = timer.kernel_counts()["SpGEMM"]
+    assert "csr" not in paths, paths
+    assert sum(paths.values()) == grid.q ** 3
+    assert paths.get("masked_dot", 0) > 0 and big > 0
+    assert len(matmuls) <= big, (len(matmuls), big)
+    monkeypatch.undo()
+    oracle = candidate_overlaps(A, SimComm(P, CommTracker(P)), StageTimer(),
+                                spgemm_impl="esc")
+    _assert_identical(C.to_global(), oracle.to_global())
+
+
 def test_default_pipeline_paths_follow_resolved_engine(tiny_reads):
     """Whatever overlap mode and executor the environment resolves (the
     ``blocked`` and ``process-4`` CI legs), the reported paths and work
@@ -774,7 +916,7 @@ def test_default_pipeline_paths_follow_resolved_engine(tiny_reads):
     assert result.config.spgemm_impl == "masked"
     # Which masked kernel depends on block size (strips fall under the
     # dot kernel's flops floor); the work counters name the one taken.
-    seed_pass = set(paths["SpGEMM"]) - {"csr"}
+    seed_pass = set(paths["SpGEMM"])
     assert seed_pass and seed_pass <= {"masked_dot", "masked_esc"}
     assert ("masked_dot" in seed_pass) == ("probes" in work["SpGEMM"])
     assert sum(work["SpGEMM"].values()) > 0

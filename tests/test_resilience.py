@@ -364,13 +364,26 @@ def test_strip_checkpoint_rejects_future_manifest(tmp_path):
 def test_strip_checkpoint_refuses_format_2(tmp_path):
     """Format-2 strips hold R without its containment pairs; resuming from
     one would silently reduce a different R, so the manifest is refused."""
-    assert MANIFEST_VERSION == 3
+    assert MANIFEST_VERSION > 2
     d = tmp_path / "ck"
     StripCheckpoint(str(d), "fp", 2).open()
     manifest = json.loads((d / "manifest.json").read_text())
     manifest["format"] = 2
     (d / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(CheckpointMismatch, match="format 2"):
+        StripCheckpoint(str(d), "fp", 2).open()
+
+
+def test_strip_checkpoint_refuses_format_3(tmp_path):
+    """Format-3 strip payloads carry no row census, so the parent could not
+    count the SpGEMM peak from them; the manifest is refused."""
+    assert MANIFEST_VERSION == 4
+    d = tmp_path / "ck"
+    StripCheckpoint(str(d), "fp", 2).open()
+    manifest = json.loads((d / "manifest.json").read_text())
+    manifest["format"] = 3
+    (d / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointMismatch, match="format 3"):
         StripCheckpoint(str(d), "fp", 2).open()
 
 
