@@ -33,6 +33,7 @@ from ..align.xdrop import AlignmentResult, Scoring, chain_extend, \
     seed_extend_align
 from ..dsparse.backend import Backend, get_backend
 from ..dsparse.distmat import DistMat
+from ..dsparse.spgemm import stable_key_order
 from ..dsparse.summa import summa
 from ..exec import Executor, SERIAL
 from ..exec.partition import weighted_chunks
@@ -127,12 +128,16 @@ def _a_scan_batch_task(ctx, task):
     ridx, col, pos = ridx[ok], col[ok], pos[ok]
     flip = flip[ok].astype(np.int64)
     # Keep the first occurrence per (read, k-mer): entries arrive in
-    # (read, pos) order, so np.unique's first-occurrence index over the
-    # composite (read, col) key lands on the earliest window — and its
-    # ascending value order is exactly the loop task's (read, ascending
-    # col) emission order.
+    # (read, pos) order, so the head of each run of the composite (read,
+    # col) key under a stable order is the earliest window — and the runs'
+    # ascending key order is exactly the loop task's (read, ascending col)
+    # emission order.
     comp = ridx * np.int64(len(table)) + col
-    _, first = np.unique(comp, return_index=True)
+    order = stable_key_order(comp, (hi - lo) * len(table))
+    sk = comp[order]
+    head = np.ones(sk.shape[0], dtype=bool)
+    head[1:] = sk[1:] != sk[:-1]
+    first = order[head]
     ridx, col, pos, flip = ridx[first], col[first], pos[first], flip[first]
     return (ridx + lo, col, np.stack([pos, flip], axis=1)), tally
 

@@ -23,7 +23,7 @@ from .backend import (
     Backend, NumpyBackend, ScipyBackend, AutoBackend, get_backend,
 )
 from .spgemm import expand_products, packed_order, spgemm_esc, \
-    spgemm_gustavson, multiway_merge
+    spgemm_gustavson, multiway_merge, stable_key_order
 from .membership import in_sorted, match_sorted
 from .masked import (mask_select, masked_route, spgemm_dot_masked,
                      spgemm_esc_masked, spgemm_masked)
@@ -39,7 +39,7 @@ __all__ = [
     "Semiring", "PlusTimes", "MinPlus", "BoolOr", "INF",
     "Backend", "NumpyBackend", "ScipyBackend", "AutoBackend", "get_backend",
     "expand_products", "packed_order", "spgemm_esc", "spgemm_gustavson",
-    "multiway_merge",
+    "multiway_merge", "stable_key_order",
     "in_sorted", "match_sorted",
     "mask_select", "masked_route", "spgemm_dot_masked", "spgemm_esc_masked",
     "spgemm_masked",

@@ -66,15 +66,25 @@ class CooMat:
 
     # -- invariants ---------------------------------------------------------
     def _canonicalize(self) -> None:
+        from .spgemm import key_packs, stable_key_order  # spgemm imports us
         if self.row.shape[0] == 0:
             return
-        key = self.keys()
         # Builders that emit entries in row-major order (the batched A scan,
         # kernel outputs) skip the sort: strict monotonicity certifies both
-        # canonical order and coordinate uniqueness in one linear pass.
-        if bool(np.all(key[1:] > key[:-1])):
-            return
-        order = np.lexsort((self.col, self.row))
+        # canonical order and coordinate uniqueness in one linear pass.  The
+        # packed key is trusted only where it cannot wrap; beyond int64 the
+        # check and the sort run on the two coordinates.
+        if key_packs(self.shape):
+            key = self.keys()
+            if bool(np.all(key[1:] > key[:-1])):
+                return
+            order = stable_key_order(key, self.shape[0] * self.shape[1])
+        else:
+            row, col = self.row, self.col
+            if bool(np.all((row[1:] > row[:-1]) | ((row[1:] == row[:-1])
+                                                   & (col[1:] > col[:-1])))):
+                return
+            order = np.lexsort((col, row))
         self.row = self.row[order]
         self.col = self.col[order]
         self.vals = self.vals[order]

@@ -67,7 +67,8 @@ import numpy as np
 from .coomat import CooMat
 from .membership import in_sorted
 from .semiring import Semiring
-from .spgemm import _sort_reduce, expand_products, spgemm_esc
+from .spgemm import (_sort_reduce, expand_products, spgemm_esc,
+                     stable_key_order)
 
 __all__ = ["mask_select", "spgemm_masked", "spgemm_esc_masked",
            "spgemm_dot_masked", "spgemm_upper", "masked_route",
@@ -323,14 +324,15 @@ def _truncated_sort_reduce(out_shape, keys, a_idx, b_idx, A, B, semiring,
 
     The semiring declared (``product_reduce_depth``) that a fresh group's
     reduce reads only its first ``depth`` products plus the group size, so
-    after the stable key sort only those products are gathered through the
-    operand values and the semiring multiply — the wide value arrays never
-    exist at elementary-product scale.  Byte-identical to the full
+    once the products are ordered by key only those are gathered through
+    the operand values and the semiring multiply — the wide value arrays
+    never exist at elementary-product scale.  Byte-identical to the full
     multiply + :func:`~repro.dsparse.spgemm._sort_reduce` by the
-    ``reduce_truncated`` contract (groups keep expansion order under the
-    stable sort, exactly as in the full path).
+    ``reduce_truncated`` contract: :func:`~repro.dsparse.spgemm.
+    stable_key_order` is a stable order, so groups keep expansion order,
+    exactly as in the full path.
     """
-    order = np.argsort(keys, kind="stable")
+    order = stable_key_order(keys, out_shape[0] * out_shape[1])
     sk = keys[order]
     new_group = np.ones(sk.shape[0], dtype=bool)
     new_group[1:] = sk[1:] != sk[:-1]

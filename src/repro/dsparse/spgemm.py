@@ -26,8 +26,36 @@ import numpy as np
 from .coomat import CooMat
 from .semiring import Semiring
 
-__all__ = ["expand_products", "packed_order", "spgemm_esc",
-           "spgemm_gustavson", "multiway_merge"]
+__all__ = ["expand_products", "packed_order", "stable_key_order",
+           "key_packs", "spgemm_esc", "spgemm_gustavson", "multiway_merge"]
+
+_INT64_MAX = 2 ** 63 - 1
+
+
+def key_packs(shape: tuple[int, int]) -> bool:
+    """Whether every ``row * ncols + col`` key of ``shape`` fits int64."""
+    return int(shape[0]) * int(shape[1]) <= _INT64_MAX
+
+
+def stable_key_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for non-negative keys ``< bound``.
+
+    Each key is shifted left and its index put in the low bits, so ties
+    break by index and one in-place (vectorized, unstable) ``sort`` of the
+    tagged keys yields the stable order — several times faster than a
+    stable argsort of the same keys.  Falls back to the stable argsort when
+    key and index bits together do not fit 63.
+    """
+    n = keys.shape[0]
+    shift = n.bit_length()
+    if int(bound).bit_length() + shift > 63:
+        return np.argsort(keys, kind="stable")
+    tagged = keys.astype(np.int64)
+    tagged <<= np.int64(shift)
+    tagged |= np.arange(n, dtype=np.int64)
+    tagged.sort()
+    tagged &= np.int64((1 << shift) - 1)
+    return tagged
 
 
 def packed_order(rows: np.ndarray, cols: np.ndarray,
@@ -35,15 +63,16 @@ def packed_order(rows: np.ndarray, cols: np.ndarray,
     """Stable row-major sort order over (row, col) coordinate pairs.
 
     Packs both coordinates into one int64 key (``row * ncols + col``) and
-    argsorts it — the same ordering as ``np.lexsort((cols, rows))`` at
-    roughly half the sort work.  Packing requires ``rows * ncols`` to fit
-    int64; shapes whose coordinate product would overflow (possible only
-    for matrices beyond ~9.2e18 cells, far past any genomic workload) fall
-    back to the two-key lexsort instead of wrapping silently.
+    orders it with :func:`stable_key_order` — the same ordering as
+    ``np.lexsort((cols, rows))`` from one sort of one key.  Shapes whose
+    coordinate product would overflow int64 (matrices beyond ~9.2e18
+    cells, far past any genomic workload) fall back to the two-key lexsort
+    instead of wrapping silently.
     """
-    if shape[0] and shape[0] > (2 ** 63 - 1) // max(1, shape[1]):
+    if not key_packs(shape):
         return np.lexsort((cols, rows))
-    return np.argsort(rows * np.int64(shape[1]) + cols, kind="stable")
+    return stable_key_order(rows * np.int64(shape[1]) + cols,
+                            int(shape[0]) * int(shape[1]))
 
 
 def _sort_reduce(out_shape: tuple[int, int], ci: np.ndarray, cj: np.ndarray,

@@ -5,6 +5,13 @@ most-significant base first.  All operations are numpy-vectorized; a read of
 length *l* yields its ``l - k + 1`` k-mers with no Python-level loop over
 positions.
 
+:func:`read_kmers_batch` extracts a whole block of reads at once.  It packs
+both strands of the block's code buffer by binary doubling, each doubling
+level in the narrowest unsigned dtype that holds it, and takes canonical
+form and flip as one ``minimum`` and one ``<`` over the two strands'
+windows — no per-window bit reversal.  :func:`revcomp_kmers` (a bit-reversal cascade on
+packed words) serves the per-read :func:`pack_kmers` callers.
+
 The functions here are the workhorses of both the k-mer counter
 (:mod:`repro.seqs.kmer_counter`) and the construction of the ``A`` matrix
 (:mod:`repro.core.overlap`).
@@ -106,6 +113,24 @@ def read_kmers(codes: np.ndarray, k: int, canonical: bool = True
     return km, pos
 
 
+def _word(bases: int) -> type:
+    """The narrowest unsigned dtype holding ``bases`` two-bit codes."""
+    for dt in (np.uint8, np.uint16, np.uint32):
+        if 2 * bases <= 8 * np.dtype(dt).itemsize:
+            return dt
+    return np.uint64
+
+
+def _join(head: np.ndarray, tail: np.ndarray, width: int, bases: int
+          ) -> np.ndarray:
+    """``(head << 2·width) | tail`` in the dtype of a ``bases``-base pack."""
+    dt = _word(bases)
+    out = head.astype(dt)
+    out <<= dt(2 * width)
+    out |= tail
+    return out
+
+
 def _pack_all_windows(buf: np.ndarray, k: int) -> np.ndarray:
     """Pack every length-``k`` window of a contiguous code buffer.
 
@@ -113,13 +138,16 @@ def _pack_all_windows(buf: np.ndarray, k: int) -> np.ndarray:
     width-``2w`` packs, then the binary decomposition of ``k`` is stitched
     together — ``O(log k)`` full-buffer operations instead of ``k``, with
     exactly :func:`pack_kmers`' integer values (pure shifts and ORs).
+    Each level runs in the narrowest dtype that holds it (``uint8`` up to 4
+    bases, ``uint16`` up to 8, ``uint32`` up to 16, ``uint64`` beyond), so
+    the result's dtype is that of a ``k``-base pack, not always ``uint64``.
     """
     n = buf.shape[0]
-    val = buf.astype(np.uint64)
+    val = np.asarray(buf, dtype=np.uint8)
     packs = [(1, val)]
     w = 1
     while w * 2 <= k:
-        val = (val[:n - 2 * w + 1] << np.uint64(2 * w)) | val[w:n - w + 1]
+        val = _join(val[:n - 2 * w + 1], val[w:n - w + 1], w, 2 * w)
         w *= 2
         packs.append((w, val))
     cur: np.ndarray | None = None
@@ -131,7 +159,7 @@ def _pack_all_windows(buf: np.ndarray, k: int) -> np.ndarray:
             cur = val
         else:
             keep = n - (have + w) + 1
-            cur = (cur[:keep] << np.uint64(2 * w)) | val[have:have + keep]
+            cur = _join(cur[:keep], val[have:have + keep], w, have + w)
         have += w
     return cur[:n - k + 1]
 
@@ -184,21 +212,32 @@ def read_kmers_batch(codes: np.ndarray, offsets: np.ndarray,
     np.cumsum(n_win[:-1], out=first_slot[1:])
     pos = np.arange(total, dtype=np.int64) - first_slot[read_idx]
     gstart = offsets[read_idx] + pos
-    # Pack with a Horner sweep over the k base columns (exact integer
-    # arithmetic — identical to pack_kmers' window/weight product).  When
-    # the reads tile a contiguous stretch of ``codes`` (the SoA layout),
-    # sweep the raw buffer with contiguous slices and gather the valid
-    # window starts at the end; otherwise gather each window's bases first.
+    # When the reads tile a contiguous stretch of ``codes`` (the SoA
+    # layout), pack every window of the raw buffer by binary doubling and
+    # gather the valid window starts.  The reverse strand is the same sweep
+    # over the reversed complement buffer: its window q is the reverse
+    # complement of forward window n - k - q, so reversing the pack lines
+    # both strands up, and canonical form and flip are one minimum and one
+    # comparison over the gathered windows.
     lo, hi = int(offsets[0]), int(offsets[-1] + lengths[-1])
     contiguous = bool(np.all(offsets[1:] == offsets[:-1] + lengths[:-1]))
     if contiguous and hi - lo >= k:
-        km = _pack_all_windows(codes[lo:hi], k)[gstart - lo]
-    else:
-        windows = codes[gstart[:, None]
-                        + np.arange(k, dtype=np.int64)[None, :]]
-        km = np.zeros(total, dtype=np.uint64)
-        for j in range(k):
-            km = (km << np.uint64(2)) | windows[:, j]
+        buf = np.asarray(codes[lo:hi], dtype=np.uint8)
+        gstart -= lo
+        fwd = _pack_all_windows(buf, k)[gstart]
+        if not canonical:
+            return (fwd.astype(np.uint64, copy=False), read_idx, pos,
+                    np.zeros(total, dtype=bool))
+        rev = _pack_all_windows(3 - buf[::-1], k)[::-1][gstart]
+        flip = rev < fwd
+        np.minimum(fwd, rev, out=fwd)
+        return fwd.astype(np.uint64, copy=False), read_idx, pos, flip
+    # Otherwise gather each window's bases and pack with a Horner sweep over
+    # the k base columns (identical to pack_kmers' window/weight product).
+    windows = codes[gstart[:, None] + np.arange(k, dtype=np.int64)[None, :]]
+    km = np.zeros(total, dtype=np.uint64)
+    for j in range(k):
+        km = (km << np.uint64(2)) | windows[:, j]
     if not canonical:
         return km, read_idx, pos, np.zeros(total, dtype=bool)
     canon = canonical_kmers(km, k)

@@ -19,6 +19,22 @@ def test_duplicate_coordinates_rejected():
         CooMat((2, 2), [0, 0], [1, 1], [[1], [2]])
 
 
+def test_unpackable_shape_is_ordered_by_both_coordinates():
+    """Beyond 2**63 cells ``row * ncols + col`` wraps: here the keys read
+    0 and 5, strictly increasing, yet row 2**23 comes first.  The entries
+    must still be sorted, and duplicates still refused."""
+    shape = (2 ** 24, 2 ** 41)
+    m = CooMat(shape, [2 ** 23, 0], [0, 5], [1, 2])
+    assert m.row.tolist() == [0, 2 ** 23]
+    assert m.col.tolist() == [5, 0]
+    assert m.vals[:, 0].tolist() == [2, 1]
+    ordered = CooMat(shape, [0, 0, 2 ** 23], [5, 2 ** 40, 0], [1, 2, 3])
+    assert ordered.row.tolist() == [0, 0, 2 ** 23]
+    assert ordered.col.tolist() == [5, 2 ** 40, 0]
+    with pytest.raises(ValueError, match="duplicate"):
+        CooMat(shape, [2 ** 23, 2 ** 23], [7, 7], [1, 2])
+
+
 def test_from_to_scipy_roundtrip():
     rng = np.random.default_rng(0)
     s = sp.random(20, 30, density=0.1, format="coo",

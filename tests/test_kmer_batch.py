@@ -23,7 +23,9 @@ from repro.seqs.fasta import ReadSet
 from repro.seqs.kmer_counter import (KmerTable, _group_by_dest_masks,
                                      _group_by_dest_sorted, _send_lists,
                                      count_kmers)
-from repro.seqs.kmers import read_kmers, read_kmers_batch, splitmix64
+from repro.seqs.kmers import (MAX_K, _pack_all_windows, pack_kmers,
+                              read_kmers, read_kmers_batch, splitmix64,
+                              string_to_kmer)
 
 def _readset(arrays):
     return ReadSet([f"r{i}" for i in range(len(arrays))],
@@ -48,35 +50,56 @@ def _assert_tables_equal(a: KmerTable, b: KmerTable):
 
 # -- read_kmers_batch vs per-read extraction --------------------------------
 
-@settings(max_examples=60, deadline=None,
+@pytest.mark.parametrize("k", range(1, MAX_K + 1))
+def test_pack_all_windows_matches_pack_kmers(k):
+    """Every k, so every level where the doubling dtype widens (4 → 5,
+    8 → 9, 16 → 17 bases), on random bases and on all-T (the largest code,
+    which overflows a level kept one dtype too narrow); the result is in
+    the narrowest dtype that holds a k-base pack."""
+    rng = np.random.default_rng(k)
+    for buf in (rng.integers(0, 4, 3 * k + 40).astype(np.uint8),
+                np.full(k, 3, dtype=np.uint8)):
+        got = _pack_all_windows(buf, k)
+        assert np.array_equal(got, pack_kmers(buf, k))
+        assert 8 * got.dtype.itemsize == next(
+            bits for bits in (8, 16, 32, 64) if 2 * k <= bits)
+
+
+@settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(st.lists(st.lists(st.integers(0, 3), min_size=0, max_size=40),
+@given(st.lists(st.lists(st.integers(0, 3), min_size=0, max_size=60),
                 min_size=0, max_size=12),
-       st.sampled_from([3, 4, 5, 17, 31]),
-       st.booleans())
-def test_read_kmers_batch_matches_per_read(read_lists, k, canonical):
+       st.booleans(), st.booleans())
+def test_read_kmers_batch_matches_per_read(read_lists, canonical, read_only):
+    """Every k, canonical or not, over a writable or a read-only code
+    buffer (the mmap read store hands the kernel a read-only one)."""
     reads = _readset(read_lists)
     codes, offsets, lengths = reads.soa()
-    km, ridx, pos, flip = read_kmers_batch(codes, offsets, lengths, k,
-                                           canonical=canonical)
-    exp_km, exp_ridx, exp_pos = [], [], []
-    for i in range(len(reads)):
-        one_km, one_pos = read_kmers(reads[i], k, canonical=canonical)
-        exp_km.append(one_km)
-        exp_pos.append(one_pos)
-        exp_ridx.append(np.full(one_km.shape[0], i, dtype=np.int64))
-    exp_km = np.concatenate(exp_km) if exp_km else np.empty(0, np.uint64)
-    assert np.array_equal(km, exp_km)
-    assert np.array_equal(ridx, np.concatenate(exp_ridx)
-                          if exp_ridx else np.empty(0, np.int64))
-    assert np.array_equal(pos, np.concatenate(exp_pos)
-                          if exp_pos else np.empty(0, np.int64))
-    if canonical:
-        fwd = read_kmers_batch(codes, offsets, lengths, k,
-                               canonical=False)[0]
-        assert np.array_equal(flip, km != fwd)
-    else:
-        assert not flip.any()
+    if read_only:
+        codes = codes.copy()
+        codes.flags.writeable = False
+    for k in range(1, MAX_K + 1):
+        km, ridx, pos, flip = read_kmers_batch(codes, offsets, lengths, k,
+                                               canonical=canonical)
+        exp_km, exp_ridx, exp_pos = [], [], []
+        for i in range(len(reads)):
+            one_km, one_pos = read_kmers(reads[i], k, canonical=canonical)
+            exp_km.append(one_km)
+            exp_pos.append(one_pos)
+            exp_ridx.append(np.full(one_km.shape[0], i, dtype=np.int64))
+        exp_km = np.concatenate(exp_km) if exp_km else np.empty(0, np.uint64)
+        assert km.dtype == np.uint64
+        assert np.array_equal(km, exp_km)
+        assert np.array_equal(ridx, np.concatenate(exp_ridx)
+                              if exp_ridx else np.empty(0, np.int64))
+        assert np.array_equal(pos, np.concatenate(exp_pos)
+                              if exp_pos else np.empty(0, np.int64))
+        if canonical:
+            fwd = read_kmers_batch(codes, offsets, lengths, k,
+                                   canonical=False)[0]
+            assert np.array_equal(flip, km != fwd)
+        else:
+            assert not flip.any()
 
 
 def test_read_kmers_batch_noncontiguous_subset():
@@ -295,6 +318,23 @@ def test_a_matrix_parity_palindromes_and_executors():
     assert np.array_equal(ga.row, gb.row)
     assert np.array_equal(ga.col, gb.col)
     assert np.array_equal(ga.vals, gb.vals)
+
+
+def test_a_matrix_keeps_the_first_occurrence():
+    """A read carrying one reliable k-mer three times — reverse-complement
+    at 4, forward at 13, reverse-complement at 22 — yields one A entry with
+    the earliest window's position and flip, on both scan engines."""
+    from repro.core.semirings import A_FLIP, A_POS
+    read = encode("GGGG" "CGGTT" "GGGG" "AACCG" "GGGG" "CGGTT" "GGG")
+    x = string_to_kmer("AACCG")              # canonical; CGGTT is its revcomp
+    km, pos = read_kmers(read, 5)
+    assert pos[km == x].tolist() == [4, 13, 22]
+    table = KmerTable(k=5, kmers=np.array([x], np.uint64),
+                      counts=np.array([3], np.int64), lower=2, upper=4)
+    for impl in ("loop", "batch"):
+        g, _, _ = _build_a(ReadSet(["r"], [read]), table, impl, P=1)
+        assert (g.row.tolist(), g.col.tolist()) == ([0], [0])
+        assert (g.vals[0, A_POS], g.vals[0, A_FLIP]) == (4, 1)
 
 
 def test_a_matrix_empty_table():

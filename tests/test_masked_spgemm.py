@@ -21,7 +21,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.overlap import build_a_matrix, candidate_overlaps
 from repro.core.pipeline import PipelineConfig, run_pipeline
@@ -33,7 +33,7 @@ from repro.dsparse.masked import (mask_select, masked_route,
                                   spgemm_dot_masked, spgemm_esc_masked,
                                   spgemm_masked, spgemm_upper)
 from repro.dsparse.semiring import BoolOr, MinPlus, PlusTimes
-from repro.dsparse.spgemm import packed_order, spgemm_esc
+from repro.dsparse.spgemm import packed_order, spgemm_esc, stable_key_order
 from repro.dsparse.summa import summa
 from repro.exec import SERIAL, ProcessExecutor, ThreadExecutor
 from repro.mpisim import CommTracker, ProcessGrid2D, SimComm, StageTimer
@@ -252,6 +252,23 @@ def test_packed_order_overflow_guard_matches_lexsort():
     small_c = rng.integers(0, 30, 80)
     assert np.array_equal(packed_order(small_r, small_c, (40, 30)),
                           np.lexsort((small_c, small_r)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=300),
+       st.sampled_from([0, 1, 30, 60, 61]))
+@example([], 0)
+@example([2], 0)
+@example([3, 3, 3, 3], 61)
+def test_stable_key_order_is_the_stable_argsort(small, scale):
+    """Heavy ties (four distinct keys), empty and one-element inputs, and
+    key scales where key and index bits no longer fit 63 — there the
+    tagged sort would overflow, so only the fallback gives this answer."""
+    keys = np.array(small, dtype=np.int64) << np.int64(scale)
+    bound = (3 << scale) + 1
+    order = stable_key_order(keys, bound)
+    assert order.dtype == np.int64
+    assert np.array_equal(order, np.argsort(keys, kind="stable"))
 
 
 # -- reduce truncation (product_reduce_depth) ----------------------------------
