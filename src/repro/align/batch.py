@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..mpisim.tracker import add_work
 from .xdrop import Scoring
 
 __all__ = [
@@ -322,10 +323,7 @@ def xdrop_extend_batch(codes: np.ndarray,
         cells = np.full(int(end[-1]), _DEAD, dtype=np.int64)
         cells[live + np.repeat(start + 1 - first, count)] = \
             nxt[live] & _STATE
-    if tally is not None:
-        for name, value in (("rounds", n_rounds), ("cells", n_cells),
-                            ("words", n_words)):
-            tally[name] = tally.get(name, 0) + value
+    add_work(tally, rounds=n_rounds, cells=n_cells, words=n_words)
     return out[0], out[1], out[2]
 
 

@@ -155,12 +155,13 @@ def run_dibella1d(reads: ReadSet, k: int = 17, nprocs: int = 1, *,
                     continue
                 Aq = CooMat((n, m), rds[mine], cols[mine],
                             np.stack([poss[mine], flips[mine]], axis=1))
-                Atq = backend.transpose(Aq)
-                a_idx, b_idx = backend.expand(Aq, Atq)
+                Atq = Aq.T
+                a_idx, b_at = backend.expand(Aq, Atq)
                 if a_idx.shape[0] == 0:
                     continue
+                b_rows = Atq.csr()
                 ri = Aq.row[a_idx]
-                rj = Atq.col[b_idx]
+                rj = b_rows.index[b_at]
                 # The product is symmetric; keep each unordered pair once
                 # per shared k-mer (ri < rj also drops the diagonal).
                 # Both triangles are expanded, then filtered; the 2D path
@@ -170,7 +171,7 @@ def run_dibella1d(reads: ReadSet, k: int = 17, nprocs: int = 1, *,
                 keep = ri < rj
                 if not keep.any():
                     continue
-                a_idx, b_idx = a_idx[keep], b_idx[keep]
+                a_idx, b_idx = a_idx[keep], b_rows.stored(b_at[keep])
                 ri, rj = ri[keep], rj[keep]
                 pi = Aq.vals[a_idx, 0]
                 pj = Atq.vals[b_idx, 0]

@@ -7,9 +7,12 @@ matrix"* — the memory-reduction plan that lets large genomes run at low
 concurrency.
 
 :func:`candidate_overlaps_blocked` implements exactly that: ``C = A·Aᵀ`` is
-computed in ``n_strips`` column strips ``C[:, lo:hi] = A · Aᵀ[:, lo:hi]``;
-each strip is aligned and pruned to its R entries immediately, so at no
-point does more than one strip of candidate entries exist.  The union of
+computed in ``n_strips`` column strips ``C[:, lo:hi] = A · (A[lo:hi, :])ᵀ``
+— each strip's right operand is a row slice of A, viewed transposed
+(:meth:`~repro.dsparse.distmat.DistMat.row_slice`,
+:attr:`~repro.dsparse.distmat.DistMat.T`); each strip is aligned and
+pruned to its R entries immediately, so at no point does more than one
+strip of candidate entries exist.  The union of
 strip results is bit-identical to the monolithic path (tested), while peak
 candidate-matrix memory drops by ~``n_strips``.
 
@@ -85,8 +88,9 @@ def _strip_task(ctx, task):
     worker; returns the strip's global R entries, its candidate count, its
     row census over the strips (the input of the parent's peak count) and
     its accounting, for the parent to merge in strip order.  The task
-    carries its own narrow ``Aᵀ`` strip (sliced in the parent), so a
-    process pool never ships the full transpose to a worker.
+    carries its own strip — rows ``lo:hi`` of A, sliced in the parent and
+    viewed transposed — so a process pool ships a worker only those rows
+    beside the ``A`` of the context.
     """
     A, reads, k, nprocs, mode, scoring, filt, fuzz, backend, align_impl, \
         spgemm_impl, starts = ctx
@@ -155,10 +159,11 @@ def candidate_overlaps_blocked(A: DistMat, reads: ReadSet, k: int,
 
     Parameters mirror :func:`~repro.core.overlap.candidate_overlaps` +
     :func:`~repro.core.overlap.align_candidates`; ``n_strips`` controls the
-    peak-memory / latency trade-off (each strip is one Sparse SUMMA over a
-    narrower ``Aᵀ``); ``backend`` selects the local kernels; ``align_impl``
-    the per-strip alignment engine (resolved once here so every strip task
-    runs the same engine regardless of worker environment).  ``executor``
+    peak-memory / latency trade-off (each strip is one Sparse SUMMA of A
+    against a row slice of A, viewed transposed); ``backend`` selects the
+    local kernels; ``align_impl`` the per-strip alignment engine
+    (resolved once here so every strip task runs the same engine
+    regardless of worker environment).  ``executor``
     spreads whole strips over workers — each strip's private accounting is
     merged back in strip order, so results, communication records, and
     peak-memory marks are byte-identical for every executor.
@@ -179,19 +184,17 @@ def candidate_overlaps_blocked(A: DistMat, reads: ReadSet, k: int,
     align_impl = ALIGN_IMPL.resolve(align_impl)
     spgemm_impl = SPGEMM_IMPL.resolve(spgemm_impl)
     n = A.shape[0]
-    At = A.transpose(backend=backend)
     bounds = block_bounds(n, n_strips)
     spans = [(int(bounds[s]), int(bounds[s + 1])) for s in range(n_strips)
              if bounds[s] < bounds[s + 1]]
     starts = np.array([lo for lo, _hi in spans] + [n], dtype=np.int64)
-    # Slice the strips up front and let At go: together the strips hold
-    # exactly At's entries, and each worker only ever receives its own.
-    tasks = [(lo, hi, At.column_slice(lo, hi)) for lo, hi in spans]
-    del At
+    # Slice the strips up front: together they hold exactly A's entries
+    # once more, and each worker only ever receives its own.
+    tasks = [(lo, hi, A.row_slice(lo, hi).T) for lo, hi in spans]
 
     ctx = (A, reads, k, comm.nprocs, mode, scoring, filt, fuzz, backend,
            align_impl, spgemm_impl, starts)
-    # Weight by the strip's At entries — the SUMMA flops and downstream
+    # Weight by the strip's entries — the SUMMA flops and downstream
     # candidate count scale with them, while block_bounds makes the column
     # widths near-uniform and thus balance-blind under skew.
     weights = [max(1, strip.nnz()) for _lo, _hi, strip in tasks]

@@ -32,6 +32,7 @@ from ..align.overlapper import (OverlapClass, classify_overlap,
 from ..align.xdrop import AlignmentResult, Scoring, chain_extend, \
     seed_extend_align
 from ..dsparse.backend import Backend, get_backend
+from ..dsparse.coomat import CooMat
 from ..dsparse.distmat import DistMat
 from ..dsparse.spgemm import stable_key_order
 from ..dsparse.summa import summa
@@ -45,7 +46,7 @@ from ..seqs.fasta import ReadSet
 from ..seqs.kmer_counter import KmerTable
 from ..seqs.seeding import FullKScheme, SeedScheme
 from .memory import coo_nbytes
-from .semirings import (A_FLIP, A_POS, C_COUNT, C_NFIELDS, C_PA1, C_PA2,
+from .semirings import (A_NFIELDS, C_COUNT, C_NFIELDS, C_PA1, C_PA2,
                         C_PB1, C_PB2, C_STRAND1, C_STRAND2,
                         PositionsSemiring, R_CONTAINED, R_CONTAINS, R_END_I,
                         R_END_J, R_NFIELDS, R_NO_END, R_OLEN, R_SUFFIX)
@@ -73,13 +74,47 @@ class AlignmentFilter:
         return score >= max(self.min_score, int(self.ratio * overlap_len))
 
 
+def _block_key(ridx: np.ndarray, col: np.ndarray, span: int, m: int,
+               col_bounds: np.ndarray) -> np.ndarray:
+    """Each entry's (2D column block, rank-local read, column) sort key.
+
+    ``ridx`` counts reads from the rank's first.  Sorted by this key a
+    rank's entries come grouped by destination block column, row-major
+    inside each group — the order :func:`_block_cuts` slices.
+    """
+    key = np.searchsorted(col_bounds, col, side="right")
+    key -= 1
+    key *= span
+    key += ridx
+    key *= np.int64(m)
+    key += col
+    return key
+
+
+def _block_cuts(key: np.ndarray, lo: int, span: int, m: int,
+                bounds: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Where each 2D block's slice lies in a rank's key-sorted entries.
+
+    Block ``(i, j)`` is ``cuts[j, i]:cuts[j, i + 1]``: inside block column
+    ``j`` the rank's reads split at the grid's row bounds, clipped to the
+    rank's read span ``[lo, lo + span)``.
+    """
+    row_bounds, col_bounds = bounds
+    q = col_bounds.shape[0] - 1
+    first = np.clip(row_bounds - lo, 0, span)
+    return np.searchsorted(
+        key, (np.arange(q)[:, None] * span + first[None, :]) * np.int64(m))
+
+
 def _a_scan_task(ctx, span):
     """Executor task: one 1D rank's (read, seed k-mer) entry scan.
 
-    Returns ``(entries | None, tally)``; ``tally`` is the dictionary
-    lookup's exact work (:meth:`~repro.seqs.kmer_counter.KmerTable.lookup`).
+    Scans read by read (the reference oracle of the batch task below) and
+    returns the same ``(entries | None, tally)``, entries grouped by
+    destination block; ``tally`` is the dictionary lookup's exact work
+    (:meth:`~repro.seqs.kmer_counter.KmerTable.lookup`).
     """
-    reads, table, scheme = ctx
+    reads, table, scheme, bounds = ctx
     lo, hi = span
     rr, cc, vv = [], [], []
     tally: dict[str, int] = {}
@@ -101,7 +136,11 @@ def _a_scan_task(ctx, span):
         vv.append(np.stack([pos[first], flip[first]], axis=1))
     if not rr:
         return None, tally
-    return (np.concatenate(rr), np.concatenate(cc), np.vstack(vv)), tally
+    row, col, vals = np.concatenate(rr), np.concatenate(cc), np.vstack(vv)
+    key = _block_key(row - lo, col, hi - lo, len(table), bounds[1])
+    order = np.argsort(key, kind="stable")
+    return (row[order], col[order], vals[order],
+            _block_cuts(key[order], lo, hi - lo, len(table), bounds)), tally
 
 
 def _a_scan_batch_task(ctx, task):
@@ -112,11 +151,13 @@ def _a_scan_batch_task(ctx, task):
     (:meth:`~repro.seqs.fasta.ReadSet.soa_block`), so a store-backed set
     ships only its path and each worker pages in its own block.
     Extraction, dictionary lookup, and first-occurrence dedup all run over
-    the whole block at once.  Output entries are ordered by (read, column)
-    with the first-occurrence position/flip per (read, k-mer) — exactly
-    the loop task's order, and the same ``(entries | None, tally)`` shape.
+    the whole block at once.  Returns ``(entries | None, tally)``: entries
+    ``(row, col, vals, cuts)`` in (block column, read, column) order —
+    the slice of each 2D destination block row-major and contiguous, where
+    :func:`_block_cuts` says — with the first-occurrence position/flip per
+    (read, k-mer); the loop task's output, byte for byte.
     """
-    table, scheme, reads = ctx
+    table, scheme, reads, bounds = ctx
     lo, hi = task
     codes, offsets, lengths = reads.soa_block(lo, hi)
     canon, ridx, pos, flip = scheme.seeds_of_block(codes, offsets, lengths)
@@ -127,19 +168,20 @@ def _a_scan_batch_task(ctx, task):
         return None, tally
     ridx, col, pos = ridx[ok], col[ok], pos[ok]
     flip = flip[ok].astype(np.int64)
-    # Keep the first occurrence per (read, k-mer): entries arrive in
-    # (read, pos) order, so the head of each run of the composite (read,
-    # col) key under a stable order is the earliest window — and the runs'
-    # ascending key order is exactly the loop task's (read, ascending col)
-    # emission order.
-    comp = ridx * np.int64(len(table)) + col
-    order = stable_key_order(comp, (hi - lo) * len(table))
-    sk = comp[order]
-    head = np.ones(sk.shape[0], dtype=bool)
-    head[1:] = sk[1:] != sk[:-1]
+    # Keep the first occurrence per (read, k-mer): entries arrive in (read,
+    # pos) order, so under a stable order of the (block column, read, col)
+    # key the head of each run of equal keys is the earliest window, and
+    # the runs come out grouped by destination block, row-major inside.
+    m, span = len(table), hi - lo
+    key = _block_key(ridx, col, span, m, bounds[1])
+    order = stable_key_order(key, (bounds[1].shape[0] - 1) * span * m)
+    key = key[order]
+    head = np.ones(key.shape[0], dtype=bool)
+    head[1:] = key[1:] != key[:-1]
     first = order[head]
-    ridx, col, pos, flip = ridx[first], col[first], pos[first], flip[first]
-    return (ridx + lo, col, np.stack([pos, flip], axis=1)), tally
+    return (ridx[first] + lo, col[first],
+            np.stack([pos[first], flip[first]], axis=1),
+            _block_cuts(key[head], lo, span, m, bounds)), tally
 
 
 def build_a_matrix(reads: ReadSet, table: KmerTable, grid: ProcessGrid2D,
@@ -153,9 +195,15 @@ def build_a_matrix(reads: ReadSet, table: KmerTable, grid: ProcessGrid2D,
     in the reliable dictionary (a distributed-hash lookup in a real run)
     and routes the resulting ``(read, column, pos, flip)`` entries to their
     2D block owners; that routing is the ``CreateSpMat`` traffic.  The
-    per-rank scans are independent and run on ``executor``; the lookup's
-    exact work (``windows``, ``probes``, ``leftover``) comes back with each
-    scan and is summed into ``timer``'s work counters.
+    routing happens at the source: a rank's scan emits its entries already
+    grouped by destination block, so each 2D block is its slices from the
+    source ranks concatenated in rank order — canonical as gathered, with
+    no global owner pass and no second copy of A — and the traffic census
+    is read off the slice sizes (:func:`_charge_routing`, the record loop
+    :func:`charge_a_routing` replays for the service).  The per-rank scans
+    are independent and run on ``executor``; the lookup's exact work
+    (``windows``, ``probes``, ``leftover``) comes back with each scan and
+    is summed into ``timer``'s work counters.
 
     ``impl`` selects the scan engine (:data:`repro.options.KMER_IMPL`):
     ``"batch"`` runs each rank's scan as one vectorized
@@ -175,37 +223,89 @@ def build_a_matrix(reads: ReadSet, table: KmerTable, grid: ProcessGrid2D,
     P = comm.nprocs
     n = len(reads)
     m = len(table)
-    bounds = block_bounds(n, P)
+    bounds = (grid.row_bounds(n), grid.col_bounds(m))
+    read_bounds = block_bounds(n, P)
 
-    spans = [(int(bounds[p]), int(bounds[p + 1])) for p in range(P)]
+    spans = [(int(read_bounds[p]), int(read_bounds[p + 1])) for p in range(P)]
     with timer.superstep(stage) as step:
         if impl == "batch":
             pre = np.concatenate(([0], np.cumsum(reads.lengths)))
             parts, secs = executor.run_timed(
-                _a_scan_batch_task, spans, context=(table, scheme, reads),
+                _a_scan_batch_task, spans,
+                context=(table, scheme, reads, bounds),
                 weights=[int(pre[hi] - pre[lo]) for lo, hi in spans])
         else:
             parts, secs = executor.run_timed(
-                _a_scan_task, spans, context=(reads, table, scheme),
+                _a_scan_task, spans, context=(reads, table, scheme, bounds),
                 weights=[hi - lo for lo, hi in spans])
         step.charge_many(range(P), secs)
     for _, tally in parts:
         for name, count in tally.items():
             timer.count_work(stage, name, count)
-    parts = [entries for entries, _ in parts if entries is not None]
-    if parts:
-        row = np.concatenate([part[0] for part in parts])
-        col = np.concatenate([part[1] for part in parts])
-        vals = np.vstack([part[2] for part in parts])
-    else:
-        row = col = np.empty(0, np.int64)
-        vals = np.empty((0, 2), np.int64)
-    del parts   # or routing and distribution would hold A's entries twice
+    blocks, moved = _gather_blocks([entries for entries, _ in parts], grid,
+                                   bounds)
+    del parts
+    _charge_routing(moved, comm, stage)
+    timer.record_peak_bytes(stage, coo_nbytes(int(moved.sum()), A_NFIELDS))
+    return DistMat((n, m), grid, blocks, A_NFIELDS)
 
-    charge_a_routing(row, col, n, m, grid, comm, stage=stage)
 
-    timer.record_peak_bytes(stage, coo_nbytes(row.shape[0], vals.shape[1]))
-    return DistMat.from_coo((n, m), grid, row, col, vals)
+def _gather_blocks(parts: list, grid: ProcessGrid2D,
+                   bounds: tuple[np.ndarray, np.ndarray]
+                   ) -> tuple[list[list[CooMat]], np.ndarray]:
+    """A's 2D blocks from the source ranks' block-grouped scan outputs.
+
+    Block ``(i, j)`` is every rank's ``(i, j)`` slice in rank order: ranks
+    hold ascending read spans and each slice is row-major, so the block is
+    canonical as gathered.  Returns the ``q × q`` blocks and the ``P × P``
+    census of entries each source rank sends each grid owner.
+    """
+    row_bounds, col_bounds = bounds
+    P = len(parts)
+    moved = np.zeros((P, P), dtype=np.int64)
+    live = [(p, entries) for p, entries in enumerate(parts)
+            if entries is not None]
+    blocks: list[list[CooMat]] = []
+    for i in range(grid.q):
+        brow: list[CooMat] = []
+        for j in range(grid.q):
+            shape = (int(row_bounds[i + 1] - row_bounds[i]),
+                     int(col_bounds[j + 1] - col_bounds[j]))
+            pieces = []
+            for p, (row, col, vals, cuts) in live:
+                s, t = int(cuts[j, i]), int(cuts[j, i + 1])
+                moved[p, grid.rank_of(i, j)] = t - s
+                if t > s:
+                    pieces.append((row[s:t], col[s:t], vals[s:t]))
+            if not pieces:
+                brow.append(CooMat.empty(shape, A_NFIELDS))
+                continue
+            row, col, vals = (np.concatenate(arrs) for arrs in zip(*pieces))
+            brow.append(CooMat(shape, row - row_bounds[i],
+                               col - col_bounds[j], vals, checked=True))
+        blocks.append(brow)
+    return blocks, moved
+
+
+#: ``CreateSpMat`` bytes per routed entry: row, col, pos, flip.
+_A_ENTRY_BYTES = 8 * 4
+
+
+def _charge_routing(moved: np.ndarray, comm: SimComm, stage: str) -> None:
+    """Charge a ``P × P`` (source rank, destination rank) entry census.
+
+    Each source rank, ascending, sends its off-rank entries at
+    :data:`_A_ENTRY_BYTES` each in one message per distinct destination;
+    entries that stay home cost nothing, and a rank that sends nothing
+    gets no record.
+    """
+    off = moved.copy()
+    np.fill_diagonal(off, 0)
+    n_off = off.sum(axis=1)
+    n_dests = np.count_nonzero(off, axis=1)
+    for p in np.flatnonzero(n_off):
+        comm.tracker.record(stage, int(p), int(n_off[p]) * _A_ENTRY_BYTES,
+                            int(n_dests[p]))
 
 
 def charge_a_routing(row: np.ndarray, col: np.ndarray, n_reads: int,
@@ -214,34 +314,27 @@ def charge_a_routing(row: np.ndarray, col: np.ndarray, n_reads: int,
     """Charge the ``CreateSpMat`` routing of global A entries to the grid.
 
     Every entry moves from its 1D source rank (the balanced block owner of
-    its read) to the 2D grid owner of its ``(row, col)`` block; off-rank
-    entries cost ``8 * 4`` bytes each (row, col, pos, flip) and one message
-    per distinct destination.  Factored out of :func:`build_a_matrix` so
-    the incremental service can replay the stage's exact traffic from the
-    merged entry arrays without re-running the scan.
+    its read) to the 2D grid owner of its ``(row, col)`` block, charged by
+    :func:`_charge_routing` exactly as :func:`build_a_matrix` charges its
+    scan's slices.  The incremental service uses this to replay the
+    stage's traffic from the merged entry arrays without re-running the
+    scan.
 
     Returns the ``q × q`` array of A's per-block entry counts — what the
     grid owners receive, and all SUMMA's traffic depends on
     (:func:`~repro.dsparse.summa.summa_comm_replay`).
     """
     P = comm.nprocs
-    entry_bytes = 8 * 4  # row, col, pos, flip
     # One census of (source, destination) pairs answers both questions for
-    # every rank at once; the diagonal is the entries that stay home.  The
-    # pair id ``src * P + dest`` is built in place on the 1D source ranks.
+    # every rank at once.  The pair id ``src * P + dest`` is built in place
+    # on the 1D source ranks.
     pair = np.searchsorted(block_bounds(n_reads, P), row, side="right")
     pair -= 1
     pair *= P
     pair += grid.owners_of(row, col, n_reads, n_kmers)
     moved = np.bincount(pair, minlength=P * P).reshape(P, P)
-    block_counts = moved.sum(axis=0).reshape(grid.q, grid.q)
-    np.fill_diagonal(moved, 0)
-    n_off = moved.sum(axis=1)
-    n_dests = np.count_nonzero(moved, axis=1)
-    for p in np.flatnonzero(n_off):
-        comm.tracker.record(stage, int(p), int(n_off[p]) * entry_bytes,
-                            int(n_dests[p]))
-    return block_counts
+    _charge_routing(moved, comm, stage)
+    return moved.sum(axis=0).reshape(grid.q, grid.q)
 
 
 def summa_positions(A: DistMat, At: DistMat, comm: SimComm,
@@ -327,7 +420,10 @@ def candidate_overlaps(A: DistMat, comm: SimComm,
     The product is symmetric (shared k-mer counts), so only ``i < j`` entries
     are kept for alignment; the symmetric R entries are regenerated after
     alignment.  Diagonal entries (a read with itself) are discarded.
-    ``backend`` selects the local kernels (transpose, SpGEMM, filter);
+    ``Aᵀ`` is :attr:`DistMat.T <repro.dsparse.distmat.DistMat.T>`, a view
+    of A's own blocks: nothing is transposed or copied, and the kernels
+    read A's rows as Aᵀ's columns.  ``backend`` selects the local kernels
+    (SpGEMM, filter);
     ``executor`` parallelizes SUMMA's local block work; ``spgemm_impl``
     (:data:`repro.options.SPGEMM_IMPL`) picks the product
     engine — ``"masked"`` prunes to the triangle inside the one SUMMA
@@ -340,8 +436,7 @@ def candidate_overlaps(A: DistMat, comm: SimComm,
     timer = timer if timer is not None else StageTimer()
     backend = get_backend(backend)
     spgemm_impl = SPGEMM_IMPL.resolve(spgemm_impl)
-    At = A.transpose(backend=backend)
-    C = summa_positions(A, At, comm, timer, backend, executor, spgemm_impl)
+    C = summa_positions(A, A.T, comm, timer, backend, executor, spgemm_impl)
     one_strip = np.array([0, A.shape[0]])
     full = full_product_nnz(A, one_strip, [C.nnz()], [C.nnz()])
     timer.record_peak_bytes("SpGEMM", coo_nbytes(int(full[0]), C_NFIELDS))

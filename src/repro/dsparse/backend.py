@@ -5,8 +5,10 @@ kernel* inside Sparse SUMMA dominates runtime, and CombBLAS swaps hash /
 heap / hybrid kernels per block to keep it fast.  This module is the
 reproduction's equivalent seam: every local kernel the distributed layer
 needs — SpGEMM, product expansion, element-wise merge and filter, row
-reduction, transpose — is a method of a :class:`Backend`, and callers select
-an implementation by name through :func:`get_backend`.
+reduction — is a method of a :class:`Backend`, and callers select an
+implementation by name through :func:`get_backend`.  A transpose is not a
+kernel: :attr:`~repro.dsparse.coomat.CooMat.T` is a view every kernel
+reads as it is.
 
 Shipped backends
 ----------------
@@ -74,8 +76,9 @@ class Backend:
     """Abstract kernel surface every local sparse operation goes through.
 
     All methods take and return :class:`CooMat` blocks (canonical COO with
-    ``(nnz, nf)`` int64 values); distributed layers (SUMMA, element-wise
-    ops, transpose) call these per block and never touch kernel internals.
+    ``(nnz, nf)`` int64 values, or transposed views of them); distributed
+    layers (SUMMA, element-wise ops) call these per block and never touch
+    kernel internals.
     """
 
     #: Registry name; set by subclasses.
@@ -115,8 +118,9 @@ class Backend:
     def expand(self, A: CooMat, B: CooMat):
         """All elementary products of A entries with matching B rows.
 
-        Returns index arrays ``(a_idx, b_idx)`` into the operands' storage
-        (the expansion half of ESC; also the 1D baseline's per-k-mer outer
+        Returns ``(a_idx, b_at)``: indices into A's storage and positions
+        in B's CSR (:func:`~repro.dsparse.spgemm.expand_products`; the
+        expansion half of ESC, also the 1D baseline's per-k-mer outer
         product).
         """
         return expand_products(A, B)
@@ -149,11 +153,6 @@ class Backend:
             out[np.flatnonzero(nz)] = op_reduceat.reduceat(
                 A.vals[:, field], starts)
         return out
-
-    # -- transpose ------------------------------------------------------------
-    def transpose(self, A: CooMat) -> CooMat:
-        """``Aᵀ``, re-canonicalized."""
-        return A.transpose()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__} {self.name!r}>"
@@ -260,16 +259,6 @@ class ScipyBackend(NumpyBackend):
         if lowering == "bool_or":
             np.minimum(acc.data, 1, out=acc.data)
         return CooMat.from_csr(acc, checked=True)
-
-    def transpose(self, A):
-        # Column-major order of A *is* the canonical order of Aᵀ: one
-        # C-level counting pass yields the permutation, and every value
-        # field rides it — no lexsort, whatever the field count.
-        indptr, order = A.csc_order()
-        cols = np.repeat(np.arange(A.shape[1], dtype=np.int64),
-                         np.diff(indptr))
-        return CooMat((A.shape[1], A.shape[0]), cols, A.row[order],
-                      A.vals[order], checked=True)
 
 
 class AutoBackend(ScipyBackend):

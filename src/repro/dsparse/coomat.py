@@ -13,18 +13,47 @@ storage: :meth:`csr_indptr` is computed once and cached, and
 arrays with the COO storage — no conversion pass.  The CSR side is what the
 ``scipy`` backend (:mod:`repro.dsparse.backend`) lowers scalar semirings
 onto, and what the ESC kernel's expansion step indexes.
+
+:attr:`CooMat.T` is the transpose as a **view**: it shares ``row``,
+``col`` and ``vals`` with its base (swapped), and its storage order is its
+own column-major order.  Kernels read lines through :meth:`CooMat.csr` /
+:meth:`CooMat.csc`, which list each line's entries and, where storage is
+not in that line order, the storage index of every one.  A view's CSR is
+its base's CSC (one counting pass over the base, kept by the view) and
+its CSC is its base's CSR (free), so ``A · Aᵀ`` reads both operands out
+of one copy of ``A``.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["CooMat"]
+__all__ = ["CooMat", "Lines"]
+
+
+class Lines(NamedTuple):
+    """A matrix's entries line by line: rows for CSR, columns for CSC."""
+
+    #: Line ``l`` holds positions ``indptr[l]:indptr[l + 1]``.
+    indptr: np.ndarray
+    #: Each position's other coordinate, ascending within its line.
+    index: np.ndarray
+    #: Each position's storage index; ``None`` means the identity.
+    order: np.ndarray | None
+
+    def stored(self, at: np.ndarray) -> np.ndarray:
+        """Storage indices of the entries at line positions ``at``."""
+        return at if self.order is None else self.order[at]
 
 
 class CooMat:
     """Sorted, duplicate-free COO matrix with ``(nnz, nf)`` int64 values."""
+
+    #: Storage is row-major; a :attr:`T` view's is column-major.
+    transposed = False
 
     def __init__(self, shape: tuple[int, int], row: np.ndarray,
                  col: np.ndarray, vals: np.ndarray, *,
@@ -41,10 +70,11 @@ class CooMat:
             raise ValueError("row/col/vals length mismatch")
         if not checked:
             self._canonicalize()
-        # Lazily-built CSR derivatives (valid because entries are immutable
-        # once canonical): the row pointer and per-field scipy CSR views.
+        # Lazily-built derivatives (valid because entries are immutable once
+        # canonical): the row pointer, per-field scipy CSR views, the CSC.
         self._indptr: np.ndarray | None = None
         self._csr: dict[int, sp.csr_matrix] = {}
+        self._csc: Lines | None = None
 
     # -- construction ------------------------------------------------------
     @classmethod
@@ -104,12 +134,15 @@ class CooMat:
         return int(self.vals.shape[1])
 
     def keys(self) -> np.ndarray:
-        """Packed (row, col) keys — unique per entry, row-major sorted."""
+        """Packed (row, col) keys in storage order — unique per entry, and
+        sorted unless this is a :attr:`T` view."""
         return self.row * np.int64(self.shape[1]) + self.col
 
     # -- derived forms --------------------------------------------------------
     def csr_indptr(self) -> np.ndarray:
-        """CSR row pointer over the sorted COO data (computed once, cached)."""
+        """CSR row pointer: the row counts, cumulated (cached).  Storage
+        order does not enter, so a view reads it off its base's column
+        counts, without the base's CSC pass."""
         if self._indptr is None:
             counts = np.bincount(self.row, minlength=self.shape[0])
             indptr = np.zeros(self.shape[0] + 1, dtype=np.int64)
@@ -117,17 +150,50 @@ class CooMat:
             self._indptr = indptr
         return self._indptr
 
+    def csr(self) -> Lines:
+        """The entries row by row: storage *is* CSR order, so this is the
+        row pointer over the shared ``col`` array, with no permutation."""
+        return Lines(self.csr_indptr(), self.col, None)
+
+    def csc(self) -> Lines:
+        """The entries column by column, rows ascending (cached).
+
+        One linear CSR→CSC counting pass over a CSR whose ``data`` is
+        ``arange(nnz)`` yields the storage index of every CSC position;
+        nothing is compared or sorted, whatever the field count, and no
+        value moves.  A :attr:`T` view reads the same pass as its own CSR
+        and keeps it itself, so it lives no longer than the view.
+        """
+        if self._csc is None:
+            self._csc = self._columns()
+        return self._csc
+
+    def _columns(self) -> Lines:
+        csc = self._csr_over(np.arange(self.nnz, dtype=np.int64)).tocsc()
+        return Lines(csc.indptr.astype(np.int64, copy=False),
+                     self.row[csc.data], csc.data)
+
+    @property
+    def T(self) -> "CooMat":
+        """The transpose as a view sharing this matrix's arrays."""
+        return _Transposed(self)
+
     def to_csr(self, field: int = 0) -> sp.csr_matrix:
         """One value field as a CSR matrix sharing this matrix's storage.
 
         The canonical row-major order means ``col`` already *is* the CSR
         index array; the returned matrix aliases it (and, for single-field
         matrices, the value column) rather than copying.  Callers must treat
-        the result as read-only.  Built once per field and cached.
+        the result as read-only.  Built once per field and cached.  (A view
+        gathers the field into its CSR order: the one place a view's
+        values are copied, which only a scalar lowering asks for.)
         """
         csr = self._csr.get(field)
         if csr is None:
             data = self.vals[:, field]
+            order = self.csr().order
+            if order is not None:
+                data = data[order]
             if not data.flags.c_contiguous:
                 data = np.ascontiguousarray(data)
             csr = self._csr[field] = self._csr_over(data)
@@ -135,27 +201,16 @@ class CooMat:
 
     def _csr_over(self, data: np.ndarray) -> sp.csr_matrix:
         """A CSR matrix of ``data`` over this matrix's (shared) indices."""
+        lines = self.csr()
         csr = sp.csr_matrix(self.shape, dtype=np.int64)
-        csr.indptr = self.csr_indptr()
-        csr.indices = self.col
+        csr.indptr = lines.indptr
+        csr.indices = lines.index
         csr.data = data
         return csr
 
     def pattern_csr(self) -> sp.csr_matrix:
         """The pattern with unit weights, sharing the cached CSR indices."""
         return self._csr_over(np.ones(self.nnz, dtype=np.int64))
-
-    def csc_order(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(indptr, order)``: the entries regrouped column by column.
-
-        ``order[indptr[j]:indptr[j + 1]]`` lists the storage indices of
-        column ``j``'s entries, rows ascending — CSC order.  One linear
-        CSR→CSC counting pass over a CSR whose ``data`` is
-        ``arange(nnz)``; nothing is compared or sorted, whatever the field
-        count.  The transpose and the mask-driven SpGEMM both read it.
-        """
-        csc = self._csr_over(np.arange(self.nnz, dtype=np.int64)).tocsc()
-        return csc.indptr.astype(np.int64, copy=False), csc.data
 
     @classmethod
     def from_csr(cls, mat: sp.csr_matrix, *, checked: bool = False
@@ -190,6 +245,8 @@ class CooMat:
         return out
 
     def transpose(self) -> "CooMat":
+        """``Aᵀ`` as a new, re-sorted matrix (the oracle :attr:`T` is
+        tested against; runtime paths take the view)."""
         return CooMat((self.shape[1], self.shape[0]), self.col.copy(),
                       self.row.copy(), self.vals.copy())
 
@@ -208,3 +265,47 @@ class CooMat:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"CooMat(shape={self.shape}, nnz={self.nnz}, nf={self.nfields})"
+
+
+class _Transposed(CooMat):
+    """``base``ᵀ over ``base``'s own arrays (what :attr:`CooMat.T` returns).
+
+    ``row`` / ``col`` are the base's ``col`` / ``row`` and ``vals`` is the
+    base's, all in the base's storage order — column-major for the view.
+    Its CSR is the base's CSC (computed once and kept by the view) and its
+    CSC the base's CSR; it reports the base's byte size, so shipping it
+    charges what shipping the base would.
+    Selections and blocks of a view are views again, and its ``T`` is the
+    base itself.
+    """
+
+    transposed = True
+
+    def __init__(self, base: CooMat) -> None:
+        self.shape = (base.shape[1], base.shape[0])
+        self.row, self.col, self.vals = base.col, base.row, base.vals
+        self._base = base
+        self._indptr = None
+        self._csr = {}
+        self._csc = None     # here: the view's CSR, the base's columns
+
+    @property
+    def T(self) -> CooMat:
+        return self._base
+
+    def csr(self) -> Lines:
+        if self._csc is None:
+            self._csc = self._base._columns()
+        return self._csc
+
+    def csc(self) -> Lines:
+        return self._base.csr()
+
+    def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> CooMat:
+        return self._base.submatrix(c0, c1, r0, r1).T
+
+    def select(self, mask: np.ndarray) -> CooMat:
+        return self._base.select(mask).T
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"{self._base!r}.T"

@@ -8,6 +8,9 @@ Blocks are :class:`~repro.dsparse.coomat.CooMat`\\ s living in per-rank slots
 of the simulated runtime.  Construction from global data models the initial
 scatter; :meth:`to_global` gathers for verification (tests only — a real run
 never materializes the global matrix, and neither do the pipeline stages).
+:attr:`DistMat.T` is the transpose as a view: every block is the
+:attr:`~repro.dsparse.coomat.CooMat.T` view of its mirror block, so a
+matrix and its transpose are one copy of the entries.
 """
 
 from __future__ import annotations
@@ -103,68 +106,64 @@ class DistMat:
                       np.vstack(vals) if vals else np.empty((0, self.nfields)))
 
     # -- structural ops --------------------------------------------------------
-    def transpose(self, backend=None) -> "DistMat":
-        """Distributed transpose.
+    @property
+    def T(self) -> "DistMat":
+        """The transpose as a view: block ``(i, j)`` is block ``(j, i)``'s
+        :attr:`~repro.dsparse.coomat.CooMat.T`, sharing its arrays.
 
-        Block ``(i, j)`` becomes block ``(j, i)`` transposed; on a real grid
-        this is a pairwise exchange across the diagonal (the paper's
-        ``TRANSPOSE(A)``, Algorithm 1 line 5).  ``backend`` (a
-        :class:`~repro.dsparse.backend.Backend` instance or name) picks the
-        local transpose kernel; ``None`` resolves to the default backend,
-        matching every other backend seam.
+        The paper's ``TRANSPOSE(A)`` (Algorithm 1 line 5) exchanges blocks
+        across the grid diagonal; here no entry moves or is copied.  A view
+        ships at its base's byte size, so SUMMA's broadcasts of ``Aᵀ``
+        charge the same bytes from the same roots a formed transpose would.
         """
-        from .backend import get_backend
-        bk = get_backend(backend)
         q = self.grid.q
-        blocks = [[bk.transpose(self.blocks[j][i]) for j in range(q)]
-                  for i in range(q)]
+        blocks = [[self.blocks[j][i].T for j in range(q)] for i in range(q)]
         return DistMat((self.shape[1], self.shape[0]), self.grid, blocks,
                        self.nfields)
 
-    def column_slice(self, lo: int, hi: int) -> "DistMat":
-        """Columns ``[lo, hi)`` as a narrower DistMat on the same grid.
+    def row_slice(self, lo: int, hi: int) -> "DistMat":
+        """Rows ``[lo, hi)`` as a shorter DistMat on the same grid.
 
         The slice is re-blocked to the grid's balanced bounds for its new
-        width — each destination block gathers from the source blocks its
-        global column range overlaps (on a real grid, a block-row-local
-        exchange).  This is the strip extraction of the blocked overlap
-        mode: ``C[:, lo:hi] = A · Aᵀ.column_slice(lo, hi)``.
+        height — each destination block gathers, in order, the row ranges
+        of the source blocks its global rows overlap (on a real grid, a
+        block-column-local exchange).  Rows ascend across source blocks, so
+        every block is canonical as gathered.  Viewed transposed, these are
+        the strips of the blocked overlap mode:
+        ``C[:, lo:hi] = A · A.row_slice(lo, hi).T``.
         """
-        if not 0 <= lo <= hi <= self.shape[1]:
-            raise ValueError(f"column slice [{lo}, {hi}) out of range for "
-                             f"{self.shape[1]} columns")
+        if not 0 <= lo <= hi <= self.shape[0]:
+            raise ValueError(f"row slice [{lo}, {hi}) out of range for "
+                             f"{self.shape[0]} rows")
         q = self.grid.q
-        strip_cb = self.grid.col_bounds(hi - lo)
+        strip_rb = self.grid.row_bounds(hi - lo)
         blocks: list[list[CooMat]] = []
         for i in range(q):
-            n_rows = int(self.row_bounds[i + 1] - self.row_bounds[i])
+            # Global rows of this destination block row.
+            g0, g1 = lo + int(strip_rb[i]), lo + int(strip_rb[i + 1])
             brow: list[CooMat] = []
             for j in range(q):
-                c0, c1 = int(strip_cb[j]), int(strip_cb[j + 1])
-                # Global source columns of this destination block.
-                g0, g1 = lo + c0, lo + c1
+                shape = (g1 - g0, int(self.col_bounds[j + 1] -
+                                      self.col_bounds[j]))
                 rows, cols, vals = [], [], []
-                for sj in range(q):
-                    s0 = int(self.col_bounds[sj])
-                    s1 = int(self.col_bounds[sj + 1])
-                    o0, o1 = max(g0, s0), min(g1, s1)
+                for si in range(q):
+                    s0 = int(self.row_bounds[si])
+                    o0 = max(g0, s0)
+                    o1 = min(g1, int(self.row_bounds[si + 1]))
                     if o0 >= o1:
                         continue
-                    b = self.blocks[i][sj]
-                    gcol = b.col + s0
-                    m = (gcol >= o0) & (gcol < o1)
-                    rows.append(b.row[m])
-                    cols.append(gcol[m] - g0)
-                    vals.append(b.vals[m])
-                if rows:
-                    brow.append(CooMat((n_rows, c1 - c0),
-                                       np.concatenate(rows),
-                                       np.concatenate(cols),
-                                       np.vstack(vals)))
-                else:
-                    brow.append(CooMat.empty((n_rows, c1 - c0), self.nfields))
+                    b = self.blocks[si][j]
+                    ptr = b.csr_indptr()
+                    a, z = ptr[o0 - s0], ptr[o1 - s0]
+                    rows.append(b.row[a:z] + (s0 - g0))
+                    cols.append(b.col[a:z])
+                    vals.append(b.vals[a:z])
+                brow.append(CooMat(shape, np.concatenate(rows),
+                                   np.concatenate(cols), np.vstack(vals),
+                                   checked=True)
+                            if rows else CooMat.empty(shape, self.nfields))
             blocks.append(brow)
-        return DistMat((self.shape[0], hi - lo), self.grid, blocks,
+        return DistMat((hi - lo, self.shape[1]), self.grid, blocks,
                        self.nfields)
 
     def copy(self) -> "DistMat":

@@ -20,15 +20,24 @@ formulation).
     For semirings that declare ``product_reduce_depth = d`` (the positions
     semiring: its reduce reads a group's first two products plus the group
     size).  Group sizes come from the scalar pattern product
-    ``pattern(A) @ pattern(B)`` on scipy CSR, intersected with the mask
-    (or handed in already intersected, ``sized=True``); the first ``d``
-    products of each surviving ``(i, j)`` come from
-    intersecting row ``i`` of ``A`` with column ``j`` of ``B``: the
-    shorter of the two is walked in geometrically growing windows and
-    looked up in the other operand's sorted keys until ``d`` commons have
-    shown.  No elementary product is expanded: cost tracks the mask's nnz
-    and how deep into a line its pairs' first commons sit, not the
-    product's flops.
+    ``pattern(A) @ pattern(B)`` on scipy CSR (32-bit indices where the
+    block fits), intersected with the mask (or handed in already
+    intersected, ``sized=True``); the first ``d`` products of each
+    surviving ``(i, j)`` come from intersecting row ``i`` of ``A`` with
+    column ``j`` of ``B``: the shorter of the two is walked in
+    geometrically growing windows and looked up in the other operand's
+    sorted keys until ``d`` commons have shown.  No elementary product is
+    expanded: cost tracks the mask's nnz and how deep into a line its
+    pairs' first commons sit, not the product's flops.
+
+Either kernel takes ``B`` as a transposed view (:attr:`~repro.dsparse.
+coomat.CooMat.T`), which is how ``C = A·Aᵀ`` runs: both read ``B`` through
+its lines (:meth:`~repro.dsparse.coomat.CooMat.csr` /
+:meth:`~repro.dsparse.coomat.CooMat.csc`).  The dot kernel walks a view's
+columns, which are its base's CSR rows — no permutation at all; ESC
+expands along a view's rows, its base's CSC (one counting pass per view
+block, kept by the view), and gathers values only for the products it
+keeps.
 
 The overlap product ``C = A·Aᵀ`` keeps only its strict upper triangle, and
 needs no mask for it: :func:`spgemm_upper` takes the block's global origin
@@ -63,8 +72,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
-from .coomat import CooMat
+from ..mpisim.tracker import add_work
+from .coomat import CooMat, Lines
 from .membership import in_sorted
 from .semiring import Semiring
 from .spgemm import (_sort_reduce, expand_products, spgemm_esc,
@@ -84,6 +95,9 @@ _WINDOW = 8
 #: fixed cost to matter less (see :func:`masked_route`).
 _DOT_MIN_GAIN = 8
 _DOT_MIN_FLOPS = 2 ** 15
+
+#: Largest dimension / nnz the pattern product runs on 32-bit indices.
+_INDEX32_MAX = 2 ** 31 - 1
 
 
 def _packable(shape: tuple[int, int]) -> bool:
@@ -124,11 +138,6 @@ def _output_shape(A: CooMat, B: CooMat,
     return out_shape
 
 
-def _bump(tally: dict | None, name: str, n: int) -> None:
-    if tally is not None:
-        tally[name] = tally.get(name, 0) + int(n)
-
-
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """``concatenate([arange(s, s + n) for s, n in zip(starts, lens)])``."""
     offsets = np.cumsum(lens) - lens
@@ -149,7 +158,8 @@ class MaskedRoute(NamedTuple):
 
 
 def _flops(A: CooMat, B: CooMat) -> int:
-    """Elementary products of ``A ⊗ B``, read off ``B``'s row pointer."""
+    """Elementary products of ``A ⊗ B``, read off ``B``'s row pointer (for
+    a view, its base's column counts)."""
     b_ptr = B.csr_indptr()
     return int((b_ptr[A.col + 1] - b_ptr[A.col]).sum())
 
@@ -176,7 +186,7 @@ def masked_route(A: CooMat, B: CooMat, mask: CooMat, depth: int,
     ``g ≤ 6`` (by 1.05–4.3×) and the dot kernel at every point with
     ``g ≥ 10`` (by 1.14–9×) except below ~2¹⁵ products, where a call is
     under a millisecond on either kernel and the dot kernel's fixed cost
-    (one scipy matmul, one CSC pass, a few window rounds) is most of it.
+    (one scipy matmul, a few window rounds) is most of it.
     The estimate itself is optimistic by 2–10× (sizes vary inside a
     block, a triangle mask holds half the flops, windows round up); the
     factor absorbs that.  On the benchmark (seed 14): ``hifi_deep``'s
@@ -282,15 +292,18 @@ def spgemm_esc_masked(A: CooMat, B: CooMat, semiring: Semiring,
 
 def _esc_pruned(A, B, semiring, out_shape, keep_of, tally) -> CooMat:
     """The pruned ESC both masked forms share: expand, keep the products
-    ``keep_of(keys, ci, cj)`` selects, multiply and sort-compress those."""
+    ``keep_of(keys, ci, cj)`` selects, multiply and sort-compress those.
+    ``B`` is read along its CSR; its values are gathered (through the
+    line order, for a view) only for the kept products."""
     if A.nnz == 0 or B.nnz == 0:
         return CooMat.empty(out_shape, semiring.out_nfields)
-    a_idx, b_idx = expand_products(A, B)
+    a_idx, b_at = expand_products(A, B)
     if a_idx.shape[0] == 0:
         return CooMat.empty(out_shape, semiring.out_nfields)
-    _bump(tally, "products", a_idx.shape[0])
+    add_work(tally, products=a_idx.shape[0])
+    b_rows = B.csr()
     ci = A.row[a_idx]
-    cj = B.col[b_idx]
+    cj = b_rows.index[b_at]
     # Coordinate prune FIRST: products outside the mask never reach the
     # semiring multiply or the sort.
     keys = ci * np.int64(out_shape[1]) + cj
@@ -301,16 +314,17 @@ def _esc_pruned(A, B, semiring, out_shape, keep_of, tally) -> CooMat:
         # the packed key gives them back: nothing else rides along.
         del ci, cj
         if not keep.all():
-            a_idx, b_idx, keys = a_idx[keep], b_idx[keep], keys[keep]
+            a_idx, b_at, keys = a_idx[keep], b_at[keep], keys[keep]
         if keys.shape[0] == 0:
             return CooMat.empty(out_shape, semiring.out_nfields)
-        return _truncated_sort_reduce(out_shape, keys, a_idx, b_idx, A, B,
-                                      semiring, depth)
+        return _truncated_sort_reduce(out_shape, keys, a_idx, b_at, b_rows,
+                                      A, B, semiring, depth)
     if not keep.all():
-        a_idx, b_idx, ci, cj = a_idx[keep], b_idx[keep], ci[keep], cj[keep]
+        a_idx, b_at, ci, cj = a_idx[keep], b_at[keep], ci[keep], cj[keep]
     if ci.shape[0] == 0:
         return CooMat.empty(out_shape, semiring.out_nfields)
-    cvals, valid = semiring.multiply(A.vals[a_idx], B.vals[b_idx])
+    cvals, valid = semiring.multiply(A.vals[a_idx],
+                                     B.vals[b_rows.stored(b_at)])
     if valid is not None:
         ci, cj, cvals = ci[valid], cj[valid], cvals[valid]
         if ci.shape[0] == 0:
@@ -318,19 +332,19 @@ def _esc_pruned(A, B, semiring, out_shape, keep_of, tally) -> CooMat:
     return _sort_reduce(out_shape, ci, cj, cvals, semiring)
 
 
-def _truncated_sort_reduce(out_shape, keys, a_idx, b_idx, A, B, semiring,
-                           depth):
+def _truncated_sort_reduce(out_shape, keys, a_idx, b_at, b_rows: Lines, A,
+                           B, semiring, depth):
     """Sort-compress that multiplies only ``depth`` products per group.
 
     The semiring declared (``product_reduce_depth``) that a fresh group's
     reduce reads only its first ``depth`` products plus the group size, so
     once the products are ordered by key only those are gathered through
     the operand values and the semiring multiply — the wide value arrays
-    never exist at elementary-product scale.  Byte-identical to the full
-    multiply + :func:`~repro.dsparse.spgemm._sort_reduce` by the
-    ``reduce_truncated`` contract: :func:`~repro.dsparse.spgemm.
-    stable_key_order` is a stable order, so groups keep expansion order,
-    exactly as in the full path.
+    never exist at elementary-product scale.  ``b_at`` are positions in
+    ``B``'s CSR (``b_rows``).  Byte-identical to the full multiply +
+    :func:`~repro.dsparse.spgemm._sort_reduce` by the ``reduce_truncated``
+    contract: :func:`~repro.dsparse.spgemm.stable_key_order` is a stable
+    order, so groups keep expansion order, exactly as in the full path.
     """
     order = stable_key_order(keys, out_shape[0] * out_shape[1])
     sk = keys[order]
@@ -343,7 +357,7 @@ def _truncated_sort_reduce(out_shape, keys, a_idx, b_idx, A, B, semiring,
     sel = order[_ranges(starts, clipped)]
     ci, cj = np.divmod(sk[starts], np.int64(out_shape[1]))
     return _reduce_selected(out_shape, ci, cj, counts, tstarts, a_idx[sel],
-                            b_idx[sel], A, B, semiring)
+                            b_rows.stored(b_at[sel]), A, B, semiring)
 
 
 def _reduce_selected(out_shape, ci, cj, counts, tstarts, a_sel, b_sel, A, B,
@@ -362,11 +376,27 @@ def _reduce_selected(out_shape, ci, cj, counts, tstarts, a_sel, b_sel, A, B,
 
 # -- mask-driven dot kernel ----------------------------------------------------
 
+def _pattern(M: CooMat) -> sp.csr_matrix | sp.csc_matrix:
+    """``pattern(M)`` as scipy sees it: unit data over ``M``'s row pointer
+    and column indices, all 32-bit whenever ``M``'s dimensions and nnz fit
+    (scipy picks its kernel's index type from these dtypes) and 64-bit
+    otherwise.  A view is its base's pattern transposed — a CSC matrix
+    over the same arrays, which the product converts in C."""
+    if M.transposed:
+        return _pattern(M.T).T
+    dtype = np.int32 if max(*M.shape, M.nnz) <= _INDEX32_MAX else np.int64
+    pat = sp.csr_matrix(M.shape, dtype=dtype)
+    pat.indptr = M.csr_indptr().astype(dtype, copy=False)
+    pat.indices = M.col.astype(dtype, copy=False)
+    pat.data = np.ones(M.nnz, dtype=dtype)
+    return pat
+
+
 def _pattern_product(A: CooMat, B: CooMat) -> CooMat:
-    """``pattern(A) @ pattern(B)`` on scipy CSR: every coordinate of
-    ``A ⊗ B`` with its group size (one product per common inner index,
-    since the depth contract rules out validity masks)."""
-    return CooMat.from_csr(A.pattern_csr() @ B.pattern_csr(), checked=True)
+    """``pattern(A) @ pattern(B)`` on scipy: every coordinate of ``A ⊗ B``
+    with its group size (one product per common inner index, since the
+    depth contract rules out validity masks)."""
+    return CooMat.from_csr(_pattern(A) @ _pattern(B), checked=True)
 
 
 def spgemm_dot_masked(A: CooMat, B: CooMat, semiring: Semiring,
@@ -409,9 +439,16 @@ def spgemm_dot_masked(A: CooMat, B: CooMat, semiring: Semiring,
     tstarts = np.cumsum(need) - need
     a_sel, b_sel, probes = _first_commons(A, B, groups.row, groups.col, need,
                                           tstarts, window)
-    _bump(tally, "probes", probes)
+    add_work(tally, probes=probes)
     return _reduce_selected(out_shape, groups.row, groups.col, counts,
                             tstarts, a_sel, b_sel, A, B, semiring)
+
+
+def _line_keys(lines: Lines, inner: np.int64) -> np.ndarray:
+    """Packed ``(line, index)`` keys of every entry in line order: sorted."""
+    n_lines = lines.indptr.shape[0] - 1
+    return np.repeat(np.arange(n_lines, dtype=np.int64) * inner,
+                     np.diff(lines.indptr)) + lines.index
 
 
 def _first_commons(A, B, pi, pj, need, tstarts, window):
@@ -419,30 +456,29 @@ def _first_commons(A, B, pi, pj, need, tstarts, window):
 
     Pair ``p`` is row ``pi[p]`` of ``A`` against column ``pj[p]`` of ``B``,
     known to share at least ``need[p] ≥ 1`` inner indices ``k``.  The
-    shorter of the two is walked k-ascending (``B``'s columns through one
-    linear CSR→CSC permutation) and each element looked up in the other
-    operand's sorted ``(row | column, k)`` keys.  Returns ``(a_sel, b_sel,
-    probes)``, the selections laid out group by group from ``tstarts``,
-    k ascending inside a group.
+    shorter of the two is walked k-ascending and each element looked up in
+    the other operand's sorted ``(row | column, k)`` keys: ``A``'s rows
+    come from its CSR, ``B``'s columns from its CSC — for a view ``B`` its
+    base's CSR rows, so neither operand is permuted.  Returns ``(a_sel,
+    b_sel, probes)``, the selections laid out group by group from
+    ``tstarts``, k ascending inside a group.
     """
     inner = np.int64(A.shape[1])
-    a_ptr = A.csr_indptr()
-    b_ptr, b_order = B.csc_order()
-    b_inner = B.row[b_order]
-    b_keys = B.col[b_order] * inner + b_inner      # column-major, sorted
+    a_rows, b_cols = A.csr(), B.csc()
+    a_ptr, b_ptr = a_rows.indptr, b_cols.indptr
     a_len = a_ptr[pi + 1] - a_ptr[pi]
     b_len = b_ptr[pj + 1] - b_ptr[pj]
-    a_sel = np.empty(int(need.sum()), dtype=np.int64)
-    b_at = np.empty_like(a_sel)                    # column-major positions
+    a_at = np.empty(int(need.sum()), dtype=np.int64)
+    b_at = np.empty_like(a_at)
     by_row = a_len <= b_len
     by_col = ~by_row
-    probes = _probe(a_ptr[pi[by_row]], a_len[by_row], A.col, b_keys,
-                    pj[by_row] * inner, need[by_row], tstarts[by_row],
-                    window, a_sel, b_at)
-    probes += _probe(b_ptr[pj[by_col]], b_len[by_col], b_inner, A.keys(),
-                     pi[by_col] * inner, need[by_col], tstarts[by_col],
-                     window, b_at, a_sel)
-    return a_sel, b_order[b_at], probes
+    probes = _probe(a_ptr[pi[by_row]], a_len[by_row], a_rows.index,
+                    _line_keys(b_cols, inner), pj[by_row] * inner,
+                    need[by_row], tstarts[by_row], window, a_at, b_at)
+    probes += _probe(b_ptr[pj[by_col]], b_len[by_col], b_cols.index,
+                     _line_keys(a_rows, inner), pi[by_col] * inner,
+                     need[by_col], tstarts[by_col], window, b_at, a_at)
+    return a_rows.stored(a_at), b_cols.stored(b_at), probes
 
 
 def _probe(lo, length, inner_of, hay, base, need, dest, window, walked_sel,

@@ -94,10 +94,13 @@ def expand_products(A: CooMat, B: CooMat):
     """Materialize all elementary products of A's nnz with B's rows.
 
     For each A-nonzero ``(i, k)``, pair it with every B-nonzero in row ``k``.
-    Returns aligned index arrays ``(a_idx, b_idx)`` into A's and B's storage,
-    ordered by A's canonical entry order (so the implied output rows are
-    non-decreasing).  This is the expansion half of ESC, also reused by the
-    1D baseline's per-owner outer product.
+    Returns aligned index arrays ``(a_idx, b_at)``: ``a_idx`` into A's
+    storage, ordered by A's entry order (so, for a row-major ``A``, the
+    implied output rows are non-decreasing), and ``b_at`` into B's CSR
+    (:meth:`~repro.dsparse.coomat.CooMat.csr`: ``B.csr().index[b_at]`` are
+    the output columns, ``B.csr().stored(b_at)`` the storage indices — the
+    same array unless ``B`` is a transposed view).  This is the expansion
+    half of ESC, also reused by the 1D baseline's per-owner outer product.
     """
     b_indptr = B.csr_indptr()
     counts = b_indptr[A.col + 1] - b_indptr[A.col]
@@ -118,12 +121,14 @@ def spgemm_esc(A: CooMat, B: CooMat, semiring: Semiring) -> CooMat:
     if A.shape[1] != B.shape[0]:
         raise ValueError(f"inner dimensions differ: {A.shape} x {B.shape}")
     out_shape = (A.shape[0], B.shape[1])
-    a_idx, b_idx = expand_products(A, B)
+    a_idx, b_at = expand_products(A, B)
     if a_idx.shape[0] == 0:
         return CooMat.empty(out_shape, semiring.out_nfields)
+    b_rows = B.csr()
     ci = A.row[a_idx]
-    cj = B.col[b_idx]
-    cvals, mask = semiring.multiply(A.vals[a_idx], B.vals[b_idx])
+    cj = b_rows.index[b_at]
+    cvals, mask = semiring.multiply(A.vals[a_idx],
+                                    B.vals[b_rows.stored(b_at)])
     if mask is not None:
         ci, cj, cvals = ci[mask], cj[mask], cvals[mask]
         if ci.shape[0] == 0:
@@ -142,20 +147,21 @@ def spgemm_gustavson(A: CooMat, B: CooMat, semiring: Semiring) -> CooMat:
     if A.shape[1] != B.shape[0]:
         raise ValueError(f"inner dimensions differ: {A.shape} x {B.shape}")
     out_shape = (A.shape[0], B.shape[1])
-    b_indptr = B.csr_indptr()
+    b_rows = B.csr()
     acc: dict[tuple[int, int], list[np.ndarray]] = {}
     for t in range(A.nnz):
         i = int(A.row[t]); k = int(A.col[t])
-        lo, hi = int(b_indptr[k]), int(b_indptr[k + 1])
+        lo, hi = int(b_rows.indptr[k]), int(b_rows.indptr[k + 1])
         if lo == hi:
             continue
-        bidx = np.arange(lo, hi)
+        bidx = b_rows.stored(np.arange(lo, hi))
         cvals, mask = semiring.multiply(
             np.broadcast_to(A.vals[t], (hi - lo, A.nfields)), B.vals[bidx])
         for s in range(hi - lo):
             if mask is not None and not mask[s]:
                 continue
-            acc.setdefault((i, int(B.col[lo + s])), []).append(cvals[s])
+            acc.setdefault((i, int(b_rows.index[lo + s])), []).append(
+                cvals[s])
     if not acc:
         return CooMat.empty(out_shape, semiring.out_nfields)
     keys = sorted(acc.keys())

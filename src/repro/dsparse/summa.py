@@ -128,6 +128,10 @@ def summa(A: DistMat, B: DistMat, semiring: Semiring, comm: SimComm,
     A, B:
         Distributed operands on the same process grid (``A`` is
         ``n×m``-blocked, ``B`` ``m×l``; inner block bounds must agree).
+        Either may be a transposed view (:attr:`DistMat.T
+        <repro.dsparse.distmat.DistMat.T>`): its blocks broadcast at their
+        base's byte size and the local kernels read them in place, so
+        ``A·Aᵀ`` runs on one copy of ``A``.
     semiring:
         Scalar algebra for multiply/accumulate.
     comm:

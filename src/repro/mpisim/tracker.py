@@ -24,7 +24,7 @@ import numpy as np
 
 from .machine import MachineModel
 
-__all__ = ["CommRecord", "CommTracker", "StageTimer"]
+__all__ = ["CommRecord", "CommTracker", "StageTimer", "add_work"]
 
 
 class CommRecord:
@@ -232,10 +232,21 @@ class StageTimer:
         return dict(self.stage_seconds)
 
 
+def add_work(tally: dict | None, **work: int) -> None:
+    """Add exact work counts to ``tally`` (``None``: nobody is counting).
+
+    The one accumulator behind every kernel's optional work ``tally`` —
+    the A scan's dictionary lookup, the masked SpGEMM kernels, the batched
+    x-drop sweep — and behind :class:`StageTimer`'s per-stage counters.
+    """
+    if tally is not None:
+        for name, n in work.items():
+            tally[name] = tally.get(name, 0) + int(n)
+
+
 def _add(counts: dict[str, dict[str, int]], stage: str, name: str,
          n: int) -> None:
-    per_stage = counts.setdefault(stage, {})
-    per_stage[name] = per_stage.get(name, 0) + int(n)
+    add_work(counts.setdefault(stage, {}), **{name: n})
 
 
 def _copy(counts: dict[str, dict[str, int]]) -> dict[str, dict[str, int]]:

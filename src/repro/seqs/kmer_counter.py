@@ -51,7 +51,7 @@ from scipy import stats
 from ..exec import Executor, SERIAL
 from ..mpisim.comm import SimComm
 from ..mpisim.grid import block_bounds, partition_by_owner
-from ..mpisim.tracker import StageTimer
+from ..mpisim.tracker import StageTimer, add_work
 from ..options import KMER_IMPL
 from .bloom import BloomFilter
 from .fasta import ReadSet
@@ -373,7 +373,7 @@ class KmerTable:
         keys = self.kmers
         col = np.full(kmers.shape[0], -1, dtype=np.int64)
         if len(self) == 0 or kmers.shape[0] == 0:
-            _tally(tally, windows=col.shape[0], probes=0, leftover=0)
+            add_work(tally, windows=col.shape[0], probes=0, leftover=0)
             return col
         where = np.arange(kmers.shape[0])
         # A prefix past the last bucket clips onto the end of the table.
@@ -392,15 +392,9 @@ class KmerTable:
             at[at == len(self)] = 0     # above every key: equal to none
             hit = np.flatnonzero(keys[at] == kmers)
             col[where[hit]] = at[hit]
-        _tally(tally, windows=col.shape[0], probes=probes,
-               leftover=where.shape[0])
+        add_work(tally, windows=col.shape[0], probes=probes,
+                 leftover=where.shape[0])
         return col
-
-
-def _tally(tally: dict | None, **work: int) -> None:
-    if tally is not None:
-        for name, n in work.items():
-            tally[name] = tally.get(name, 0) + int(n)
 
 
 def reliable_upper_bound(depth: float, error_rate: float, k: int,

@@ -35,15 +35,16 @@ Why the incremental path is exact
   shared **added** column, loses a shared **removed** column, or involves
   a **new** read — the affected set ``P₁ ∪ P₂ ∪ P₃``, computed by three
   scipy pattern products.  The delta product runs the rows of A for the
-  affected row coordinates against Aᵀ restricted to the affected column
-  coordinates, under the affected-pair mask.  ``C(i, j)`` reduces over
+  affected row coordinates against the rows of A for the affected column
+  coordinates, viewed transposed (:attr:`~repro.dsparse.distmat.DistMat.T`),
+  under the affected-pair mask.  ``C(i, j)`` reduces over
   ``A(i, k) ⊗ Aᵀ(k, j)`` and reads row ``i`` of A and column ``j`` of Aᵀ
   and nothing else, and both operands keep the full product's dimensions
   and block bounds, so each surviving entry reduces over exactly the same
   ordered product list as the monolithic product (masked ≡ unmasked ∩
   mask; the two masked kernels are byte-identical, so the smaller operands
-  flipping a block's route changes nothing).  Neither the full A nor Aᵀ
-  is ever distributed or transposed.
+  flipping a block's route changes nothing).  The full A is never
+  distributed, and nothing is transposed.
 
 * **R.**  Alignment is per-pair and deterministic, so R is determined by
   the set of C entries: drop old rows whose unordered pair is affected,
@@ -448,26 +449,22 @@ def _incremental(state: AssemblyState, batch: ReadSet,
     with get_executor(pcfg.executor, pcfg.workers) as ex:
         if aff.shape[0]:
             lo, hi = aff // np.int64(n), aff % np.int64(n)
-            # The column operand: Aᵀ's affected columns, i.e. A's rows
-            # ``hi`` with coordinates swapped — a stable sort by column
-            # leaves them in Aᵀ's row-major order, since rows already
-            # ascend.  The row operand: A's affected rows, less the entries
-            # whose inner index k the column operand lacks (they pair with
-            # nothing, so every C(i, j) keeps its ordered product list).
+            # The column operand: A's rows ``hi``, viewed transposed.  The
+            # row operand: A's affected rows, less the entries whose inner
+            # index k the column operand lacks (they pair with nothing, so
+            # every C(i, j) keeps its ordered product list).
             cols = _row_entries(indptr, np.unique(hi))
             rows = _row_entries(indptr, np.unique(lo))
             rows = rows[in_sorted(np.unique(acol[cols]), acol[rows])]
-            cols = cols[np.argsort(acol[cols], kind="stable")]
-            A_aff = DistMat.from_coo(
-                (n, m), grid, arow[rows], acol[rows],
-                np.stack([apos[rows], aflip[rows]], axis=1))
-            At_aff = DistMat.from_coo(
-                (m, n), grid, acol[cols], arow[cols],
-                np.stack([apos[cols], aflip[cols]], axis=1))
+            A_aff, A_cols = (DistMat.from_coo(
+                (n, m), grid, arow[sel], acol[sel],
+                np.stack([apos[sel], aflip[sel]], axis=1))
+                for sel in (rows, cols))
             mask = DistMat.from_coo((n, n), grid, lo, hi,
                                     np.ones((lo.shape[0], 1), np.int64))
-            Cd = summa(A_aff, At_aff, PositionsSemiring(), shadow, "SpGEMM",
-                       timer, backend=backend, executor=ex, mask=mask)
+            Cd = summa(A_aff, A_cols.T, PositionsSemiring(), shadow,
+                       "SpGEMM", timer, backend=backend, executor=ex,
+                       mask=mask)
             Rd = align_candidates(Cd, combined, k, shadow, timer,
                                   mode=pcfg.align_mode,
                                   scoring=pcfg.scoring, filt=pcfg.filt,

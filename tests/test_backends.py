@@ -61,6 +61,31 @@ def _assert_identical(a: CooMat, b: CooMat):
     assert a.vals.dtype == b.vals.dtype == np.int64
 
 
+def _formed(view: CooMat) -> CooMat:
+    """A view's entries as a matrix of their own, re-sorted."""
+    return CooMat(view.shape, view.row, view.col, view.vals)
+
+
+def _assert_view_is(view: CooMat, oracle: CooMat, base: CooMat):
+    """``view`` (``base.T``) holds ``oracle``'s entries without a copy."""
+    assert view.transposed and not oracle.transposed and view.T is base
+    assert view.row is base.col and view.col is base.row
+    assert view.vals is base.vals
+    _assert_identical(_formed(view), oracle)
+    # Read in line order, its lines are the oracle's storage.
+    rows = view.csr()
+    assert np.array_equal(rows.indptr, oracle.csr_indptr())
+    assert np.array_equal(view.csr_indptr(), oracle.csr_indptr())
+    assert np.array_equal(rows.index, oracle.col)
+    assert np.array_equal(view.vals[rows.stored(np.arange(view.nnz))],
+                          oracle.vals)
+    cols = view.csc()
+    assert cols.order is None and cols.index is base.col
+    for field in range(oracle.nfields):
+        assert (view.to_csr(field) != oracle.to_csr(field)).nnz == 0
+    assert (view.pattern_csr() != oracle.pattern_csr()).nnz == 0
+
+
 # -- registry ----------------------------------------------------------------
 
 def test_registry_ships_three_backends():
@@ -122,12 +147,17 @@ def test_property_spgemm_parity(seed, semiring_name, da, db, negatives):
     cls, nf = SEMIRINGS[semiring_name]
     lo = -5 if negatives else 1  # negatives force the cancellation fallback
     A = _rand_mat(rng, 17, 23, da, nf, lo=lo)
-    B = NUMPY.transpose(A) if semiring_name in ("positions",
-                                                "bidirected_min_plus") \
+    B = A.transpose() if semiring_name in ("positions",
+                                           "bidirected_min_plus") \
         else _rand_mat(rng, 23, 14, db, nf, lo=lo)
     semiring = cls()
     _assert_identical(SCIPY.spgemm(A, B, semiring),
                       NUMPY.spgemm(A, B, semiring))
+    # A·Aᵀ with Aᵀ formed (the oracle) and as a view, on both backends;
+    # a scalar view lowers through its base's CSC.
+    oracle = NUMPY.spgemm(A, A.transpose(), semiring)
+    for bk in (NUMPY, SCIPY):
+        _assert_identical(bk.spgemm(A, A.T, semiring), oracle)
 
 
 @settings(max_examples=25, deadline=None)
@@ -149,9 +179,11 @@ def test_property_merge_parity(seed, semiring_name, nparts, negatives):
 @given(st.integers(0, 2 ** 31), st.floats(0.0, 0.3),
        st.integers(1, 4))
 def test_property_transpose_parity(seed, density, nfields):
+    """The view ``A.T`` is the matrix ``A.transpose()`` forms: the same
+    entries, lines and scipy forms, over ``A``'s own arrays."""
     rng = np.random.default_rng(seed)
     A = _rand_mat(rng, 19, 11, density, nfields)
-    _assert_identical(SCIPY.transpose(A), NUMPY.transpose(A))
+    _assert_view_is(A.T, A.transpose(), A)
 
 
 @settings(max_examples=40, deadline=None)
@@ -166,20 +198,27 @@ def test_property_transpose_any_field_count(seed, density, nfields, shape):
     pattern = _rand_mat(rng, *shape, density, 1)
     A = CooMat(shape, pattern.row, pattern.col,
                rng.integers(-3, 4, (pattern.nnz, nfields)), checked=True)
-    T = SCIPY.transpose(A)
-    _assert_identical(T, NUMPY.transpose(A))
-    # Canonical as built (checked=True skipped the check): keys strictly up.
-    assert (np.diff(T.keys()) > 0).all()
-    _assert_identical(SCIPY.transpose(T), A)
+    _assert_view_is(A.T, A.transpose(), A)
+    _assert_identical(A.T.transpose(), A)
+    # Selections and blocks of a view are views, and match the oracle's.
+    keep = rng.random(A.nnz) < 0.5
+    sub = A.T.select(keep)
+    assert sub.transposed and sub.vals is sub.T.vals
+    _assert_identical(_formed(sub), A.select(keep).transpose())
+    r1, c1 = shape[1] // 2 + 1, shape[0] // 2 + 1
+    blk = A.T.submatrix(0, r1, 1, c1)
+    assert blk.transposed
+    _assert_identical(_formed(blk), A.transpose().submatrix(0, r1, 1, c1))
 
 
 @pytest.mark.parametrize("nfields", [1, 2, 7])
 def test_transpose_empty_blocks(nfields):
-    for bk in (NUMPY, SCIPY):
-        for shape in ((3, 4), (0, 5), (5, 0)):
-            T = bk.transpose(CooMat.empty(shape, nfields))
-            assert T.shape == shape[::-1] and T.nnz == 0
-            assert T.nfields == nfields and T.vals.dtype == np.int64
+    for shape in ((3, 4), (0, 5), (5, 0)):
+        E = CooMat.empty(shape, nfields)
+        T = E.T
+        assert T.shape == shape[::-1] and T.nnz == 0
+        assert T.nfields == nfields and T.vals.dtype == np.int64
+        _assert_view_is(T, E.transpose(), E)
 
 
 def test_merge_into_larger_frame_parity():
@@ -224,7 +263,8 @@ def test_empty_operands(name):
     C = bk.spgemm(CooMat.empty((3, 4)), CooMat.empty((4, 2)), PlusTimes())
     assert C.nnz == 0 and C.shape == (3, 2) and C.nfields == 1
     assert bk.merge([], PlusTimes(), (3, 3)).nnz == 0
-    assert bk.transpose(CooMat.empty((3, 4))).shape == (4, 3)
+    C = bk.spgemm(CooMat.empty((3, 4)), CooMat.empty((2, 4)).T, PlusTimes())
+    assert C.nnz == 0 and C.shape == (3, 2)
 
 
 # -- end-to-end: pipeline output is backend-independent -----------------------

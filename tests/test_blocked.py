@@ -12,6 +12,7 @@ from repro.core.overlap import AlignmentFilter, align_candidates, \
 from repro.core.semirings import R_NFIELDS
 from repro.core.transitive_reduction import transitive_reduction
 from repro.dsparse.backend import get_backend
+from repro.dsparse.distmat import DistMat
 from repro.mpisim import CommTracker, ProcessGrid2D, SimComm, StageTimer
 from repro.mpisim.grid import block_bounds
 from repro.seqs.kmer_counter import count_kmers
@@ -216,12 +217,46 @@ def test_full_product_nnz_matches_every_strip(noisy_dataset, strips):
     pa = sp.csr_matrix((np.ones(g.nnz), (g.row, g.col)), shape=g.shape)
     full = (pa @ pa.T).tocsc()
     bounds = block_bounds(A.shape[0], strips)
-    At = A.transpose()
     upper, census = [], 0
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        C = summa_positions(A, At.column_slice(lo, hi), comm, timer,
+        C = summa_positions(A, A.row_slice(lo, hi).T, comm, timer,
                             get_backend(None), None, "masked", col_offset=lo)
         upper.append(C.nnz())
         census = census + row_census(C, bounds)
     assert list(full_product_nnz(A, bounds, upper, census)) == \
         [full[:, lo:hi].nnz for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+@pytest.mark.parametrize("P", [1, 4, 9])
+def test_strips_are_row_slices_viewed_transposed(noisy_dataset, P):
+    """A strip ``Aᵀ[:, lo:hi]`` is rows ``lo:hi`` of A re-blocked to the
+    strip's grid bounds and viewed transposed: the formed transpose's
+    columns (the oracle), and — taken as a whole, or wider than A's own
+    block rows, or empty — the same strip products as that oracle."""
+    _genome, reads, _layout = noisy_dataset
+    A, comm, timer = _setup(reads, P=P)
+    n, m = A.shape
+    g = A.to_global()
+    oracle_t = g.transpose()
+    for lo, hi in ((0, n), (3, n // 2 + 5), (n // 3, n // 3), (n - 1, n)):
+        strip = A.row_slice(lo, hi).T
+        assert strip.shape == (m, hi - lo)
+        assert all(b.transposed for brow in strip.blocks for b in brow)
+        got = strip.to_global()
+        want = oracle_t.submatrix(0, m, lo, hi)
+        assert np.array_equal(got.row, want.row)
+        assert np.array_equal(got.col, want.col)
+        assert np.array_equal(got.vals, want.vals)
+        formed = DistMat.from_coo(want.shape, A.grid, want.row, want.col,
+                                  want.vals)
+        C = summa_positions(A, strip, SimComm(P, CommTracker(P)),
+                            StageTimer(), get_backend(None), None, "masked",
+                            col_offset=lo).to_global()
+        C_ref = summa_positions(A, formed, SimComm(P, CommTracker(P)),
+                                StageTimer(), get_backend(None), None, "esc",
+                                col_offset=lo).to_global()
+        assert np.array_equal(C.row, C_ref.row)
+        assert np.array_equal(C.col, C_ref.col)
+        assert np.array_equal(C.vals, C_ref.vals)
+    with pytest.raises(ValueError, match="out of range"):
+        A.row_slice(2, n + 1)

@@ -110,16 +110,24 @@ def test_csc_order_is_the_column_major_permutation():
     rng = np.random.default_rng(8)
     s = sp.random(17, 9, density=0.3, format="coo", random_state=rng)
     m = CooMat((17, 9), s.row, s.col, rng.integers(0, 99, (s.nnz, 3)))
-    indptr, order = m.csc_order()
-    assert indptr.dtype == order.dtype == np.int64
+    indptr, index, order = m.csc()
+    assert indptr.dtype == order.dtype == index.dtype == np.int64
     assert np.array_equal(order, np.lexsort((m.row, m.col)))
+    assert np.array_equal(index, m.row[order])
     assert np.array_equal(np.diff(indptr), np.bincount(m.col, minlength=9))
+    assert m.csc() is m.csc()                       # one pass, cached
     # Read-only storage (a forked worker's pages) is enough.
+    m = CooMat(m.shape, m.row, m.col, m.vals, checked=True)
     for arr in (m.row, m.col, m.vals):
         arr.flags.writeable = False
-    assert np.array_equal(m.csc_order()[1], order)
-    indptr, order = CooMat.empty((4, 6), 2).csc_order()
-    assert order.shape == (0,) and np.array_equal(indptr, np.zeros(7))
+    assert np.array_equal(m.csc().order, order)
+    # A view's lines are its base's, swapped; its CSC needs no pass.
+    view = m.T
+    assert view.csr() is view.csr() and view.csc().order is None
+    assert all(np.array_equal(a, b) for a, b in zip(view.csr(), m.csc()))
+    indptr, index, order = CooMat.empty((4, 6), 2).csc()
+    assert order.shape == index.shape == (0,)
+    assert np.array_equal(indptr, np.zeros(7))
 
 
 def test_pattern_csr_shares_indices():

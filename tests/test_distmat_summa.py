@@ -93,13 +93,31 @@ def test_blocks_cover_dimensions():
 
 
 def test_transpose_matches_global_transpose():
+    """``D.T`` is the global transpose, block for block a view of the
+    mirror block — and SUMMA charges it what a formed transpose costs."""
     rng = np.random.default_rng(1)
     grid = ProcessGrid2D(4)
     D, G = _rand_dist(rng, (15, 21), 0.2, grid)
-    T = D.transpose().to_global()
+    T = D.T
+    assert T.shape == (21, 15) and T.nfields == D.nfields
+    for i in range(grid.q):
+        for j in range(grid.q):
+            assert T.blocks[i][j].transposed
+            assert T.blocks[i][j].vals is D.blocks[j][i].vals
     GT = G.transpose()
-    assert np.array_equal(T.row, GT.row)
-    assert np.array_equal(T.col, GT.col)
+    got = T.to_global()
+    assert np.array_equal(got.row, GT.row)
+    assert np.array_equal(got.col, GT.col)
+    assert np.array_equal(got.vals, GT.vals)
+    assert T.T.blocks[0][1] is D.blocks[0][1]
+    formed = DistMat.from_coo(GT.shape, grid, GT.row, GT.col, GT.vals)
+    by_view, by_formed = CommTracker(4), CommTracker(4)
+    C = summa(D, T, PlusTimes(), SimComm(4, by_view), "t").to_global()
+    C_ref = summa(D, formed, PlusTimes(), SimComm(4, by_formed),
+                  "t").to_global()
+    assert np.array_equal(C.row, C_ref.row)
+    assert np.array_equal(C.vals, C_ref.vals)
+    assert _records(by_view) == _records(by_formed)
 
 
 def test_nnz_and_copy_independent():

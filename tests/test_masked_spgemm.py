@@ -16,6 +16,7 @@ and is checked *directly* (not through the router) wherever ESC is, and
 its label, its work counters and its memory.
 """
 
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
+import repro.core.overlap as overlap_mod
+import repro.dsparse.masked as masked_mod
 from repro.core.overlap import build_a_matrix, candidate_overlaps
 from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.core.semirings import BidirectedMinPlus, PositionsSemiring
@@ -127,23 +130,28 @@ def test_property_masked_kernel_identity(seed, semiring_name, da, db,
     A = _rand_mat(rng, 17, 23, da, nf, lo=lo)
     # The direction-checked MinPlus needs R-typed square operands; the
     # positions multiply takes any two A-typed operands, so B ≠ Aᵀ too.
-    B = NUMPY.transpose(A) if semiring_name == "bidirected_min_plus" or \
-        (semiring_name == "positions" and b_is_at) \
-        else _rand_mat(rng, 23, 14, db, nf, lo=lo)
-    out_shape = (A.shape[0], B.shape[1])
+    # Aᵀ is taken formed (the oracle) and as the view every kernel reads.
+    at = semiring_name == "bidirected_min_plus" or \
+        (semiring_name == "positions" and b_is_at)
+    operands = [A.transpose(), A.T] if at else \
+        [_rand_mat(rng, 23, 14, db, nf, lo=lo)]
+    out_shape = (A.shape[0], operands[0].shape[1])
     mask = _rand_mat(rng, *out_shape, dmask, 1)
     semiring = cls()
-    oracle = mask_select(spgemm_esc(A, B, semiring), mask)
-    _assert_identical(spgemm_esc_masked(A, B, semiring, mask), oracle)
-    if semiring.product_reduce_depth is not None:
-        _assert_identical(spgemm_dot_masked(A, B, semiring, mask,
-                                            window=window), oracle)
-    routed, path = spgemm_masked(A, B, semiring, mask)
-    _assert_identical(routed, oracle)
-    assert path in ("masked_esc", "masked_dot")
-    # The backend seam agrees too, on every backend.
-    for bk in (NUMPY, SCIPY, AUTO):
-        _assert_identical(bk.spgemm(A, B, semiring, mask=mask), oracle)
+    oracle = mask_select(spgemm_esc(A, operands[0], semiring), mask)
+    for B in operands:
+        _assert_identical(spgemm_esc(A, B, semiring),
+                          spgemm_esc(A, operands[0], semiring))
+        _assert_identical(spgemm_esc_masked(A, B, semiring, mask), oracle)
+        if semiring.product_reduce_depth is not None:
+            _assert_identical(spgemm_dot_masked(A, B, semiring, mask,
+                                                window=window), oracle)
+        routed, path = spgemm_masked(A, B, semiring, mask)
+        _assert_identical(routed, oracle)
+        assert path in ("masked_esc", "masked_dot")
+        # The backend seam agrees too, on every backend.
+        for bk in (NUMPY, SCIPY, AUTO):
+            _assert_identical(bk.spgemm(A, B, semiring, mask=mask), oracle)
 
 
 def _positions_operand(rng, rows, cols, density):
@@ -172,13 +180,13 @@ def test_masked_with_full_product_mask_is_unmasked():
     """A mask covering the whole product pattern changes nothing."""
     rng = np.random.default_rng(5)
     A = _rand_mat(rng, 15, 15, 0.25, 2)
-    At = NUMPY.transpose(A)
     semiring = PositionsSemiring()
-    full = spgemm_esc(A, At, semiring)
+    full = spgemm_esc(A, A.transpose(), semiring)
     mask = CooMat((15, 15), full.row, full.col,
                   np.ones((full.nnz, 1), dtype=np.int64))
-    _assert_identical(spgemm_esc_masked(A, At, semiring, mask), full)
-    _assert_identical(spgemm_dot_masked(A, At, semiring, mask), full)
+    for At in (A.transpose(), A.T):
+        _assert_identical(spgemm_esc_masked(A, At, semiring, mask), full)
+        _assert_identical(spgemm_dot_masked(A, At, semiring, mask), full)
 
 
 #: Both masked kernels behind one signature; the dot kernel needs a
@@ -313,8 +321,10 @@ def test_truncation_contract_rejects_validity_masks():
     A = _rand_mat(rng, 10, 10, 0.3, 4)
     mask = _rand_mat(rng, 10, 10, 0.5, 1)
     for run in KERNELS.values():
-        with pytest.raises(ValueError, match="_Liar sets product_reduce_depth"):
-            run(A, NUMPY.transpose(A), _Liar(), mask)
+        for At in (A.transpose(), A.T):
+            with pytest.raises(ValueError,
+                               match="_Liar sets product_reduce_depth"):
+                run(A, At, _Liar(), mask)
 
 
 def test_dot_kernel_requires_truncation_depth():
@@ -325,9 +335,10 @@ def test_dot_kernel_requires_truncation_depth():
     mask = _rand_mat(rng, 10, 10, 0.5, 1)
     with pytest.raises(ValueError, match="BidirectedMinPlus declares no "
                                          "product_reduce_depth"):
-        spgemm_dot_masked(A, NUMPY.transpose(A), BidirectedMinPlus(), mask)
-    _, path = spgemm_masked(A, NUMPY.transpose(A), BidirectedMinPlus(), mask)
-    assert path == "masked_esc"
+        spgemm_dot_masked(A, A.transpose(), BidirectedMinPlus(), mask)
+    for At in (A.transpose(), A.T):
+        _, path = spgemm_masked(A, At, BidirectedMinPlus(), mask)
+        assert path == "masked_esc"
     with pytest.raises(ValueError, match="window"):
         spgemm_dot_masked(_positions_operand(rng, 4, 4, 0.5),
                           _positions_operand(rng, 4, 4, 0.5),
@@ -466,7 +477,7 @@ def test_spgemm_with_path_labels():
     A1 = _rand_mat(rng, 12, 12, 0.25, 1)
     mask1 = _rand_mat(rng, 12, 12, 0.25, 1)
     A2 = _rand_mat(rng, 12, 12, 0.25, 2)
-    At2 = NUMPY.transpose(A2)
+    At2 = A2.transpose()
     mask2 = _rand_mat(rng, 12, 12, 0.25, 1)
 
     _, path = NUMPY.spgemm_with_path(A1, A1, PlusTimes())
@@ -482,11 +493,12 @@ def test_spgemm_with_path_labels():
     # low-compression input; the routing tests below cover the other side).
     assert not masked_route(A2, At2, mask2, 2).dot
     for bk in (NUMPY, SCIPY, AUTO):
-        _, path = bk.spgemm_with_path(A2, At2, PositionsSemiring(),
-                                      mask=mask2)
-        assert path == "masked_esc"
-        _, path = bk.spgemm_with_path(A2, At2, PositionsSemiring())
-        assert path == "esc"
+        for B in (At2, A2.T):
+            _, path = bk.spgemm_with_path(A2, B, PositionsSemiring(),
+                                          mask=mask2)
+            assert path == "masked_esc"
+            _, path = bk.spgemm_with_path(A2, B, PositionsSemiring())
+            assert path == "esc"
 
 
 # -- kernel choice: routing, counters, memory ----------------------------------
@@ -504,7 +516,7 @@ def _read_kmer_operands(rng, n_reads, read_len, genome, keep=0.9):
     A = CooMat((n_reads, genome), rows, cols,
                np.stack([rng.integers(0, 5000, rows.shape[0]),
                          rng.integers(0, 2, rows.shape[0])], axis=1))
-    At = NUMPY.transpose(A)
+    At = A.transpose()
     full = (A.pattern_csr() @ At.pattern_csr()).tocoo()
     upper = full.row < full.col
     mask = CooMat(full.shape, full.row[upper], full.col[upper],
@@ -525,6 +537,11 @@ def test_route_follows_compression():
         route = masked_route(A, At, mask, semiring.product_reduce_depth)
         out, labels[name] = AUTO.spgemm_with_path(A, At, semiring, mask=mask)
         _assert_identical(out, spgemm_esc_masked(A, At, semiring, mask))
+        # The view routes the same way, to the same bytes.
+        assert masked_route(A, A.T, mask, 2) == route
+        assert AUTO.spgemm_with_path(A, A.T, semiring, mask=mask)[1] == \
+            labels[name]
+        _assert_identical(AUTO.spgemm(A, A.T, semiring, mask=mask), out)
         # The rule's inputs, so a failure names the quantity that moved.
         print(name, "nnz(A) =", A.nnz, route,
               "products/mask entry =", route.flops / route.nnz_mask,
@@ -569,18 +586,19 @@ def test_dot_probes_bounded_and_additive_over_blocks():
     route = masked_route(A, At, mask, 2)
     a_len = np.diff(A.csr_indptr())
     b_len = np.bincount(At.col, minlength=At.shape[1])
-    tally = {}
-    spgemm_dot_masked(A, At, semiring, mask, tally)
-    assert set(tally) == {"probes"}
-    assert 0 < tally["probes"] <= route.span <= \
-        int((a_len[mask.row] + b_len[mask.col]).sum())
-    tally = {}
-    spgemm_esc_masked(A, At, semiring, mask, tally)
-    assert tally == {"products": route.flops}
+    for B in (At, A.T):
+        tally = {}
+        spgemm_dot_masked(A, B, semiring, mask, tally)
+        assert set(tally) == {"probes"}
+        assert 0 < tally["probes"] <= route.span <= \
+            int((a_len[mask.row] + b_len[mask.col]).sum())
+        tally = {}
+        spgemm_esc_masked(A, B, semiring, mask, tally)
+        assert tally == {"products": route.flops}
 
     grid = ProcessGrid2D(4)
     dA = DistMat.from_coo(A.shape, grid, A.row, A.col, A.vals)
-    dAt = dA.transpose(backend=AUTO)
+    dAt = dA.T
     dmask = DistMat.from_coo(mask.shape, grid, mask.row, mask.col, mask.vals)
     timer = StageTimer()
     summa(dA, dAt, semiring, SimComm(4, CommTracker(4)), "Stage", timer,
@@ -748,46 +766,54 @@ def test_property_upper_kernel_identity(seed, da, db, row0, shift, offset,
     column offset folded into the column origin, as SUMMA folds it."""
     rng = np.random.default_rng(seed)
     A = _positions_operand(rng, 13, 40, da)
-    B = NUMPY.transpose(A).submatrix(0, 40, 0, 11) if b_is_at else \
-        _positions_operand(rng, 40, 11, db)
+    # B = Aᵀ's first 11 columns: formed (the oracle) and as a view.
+    operands = [A.transpose().submatrix(0, 40, 0, 11),
+                A.submatrix(0, 11, 0, 40).T] if b_is_at else \
+        [_positions_operand(rng, 40, 11, db)]
     origin = (row0, row0 + shift + offset)
     semiring = PositionsSemiring()
-    oracle = mask_select(spgemm_esc(A, B, semiring),
+    oracle = mask_select(spgemm_esc(A, operands[0], semiring),
                          _triangle((13, 11), origin))
-    # ESC route: under 2¹⁵ products the router never takes the dot kernel.
-    tally = {}
-    routed, path = spgemm_upper(A, B, semiring, origin, tally)
-    _assert_identical(routed, oracle)
-    assert path == "masked_esc"
-    if shift + offset <= -10:        # wholly on or below: nothing computed
-        assert (routed.nnz, tally) == (0, {})
-    # Dot route, on the pre-sized groups the router would hand it.
-    _assert_identical(spgemm_dot_masked(A, B, semiring,
-                                        _upper_groups(A, B, origin),
-                                        window=window, sized=True), oracle)
-    for bk in (NUMPY, SCIPY, AUTO):
-        out, _ = bk.spgemm_with_path(A, B, semiring, upper=origin)
-        _assert_identical(out, oracle)
+    for B in operands:
+        # ESC route: under 2¹⁵ products the router never takes the dot
+        # kernel.
+        tally = {}
+        routed, path = spgemm_upper(A, B, semiring, origin, tally)
+        _assert_identical(routed, oracle)
+        assert path == "masked_esc"
+        if shift + offset <= -10:        # wholly on or below: not computed
+            assert (routed.nnz, tally) == (0, {})
+        # Dot route, on the pre-sized groups the router would hand it.
+        _assert_identical(spgemm_dot_masked(A, B, semiring,
+                                            _upper_groups(A, B, origin),
+                                            window=window, sized=True),
+                          oracle)
+        for bk in (NUMPY, SCIPY, AUTO):
+            out, _ = bk.spgemm_with_path(A, B, semiring, upper=origin)
+            _assert_identical(out, oracle)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 31), st.sampled_from([1, 4, 9]),
        st.integers(0, 35), st.integers(1, 35))
 def test_property_summa_upper_matches_triangle(seed, P, lo, width):
-    """SUMMA with ``upper=lo`` on a column strip ``Aᵀ[:, lo:lo+width]`` ≡
-    the global ESC product ∩ {row < col + lo}, on every grid."""
+    """SUMMA with ``upper=lo`` on a column strip ``Aᵀ[:, lo:lo+width]``
+    (rows ``lo:hi`` of A, viewed transposed) ≡ the global ESC product ∩
+    {row < col + lo}, on every grid."""
     rng = np.random.default_rng(seed)
     n = 36
     GA = _positions_operand(rng, n, 50, 0.25)
     hi = min(n, lo + width)
     grid = ProcessGrid2D(P)
     A = DistMat.from_coo(GA.shape, grid, GA.row, GA.col, GA.vals)
-    strip = A.transpose(backend=AUTO).column_slice(lo, hi)
+    strip = A.row_slice(lo, hi).T
+    assert all(b.transposed for brow in strip.blocks for b in brow)
+    gs = GA.transpose().submatrix(0, GA.shape[1], lo, hi)
+    _assert_identical(strip.to_global(), gs)
     semiring = PositionsSemiring()
     timer = StageTimer()
     C = summa(A, strip, semiring, SimComm(P, CommTracker(P)), "t", timer,
               upper=lo)
-    gs = strip.to_global()
     expect = mask_select(spgemm_esc(GA, gs, semiring),
                          _triangle((n, hi - lo), (0, lo)))
     _assert_identical(C.to_global(), expect)
@@ -898,7 +924,7 @@ def test_candidate_overlaps_is_one_product(tiny_reads, monkeypatch):
     comm = SimComm(P, CommTracker(P))
     table = count_kmers(tiny_reads, 17, comm, StageTimer(), upper=40)
     A = build_a_matrix(tiny_reads, table, grid, comm, StageTimer())
-    At = A.transpose(backend=AUTO)
+    At = A.T
     big = sum(int((A.blocks[i][k].pattern_csr() @
                    At.blocks[k][j].pattern_csr()).sum()) >= 2 ** 15
               for i in range(grid.q) for j in range(grid.q)
@@ -919,6 +945,103 @@ def test_candidate_overlaps_is_one_product(tiny_reads, monkeypatch):
     oracle = candidate_overlaps(A, SimComm(P, CommTracker(P)), StageTimer(),
                                 spgemm_impl="esc")
     _assert_identical(C.to_global(), oracle.to_global())
+
+
+def test_candidate_overlaps_reads_one_copy_of_a(tiny_reads, monkeypatch):
+    """C = A·Aᵀ on clean reads, where every computed block takes the dot
+    kernel: nothing is transposed, no block runs the CSC counting pass, and
+    every Aᵀ block SUMMA multiplies shares its arrays with its A block."""
+    P = 4
+    grid = ProcessGrid2D(P)
+    comm = SimComm(P, CommTracker(P))
+    table = count_kmers(tiny_reads, 17, comm, StageTimer(), upper=40)
+    A = build_a_matrix(tiny_reads, table, grid, comm, StageTimer())
+    calls = {"transpose": 0, "csc": 0}
+    operands = []
+    real_csc, real_transpose = CooMat._columns, CooMat.transpose
+    real_summa = overlap_mod.summa_positions
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    def recording(A_, At_, *args, **kwargs):
+        operands.append(At_)
+        return real_summa(A_, At_, *args, **kwargs)
+
+    monkeypatch.setattr(CooMat, "_columns", counting("csc", real_csc))
+    monkeypatch.setattr(CooMat, "transpose",
+                        counting("transpose", real_transpose))
+    monkeypatch.setattr(overlap_mod, "summa_positions", recording)
+    timer = StageTimer()
+    C = candidate_overlaps(A, comm, timer, spgemm_impl="masked")
+    monkeypatch.undo()
+    assert set(timer.kernel_counts()["SpGEMM"]) == {"masked_dot",
+                                                    "masked_esc"}
+    assert timer.work_counts()["SpGEMM"].keys() == {"probes"}
+    assert calls == {"transpose": 0, "csc": 0}
+    (At,) = operands
+    for i in range(grid.q):
+        for j in range(grid.q):
+            t, a = At.blocks[i][j], A.blocks[j][i]
+            assert t.transposed and t.T is a and a.nnz
+            assert np.shares_memory(t.row, a.col)
+            assert np.shares_memory(t.col, a.row)
+            assert np.shares_memory(t.vals, a.vals)
+    oracle = candidate_overlaps(A, SimComm(P, CommTracker(P)), StageTimer(),
+                                spgemm_impl="esc")
+    _assert_identical(C.to_global(), oracle.to_global())
+
+
+def test_pattern_product_index_width(monkeypatch):
+    """The pattern product runs on 32-bit indices when a block fits and
+    keeps 64-bit ones otherwise — a block with more than 2³¹ − 1 columns,
+    or any block once the 32-bit bound is lowered under it — with the same
+    product bytes either way."""
+    huge = CooMat((3, 2 ** 31 + 5), [0, 2], [7, 2 ** 31 + 1], [[1], [2]])
+    for M in (huge, huge.T):
+        pat = masked_mod._pattern(M)
+        assert pat.indices.dtype == pat.indptr.dtype == np.int64
+        assert pat.shape == M.shape and pat.nnz == 2
+    rng = np.random.default_rng(37)
+    A, At, _mask = _read_kmer_operands(rng, 40, 300, 1500, 0.9)
+    narrow = [masked_mod._pattern_product(A, B) for B in (At, A.T)]
+    assert masked_mod._pattern(A).indices.dtype == np.int32
+    assert masked_mod._pattern(A.T).indices.dtype == np.int32
+    monkeypatch.setattr(masked_mod, "_INDEX32_MAX", 10)
+    assert masked_mod._pattern(A).indices.dtype == np.int64
+    wide = masked_mod._pattern_product(A, A.T)
+    oracle = (A.pattern_csr() @ At.pattern_csr()).tocoo()
+    for C in narrow + [wide]:
+        _assert_identical(C, CooMat.from_scipy(oracle))
+
+
+@pytest.mark.parametrize("make_executor",
+                         [lambda: SERIAL, lambda: ProcessExecutor(2)],
+                         ids=["serial", "process2"])
+def test_summa_upper_on_a_pickled_view(make_executor):
+    """Aᵀ as a view crosses a process boundary with its block tasks and
+    stays one: A·Aᵀ under the triangle predicate is the global oracle's
+    bytes, with the dot kernel taken, on the serial and the process pool."""
+    rng = np.random.default_rng(38)
+    GA, GAt, _mask = _read_kmer_operands(rng, 72, 900, 3000, 0.9)
+    grid = ProcessGrid2D(4)
+    A = DistMat.from_coo(GA.shape, grid, GA.row, GA.col, GA.vals)
+    view = pickle.loads(pickle.dumps(A.T.blocks[0][1]))
+    assert view.transposed and view.vals is view.T.vals
+    assert np.shares_memory(view.row, view.T.col)
+    semiring = PositionsSemiring()
+    timer = StageTimer()
+    with make_executor() as executor:
+        C = summa(A, A.T, semiring, SimComm(4, CommTracker(4)), "t", timer,
+                  executor=executor, upper=0)
+    n = GA.shape[0]
+    _assert_identical(C.to_global(),
+                      mask_select(spgemm_esc(GA, GAt, semiring),
+                                  _triangle((n, n), (0, 0))))
+    assert timer.kernel_counts()["t"].get("masked_dot", 0) > 0
 
 
 def test_default_pipeline_paths_follow_resolved_engine(tiny_reads):

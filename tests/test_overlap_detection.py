@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+import repro.dsparse.distmat as distmat_mod
+import repro.mpisim.grid as grid_mod
 from repro.core.overlap import (AlignmentFilter, align_candidates,
                                 build_a_matrix, candidate_overlaps,
                                 charge_a_routing, exchange_reads)
 from repro.core.semirings import C_COUNT, R_CONTAINED, R_CONTAINS, R_SUFFIX
 from repro.core.string_graph import StringGraph
+from repro.dsparse.distmat import DistMat
 from repro.eval.metrics import graph_edge_recall, overlap_recall_precision
 from repro.mpisim import (CommTracker, ProcessGrid2D, SimComm, StageTimer,
                           block_bounds)
@@ -67,6 +70,56 @@ def _routing_by_rank_masks(row, col, n, m, grid, P):
             calls.append(("CreateSpMat", p, int(off.sum()) * 32,
                           int(np.unique(dest[src == p][off]).shape[0])))
     return calls
+
+
+@pytest.mark.parametrize("impl", ["batch", "loop"])
+@pytest.mark.parametrize("P", [1, 4, 16])
+def test_build_a_matrix_routes_at_the_source(clean_dataset, monkeypatch, P,
+                                             impl):
+    """A's blocks leave the scan already routed: no global owner pass, and
+    the blocks and ``CreateSpMat`` records are exactly what distributing
+    the global entries and charging their routing would give.  Leading
+    reads too short to hold a k-mer leave the first 1D ranks with nothing
+    to send and the first block row empty."""
+    from repro.seqs.fasta import ReadSet
+    _genome, reads, _layout = clean_dataset
+    rng = np.random.default_rng(P)
+    n_short = len(reads) + 10
+    short = ReadSet([f"s{i}" for i in range(n_short)],
+                    [rng.integers(0, 4, 12).astype(np.uint8)
+                     for _ in range(n_short)])
+    reads = short.concat(reads)
+    n, grid = len(reads), ProcessGrid2D(P)
+    table = count_kmers(reads, 17, SimComm(P, CommTracker(P)), StageTimer(),
+                        upper=40)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("A routed by a global owner pass")
+
+    monkeypatch.setattr(ProcessGrid2D, "owners_of", refuse)
+    monkeypatch.setattr(grid_mod, "partition_by_owner", refuse)
+    monkeypatch.setattr(distmat_mod, "partition_by_owner", refuse)
+    tracker = _RecordingTracker()
+    A = build_a_matrix(reads, table, grid, SimComm(P, tracker), StageTimer(),
+                       impl=impl)
+    monkeypatch.undo()
+    g = A.to_global()
+    assert A.shape == (n, len(table)) and A.nfields == 2 and g.nnz
+    want = DistMat.from_coo(A.shape, grid, g.row, g.col, g.vals)
+    oracle = _RecordingTracker()
+    counts = charge_a_routing(g.row, g.col, n, len(table), grid,
+                              SimComm(P, oracle))
+    assert tracker.calls == oracle.calls
+    for i in range(grid.q):
+        for j in range(grid.q):
+            got, ref = A.blocks[i][j], want.blocks[i][j]
+            assert got.shape == ref.shape and got.nnz == counts[i, j]
+            assert np.array_equal(got.row, ref.row)
+            assert np.array_equal(got.col, ref.col)
+            assert np.array_equal(got.vals, ref.vals)
+    if P > 1:
+        assert all(b.nnz == 0 for b in A.blocks[0])
+        assert 0 not in [call[1] for call in tracker.calls]
 
 
 @pytest.mark.parametrize("P", [1, 4, 16])

@@ -19,10 +19,12 @@ import pytest
 
 from repro.core.contigs import extract_contigs
 from repro.core.pipeline import PipelineConfig, run_pipeline
+from repro.dsparse.coomat import CooMat
 from repro.dsparse.distmat import DistMat
 from repro.seqs import ErrorModel, GenomeSpec, ReadSimSpec, simulate_reads
 from repro.seqs.seeding import FullKScheme
 from repro.service import AssemblyState, ServiceConfig, refresh
+from repro.service import incremental
 
 K = 17
 NPROCS = 4
@@ -243,7 +245,8 @@ def test_incremental_matches_scratch_in_chain_regime(regime_batches,
 
 def test_refresh_stays_delta_sized(service_reads, monkeypatch):
     """One incremental refresh extracts seeds once (the batch's), transposes
-    nothing, and distributes nothing as large as A."""
+    nothing — the delta product's column operand is a view of A's rows —
+    and distributes nothing as large as A."""
     config = ServiceConfig(refresh_mode="incremental",
                            pipeline=replace(_pipeline_config(),
                                             seed_mode="full",
@@ -252,30 +255,40 @@ def test_refresh_stays_delta_sized(service_reads, monkeypatch):
     state = refresh(AssemblyState.initial(),
                     service_reads.subset(np.arange(n - 12)), config)
     calls = {"seeds": 0, "transpose": 0}
-    sizes = []
+    sizes, operands = [], []
     seeds_of_block = FullKScheme.seeds_of_block
-    transpose = DistMat.transpose
+    transpose = CooMat.transpose
     from_coo = DistMat.from_coo.__func__
+    summa = incremental.summa
 
     def counting_seeds(self, *args):
         calls["seeds"] += 1
         return seeds_of_block(self, *args)
 
-    def counting_transpose(self, backend=None):
+    def counting_transpose(self):
         calls["transpose"] += 1
-        return transpose(self, backend)
+        return transpose(self)
+
+    def recording_summa(A, B, *args, **kwargs):
+        operands.append((A, B))
+        return summa(A, B, *args, **kwargs)
 
     def sized_from_coo(cls, shape, grid, row, col, vals):
         sizes.append(len(row))
         return from_coo(cls, shape, grid, row, col, vals)
 
     monkeypatch.setattr(FullKScheme, "seeds_of_block", counting_seeds)
-    monkeypatch.setattr(DistMat, "transpose", counting_transpose)
+    monkeypatch.setattr(CooMat, "transpose", counting_transpose)
     monkeypatch.setattr(DistMat, "from_coo", classmethod(sized_from_coo))
+    monkeypatch.setattr(incremental, "summa", recording_summa)
     new = refresh(state, service_reads.subset(np.arange(n - 12, n)), config)
     assert new.refresh_mode == "incremental"
     assert calls == {"seeds": 1, "transpose": 0}
     assert sizes and max(sizes) < new.counts["nnz_a"]
+    (A_aff, At_aff), = operands
+    assert At_aff.shape == A_aff.shape[::-1]
+    assert all(b.transposed and b.T.transposed is False
+               for brow in At_aff.blocks for b in brow)
 
 
 def test_empty_batch_bumps_version_only(service_reads):
