@@ -94,6 +94,7 @@ def run_dibella1d(reads: ReadSet, k: int = 17, nprocs: int = 1, *,
     upper = kmer_upper if kmer_upper is not None else \
         reliable_upper_bound(depth_hint, error_hint, k)
     table = count_kmers(reads, k, comm, timer, upper=upper)
+    table.take_stream()   # no A is built here: drop the seed stream now
 
     n = len(reads)
     stage = "Overlap1D"

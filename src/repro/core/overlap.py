@@ -43,7 +43,7 @@ from ..mpisim.grid import ProcessGrid2D, block_bounds
 from ..mpisim.tracker import StageTimer
 from ..options import ALIGN_IMPL, KMER_IMPL, SPGEMM_IMPL
 from ..seqs.fasta import ReadSet
-from ..seqs.kmer_counter import KmerTable
+from ..seqs.kmer_counter import KmerTable, _extract_batch_task
 from ..seqs.seeding import FullKScheme, SeedScheme
 from .memory import coo_nbytes
 from .semirings import (A_NFIELDS, C_COUNT, C_NFIELDS, C_PA1, C_PA2,
@@ -146,28 +146,43 @@ def _a_scan_task(ctx, span):
 def _a_scan_batch_task(ctx, task):
     """Executor task: one 1D rank's (read, k-mer) scan as pure column ops.
 
-    The task is the rank's global read span ``(lo, hi)``; the worker takes
-    its SoA block from the ReadSet in the context
-    (:meth:`~repro.seqs.fasta.ReadSet.soa_block`), so a store-backed set
-    ships only its path and each worker pages in its own block.
-    Extraction, dictionary lookup, and first-occurrence dedup all run over
-    the whole block at once.  Returns ``(entries | None, tally)``: entries
+    The task is the rank's global read span plus its seed stream, ``(lo,
+    hi, stream)``: CountKmer's stream for the span when it kept one
+    (:meth:`~repro.seqs.kmer_counter.KmerTable.take_stream`), else
+    ``None`` and the worker extracts it here from the ReadSet in the
+    context (:meth:`~repro.seqs.fasta.ReadSet.soa_block`, so a
+    store-backed set ships only its path).  The stream is only read, so a
+    retried or respawned task sees the same input.  Lookup runs over every
+    key; read index and position are then formed for the hits only — for
+    full-k from each hit's window index, by a ``searchsorted`` over the
+    reads' first windows.  Returns ``(entries | None, tally)``: entries
     ``(row, col, vals, cuts)`` in (block column, read, column) order —
     the slice of each 2D destination block row-major and contiguous, where
     :func:`_block_cuts` says — with the first-occurrence position/flip per
     (read, k-mer); the loop task's output, byte for byte.
     """
     table, scheme, reads, bounds = ctx
-    lo, hi = task
-    codes, offsets, lengths = reads.soa_block(lo, hi)
-    canon, ridx, pos, flip = scheme.seeds_of_block(codes, offsets, lengths)
+    lo, hi, stream = task
+    if stream is None:
+        stream = _extract_batch_task((scheme, reads), (lo, hi))
+    keys, flip, ridx, pos = stream
     tally: dict[str, int] = {}
-    col = table.lookup(canon, tally)
-    ok = col >= 0
-    if not ok.any():
+    col = table.lookup(keys, tally)
+    hit = np.flatnonzero(col >= 0)
+    if hit.shape[0] == 0:
         return None, tally
-    ridx, col, pos = ridx[ok], col[ok], pos[ok]
-    flip = flip[ok].astype(np.int64)
+    col = col[hit]
+    flip = flip[hit].astype(np.int64)
+    if ridx is None:
+        n_win = np.maximum(reads.lengths[lo:hi] - (scheme.k - 1), 0)
+        first_win = np.zeros(hi - lo, dtype=np.int64)
+        np.cumsum(n_win[:-1], out=first_win[1:])
+        # Reads without windows share their successor's first window;
+        # "right" lands on the last of them, the one the window is in.
+        ridx = np.searchsorted(first_win, hit, side="right") - 1
+        pos = hit - first_win[ridx]
+    else:
+        ridx, pos = ridx[hit], pos[hit]
     # Keep the first occurrence per (read, k-mer): entries arrive in (read,
     # pos) order, so under a stable order of the (block column, read, col)
     # key the head of each run of equal keys is the earliest window, and
@@ -206,10 +221,15 @@ def build_a_matrix(reads: ReadSet, table: KmerTable, grid: ProcessGrid2D,
     is summed into ``timer``'s work counters.
 
     ``impl`` selects the scan engine (:data:`repro.options.KMER_IMPL`):
-    ``"batch"`` runs each rank's scan as one vectorized
-    :meth:`~repro.seqs.seeding.SeedScheme.seeds_of_block` pass with
-    column-op lookup and dedup; ``"loop"`` scans read by read (the
-    reference oracle).  A is byte-identical either way.  ``scheme`` picks
+    ``"batch"`` runs each rank's scan as column ops over its whole seed
+    stream — lookup, hits-only read/position columns, dedup; ``"loop"``
+    scans read by read (the reference oracle).  A is byte-identical either
+    way.  The batch scan extracts nothing when ``table`` carries the seed
+    stream CountKmer extracted from this ``reads`` object under the same
+    ``scheme`` and rank spans (an unbudgeted batch count keeps it): each
+    window is then packed once per run.  The stream is taken off the table
+    whatever the engine, and dropped as soon as the scan superstep has
+    returned; without a matching one each rank re-extracts.  ``scheme`` picks
     which windows seed A (``None`` = full-k, the paper's every-window
     behavior); sparse schemes shrink nnz(A) by their seed density while
     the entry layout (first occurrence per (read, k-mer), position/flip
@@ -227,44 +247,52 @@ def build_a_matrix(reads: ReadSet, table: KmerTable, grid: ProcessGrid2D,
     read_bounds = block_bounds(n, P)
 
     spans = [(int(read_bounds[p]), int(read_bounds[p + 1])) for p in range(P)]
+    streams = table.take_stream(reads, scheme, spans) or [None] * P
     with timer.superstep(stage) as step:
         if impl == "batch":
             pre = np.concatenate(([0], np.cumsum(reads.lengths)))
+            tasks = [(lo, hi, s) for (lo, hi), s in zip(spans, streams)]
             parts, secs = executor.run_timed(
-                _a_scan_batch_task, spans,
+                _a_scan_batch_task, tasks,
                 context=(table, scheme, reads, bounds),
                 weights=[int(pre[hi] - pre[lo]) for lo, hi in spans])
+            del tasks
         else:
             parts, secs = executor.run_timed(
                 _a_scan_task, spans, context=(reads, table, scheme, bounds),
                 weights=[hi - lo for lo, hi in spans])
         step.charge_many(range(P), secs)
+    del streams
     for _, tally in parts:
         for name, count in tally.items():
             timer.count_work(stage, name, count)
-    blocks, moved = _gather_blocks([entries for entries, _ in parts], grid,
-                                   bounds)
+    entries = [entries for entries, _ in parts]
     del parts
+    blocks, moved = _gather_blocks(entries, spans, grid, bounds)
     _charge_routing(moved, comm, stage)
     timer.record_peak_bytes(stage, coo_nbytes(int(moved.sum()), A_NFIELDS))
     return DistMat((n, m), grid, blocks, A_NFIELDS)
 
 
-def _gather_blocks(parts: list, grid: ProcessGrid2D,
-                   bounds: tuple[np.ndarray, np.ndarray]
+def _gather_blocks(parts: list, spans: list[tuple[int, int]],
+                   grid: ProcessGrid2D, bounds: tuple[np.ndarray, np.ndarray]
                    ) -> tuple[list[list[CooMat]], np.ndarray]:
     """A's 2D blocks from the source ranks' block-grouped scan outputs.
 
     Block ``(i, j)`` is every rank's ``(i, j)`` slice in rank order: ranks
-    hold ascending read spans and each slice is row-major, so the block is
-    canonical as gathered.  Returns the ``q × q`` blocks and the ``P × P``
-    census of entries each source rank sends each grid owner.
+    hold ascending read spans (``spans``) and each slice is row-major, so
+    the block is canonical as gathered.  ``parts`` is consumed: a rank's
+    entries are released once the block rows covering its span are built,
+    so A's blocks replace its scan output instead of doubling it.  Returns
+    the ``q × q`` blocks and the ``P × P`` census of entries each source
+    rank sends each grid owner.
     """
     row_bounds, col_bounds = bounds
     P = len(parts)
     moved = np.zeros((P, P), dtype=np.int64)
-    live = [(p, entries) for p, entries in enumerate(parts)
-            if entries is not None]
+    live = {p: entries for p, entries in enumerate(parts)
+            if entries is not None}
+    parts.clear()
     blocks: list[list[CooMat]] = []
     for i in range(grid.q):
         brow: list[CooMat] = []
@@ -272,7 +300,7 @@ def _gather_blocks(parts: list, grid: ProcessGrid2D,
             shape = (int(row_bounds[i + 1] - row_bounds[i]),
                      int(col_bounds[j + 1] - col_bounds[j]))
             pieces = []
-            for p, (row, col, vals, cuts) in live:
+            for p, (row, col, vals, cuts) in live.items():
                 s, t = int(cuts[j, i]), int(cuts[j, i + 1])
                 moved[p, grid.rank_of(i, j)] = t - s
                 if t > s:
@@ -280,10 +308,15 @@ def _gather_blocks(parts: list, grid: ProcessGrid2D,
             if not pieces:
                 brow.append(CooMat.empty(shape, A_NFIELDS))
                 continue
+            # np.concatenate always copies: rebasing in place is safe.
             row, col, vals = (np.concatenate(arrs) for arrs in zip(*pieces))
-            brow.append(CooMat(shape, row - row_bounds[i],
-                               col - col_bounds[j], vals, checked=True))
+            del pieces
+            row -= row_bounds[i]
+            col -= col_bounds[j]
+            brow.append(CooMat(shape, row, col, vals, checked=True))
         blocks.append(brow)
+        for p in [p for p in live if spans[p][1] <= row_bounds[i + 1]]:
+            del live[p]
     return blocks, moved
 
 

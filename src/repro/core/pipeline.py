@@ -123,8 +123,18 @@ class PipelineConfig:
         Two axes need more than their table row: ``executor`` also depends
         on the worker count (:func:`repro.exec.executor_name`), and an
         unset ``fault_plan`` consults the environment only when no plan is
-        armed (see the class docstring).
+        armed (see the class docstring).  Counting parameters that would
+        silently empty the assembly (``kmer_batches < 1``, ``kmer_upper``
+        below the reliable lower bound 2) are refused by name.
         """
+        if self.kmer_batches < 1:
+            raise ValueError(
+                f"kmer_batches must be >= 1, got {self.kmer_batches}: every "
+                f"counting pass takes at least one exchange round")
+        if self.kmer_upper is not None and self.kmer_upper < 2:
+            raise ValueError(
+                f"kmer_upper must be >= 2, the reliable lower bound, got "
+                f"{self.kmer_upper}: no k-mer would be reliable")
         values = {axis.name: axis.resolve(getattr(self, axis.name))
                   for axis in AXES
                   if axis.pipeline and axis not in (EXECUTOR, FAULT_PLAN)}

@@ -107,9 +107,9 @@ ALIGN_IMPL = Axis(
 KMER_IMPL = Axis(
     "kmer_impl", "--kmer-impl", None, "batch",
     "k-mer engine: 'batch' counts through exact per-owner histograms (one "
-    "vectorized sweep per rank for CountKmer and the CreateSpMat scan), "
-    "'loop' runs the Bloom-filtered per-read / per-key dict reference "
-    "oracle",
+    "vectorized extraction per rank, which the CreateSpMat scan reuses "
+    "unless the count is budgeted), 'loop' runs the Bloom-filtered "
+    "per-read / per-key dict reference oracle",
     choices=("loop", "batch"), service=True)
 
 SPGEMM_IMPL = Axis(

@@ -28,7 +28,8 @@ histogram, the second pass is replayed for its communication cost only, and
 selection is one merge-sum plus filter per owner.  ``table_budget`` decides
 only where that state lives (re-extracted seeds and on-disk sorted runs
 instead of resident arrays); "resident" is the zero-spill case of the same
-code.
+code, and hands its per-rank seed streams on the table to CreateSpMat, so
+a run extracts each window once.
 
 ``impl="loop"`` (:data:`repro.options.KMER_IMPL`) keeps the literal protocol
 — per-read extraction, a real Bloom filter, ``dict[int, int]`` tables, both
@@ -78,16 +79,23 @@ def _superstep(timer: StageTimer, executor: Executor, fn, tasks, weights,
 # -- them) ------------------------------------------------------------------
 
 def _extract_batch_task(ctx, span):
-    """One rank's seed extraction as a single SoA sweep over its read span.
+    """One rank's seed stream as a single SoA sweep over its read span.
 
-    The worker takes its block from the ReadSet in the context, so with the
-    mmap read store a process pool ships only the store path.  Output order
-    (read-major, window order within a read) matches the loop oracle's
-    concatenation exactly for every :class:`~repro.seqs.seeding.SeedScheme`.
+    Returns ``(keys, flip, ridx, pos)``: the canonical seed keys and their
+    flip bits, plus — for sparse schemes only — each seed's rank-local read
+    index and window position.  A full-k stream leaves those two ``None``:
+    window ``i`` of the rank is recoverable from the read lengths alone,
+    so CreateSpMat derives them for its hits only.  The worker takes its
+    block from the ReadSet in the context, so with the mmap read store a
+    process pool ships only the store path.  Key order (read-major, window
+    order within a read) matches the loop oracle's concatenation exactly
+    for every :class:`~repro.seqs.seeding.SeedScheme`.
     """
     scheme, reads = ctx
-    lo, hi = span
-    return scheme.seeds_of_block(*reads.soa_block(lo, hi))[0]
+    keys, ridx, pos, flip = scheme.seeds_of_block(*reads.soa_block(*span))
+    if isinstance(scheme, FullKScheme):
+        return keys, flip, None, None
+    return keys, flip, ridx, pos
 
 
 def _group_by_dest_sorted(sl: np.ndarray, dl: np.ndarray, nprocs: int
@@ -145,10 +153,29 @@ def _round_extract_task(ctx, task):
     return _send_lists(keys[skip:skip + take], nprocs)
 
 
-def _round_hist_task(ctx, incoming):
-    """One owner rank's ``(distinct key, count)`` histogram of a round."""
-    uniq, cnt = np.unique(incoming, return_counts=True)
-    return uniq, cnt.astype(np.int64, copy=False)
+def _round_hist_task(ctx, task):
+    """One owner rank's ``(distinct key, count)`` histogram of a round.
+
+    ``task = (pieces, select)``: the owner's incoming send lists, joined
+    here so no rank's concatenation outlives its own task, and whether
+    this histogram is the owner's whole count — then only its reliable
+    keys (``ctx = (lower, upper)``) come back, and the full histogram
+    never leaves the task.
+    """
+    pieces, select = task
+    # The join is this task's own: sort it in place (``np.unique`` would
+    # sort a second copy).
+    keys = np.concatenate(pieces)
+    keys.sort()
+    first = np.ones(keys.shape[0], dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    at = np.flatnonzero(first)
+    uniq, cnt = keys[at], np.diff(at, append=keys.shape[0])
+    if select:
+        lower, upper = ctx
+        keep = (cnt >= lower) & (cnt <= upper)
+        return uniq[keep], cnt[keep]
+    return uniq, cnt
 
 
 def _reliable_hist_task(ctx, task):
@@ -291,10 +318,13 @@ def table_from_histogram(keys: np.ndarray, counts: np.ndarray, k: int,
     false positives only ever *add* singletons, which the ``lower`` bound
     then discards) and counts admitted keys exactly, so its final table is
     precisely ``{key: lower <= count <= upper}`` of the true histogram.
+    The histogram's total is the seed instances counted, so the table
+    knows its reliable fraction (:attr:`KmerTable.seeds`).
     """
     keep = (counts >= lower) & (counts <= upper)
     return KmerTable(k=k, kmers=keys[keep].copy(),
-                     counts=counts[keep].copy(), lower=lower, upper=upper)
+                     counts=counts[keep].copy(), lower=lower, upper=upper,
+                     seeds=int(counts.sum()))
 
 
 #: In-bucket steps :meth:`KmerTable.lookup` walks before handing what is
@@ -309,6 +339,38 @@ def table_from_histogram(keys: np.ndarray, counts: np.ndarray, k: int,
 #: of the same binary search), so the cap sits at the knee, not past it.
 _LOOKUP_STEPS = 4
 
+#: Reliable fraction below which :meth:`KmerTable.lookup` tests a hashed
+#: occupancy map before the walk.  The map costs every query a hash and a
+#: gather and spares the walk only the misses it rejects, so it pays where
+#: misses dominate.  Swept over the hit fraction of 2.73 M / 0.87 M queries
+#: against the two benchmark tables (123 k / 27 k keys, 2-vCPU host), the
+#: filtered-to-unfiltered time ratio was 0.40 / 0.54 at a 0.1 hit
+#: fraction, 0.78 / 0.74 at 0.5–0.6, 0.89–0.94 / 0.84–0.97 at 0.7 and
+#: 0.94–1.05 / 1.08 at 0.8: break-even near 0.75, so the map is built
+#: below 0.7.  On the real streams, ``chain_wide`` (0.143 reliable) goes
+#: 0.14 → 0.075 s; ``hifi_deep`` (0.865) would go 0.049 → 0.054 s and is
+#: left unfiltered.
+_PREFILTER_BELOW = 0.7
+
+#: Fibonacci-hashing multiplier (2⁶⁴ / golden ratio, odd): the top bits of
+#: ``key · _MIX`` name a key's occupancy slot.
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+@dataclass
+class _SeedStream:
+    """CountKmer's per-rank seed streams, kept for CreateSpMat.
+
+    ``ranks[p]`` is rank ``p``'s :func:`_extract_batch_task` output over
+    read span ``spans[p]`` of ``reads`` under ``scheme``; the three
+    together say which scan may use it.
+    """
+
+    reads: ReadSet
+    scheme: SeedScheme
+    spans: list
+    ranks: list
+
 
 @dataclass
 class KmerTable:
@@ -316,13 +378,25 @@ class KmerTable:
 
     ``kmers`` is sorted ascending (packed canonical ``uint64``), so the
     global column id of a k-mer is its index.  ``counts`` holds the total
-    multiplicities.
+    multiplicities.  ``seeds`` is the number of seed instances the counts
+    were taken over when the maker knows it (:func:`count_kmers`,
+    :func:`table_from_histogram`), so ``counts.sum() / seeds`` is the
+    fraction of the counted windows that are reliable — the hit rate of an
+    A scan over the same reads.
 
     :meth:`lookup` finds that index through a prefix-bucket index built
     here, once per table: one ``int32`` start per bucket of the keys' top
     bits, a power-of-two bucket count of at most ``2·len(table)`` (so the
-    index is no larger than ``kmers`` itself).  It is plain instance state:
-    a table pickled to a process worker arrives with it.
+    index is no larger than ``kmers`` itself).  A table whose reliable
+    fraction is known and below :data:`_PREFILTER_BELOW` also gets an
+    occupancy map: one ``bool`` per hash slot, the largest power of two
+    of slots up to ``8·len(table)`` (again no larger than ``kmers``).
+    Both are plain instance state: a table pickled to a process worker
+    arrives with them.
+
+    :func:`count_kmers` may leave its seed stream on the table for
+    :func:`~repro.core.overlap.build_a_matrix`, which takes it
+    (:meth:`take_stream`).  The stream is never compared and never pickled.
     """
 
     k: int
@@ -330,8 +404,13 @@ class KmerTable:
     counts: np.ndarray
     lower: int
     upper: int
+    seeds: int | None = field(default=None, compare=False)
     _starts: np.ndarray = field(init=False, repr=False, compare=False)
     _shift: np.uint64 = field(init=False, repr=False, compare=False)
+    _occ: np.ndarray | None = field(init=False, repr=False, compare=False)
+    _occ_shift: np.uint64 = field(init=False, repr=False, compare=False)
+    _stream: _SeedStream | None = field(init=False, repr=False,
+                                        compare=False, default=None)
 
     def __post_init__(self) -> None:
         m = len(self)
@@ -345,9 +424,44 @@ class KmerTable:
         np.cumsum(np.bincount((self.kmers >> self._shift).view(np.int64),
                               minlength=1 << bucket_bits),
                   out=self._starts[1:])
+        self._occ = None
+        if m and self.seeds and \
+                int(self.counts.sum()) < _PREFILTER_BELOW * self.seeds:
+            slot_bits = (8 * m).bit_length() - 1
+            self._occ_shift = np.uint64(64 - slot_bits)
+            self._occ = np.zeros(1 << slot_bits, dtype=bool)
+            self._occ[self._slots(self.kmers)] = True
 
     def __len__(self) -> int:
         return int(self.kmers.shape[0])
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_stream"] = None
+        return state
+
+    def _slots(self, kmers: np.ndarray) -> np.ndarray:
+        """Occupancy-map slot of each key: the top bits of ``key · _MIX``."""
+        slot = kmers * _MIX
+        slot >>= self._occ_shift
+        return slot.view(np.int64)
+
+    def take_stream(self, reads: ReadSet | None = None,
+                    scheme: SeedScheme | None = None,
+                    spans: list | None = None) -> list | None:
+        """Take the seed stream :func:`count_kmers` left on this table.
+
+        Returns the per-rank streams if they were extracted from this very
+        ``reads`` object under an equal ``scheme`` over the same rank
+        ``spans``, else ``None`` (the caller re-extracts).  Either way the
+        table holds no stream afterwards; call with no arguments to just
+        drop it.
+        """
+        stream, self._stream = self._stream, None
+        if stream is None or stream.reads is not reads or \
+                stream.scheme != scheme or stream.spans != spans:
+            return None
+        return stream.ranks
 
     def lookup(self, kmers: np.ndarray, tally: dict | None = None
                ) -> np.ndarray:
@@ -360,12 +474,22 @@ class KmerTable:
         whatever it has not resolved by then (crowded buckets, queries
         above every key) is finished by ``searchsorted``, so a table whose
         keys share a long prefix costs a binary search plus a bounded
-        number of wasted steps.  ``kmers`` must be ``uint64`` (any order,
-        repeats allowed, read-only is fine).  ``tally`` (optional dict)
-        gains the exact work: ``windows`` looked up, ``probes`` = table
-        keys compared by the walk, ``leftover`` = queries handed to the
-        binary search; all three are sums over queries, whatever the
-        batching.
+        number of wasted steps.
+
+        On a table whose reliable fraction is under
+        :data:`_PREFILTER_BELOW` (known from ``seeds``; the measured sweep
+        is recorded there) every query first tests its slot of the
+        occupancy map, and only queries whose slot holds a key walk: an
+        empty slot proves a miss.  The choice depends on the table alone,
+        never on the queries, so it cannot move any result or counter
+        with the batching.
+
+        ``kmers`` must be ``uint64`` (any order, repeats allowed,
+        read-only is fine).  ``tally`` (optional dict) gains the exact
+        work: ``windows`` looked up (every query, filtered or not),
+        ``probes`` = table keys compared by the walk (prefiltered misses
+        compare none), ``leftover`` = queries handed to the binary search;
+        all three are sums over queries, whatever the batching.
         """
         if kmers.dtype != np.uint64:
             raise TypeError(f"KmerTable.lookup needs uint64 packed k-mers, "
@@ -375,7 +499,11 @@ class KmerTable:
         if len(self) == 0 or kmers.shape[0] == 0:
             add_work(tally, windows=col.shape[0], probes=0, leftover=0)
             return col
-        where = np.arange(kmers.shape[0])
+        if self._occ is None:
+            where = np.arange(kmers.shape[0])
+        else:   # an empty slot holds no key: only the survivors walk
+            where = np.flatnonzero(self._occ.take(self._slots(kmers)))
+            kmers = kmers[where]
         # A prefix past the last bucket clips onto the end of the table.
         at = self._starts.take((kmers >> self._shift).view(np.int64),
                                mode="clip")
@@ -457,11 +585,15 @@ def count_kmers(reads: ReadSet, k: int, comm: SimComm,
         window — the paper's behavior).
     table_budget:
         Optional byte ceiling for the histogram engine's counting state.
-        ``None`` keeps it resident: one seed extraction per rank, no files.
-        When set, each round's seeds are re-extracted instead of held and
-        an owner whose buffered histograms reach its ``table_budget / P``
-        share flushes them to a sorted disk run.  Output and traffic
-        cannot move (see :func:`_count_kmers_hist`).  Ignored by ``loop``.
+        ``None`` keeps it resident: one seed extraction per rank, no files,
+        and the extracted streams ride on the returned table to
+        :func:`~repro.core.overlap.build_a_matrix`, whose scan then
+        extracts nothing — each window is packed once per run.  When set,
+        each round's seeds are re-extracted instead of held, an owner
+        whose buffered histograms reach its ``table_budget / P`` share
+        flushes them to a sorted disk run, and no stream is kept.  Output
+        and traffic cannot move (see :func:`_count_kmers_hist`).  Ignored
+        by ``loop``, which keeps no stream either.
     spill_dir:
         Directory under which the spill runs' temporary directory is
         created (``None`` = the system temp dir).  Always removed on exit.
@@ -469,50 +601,75 @@ def count_kmers(reads: ReadSet, k: int, comm: SimComm,
     Returns
     -------
     KmerTable
-        The sorted reliable k-mer dictionary with counts.
+        The sorted reliable k-mer dictionary with counts, and ``seeds``
+        (the seed instances counted), from which it picks its lookup
+        prefilter (:data:`_PREFILTER_BELOW`).  An unbudgeted batch count
+        also leaves its seed stream on it
+        (:meth:`KmerTable.take_stream`).
+
+    ``batches < 1`` and ``upper < lower`` are refused: either would count
+    nothing and return an empty table.
     """
     if lower < 2:
         raise ValueError(
             f"count_kmers needs lower >= 2, got {lower}: a two-pass "
             f"Bloom-filtered count cannot observe singletons")
+    if upper < lower:
+        raise ValueError(
+            f"count_kmers needs upper >= lower, got upper={upper} < "
+            f"lower={lower}: no multiplicity would be reliable")
+    if batches < 1:
+        raise ValueError(
+            f"count_kmers needs batches >= 1, got {batches}: every pass "
+            f"takes at least one exchange round")
     timer = timer if timer is not None else StageTimer()
     executor = executor if executor is not None else SERIAL
     scheme = scheme if scheme is not None else FullKScheme(k)
     if KMER_IMPL.resolve(impl) == "loop":
-        rel_parts = _count_kmers_loop(reads, comm, timer, batches, bloom_fp,
-                                      lower, upper, executor, scheme)
+        rel_parts, seeds, stream = _count_kmers_loop(
+            reads, comm, timer, batches, bloom_fp, lower, upper, executor,
+            scheme)
     else:
-        rel_parts = _count_kmers_hist(reads, comm, timer, batches, lower,
-                                      upper, executor, scheme, table_budget,
-                                      spill_dir)
+        rel_parts, seeds, stream = _count_kmers_hist(
+            reads, comm, timer, batches, lower, upper, executor, scheme,
+            table_budget, spill_dir)
     # Global dictionary assembly: an allgather of the per-rank reliable
     # sets; column ids are the sorted order.
     comm.allgather([p[0] for p in rel_parts], stage=STAGE)
     all_k = np.concatenate([p[0] for p in rel_parts])
     all_c = np.concatenate([p[1] for p in rel_parts])
     order = np.argsort(all_k)
-    return KmerTable(k=k, kmers=all_k[order], counts=all_c[order],
-                     lower=lower, upper=upper)
+    table = KmerTable(k=k, kmers=all_k[order], counts=all_c[order],
+                      lower=lower, upper=upper, seeds=seeds)
+    table._stream = stream
+    return table
 
 
 def _count_kmers_hist(reads: ReadSet, comm: SimComm, timer: StageTimer,
                       batches: int, lower: int, upper: int,
                       executor: Executor, scheme: SeedScheme,
                       table_budget: int | None, spill_dir: str | None
-                      ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The histogram engine: per-owner reliable ``(keys, counts)`` sets.
+                      ) -> tuple[list, int, _SeedStream | None]:
+    """The histogram engine: per-owner reliable ``(keys, counts)`` sets,
+    the number of seeds counted, and the seed stream (unbudgeted only).
 
     1. **Seed source.**  Unbudgeted, each rank extracts its seed stream
-       once and keeps it through its last round; round ``b`` is the slice
-       ``[(n·b)/batches, (n·(b+1))/batches)``.  Budgeted, a counting sweep
-       gives each rank a prefix array over its stream, so a round's slice
-       maps to a read range plus skip/take offsets and is re-extracted on
-       demand — nothing stream-sized stays resident.
+       once (:func:`_extract_batch_task`: keys, flips, and a sparse
+       scheme's read/position columns); round ``b`` is the key slice
+       ``[(n·b)/batches, (n·(b+1))/batches)``, and the whole stream is
+       returned for CreateSpMat's scan, which then extracts nothing.
+       Budgeted, a counting sweep gives each rank a prefix array over its
+       stream, so a round's slice maps to a read range plus skip/take
+       offsets and is re-extracted on demand — nothing stream-sized stays
+       resident, and no stream is returned.
     2. **Pass 1, per round** — hash and stable-group the slice by owner,
        exchange, and reduce each owner's incoming to its
-       ``(distinct key, count)`` histogram.  Owners buffer histograms;
-       under a budget, one whose buffer reaches its ``table_budget / P``
-       share merge-sums it into a sorted run on disk.
+       ``(distinct key, count)`` histogram, joining the incoming pieces
+       inside the owner's task.  Owners buffer histograms; under a budget,
+       one whose buffer reaches its ``table_budget / P`` share merge-sums
+       it into a sorted run on disk.  An owner whose final-round histogram
+       is its whole count and cannot spill filters it to its reliable keys
+       in the same task, so its full histogram is never buffered.
     3. **Pass 2** — the protocol's second exchange ships the same k-mers
        to the same owners, so its traffic is replayed from the recorded
        round sizes with placeholder payloads: the simulated communicator
@@ -535,23 +692,20 @@ def _count_kmers_hist(reads: ReadSet, comm: SimComm, timer: StageTimer,
     if table_budget is None:
         share, scratch = float("inf"), contextlib.nullcontext()
         pre = np.concatenate(([0], np.cumsum(reads.lengths)))
-        rank_kmers = superstep(
+        streams = superstep(
             _extract_batch_task, spans,
             [int(pre[hi] - pre[lo]) for lo, hi in spans], (scheme, reads))
+        seeds = sum(s[0].shape[0] for s in streams)
+        stream = _SeedStream(reads, scheme, spans, streams)
 
         def round_sends(b: int) -> list[list[np.ndarray]]:
             send = []
             with timer.superstep(STAGE) as step:
-                for p, km in enumerate(rank_kmers):
+                for p, (km, *_) in enumerate(streams):
                     n = km.shape[0]
                     lo, hi = (n * b) // batches, (n * (b + 1)) // batches
                     with step.rank(p):
                         send.append(_send_lists(km[lo:hi], P))
-            if b == batches - 1:
-                # The stream's last use: release it before the owners'
-                # histograms, where the stage's memory peaks.
-                del km
-                rank_kmers.clear()
             return send
     else:
         share = max(1, int(table_budget) // P)
@@ -564,6 +718,7 @@ def _count_kmers_hist(reads: ReadSet, comm: SimComm, timer: StageTimer,
                                 [hi - lo for lo, hi in spans],
                                 (scheme, reads))
         kcs = [np.concatenate(([0], np.cumsum(c))) for c in seed_counts]
+        seeds, stream = sum(int(kc[-1]) for kc in kcs), None
 
         def round_sends(b: int) -> list[list[np.ndarray]]:
             tasks = []
@@ -596,11 +751,16 @@ def _count_kmers_hist(reads: ReadSet, comm: SimComm, timer: StageTimer,
             sizes.append([[int(arr.shape[0]) for arr in row]
                           for row in send])
             recv = comm.alltoallv(send, stage=STAGE)
-            incoming = [np.concatenate(recv[q]) if recv[q] else
-                        np.empty(0, np.uint64) for q in range(P)]
-            del send, recv
-            hists = superstep(_round_hist_task, incoming,
-                              [inc.shape[0] for inc in incoming])
+            del send
+            n_in = [sum(piece.shape[0] for piece in pieces)
+                    for pieces in recv]
+            # 16 bytes per distinct key bound the histogram, so below its
+            # share an owner's final-round histogram cannot spill.
+            select = [b == batches - 1 and not parts[q] and not runs[q]
+                      and 16 * n_in[q] < share for q in range(P)]
+            hists = superstep(_round_hist_task, list(zip(recv, select)),
+                              n_in, (lower, upper))
+            del recv
             for q, (uniq, cnt) in enumerate(hists):
                 if uniq.shape[0] == 0:
                     continue
@@ -617,16 +777,17 @@ def _count_kmers_hist(reads: ReadSet, comm: SimComm, timer: StageTimer,
         for q in range(P):
             if runs[q] and parts[q]:
                 flush(q)
-        return superstep(
+        rel_parts = superstep(
             _reliable_hist_task, list(zip(parts, runs)),
             [sum(r.n for r in runs[q]) + sum(u.shape[0] for u, _ in parts[q])
              for q in range(P)], (lower, upper))
+    return rel_parts, seeds, stream
 
 
 def _count_kmers_loop(reads: ReadSet, comm: SimComm, timer: StageTimer,
                       batches: int, bloom_fp: float, lower: int, upper: int,
                       executor: Executor, scheme: SeedScheme
-                      ) -> list[tuple[np.ndarray, np.ndarray]]:
+                      ) -> tuple[list, int, None]:
     """The parity oracle: the two-pass protocol as the paper states it.
 
     Per-read extraction, mask-built send lists, a Bloom filter per owner
@@ -686,5 +847,6 @@ def _count_kmers_loop(reads: ReadSet, comm: SimComm, timer: StageTimer,
                                       count=len(table)))
                   for table in admitted]
     exchange_rounds(pass2)
-    return superstep(_reliable_task, admitted, [len(t) for t in admitted],
-                     (lower, upper))
+    rel_parts = superstep(_reliable_task, admitted,
+                          [len(t) for t in admitted], (lower, upper))
+    return rel_parts, total_kmers, None

@@ -9,6 +9,7 @@ multiplicity window (``lower >= 2``), executor, and adversarial input shape
 all-unreliable tables).
 """
 
+import pickle
 import weakref
 
 import numpy as np
@@ -127,6 +128,12 @@ def test_read_kmers_batch_noncontiguous_subset():
        st.integers(2, 6))      # upper
 def test_count_parity_hypothesis(read_lists, P, batches, lower, upper):
     reads = _readset(read_lists)
+    if upper < lower:     # an empty window: both engines refuse it by name
+        for impl in ("loop", "batch"):
+            with pytest.raises(ValueError, match="upper >= lower"):
+                _count(reads, impl, P=P, batches=batches, lower=lower,
+                       upper=upper)
+        return
     tl, trl = _count(reads, "loop", P=P, batches=batches, lower=lower,
                      upper=upper)
     tb, trb = _count(reads, "batch", P=P, batches=batches, lower=lower,
@@ -214,34 +221,52 @@ def test_multi_batch_matches_single_batch():
             _assert_tables_equal(ref, got)
 
 
-def test_seed_stream_is_released_with_its_last_round(monkeypatch):
-    """The resident seed stream is the stage's largest array and dead once
-    the last round's send lists exist: it must be gone while that round's
-    owner histograms — the stage's memory peak — are formed, and still
-    there for every earlier round."""
+def test_seed_stream_lives_until_the_a_scan(monkeypatch):
+    """The unbudgeted stream is extracted once and kept: alive through
+    every round's owner histograms, handed to CreateSpMat on the table, and
+    gone — from the table and from memory — once the scan superstep has
+    returned, before A's blocks are gathered."""
+    from repro.core import overlap
     from repro.seqs import kmer_counter as kc
     rng = np.random.default_rng(4)
     reads = _readset([rng.integers(0, 4, 80) for _ in range(12)])
-    streams, alive_at_hist = [], []
+    streams, alive_at_hist, alive_at_gather = [], [], []
     real_extract, real_hist = kc._extract_batch_task, kc._round_hist_task
+    real_gather = overlap._gather_blocks
+
+    def alive():
+        return sum(ref() is not None for ref in streams)
 
     def extract(ctx, span):
         stream = real_extract(ctx, span)
-        streams.append(weakref.ref(stream))
+        streams.append(weakref.ref(stream[0]))
         return stream
 
-    def hist(ctx, incoming):
-        alive_at_hist.append(sum(ref() is not None for ref in streams))
-        return real_hist(ctx, incoming)
+    def hist(ctx, task):
+        alive_at_hist.append(alive())
+        return real_hist(ctx, task)
+
+    def gather(*args):
+        alive_at_gather.append(alive())
+        return real_gather(*args)
 
     monkeypatch.setattr(kc, "_extract_batch_task", extract)
     monkeypatch.setattr(kc, "_round_hist_task", hist)
-    P, batches = 3, 2
+    monkeypatch.setattr(overlap, "_gather_blocks", gather)
+    P, batches = 4, 2
     got, _ = _count(reads, "batch", P=P, batches=batches, upper=30)
-    assert alive_at_hist == [P] * P + [0] * P
+    assert alive_at_hist == [P] * (P * batches)
+    assert alive() == P and got._stream is not None
+    A, _, _ = _build_a(reads, got, "batch", P=P)
+    assert alive_at_gather == [0] and alive() == 0
+    assert got._stream is None
     monkeypatch.undo()
-    _assert_tables_equal(_count(reads, "batch", P=P, batches=1, upper=30)[0],
-                         got)
+    ref, _ = _count(reads, "batch", P=P, batches=1, upper=30)
+    _assert_tables_equal(ref, got)
+    ref.take_stream()
+    want, _, _ = _build_a(reads, ref, "batch", P=P)
+    for name in ("row", "col", "vals"):
+        assert np.array_equal(getattr(A, name), getattr(want, name))
 
 
 # -- send lists: the owner partition vs one mask per rank --------------------
@@ -344,3 +369,142 @@ def test_a_matrix_empty_table():
     for impl in ("loop", "batch"):
         g, _, _ = _build_a(reads, table, impl, P=1)
         assert g.nnz == 0
+
+
+# -- CreateSpMat from CountKmer's seed stream --------------------------------
+
+def _genome_reads(seed, n_reads=30, short=5):
+    """Substrings of one random genome (both strands), the first ``short``
+    of them shorter than k = 9, so leading ranks scan empty streams."""
+    rng = np.random.default_rng(seed)
+    genome = rng.integers(0, 4, 300).astype(np.uint8)
+    arrays = []
+    for i in range(n_reads):
+        length = int(rng.integers(3, 9)) if i < short or i % 5 == 0 \
+            else int(rng.integers(20, 90))
+        lo = int(rng.integers(0, genome.shape[0] - length))
+        read = genome[lo:lo + length]
+        arrays.append(3 - read[::-1] if rng.random() < 0.5 else read)
+    return _readset(arrays)
+
+
+def _a_run(reads, table, P, scheme, executor=None):
+    tracker = CommTracker(P)
+    timer = StageTimer()
+    A = build_a_matrix(reads, table, ProcessGrid2D(P), SimComm(P, tracker),
+                       timer, executor=executor, impl="batch", scheme=scheme)
+    return A, tracker, timer
+
+
+@pytest.mark.parametrize("executor", ["serial", "process"])
+@pytest.mark.parametrize("mode", ["full", "minimizer", "syncmer"])
+@pytest.mark.parametrize("P", [1, 4, 16])
+def test_a_matrix_from_the_kept_stream(P, mode, executor):
+    """A table carrying its seed stream builds the same A blocks,
+    CreateSpMat records and lookup counters as the same table without it
+    (which re-extracts), for every scheme, with reads shorter than k,
+    leading ranks whose streams are empty, and the stream crossing a
+    process pool."""
+    from repro.seqs.seeding import make_scheme
+    reads = _genome_reads(P * 7 + len(mode))
+    scheme = make_scheme(mode, 9, 4)
+    tracker = CommTracker(P)
+    with get_executor(executor, 2) as ex:
+        table = count_kmers(reads, 9, SimComm(P, tracker), StageTimer(),
+                            upper=100, executor=ex, scheme=scheme)
+        bare = pickle.loads(pickle.dumps(table))
+        assert table._stream is not None and bare._stream is None
+        got = _a_run(reads, table, P, scheme, ex)
+        want = _a_run(reads, bare, P, scheme, ex)
+    assert table._stream is None
+    (A, tra, tma), (B, trb, tmb) = got, want
+    assert A.nnz() > 0
+    for brow_a, brow_b in zip(A.blocks, B.blocks):
+        for a, b in zip(brow_a, brow_b):
+            for name in ("row", "col", "vals"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert tra.summary() == trb.summary()
+    assert tma.work_counts() == tmb.work_counts()
+    assert tma.peak_bytes() == tmb.peak_bytes()
+
+
+def _counted_seeds(monkeypatch):
+    """Count every ``seeds_of_block`` call, whatever the scheme."""
+    from repro.seqs import seeding
+    calls = []
+    for cls in (seeding.FullKScheme, seeding.MinimizerScheme,
+                seeding.SyncmerScheme):
+        real = cls.seeds_of_block
+
+        def counted(self, *args, _real=real):
+            calls.append(type(self).__name__)
+            return _real(self, *args)
+        monkeypatch.setattr(cls, "seeds_of_block", counted)
+    return calls
+
+
+def test_unbudgeted_batch_run_extracts_each_rank_once(clean_dataset,
+                                                      monkeypatch):
+    """One extraction per rank per run: CountKmer's, which CreateSpMat
+    reuses.  A budgeted count keeps no stream, so its A scan re-extracts
+    (the same A either way)."""
+    from repro import PipelineConfig, run_pipeline
+    _genome, reads, _layout = clean_dataset
+    reads = reads.subset(np.arange(60))
+    base = dict(k=17, nprocs=4, align_mode="chain", depth_hint=12,
+                error_hint=0.0, fuzz=20, kmer_impl="batch", seed_mode="full",
+                overlap_mode="monolithic", read_store="inmem",
+                workers=1, executor="serial", fault_plan="")
+    calls = _counted_seeds(monkeypatch)
+    res = run_pipeline(reads, PipelineConfig(**base))
+    assert len(calls) == 4
+    del calls[:]
+    budgeted = run_pipeline(reads, PipelineConfig(**base,
+                                                  memory_budget=1 << 30))
+    assert len(calls) > 4
+    assert res.nnz_a == budgeted.nnz_a
+    assert np.array_equal(res.S.vals, budgeted.S.vals)
+
+
+def test_a_scan_refuses_a_stream_of_other_reads_or_scheme(monkeypatch):
+    """The stream is bound to the ReadSet object, the scheme and the rank
+    spans it was cut from: any mismatch re-extracts (same A as a bare
+    table), and the stream is dropped either way."""
+    from repro.seqs.seeding import make_scheme
+    reads = _genome_reads(3, n_reads=20, short=2)
+    twin = _readset([reads[i] for i in range(len(reads))])
+    full, mini = make_scheme("full", 9), make_scheme("minimizer", 9, 4)
+
+    def count(scheme, P=4):
+        return count_kmers(reads, 9, SimComm(P, CommTracker(P)),
+                           StageTimer(), upper=100, scheme=scheme)
+
+    for build_reads, table, scheme in [
+            (twin, count(full), full),            # equal bases, other object
+            (reads, count(mini), full),           # other scheme
+            (reads, count(full, P=1), full)]:     # other rank spans (P = 4)
+        bare = pickle.loads(pickle.dumps(table))
+        calls = _counted_seeds(monkeypatch)
+        A, tra, _ = _a_run(build_reads, table, 4, scheme)
+        assert len(calls) == 4
+        assert table._stream is None
+        monkeypatch.undo()
+        B, trb, _ = _a_run(build_reads, bare, 4, scheme)
+        g, h = A.to_global(), B.to_global()
+        for name in ("row", "col", "vals"):
+            assert np.array_equal(getattr(g, name), getattr(h, name))
+        assert tra.summary() == trb.summary()
+
+
+def test_only_the_unbudgeted_batch_count_keeps_a_stream(tmp_path):
+    reads = _genome_reads(8)
+    comm = SimComm(4, CommTracker(4))
+    kept = count_kmers(reads, 9, comm, StageTimer(), upper=100)
+    assert kept._stream is not None
+    assert pickle.loads(pickle.dumps(kept))._stream is None
+    for kw in (dict(impl="loop"),
+               dict(table_budget=64, spill_dir=str(tmp_path))):
+        other = count_kmers(reads, 9, comm, StageTimer(), upper=100, **kw)
+        assert other._stream is None
+        assert other.seeds == kept.seeds
+        _assert_tables_equal(other, kept)

@@ -116,6 +116,21 @@ def test_reliable_upper_bound_matches_paper_regime():
     assert reliable_upper_bound(40, 0.13, 17) > 4
 
 
+@pytest.mark.parametrize("impl", ("loop", "batch"))
+@pytest.mark.parametrize("bad, match", [
+    (dict(batches=0), "batches >= 1"),
+    (dict(batches=-1), "batches >= 1"),
+    (dict(upper=1), "upper >= lower"),
+    (dict(lower=5, upper=4), "upper >= lower"),
+])
+def test_bad_counting_parameters_are_refused(impl, bad, match):
+    """Both engines used to return an empty table for these."""
+    reads = ReadSet(["a", "b"], [encode("ACGTACGGTCAG" * 4)] * 2)
+    with pytest.raises(ValueError, match=match):
+        count_kmers(reads, 5, SimComm(1, CommTracker(1)), StageTimer(),
+                    impl=impl, **bad)
+
+
 def test_empty_reads():
     reads = ReadSet(["e"], [encode("ACG")])  # shorter than k
     comm = SimComm(1, CommTracker(1))
@@ -145,7 +160,10 @@ def _lookup_oracle(keys, queries):
 
 def _check_lookup(table, queries):
     """Parity with the oracle plus the counters' invariants; returns the
-    tally."""
+    tally.  The same keys under a reliable fraction that selects the
+    occupancy prefilter must give the same columns and ``windows``: the
+    map only spares misses the walk, so ``probes`` and ``leftover`` can
+    only shrink, and stay per-query sums."""
     queries.setflags(write=False)
     tally = {}
     got = table.lookup(queries, tally)
@@ -154,11 +172,22 @@ def _check_lookup(table, queries):
     assert tally["windows"] == queries.shape[0]
     assert tally["leftover"] <= tally["windows"]
     assert tally["probes"] <= STEPS * tally["windows"]
+    filt = KmerTable(k=table.k, kmers=table.kmers, counts=table.counts,
+                     lower=table.lower, upper=table.upper,
+                     seeds=10 * int(table.counts.sum()) + 1)
+    assert table._occ is None
+    assert (filt._occ is not None) == (len(table) > 0)
+    filt_tally = {}
+    assert np.array_equal(filt.lookup(queries, filt_tally), got)
+    assert filt_tally["windows"] == tally["windows"]
+    assert filt_tally["probes"] <= tally["probes"]
+    assert filt_tally["leftover"] <= tally["leftover"]
     # Per-query sums: any batching of the same queries adds up to them.
-    split = {}
-    for part in np.array_split(queries, 3):
-        table.lookup(part, split)
-    assert split == tally
+    for tab, want in ((table, tally), (filt, filt_tally)):
+        split = {}
+        for part in np.array_split(queries, 3):
+            tab.lookup(part, split)
+        assert split == want
     return tally
 
 
@@ -186,6 +215,9 @@ def test_lookup_single_entry_table():
     zero = _table([0])
     assert zero.lookup(np.array([0, 1, 2 ** 64 - 1], dtype=np.uint64)
                        ).tolist() == [0, -1, -1]
+    for one in (table, zero):
+        _check_lookup(one, np.array([0, 0, 41, 42, 42, 43, 2 ** 64 - 1],
+                                    dtype=np.uint64))
 
 
 def test_lookup_counts_walk_by_hand():
@@ -269,6 +301,44 @@ def test_lookup_skewed_table_is_bounded():
     hits = rng.choice(spread.kmers, 5000)
     tally = _check_lookup(spread, hits)
     assert tally["leftover"] < 0.05 * 5000
+
+
+# -- the occupancy prefilter, selected by the table's reliable fraction -----
+
+BELOW = kmer_counter._PREFILTER_BELOW
+
+
+def test_prefilter_selection_reads_the_reliable_fraction(clean_dataset):
+    """Only a table that knows its seed count, and whose reliable keys are
+    under ``BELOW`` of it, gets the map — no larger than its keys; the
+    count is the same for every engine and for the histogram route."""
+    keys = np.arange(1, 2001, dtype=np.uint64) * np.uint64(7919)
+    counts = np.full(keys.shape[0], 3, dtype=np.int64)
+    total = int(counts.sum())
+
+    def table(seeds):
+        return KmerTable(k=17, kmers=keys, counts=counts, lower=2, upper=4,
+                         seeds=seeds)
+
+    assert table(None)._occ is None
+    assert table(total)._occ is None
+    assert table(int(total / BELOW) - 1)._occ is None
+    occ = table(int(total / BELOW) + 2)._occ
+    assert occ is not None
+    assert 4 * keys.shape[0] < occ.shape[0] <= 8 * keys.shape[0]
+    assert occ.nbytes <= keys.nbytes
+    assert table(None) == table(10 * total)        # seeds is not compared
+
+    _genome, reads, _layout = clean_dataset
+    sub = reads.subset(np.arange(30))
+    windows = sum(max(0, len(sub[i]) - 16) for i in range(len(sub)))
+    hist = kmer_counter.kmer_histogram(sub, 17)
+    got = [count_kmers(sub, 17, SimComm(P, CommTracker(P)), StageTimer(),
+                       upper=40, impl=impl, **kw).seeds
+           for P in (1, 4) for impl in ("loop", "batch")
+           for kw in ({}, {"table_budget": 4096})]
+    got.append(kmer_counter.table_from_histogram(*hist, 17, upper=40).seeds)
+    assert got == [windows] * len(got)
 
 
 def test_lookup_index_travels_with_a_pickled_table(clean_dataset,

@@ -101,3 +101,27 @@ def test_stage_names_match_paper():
     assert set(STAGES) == {"Alignment", "ReadFastq", "CountKmer",
                            "CreateSpMat", "SpGEMM", "ExchangeRead",
                            "TrReduction"}
+
+
+@pytest.mark.parametrize("bad, match", [
+    (dict(kmer_batches=0), "kmer_batches"),
+    (dict(kmer_batches=-1), "kmer_batches"),
+    (dict(kmer_upper=1), "kmer_upper"),
+])
+def test_bad_counting_parameters_are_refused_by_name(clean_dataset, bad,
+                                                     match):
+    """A zero or negative round count, or a reliable window with nothing
+    in it, used to run to an empty assembly; the config, the pipeline and
+    the service (which resolves the same config per refresh) refuse it."""
+    from repro.service.config import ServiceConfig
+    from repro.service.incremental import refresh
+    from repro.service.state import AssemblyState
+    _genome, reads, _layout = clean_dataset
+    with pytest.raises(ValueError, match=match):
+        _cfg(**bad).resolved()
+    with pytest.raises(ValueError, match=match):
+        run_pipeline(reads.subset(np.arange(8)), _cfg(**bad))
+    with pytest.raises(ValueError, match=match):
+        refresh(AssemblyState.initial(), reads.subset(np.arange(8)),
+                ServiceConfig(pipeline=_cfg(**bad)))
+    assert _cfg(kmer_batches=1, kmer_upper=2).resolved().kmer_upper == 2
