@@ -33,7 +33,7 @@ from ..mpisim.comm import SimComm
 from ..mpisim.grid import ProcessGrid2D
 from ..mpisim.machine import MachineModel
 from ..mpisim.tracker import CommTracker, StageTimer
-from ..options import AXES, EXECUTOR, FAULT_PLAN, READ_STORE
+from ..options import AXES, EXECUTOR, FAULT_PLAN
 from ..resilience.faults import FaultPlan, active_plan, current_plan
 from ..seqs.fasta import ReadSet, read_fasta, read_fasta_to_store
 from ..seqs.kmer_counter import count_kmers, reliable_upper_bound
@@ -125,7 +125,9 @@ class PipelineConfig:
         unset ``fault_plan`` consults the environment only when no plan is
         armed (see the class docstring).  Counting parameters that would
         silently empty the assembly (``kmer_batches < 1``, ``kmer_upper``
-        below the reliable lower bound 2) are refused by name.
+        below the reliable lower bound 2) are refused by name, and so are
+        hints the derived bound cannot use (:func:`reliable_upper_bound`)
+        when ``kmer_upper`` is unset — here, before any read is read.
         """
         if self.kmer_batches < 1:
             raise ValueError(
@@ -135,6 +137,14 @@ class PipelineConfig:
             raise ValueError(
                 f"kmer_upper must be >= 2, the reliable lower bound, got "
                 f"{self.kmer_upper}: no k-mer would be reliable")
+        if self.kmer_upper is None:
+            try:
+                reliable_upper_bound(self.depth_hint, self.error_hint, self.k)
+            except ValueError as exc:
+                raise ValueError(
+                    f"depth_hint={self.depth_hint!r}, error_hint="
+                    f"{self.error_hint!r} cannot derive kmer_upper: {exc}"
+                ) from None
         values = {axis.name: axis.resolve(getattr(self, axis.name))
                   for axis in AXES
                   if axis.pipeline and axis not in (EXECUTOR, FAULT_PLAN)}
@@ -393,8 +403,7 @@ def run_pipeline_from_fasta(path, config: PipelineConfig | None = None
     bases are never all resident, which is the ingest path for inputs
     larger than memory.
     """
-    cfg = config if config is not None else PipelineConfig()
-    cfg = replace(cfg, read_store=READ_STORE.resolve(cfg.read_store))
+    cfg = (config if config is not None else PipelineConfig()).resolved()
     with contextlib.ExitStack() as stack:
         t0 = time.perf_counter()
         if cfg.read_store == "mmap":

@@ -15,7 +15,11 @@ error-free with probability ``(1-e)^k``, so correct k-mers have multiplicity
 ``≈ Poisson(d·(1-e)^k)`` and anything far above that quantile is a repeat or
 artifact.  With the paper's CLR parameters (k=17, e≈0.15, d=10–40) this model
 lands on the small cutoffs the paper reports (they use max frequency 4 for
-H. sapiens).
+H. sapiens).  The quantile is computed here, exactly and with :mod:`math`
+only (:func:`_poisson_quantile`).  It is one number per run, and taking it
+from scipy's statistics package made every process import that package's
+whole dependency tree for it: about 50 MB of resident memory and most of a
+second of start-up.  ``tests/test_import_floor.py`` keeps it out.
 
 Because the lower bound is at least 2, the protocol's *result* never
 depends on the Bloom filter: false positives only admit singletons, which
@@ -40,14 +44,15 @@ parity and golden suites.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import functools
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from ..exec import Executor, SERIAL
 from ..mpisim.comm import SimComm
@@ -525,18 +530,65 @@ class KmerTable:
         return col
 
 
+#: Largest coverage :func:`reliable_upper_bound` accepts.  The quantile
+#: costs O(√μ) steps, so a mistyped hint like 1e300 would never return;
+#: no sequencing run comes near this.
+MAX_DEPTH = 1e6
+
+
 def reliable_upper_bound(depth: float, error_rate: float, k: int,
                          quantile: float = 0.998) -> int:
     """BELLA-style maximum reliable k-mer multiplicity.
 
     Mean multiplicity of a correct, unique-locus k-mer is
     ``μ = depth · (1 - e)^k``; the upper cutoff is the ``quantile`` point of
-    ``Poisson(μ)`` plus one, and never below 4 (the floor the paper's runs
-    effectively used).
+    ``Poisson(μ)`` — the smallest ``n`` with ``CDF(n; μ) >= quantile``, the
+    integer scipy's ``poisson.ppf`` returns — and never below 4 (the
+    floor the paper's runs effectively used).  Inputs outside the model
+    (``depth`` outside ``(0, MAX_DEPTH]``, ``error_rate`` outside
+    ``[0, 1)``, ``quantile`` outside ``(0, 1)``) are refused by name.
     """
+    if not 0 < depth <= MAX_DEPTH:
+        raise ValueError(
+            f"depth must be a coverage in (0, {MAX_DEPTH:g}], got {depth!r}")
+    if not 0 <= error_rate < 1:
+        raise ValueError(
+            f"error_rate must lie in [0, 1), got {error_rate!r}")
+    if not 0 < quantile < 1:
+        raise ValueError(f"quantile must lie in (0, 1), got {quantile!r}")
     mu = depth * (1.0 - error_rate) ** k
-    upper = int(stats.poisson.ppf(quantile, mu))
-    return max(4, upper)
+    return max(4, _poisson_quantile(quantile, mu))
+
+
+def _poisson_quantile(q: float, mu: float) -> int:
+    """Smallest ``n`` with ``CDF(n; μ) >= q`` for ``X ~ Poisson(μ)``.
+
+    The pmf terms are summed in log space (``log p_n = log p_{n-1} +
+    log μ - log n``, running ``log CDF`` by log-add-exp), so ``exp(-μ)``
+    never underflows.  Terms below ``n0 = μ - 40√μ`` are skipped: by the
+    Poisson lower-tail bound they hold under ``e^-800`` of the mass, less
+    than the smallest positive double.  The sum runs past the mode until
+    a term falls ``e^-60`` below it, and ``CDF(n)`` is taken relative to
+    that total, so the start term's rounding (``lgamma`` for ``n0 > 0``)
+    cancels instead of scaling every ``CDF(n)``.  What remains is
+    rounding of order ``n·2⁻⁵²`` in each ``log CDF(n)``: the result can
+    differ from scipy's ``poisson.ppf`` only when some ``CDF(n)`` lies
+    within that of ``q``.  The parity suite checks that this does not
+    happen over μ from 1e-3 to 1e4 and q from 0.5 to 0.9999.
+    """
+    if mu == 0.0:           # (1 - e)^k underflowed: all mass at 0
+        return 0
+    log_mu = math.log(mu)
+    n = max(0, math.ceil(mu - 40.0 * math.sqrt(mu)))
+    log_p = n * log_mu - mu - math.lgamma(n + 1.0)
+    log_cdf = [log_p]       # log CDF(n0 + i), non-decreasing
+    while n < mu or log_p > log_cdf[-1] - 60.0:
+        n += 1
+        log_p += log_mu - math.log(n)
+        hi, lo = max(log_cdf[-1], log_p), min(log_cdf[-1], log_p)
+        log_cdf.append(hi + math.log1p(math.exp(lo - hi)))
+    n0 = n + 1 - len(log_cdf)
+    return n0 + bisect.bisect_left(log_cdf, log_cdf[-1] + math.log(q))
 
 
 def count_kmers(reads: ReadSet, k: int, comm: SimComm,

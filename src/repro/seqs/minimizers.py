@@ -92,20 +92,26 @@ def minimizers_batch(codes: np.ndarray, offsets: np.ndarray,
         return canon, ridx, pos, flip
     lengths = np.asarray(lengths, dtype=np.int64)
     n_win = np.maximum(lengths - (k - 1), 0)
-    starts = np.zeros(n_win.shape[0] + 1, dtype=np.int64)
-    np.cumsum(n_win, out=starts[1:])
     order = splitmix64(canon)
     keep = np.zeros(total, dtype=bool)
     if total >= w:
-        # One sliding argmin over the concatenated hash stream.  A window
-        # start g belongs to the read whose slot range contains it; it is a
-        # real w-window of that read only when it also *ends* inside the
-        # read — windows straddling a boundary are masked out.
-        win = np.lib.stride_tricks.sliding_window_view(order, w)
-        arg = win.argmin(axis=1) + np.arange(win.shape[0], dtype=np.int64)
-        g = np.arange(win.shape[0], dtype=np.int64)
-        gr = np.searchsorted(starts, g, side="right") - 1
-        keep[arg[g + w <= starts[gr + 1]]] = True
+        # One sliding argmin over the concatenated hash stream, as a
+        # running minimum over the w shifted slices: a later slice wins
+        # only when strictly smaller, which keeps np.argmin's first tie,
+        # and no n × w window array is formed.  Window start g is a real
+        # w-window of its read only when it also *ends* inside the read
+        # (ridx is read-major, so one comparison of its ends says so);
+        # windows straddling a boundary are masked out.
+        n = total - w + 1
+        best = order[:n].copy()
+        arg = np.zeros(n, dtype=np.int64)
+        for j in range(1, w):
+            shifted = order[j:j + n]
+            better = shifted < best
+            np.copyto(best, shifted, where=better)
+            np.copyto(arg, j, where=better)
+        arg += np.arange(n, dtype=np.int64)
+        keep[arg[ridx[w - 1:] == ridx[:n]]] = True
         small = (n_win >= 1) & (n_win < w)
     else:
         small = n_win >= 1

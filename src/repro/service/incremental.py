@@ -111,7 +111,20 @@ from ..seqs.seeding import FullKScheme, SeedScheme, make_scheme
 from .config import ServiceConfig
 from .state import AssemblyState
 
-__all__ = ["refresh", "batch_occurrences"]
+__all__ = ["refresh", "batch_occurrences", "service_pipeline"]
+
+
+def service_pipeline(config: ServiceConfig) -> PipelineConfig:
+    """The resolved pipeline config every refresh under ``config`` runs.
+
+    Pin the in-memory read backend too: the service's versioned states
+    extend/concat their ReadSets across refreshes, and a per-refresh store
+    rebuild would put an ingest-sized disk write on every delta.  The
+    blocked-only options go with the blocked path.
+    """
+    return replace(config.pipeline, overlap_mode="monolithic",
+                   read_store="inmem", n_strips=None,
+                   checkpoint_dir=None).resolved()
 
 
 def _resolved_upper(pcfg: PipelineConfig) -> int:
@@ -540,13 +553,7 @@ def refresh(state: AssemblyState, batch: ReadSet,
     config = config if config is not None else ServiceConfig()
     mode = REFRESH_MODE.resolve(mode if mode is not None
                                 else config.refresh_mode)
-    # Pin the in-memory read backend too: the service's versioned states
-    # extend/concat their ReadSets across refreshes, and a per-refresh
-    # store rebuild would put an ingest-sized disk write on every delta.
-    # The blocked-only options go with the blocked path.
-    pcfg = replace(config.pipeline, overlap_mode="monolithic",
-                   read_store="inmem", n_strips=None,
-                   checkpoint_dir=None).resolved()
+    pcfg = service_pipeline(config)
     # Injection point for the chaos suite: fires before any new state is
     # built, so a failed refresh leaves nothing half-made to roll back.
     maybe_fault("service.refresh")

@@ -41,7 +41,7 @@ from ..resilience.faults import FaultPlan, active_plan
 from ..seqs.dna import encode
 from ..seqs.fasta import ReadSet
 from .config import ServiceConfig
-from .incremental import refresh
+from .incremental import refresh, service_pipeline
 from .query_cache import QueryCache
 from .state import AssemblyState, SessionStore
 
@@ -86,6 +86,9 @@ class AssemblyService:
     def __init__(self, config: ServiceConfig | None = None,
                  fault_spec: str | None = None) -> None:
         self.config = config if config is not None else ServiceConfig()
+        # A config no refresh could run (say, unusable depth/error hints)
+        # is refused here, before any read arrives.
+        service_pipeline(self.config)
         self.store = SessionStore(AssemblyState.initial())
         self.cache = QueryCache(self.config.cache_entries)
         spec = FAULT_PLAN.resolve(fault_spec)

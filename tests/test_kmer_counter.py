@@ -116,6 +116,78 @@ def test_reliable_upper_bound_matches_paper_regime():
     assert reliable_upper_bound(40, 0.13, 17) > 4
 
 
+#: Every ``(depth_hint, error_hint)`` the repository runs with — the bench
+#: workloads, the ``eval`` dataset presets, the examples, the CLI defaults
+#: and the hints the test suites pass — and the ``upper`` each gave when the
+#: bound was scipy's ``poisson.ppf``: at k = 17, and at the k = 5 a test uses.
+REPO_HINTS = {
+    (10, 0.12): (5, 13), (30, 0.13): (9, 27), (40, 0.01): (52, 57),
+    (12, 0.01): (20, 22), (15, 0.05): (15, 23), (40, 0.13): (10, 34),
+    (10, 0.15): (4, 12), (18, 0.06): (15, 25), (30, 0.15): (7, 25),
+    (10, 0.0): (20, 20), (8, 0.0): (17, 17), (9, 0.0): (19, 19),
+    (12, 0.0): (23, 23), (12, 0.05): (13, 19), (12, 0.12): (6, 15),
+    (8, 0.05): (10, 14), (9, 0.05): (10, 16), (10, 0.05): (11, 17),
+}
+
+
+@pytest.mark.parametrize("hints", sorted(REPO_HINTS), ids=str)
+def test_reliable_upper_bound_keeps_every_repo_value(hints):
+    depth, error = hints
+    assert (reliable_upper_bound(depth, error, 17),
+            reliable_upper_bound(depth, error, 5)) == REPO_HINTS[hints]
+
+
+@pytest.mark.parametrize("q", (0.5, 0.9, 0.99, 0.998, 0.999, 0.9999))
+def test_poisson_quantile_matches_scipy(q):
+    """The in-house quantile is scipy's ``poisson.ppf``, point for point,
+    over μ from 1e-3 to 1e4 and densely over the range the hints reach."""
+    from scipy import stats
+
+    mus = np.unique(np.concatenate([np.geomspace(1e-3, 1e4, 601),
+                                    np.linspace(0.01, 60.0, 2000)]))
+    want = stats.poisson.ppf(q, mus).astype(np.int64)
+    got = np.array([kmer_counter._poisson_quantile(q, float(mu))
+                    for mu in mus])
+    bad = np.flatnonzero(got != want)
+    assert bad.size == 0, list(zip(mus[bad], got[bad], want[bad]))[:5]
+
+
+def test_poisson_quantile_edges():
+    from scipy import stats
+
+    quantile = kmer_counter._poisson_quantile
+    # μ → 0: all the mass sits at 0, for any q short of 1.
+    for mu in (1e-300, 1e-12, 1e-3):
+        assert quantile(0.999, mu) == 0
+    assert quantile(0.9999, 1e-3) == 1
+    assert quantile(0.5, 0.0) == 0
+    # Tiny q lands in the left tail, where exp(-μ) alone would underflow.
+    for q in (1e-300, 1e-10, 1e-3):
+        for mu in (1.0, 10.0, 800.0, 1e4):
+            assert quantile(q, mu) == int(stats.poisson.ppf(q, mu))
+    # Far past exp(-μ)'s underflow, and q within 1e-12 of 1.
+    assert quantile(0.998, 1e4) == 10_289
+    assert quantile(1 - 1e-12, 1e4) == int(stats.poisson.ppf(1 - 1e-12, 1e4))
+    # The floor of 4 still holds where the quantile is below it.
+    assert reliable_upper_bound(1e-3, 0.0, 17) == 4
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(depth=0), "depth"), (dict(depth=-3), "depth"),
+    (dict(depth=float("nan")), "depth"), (dict(depth=float("inf")), "depth"),
+    (dict(depth=1e300), "depth"),
+    (dict(error_rate=1.0), "error_rate"), (dict(error_rate=1.5), "error_rate"),
+    (dict(error_rate=-0.1), "error_rate"),
+    (dict(error_rate=float("nan")), "error_rate"),
+    (dict(quantile=0.0), "quantile"), (dict(quantile=1.0), "quantile"),
+    (dict(quantile=float("nan")), "quantile"),
+])
+def test_reliable_upper_bound_refuses_bad_inputs_by_name(kwargs, match):
+    args = {"depth": 10.0, "error_rate": 0.15, "k": 17, **kwargs}
+    with pytest.raises(ValueError, match=match):
+        reliable_upper_bound(**args)
+
+
 @pytest.mark.parametrize("impl", ("loop", "batch"))
 @pytest.mark.parametrize("bad, match", [
     (dict(batches=0), "batches >= 1"),

@@ -12,7 +12,7 @@ import re
 import pytest
 
 from repro import options
-from repro.cli import build_parser
+from repro.cli import build_parser, main
 from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.options import AXES, WORKERS
 from repro.service import AssemblyState, ServiceConfig, refresh
@@ -181,6 +181,31 @@ def test_blocked_only_options_are_refused_under_monolithic(field, value,
     PipelineConfig(overlap_mode="blocked", **{field: value}).resolved()
     monkeypatch.setenv("REPRO_OVERLAP_MODE", "blocked")
     PipelineConfig(**{field: value}).resolved()
+
+
+BAD_HINTS = [dict(error_hint=1.5), dict(error_hint=float("nan")),
+             dict(depth_hint=-3), dict(depth_hint=0)]
+
+
+@pytest.mark.parametrize("hints", BAD_HINTS, ids=str)
+def test_unusable_bound_hints_are_refused_by_name(hints):
+    """Regression: these hints failed deep inside counting (``cannot
+    convert float NaN to integer``) instead of by name."""
+    name = next(iter(hints))
+    with pytest.raises(ValueError, match=name):
+        PipelineConfig(**hints).resolved()
+    # An explicit kmer_upper never consults the hints.
+    PipelineConfig(kmer_upper=8, **hints).resolved()
+
+
+@pytest.mark.parametrize("command", ["stats", "serve"])
+def test_cli_refuses_bad_hints_before_reading(command, tmp_path):
+    """``serve`` refuses in the AssemblyService constructor."""
+    missing = str(tmp_path / "missing.fa")
+    argv = ([command, missing] if command == "stats"
+            else [command, "--port", "0", "--initial", missing])
+    with pytest.raises(ValueError, match="error_hint"):
+        main(argv + ["--error-hint", "1.5"])
 
 
 def test_service_drops_blocked_only_options(clean_dataset):
