@@ -1,15 +1,12 @@
 """Baselines the paper compares against: Myers' sequential transitive
-reduction, SORA (Spark/GraphX) TR, diBELLA 1D overlap detection, and a
-minimap2-like minimizer overlapper."""
+reduction, SORA (Spark/GraphX) TR, and diBELLA 1D overlap detection."""
 
 from .myers import myers_transitive_reduction
 from .sora import SoraResult, SparkCostModel, sora_transitive_reduction
 from .dibella1d import Dibella1DResult, run_dibella1d
-from .minimap_like import MinimapLikeResult, run_minimap_like
 
 __all__ = [
     "myers_transitive_reduction",
     "SoraResult", "SparkCostModel", "sora_transitive_reduction",
     "Dibella1DResult", "run_dibella1d",
-    "MinimapLikeResult", "run_minimap_like",
 ]

@@ -9,7 +9,7 @@ pairs to the block-row owner of the first read — communication
 reduction.
 
 This implementation executes that data flow on the simulated runtime so
-Fig. 9's comparison and Table I's 1D column come from measured code:
+Table I's 1D columns come from measured code:
 
 1. k-mer counting (shared with the 2D pipeline — identical cost),
 2. local pair generation at each k-mer owner (stage ``Overlap1D`` compute),
@@ -37,7 +37,7 @@ from ..mpisim.grid import block_bounds
 from ..mpisim.tracker import CommTracker, StageTimer
 from ..seqs.fasta import ReadSet
 from ..seqs.kmer_counter import count_kmers, reliable_upper_bound
-from ..seqs.kmers import canonical_kmers, pack_kmers, splitmix64
+from ..seqs.kmers import read_kmers_batch, splitmix64
 
 __all__ = ["Dibella1DResult", "run_dibella1d"]
 
@@ -53,24 +53,6 @@ class Dibella1DResult:
     timer: StageTimer
     tracker: CommTracker
 
-    def modeled_time(self, machine, include_alignment: bool = True
-                     ) -> dict[str, float]:
-        """Per-stage modeled runtime (compute·scale + α–β comm)."""
-        out: dict[str, float] = {}
-        for stage in ("ReadFastq", "CountKmer", "Overlap1D", "ExchangeRead1D",
-                      "Alignment"):
-            if not include_alignment and stage == "Alignment":
-                continue
-            comp = self.timer.stage_seconds.get(stage, 0.0)
-            comm = self.tracker.stage_comm_time(stage, machine)
-            total = comp * machine.compute_scale + comm
-            if total > 0.0:
-                out[stage] = total
-        return out
-
-    def modeled_total(self, machine, include_alignment: bool = True) -> float:
-        return sum(self.modeled_time(machine, include_alignment).values())
-
 
 def run_dibella1d(reads: ReadSet, k: int = 17, nprocs: int = 1, *,
                   align_mode: str = "xdrop", scoring: Scoring | None = None,
@@ -78,7 +60,7 @@ def run_dibella1d(reads: ReadSet, k: int = 17, nprocs: int = 1, *,
                   depth_hint: float = 30.0, error_hint: float = 0.15,
                   kmer_upper: int | None = None,
                   backend: Backend | str | None = None) -> Dibella1DResult:
-    """Run the 1D overlap-detection pipeline (Fig. 9's comparator).
+    """Run the 1D overlap-detection pipeline (Table I's comparator).
 
     ``backend`` selects the local sparse kernels used for each owner's
     outer product (the expansion primitive shared with the 2D SpGEMM).
@@ -100,43 +82,28 @@ def run_dibella1d(reads: ReadSet, k: int = 17, nprocs: int = 1, *,
     stage = "Overlap1D"
 
     # Build the k-mer owners' posting lists (owner = hash(kmer) mod P):
-    # arrays of (kmer column, read, pos, flip), vectorized per source rank.
-    # The shipping of these postings shares the counting pass's exchange.
+    # arrays of (kmer column, read, pos, flip), vectorized per source rank —
+    # each read's first window of each reliable k-mer, read-major, then by
+    # column.  The shipping of these postings shares the counting pass's
+    # exchange.
+    m = len(table)
     owner = (splitmix64(table.kmers) % np.uint64(P)).astype(np.int64)
     read_bounds = block_bounds(n, P)
-    post_cols: list[np.ndarray] = []
-    post_reads: list[np.ndarray] = []
-    post_pos: list[np.ndarray] = []
-    post_flip: list[np.ndarray] = []
+    codes, offsets, lengths = reads.soa()
+    posts = []
     with timer.superstep(stage) as step:
         for p in range(P):
             with step.rank(p):
-                for gi in range(int(read_bounds[p]), int(read_bounds[p + 1])):
-                    codes = reads[gi]
-                    fwd = pack_kmers(codes, k)
-                    if fwd.shape[0] == 0:
-                        continue
-                    canon = canonical_kmers(fwd, k)
-                    col = table.lookup(canon)
-                    ok = col >= 0
-                    if not ok.any():
-                        continue
-                    pos = np.flatnonzero(ok)
-                    col = col[ok]
-                    flip = (canon[ok] != fwd[ok]).astype(np.int64)
-                    _, first = np.unique(col, return_index=True)
-                    post_cols.append(col[first])
-                    post_reads.append(np.full(first.shape[0], gi, np.int64))
-                    post_pos.append(pos[first])
-                    post_flip.append(flip[first])
-
-    if post_cols:
-        cols = np.concatenate(post_cols)
-        rds = np.concatenate(post_reads)
-        poss = np.concatenate(post_pos)
-        flips = np.concatenate(post_flip)
-    else:
-        cols = rds = poss = flips = np.empty(0, np.int64)
+                lo, hi = int(read_bounds[p]), int(read_bounds[p + 1])
+                canon, ridx, pos, flip = read_kmers_batch(
+                    codes, offsets[lo:hi], lengths[lo:hi], k)
+                col = table.lookup(canon)
+                ok = col >= 0
+                rd = ridx[ok] + lo
+                _, first = np.unique(rd * m + col[ok], return_index=True)
+                posts.append(np.stack([col[ok][first], rd[first],
+                                       pos[ok][first], flip[ok][first]]))
+    cols, rds, poss, flips = np.concatenate(posts, axis=1).astype(np.int64)
 
     # Local outer product at each owner: all read pairs sharing a k-mer.
     # Each owner's postings form a reads × k-mers block A_q, and the pairs
@@ -147,7 +114,6 @@ def run_dibella1d(reads: ReadSet, k: int = 17, nprocs: int = 1, *,
     empty_payload = np.empty((0, 5), dtype=np.int64)
     pair_send: list[list[np.ndarray]] = [[empty_payload for _ in range(P)]
                                          for _ in range(P)]
-    m = len(table)
     with timer.superstep(stage) as step:
         for q in range(P):
             with step.rank(q):

@@ -29,8 +29,7 @@ Shipped backends
     ``scipy.sparse`` CSR matmul / addition, using the zero-copy CSR views
     cached on :class:`~repro.dsparse.coomat.CooMat`.  The C kernels run
     2–4x faster than the ESC path on counting/structural products at
-    realistic sizes (see ``benchmarks/bench_ablation_backend.py``), and the
-    gap widens as products densify.  Masked scalar products run native
+    realistic sizes, and the gap widens as products densify.  Masked scalar products run native
     first, then intersect with the mask (``masked_csr``).
     Everything it cannot lower *byte-identically* falls back to the numpy
     kernels: multi-field semirings, MinPlus (scipy has no tropical product),

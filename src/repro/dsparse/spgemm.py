@@ -8,10 +8,7 @@ Semiring`:
   semiring's validity check, lexsorted by output coordinate, and folded with
   the semiring's segmented reduce.  No Python-level loop over nonzeros.
 * :func:`spgemm_gustavson` — a dict-accumulator row-by-row reference used to
-  cross-check ESC in tests and in the kernel micro-benchmarks
-  (``benchmarks/bench_kernels.py``); the semiring-design ablations live in
-  ``benchmarks/bench_ablation_semiring.py`` and the backend ablation in
-  ``benchmarks/bench_ablation_backend.py``.
+  cross-check ESC in tests.
 
 CombBLAS uses a hybrid hash/heap local multiply inside Sparse SUMMA (paper
 Section IV-D); ESC is the vectorized equivalent appropriate for numpy.

@@ -1,25 +1,30 @@
-"""Evaluation harness: scaled datasets, metrics, per-table/figure experiment
-drivers, and plain-text reporting."""
+"""Evaluation harness: scaled datasets, metrics and plain-text reporting.
+
+The per-table/figure experiment drivers live in :mod:`repro.eval.experiments`
+and are not imported here: they pull in every baseline, and a process that
+only scores a run (the benchmark's workers) should not pay for them.  The
+report helpers are re-exported lazily, so ``python -m repro.eval.report``
+runs the module once, as ``__main__``.
+"""
 
 from .datasets import PRESETS, DatasetPreset, load_preset
 from .metrics import (graph_edge_recall, overlap_recall_precision,
-                      parallel_efficiency, speedup_series)
-from .experiments import (fig4_strong_scaling, fig5to8_breakdown,
-                          fig9_1d_vs_2d, minimap_comparison,
-                          pipeline_for_preset, table1_comm_costs,
-                          table3_sparsity, table4_datasets,
-                          table6_tr_vs_sora)
-from .report import format_table, format_value, print_table
+                      parallel_efficiency)
 from .assembly_metrics import (contig_spans, genome_coverage, misjoin_count,
                                n50)
+
+_REPORT = ("format_table", "format_value", "print_table")
 
 __all__ = [
     "PRESETS", "DatasetPreset", "load_preset",
     "graph_edge_recall", "overlap_recall_precision", "parallel_efficiency",
-    "speedup_series",
-    "fig4_strong_scaling", "fig5to8_breakdown", "fig9_1d_vs_2d",
-    "minimap_comparison", "pipeline_for_preset", "table1_comm_costs",
-    "table3_sparsity", "table4_datasets", "table6_tr_vs_sora",
-    "format_table", "format_value", "print_table",
+    *_REPORT,
     "contig_spans", "genome_coverage", "misjoin_count", "n50",
 ]
+
+
+def __getattr__(name):
+    if name in _REPORT:
+        from . import report
+        return getattr(report, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,42 +1,44 @@
 """Experiment drivers — one function per paper table/figure.
 
-Each driver returns plain row dictionaries so benchmarks, tests and
-EXPERIMENTS.md generation share one code path.  The mapping to the paper:
+Each driver returns plain row dictionaries, so the claims tests
+(``tests/test_paper_claims.py``) and the printed report
+(``python -m repro.eval.report``) share one code path.  The mapping to the
+paper:
 
-==========================  ====================================
-driver                      paper artifact
-==========================  ====================================
-:func:`table1_comm_costs`   Table I  (communication costs 1D vs 2D)
-:func:`table3_sparsity`     Table III (densities c, c/2d, r)
-:func:`table4_datasets`     Table IV (dataset statistics)
-:func:`table6_tr_vs_sora`   Table VI (TR: diBELLA 2D vs SORA)
-:func:`fig4_strong_scaling` Fig. 4  (strong scaling, 2 machines)
-:func:`fig5to8_breakdown`   Figs. 5–8 (runtime breakdowns)
-:func:`fig9_1d_vs_2d`       Fig. 9  (diBELLA 2D vs 1D)
-:func:`minimap_comparison`  §VII-B  (minimap2 crossover)
-==========================  ====================================
+=====================================  ======================================
+driver                                 paper artifact
+=====================================  ======================================
+:func:`table1_comm_costs`              Table I  (communication costs 1D vs 2D)
+:func:`table3_sparsity`                Table III (densities c, c/2d, r)
+:func:`table4_datasets`                Table IV (dataset statistics)
+:func:`table6_tr_vs_sora`              Table VI (TR: diBELLA 2D vs SORA)
+:func:`fig4_strong_scaling`            Fig. 4  (strong scaling, 2 machines)
+:func:`fig5to8_breakdown`              Figs. 5–8 (runtime breakdowns)
+:func:`fig9_paper_scale_projection`    Fig. 9  (2D vs 1D, Section V-C model)
+:func:`accuracy_table`                 overlap accuracy vs ground truth
+:func:`seed_mode_table`                sketched seeding vs the full-k oracle
+=====================================  ======================================
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from ..baselines.dibella1d import run_dibella1d
 from ..baselines.sora import sora_transitive_reduction
-from ..baselines.minimap_like import run_minimap_like
 from ..core.pipeline import PipelineConfig, PipelineResult, run_pipeline
-from ..mpisim.machine import CORI_HASWELL, MACHINES, SUMMIT_CPU
+from ..core.string_graph import StringGraph
+from ..mpisim.machine import CORI_HASWELL, MACHINES
 from ..seqs.fasta import ReadSet
 from .datasets import PRESETS, load_preset
-from .metrics import parallel_efficiency, speedup_series
+from .metrics import parallel_efficiency
 
 __all__ = [
     "pipeline_for_preset", "table1_comm_costs", "table3_sparsity",
     "table4_datasets", "table6_tr_vs_sora", "fig4_strong_scaling",
-    "fig5to8_breakdown", "fig9_1d_vs_2d", "minimap_comparison",
+    "fig5to8_breakdown", "fig9_paper_scale_projection",
     "accuracy_table", "seed_mode_table",
 ]
 
@@ -52,8 +54,16 @@ def _dataset(name: str):
 
 def pipeline_for_preset(name: str, nprocs: int, align_mode: str = "chain",
                         **overrides) -> tuple[PipelineResult, ReadSet]:
-    """Run diBELLA 2D on a preset (chain alignment by default for speed)."""
+    """Run diBELLA 2D on a preset (chain alignment by default for speed).
+
+    Seeding and the overlap mode default to the paper's — every k-mer, one
+    product — whatever the environment says: the strip-mined mode
+    (Section VIII) broadcasts A once per strip, so its traffic is not the
+    one Table I analyzes.
+    """
     preset, _genome, reads, _layout = _dataset(name)
+    overrides.setdefault("overlap_mode", "monolithic")
+    overrides.setdefault("seed_mode", "full")
     cfg = PipelineConfig(k=17, nprocs=nprocs, align_mode=align_mode,
                          depth_hint=preset.depth,
                          error_hint=preset.error_rate, **overrides)
@@ -74,22 +84,26 @@ def table1_comm_costs(name: str = "ecoli_like",
     For each P, runs both pipelines and reports, per stage, the measured
     max-per-rank word count ``W`` and message count ``Y`` next to the
     Table I prediction evaluated with the run's own dataset parameters
-    (n, l, k, a, m, c, r).
+    (n, l, k, a, m, c).  TR runs on the dovetails between non-contained
+    reads only, so its row is predicted from their count ``d`` and the
+    run's round count ``t``, not from Table I's ``rn/√P`` over all of R.
     """
-    preset, _genome, reads, _layout = _dataset(name)
+    _preset, _genome, reads, _layout = _dataset(name)
     rows: list[dict] = []
     n = len(reads)
     l = float(np.mean(reads.lengths))
     k = 17
+    word = 8.0
     for P in procs:
         res, _ = pipeline_for_preset(name, P)
         oned = _dibella1d_for(name, P)
         m = res.n_kmers
-        a = _a_density(res)
+        a = res.a_density
         c = res.c_density
-        r = res.r_density
+        t = res.tr_rounds
+        # What TR squares: the dovetails between non-contained reads.
+        d = StringGraph.from_coomat(res.R).without_contained().n_edges
         sq = math.sqrt(P)
-        word = 8.0
 
         def w(stage, tracker):
             return tracker.words(stage, word_bytes=8)
@@ -104,11 +118,13 @@ def table1_comm_costs(name: str = "ecoli_like",
         rows.append({
             "P": P, "task": "Overlap Detection",
             "measured_W_2d": w("SpGEMM", res.tracker),
-            "predicted_W": a * m / sq * _spgemm_entry_words(),
+            # 4 words per shipped A entry (row, col, pos, flip).
+            "predicted_W": a * m / sq * 4,
             "measured_Y_2d": res.tracker.messages("SpGEMM"),
             "predicted_Y_2d": sq,
             "measured_W_1d": oned.tracker.words("Overlap1D"),
-            "predicted_W_1d": a * a * m / P * _pair_entry_words(),
+            # 5 words per shipped 1D candidate pair tuple.
+            "predicted_W_1d": a * a * m / P * 5,
             "measured_Y_1d": oned.tracker.messages("Overlap1D"),
             "predicted_Y_1d": P,
         })
@@ -126,26 +142,17 @@ def table1_comm_costs(name: str = "ecoli_like",
         rows.append({
             "P": P, "task": "Transitive Reduction",
             "measured_W_2d": w("TrReduction", res.tracker),
-            "predicted_W": r * n / sq * 4,  # 4-field R payload words
+            # Contained reads leave first: a row reduce (n/√P words) and an
+            # allgather of the container vector (n).  Then each of the t
+            # rounds squares the d dovetails (4 payload words each) and
+            # takes a row max (n/√P).
+            "predicted_W": t * (4 * d + n) / sq + n / sq + n,
             "measured_Y_2d": res.tracker.messages("TrReduction"),
-            "predicted_Y_2d": res.tr_rounds * sq,
+            # 1 + (P - 1) messages before the loop; per round √P for the
+            # squaring, one for the row max and one for the nnz allreduce.
+            "predicted_Y_2d": P + t * (sq + 2),
         })
     return rows
-
-
-def _spgemm_entry_words() -> int:
-    """Words per shipped A entry (row, col, pos, flip as int64)."""
-    return 4
-
-
-def _pair_entry_words() -> int:
-    """Words per shipped 1D candidate pair tuple."""
-    return 5
-
-
-def _a_density(res: PipelineResult) -> float:
-    """A's density ``a = nnz(A)/m`` (Table II)."""
-    return res.a_density
 
 
 def _dibella1d_for(name: str, P: int):
@@ -181,7 +188,7 @@ def table3_sparsity(names: tuple[str, ...] = ("ecoli_like", "celegans_like",
     return rows
 
 
-def table4_datasets(names: tuple[str, ...] = ("celegans_like",
+def table4_datasets(names: tuple[str, ...] = ("ecoli_like", "celegans_like",
                                               "hsapiens_like")) -> list[dict]:
     """Dataset statistics (Table IV) for the scaled presets."""
     rows = []
@@ -205,7 +212,7 @@ def table4_datasets(names: tuple[str, ...] = ("celegans_like",
 
 def table6_tr_vs_sora(names: tuple[str, ...] = ("celegans_like",
                                                 "hsapiens_like"),
-                      node_counts: tuple[int, ...] = (4, 9, 16),
+                      node_counts: tuple[int, ...] = (1, 4, 9),
                       ranks_per_node: int = 4) -> list[dict]:
     """diBELLA 2D TR vs SORA runtimes and speedups (Table VI).
 
@@ -215,6 +222,9 @@ def table6_tr_vs_sora(names: tuple[str, ...] = ("celegans_like",
     """
     rows = []
     for name in names:
+        # SORA gets the same overlap graph R, built once on one rank (R is
+        # P-invariant).
+        graph = StringGraph.from_coomat(pipeline_for_preset(name, 1)[0].R)
         for nodes in node_counts:
             P = nodes * ranks_per_node
             res, _reads = pipeline_for_preset(name, P)
@@ -223,10 +233,6 @@ def table6_tr_vs_sora(names: tuple[str, ...] = ("celegans_like",
                        * CORI_HASWELL.compute_scale
                        + res.tracker.stage_comm_time("TrReduction",
                                                      CORI_HASWELL))
-            # SORA gets the same overlap graph (pre-reduction R is not
-            # retained; its string graph input in the paper is the overlap
-            # graph, which we re-derive by re-running TR's input stage).
-            graph = _overlap_graph_for(name, P)
             sora = sora_transitive_reduction(graph, nodes=nodes,
                                              cores_per_node=32)
             rows.append({
@@ -241,44 +247,12 @@ def table6_tr_vs_sora(names: tuple[str, ...] = ("celegans_like",
     return rows
 
 
-def _overlap_graph_for(name: str, P: int = 1):
-    """The overlap graph R (TR input) as a StringGraph.
-
-    The graph is P-invariant (tested), so it is built once per dataset on a
-    single-rank grid and cached by name.
-    """
-    P = 1  # P-invariant; always build on the trivial grid
-    from ..core.overlap import align_candidates, build_a_matrix, \
-        candidate_overlaps
-    from ..core.string_graph import StringGraph
-    from ..mpisim.comm import SimComm
-    from ..mpisim.grid import ProcessGrid2D
-    from ..mpisim.tracker import CommTracker, StageTimer
-    from ..seqs.kmer_counter import count_kmers, reliable_upper_bound
-
-    key = ("rgraph", name, P)
-    if key in _CACHE:
-        return _CACHE[key]
-    preset, _genome, reads, _layout = _dataset(name)
-    comm = SimComm(P, CommTracker(P))
-    timer = StageTimer()
-    grid = ProcessGrid2D(P)
-    upper = reliable_upper_bound(preset.depth, preset.error_rate, 17)
-    table = count_kmers(reads, 17, comm, timer, upper=upper)
-    A = build_a_matrix(reads, table, grid, comm, timer)
-    C = candidate_overlaps(A, comm, timer)
-    R = align_candidates(C, reads, 17, comm, timer, mode="chain")
-    graph = StringGraph.from_coomat(R.to_global())
-    _CACHE[key] = graph
-    return graph
-
-
 # ---------------------------------------------------------------------------
 # Fig. 4 — strong scaling; Figs. 5–8 — breakdowns
 # ---------------------------------------------------------------------------
 
 def fig4_strong_scaling(name: str = "celegans_like",
-                        procs: tuple[int, ...] = (1, 4, 16, 64),
+                        procs: tuple[int, ...] = (1, 4, 16, 36),
                         machines: tuple[str, ...] = ("cori", "summit")
                         ) -> list[dict]:
     """Strong scaling of the full pipeline on both machine models (Fig. 4)."""
@@ -298,7 +272,7 @@ def fig4_strong_scaling(name: str = "celegans_like",
 
 
 def fig5to8_breakdown(name: str = "celegans_like",
-                      procs: tuple[int, ...] = (4, 16, 64),
+                      procs: tuple[int, ...] = (4, 16, 36),
                       machine_name: str = "cori") -> list[dict]:
     """Per-stage runtime breakdown with and without alignment (Figs. 5–8)."""
     machine = MACHINES[machine_name]
@@ -314,32 +288,8 @@ def fig5to8_breakdown(name: str = "celegans_like",
 
 
 # ---------------------------------------------------------------------------
-# Fig. 9 — 2D vs 1D; §VII-B — minimap comparison
+# Fig. 9 — 2D vs 1D at the paper's scale
 # ---------------------------------------------------------------------------
-
-def fig9_1d_vs_2d(name: str = "celegans_like",
-                  procs: tuple[int, ...] = (4, 16, 64),
-                  machine_name: str = "summit") -> list[dict]:
-    """diBELLA 2D vs 1D total runtime minus TR (Fig. 9's Summit setup).
-
-    At laptop scale the communication terms are negligible and the two
-    implementations sit near parity; the paper's 1.2–1.9× gap comes from
-    the exchange volumes at real-data densities (see
-    :func:`fig9_paper_scale_projection`).
-    """
-    machine = MACHINES[machine_name]
-    rows = []
-    for P in procs:
-        res2d, _ = pipeline_for_preset(name, P)
-        res1d = _dibella1d_for(name, P)
-        t2d = res2d.modeled_total(machine) - res2d.modeled_time(
-            machine).get("TrReduction", 0.0)
-        t1d = res1d.modeled_total(machine)
-        rows.append({"dataset": PRESETS[name].paper_name, "P": P,
-                     "dibella2d_seconds": t2d, "dibella1d_seconds": t1d,
-                     "speedup_2d_over_1d": t1d / t2d if t2d else float("inf")})
-    return rows
-
 
 #: The paper's dataset constants (Tables III–IV) used by the projection.
 PAPER_DATASETS = {
@@ -455,11 +405,11 @@ def seed_mode_table(name: str = "ecoli_like",
     rows: list[dict] = []
     full_true: set[tuple[int, int]] = set()
     for mode in modes:
-        res, _ = pipeline_for_preset(name, nprocs, seed_mode=mode,
-                                     seed_w=seed_w)
+        sketch = {} if mode == "full" else {"seed_w": seed_w}
+        res, _ = pipeline_for_preset(name, nprocs, seed_mode=mode, **sketch)
         R = res.R
-        pairs = {(min(a, b), max(a, b))
-                 for a, b in zip(R.row.tolist(), R.col.tolist())}
+        pairs = set(zip(np.minimum(R.row, R.col).tolist(),
+                        np.maximum(R.row, R.col).tolist()))
         if mode == "full":
             full_true = pairs & {(min(a, b), max(a, b)) for a, b in truth}
         contigs = extract_contigs(res.string_graph)
@@ -502,22 +452,3 @@ def _candidate_pairs_for(name: str) -> set[tuple[int, int]]:
     pairs = set(zip(C.row.tolist(), C.col.tolist()))
     _CACHE[key] = pairs
     return pairs
-
-
-def minimap_comparison(name: str = "celegans_like",
-                       procs: tuple[int, ...] = (1, 4, 16, 64),
-                       machine_name: str = "cori") -> list[dict]:
-    """minimap2-like single node vs diBELLA 2D at scale (§VII-B)."""
-    machine = MACHINES[machine_name]
-    _preset, _genome, reads, _layout = _dataset(name)
-    mm = run_minimap_like(reads)
-    mm_time = mm.modeled_threads_time(threads=32)
-    rows = [{"dataset": PRESETS[name].paper_name, "system": "minimap2-like",
-             "P": 1, "seconds": mm_time, "pairs": mm.n_pairs}]
-    for P in procs:
-        res, _ = pipeline_for_preset(name, P)
-        rows.append({"dataset": PRESETS[name].paper_name,
-                     "system": "diBELLA 2D", "P": P,
-                     "seconds": res.modeled_total(machine),
-                     "pairs": res.nnz_c})
-    return rows

@@ -1,21 +1,17 @@
-"""Evaluation metrics: scaling efficiency, speedups, and graph accuracy.
+"""Evaluation metrics: scaling efficiency and graph accuracy.
 
-The paper reports strong-scaling parallel efficiency (Fig. 4), per-stage
-efficiencies (Section VII-A), speedups over baselines (Fig. 9, Table VI),
-and — implicitly via BELLA — overlap detection recall/precision.  These
-helpers compute all of them from runtimes and ground-truth layouts.
+The paper reports strong-scaling parallel efficiency (Fig. 4) and —
+implicitly via BELLA — overlap detection recall/precision.  These helpers
+compute them from runtimes and ground-truth layouts.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..core.string_graph import StringGraph
 from ..seqs.simulator import TrueLayout
 
 __all__ = [
     "parallel_efficiency",
-    "speedup_series",
     "overlap_recall_precision",
     "graph_edge_recall",
 ]
@@ -31,15 +27,6 @@ def parallel_efficiency(procs: list[int], times: list[float]) -> list[float]:
     p0, t0 = procs[0], times[0]
     return [(t0 * p0) / (t * p) if t > 0 else float("nan")
             for p, t in zip(procs, times)]
-
-
-def speedup_series(base_times: list[float], new_times: list[float]
-                   ) -> list[float]:
-    """Pointwise speedup of ``new`` over ``base`` (Table VI's last column)."""
-    if len(base_times) != len(new_times):
-        raise ValueError("series must be equal length")
-    return [b / n if n > 0 else float("inf")
-            for b, n in zip(base_times, new_times)]
 
 
 def overlap_recall_precision(found_pairs: set[tuple[int, int]],

@@ -1,12 +1,10 @@
-"""(w, k)-minimizer extraction — shared by the seeding layer and baseline.
+"""(w, k)-minimizer extraction for the minimizer seeding mode.
 
 minimap2 (Li 2018) indexes reads by minimizers — the smallest (by a hash
 order) k-mer in every window of ``w`` consecutive k-mers — and estimates
 pairwise similarity from shared minimizers without base-level alignment.
-The paper compares diBELLA 2D against minimap2 on a single node
-(Section VII-B).  Two consumers build on this module and must not drift:
-:mod:`repro.baselines.minimap_like` and the pipeline's
-:class:`~repro.seqs.seeding.MinimizerScheme` seed mode.
+The pipeline's :class:`~repro.seqs.seeding.MinimizerScheme` seed mode
+builds on this module.
 
 :func:`minimizers` extracts one read with a sliding-window argmin over the
 hashed canonical k-mer sequence; :func:`minimizers_batch` is its exact

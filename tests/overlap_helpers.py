@@ -2,10 +2,8 @@
 
 Lives in its own module (not ``conftest.py``) so test files can import it
 explicitly: ``from conftest import ...`` resolves whichever ``conftest.py``
-pytest imported first, and with both ``tests/`` and ``benchmarks/`` on the
-path the benchmark one used to win, breaking the import.  No other
-directory defines an ``overlap_helpers`` module, so this name is
-unambiguous regardless of what else is collected.
+pytest imported first.  No other directory defines an ``overlap_helpers``
+module, so this name is unambiguous regardless of what else is collected.
 """
 
 from __future__ import annotations

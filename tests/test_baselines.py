@@ -1,12 +1,11 @@
-"""Tests for the baselines (Myers, SORA-like, diBELLA 1D, minimap-like)."""
+"""Tests for the baselines (Myers, SORA-like, diBELLA 1D)."""
 
 import numpy as np
 import pytest
 
 from repro.baselines import (myers_transitive_reduction, run_dibella1d,
-                             run_minimap_like, sora_transitive_reduction)
+                             sora_transitive_reduction)
 from repro.core.string_graph import StringGraph
-from repro.eval.metrics import overlap_recall_precision
 
 
 # -- Myers ------------------------------------------------------------------
@@ -77,6 +76,17 @@ def test_1d_finds_overlaps(clean_dataset, oned_run):
     assert oned_run.n_candidate_pairs >= oned_run.n_overlaps
 
 
+def test_1d_counts_and_traffic_pinned(oned_run):
+    """Exact outputs of the 1D run on the clean set: candidate pairs,
+    dovetails that survive alignment, and each stage's traffic."""
+    assert (oned_run.n_candidate_pairs, oned_run.n_overlaps) == (2015, 909)
+    traffic = {stage: (rec.total_bytes, rec.total_messages)
+               for stage, rec in oned_run.tracker.records.items()}
+    assert traffic == {"CountKmer": (1641576, 36),
+                       "Overlap1D": (20939600, 12),
+                       "ExchangeRead1D": (181744, 6)}
+
+
 def test_1d_candidates_match_2d(clean_dataset, oned_run):
     """1D and 2D compute the same candidate pair set (they are the same
     outer product, differently distributed)."""
@@ -98,7 +108,6 @@ def test_1d_comm_exceeds_2d_at_moderate_p(clean_dataset):
     """Table I's point: at moderate P the 1D overlap exchange moves more
     words per rank than the 2D SpGEMM broadcasts (a²m/P vs am/√P with the
     duplicated-candidate constant)."""
-    from repro.eval.experiments import _CACHE
     from repro.core.overlap import build_a_matrix, candidate_overlaps
     from repro.mpisim import CommTracker, ProcessGrid2D, SimComm, StageTimer
     from repro.seqs.kmer_counter import count_kmers
@@ -117,24 +126,3 @@ def test_1d_comm_exceeds_2d_at_moderate_p(clean_dataset):
     w_2d = tracker.words("SpGEMM")
     assert w_1d > 0 and w_2d > 0
     assert w_1d > 0.5 * w_2d  # the duplicated-pair volume is substantial
-
-
-# -- minimap-like -----------------------------------------------------------------
-
-def test_minimap_like_recall(clean_dataset):
-    _genome, reads, layout = clean_dataset
-    res = run_minimap_like(reads, k=15, w=8, min_shared=3, min_span=150)
-    recall, _ = overlap_recall_precision(res.pairs, layout, min_overlap=500)
-    assert recall > 0.9
-    # Precision must be judged against the overlapper's own span threshold:
-    # pairs with 150–500 bp true overlaps are correct detections.
-    _, precision = overlap_recall_precision(res.pairs, layout,
-                                            min_overlap=100)
-    assert precision > 0.8
-
-
-def test_minimap_like_times_recorded(clean_dataset):
-    _genome, reads, _layout = clean_dataset
-    res = run_minimap_like(reads)
-    assert res.index_seconds > 0 and res.query_seconds > 0
-    assert res.modeled_threads_time(32) < res.total_seconds()

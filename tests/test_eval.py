@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.eval.datasets import PRESETS, load_preset
-from repro.eval.metrics import parallel_efficiency, speedup_series
+from repro.eval.metrics import parallel_efficiency
 from repro.eval.report import format_table, format_value
 from repro.seqs.simulator import TrueLayout
 
@@ -24,12 +24,6 @@ def test_parallel_efficiency_validation():
         parallel_efficiency([], [])
     with pytest.raises(ValueError):
         parallel_efficiency([1], [1.0, 2.0])
-
-
-def test_speedup_series():
-    assert speedup_series([10.0, 20.0], [2.0, 4.0]) == [5.0, 5.0]
-    with pytest.raises(ValueError):
-        speedup_series([1.0], [1.0, 2.0])
 
 
 def test_presets_have_paper_depths():

@@ -5,8 +5,11 @@ ndimage, spatial, ...): about 50 MB of resident memory and most of a second
 of start-up in every process — the CLI, each service start, each benchmark
 worker — which the only former use, one Poisson quantile per run, does not
 need (:func:`repro.seqs.kmer_counter.reliable_upper_bound` computes it).
-The check runs in a fresh interpreter, because this test process may have
-imported anything.  It needs numpy, scipy and pytest only.
+Nor does it load the paper-table drivers (``repro.eval.experiments``) or
+the baselines they compare against: ``repro.eval`` is imported by every
+process that scores a run, and only the report and the claims tests need
+them.  The check runs in a fresh interpreter, because this test process may
+have imported anything.  It needs numpy, scipy and pytest only.
 """
 
 import os
@@ -33,7 +36,11 @@ CHILD = textwrap.dedent("""
     stats = sorted(m for m in sys.modules
                    if m == "scipy.stats" or m.startswith("scipy.stats."))
     print("scipy.stats modules loaded:", stats)
-    sys.exit(1 if stats else 0)
+    drivers = sorted(m for m in sys.modules
+                     if m == "repro.eval.experiments"
+                     or m.split(".")[:2] == ["repro", "baselines"])
+    print("experiment drivers and baselines loaded:", drivers)
+    sys.exit(1 if stats or drivers else 0)
 """)
 
 

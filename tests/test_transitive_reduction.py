@@ -73,6 +73,26 @@ def test_invalid_middle_walk_protects_edge():
     assert (0, 2) in out.edge_set()
 
 
+@pytest.mark.parametrize("P", [1, 4])
+def test_orientation_slots_protect_inverted_repeat_edge(P):
+    """Read 1 bridges reads 0 and 2 through flipped attachments (the
+    geometry an inverted repeat produces): the walk 0->1->2 is valid, but
+    its end pair at (0, 2) is (B, B) while the direct overlap attaches
+    (E, B).  A minimum blind to the end slots would take the 8-suffix path
+    as a witness and drop the direct edge; slot (E, B) of N is empty, so
+    the edge stays, as in Myers' reduction."""
+    g = StringGraph(3, np.array([0, 1, 1, 2, 0, 2]),
+                    np.array([1, 0, 2, 1, 2, 0]),
+                    np.array([4, 6, 4, 5, 10, 9]),
+                    np.array([0, 1, 0, 0, 1, 0]),
+                    np.array([1, 0, 0, 0, 0, 1]))
+    D, comm = _to_dist(g, P)
+    res = transitive_reduction(D, comm, fuzz=0)
+    out = StringGraph.from_coomat(res.S.to_global()).edge_set()
+    assert out == myers_transitive_reduction(g, fuzz=0).edge_set()
+    assert (0, 2) in out
+
+
 def test_multi_hop_needs_multiple_rounds():
     """A 5-chain with a 0->4 long edge: removing it requires the
     intermediate transitive edges to be handled across rounds (the paper's
