@@ -2,8 +2,8 @@
 
 :class:`AssemblyService` is the transport-free core — ingest a batch,
 answer overlap/contig/stats queries against the current version through
-the cache — and :func:`make_server` wraps it in a stdlib
-``ThreadingHTTPServer`` speaking JSON:
+the cache — and :func:`make_server` wraps it in a stdlib ``HTTPServer``
+speaking JSON:
 
 ========  =================  ==========================================
 method    path               effect
@@ -26,14 +26,31 @@ Commits are transactional: a refresh that fails for *any* reason —
 including faults injected via a :class:`~repro.resilience.FaultPlan` —
 leaves the store at the old version and the query cache unswept, and
 surfaces as a structured ``503`` (:class:`RefreshFailed`) so clients can
-retry the same batch against the unchanged state.
+retry the same batch against the unchanged state.  Every error reply
+carries a machine-readable ``code`` beside its ``error`` message.
+
+**Transport.**  Each accepted connection is queued to a fixed pool of
+:data:`POOL_THREADS` long-lived handler threads rather than given a
+thread of its own: starting a thread costs more than parsing and
+answering a query.  Since ingests wait on one lock, up to
+``POOL_THREADS - 1`` concurrent ingests still leave a thread free for
+readers.  A connection that stays silent for :data:`READ_TIMEOUT_S` —
+before its request line, or inside its headers or body — is dropped, so
+a stalled client cannot hold a pool thread forever.  Each reply (status
+line, headers and body) leaves in one write.  ``server_close()`` stops
+the pool: queued connections are dropped, live ones have their read side
+shut (a silent client lets go at once, a reply being computed still goes
+out), and every pool thread is joined.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import queue
+import socket
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 from ..core.semirings import R_END_I, R_END_J, R_OLEN, R_SUFFIX
 from ..options import FAULT_PLAN
@@ -46,12 +63,18 @@ from .query_cache import QueryCache
 from .state import AssemblyState, SessionStore
 
 __all__ = ["AssemblyService", "BadBatch", "RefreshFailed", "make_server",
-           "MAX_BODY_BYTES"]
+           "MAX_BODY_BYTES", "POOL_THREADS", "READ_TIMEOUT_S"]
 
 #: Largest ``POST /reads`` body the server will read (413 beyond this) —
 #: far above any sane batch, present so a bogus Content-Length cannot make
 #: the handler allocate unboundedly.
 MAX_BODY_BYTES = 256 * 1024 * 1024
+
+#: Long-lived handler threads per server; see the module docstring.
+POOL_THREADS = 8
+
+#: Seconds a connection may stay silent before the server drops it.
+READ_TIMEOUT_S = 30.0
 
 
 class BadBatch(ValueError):
@@ -202,12 +225,23 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":
+            self.wfile.write(body)  # 0.9 replies have no header block
+            return
+        # send_header only buffers; end the header block and queue the body
+        # behind it, so flush_headers() sends the whole reply in one write
+        # where end_headers() and a second write would send two.
+        self._headers_buffer += [b"\r\n", body]
+        self.flush_headers()
 
     def _fail(self, status: int, code: str, message: str) -> None:
         """Structured error body: machine-readable code + human message."""
         self._reply({"error": message, "code": code}, status)
+
+    def _internal(self, exc: Exception) -> None:
+        """A handler bug: log the traceback, answer a structured 500."""
+        self.server.handle_error(self.request, self.client_address)
+        self._fail(500, "internal", str(exc))
 
     def _read_body(self) -> bytes | None:
         """The request body, or ``None`` after replying with the error.
@@ -258,17 +292,18 @@ class _Handler(BaseHTTPRequestHandler):
                 try:
                     read = int(path.rsplit("/", 1)[1])
                 except ValueError:
-                    self._reply({"error": "read id must be an integer"}, 400)
+                    self._fail(400, "bad-read-id",
+                               "read id must be an integer")
                     return
                 self._reply(self.service.overlaps(read))
             else:
-                self._reply({"error": f"unknown endpoint {path}"}, 404)
-        except Exception as exc:  # pragma: no cover - defensive
-            self._reply({"error": str(exc)}, 500)
+                self._fail(404, "not-found", f"unknown endpoint {path}")
+        except Exception as exc:
+            self._internal(exc)
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         if self.path.rstrip("/") != "/reads":
-            self._reply({"error": f"unknown endpoint {self.path}"}, 404)
+            self._fail(404, "not-found", f"unknown endpoint {self.path}")
             return
         body = self._read_body()
         if body is None:
@@ -301,16 +336,72 @@ class _Handler(BaseHTTPRequestHandler):
             # session's seeding scheme) are a client-state conflict, not a
             # server fault.
             self._reply({"error": str(exc), "code": "conflict"}, 409)
-        except Exception as exc:  # pragma: no cover - defensive
-            self._reply({"error": str(exc)}, 500)
+        except Exception as exc:
+            self._internal(exc)
+
+
+class _PooledHTTPServer(HTTPServer):
+    """``HTTPServer`` that answers connections on a fixed thread pool.
+
+    ``process_request`` queues the accepted socket; each pool thread runs
+    the finish / handle_error / shutdown sequence ``ThreadingMixIn`` runs
+    on a fresh thread per connection.
+    """
+
+    def __init__(self, address, handler) -> None:
+        super().__init__(address, handler)
+        self._pending: queue.SimpleQueue = queue.SimpleQueue()
+        self._lock = threading.Lock()  # guards _closing and _live
+        self._closing = False
+        self._live: set[socket.socket] = set()
+        port = self.server_address[1]
+        self._pool = [threading.Thread(target=self._work, daemon=True,
+                                       name=f"repro-http-{port}-{i}")
+                      for i in range(POOL_THREADS)]
+        for thread in self._pool:
+            thread.start()
+
+    def process_request(self, request, client_address) -> None:
+        self._pending.put((request, client_address))
+
+    def _work(self) -> None:
+        while (item := self._pending.get()) is not None:
+            request, client_address = item
+            with self._lock:
+                serve = not self._closing
+                if serve:
+                    self._live.add(request)
+            try:
+                if serve:
+                    self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                with self._lock:
+                    self._live.discard(request)
+                self.shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._lock:
+            self._closing = True
+            for request in self._live:
+                with contextlib.suppress(OSError):  # peer already gone
+                    request.shutdown(socket.SHUT_RD)
+        for _ in self._pool:
+            self._pending.put(None)
+        for thread in self._pool:
+            thread.join()
 
 
 def make_server(service: AssemblyService, host: str | None = None,
-                port: int | None = None) -> ThreadingHTTPServer:
+                port: int | None = None) -> HTTPServer:
     """A ready-to-``serve_forever`` HTTP server bound to ``service``.
 
     ``port=0`` asks the OS for a free port (the test suite's mode); the
-    bound address is on ``server.server_address``.
+    bound address is on ``server.server_address``.  The server's
+    :data:`POOL_THREADS` handler threads start here and stop in
+    ``server_close()``.
     """
     host = host if host is not None else service.config.host
     port = port if port is not None else service.config.port
@@ -319,4 +410,6 @@ def make_server(service: AssemblyService, host: str | None = None,
         pass
 
     BoundHandler.service = service
-    return ThreadingHTTPServer((host, port), BoundHandler)
+    # StreamRequestHandler.setup applies this to each connection's socket.
+    BoundHandler.timeout = READ_TIMEOUT_S
+    return _PooledHTTPServer((host, port), BoundHandler)
