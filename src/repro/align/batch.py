@@ -7,13 +7,15 @@ axis: every function here operates on **whole batches of extension problems
 at once**, advancing all of them in lockstep so each edit round is a fixed
 number of flat kernel calls instead of thousands of small ones.
 
-Sequences are never copied or padded per problem.  A batch references one
-shared ``codes`` buffer (all reads concatenated, one 2-bit code per *byte*)
-through structure-of-arrays views: per problem a base offset, a step (``+1``
-forward, ``-1`` for the reversed prefixes of left extensions), a length, and
-an XOR mask (``3`` complements a 2-bit DNA code, so reverse-complemented
-sequences are plain backward reads of the forward buffer — no oriented copy
-is materialized).
+A batch describes its sequences as structure-of-arrays views into one
+shared ``codes`` buffer (all reads concatenated, one 2-bit code per *byte*):
+per problem a base offset, a step (``+1`` forward, ``-1`` for the reversed
+prefixes of left extensions), a length, and an XOR mask (``3`` complements
+a 2-bit DNA code, so a reverse complement is a backward, complemented walk
+of the forward read).  The sweep never walks ``codes`` itself: it first
+gathers the bases its problems read — the union of their ranges, nothing
+else, so a memory-mapped ``codes`` stays out of core — and lays them out
+once in every orientation, as its *oriented window buffer*.
 
 The sweep mirrors :func:`repro.align.xdrop.xdrop_extend` *exactly* — the same
 greedy Landau–Vishkin recurrence, score, tie-break and x-drop rules — but its
@@ -31,12 +33,15 @@ cost follows the cells that are alive, not a bounding box:
   two bits between them — a plain ``max`` of the three shifted candidates
   picks the winning ``F`` *and* carries its ``M``, with the serial engine's
   strictly-greater tie rule, without a select.
-* **Word-at-a-time snakes.**  Because ``codes`` holds one base per byte, an
-  overlapping ``strides=(1,)`` ``uint64`` view of it yields the next eight
-  bases of any walk in one load (byte-swapped for a ``step = -1`` walk);
-  the run of matches is the index of the lowest non-zero byte of the XOR
-  of the two words, clipped to the room left.  Only cells that match a
-  whole word load another.
+* **Forward-only, word-at-a-time snakes.**  The window buffer is
+  ``[c | c[::-1] | c ^ 3 | (c ^ 3)[::-1]]`` for the gathered bases ``c``,
+  plus one word of padding — about 4 bytes per covered base — so every
+  walk, whatever its step and mask, is a forward run from its own address.
+  An overlapping ``strides=(1,)`` ``uint64`` view of that buffer yields the
+  next eight bases of any walk in one load; the run of matches is the
+  index of the lowest non-zero byte of the XOR of the two words, clipped to
+  the room left.  Only cells that match a whole word load another, eight
+  bytes further on both walks.
 
 The per-pair path stays the reference oracle behind the ``align_impl`` axis
 (:data:`repro.options.ALIGN_IMPL`), and the parity suite pins byte-identical
@@ -70,97 +75,101 @@ _RUN = (1 << _F_SHIFT) + 1              # a snake advances F and M together
 #: Dead cell — this engine's own sentinel (the serial engine's ``LV_NEG`` is
 #: a different value): stays negative under ``+ _SUB`` and loses every max.
 _DEAD = -(1 << 62)
-#: Score of a dead cell (below every real one) / a score no cell has.
+#: Score of a dead cell (below every real one).
 _NO_SCORE = _DEAD
-_NEVER = 1 << 62
 
 
-def _word_view(codes: np.ndarray) -> np.ndarray:
-    """``view[a]`` = the eight bytes ``codes[a:a + 8]`` as one little-endian
-    word, for every ``a`` that fits — overlapping strides, no copy, so it
-    works on a read-only memmap.  (Only a buffer shorter than one word is
-    copied, into one zero-padded word.)"""
-    if codes.dtype != np.uint8:
-        raise ValueError(f"codes must be uint8 (one base per byte), "
-                         f"got {codes.dtype}")
-    codes = np.ascontiguousarray(codes)
-    if codes.shape[0] < _WORD:
-        codes = np.concatenate(
-            [codes, np.zeros(_WORD - codes.shape[0], np.uint8)])
-    return np.ndarray((codes.shape[0] - _WORD + 1,), dtype="<u8",
-                      buffer=codes, strides=(1,))
+def _window_buffer(codes: np.ndarray, lo: np.ndarray, length: np.ndarray,
+                   back: np.ndarray, flip: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """One sweep's oriented window buffer, and each walk's address in it.
 
-
-def _load(words: np.ndarray, at: np.ndarray, back: np.ndarray) -> np.ndarray:
-    """The word whose lowest byte is each walk's next base.
-
-    ``at`` is the address of the lowest-addressed byte wanted: the next
-    base itself for a forward walk, seven below it for a backward one
-    (``back``), whose word is byte-swapped into walk order.  A word that
-    would reach outside the buffer is loaded from the nearest address
-    inside it and shifted so the next base is still its lowest byte; the
-    bytes shifted in lie beyond the walk's room, which the caller clips to.
+    Walk ``w`` reads the bases ``codes[lo[w]:lo[w] + length[w]]``, last to
+    first where ``back[w]``, complemented where ``flip[w]``.  The ranges
+    merge into an interval union whose bases are gathered once into a
+    compact ``c``; the buffer is ``[c | c[::-1] | c ^ 3 | (c ^ 3)[::-1]]``
+    plus one word of zero padding, so every walk — backward, complemented
+    or both — is a forward run from its address.  Returns the buffer's
+    overlapping ``strides=(1,)`` little-endian word view (``words[a]`` =
+    the eight bytes from ``a``, for every address up to the buffer's end)
+    and the addresses.
     """
-    top = words.shape[0] - 1
-    inside = at.min() >= 0 and at.max() <= top
-    # Fancy indexing reads the unaligned view element by element
-    # (``take`` would first copy all of it into an aligned array).
-    w = words[at if inside else np.clip(at, 0, top)]
-    np.copyto(w, w.byteswap(), where=back)
-    if not inside:
-        out = np.flatnonzero((at < 0) | (at > top))
-        far = np.maximum(-at[out], at[out] - top)
-        w[out] >>= (far << 3).astype(np.uint64)
-    return w
+    order = np.argsort(lo, kind="stable")
+    lo_sorted = lo[order]
+    reach = np.maximum.accumulate(lo_sorted + length[order])
+    # A walk opens an interval when it starts past every earlier walk's end.
+    opens = np.ones(order.size, dtype=bool)
+    np.greater(lo_sorted[1:], reach[:-1], out=opens[1:])
+    heads = np.flatnonzero(opens)
+    group = np.empty_like(order)
+    group[order] = np.cumsum(opens) - 1
+    start = lo_sorted[heads]
+    span = reach[np.append(heads[1:] - 1, -1)] - start
+    offset = np.cumsum(span) - span
+    n = int(offset[-1] + span[-1])
+    buf = np.zeros(4 * n + _WORD, dtype=np.uint8)
+    c = buf[:n]
+    # One slice copy per interval: no index array, and a memmap is read
+    # only where the walks are.
+    for src, dst, size in zip(start.tolist(), offset.tolist(),
+                              span.tolist()):
+        c[dst:dst + size] = codes[src:src + size]
+    buf[n:2 * n] = c[::-1]
+    np.bitwise_xor(c, 3, out=buf[2 * n:3 * n])
+    buf[3 * n:4 * n] = buf[2 * n:3 * n][::-1]
+    # Compact index of each range's start; a backward walk starts at the
+    # range's last base, 2n - 1 - (at + length - 1) in the reversed copy.
+    at = lo - start[group] + offset[group]
+    at = np.where(back, 2 * n - at - length, at) + 2 * n * flip
+    words = np.ndarray((4 * n + 1,), dtype="<u8", buffer=buf, strides=(1,))
+    return words, at
 
 
-def _slide_words(words: np.ndarray, s_at: np.ndarray, s_step: np.ndarray,
-                 t_at: np.ndarray, t_step: np.ndarray, t_xor: np.ndarray,
+def _slide_words(words: np.ndarray, s_at: np.ndarray, t_at: np.ndarray,
                  room: np.ndarray) -> tuple[np.ndarray, int]:
     """Exact-match run length of every cell, eight bases per compare.
 
-    ``s_at`` / ``t_at`` are :func:`_load` addresses of each cell's next
-    base on ``s`` / ``t``, ``t_xor`` the strand mask repeated in every byte
-    and ``room`` the bases left before either sequence ends.  Returns the
-    runs and the number of word compares made; only cells that matched a
-    whole word with room to spare compare another.
+    ``s_at`` / ``t_at`` are the window-buffer addresses of each cell's next
+    base on ``s`` / ``t`` and ``room`` the bases left before either
+    sequence ends.  Returns the runs and the number of word compares made;
+    only cells that matched a whole word with room to spare compare
+    another.
     """
-    s_back = s_step < 0
-    t_back = t_step < 0
     run = act = None
     n_words = 0
     while True:
         n_words += s_at.shape[0]
-        x = _load(words, s_at, s_back)
-        x ^= _load(words, t_at, t_back)
-        x ^= t_xor
+        # Fancy indexing reads the unaligned view element by element
+        # (``take`` would first copy all of it into an aligned array).
+        x = words[s_at]
+        x ^= words[t_at]
         # Matched bases = index of the lowest non-zero byte (8 when x == 0):
         # mask the bits below the lowest set one, then count the bytes the
         # mask fills (their top bits, summed into the top byte).
-        x = ~x & (x - np.uint64(1))
+        low = x - np.uint64(1)
+        np.invert(x, out=x)
+        x &= low
         x >>= np.uint64(7)
         x &= _BYTE_ONES
         x *= _BYTE_ONES
         x >>= np.uint64(56)
-        got = np.minimum(x.astype(np.int64), room)
+        got = np.minimum(x.view(np.int64), room)
         if act is None:
             run = got
         else:
             run[act] += got
-        more = np.flatnonzero((got == _WORD) & (room > _WORD))
+        more = ((got == _WORD) & (room > _WORD)).nonzero()[0]
         if more.size == 0:
             return run, n_words
         act = more if act is None else act[more]
-        s_step, t_step, s_back, t_back, t_xor = (
-            col[more] for col in (s_step, t_step, s_back, t_back, t_xor))
-        s_at = s_at[more] + _WORD * s_step
-        t_at = t_at[more] + _WORD * t_step
+        s_at = s_at[more] + _WORD
+        t_at = t_at[more] + _WORD
         room = room[more] - _WORD
 
 
 def _run_heads(keys: np.ndarray) -> np.ndarray:
     """Index of the first element of every run of equal ``keys``."""
-    return np.concatenate(([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1))
+    return np.concatenate(([0], (keys[1:] != keys[:-1]).nonzero()[0] + 1))
 
 
 def xdrop_extend_batch(codes: np.ndarray,
@@ -186,8 +195,10 @@ def xdrop_extend_batch(codes: np.ndarray,
     (cell words the recurrence stepped: every span plus its two flanks,
     every round) and ``words`` (64-bit snake compares).
 
-    Raises :class:`ValueError` for a problem with ``s_len + t_len >= 2**30``
-    (its ``F`` / ``M`` would not fit their cell fields).
+    Raises :class:`ValueError`, naming the problem, for one with
+    ``s_len + t_len >= 2**30`` (its ``F`` / ``M`` would not fit their cell
+    fields), a ``t_xor`` other than 0 or 3, or a non-empty problem whose
+    walk leaves ``codes``.
     """
     n_prob = int(s_base.shape[0])
     out = np.zeros((3, n_prob), dtype=np.int64)   # best score, ext_s, ext_t
@@ -195,6 +206,7 @@ def xdrop_extend_batch(codes: np.ndarray,
     t_len = np.asarray(t_len, dtype=np.int64)
     s_step = np.asarray(s_step, dtype=np.int64)
     t_step = np.asarray(t_step, dtype=np.int64)
+    t_xor = np.asarray(t_xor, dtype=np.int64)
     if n_prob:
         total = s_len + t_len
         if int(total.max()) >= _FIELD_LIMIT:
@@ -204,28 +216,44 @@ def xdrop_extend_batch(codes: np.ndarray,
                 f"{int(total[p])} >= 2**30, beyond the 30-bit cell fields")
         if (np.abs(s_step) != 1).any() or (np.abs(t_step) != 1).any():
             raise ValueError("xdrop_extend_batch: steps must be +1 or -1")
+        bad = np.flatnonzero((t_xor != 0) & (t_xor != 3))
+        if bad.size:
+            p = int(bad[0])
+            raise ValueError(f"xdrop_extend_batch: problem {p} has t_xor = "
+                             f"{int(t_xor[p])}, not 0 or 3")
+    if codes.dtype != np.uint8:
+        raise ValueError(f"codes must be uint8 (one base per byte), "
+                         f"got {codes.dtype}")
     # Empty-side problems return (0, 0, 0) like the serial engine.
     ids = np.flatnonzero((s_len > 0) & (t_len > 0))
     if ids.size == 0:
         return out[0], out[1], out[2]
-    words = _word_view(codes)
-    s_step, t_step = s_step[ids], t_step[ids]
+    # Every walk of a non-empty problem, s walks then t walks.
+    back = np.concatenate([s_step[ids], t_step[ids]]) < 0
+    length = np.concatenate([s_len[ids], t_len[ids]])
+    lo = np.concatenate([s_base[ids], t_base[ids]]).astype(np.int64)
+    lo[back] -= length[back] - 1
+    bad = np.flatnonzero((lo < 0) | (lo + length > codes.shape[0]))
+    if bad.size:
+        w = int(bad[0])
+        raise ValueError(
+            f"xdrop_extend_batch: problem {int(ids[w % ids.size])}'s "
+            f"{'st'[w // ids.size]} walk reads codes[{int(lo[w])}:"
+            f"{int(lo[w] + length[w])}], outside codes of size "
+            f"{codes.shape[0]}")
+    words, at = _window_buffer(codes, lo, length, back, np.concatenate(
+        [np.zeros(ids.size, np.int64), t_xor[ids] // 3]))
     # Per-problem state, one row each so retiring problems is one index:
-    # output slot, lengths, _load address of s[0] / t[0], steps, xor word,
-    # then the span: diagonal of its first cell and its width.
-    prob = np.stack([
-        ids, s_len[ids], t_len[ids],
-        s_base[ids] - (_WORD - 1) * (s_step < 0), s_step,
-        t_base[ids] - (_WORD - 1) * (t_step < 0), t_step,
-        (np.asarray(t_xor)[ids].astype(np.uint8) * _BYTE_ONES
-         ).view(np.int64),
-        np.zeros(ids.size, np.int64), np.ones(ids.size, np.int64)])
-    ids, m, n, s_at, s_step, t_at, t_step, t_xor = prob[:8]
+    # output slot, lengths, window addresses of s[0] / t[0], then the span:
+    # diagonal of its first cell and its width.
+    prob = np.stack([ids, s_len[ids], t_len[ids], at[:ids.size],
+                     at[ids.size:], np.zeros(ids.size, np.int64),
+                     np.ones(ids.size, np.int64)])
+    ids, m, n, s_at, t_at = prob[:5]
 
     # Round 0: the single seed diagonal, slide its snake; problems that
     # reach an end of either sequence on it are done.
-    run, n_words = _slide_words(words, s_at, s_step, t_at, t_step,
-                                t_xor.view(np.uint64), np.minimum(m, n))
+    run, n_words = _slide_words(words, s_at, t_at, np.minimum(m, n))
     out[0, ids] = run * sc.match
     out[1, ids] = out[2, ids] = run
     keep = (run < m) & (run < n)
@@ -237,9 +265,12 @@ def xdrop_extend_batch(codes: np.ndarray,
 
     penalty = min(sc.mismatch, sc.gap)
     e = n_rounds = n_cells = 0
+    # The loop calls array methods (``a.repeat``, ``a.nonzero()[0]``), not
+    # the module functions, whose dispatch wrappers cost as much as the
+    # work on the many small arrays of a sweep's last rounds.
     while prob.shape[1]:
         e += 1
-        ids, m, n, s_at, s_step, t_at, t_step, t_xor, lo, width = prob
+        ids, m, n, s_at, t_at, lo, width = prob
         n_live = ids.shape[0]
         size = cells.shape[0]
         n_rounds += n_live
@@ -252,7 +283,7 @@ def xdrop_extend_batch(codes: np.ndarray,
         # problem p is diagonal q + base[p].
         seg = width + 2
         base = lo - 1 - start
-        pid = np.repeat(ramp[:n_live], seg)
+        pid = ramp[:n_live].repeat(seg)
         # Substitution / insertion / deletion candidates in one max each
         # (see the cell layout above); a flank's outer neighbour is the
         # next segment's dead flank, so the shifts never mix problems.
@@ -260,52 +291,60 @@ def xdrop_extend_batch(codes: np.ndarray,
         ins = cells + _INS
         np.maximum(nxt[1:], ins[:-1], out=nxt[1:])
         np.maximum(nxt[:-1], cells[1:], out=nxt[:-1])
-        # Bounds: i <= m and j = i - d <= n (i >= 0 and j >= 0 hold for
-        # every cell descended from the origin).
+        # A cell is valid when alive (nxt >= 0) and in bounds: i <= m and
+        # j = i - d <= n, i.e. room >= 0 (i >= 0 and j >= 0 hold for every
+        # cell descended from the origin).
         f = nxt >> _F_SHIFT
-        room = np.minimum(np.repeat(m, seg),
-                          np.repeat(n + base, seg) + pos) - f
-        valid = (nxt >= 0) & (room >= 0)
-        at = np.flatnonzero(valid)
+        room = (n + base).repeat(seg)
+        room += pos
+        np.minimum(room, m.repeat(seg), out=room)
+        room -= f
+        valid = np.minimum(nxt, room) >= 0
+        at = valid.nonzero()[0]
         if at.size:
             i = f[at]
             p = pid[at]
-            s_dir = s_step[p]
-            t_dir = t_step[p]
-            run, more = _slide_words(
-                words, s_at[p] + s_dir * i, s_dir,
-                (t_at - t_step * base)[p] + t_dir * (i - at), t_dir,
-                t_xor.view(np.uint64)[p], room[at])
+            # On diagonal d = at + base, cell i's t base is j = i - d.
+            run, more = _slide_words(words, s_at[p] + i,
+                                     (t_at - base)[p] + (i - at), room[at])
             n_words += more
             ext = np.zeros(size, dtype=np.int64)
             ext[at] = run
             ext *= _RUN
             nxt += ext
-        scores = (nxt & _M_MASK) * sc.match + e * penalty
+        scores = nxt & _M_MASK
+        scores *= sc.match
+        scores += e * penalty
         np.putmask(scores, ~valid, _NO_SCORE)
         sbest = np.maximum.reduceat(scores, start)
         best = out[0, ids]
         upd = sbest > best
+        np.maximum(best, sbest, out=best)
+        # Every cell's problem best after this round: the tie-break's
+        # candidates equal it, and cells within x-drop of it stay live.
+        top = best.repeat(seg)
         if upd.any():
             # Tie-break equal scores toward the farthest-reaching cell
             # (largest i + j), first in diagonal order — as the 1D engine.
             # Candidates are few, so rank them with one key per problem.
-            cand = np.flatnonzero(
-                scores == np.repeat(np.where(upd, sbest, _NEVER), seg))
+            cand = (scores == top).nonzero()[0]
             cp = pid[cand]
+            hit = upd[cp]
+            cand, cp = cand[hit], cp[hit]
             reach = 2 * (nxt[cand] >> _F_SHIFT) - cand - base[cp]
             heads = _run_heads(cp)
             win = size - np.maximum.reduceat(
                 reach * (size + 1) + (size - cand), heads) % (size + 1)
             wp = cp[heads]
             fw = nxt[win] >> _F_SHIFT
-            out[0, ids[wp]] = best[wp] = sbest[wp]
+            out[0, ids[wp]] = sbest[wp]
             out[1, ids[wp]] = fw
             out[2, ids[wp]] = fw - (win + base[wp])
         # X-drop prune, then trim every span to its live cells; problems
         # with none left retire.  (The serial engine's m + n round budget
         # needs no test: i + j grows every round, so no cell outlives it.)
-        live = np.flatnonzero(scores >= np.repeat(best - sc.xdrop, seg))
+        top -= sc.xdrop
+        live = (scores >= top).nonzero()[0]
         if live.size == 0:
             break
         lp = pid[live]
@@ -321,7 +360,7 @@ def xdrop_extend_batch(codes: np.ndarray,
         end = np.cumsum(width + 2)
         start = end - (width + 2)
         cells = np.full(int(end[-1]), _DEAD, dtype=np.int64)
-        cells[live + np.repeat(start + 1 - first, count)] = \
+        cells[live + (start + 1 - first).repeat(count)] = \
             nxt[live] & _STATE
     add_work(tally, rounds=n_rounds, cells=n_cells, words=n_words)
     return out[0], out[1], out[2]

@@ -596,10 +596,11 @@ def _align_task(ctx, task):
 
 
 #: Ceiling on candidate pairs per batch-kernel call (the ``max_items`` cap
-#: handed to the nnz-weighted partitioner).  Chunks this size keep the
-#: lockstep sweep's flat cell state (the sum of the problems' live spans)
-#: in bounded memory while still amortizing dispatch over thousands of
-#: pairs.
+#: handed to the nnz-weighted partitioner).  Chunks this size keep both of
+#: the lockstep sweep's working sets in bounded memory — its flat cell
+#: state (the sum of the problems' live spans) and its oriented window
+#: buffer (about 4 bytes per base the chunk's reads cover) — while still
+#: amortizing dispatch over thousands of pairs.
 _MAX_BATCH_PAIRS = 4096
 
 

@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.align.batch import (chain_extend_batch, extend_seeds_xdrop_batch,
                                xdrop_extend_batch)
 from repro.align.xdrop import (Scoring, chain_extend, seed_extend_align,
-                               xdrop_extend, xdrop_extend_dp)
+                               xdrop_extend)
 from repro.core.overlap import AlignmentFilter, align_candidates
 from repro.core.semirings import (C_NFIELDS, R_CONTAINED, R_CONTAINS,
                                   R_END_I, R_END_J, R_NO_END, R_SUFFIX)
@@ -32,6 +32,8 @@ from repro.dsparse.distmat import DistMat
 from repro.exec import get_executor
 from repro.mpisim import CommTracker, ProcessGrid2D, SimComm, StageTimer
 from repro.seqs.fasta import ReadSet
+
+from oracles.xdrop_dp import xdrop_extend_dp
 
 SC = Scoring()
 K = 11
@@ -202,13 +204,27 @@ def test_kernel_parity_long_noisy_reads(rate, xdrop):
     hundred on average at x = 200; the tally test below measures it), with
     truncated partners retiring early beside them — far from the short 3 %
     cases above."""
+    _assert_kernel_parity(_long_noisy_pairs(rate), Scoring(xdrop=xdrop))
+
+
+def _long_noisy_pairs(rate):
     rng = np.random.default_rng(int(rate * 100))
     pairs = []
     for length in (400, 650, 1000, 800):
         s = rng.integers(0, 4, length).astype(np.uint8)
         t = _mutate(rng, s, rate)
         pairs += [(s, t), (s, t[:t.size // 3]), (s[:60], t)]
-    _assert_kernel_parity(pairs, Scoring(xdrop=xdrop))
+    return pairs
+
+
+def test_kernel_work_is_pinned():
+    """The sweep's exact work on one fixed noisy batch (20 % errors, every
+    view, truncated partners): a change to how much the sweep does — not
+    only to what it returns — fails here.  The counters are sums over
+    problems, so they do not depend on how the buffer is laid out."""
+    tally = {}
+    _assert_kernel_parity(_long_noisy_pairs(0.2), tally=tally)
+    assert tally == {"rounds": 1339, "cells": 41609, "words": 30139}
 
 
 @pytest.mark.parametrize("view", VIEWS)
@@ -332,6 +348,95 @@ def test_kernel_refuses_lengths_beyond_its_cell_fields():
     with pytest.raises(ValueError, match="uint8"):
         xdrop_extend_batch(codes.astype(np.int64), zero, one, 4 * one, zero,
                            one, 4 * one, zero, SC)
+
+
+def test_kernel_refuses_walks_that_leave_codes():
+    """A walk past either end of ``codes`` is refused by problem, never
+    "aligned" against bytes that are not there (a negative start would
+    index from the buffer's end), and so is a strand mask other than 0 or
+    3.  A problem with an empty side reads nothing and passes."""
+    codes = np.zeros(10, np.uint8)
+
+    def run(s_base, s_step, s_len, t_base=0, t_step=1, t_len=4, t_xor=0):
+        # Problem 0 as given, problem 1 a valid bystander.
+        col = [np.array([v, ok], np.int64) for v, ok in zip(
+            (s_base, s_step, s_len, t_base, t_step, t_len, t_xor),
+            (0, 1, 4, 4, 1, 4, 0))]
+        return xdrop_extend_batch(codes, *col, SC)
+
+    for args, walk in (((5, 1, 20), r"problem 0's s walk reads "
+                                    r"codes\[5:25\]"),
+                       ((2, -1, 20), r"problem 0's s walk reads "
+                                     r"codes\[-17:3\]"),
+                       ((0, 1, 4, 7, 1, 4), r"problem 0's t walk reads "
+                                            r"codes\[7:11\]"),
+                       ((0, 1, 4, 0, -1, 2), r"problem 0's t walk reads "
+                                             r"codes\[-1:1\]")):
+        with pytest.raises(ValueError, match=walk + ", outside codes of "
+                                                    "size 10"):
+            run(*args)
+    for bad in (1, 2, 4, -3):
+        with pytest.raises(ValueError, match=f"problem 0 has t_xor = {bad}, "
+                                             f"not 0 or 3"):
+            run(0, 1, 4, t_xor=bad)
+    # The same walks with an empty partner read nothing.
+    for args in ((5, 1, 20, 0, 1, 0), (2, -1, 20, 0, 1, 0),
+                 (3, 1, 0, 7, 1, 4)):
+        best, ei, ej = run(*args)
+        assert (int(best[0]), int(ei[0]), int(ej[0])) == (0, 0, 0)
+    # Walks that end exactly on either end of ``codes`` are fine.
+    assert run(6, 1, 4, t_base=3, t_step=-1, t_len=4)[0].shape == (2,)
+
+
+def _walk(codes, base, step, length, xor=0):
+    """The sequence a kernel view reads, materialized."""
+    return codes[base + step * np.arange(length)] ^ np.uint8(xor)
+
+
+def test_kernel_parity_on_overlapping_nested_and_abutting_ranges():
+    """Problems share, nest in, overlap and abut each other's ranges — the
+    window buffer merges them into an interval union and must still hand
+    every walk its own bases.  One read is the ``t`` of four problems, one
+    per orientation (forward, backward, complemented, both), each against
+    a partner stored so that the pair aligns; random windows of every
+    orientation pile onto the same bytes, with gaps of untouched bases
+    between some of them."""
+    rng = np.random.default_rng(31)
+    x = rng.integers(0, 4, 300).astype(np.uint8)
+    rc = _revcomp(x)
+    gap = rng.integers(0, 4, 50).astype(np.uint8)
+    # [gap | A ~ x | X | gap | B ~ revcomp(x) | gap]: A abuts X.
+    parts = [gap, _mutate(rng, x, 0.1), x, gap, _mutate(rng, rc, 0.1), gap]
+    offs = np.cumsum([0] + [p.size for p in parts])
+    codes = np.concatenate(parts)
+    a0, a1, x0, x1, b0, b1 = offs[1], offs[2], offs[2], offs[3], offs[4], \
+        offs[5]
+    views = [  # (s_base, s_step, s_len, t_base, t_step, t_len, t_xor)
+        (a0, 1, a1 - a0, x0, 1, 300, 0),             # x forward
+        (a1 - 1, -1, a1 - a0, x1 - 1, -1, 300, 0),   # x backward
+        (b1 - 1, -1, b1 - b0, x0, 1, 300, 3),        # x complemented
+        (b0, 1, b1 - b0, x1 - 1, -1, 300, 3),        # revcomp(x)
+        (a0 + 40, 1, 120, x0 + 40, 1, 100, 0),       # nested in the above
+        (x0 - 30, 1, 90, x0 + 20, 1, 60, 0),         # spans the A|X seam
+    ]
+    for _ in range(40):
+        row = []
+        for side in range(2):
+            length = int(rng.integers(1, 120))
+            lo = int(rng.integers(0, codes.size - length + 1))
+            back = bool(rng.integers(0, 2))
+            row += [lo + length - 1 if back else lo, -1 if back else 1,
+                    length]
+        views.append(tuple(row) + (3 * int(rng.integers(0, 2)),))
+    soa = [np.array(col, np.int64) for col in zip(*views)]
+    best, ei, ej = xdrop_extend_batch(codes, *soa, SC)
+    for p, (sb, ss, sl, tb, ts, tl, tx) in enumerate(views):
+        s = _walk(codes, sb, ss, sl)
+        t = _walk(codes, tb, ts, tl, tx)
+        assert (int(best[p]), int(ei[p]), int(ej[p])) == \
+            xdrop_extend(s, t, SC), (p, views[p])
+    # The four orientations of x really align (not just agree).
+    assert (best[:4] > 150).all()
 
 
 def test_kernel_cost_is_additive_over_problems():

@@ -6,7 +6,8 @@ engines (PR 4), k-mer engines (PR 5).  This suite finally pins the claim
 globally: one fixed-seed dataset runs through the full pipeline across the
 ``executor × overlap-mode × align-impl × kmer-impl`` cross-product, and the
 digests of S, R, the contig layout, the communication records, and the
-peak-memory marks must all equal the stored golden values.
+peak-memory marks — and the batched alignment sweep's work counters — must
+all equal the stored golden values.
 
 If a future PR *intentionally* changes pipeline output, it must update the
 ``GOLDEN`` constants below (the assertion message prints the new digests) —
@@ -77,6 +78,12 @@ GOLDEN = {
         "blocked":
             "01d7f7f68a2620cdd580224b13286134df698a4cd68977b77d693407a444f8e2",
     },
+    # The batched x-drop sweep's exact work (``kernel_counts["Alignment"]``,
+    # sums over problems, so the same under every executor, overlap mode
+    # and chunking; the ``loop`` engine records none).  These reads are
+    # error-free, so every extension ends on its seed diagonal: no edit
+    # round runs, and the word compares are the whole of the work.
+    "alignment": {"rounds": 0, "cells": 0, "words": 110777},
     # The monolithic/blocked peaks of the ESC (pre-PR-6 default) engine,
     # whose TrReduction live set is the full unmasked N.
     "peaks_esc": {
@@ -161,6 +168,7 @@ def test_golden_pipeline(golden_reads, executor_workers, overlap_mode,
         "counts": (result.nnz_a, result.nnz_c, result.nnz_r, result.nnz_s),
         "tracker": _tracker_digest(result.tracker),
         "peaks": _peaks_digest(result.timer),
+        "alignment": result.kernel_counts.get("Alignment"),
     }
     # Both SpGEMM engines are golden (the CI matrix pins each); only the
     # TrReduction live-set peak legitimately differs between them.
@@ -172,6 +180,7 @@ def test_golden_pipeline(golden_reads, executor_workers, overlap_mode,
         "counts": GOLDEN["counts"],
         "tracker": GOLDEN["tracker"][overlap_mode],
         "peaks": GOLDEN[peaks_key][overlap_mode],
+        "alignment": GOLDEN["alignment"] if align_impl == "batch" else None,
     }
     assert got == expect, (
         f"golden pipeline drift under executor={executor}/{workers} "
@@ -192,6 +201,7 @@ def test_golden_pipeline_esc_engine(golden_reads, overlap_mode):
         "counts": (result.nnz_a, result.nnz_c, result.nnz_r, result.nnz_s),
         "tracker": _tracker_digest(result.tracker),
         "peaks": _peaks_digest(result.timer),
+        "alignment": result.kernel_counts.get("Alignment"),
     }
     expect = {
         "S": GOLDEN["S"],
@@ -199,6 +209,7 @@ def test_golden_pipeline_esc_engine(golden_reads, overlap_mode):
         "counts": GOLDEN["counts"],
         "tracker": GOLDEN["tracker"][overlap_mode],
         "peaks": GOLDEN["peaks_esc"][overlap_mode],
+        "alignment": GOLDEN["alignment"],
     }
     assert got == expect, (
         f"golden pipeline drift under spgemm_impl=esc "

@@ -8,8 +8,11 @@ need (:func:`repro.seqs.kmer_counter.reliable_upper_bound` computes it).
 Nor does it load the paper-table drivers (``repro.eval.experiments``) or
 the baselines they compare against: ``repro.eval`` is imported by every
 process that scores a run, and only the report and the claims tests need
-them.  The check runs in a fresh interpreter, because this test process may
-have imported anything.  It needs numpy, scipy and pytest only.
+them.  Nor does it reach the test-only reference oracles under
+``tests/oracles``, which the child can import (``tests`` is on its path) so
+that a guarded import would show.  The check runs in a fresh interpreter,
+because this test process may have imported anything.  It needs numpy,
+scipy and pytest only.
 """
 
 import os
@@ -40,15 +43,19 @@ CHILD = textwrap.dedent("""
                      if m == "repro.eval.experiments"
                      or m.split(".")[:2] == ["repro", "baselines"])
     print("experiment drivers and baselines loaded:", drivers)
-    sys.exit(1 if stats or drivers else 0)
+    oracles = sorted(m for m in sys.modules
+                     if m.split(".")[0] == "oracles")
+    print("test oracles loaded:", oracles)
+    sys.exit(1 if stats or drivers or oracles else 0)
 """)
 
 
 def test_no_process_loads_scipy_stats():
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+        [src, here] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run([sys.executable, "-c", CHILD], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr

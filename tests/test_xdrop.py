@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.seqs.dna import encode, revcomp
 from repro.align.xdrop import (Scoring, chain_extend, seed_extend_align,
-                               xdrop_extend, xdrop_extend_dp)
+                               xdrop_extend)
+
+from oracles.xdrop_dp import xdrop_extend_dp
 
 SC = Scoring()
 
