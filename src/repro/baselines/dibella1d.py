@@ -16,8 +16,12 @@ Table I's 1D columns come from measured code:
 3. alltoallv of candidate pairs to block-row owners + duplicate reduction
    (stage ``Overlap1D`` traffic — this is the ``a²m/P`` term),
 4. read exchange: one read per nonzero where the aligning rank lacks it
-   (stage ``ExchangeRead1D``, ``W = cnl/P``),
-5. pairwise alignment (same kernel as the 2D pipeline).
+   (stage ``ExchangeRead1D``, ``W = cnl/P``).
+
+Table I compares only the stages whose traffic differs between the two
+designs.  Alignment is not one of them: it is the 2D pipeline's kernel run
+on the same candidate pairs (the 1D and 2D candidate sets are equal), so
+it is not run here.
 """
 
 from __future__ import annotations
@@ -26,12 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..align.xdrop import Scoring
-from ..core.overlap import AlignmentFilter, _align_one
-from ..core.semirings import C_PA1, C_PB1, C_STRAND1
-from ..align.overlapper import classify_overlap
-from ..dsparse.backend import Backend, get_backend
 from ..dsparse.coomat import CooMat
+from ..dsparse.spgemm import expand_products
 from ..mpisim.comm import SimComm
 from ..mpisim.grid import block_bounds
 from ..mpisim.tracker import CommTracker, StageTimer
@@ -44,30 +44,20 @@ __all__ = ["Dibella1DResult", "run_dibella1d"]
 
 @dataclass
 class Dibella1DResult:
-    """Outcome of the 1D pipeline (overlap detection only, no TR)."""
+    """Outcome of the 1D pipeline (candidate pairs only: no alignment, no
+    TR)."""
 
     n_reads: int
     n_kmers: int
     n_candidate_pairs: int
-    n_overlaps: int
     timer: StageTimer
     tracker: CommTracker
 
 
 def run_dibella1d(reads: ReadSet, k: int = 17, nprocs: int = 1, *,
-                  align_mode: str = "xdrop", scoring: Scoring | None = None,
-                  filt: AlignmentFilter | None = None, fuzz: int = 100,
                   depth_hint: float = 30.0, error_hint: float = 0.15,
-                  kmer_upper: int | None = None,
-                  backend: Backend | str | None = None) -> Dibella1DResult:
-    """Run the 1D overlap-detection pipeline (Table I's comparator).
-
-    ``backend`` selects the local sparse kernels used for each owner's
-    outer product (the expansion primitive shared with the 2D SpGEMM).
-    """
-    scoring = scoring if scoring is not None else Scoring()
-    filt = filt if filt is not None else AlignmentFilter()
-    backend = get_backend(backend)
+                  kmer_upper: int | None = None) -> Dibella1DResult:
+    """Run the 1D overlap-detection pipeline (Table I's comparator)."""
     tracker = CommTracker(nprocs)
     comm = SimComm(nprocs, tracker)
     timer = StageTimer()
@@ -108,7 +98,7 @@ def run_dibella1d(reads: ReadSet, k: int = 17, nprocs: int = 1, *,
     # Local outer product at each owner: all read pairs sharing a k-mer.
     # Each owner's postings form a reads × k-mers block A_q, and the pairs
     # are the expansion half of the semiring SpGEMM A_q·A_qᵀ — the same
-    # backend kernel the 2D pipeline multiplies with, but *without* the
+    # kernel the 2D pipeline multiplies with, but *without* the
     # compress step: every per-k-mer duplicate ships, which is exactly the
     # 1D algorithm's a²m/P candidate volume that must then be reduced.
     empty_payload = np.empty((0, 5), dtype=np.int64)
@@ -123,7 +113,7 @@ def run_dibella1d(reads: ReadSet, k: int = 17, nprocs: int = 1, *,
                 Aq = CooMat((n, m), rds[mine], cols[mine],
                             np.stack([poss[mine], flips[mine]], axis=1))
                 Atq = Aq.T
-                a_idx, b_at = backend.expand(Aq, Atq)
+                a_idx, b_at = expand_products(Aq, Atq)
                 if a_idx.shape[0] == 0:
                     continue
                 b_rows = Atq.csr()
@@ -154,23 +144,21 @@ def run_dibella1d(reads: ReadSet, k: int = 17, nprocs: int = 1, *,
     # exchange is the 1D algorithm's a²m/P-word bottleneck.
     recv = comm.alltoallv(pair_send, stage=stage)
 
-    candidates: list[dict[tuple[int, int], tuple[int, int, int]]] = []
+    # Only the unique (ri, rj) keys matter from here on: the pair count and
+    # which reads each row owner must fetch.
+    candidates: list[np.ndarray] = []
     with timer.superstep(stage) as step:
         for p in range(P):
             with step.rank(p):
                 arrs = [a for a in recv[p]
                         if a is not None and a.shape[0] > 0]
-                table_p: dict[tuple[int, int], tuple[int, int, int]] = {}
+                keys = np.empty(0, dtype=np.int64)
                 if arrs:
                     allp = np.vstack(arrs)
-                    keys = allp[:, 0] * np.int64(n) + allp[:, 1]
-                    _, first = np.unique(keys, return_index=True)
-                    uniq = allp[first]
-                    table_p = {(int(a), int(b)): (int(x), int(y), int(s))
-                               for a, b, x, y, s in uniq}
-                candidates.append(table_p)
+                    keys = np.unique(allp[:, 0] * np.int64(n) + allp[:, 1])
+                candidates.append(keys)
 
-    n_pairs = sum(len(c) for c in candidates)
+    n_pairs = sum(int(c.shape[0]) for c in candidates)
 
     # Read exchange: an alignment task sits at the row owner of read i,
     # which owns i but may lack j — at most one read per nonzero (W=cnl/P).
@@ -178,36 +166,15 @@ def run_dibella1d(reads: ReadSet, k: int = 17, nprocs: int = 1, *,
     lengths = reads.lengths
     for p in range(P):
         lo, hi = int(read_bounds[p]), int(read_bounds[p + 1])
-        needed_j = {rj for (_, rj) in candidates[p] if not lo <= rj < hi}
+        rj = np.unique(candidates[p] % n)
+        needed_j = rj[(rj < lo) | (rj >= hi)]
         # Aggregate per source rank: one message per (src -> p) pair with
         # all its reads batched (Table I's Y = min{cnl/P, P}).
-        per_src: dict[int, int] = {}
-        for rj in needed_j:
-            src = int(np.searchsorted(read_bounds, rj, side="right")) - 1
-            per_src[src] = per_src.get(src, 0) + int(lengths[rj])
-        for src, nbytes in per_src.items():
-            comm.tracker.record(ex_stage, src, nbytes, 1)
-
-    # Alignment (same kernel as 2D).
-    n_overlaps = 0
-    with timer.superstep("Alignment") as step:
-        for p in range(P):
-            with step.rank(p):
-                for (ri, rj), (pi, pj, s) in candidates[p].items():
-                    cval = np.full(7, -1, dtype=np.int64)
-                    cval[C_PA1], cval[C_PB1], cval[C_STRAND1] = pi, pj, s
-                    res = _align_one(reads, ri, rj, cval, k, align_mode,
-                                     scoring)
-                    if res is None:
-                        continue
-                    olen = res.ea - res.ba
-                    if not filt.passes(res.score, olen):
-                        continue
-                    oc = classify_overlap(reads[ri].shape[0],
-                                          reads[rj].shape[0], res, fuzz)
-                    if oc.kind == "dovetail":
-                        n_overlaps += 1
+        src = np.searchsorted(read_bounds, needed_j, side="right") - 1
+        nbytes = np.bincount(src, weights=lengths[needed_j], minlength=P)
+        for r in np.unique(src):
+            comm.tracker.record(ex_stage, int(r), int(nbytes[r]), 1)
 
     return Dibella1DResult(n_reads=n, n_kmers=len(table),
-                           n_candidate_pairs=n_pairs, n_overlaps=n_overlaps,
+                           n_candidate_pairs=n_pairs,
                            timer=timer, tracker=tracker)

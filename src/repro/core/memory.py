@@ -30,7 +30,7 @@ from .semirings import C_NFIELDS
 
 __all__ = [
     "DEFAULT_N_STRIPS",
-    "coo_nbytes", "estimate_candidate_nnz", "estimate_a_nnz",
+    "coo_nbytes", "estimate_candidate_nnz",
     "StripPlan", "plan_strips",
     "BudgetPlan", "apportion_budget",
     "parse_bytes", "format_bytes",
@@ -61,28 +61,12 @@ def estimate_candidate_nnz(nnz_a: int, n_kmers: int) -> int:
     *measured* ``nnz(A)``, the estimate is self-correcting under sketched
     seeding (``seed_mode=minimizer|syncmer``): a scheme that keeps a
     fraction ``f`` of the windows shrinks ``a`` by ``~f`` and the modeled
-    candidate count by ``~f²`` — use :func:`estimate_a_nnz` when planning
-    *before* A exists.
+    candidate count by ``~f²``.
     """
     if nnz_a <= 0 or n_kmers <= 0:
         return 0
     a = nnz_a / n_kmers
     return int(math.ceil(n_kmers * a * a / 2.0))
-
-
-def estimate_a_nnz(lengths, k: int, seed_fraction: float = 1.0) -> int:
-    """Pre-scan upper estimate of ``nnz(A)`` from read lengths alone.
-
-    Each read of length ``l`` has ``max(l - k + 1, 0)`` k-mer windows, of
-    which the seeding scheme selects an expected ``seed_fraction``
-    (:attr:`repro.seqs.seeding.SeedScheme.expected_seed_fraction`: 1 for
-    full-k, ``~2/(w+1)`` for minimizers, ``1/w`` for open syncmers).
-    Per-(read, k-mer) dedup and the reliable-multiplicity filter only
-    remove entries, so this bounds the real ``nnz(A)`` — the pre-run
-    counterpart of the measured value :func:`plan_strips` consumes.
-    """
-    windows = sum(max(int(l) - (k - 1), 0) for l in lengths)
-    return int(math.ceil(windows * float(seed_fraction)))
 
 
 @dataclass(frozen=True)

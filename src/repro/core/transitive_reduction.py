@@ -212,9 +212,8 @@ def transitive_reduction(R: DistMat, comm: SimComm,
         Safety bound on iterations (the paper observes a small constant).
     backend:
         Local-kernel backend for the squaring, reduction, and pruning
-        (``N = R²`` is a 4-field MinPlus product, so every backend runs it
-        on the ESC kernel — masked to ``R``'s pattern under the masked
-        engine; the seam is still threaded for future kernels).
+        (``N = R²`` runs on the ESC kernel — masked to ``R``'s pattern
+        under the masked engine).
     executor:
         :class:`~repro.exec.Executor` parallelizing each round's repeated
         SUMMA products (the runtime-dominating part of the loop) and the

@@ -7,12 +7,11 @@ kept in canonical row-major order with unique coordinates, which every kernel
 (SpGEMM, element-wise ops, reductions) relies on.
 
 Because the canonical order *is* CSR order, a ``CooMat`` doubles as CSR
-storage: :meth:`csr_indptr` is computed once and cached, and
-:meth:`to_csr` exposes one value field as a :class:`scipy.sparse.csr_matrix`
-**view** that shares the column-index and (for single-field matrices) value
-arrays with the COO storage — no conversion pass.  The CSR side is what the
-``scipy`` backend (:mod:`repro.dsparse.backend`) lowers scalar semirings
-onto, and what the ESC kernel's expansion step indexes.
+storage: :meth:`csr_indptr` is computed once and cached, and the shared
+``col`` array is the CSR index array — no conversion pass.  The CSR side is
+what the ESC kernel's expansion step indexes, and a
+:class:`scipy.sparse.csr_matrix` over it (sharing those arrays) is what the
+masked kernels' pattern product and the column pass run on.
 
 :attr:`CooMat.T` is the transpose as a **view**: it shares ``row``,
 ``col`` and ``vals`` with its base (swapped), and its storage order is its
@@ -71,9 +70,8 @@ class CooMat:
         if not checked:
             self._canonicalize()
         # Lazily-built derivatives (valid because entries are immutable once
-        # canonical): the row pointer, per-field scipy CSR views, the CSC.
+        # canonical): the row pointer and the CSC.
         self._indptr: np.ndarray | None = None
-        self._csr: dict[int, sp.csr_matrix] = {}
         self._csc: Lines | None = None
 
     # -- construction ------------------------------------------------------
@@ -178,27 +176,6 @@ class CooMat:
         """The transpose as a view sharing this matrix's arrays."""
         return _Transposed(self)
 
-    def to_csr(self, field: int = 0) -> sp.csr_matrix:
-        """One value field as a CSR matrix sharing this matrix's storage.
-
-        The canonical row-major order means ``col`` already *is* the CSR
-        index array; the returned matrix aliases it (and, for single-field
-        matrices, the value column) rather than copying.  Callers must treat
-        the result as read-only.  Built once per field and cached.  (A view
-        gathers the field into its CSR order: the one place a view's
-        values are copied, which only a scalar lowering asks for.)
-        """
-        csr = self._csr.get(field)
-        if csr is None:
-            data = self.vals[:, field]
-            order = self.csr().order
-            if order is not None:
-                data = data[order]
-            if not data.flags.c_contiguous:
-                data = np.ascontiguousarray(data)
-            csr = self._csr[field] = self._csr_over(data)
-        return csr
-
     def _csr_over(self, data: np.ndarray) -> sp.csr_matrix:
         """A CSR matrix of ``data`` over this matrix's (shared) indices."""
         lines = self.csr()
@@ -207,10 +184,6 @@ class CooMat:
         csr.indices = lines.index
         csr.data = data
         return csr
-
-    def pattern_csr(self) -> sp.csr_matrix:
-        """The pattern with unit weights, sharing the cached CSR indices."""
-        return self._csr_over(np.ones(self.nnz, dtype=np.int64))
 
     @classmethod
     def from_csr(cls, mat: sp.csr_matrix, *, checked: bool = False
@@ -286,7 +259,6 @@ class _Transposed(CooMat):
         self.row, self.col, self.vals = base.col, base.row, base.vals
         self._base = base
         self._indptr = None
-        self._csr = {}
         self._csc = None     # here: the view's CSR, the base's columns
 
     @property

@@ -16,7 +16,10 @@ algorithm (:mod:`repro.dsparse.spgemm`), a semiring here is expressed in
   out";
 * :meth:`Semiring.reduce` folds each sorted group of products that share an
   output coordinate into a single value row — ``np.minimum.reduceat`` for
-  MinPlus, segment sums for PlusTimes, etc.
+  a MinPlus, a count sum plus the first two seeds for the positions
+  semiring.
+
+The pipeline's two semirings live in :mod:`repro.core.semirings`.
 
 Matrix values are 2D ``int64`` arrays of shape ``(nnz, nfields)`` so that a
 single container covers plain numbers (``nfields=1``) and structured payloads
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Semiring", "PlusTimes", "MinPlus", "BoolOr", "INF"]
+__all__ = ["Semiring", "INF"]
 
 #: "Infinity" for MinPlus-style semirings; large enough that no genomic
 #: suffix sum approaches it, small enough that sums of two never overflow.
@@ -43,13 +46,6 @@ class Semiring:
 
     #: Number of int64 fields in this semiring's *output* values.
     out_nfields: int = 1
-
-    #: Optional scalar lowering the ``scipy`` backend can execute with native
-    #: CSR arithmetic (:mod:`repro.dsparse.backend`): ``"plus_times"`` or
-    #: ``"bool_or"``.  ``None`` (the default) means the semiring only runs on
-    #: the ESC kernel — multi-field semirings and MinPlus (scipy has no
-    #: tropical product) stay here.
-    lowering: str | None = None
 
     #: Optional ESC truncation capability.  When set to ``k``, the semiring
     #: promises that (a) :meth:`multiply` never returns a validity mask and
@@ -96,54 +92,3 @@ class Semiring:
         Required iff :attr:`product_reduce_depth` is set.
         """
         raise NotImplementedError
-
-
-class PlusTimes(Semiring):
-    """The ordinary (+, ×) semiring on single-field integer values.
-
-    Used for structural tests (it must agree with ``scipy.sparse`` matrix
-    multiplication) and for nnz/counting style products.
-    """
-
-    out_nfields = 1
-    lowering = "plus_times"
-
-    def multiply(self, avals, bvals):
-        return avals[:, :1] * bvals[:, :1], None
-
-    def reduce(self, vals, starts, counts):
-        sums = np.add.reduceat(vals[:, 0], starts)
-        return sums[:, None]
-
-
-class MinPlus(Semiring):
-    """Plain tropical (min, +) semiring on single-field values.
-
-    The direction-checked MinPlus of Algorithm 3 lives in
-    :class:`repro.core.semirings.BidirectedMinPlus`; this numeric version
-    backs shortest-path style tests.
-    """
-
-    out_nfields = 1
-
-    def multiply(self, avals, bvals):
-        return avals[:, :1] + bvals[:, :1], None
-
-    def reduce(self, vals, starts, counts):
-        mins = np.minimum.reduceat(vals[:, 0], starts)
-        return mins[:, None]
-
-
-class BoolOr(Semiring):
-    """Boolean (or, and) semiring: structural product (pattern of A·B)."""
-
-    out_nfields = 1
-    lowering = "bool_or"
-
-    def multiply(self, avals, bvals):
-        out = ((avals[:, :1] != 0) & (bvals[:, :1] != 0)).astype(np.int64)
-        return out, None
-
-    def reduce(self, vals, starts, counts):
-        anys = np.maximum.reduceat(vals[:, 0], starts)
-        return np.minimum(anys, 1)[:, None]

@@ -1,19 +1,14 @@
 """Local semiring SpGEMM kernels.
 
-Two implementations of ``C = A ⊗ B`` over a :class:`~repro.dsparse.semiring.
-Semiring`:
-
-* :func:`spgemm_esc` — **expand-sort-compress**, the default.  All products
-  are materialized with numpy repeat/gather arithmetic, masked by the
-  semiring's validity check, lexsorted by output coordinate, and folded with
-  the semiring's segmented reduce.  No Python-level loop over nonzeros.
-* :func:`spgemm_gustavson` — a dict-accumulator row-by-row reference used to
-  cross-check ESC in tests.
+:func:`spgemm_esc` computes ``C = A ⊗ B`` over a
+:class:`~repro.dsparse.semiring.Semiring` by **expand-sort-compress**: all
+products are materialized with numpy repeat/gather arithmetic, masked by
+the semiring's validity check, lexsorted by output coordinate, and folded
+with the semiring's segmented reduce.  No Python-level loop over nonzeros.
 
 CombBLAS uses a hybrid hash/heap local multiply inside Sparse SUMMA (paper
 Section IV-D); ESC is the vectorized equivalent appropriate for numpy.
-Kernel *selection* lives one layer up: :mod:`repro.dsparse.backend` routes
-scalar semirings onto native scipy CSR matmul and everything else here.
+Per-block kernel *selection* lives in :mod:`repro.dsparse.masked`.
 """
 
 from __future__ import annotations
@@ -24,7 +19,7 @@ from .coomat import CooMat
 from .semiring import Semiring
 
 __all__ = ["expand_products", "packed_order", "stable_key_order",
-           "key_packs", "spgemm_esc", "spgemm_gustavson", "multiway_merge"]
+           "key_packs", "spgemm_esc", "multiway_merge"]
 
 _INT64_MAX = 2 ** 63 - 1
 
@@ -131,53 +126,6 @@ def spgemm_esc(A: CooMat, B: CooMat, semiring: Semiring) -> CooMat:
         if ci.shape[0] == 0:
             return CooMat.empty(out_shape, semiring.out_nfields)
     return _sort_reduce(out_shape, ci, cj, cvals, semiring)
-
-
-def spgemm_gustavson(A: CooMat, B: CooMat, semiring: Semiring) -> CooMat:
-    """Row-by-row dict-accumulator reference SpGEMM.
-
-    Semantically identical to :func:`spgemm_esc` (products are accumulated
-    per output coordinate with the semiring's reduce applied to the collected
-    group), but uses Python dictionaries — easy to audit, slow, and kept as
-    the correctness oracle.
-    """
-    if A.shape[1] != B.shape[0]:
-        raise ValueError(f"inner dimensions differ: {A.shape} x {B.shape}")
-    out_shape = (A.shape[0], B.shape[1])
-    b_rows = B.csr()
-    acc: dict[tuple[int, int], list[np.ndarray]] = {}
-    for t in range(A.nnz):
-        i = int(A.row[t]); k = int(A.col[t])
-        lo, hi = int(b_rows.indptr[k]), int(b_rows.indptr[k + 1])
-        if lo == hi:
-            continue
-        bidx = b_rows.stored(np.arange(lo, hi))
-        cvals, mask = semiring.multiply(
-            np.broadcast_to(A.vals[t], (hi - lo, A.nfields)), B.vals[bidx])
-        for s in range(hi - lo):
-            if mask is not None and not mask[s]:
-                continue
-            acc.setdefault((i, int(b_rows.index[lo + s])), []).append(
-                cvals[s])
-    if not acc:
-        return CooMat.empty(out_shape, semiring.out_nfields)
-    keys = sorted(acc.keys())
-    rows = np.array([k[0] for k in keys], dtype=np.int64)
-    cols = np.array([k[1] for k in keys], dtype=np.int64)
-    stacked = []
-    starts = []
-    counts = []
-    off = 0
-    for k in keys:
-        group = acc[k]
-        stacked.extend(group)
-        starts.append(off)
-        counts.append(len(group))
-        off += len(group)
-    vals = np.vstack(stacked)
-    reduced = semiring.reduce(vals, np.array(starts, dtype=np.int64),
-                              np.array(counts, dtype=np.int64))
-    return CooMat(out_shape, rows, cols, reduced, checked=True)
 
 
 def multiway_merge(parts: list[CooMat], semiring: Semiring,

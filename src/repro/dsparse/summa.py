@@ -142,8 +142,7 @@ def summa(A: DistMat, B: DistMat, semiring: Semiring, comm: SimComm,
         Optional stage timer; local multiplies are charged per superstep.
     backend:
         Local-kernel backend (name or instance) for the block multiplies and
-        the per-block accumulation; ``None`` selects the default
-        auto-dispatching backend.
+        the per-block accumulation; ``None`` selects the default.
     executor:
         :class:`~repro.exec.Executor` running the local block work (the
         ``q²`` multiplies per SUMMA stage, the ``q²`` final merges) in

@@ -8,8 +8,7 @@ runs the module once, as ``__main__``.
 """
 
 from .datasets import PRESETS, DatasetPreset, load_preset
-from .metrics import (graph_edge_recall, overlap_recall_precision,
-                      parallel_efficiency)
+from .metrics import overlap_recall_precision, parallel_efficiency
 from .assembly_metrics import (contig_spans, genome_coverage, misjoin_count,
                                n50)
 
@@ -17,7 +16,7 @@ _REPORT = ("format_table", "format_value", "print_table")
 
 __all__ = [
     "PRESETS", "DatasetPreset", "load_preset",
-    "graph_edge_recall", "overlap_recall_precision", "parallel_efficiency",
+    "overlap_recall_precision", "parallel_efficiency",
     *_REPORT,
     "contig_spans", "genome_coverage", "misjoin_count", "n50",
 ]

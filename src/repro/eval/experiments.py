@@ -160,7 +160,7 @@ def _dibella1d_for(name: str, P: int):
     key = ("1d", name, P)
     if key not in _CACHE:
         _CACHE[key] = run_dibella1d(
-            reads, k=17, nprocs=P, align_mode="chain",
+            reads, k=17, nprocs=P,
             depth_hint=preset.depth, error_hint=preset.error_rate)
     return _CACHE[key]
 

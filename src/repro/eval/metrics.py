@@ -7,13 +7,11 @@ compute them from runtimes and ground-truth layouts.
 
 from __future__ import annotations
 
-from ..core.string_graph import StringGraph
 from ..seqs.simulator import TrueLayout
 
 __all__ = [
     "parallel_efficiency",
     "overlap_recall_precision",
-    "graph_edge_recall",
 ]
 
 
@@ -45,20 +43,3 @@ def overlap_recall_precision(found_pairs: set[tuple[int, int]],
     recall = tp / len(truth)
     precision = tp / len(norm_found) if norm_found else float("nan")
     return recall, precision
-
-
-def graph_edge_recall(graph: StringGraph, layout: TrueLayout,
-                      min_overlap: int = 500) -> float:
-    """Fraction of true overlapping pairs retained as string-graph edges.
-
-    After transitive reduction most true pairs are *intentionally* removed;
-    this metric is used on the overlap graph R (before reduction) and for
-    sanity bounds on S (reads adjacent on the genome should mostly remain
-    connected).
-    """
-    pairs = {(min(int(s), int(d)), max(int(s), int(d)))
-             for s, d in zip(graph.src, graph.dst)}
-    truth = layout.overlap_pairs(min_overlap)
-    if not truth:
-        return float("nan")
-    return len(pairs & truth) / len(truth)

@@ -172,9 +172,9 @@ class StageTimer:
 
         For the SpGEMM stages the counters are block products per
         :meth:`repro.dsparse.backend.Backend.spgemm_with_path` name
-        (``"csr"``, ``"masked_csr"``, ``"esc"``, ``"masked_esc"``,
-        ``"masked_dot"``) — and nothing else, so their sum is the stage's
-        kernel calls; what those calls *did* goes to :meth:`count_work`.
+        (``"esc"``, ``"masked_esc"``, ``"masked_dot"``) — and nothing
+        else, so their sum is the stage's kernel calls; what those calls
+        *did* goes to :meth:`count_work`.
         For ``Alignment`` they are the batched x-drop sweep's ``rounds``,
         ``cells`` and ``words`` (:func:`repro.align.batch.xdrop_extend_batch`).
         ``repro stats`` prints them per stage, so a bench regression is

@@ -94,7 +94,10 @@ class Axis:
 
 
 def _worker_count(text: Any) -> int:
-    return max(1, int(text))
+    count = int(text)
+    if count < 1:
+        raise ValueError(f"worker count must be >= 1, got {count}")
+    return count
 
 
 ALIGN_IMPL = Axis(
@@ -124,15 +127,15 @@ SPGEMM_IMPL = Axis(
 
 BACKEND = Axis(
     "backend", "--backend", None, "auto",
-    "local sparse-kernel backend: 'auto' lowers scalar semirings to scipy "
-    "CSR kernels and runs multi-field semirings on the numpy ESC "
-    "reference; 'numpy' / 'scipy' pin one",
+    "local sparse-kernel backend: all three names select the same numpy "
+    "kernels (ESC, masked ESC and the mask-driven dot kernel, chosen per "
+    "block) until the axis goes",
     choices=("numpy", "scipy"), service=True)
 
 WORKERS = Axis(
     "workers", "--workers", "REPRO_WORKERS", 1,
     "parallel workers for the simulated ranks' local compute",
-    type=_worker_count, metavar="INT", service=True)
+    type=_worker_count, metavar="INT ≥ 1", service=True)
 
 EXECUTOR = Axis(
     "executor", "--executor", "REPRO_EXECUTOR", "auto",

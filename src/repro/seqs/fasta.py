@@ -1,11 +1,4 @@
-"""FASTA input/output and parallel-I/O-style chunked reading.
-
-The paper ingests reads with parallel MPI I/O: every processor reads an
-equal-sized byte range of the FASTA file and parses the records that *start*
-inside its range (Section IV-B).  :func:`chunked_read_ranges` reproduces that
-partitioning rule exactly so the simulated ranks receive the same read
-distribution a real MPI run would, which in turn drives the read-exchange
-communication volumes of Table I.
+"""FASTA input/output.
 
 A :class:`ReadSet` is backed either by in-memory per-read code arrays or by
 an on-disk :class:`~repro.seqs.read_store.MmapReadStore` (the out-of-core
@@ -36,7 +29,6 @@ __all__ = [
     "write_fasta",
     "read_fasta",
     "read_fasta_to_store",
-    "chunked_read_ranges",
 ]
 
 
@@ -362,29 +354,3 @@ def read_fasta_to_store(source: str | Path | io.TextIOBase,
         writer.abort()
         raise
     return ReadSet.from_store(writer.finish(), names)
-
-
-def chunked_read_ranges(record_starts: np.ndarray, file_size: int, nprocs: int
-                        ) -> list[tuple[int, int]]:
-    """Assign FASTA records to processors by equal byte ranges.
-
-    Parameters
-    ----------
-    record_starts:
-        Byte offset of each record's ``>`` character, ascending.
-    file_size:
-        Total file size in bytes.
-    nprocs:
-        Number of processors.
-
-    Returns
-    -------
-    list of (lo, hi):
-        For each processor, the half-open range of *record indices* it owns:
-        the records whose start offset falls inside its byte chunk
-        ``[p*file_size/nprocs, (p+1)*file_size/nprocs)``.
-    """
-    record_starts = np.asarray(record_starts, dtype=np.int64)
-    bounds = (np.arange(nprocs + 1, dtype=np.int64) * file_size) // nprocs
-    idx = np.searchsorted(record_starts, bounds, side="left")
-    return [(int(idx[p]), int(idx[p + 1])) for p in range(nprocs)]

@@ -26,10 +26,7 @@ __all__ = [
     "pack_kmers",
     "revcomp_kmers",
     "canonical_kmers",
-    "read_kmers",
     "read_kmers_batch",
-    "kmer_to_string",
-    "string_to_kmer",
     "splitmix64",
 ]
 
@@ -96,23 +93,6 @@ def canonical_kmers(kmers: np.ndarray, k: int) -> np.ndarray:
     return np.minimum(kmers, revcomp_kmers(kmers, k))
 
 
-def read_kmers(codes: np.ndarray, k: int, canonical: bool = True
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """All k-mers of one read together with their positions.
-
-    Returns
-    -------
-    (kmers, positions):
-        ``uint64`` packed (canonical by default) k-mers and their ``int64``
-        start offsets in the read.
-    """
-    km = pack_kmers(codes, k)
-    pos = np.arange(km.shape[0], dtype=np.int64)
-    if canonical:
-        km = canonical_kmers(km, k)
-    return km, pos
-
-
 def _word(bases: int) -> type:
     """The narrowest unsigned dtype holding ``bases`` two-bit codes."""
     for dt in (np.uint8, np.uint16, np.uint32):
@@ -175,7 +155,8 @@ def read_kmers_batch(codes: np.ndarray, offsets: np.ndarray,
     :meth:`repro.seqs.fasta.ReadSet.soa`).  Every read's windows are packed,
     canonicalized, and position/flip-annotated as column operations over the
     whole batch: no Python-level dispatch per read.  Values are exactly those
-    of calling :func:`read_kmers` per read and concatenating (same packing
+    of packing each read's windows with :func:`pack_kmers` (canonicalized by
+    :func:`canonical_kmers`) and concatenating (same packing
     arithmetic, same canonical rule), in the same read-major order.
 
     Parameters
@@ -242,24 +223,6 @@ def read_kmers_batch(codes: np.ndarray, offsets: np.ndarray,
         return km, read_idx, pos, np.zeros(total, dtype=bool)
     canon = canonical_kmers(km, k)
     return canon, read_idx, pos, canon != km
-
-
-def kmer_to_string(kmer: int, k: int) -> str:
-    """Unpack a packed k-mer back into its ACGT string (for debugging)."""
-    _check_k(k)
-    out = []
-    for shift in range(2 * (k - 1), -2, -2):
-        out.append("ACGT"[(int(kmer) >> shift) & 3])
-    return "".join(out)
-
-
-def string_to_kmer(s: str) -> int:
-    """Pack an ACGT string (``len(s) <= 31``) into its ``uint64`` value."""
-    _check_k(len(s))
-    val = 0
-    for ch in s:
-        val = (val << 2) | "ACGT".index(ch)
-    return val
 
 
 def splitmix64(x: np.ndarray) -> np.ndarray:

@@ -6,59 +6,22 @@ pairwise similarity from shared minimizers without base-level alignment.
 The pipeline's :class:`~repro.seqs.seeding.MinimizerScheme` seed mode
 builds on this module.
 
-:func:`minimizers` extracts one read with a sliding-window argmin over the
-hashed canonical k-mer sequence; :func:`minimizers_batch` is its exact
-whole-block SoA counterpart (mirroring
+:func:`minimizers_batch` extracts a whole SoA block of reads (mirroring
 :func:`~repro.seqs.kmers.read_kmers_batch`'s column-op style): one sliding
 argmin over the concatenated hash stream with per-read window masking, and
-a vectorized segment-argmin for reads with fewer than ``w`` windows.  The
-batched output equals concatenating the per-read extractor over the block
-— pinned by the parity suite.
+a vectorized segment-argmin for reads with fewer than ``w`` windows.  Its
+output equals a per-read sliding-window argmin over each read's hashed
+canonical k-mers, concatenated over the block — pinned by the parity suite
+against the per-read reference in the tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .kmers import pack_kmers, canonical_kmers, read_kmers_batch, splitmix64
+from .kmers import read_kmers_batch, splitmix64
 
-__all__ = ["minimizers", "minimizers_batch"]
-
-
-def minimizers(codes: np.ndarray, k: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Return the (w, k)-minimizers of one read.
-
-    Parameters
-    ----------
-    codes:
-        2-bit code array of the read.
-    k:
-        K-mer length.
-    w:
-        Window size in k-mers; each window of ``w`` consecutive k-mers
-        contributes its hash-minimal canonical k-mer.
-
-    Returns
-    -------
-    (kmers, positions):
-        Deduplicated ``uint64`` canonical minimizer k-mers and their start
-        positions, in ascending position order.  A k-mer minimal in several
-        overlapping windows is reported once per distinct position.
-    """
-    if w < 1:
-        raise ValueError("w must be >= 1")
-    km = pack_kmers(codes, k)
-    if km.shape[0] == 0:
-        return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
-    can = canonical_kmers(km, k)
-    order = splitmix64(can)  # random order breaks lexicographic bias
-    if order.shape[0] <= w:
-        pos = np.array([int(np.argmin(order))], dtype=np.int64)
-        return can[pos], pos
-    windows = np.lib.stride_tricks.sliding_window_view(order, w)
-    arg = windows.argmin(axis=1) + np.arange(windows.shape[0], dtype=np.int64)
-    pos = np.unique(arg)
-    return can[pos], pos
+__all__ = ["minimizers_batch"]
 
 
 def minimizers_batch(codes: np.ndarray, offsets: np.ndarray,
@@ -69,8 +32,8 @@ def minimizers_batch(codes: np.ndarray, offsets: np.ndarray,
 
     The reads live in one shared SoA buffer (the layout of
     :meth:`repro.seqs.fasta.ReadSet.soa`).  Values are exactly those of
-    calling :func:`minimizers` per read and concatenating, in the same
-    read-major ascending-position order — plus the per-seed ``flip``
+    extracting each read's minimizers on its own and concatenating, in the
+    same read-major ascending-position order — plus the per-seed ``flip``
     orientation bit the pipeline's A matrix needs.
 
     Returns

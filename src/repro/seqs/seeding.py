@@ -9,10 +9,10 @@ under mutation.  This module abstracts the choice behind a
 :class:`SeedScheme`:
 
 * :class:`FullKScheme` — every window, byte-identical to the historical
-  hardwired path (``read_kmers`` / ``read_kmers_batch``).
+  hardwired path (``read_kmers_batch``).
 * :class:`MinimizerScheme` — the hash-minimal canonical k-mer of every
   window of ``w`` consecutive k-mers, batched over a whole SoA block
-  (exact per-read parity with :func:`repro.seqs.minimizers.minimizers`).
+  (:func:`repro.seqs.minimizers.minimizers_batch`).
 * :class:`SyncmerScheme` — open syncmers: a k-mer is a seed iff the
   hash-minimal canonical s-mer among its ``k - s + 1`` s-mers sits at the
   *start* of the k-mer's canonical orientation, with ``s = k - w + 1`` so
@@ -104,18 +104,6 @@ class SeedScheme(abc.ABC):
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Seeds of one read: ``(keys, pos, flip)`` in position order."""
 
-    def estimate_seed_count(self, lengths: np.ndarray) -> int:
-        """Expected total seed count of reads with the given lengths.
-
-        The per-read seed budget for the BELLA/strip density model:
-        ``nnz(A) ≈ sum(max(len - k + 1, 0)) · expected_seed_fraction``
-        (an upper bound — A dedups repeated (read, k-mer) pairs and drops
-        unreliable k-mers).
-        """
-        lengths = np.asarray(lengths, dtype=np.int64)
-        windows = int(np.maximum(lengths - (self.k - 1), 0).sum())
-        return int(np.ceil(windows * self.expected_seed_fraction))
-
 
 @dataclass(frozen=True)
 class FullKScheme(SeedScheme):
@@ -150,10 +138,10 @@ class FullKScheme(SeedScheme):
 class MinimizerScheme(SeedScheme):
     """(w, k)-minimizers: the hash-minimal canonical k-mer per window.
 
-    Exact batched counterpart of the per-read
-    :func:`repro.seqs.minimizers.minimizers` extractor (same splitmix64
-    order, same first-tie argmin, same position dedup) — pinned by the
-    parity suite.  Expected density of a random-order minimizer scheme is
+    Seeds come from :func:`repro.seqs.minimizers.minimizers_batch`, which
+    the parity suite pins to a per-read reference extractor (same
+    splitmix64 order, same first-tie argmin, same position dedup).
+    Expected density of a random-order minimizer scheme is
     ``2 / (w + 1)`` selected windows (Li 2018, Lemma 1).
     """
 

@@ -1,10 +1,10 @@
-"""Backend registry + numpy/scipy kernel parity.
+"""The backend axis and the kernel surface behind it.
 
-The contract under test: for every shipped semiring and any sparsity
-pattern, every registered backend produces **byte-identical** ``CooMat``
-results (same coordinates, same int64 values, same entry order) — the
-scipy backend's CSR lowerings either match the ESC reference exactly or
-decline to lower.
+The contracts under test: every accepted ``backend`` name selects the one
+kernel set and an unknown name is refused; the transpose view ``A.T`` is
+the matrix ``A.transpose()`` forms, over ``A``'s own arrays, and every
+kernel reads it to the same bytes; merge and row reduction honor their
+frames; and the pipeline's output does not depend on the name chosen.
 """
 
 import numpy as np
@@ -14,14 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.core.semirings import BidirectedMinPlus, PositionsSemiring
-from repro.dsparse.backend import (AutoBackend, NumpyBackend, ScipyBackend,
-                                   get_backend)
+from repro.dsparse.backend import Backend, get_backend
 from repro.dsparse.coomat import CooMat
-from repro.dsparse.semiring import BoolOr, MinPlus, PlusTimes
 from repro.seqs import ErrorModel, GenomeSpec, ReadSimSpec, simulate_reads
 
-NUMPY = get_backend("numpy")
-SCIPY = get_backend("scipy")
+from oracles.semirings import BoolOr, MinPlus, PlusTimes
+
+BACKEND = get_backend()
 
 #: semiring name -> (factory, operand nfields)
 SEMIRINGS = {
@@ -81,22 +80,20 @@ def _assert_view_is(view: CooMat, oracle: CooMat, base: CooMat):
                           oracle.vals)
     cols = view.csc()
     assert cols.order is None and cols.index is base.col
-    for field in range(oracle.nfields):
-        assert (view.to_csr(field) != oracle.to_csr(field)).nnz == 0
-    assert (view.pattern_csr() != oracle.pattern_csr()).nnz == 0
 
 
 # -- registry ----------------------------------------------------------------
 
 def test_registry_ships_three_backends():
-    assert isinstance(get_backend("numpy"), NumpyBackend)
-    assert isinstance(get_backend("scipy"), ScipyBackend)
-    assert isinstance(get_backend("auto"), AutoBackend)
+    """The axis keeps its three names; each selects the one kernel set."""
+    assert isinstance(BACKEND, Backend)
+    for name in ("numpy", "scipy", "auto"):
+        assert get_backend(name) is BACKEND
 
 
 def test_get_backend_default_and_passthrough():
-    assert isinstance(get_backend(None), AutoBackend)
-    bk = get_backend("numpy")
+    assert get_backend(None) is BACKEND
+    bk = Backend()
     assert get_backend(bk) is bk
 
 
@@ -105,74 +102,35 @@ def test_get_backend_unknown_name():
         get_backend("cuda")
 
 
-# -- lowering policy ---------------------------------------------------------
-
-def test_scipy_lowers_scalar_semirings():
-    rng = np.random.default_rng(0)
-    A = _rand_mat(rng, 10, 10, 0.2, 1)
-    assert ScipyBackend.can_lower(A, A, PlusTimes()) == "plus_times"
-    assert ScipyBackend.can_lower(A, A, BoolOr()) == "bool_or"
-    # No native tropical product, no multi-field lowering.
-    assert ScipyBackend.can_lower(A, A, MinPlus()) is None
-    R = _rand_mat(rng, 10, 10, 0.2, 4)
-    assert ScipyBackend.can_lower(R, R, BidirectedMinPlus()) is None
-
-
-def test_scipy_declines_cancelling_inputs():
-    """scipy prunes accumulated zeros that ESC keeps, so values that could
-    cancel (or zero products) must fall back to the reference kernel —
-    and the results still match because both run ESC."""
-    A = CooMat((2, 2), [0, 0], [0, 1], [[1], [-1]])
-    B = CooMat((2, 2), [0, 1], [0, 0], [[5], [5]])
-    assert ScipyBackend.can_lower(A, B, PlusTimes()) is None
-    _assert_identical(SCIPY.spgemm(A, B, PlusTimes()),
-                      NUMPY.spgemm(A, B, PlusTimes()))
-    # The ESC reference keeps the cancelled structural entry as explicit 0.
-    C = NUMPY.spgemm(A, B, PlusTimes())
-    assert C.nnz == 1 and C.vals[0, 0] == 0
-
+# -- shape checks --------------------------------------------------------------
 
 def test_scipy_spgemm_dimension_mismatch():
-    with pytest.raises(ValueError):
-        SCIPY.spgemm(CooMat.empty((3, 4)), CooMat.empty((5, 3)), PlusTimes())
+    """Inner dimensions are checked before any kernel is picked, under every
+    backend name (the check the ``scipy`` and default ``auto`` paths ran)."""
+    for name in ("numpy", "scipy", "auto"):
+        for kw in ({}, {"mask": CooMat.empty((3, 3))}, {"upper": (0, 0)}):
+            with pytest.raises(ValueError, match="inner dimensions"):
+                get_backend(name).spgemm_with_path(
+                    CooMat.empty((3, 4)), CooMat.empty((5, 3)), PlusTimes(),
+                    **kw)
 
 
 # -- kernel parity (property) -------------------------------------------------
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 31), st.sampled_from(sorted(SEMIRINGS)),
-       st.floats(0.0, 0.25), st.floats(0.0, 0.25), st.booleans())
-def test_property_spgemm_parity(seed, semiring_name, da, db, negatives):
-    rng = np.random.default_rng(seed)
-    cls, nf = SEMIRINGS[semiring_name]
-    lo = -5 if negatives else 1  # negatives force the cancellation fallback
-    A = _rand_mat(rng, 17, 23, da, nf, lo=lo)
-    B = A.transpose() if semiring_name in ("positions",
-                                           "bidirected_min_plus") \
-        else _rand_mat(rng, 23, 14, db, nf, lo=lo)
-    semiring = cls()
-    _assert_identical(SCIPY.spgemm(A, B, semiring),
-                      NUMPY.spgemm(A, B, semiring))
-    # A·Aᵀ with Aᵀ formed (the oracle) and as a view, on both backends;
-    # a scalar view lowers through its base's CSC.
-    oracle = NUMPY.spgemm(A, A.transpose(), semiring)
-    for bk in (NUMPY, SCIPY):
-        _assert_identical(bk.spgemm(A, A.T, semiring), oracle)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2 ** 31), st.sampled_from(["plus_times", "bool_or",
-                                                 "min_plus"]),
-       st.integers(2, 5), st.booleans())
-def test_property_merge_parity(seed, semiring_name, nparts, negatives):
+       st.floats(0.0, 0.25), st.booleans())
+def test_property_spgemm_parity(seed, semiring_name, da, negatives):
+    """A·Aᵀ with Aᵀ formed (the oracle) and as a view: the same bytes, for
+    every semiring and sign pattern."""
     rng = np.random.default_rng(seed)
     cls, nf = SEMIRINGS[semiring_name]
     lo = -5 if negatives else 1
-    parts = [_rand_mat(rng, 12, 12, rng.uniform(0.0, 0.3), nf, lo=lo)
-             for _ in range(nparts)]
+    A = _rand_mat(rng, 17, 23, da, nf, lo=lo)
     semiring = cls()
-    _assert_identical(SCIPY.merge(parts, semiring, (12, 12)),
-                      NUMPY.merge(parts, semiring, (12, 12)))
+    oracle, path = BACKEND.spgemm_with_path(A, A.transpose(), semiring)
+    assert path == "esc"
+    _assert_identical(BACKEND.spgemm_with_path(A, A.T, semiring)[0], oracle)
 
 
 @settings(max_examples=25, deadline=None)
@@ -222,37 +180,23 @@ def test_transpose_empty_blocks(nfields):
 
 
 def test_merge_into_larger_frame_parity():
-    """merge() must honor the requested output shape on every backend,
-    including when it exceeds the parts' own shape (CSR fast path must
-    decline rather than return a parts-shaped block)."""
+    """merge() must honor the requested output shape, including when it
+    exceeds the parts' own shape."""
     a = CooMat((12, 12), [0], [3], [[2]])
     b = CooMat((12, 12), [5], [3], [[4]])
     for semiring in (PlusTimes(), BoolOr()):
-        m1 = NUMPY.merge([a, b], semiring, (100, 100))
-        m2 = SCIPY.merge([a, b], semiring, (100, 100))
-        assert m1.shape == m2.shape == (100, 100)
-        _assert_identical(m1, m2)
+        m = BACKEND.merge([a, b], semiring, (100, 100))
+        assert m.shape == (100, 100)
+        assert m.row.tolist() == [0, 5] and m.col.tolist() == [3, 3]
 
 
 def test_row_reduce_matches_dense():
     rng = np.random.default_rng(7)
     A = _rand_mat(rng, 15, 9, 0.3, 1)
     dense = A.to_scipy().toarray()
-    out = NUMPY.row_reduce(A, 0, np.maximum, 0)
+    out = BACKEND.row_reduce(A, 0, np.maximum, 0)
     expect = dense.max(axis=1).astype(np.int64)
     assert np.array_equal(out, np.maximum(expect, 0))
-    assert np.array_equal(out, SCIPY.row_reduce(A, 0, np.maximum, 0))
-
-
-def test_scipy_plustimes_matches_scipy_reference():
-    """The lowered product agrees with scipy computed the ordinary way."""
-    rng = np.random.default_rng(3)
-    A = _rand_mat(rng, 40, 30, 0.1, 1)
-    B = _rand_mat(rng, 30, 35, 0.1, 1)
-    C = SCIPY.spgemm(A, B, PlusTimes())
-    expect = (A.to_scipy().tocsr() @ B.to_scipy().tocsr()).tocoo()
-    got = C.to_scipy().tocsr()
-    assert (abs(got - expect.tocsr()) > 1e-9).nnz == 0
 
 
 # -- empty/edge cases ---------------------------------------------------------
@@ -260,10 +204,12 @@ def test_scipy_plustimes_matches_scipy_reference():
 @pytest.mark.parametrize("name", ["numpy", "scipy"])
 def test_empty_operands(name):
     bk = get_backend(name)
-    C = bk.spgemm(CooMat.empty((3, 4)), CooMat.empty((4, 2)), PlusTimes())
+    C, _ = bk.spgemm_with_path(CooMat.empty((3, 4)), CooMat.empty((4, 2)),
+                               PlusTimes())
     assert C.nnz == 0 and C.shape == (3, 2) and C.nfields == 1
     assert bk.merge([], PlusTimes(), (3, 3)).nnz == 0
-    C = bk.spgemm(CooMat.empty((3, 4)), CooMat.empty((2, 4)).T, PlusTimes())
+    C, _ = bk.spgemm_with_path(CooMat.empty((3, 4)),
+                               CooMat.empty((2, 4)).T, PlusTimes())
     assert C.nnz == 0 and C.shape == (3, 2)
 
 

@@ -138,6 +138,9 @@ def test_parser_memory_budget_suffixes():
             ["stats", "x.fa", "--memory-budget", "0"])
     with pytest.raises(SystemExit):
         build_parser().parse_args(["stats", "x.fa", "--n-strips", "0"])
+    for workers in ("0", "-3"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["stats", "x.fa", "--workers", workers])
 
 
 def test_closed_pipe_is_not_an_error(tmp_path):

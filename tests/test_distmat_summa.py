@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dsparse.coomat import CooMat
 from repro.dsparse.distmat import DistMat
-from repro.dsparse.semiring import MinPlus, PlusTimes
 from repro.dsparse.spgemm import spgemm_esc
 from repro.dsparse.summa import _stage_broadcasts, summa, summa_comm_replay
 from repro.mpisim import CommTracker, ProcessGrid2D, SimComm
+
+from oracles.semirings import MinPlus, PlusTimes
 
 
 def _rand_dist(rng, shape, density, grid):

@@ -1,14 +1,11 @@
-"""Tests for the element-wise / row-wise distributed kernels."""
+"""Tests for the row-wise distributed reduction."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.dsparse.coomat import CooMat
 from repro.dsparse.distmat import DistMat
-from repro.dsparse.elementwise import (apply_entries, apply_vector,
-                                       dimapply_rows, ewise_compare_mask,
-                                       prune_entries, prune_mask, reduce_rows)
+from repro.dsparse.elementwise import reduce_rows
 from repro.mpisim import CommTracker, ProcessGrid2D, SimComm
 
 
@@ -49,69 +46,3 @@ def test_reduce_rows_identity_for_empty_rows():
     D = _dist_from_dense(np.array([[0, 1], [0, 0]]), grid)
     v = reduce_rows(D, 0, np.maximum, -99)
     assert v.tolist() == [1, -99]
-
-
-def test_apply_vector():
-    v = np.array([1, 2, 3])
-    assert apply_vector(v, lambda x: x + 10).tolist() == [11, 12, 13]
-
-
-def test_dimapply_rows(sample):
-    D, dense, grid = sample
-    v = np.array([10, 20, 30, 40], dtype=np.int64)
-    M = dimapply_rows(D, v)
-    G = M.to_global()
-    for r, val in zip(G.row, G.vals[:, 0]):
-        assert val == v[r]
-    # Pattern unchanged.
-    assert G.nnz == (dense != 0).sum()
-
-
-def test_ewise_compare_mask_intersection_only(sample):
-    D, dense, grid = sample
-    v = np.array([10, 20, 30, 40], dtype=np.int64)
-    M = dimapply_rows(D, v)
-    # N: same pattern as D on a subset (rows 0 and 2 entries only).
-    sub = dense.copy()
-    sub[1] = 0
-    sub[3] = 0
-    N = _dist_from_dense(sub, grid)
-    I = ewise_compare_mask(M, N, lambda mv, nv: mv[:, 0] >= nv[:, 0])
-    G = I.to_global()
-    got = set(zip(G.row.tolist(), G.col.tolist()))
-    assert got == {(0, 1), (0, 2), (2, 2)}
-
-
-def test_prune_mask(sample):
-    D, dense, grid = sample
-    mask_dense = np.zeros_like(dense)
-    mask_dense[0, 1] = 1
-    mask_dense[3, 3] = 1
-    I = _dist_from_dense(mask_dense, grid)
-    R = prune_mask(D, I)
-    G = R.to_global()
-    got = set(zip(G.row.tolist(), G.col.tolist()))
-    assert (0, 1) not in got and (3, 3) not in got
-    assert (0, 2) in got and (1, 0) in got
-    assert R.nnz() == D.nnz() - 2
-
-
-def test_prune_mask_shape_mismatch(sample):
-    D, dense, grid = sample
-    other = DistMat.empty((5, 5), ProcessGrid2D(4))
-    with pytest.raises(ValueError):
-        prune_mask(D, other)
-
-
-def test_apply_entries(sample):
-    D, dense, grid = sample
-    doubled = apply_entries(D, lambda v: v * 2)
-    assert np.array_equal(doubled.to_global().vals,
-                          D.to_global().vals * 2)
-
-
-def test_prune_entries(sample):
-    D, dense, grid = sample
-    kept = prune_entries(D, lambda v: v[:, 0] > 4)
-    G = kept.to_global()
-    assert sorted(G.vals[:, 0].tolist()) == [5, 7, 9]

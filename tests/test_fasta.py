@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.seqs.dna import decode, encode
-from repro.seqs.fasta import (ReadSet, chunked_read_ranges, read_fasta,
-                              read_fasta_to_store, write_fasta)
+from repro.seqs.fasta import (ReadSet, read_fasta, read_fasta_to_store,
+                              write_fasta)
 
 
 def _toy_reads():
@@ -52,32 +52,6 @@ def test_readset_helpers():
 def test_readset_validation():
     with pytest.raises(ValueError):
         ReadSet(["a"], [])
-
-
-def test_chunked_read_ranges_cover_all_records():
-    starts = np.array([0, 100, 220, 300, 480, 600])
-    ranges = chunked_read_ranges(starts, file_size=700, nprocs=4)
-    covered = []
-    for lo, hi in ranges:
-        covered.extend(range(lo, hi))
-    assert covered == list(range(6))
-
-
-def test_chunked_read_ranges_record_owned_by_chunk_containing_start():
-    # Chunk boundaries at 0, 175, 350, 525, 700 for P=4.
-    starts = np.array([0, 100, 220, 300, 480, 600])
-    ranges = chunked_read_ranges(starts, file_size=700, nprocs=4)
-    assert ranges[0] == (0, 2)   # starts 0, 100 < 175
-    assert ranges[1] == (2, 4)   # 220, 300 < 350
-    assert ranges[2] == (4, 5)   # 480 < 525
-    assert ranges[3] == (5, 6)   # 600
-
-
-def test_chunked_read_ranges_more_procs_than_records():
-    starts = np.array([0, 50])
-    ranges = chunked_read_ranges(starts, file_size=100, nprocs=8)
-    total = sum(hi - lo for lo, hi in ranges)
-    assert total == 2
 
 
 def test_readset_extend_invalidates_soa_cache():

@@ -25,8 +25,10 @@ from repro.seqs.kmer_counter import (KmerTable, _group_by_dest_masks,
                                      _group_by_dest_sorted, _send_lists,
                                      count_kmers)
 from repro.seqs.kmers import (MAX_K, _pack_all_windows, pack_kmers,
-                              read_kmers, read_kmers_batch, splitmix64,
-                              string_to_kmer)
+                              read_kmers_batch, splitmix64)
+
+from oracles.kmers import read_kmers, string_to_kmer
+
 
 def _readset(arrays):
     return ReadSet([f"r{i}" for i in range(len(arrays))],

@@ -14,7 +14,8 @@ from repro.seqs.dna import encode
 from repro.seqs.fasta import ReadSet
 from repro.seqs.kmer_counter import (KmerTable, count_kmers,
                                      reliable_upper_bound)
-from repro.seqs.kmers import read_kmers
+
+from oracles.kmers import read_kmers
 
 
 def _exact_counts(reads, k):

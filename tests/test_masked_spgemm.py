@@ -4,7 +4,7 @@ The contract under test (PR 6): for every shipped semiring, any sparsity
 pattern, and any mask pattern, ``spgemm_esc_masked(A, B, sr, mask)`` is
 **byte-identical** to ``mask_select(spgemm_esc(A, B, sr), mask)`` — same
 coordinates, same int64 values, same entry order — and the mask threads
-through every layer (Backend.spgemm, SUMMA, the transitive-reduction
+through every layer (Backend.spgemm_with_path, SUMMA, the transitive-reduction
 squaring, the full pipeline) without changing a single output byte.  The
 only observable differences are performance artifacts: kernel-dispatch
 counters and the recorded ``TrReduction`` live-set peak.
@@ -35,7 +35,6 @@ from repro.dsparse.distmat import DistMat
 from repro.dsparse.masked import (mask_select, masked_route,
                                   spgemm_dot_masked, spgemm_esc_masked,
                                   spgemm_masked, spgemm_upper)
-from repro.dsparse.semiring import BoolOr, MinPlus, PlusTimes
 from repro.dsparse.spgemm import packed_order, spgemm_esc, stable_key_order
 from repro.dsparse.summa import summa
 from repro.exec import SERIAL, ProcessExecutor, ThreadExecutor
@@ -44,9 +43,9 @@ from repro.options import SPGEMM_IMPL
 from repro.seqs import ErrorModel, GenomeSpec, ReadSimSpec, simulate_reads
 from repro.seqs.kmer_counter import count_kmers
 
-NUMPY = get_backend("numpy")
-SCIPY = get_backend("scipy")
-AUTO = get_backend("auto")
+from oracles.semirings import BoolOr, MinPlus, PlusTimes
+
+BACKEND = get_backend()
 
 #: semiring name -> (factory, operand nfields) — same table as
 #: tests/test_backends.py, so the masked kernel is pinned against exactly
@@ -77,6 +76,12 @@ def _rand_mat(rng, rows, cols, density, nfields, lo=1, hi=50):
                          rng.integers(100, 400, nnz)], axis=1)
     return CooMat((rows, cols), s.row.astype(np.int64),
                   s.col.astype(np.int64), vals.astype(np.int64))
+
+
+def _pattern_csr(M: CooMat) -> sp.csr_matrix:
+    """``M``'s pattern with unit weights, built independently with scipy."""
+    return sp.csr_matrix((np.ones(M.nnz, dtype=np.int64), (M.row, M.col)),
+                         shape=M.shape)
 
 
 def _assert_identical(a: CooMat, b: CooMat):
@@ -149,9 +154,9 @@ def test_property_masked_kernel_identity(seed, semiring_name, da, db,
         routed, path = spgemm_masked(A, B, semiring, mask)
         _assert_identical(routed, oracle)
         assert path in ("masked_esc", "masked_dot")
-        # The backend seam agrees too, on every backend.
-        for bk in (NUMPY, SCIPY, AUTO):
-            _assert_identical(bk.spgemm(A, B, semiring, mask=mask), oracle)
+        # The backend seam agrees too.
+        _assert_identical(
+            BACKEND.spgemm_with_path(A, B, semiring, mask=mask)[0], oracle)
 
 
 def _positions_operand(rng, rows, cols, density):
@@ -480,25 +485,19 @@ def test_spgemm_with_path_labels():
     At2 = A2.transpose()
     mask2 = _rand_mat(rng, 12, 12, 0.25, 1)
 
-    _, path = NUMPY.spgemm_with_path(A1, A1, PlusTimes())
+    _, path = BACKEND.spgemm_with_path(A1, A1, PlusTimes())
     assert path == "esc"
-    _, path = NUMPY.spgemm_with_path(A1, A1, PlusTimes(), mask=mask1)
+    _, path = BACKEND.spgemm_with_path(A1, A1, PlusTimes(), mask=mask1)
     assert path == "masked_esc"
-    _, path = SCIPY.spgemm_with_path(A1, A1, PlusTimes())
-    assert path == "csr"
-    _, path = SCIPY.spgemm_with_path(A1, A1, PlusTimes(), mask=mask1)
-    assert path == "masked_csr"
-    # Multi-field semirings never lower: every backend runs the numpy
-    # kernels — masked, the one masked_route picks (ESC on this sparse,
+    # Masked, the kernel masked_route picks (ESC on this sparse,
     # low-compression input; the routing tests below cover the other side).
     assert not masked_route(A2, At2, mask2, 2).dot
-    for bk in (NUMPY, SCIPY, AUTO):
-        for B in (At2, A2.T):
-            _, path = bk.spgemm_with_path(A2, B, PositionsSemiring(),
-                                          mask=mask2)
-            assert path == "masked_esc"
-            _, path = bk.spgemm_with_path(A2, B, PositionsSemiring())
-            assert path == "esc"
+    for B in (At2, A2.T):
+        _, path = BACKEND.spgemm_with_path(A2, B, PositionsSemiring(),
+                                           mask=mask2)
+        assert path == "masked_esc"
+        _, path = BACKEND.spgemm_with_path(A2, B, PositionsSemiring())
+        assert path == "esc"
 
 
 # -- kernel choice: routing, counters, memory ----------------------------------
@@ -517,7 +516,7 @@ def _read_kmer_operands(rng, n_reads, read_len, genome, keep=0.9):
                np.stack([rng.integers(0, 5000, rows.shape[0]),
                          rng.integers(0, 2, rows.shape[0])], axis=1))
     At = A.transpose()
-    full = (A.pattern_csr() @ At.pattern_csr()).tocoo()
+    full = (_pattern_csr(A) @ _pattern_csr(At)).tocoo()
     upper = full.row < full.col
     mask = CooMat(full.shape, full.row[upper], full.col[upper],
                   np.ones((int(upper.sum()), 1), dtype=np.int64))
@@ -535,13 +534,14 @@ def test_route_follows_compression():
                        ("low", (1200, 150, 40000, 0.2))):
         A, At, mask = _read_kmer_operands(rng, *args)
         route = masked_route(A, At, mask, semiring.product_reduce_depth)
-        out, labels[name] = AUTO.spgemm_with_path(A, At, semiring, mask=mask)
+        out, labels[name] = BACKEND.spgemm_with_path(A, At, semiring,
+                                                     mask=mask)
         _assert_identical(out, spgemm_esc_masked(A, At, semiring, mask))
         # The view routes the same way, to the same bytes.
         assert masked_route(A, A.T, mask, 2) == route
-        assert AUTO.spgemm_with_path(A, A.T, semiring, mask=mask)[1] == \
-            labels[name]
-        _assert_identical(AUTO.spgemm(A, A.T, semiring, mask=mask), out)
+        view, label = BACKEND.spgemm_with_path(A, A.T, semiring, mask=mask)
+        assert label == labels[name]
+        _assert_identical(view, out)
         # The rule's inputs, so a failure names the quantity that moved.
         print(name, "nnz(A) =", A.nnz, route,
               "products/mask entry =", route.flops / route.nnz_mask,
@@ -560,8 +560,8 @@ def test_route_is_a_pure_function_of_pre_expansion_quantities():
         A = _positions_operand(rng, rows, inner, 0.4)
         B = _positions_operand(rng, inner, cols, 0.7)
         mask = _rand_mat(rng, rows, cols, 0.5, 1)
-        pa = A.pattern_csr().toarray()
-        pb = B.pattern_csr().toarray()
+        pa = _pattern_csr(A).toarray()
+        pb = _pattern_csr(B).toarray()
         route = masked_route(A, B, mask, 2)
         assert route.flops == int((pa @ pb).sum())
         assert route.nnz_mask == mask.nnz
@@ -729,8 +729,9 @@ def test_summa_counts_kernel_paths():
     timer = StageTimer()
     summa(A, A, PlusTimes(), comm, "Stage", timer, backend="auto", mask=mask)
     counts = timer.kernel_counts()
-    # q=2 SUMMA: 2 stages x 4 block products, every one mask-pruned CSR.
-    assert counts == {"Stage": {"masked_csr": 8}}
+    # q=2 SUMMA: 2 stages x 4 block products, every one on the pruned ESC
+    # (PlusTimes declares no truncation depth, so the dot kernel is out).
+    assert counts == {"Stage": {"masked_esc": 8}}
 
 
 # -- the upper triangle as a coordinate predicate ------------------------------
@@ -746,10 +747,7 @@ def _triangle(shape, origin):
 def _upper_groups(A, B, origin):
     """The dot kernel's pre-sized input, built independently with scipy:
     the pattern product's strict upper part, group sizes as values."""
-    def pattern(M):
-        return sp.csr_matrix((np.ones(M.nnz), (M.row, M.col)), shape=M.shape)
-
-    full = CooMat.from_scipy(pattern(A) @ pattern(B))
+    full = CooMat.from_scipy(_pattern_csr(A) @ _pattern_csr(B))
     return mask_select(full, _triangle(full.shape, origin))
 
 
@@ -788,9 +786,8 @@ def test_property_upper_kernel_identity(seed, da, db, row0, shift, offset,
                                             _upper_groups(A, B, origin),
                                             window=window, sized=True),
                           oracle)
-        for bk in (NUMPY, SCIPY, AUTO):
-            out, _ = bk.spgemm_with_path(A, B, semiring, upper=origin)
-            _assert_identical(out, oracle)
+        out, _ = BACKEND.spgemm_with_path(A, B, semiring, upper=origin)
+        _assert_identical(out, oracle)
 
 
 @settings(max_examples=30, deadline=None)
@@ -915,8 +912,8 @@ def test_pipeline_reports_engine_and_paths(tiny_reads):
 
 
 def test_candidate_overlaps_is_one_product(tiny_reads, monkeypatch):
-    """C = A·Aᵀ is one SUMMA: q³ block products, none on the scalar count
-    path, and a scipy pattern product only on the block-stages the dot
+    """C = A·Aᵀ is one SUMMA: q³ block products, with no count pass before
+    it, and a scipy pattern product only on the block-stages the dot
     kernel may take (≥ 2¹⁵ elementary products) — not one per block for a
     mask, and never a second one for the dot kernel's group sizes."""
     P = 4
@@ -925,8 +922,8 @@ def test_candidate_overlaps_is_one_product(tiny_reads, monkeypatch):
     table = count_kmers(tiny_reads, 17, comm, StageTimer(), upper=40)
     A = build_a_matrix(tiny_reads, table, grid, comm, StageTimer())
     At = A.T
-    big = sum(int((A.blocks[i][k].pattern_csr() @
-                   At.blocks[k][j].pattern_csr()).sum()) >= 2 ** 15
+    big = sum(int((_pattern_csr(A.blocks[i][k]) @
+                   _pattern_csr(At.blocks[k][j])).sum()) >= 2 ** 15
               for i in range(grid.q) for j in range(grid.q)
               for k in range(grid.q))
     matmuls = []
@@ -937,7 +934,6 @@ def test_candidate_overlaps_is_one_product(tiny_reads, monkeypatch):
     C = candidate_overlaps(A, comm, timer, backend="auto",
                            spgemm_impl="masked")
     paths = timer.kernel_counts()["SpGEMM"]
-    assert "csr" not in paths, paths
     assert sum(paths.values()) == grid.q ** 3
     assert paths.get("masked_dot", 0) > 0 and big > 0
     assert len(matmuls) <= big, (len(matmuls), big)
@@ -1013,7 +1009,7 @@ def test_pattern_product_index_width(monkeypatch):
     monkeypatch.setattr(masked_mod, "_INDEX32_MAX", 10)
     assert masked_mod._pattern(A).indices.dtype == np.int64
     wide = masked_mod._pattern_product(A, A.T)
-    oracle = (A.pattern_csr() @ At.pattern_csr()).tocoo()
+    oracle = (_pattern_csr(A) @ _pattern_csr(At)).tocoo()
     for C in narrow + [wide]:
         _assert_identical(C, CooMat.from_scipy(oracle))
 

@@ -76,8 +76,18 @@ def test_unknown_value_is_refused_by_name(axis, monkeypatch):
             assert part in str(exc.value)
 
 
-def test_workers_are_clamped_to_one():
-    assert WORKERS.resolve(0) == 1
+def test_workers_below_one_are_refused_by_name(monkeypatch):
+    """A worker count below 1 is an error, not a silent serial run."""
+    for value in (0, -3, "0"):
+        with pytest.raises(ValueError) as exc:
+            WORKERS.resolve(value)
+        for part in ("workers", "--workers", "INT ≥ 1"):
+            assert part in str(exc.value)
+    monkeypatch.setenv("REPRO_WORKERS", "0")
+    with pytest.raises(ValueError) as exc:
+        WORKERS.resolve()
+    for part in ("workers", "REPRO_WORKERS", "INT ≥ 1"):
+        assert part in str(exc.value)
 
 
 def test_empty_fault_plan_is_explicit(monkeypatch):

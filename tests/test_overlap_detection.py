@@ -11,7 +11,7 @@ from repro.core.overlap import (AlignmentFilter, align_candidates,
 from repro.core.semirings import C_COUNT, R_CONTAINED, R_CONTAINS, R_SUFFIX
 from repro.core.string_graph import StringGraph
 from repro.dsparse.distmat import DistMat
-from repro.eval.metrics import graph_edge_recall, overlap_recall_precision
+from repro.eval.metrics import overlap_recall_precision
 from repro.mpisim import (CommTracker, ProcessGrid2D, SimComm, StageTimer,
                           block_bounds)
 from repro.seqs.kmer_counter import count_kmers

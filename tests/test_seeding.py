@@ -28,7 +28,6 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core.memory import estimate_a_nnz
 from repro.core.overlap import _dedup_second_seeds
 from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.core.semirings import (C_COUNT, C_NFIELDS, C_PA1, C_PA2, C_PB1,
@@ -38,10 +37,12 @@ from repro.seqs import (ErrorModel, GenomeSpec, ReadSet, ReadSimSpec,
                         simulate_reads)
 from repro.seqs.dna import revcomp_codes
 from repro.seqs.kmers import read_kmers_batch
-from repro.seqs.minimizers import minimizers, minimizers_batch
+from repro.seqs.minimizers import minimizers_batch
 from repro.seqs.seeding import (DEFAULT_SEED_W, FullKScheme, MinimizerScheme,
                                 SyncmerScheme, make_scheme)
 from repro.service import AssemblyState, ServiceConfig, refresh
+
+from oracles.kmers import minimizers
 
 K = 17
 W = 8
@@ -95,19 +96,6 @@ def test_expected_seed_fraction_ordering():
     assert full.expected_seed_fraction == 1.0
     assert 0.0 < sync.expected_seed_fraction \
         < mini.expected_seed_fraction < 1.0
-    lengths = np.array([100, 40, 3], dtype=np.int64)
-    assert full.estimate_seed_count(lengths) == 84 + 24
-    assert mini.estimate_seed_count(lengths) <= full.estimate_seed_count(
-        lengths)
-
-
-def test_estimate_a_nnz_density_model():
-    lengths = np.array([100, 50, K - 1], dtype=np.int64)
-    windows = (100 - K + 1) + (50 - K + 1)
-    assert estimate_a_nnz(lengths, K) == windows
-    assert estimate_a_nnz(lengths, K, seed_fraction=0.25) == \
-        -(-windows // 4)
-    assert estimate_a_nnz(lengths, K, seed_fraction=0.0) == 0
 
 
 # ---------------------------------------------------------------------------

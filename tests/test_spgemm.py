@@ -6,8 +6,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from repro.dsparse.coomat import CooMat
-from repro.dsparse.semiring import INF, BoolOr, MinPlus, PlusTimes
-from repro.dsparse.spgemm import multiway_merge, spgemm_esc, spgemm_gustavson
+from repro.dsparse.spgemm import multiway_merge, spgemm_esc
+
+from oracles.semirings import BoolOr, MinPlus, PlusTimes
+from oracles.spgemm import spgemm_gustavson
 
 
 def _rand_coo(rng, rows, cols, density):
@@ -24,6 +26,15 @@ def test_plustimes_matches_scipy():
     expect = (A.to_scipy().tocsr() @ B.to_scipy().tocsr()).tocoo()
     got = C.to_scipy().tocsr()
     assert (abs(got - expect.tocsr()) > 1e-9).nnz == 0
+
+
+def test_esc_keeps_cancelled_structural_entries():
+    """Products that cancel leave an explicit 0: ESC keeps every structural
+    nonzero, where scipy's CSR arithmetic would prune it."""
+    A = CooMat((2, 2), [0, 0], [0, 1], [[1], [-1]])
+    B = CooMat((2, 2), [0, 1], [0, 0], [[5], [5]])
+    C = spgemm_esc(A, B, PlusTimes())
+    assert C.nnz == 1 and C.vals[0, 0] == 0
 
 
 def test_esc_equals_gustavson_plustimes():
