@@ -72,9 +72,7 @@ class SoraResult:
 
 
 def sora_transitive_reduction(graph: StringGraph, nodes: int,
-                              cores_per_node: int = 32, fuzz: int = 150,
-                              partitions_per_core: int = 2,
-                              cost: SparkCostModel | None = None
+                              cores_per_node: int = 32, fuzz: int = 150
                               ) -> SoraResult:
     """Run the GraphX-style reduction and model its cluster runtime.
 
@@ -86,12 +84,10 @@ def sora_transitive_reduction(graph: StringGraph, nodes: int,
         Cluster shape (Table VI sweeps nodes at 32 ranks/node).
     fuzz:
         Same endpoint tolerance as diBELLA's reduction.
-    partitions_per_core:
-        Spark's usual over-partitioning factor.
     """
-    cost = cost if cost is not None else SparkCostModel()
+    cost = SparkCostModel()
     cores = nodes * cores_per_node
-    partitions = cores * partitions_per_core
+    partitions = cores * 2    # Spark's usual over-partitioning factor
 
     t0 = time.perf_counter()
     # The vertex-centric algorithm: each superstep, vertices join their

@@ -79,7 +79,7 @@ def _attachment_index(graph: StringGraph) -> dict[tuple[int, int], list[int]]:
     return att
 
 
-def extract_contigs(graph: StringGraph, clean: bool = True) -> list[Contig]:
+def extract_contigs(graph: StringGraph) -> list[Contig]:
     """Greedy maximal unbranched walks over the string graph.
 
     Each physical overlap contributes directed entries in both orientations,
@@ -88,12 +88,10 @@ def extract_contigs(graph: StringGraph, clean: bool = True) -> list[Contig]:
     contained reads are ignored) and stop at branch points (an end with
     ≠ 1 attached edge) and at already-visited reads; every non-contained
     read lands in exactly one contig's walk, and every contained read in
-    its root container's ``Contig.contained``.  With ``clean=True``
-    (default) the graph first goes through :func:`best_overlap_cleaning`.
+    its root container's ``Contig.contained``.  The graph first goes
+    through :func:`best_overlap_cleaning`.
     """
-    graph = graph.without_contained()
-    if clean:
-        graph = best_overlap_cleaning(graph)
+    graph = best_overlap_cleaning(graph.without_contained())
     att = _attachment_index(graph)
     # Contained reads start out visited: no walk starts at or enters one.
     visited = graph.container >= 0

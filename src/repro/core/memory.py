@@ -99,19 +99,21 @@ class StripPlan:
 
 def plan_strips(nnz_a: int, n_kmers: int, n_reads: int, *,
                 memory_budget: int | None = None,
-                n_strips: int | None = None,
-                nfields: int = C_NFIELDS) -> StripPlan:
+                n_strips: int | None = None) -> StripPlan:
     """Pick a strip count for the blocked overlap mode.
 
     Precedence: an explicit ``n_strips`` wins; otherwise ``memory_budget``
     (bytes the live candidate strip may occupy) drives
-    ``ceil(estimate / budget)``; otherwise :data:`DEFAULT_N_STRIPS`.  The
-    result is clamped to ``[1, n_reads]`` — more strips than matrix columns
-    only add empty SUMMA launches.
+    ``ceil(estimate / budget)``; otherwise :data:`DEFAULT_N_STRIPS`.  An
+    explicit count below 1 is refused.  The result is clamped to
+    ``[1, n_reads]`` — more strips than matrix columns only add empty
+    SUMMA launches.
     """
     est_nnz = estimate_candidate_nnz(nnz_a, n_kmers)
-    est_bytes = coo_nbytes(est_nnz, nfields)
+    est_bytes = coo_nbytes(est_nnz, C_NFIELDS)
     if n_strips is not None:
+        if n_strips < 1:
+            raise ValueError(f"n_strips must be >= 1, got {n_strips}")
         chosen = int(n_strips)
         budget = None
     elif memory_budget is not None:

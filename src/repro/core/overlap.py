@@ -31,7 +31,7 @@ from ..align.overlapper import (OverlapClass, classify_overlap,
                                 classify_overlap_batch)
 from ..align.xdrop import AlignmentResult, Scoring, chain_extend, \
     seed_extend_align
-from ..dsparse.backend import Backend, get_backend
+from ..dsparse.backend import get_backend
 from ..dsparse.coomat import CooMat
 from ..dsparse.distmat import DistMat
 from ..dsparse.spgemm import stable_key_order
@@ -342,8 +342,8 @@ def _charge_routing(moved: np.ndarray, comm: SimComm, stage: str) -> None:
 
 
 def charge_a_routing(row: np.ndarray, col: np.ndarray, n_reads: int,
-                     n_kmers: int, grid: ProcessGrid2D, comm: SimComm,
-                     stage: str = "CreateSpMat") -> np.ndarray:
+                     n_kmers: int, grid: ProcessGrid2D, comm: SimComm
+                     ) -> np.ndarray:
     """Charge the ``CreateSpMat`` routing of global A entries to the grid.
 
     Every entry moves from its 1D source rank (the balanced block owner of
@@ -366,14 +366,13 @@ def charge_a_routing(row: np.ndarray, col: np.ndarray, n_reads: int,
     pair *= P
     pair += grid.owners_of(row, col, n_reads, n_kmers)
     moved = np.bincount(pair, minlength=P * P).reshape(P, P)
-    _charge_routing(moved, comm, stage)
+    _charge_routing(moved, comm, "CreateSpMat")
     return moved.sum(axis=0).reshape(grid.q, grid.q)
 
 
 def summa_positions(A: DistMat, At: DistMat, comm: SimComm,
-                    timer: StageTimer, backend: Backend,
-                    executor: Executor | None, spgemm_impl: str,
-                    col_offset: int = 0) -> DistMat:
+                    timer: StageTimer, executor: Executor | None,
+                    spgemm_impl: str, col_offset: int = 0) -> DistMat:
     """The candidate product ``C = A·Aᵀ`` under the positions semiring,
     strict upper triangle only.
 
@@ -397,11 +396,11 @@ def summa_positions(A: DistMat, At: DistMat, comm: SimComm,
     """
     if spgemm_impl == "masked":
         return summa(A, At, PositionsSemiring(), comm, "SpGEMM", timer,
-                     backend=backend, executor=executor, upper=col_offset)
+                     executor=executor, upper=col_offset)
     C = summa(A, At, PositionsSemiring(), comm, "SpGEMM", timer,
-              backend=backend, executor=executor)
-    blocks = [[backend.select(b, b.row + C.row_bounds[i] <
-                              b.col + C.col_bounds[j] + col_offset)
+              executor=executor)
+    blocks = [[b.select(b.row + C.row_bounds[i] <
+                        b.col + C.col_bounds[j] + col_offset)
                for j, b in enumerate(brow)]
               for i, brow in enumerate(C.blocks)]
     return DistMat(C.shape, C.grid, blocks, C.nfields)
@@ -445,7 +444,7 @@ def full_product_nnz(A: DistMat, starts: np.ndarray, upper_nnz: np.ndarray,
 
 def candidate_overlaps(A: DistMat, comm: SimComm,
                        timer: StageTimer | None = None,
-                       backend: Backend | str | None = None,
+                       backend: str | None = None,
                        executor: Executor | None = None,
                        spgemm_impl: str | None = None) -> DistMat:
     """``C = A·Aᵀ`` via Sparse SUMMA, upper-triangle only.
@@ -455,10 +454,9 @@ def candidate_overlaps(A: DistMat, comm: SimComm,
     alignment.  Diagonal entries (a read with itself) are discarded.
     ``Aᵀ`` is :attr:`DistMat.T <repro.dsparse.distmat.DistMat.T>`, a view
     of A's own blocks: nothing is transposed or copied, and the kernels
-    read A's rows as Aᵀ's columns.  ``backend`` selects the local kernels
-    (SpGEMM, filter);
-    ``executor`` parallelizes SUMMA's local block work; ``spgemm_impl``
-    (:data:`repro.options.SPGEMM_IMPL`) picks the product
+    read A's rows as Aᵀ's columns.  ``backend`` is validated and otherwise
+    unused; ``executor`` parallelizes SUMMA's local block work;
+    ``spgemm_impl`` (:data:`repro.options.SPGEMM_IMPL`) picks the product
     engine — ``"masked"`` prunes to the triangle inside the one SUMMA
     (:func:`summa_positions`), ``"esc"`` is the monolithic oracle.
 
@@ -467,17 +465,17 @@ def candidate_overlaps(A: DistMat, comm: SimComm,
     (:func:`full_product_nnz` over one strip).
     """
     timer = timer if timer is not None else StageTimer()
-    backend = get_backend(backend)
+    get_backend(backend)
     spgemm_impl = SPGEMM_IMPL.resolve(spgemm_impl)
-    C = summa_positions(A, A.T, comm, timer, backend, executor, spgemm_impl)
+    C = summa_positions(A, A.T, comm, timer, executor, spgemm_impl)
     one_strip = np.array([0, A.shape[0]])
     full = full_product_nnz(A, one_strip, [C.nnz()], [C.nnz()])
     timer.record_peak_bytes("SpGEMM", coo_nbytes(int(full[0]), C_NFIELDS))
     return C
 
 
-def exchange_reads(reads: ReadSet, grid: ProcessGrid2D, comm: SimComm,
-                   bytes_per_base: int = 1) -> None:
+def exchange_reads(reads: ReadSet, grid: ProcessGrid2D, comm: SimComm
+                   ) -> None:
     """Charge the 2D read exchange (paper Section V-C).
 
     Every grid rank needs the sequences of its block-row range and its
@@ -493,7 +491,7 @@ def exchange_reads(reads: ReadSet, grid: ProcessGrid2D, comm: SimComm,
     prefix = np.concatenate([[0], np.cumsum(lengths)])
 
     def range_bytes(lo: int, hi: int) -> int:
-        return int(prefix[hi] - prefix[lo]) * bytes_per_base
+        return int(prefix[hi] - prefix[lo])
 
     rb = grid.row_bounds(n)
     cb = grid.col_bounds(n)
@@ -604,7 +602,7 @@ def _align_task(ctx, task):
 _MAX_BATCH_PAIRS = 4096
 
 
-def _gather_pairs(C: DistMat, lengths: np.ndarray
+def _gather_pairs(C: DistMat, lengths: np.ndarray, col_offset: int = 0
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
                              np.ndarray]:
     """Flatten C's nonzeros into pair arrays, in canonical block order.
@@ -625,7 +623,7 @@ def _gather_pairs(C: DistMat, lengths: np.ndarray
             if b.nnz == 0:
                 continue
             gi_parts.append(b.row + int(C.row_bounds[i]))
-            gj_parts.append(b.col + int(C.col_bounds[j]))
+            gj_parts.append(b.col + (int(C.col_bounds[j]) + col_offset))
             val_parts.append(b.vals)
             rank_parts.append(np.full(b.nnz, C.grid.rank_of(i, j),
                                       dtype=np.int64))
@@ -732,7 +730,8 @@ def align_candidates(C: DistMat, reads: ReadSet, k: int, comm: SimComm,
                      filt: AlignmentFilter | None = None,
                      fuzz: int = 100,
                      executor: Executor | None = None,
-                     impl: str | None = None) -> DistMat:
+                     impl: str | None = None,
+                     col_offset: int = 0) -> DistMat:
     """Pairwise-align all C nonzeros and build the overlap matrix ``R``.
 
     Alignment is the element-wise APPLY on C; score pruning is the PRUNE
@@ -760,6 +759,8 @@ def align_candidates(C: DistMat, reads: ReadSet, k: int, comm: SimComm,
 
     Either way survivors are appended in C's canonical block/entry order,
     so R is byte-identical for every engine, executor, and worker count.
+    ``C`` may be a column strip whose first column is read ``col_offset``;
+    R is always ``n × n``.
     """
     timer = timer if timer is not None else StageTimer()
     scoring = scoring if scoring is not None else Scoring()
@@ -770,7 +771,7 @@ def align_candidates(C: DistMat, reads: ReadSet, k: int, comm: SimComm,
     n = C.shape[0]
     lengths = reads.lengths
 
-    gi, gj, cvals, ranks, weights = _gather_pairs(C, lengths)
+    gi, gj, cvals, ranks, weights = _gather_pairs(C, lengths, col_offset)
     cvals = _dedup_second_seeds(cvals, lengths[gj], k, mode)
 
     if impl == "batch":

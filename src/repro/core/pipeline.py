@@ -26,7 +26,6 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from ..align.xdrop import Scoring
-from ..dsparse.backend import get_backend
 from ..dsparse.coomat import CooMat
 from ..exec import executor_name, get_executor
 from ..mpisim.comm import SimComm
@@ -40,8 +39,7 @@ from ..seqs.kmer_counter import count_kmers, reliable_upper_bound
 from ..seqs.seeding import DEFAULT_SEED_W, make_scheme
 from .blocked import candidate_overlaps_blocked
 from .memory import apportion_budget, plan_strips
-from .overlap import (AlignmentFilter, align_candidates, build_a_matrix,
-                      candidate_overlaps, exchange_reads)
+from .overlap import AlignmentFilter, build_a_matrix, exchange_reads
 from .string_graph import StringGraph
 from .transitive_reduction import transitive_reduction
 
@@ -125,7 +123,8 @@ class PipelineConfig:
         unset ``fault_plan`` consults the environment only when no plan is
         armed (see the class docstring).  Counting parameters that would
         silently empty the assembly (``kmer_batches < 1``, ``kmer_upper``
-        below the reliable lower bound 2) are refused by name, and so are
+        below the reliable lower bound 2) are refused by name, as are
+        strip counts below 1 and non-positive byte budgets, and so are
         hints the derived bound cannot use (:func:`reliable_upper_bound`)
         when ``kmer_upper`` is unset — here, before any read is read.
         """
@@ -133,6 +132,13 @@ class PipelineConfig:
             raise ValueError(
                 f"kmer_batches must be >= 1, got {self.kmer_batches}: every "
                 f"counting pass takes at least one exchange round")
+        if self.n_strips is not None and self.n_strips < 1:
+            raise ValueError(
+                f"n_strips must be >= 1, got {self.n_strips}: the candidate "
+                f"matrix is formed in at least one strip")
+        if self.memory_budget is not None and self.memory_budget <= 0:
+            raise ValueError(
+                f"memory_budget must be positive, got {self.memory_budget}")
         if self.kmer_upper is not None and self.kmer_upper < 2:
             raise ValueError(
                 f"kmer_upper must be >= 2, the reliable lower bound, got "
@@ -329,7 +335,6 @@ def run_pipeline(reads: ReadSet, config: PipelineConfig | None = None, *,
 
 
 def _run_pipeline_inner(reads, cfg, read_fastq_seconds):
-    backend = get_backend(cfg.backend)
     scheme = make_scheme(cfg.seed_mode, cfg.k, cfg.seed_w)
     faults = (FaultPlan(cfg.fault_plan) if cfg.fault_plan is not None
               else None)
@@ -359,37 +364,25 @@ def _run_pipeline_inner(reads, cfg, read_fastq_seconds):
         # with counting and SpGEMM (paper Section IV-D); accounting order is
         # equivalent.
         exchange_reads(reads, grid, comm)
-        if cfg.overlap_mode == "blocked":
-            strips = plan_strips(nnz_a, len(table), len(reads),
-                                 memory_budget=(budget.candidate if budget
-                                                else None),
-                                 n_strips=cfg.n_strips)
-            blk = candidate_overlaps_blocked(
-                A, reads, cfg.k, comm, strips.n_strips, timer,
-                mode=cfg.align_mode, scoring=cfg.scoring, filt=cfg.filt,
-                fuzz=cfg.fuzz, backend=backend, executor=ex,
-                align_impl=cfg.align_impl, spgemm_impl=cfg.spgemm_impl,
-                checkpoint_dir=cfg.checkpoint_dir)
-            nnz_c, R, n_strips = blk.nnz_c, blk.R, blk.n_strips
-        else:
-            C = candidate_overlaps(A, comm, timer, backend=backend,
-                                   executor=ex, spgemm_impl=cfg.spgemm_impl)
-            nnz_c = C.nnz()
-            R = align_candidates(C, reads, cfg.k, comm, timer,
-                                 mode=cfg.align_mode, scoring=cfg.scoring,
-                                 filt=cfg.filt, fuzz=cfg.fuzz,
-                                 executor=ex, impl=cfg.align_impl)
-            n_strips = 1
+        # The unsplit product is the one-strip case of the strip loop.
+        n_strips = 1 if cfg.overlap_mode == "monolithic" else plan_strips(
+            nnz_a, len(table), len(reads), n_strips=cfg.n_strips,
+            memory_budget=budget.candidate if budget else None).n_strips
+        blk = candidate_overlaps_blocked(
+            A, reads, cfg.k, comm, n_strips, timer, mode=cfg.align_mode,
+            scoring=cfg.scoring, filt=cfg.filt, fuzz=cfg.fuzz, executor=ex,
+            align_impl=cfg.align_impl, spgemm_impl=cfg.spgemm_impl,
+            checkpoint_dir=cfg.checkpoint_dir)
+        R = blk.R
         nnz_r = R.nnz()
         tr = transitive_reduction(R, comm, timer, fuzz=cfg.fuzz,
-                                  max_rounds=cfg.max_tr_rounds,
-                                  backend=backend, executor=ex,
+                                  max_rounds=cfg.max_tr_rounds, executor=ex,
                                   spgemm_impl=cfg.spgemm_impl)
     S_global = tr.S.to_global()
     return PipelineResult(
         config=cfg, n_reads=len(reads), n_kmers=len(table),
         string_graph=StringGraph.from_coomat(S_global), S=S_global,
-        nnz_a=nnz_a, nnz_c=nnz_c, nnz_r=nnz_r, nnz_s=tr.S.nnz(),
+        nnz_a=nnz_a, nnz_c=blk.nnz_c, nnz_r=nnz_r, nnz_s=tr.S.nnz(),
         tr_rounds=tr.rounds, timer=timer, tracker=tracker,
         n_strips=n_strips, R=R.to_global())
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dsparse.backend import Backend, get_backend
+from ..dsparse.backend import get_backend
 from ..dsparse.coomat import CooMat
 from ..dsparse.distmat import DistMat
 from ..dsparse.elementwise import reduce_rows
@@ -85,7 +85,7 @@ class TransitiveReductionResult:
     removed: int
 
 
-def _mask_prune_task(ctx, task):
+def _mask_prune_task(_ctx, task):
     """Executor task: one block's fused transitive mask + prune.
 
     ``I ← M ≥ N`` with end-orientation agreement (Algorithm 2 line 8)
@@ -98,7 +98,6 @@ def _mask_prune_task(ctx, task):
     element-wise steps skips materializing ``I`` and lets blocks run as
     independent executor tasks, each charged to its owning grid rank.
     """
-    backend = ctx
     rb, nb, bound = task
     if rb.nnz == 0 or nb.nnz == 0:
         return rb
@@ -111,11 +110,11 @@ def _mask_prune_task(ctx, task):
         return rb
     keep = np.ones(rb.nnz, dtype=bool)
     keep[ir[transitive]] = False
-    return backend.select(rb, keep)
+    return rb.select(keep)
 
 
-def _drop_contained(R: DistMat, comm: SimComm, timer: StageTimer,
-                    backend: Backend) -> tuple[DistMat, DistMat]:
+def _drop_contained(R: DistMat, comm: SimComm, timer: StageTimer
+                    ) -> tuple[DistMat, DistMat]:
     """Split ``R`` into the loop's input and ``S``'s containment entries.
 
     A row reduce (min) over the ``R_CONTAINED`` entries' container keys
@@ -141,7 +140,7 @@ def _drop_contained(R: DistMat, comm: SimComm, timer: StageTimer,
                                checked=True))
         keys.append(brow)
     best = reduce_rows(DistMat(R.shape, grid, keys, 1), 0, np.minimum,
-                       NO_CONTAINER, comm, STAGE, backend=backend)
+                       NO_CONTAINER, comm, STAGE)
     parent, olen = decode_container_key(best, n)
     bounds = block_bounds(n, comm.nprocs)
     comm.allgather([parent[bounds[p]:bounds[p + 1]]
@@ -159,7 +158,7 @@ def _drop_contained(R: DistMat, comm: SimComm, timer: StageTimer,
                     keep = (b.vals[:, R_SUFFIX] >= 0) & \
                         kept[b.row + R.row_bounds[i]] & \
                         kept[b.col + R.col_bounds[j]]
-                    brow.append(b if keep.all() else backend.select(b, keep))
+                    brow.append(b if keep.all() else b.select(keep))
             blocks.append(brow)
     inside = np.flatnonzero(~kept)
     vals = np.empty((inside.shape[0], R_NFIELDS), dtype=np.int64)
@@ -188,7 +187,7 @@ def _union(A: DistMat, B: DistMat) -> DistMat:
 def transitive_reduction(R: DistMat, comm: SimComm,
                          timer: StageTimer | None = None, *,
                          fuzz: int = 150, max_rounds: int = 32,
-                         backend: Backend | str | None = None,
+                         backend: str | None = None,
                          executor: Executor | None = None,
                          spgemm_impl: str | None = None
                          ) -> TransitiveReductionResult:
@@ -211,9 +210,8 @@ def transitive_reduction(R: DistMat, comm: SimComm,
     max_rounds:
         Safety bound on iterations (the paper observes a small constant).
     backend:
-        Local-kernel backend for the squaring, reduction, and pruning
-        (``N = R²`` runs on the ESC kernel — masked to ``R``'s pattern
-        under the masked engine).
+        A ``backend`` option name (:data:`repro.options.BACKEND`): validated,
+        selects nothing.
     executor:
         :class:`~repro.exec.Executor` parallelizing each round's repeated
         SUMMA products (the runtime-dominating part of the loop) and the
@@ -229,14 +227,14 @@ def transitive_reduction(R: DistMat, comm: SimComm,
         shrinks (``N`` genuinely holds fewer entries).
     """
     timer = timer if timer is not None else StageTimer()
-    backend = get_backend(backend)
+    get_backend(backend)
     executor = executor if executor is not None else SERIAL
     spgemm_impl = SPGEMM_IMPL.resolve(spgemm_impl)
     grid = R.grid
     q = grid.q
     ij = [(i, j) for i in range(q) for j in range(q)]
     initial = R.nnz()
-    R, contained = _drop_contained(R, comm, timer, backend)
+    R, contained = _drop_contained(R, comm, timer)
     rounds = 0
     while rounds < max_rounds:
         prev = R.nnz()
@@ -244,13 +242,12 @@ def transitive_reduction(R: DistMat, comm: SimComm,
             break
         rounds += 1
         N = summa(R, R, BidirectedMinPlus(), comm, STAGE, timer,
-                  backend=backend, executor=executor,
+                  executor=executor,
                   mask=R if spgemm_impl == "masked" else None)
         # Live set while masking: the round's R plus its two-hop product N.
         timer.record_peak_bytes(STAGE, coo_nbytes(prev, R.nfields) +
                                 coo_nbytes(N.nnz(), N.nfields))
-        v = reduce_rows(R, R_SUFFIX, np.maximum, 0, comm, STAGE,
-                        backend=backend)
+        v = reduce_rows(R, R_SUFFIX, np.maximum, 0, comm, STAGE)
         v = v + np.int64(fuzz)
         # Mask + prune are embarrassingly parallel local block ops (no
         # communication, Section V-D): one executor task per block, with
@@ -262,7 +259,6 @@ def transitive_reduction(R: DistMat, comm: SimComm,
         weights = [rb.nnz + nb.nnz for rb, nb, _bound in tasks]
         with timer.superstep(STAGE) as step:
             pruned, secs = executor.run_timed(_mask_prune_task, tasks,
-                                              context=backend,
                                               weights=weights)
             step.charge_many((grid.rank_of(i, j) for i, j in ij), secs)
         R = DistMat(R.shape, grid,

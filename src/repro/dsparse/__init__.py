@@ -8,18 +8,18 @@ algebra (:mod:`~repro.dsparse.semiring`), vectorized local SpGEMM
 (:mod:`~repro.dsparse.summa`) and the row reduction of Algorithm 2
 (:mod:`~repro.dsparse.elementwise`).
 
-Every block-level operation (SpGEMM, merge, filter, reduction) goes through
-a :class:`~repro.dsparse.backend.Backend`.  CombBLAS switches the local
+SUMMA calls its local kernels directly: CombBLAS switches the local
 multiply kernel per block, the choice the paper identifies as
-runtime-dominating; here :func:`~repro.dsparse.masked.masked_route` makes
-that choice per block product, between the pruned ESC and the mask-driven
-dot kernel.
+runtime-dominating, and here :func:`~repro.dsparse.masked.masked_route`
+makes that choice per block product, between the pruned ESC and the
+mask-driven dot kernel.  :func:`~repro.dsparse.backend.get_backend` only
+validates the ``backend`` option's name.
 """
 
 from .coomat import CooMat
 from .distmat import DistMat
 from .semiring import Semiring, INF
-from .backend import Backend, get_backend
+from .backend import get_backend
 from .spgemm import expand_products, packed_order, spgemm_esc, \
     multiway_merge, stable_key_order
 from .membership import in_sorted, match_sorted
@@ -31,7 +31,7 @@ from .elementwise import reduce_rows
 __all__ = [
     "CooMat", "DistMat",
     "Semiring", "INF",
-    "Backend", "get_backend",
+    "get_backend",
     "expand_products", "packed_order", "spgemm_esc",
     "multiway_merge", "stable_key_order",
     "in_sorted", "match_sorted",

@@ -15,31 +15,41 @@ from collections.abc import Callable
 import numpy as np
 
 from ..mpisim.comm import SimComm
-from .backend import Backend, get_backend
+from .coomat import CooMat
 from .distmat import DistMat
 
 __all__ = ["reduce_rows"]
 
 
+def _row_reduce(A: CooMat, field: int, op_reduceat: Callable,
+                identity: int) -> np.ndarray:
+    """One block's per-row fold of value ``field`` into a dense vector."""
+    out = np.full(A.shape[0], identity, dtype=np.int64)
+    if A.nnz:
+        indptr = A.csr_indptr()
+        nz = np.diff(indptr) > 0
+        out[np.flatnonzero(nz)] = op_reduceat.reduceat(A.vals[:, field],
+                                                       indptr[:-1][nz])
+    return out
+
+
 def reduce_rows(A: DistMat, field: int, op_reduceat: Callable,
                 identity: int, comm: SimComm | None = None,
-                stage: str = "Reduce",
-                backend: Backend | str | None = None) -> np.ndarray:
+                stage: str = "Reduce") -> np.ndarray:
     """Row-wise reduction of one value field → global dense vector.
 
     ``op_reduceat`` is a numpy ufunc (e.g. ``np.maximum``) whose ``reduceat``
-    folds each row's local entries (via the backend's row-reduction kernel);
-    partial per-block-row vectors are then allreduced along each process row
+    folds each row's entries inside every block (CSR row pointers, no
+    Python loop over entries); the partial per-block-row vectors are then allreduced along each process row
     (charged to ``stage`` when ``comm`` is given).  Rows with no nonzeros
     hold ``identity``.
     """
-    backend = get_backend(backend)
     q = A.grid.q
     out = np.full(A.shape[0], identity, dtype=np.int64)
     for i in range(q):
         r0, r1 = int(A.row_bounds[i]), int(A.row_bounds[i + 1])
-        partials = [backend.row_reduce(A.blocks[i][j], field, op_reduceat,
-                                       identity) for j in range(q)]
+        partials = [_row_reduce(A.blocks[i][j], field, op_reduceat, identity)
+                    for j in range(q)]
         if comm is not None:
             row_comm = comm.sub(A.grid.row_ranks(i))
             acc = row_comm.allreduce(partials, lambda a, b: op_reduceat(a, b),

@@ -12,7 +12,11 @@ SUMMA is owner-computes — only inputs move, which is exactly why the paper's
 The broadcasts run on sub-communicators of the simulated runtime so every
 byte and message lands in the tracker under the caller's stage label, and
 each stage's local multiplies run inside one :class:`~repro.mpisim.tracker.
-StageTimer` superstep (critical-path max over ranks).
+StageTimer` superstep (critical-path max over ranks).  The block task calls
+its kernel directly: :func:`~repro.dsparse.masked.spgemm_upper` for a
+triangle product, :func:`~repro.dsparse.masked.spgemm_masked` for a masked
+one, :func:`~repro.dsparse.spgemm.spgemm_esc` otherwise, and
+:func:`~repro.dsparse.spgemm.multiway_merge` folds each block's partials.
 """
 
 from __future__ import annotations
@@ -24,35 +28,38 @@ from ..mpisim.comm import SimComm
 from ..mpisim.grid import ProcessGrid2D
 from ..resilience.faults import maybe_fault
 from ..mpisim.tracker import StageTimer
-from .backend import Backend, get_backend
 from .coomat import CooMat
 from .distmat import DistMat
+from .masked import spgemm_masked, spgemm_upper
 from .semiring import Semiring
+from .spgemm import multiway_merge, spgemm_esc
 
 __all__ = ["summa", "summa_comm_replay"]
 
 
-def _spgemm_task(ctx, operands):
+def _spgemm_task(semiring, operands):
     """Executor task: one local block product (module-level for pickling).
 
     Returns ``(block, path, work)`` so process-pool workers carry the kernel
-    path and its exact work tally back to the parent for the per-stage
-    counters.
+    path (``"esc" | "masked_esc" | "masked_dot"``) and the masked kernels'
+    exact work tally back to the parent for the per-stage counters.
     """
-    backend, semiring = ctx
     a, b, m, origin = operands
     maybe_fault("summa.block")
     work: dict[str, int] = {}
-    block, path = backend.spgemm_with_path(a, b, semiring, mask=m, tally=work,
-                                           upper=origin)
+    if origin is not None:
+        block, path = spgemm_upper(a, b, semiring, origin, work)
+    elif m is not None:
+        block, path = spgemm_masked(a, b, semiring, m, work)
+    else:
+        block, path = spgemm_esc(a, b, semiring), "esc"
     return block, path, work
 
 
-def _merge_task(ctx, task):
+def _merge_task(semiring, task):
     """Executor task: one output block's partial-result accumulation."""
-    backend, semiring = ctx
     parts, shape = task
-    return backend.merge(parts, semiring, shape)
+    return multiway_merge(parts, semiring, shape)
 
 
 def _stage_broadcasts(grid: ProcessGrid2D, a_blocks: list[list],
@@ -117,7 +124,6 @@ def summa_comm_replay(grid: ProcessGrid2D, a_counts: np.ndarray,
 
 def summa(A: DistMat, B: DistMat, semiring: Semiring, comm: SimComm,
           stage: str, timer: StageTimer | None = None,
-          backend: Backend | str | None = None,
           executor: Executor | None = None,
           mask: DistMat | None = None,
           upper: int | None = None) -> DistMat:
@@ -140,9 +146,6 @@ def summa(A: DistMat, B: DistMat, semiring: Semiring, comm: SimComm,
         Tracker stage label for all traffic and compute of this product.
     timer:
         Optional stage timer; local multiplies are charged per superstep.
-    backend:
-        Local-kernel backend (name or instance) for the block multiplies and
-        the per-block accumulation; ``None`` selects the default.
     executor:
         :class:`~repro.exec.Executor` running the local block work (the
         ``q²`` multiplies per SUMMA stage, the ``q²`` final merges) in
@@ -178,7 +181,6 @@ def summa(A: DistMat, B: DistMat, semiring: Semiring, comm: SimComm,
     if comm.nprocs != grid.nprocs:
         raise ValueError("communicator size must match grid size")
     timer = timer if timer is not None else StageTimer()
-    backend = get_backend(backend)
     executor = executor if executor is not None else SERIAL
     if mask is not None and upper is not None:
         raise ValueError("pass a mask or an upper-triangle offset, not both")
@@ -188,7 +190,6 @@ def summa(A: DistMat, B: DistMat, semiring: Semiring, comm: SimComm,
         if mask.shape != (A.shape[0], B.shape[1]):
             raise ValueError(f"mask shape {mask.shape} != output shape "
                              f"{(A.shape[0], B.shape[1])}")
-    ctx = (backend, semiring)
     ij = [(i, j) for i in range(q) for j in range(q)]
     rb = grid.row_bounds(A.shape[0])
     cb = grid.col_bounds(B.shape[1])
@@ -208,7 +209,8 @@ def summa(A: DistMat, B: DistMat, semiring: Semiring, comm: SimComm,
         weights = [a.nnz + b.nnz for a, b, _m, _o in tasks]
         with timer.superstep(stage) as step:
             results, secs = executor.run_timed(_spgemm_task, tasks,
-                                               context=ctx, weights=weights)
+                                               context=semiring,
+                                               weights=weights)
             step.charge_many((grid.rank_of(i, j) for i, j in ij), secs)
             for (i, j), (part, path, work) in zip(ij, results):
                 timer.count_kernel(stage, path)
@@ -223,8 +225,8 @@ def summa(A: DistMat, B: DistMat, semiring: Semiring, comm: SimComm,
              for i, j in ij]
     weights = [sum(p.nnz for p in plist) for plist, _ in tasks]
     with timer.superstep(stage) as step:
-        merged, secs = executor.run_timed(_merge_task, tasks, context=ctx,
-                                          weights=weights)
+        merged, secs = executor.run_timed(_merge_task, tasks,
+                                          context=semiring, weights=weights)
         step.charge_many((grid.rank_of(i, j) for i, j in ij), secs)
     blocks = [[merged[i * q + j] for j in range(q)] for i in range(q)]
     return DistMat((A.shape[0], B.shape[1]), grid, blocks, semiring.out_nfields)

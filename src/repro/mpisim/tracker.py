@@ -170,9 +170,9 @@ class StageTimer:
     def count_kernel(self, stage: str, path: str, n: int = 1) -> None:
         """Add ``n`` to ``stage``'s exact kernel-work counter ``path``.
 
-        For the SpGEMM stages the counters are block products per
-        :meth:`repro.dsparse.backend.Backend.spgemm_with_path` name
-        (``"esc"``, ``"masked_esc"``, ``"masked_dot"``) — and nothing
+        For the SpGEMM stages the counters are block products per kernel
+        path SUMMA's block task reports (``"esc"``, ``"masked_esc"``,
+        ``"masked_dot"``; :func:`repro.dsparse.summa.summa`) — and nothing
         else, so their sum is the stage's kernel calls; what those calls
         *did* goes to :meth:`count_work`.
         For ``Alignment`` they are the batched x-drop sweep's ``rounds``,

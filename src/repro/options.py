@@ -127,9 +127,9 @@ SPGEMM_IMPL = Axis(
 
 BACKEND = Axis(
     "backend", "--backend", None, "auto",
-    "local sparse-kernel backend: all three names select the same numpy "
-    "kernels (ESC, masked ESC and the mask-driven dot kernel, chosen per "
-    "block) until the axis goes",
+    "validated and otherwise unused: SUMMA calls its kernels directly (ESC, "
+    "masked ESC or the mask-driven dot kernel, chosen per block), whatever "
+    "the name",
     choices=("numpy", "scipy"), service=True)
 
 WORKERS = Axis(
@@ -145,9 +145,10 @@ EXECUTOR = Axis(
 
 OVERLAP_MODE = Axis(
     "overlap_mode", "--overlap-mode", "REPRO_OVERLAP_MODE", "monolithic",
-    "candidate-formation path: 'blocked' strip-mines C = A*At (paper "
-    "Section VIII) so peak candidate memory drops ~n_strips-fold; the "
-    "strip count is --n-strips, else derived from --memory-budget, else 4",
+    "strip count of the candidate step: 'monolithic' forms C = A*At as one "
+    "strip, 'blocked' strip-mines it (paper Section VIII) so peak "
+    "candidate memory drops ~n_strips-fold; the strip count is --n-strips, "
+    "else derived from --memory-budget, else 4",
     choices=("monolithic", "blocked"))
 
 SEED_MODE = Axis(

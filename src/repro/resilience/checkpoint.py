@@ -14,8 +14,8 @@ fingerprint differs raises :class:`CheckpointMismatch` instead of
 silently merging strips of a different run — the checkpoint equivalent of
 the service's cross-scheme refusal.
 
-Payloads are pickled verbatim (they are the strip tasks' return values:
-COO arrays, the strip's row census and its private timer/tracker), so a
+Payloads are pickled verbatim (a strip's R entries as COO arrays, its
+candidate count, its row census and its private timer/tracker), so a
 resumed run merges byte-identical accounting and produces byte-identical
 R/S/tracker output — the determinism contract every other axis of this
 codebase already honors.

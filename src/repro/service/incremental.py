@@ -91,7 +91,6 @@ from ..core.pipeline import PipelineConfig, run_pipeline
 from ..core.semirings import A_NFIELDS, PositionsSemiring, R_NFIELDS
 from ..core.string_graph import StringGraph
 from ..core.transitive_reduction import transitive_reduction
-from ..dsparse.backend import get_backend
 from ..dsparse.coomat import CooMat
 from ..dsparse.distmat import DistMat
 from ..dsparse.masked import _ranges
@@ -415,7 +414,6 @@ def _incremental(state: AssemblyState, batch: ReadSet,
     combined = state.reads.concat(batch)
     n = len(combined)
     P = pcfg.nprocs
-    backend = get_backend(pcfg.backend)
     grid = ProcessGrid2D(P)
     tracker = CommTracker(P)
     comm = SimComm(P, tracker)
@@ -476,8 +474,7 @@ def _incremental(state: AssemblyState, batch: ReadSet,
             mask = DistMat.from_coo((n, n), grid, lo, hi,
                                     np.ones((lo.shape[0], 1), np.int64))
             Cd = summa(A_aff, A_cols.T, PositionsSemiring(), shadow,
-                       "SpGEMM", timer, backend=backend, executor=ex,
-                       mask=mask)
+                       "SpGEMM", timer, executor=ex, mask=mask)
             Rd = align_candidates(Cd, combined, k, shadow, timer,
                                   mode=pcfg.align_mode,
                                   scoring=pcfg.scoring, filt=pcfg.filt,
@@ -510,7 +507,7 @@ def _incremental(state: AssemblyState, batch: ReadSet,
                                   R_global.vals)
         tr = transitive_reduction(
             R_dist, comm, timer, fuzz=pcfg.fuzz,
-            max_rounds=pcfg.max_tr_rounds, backend=backend, executor=ex,
+            max_rounds=pcfg.max_tr_rounds, executor=ex,
             spgemm_impl=pcfg.spgemm_impl)
 
     S_global = tr.S.to_global()

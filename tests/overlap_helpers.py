@@ -1,4 +1,4 @@
-"""Importable test helpers for building overlap graphs.
+"""Importable test helpers: SUMMA's local product, overlap graphs.
 
 Lives in its own module (not ``conftest.py``) so test files can import it
 explicitly: ``from conftest import ...`` resolves whichever ``conftest.py``
@@ -11,8 +11,17 @@ from __future__ import annotations
 from repro.core.overlap import align_candidates, build_a_matrix, \
     candidate_overlaps
 from repro.core.string_graph import StringGraph
+from repro.dsparse.summa import _spgemm_task
 from repro.mpisim import CommTracker, ProcessGrid2D, SimComm, StageTimer
 from repro.seqs.kmer_counter import count_kmers
+
+
+def local_product(A, B, semiring, mask=None, upper=None):
+    """One SUMMA block product and the kernel path it took: with ``upper``
+    (a block origin) the strict upper triangle, with ``mask`` the masked
+    product, else plain ESC."""
+    block, path, _work = _spgemm_task(semiring, (A, B, mask, upper))
+    return block, path
 
 
 def build_overlap_graph(reads, k=17, nprocs=1, mode="chain", fuzz=20,

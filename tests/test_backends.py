@@ -1,9 +1,9 @@
-"""The backend axis and the kernel surface behind it.
+"""The backend axis and the local kernels SUMMA calls.
 
-The contracts under test: every accepted ``backend`` name selects the one
-kernel set and an unknown name is refused; the transpose view ``A.T`` is
-the matrix ``A.transpose()`` forms, over ``A``'s own arrays, and every
-kernel reads it to the same bytes; merge and row reduction honor their
+The contracts under test: every accepted ``backend`` name is validated and
+an unknown name is refused; the transpose view ``A.T`` is the matrix
+``A.transpose()`` forms, over ``A``'s own arrays, and SUMMA's local
+product reads it to the same bytes; merge and row reduction honor their
 frames; and the pipeline's output does not depend on the name chosen.
 """
 
@@ -14,13 +14,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.core.semirings import BidirectedMinPlus, PositionsSemiring
-from repro.dsparse.backend import Backend, get_backend
+from repro.dsparse.backend import get_backend
 from repro.dsparse.coomat import CooMat
+from repro.dsparse.distmat import DistMat
+from repro.dsparse.elementwise import reduce_rows
+from repro.dsparse.spgemm import multiway_merge
+from repro.mpisim import ProcessGrid2D
 from repro.seqs import ErrorModel, GenomeSpec, ReadSimSpec, simulate_reads
 
 from oracles.semirings import BoolOr, MinPlus, PlusTimes
-
-BACKEND = get_backend()
+from overlap_helpers import local_product
 
 #: semiring name -> (factory, operand nfields)
 SEMIRINGS = {
@@ -85,16 +88,17 @@ def _assert_view_is(view: CooMat, oracle: CooMat, base: CooMat):
 # -- registry ----------------------------------------------------------------
 
 def test_registry_ships_three_backends():
-    """The axis keeps its three names; each selects the one kernel set."""
-    assert isinstance(BACKEND, Backend)
+    """The axis keeps its three names; each is accepted as itself."""
     for name in ("numpy", "scipy", "auto"):
-        assert get_backend(name) is BACKEND
+        assert get_backend(name) == name
 
 
 def test_get_backend_default_and_passthrough():
-    assert get_backend(None) is BACKEND
-    bk = Backend()
-    assert get_backend(bk) is bk
+    """``None`` resolves to the default; a resolved name passes through
+    unchanged, so a layer may validate what a caller already validated."""
+    assert get_backend(None) == "auto"
+    for name in ("numpy", "scipy", "auto"):
+        assert get_backend(get_backend(name)) == name
 
 
 def test_get_backend_unknown_name():
@@ -108,9 +112,10 @@ def test_scipy_spgemm_dimension_mismatch():
     """Inner dimensions are checked before any kernel is picked, under every
     backend name (the check the ``scipy`` and default ``auto`` paths ran)."""
     for name in ("numpy", "scipy", "auto"):
+        get_backend(name)
         for kw in ({}, {"mask": CooMat.empty((3, 3))}, {"upper": (0, 0)}):
             with pytest.raises(ValueError, match="inner dimensions"):
-                get_backend(name).spgemm_with_path(
+                local_product(
                     CooMat.empty((3, 4)), CooMat.empty((5, 3)), PlusTimes(),
                     **kw)
 
@@ -128,9 +133,9 @@ def test_property_spgemm_parity(seed, semiring_name, da, negatives):
     lo = -5 if negatives else 1
     A = _rand_mat(rng, 17, 23, da, nf, lo=lo)
     semiring = cls()
-    oracle, path = BACKEND.spgemm_with_path(A, A.transpose(), semiring)
+    oracle, path = local_product(A, A.transpose(), semiring)
     assert path == "esc"
-    _assert_identical(BACKEND.spgemm_with_path(A, A.T, semiring)[0], oracle)
+    _assert_identical(local_product(A, A.T, semiring)[0], oracle)
 
 
 @settings(max_examples=25, deadline=None)
@@ -185,7 +190,7 @@ def test_merge_into_larger_frame_parity():
     a = CooMat((12, 12), [0], [3], [[2]])
     b = CooMat((12, 12), [5], [3], [[4]])
     for semiring in (PlusTimes(), BoolOr()):
-        m = BACKEND.merge([a, b], semiring, (100, 100))
+        m = multiway_merge([a, b], semiring, (100, 100))
         assert m.shape == (100, 100)
         assert m.row.tolist() == [0, 5] and m.col.tolist() == [3, 3]
 
@@ -194,7 +199,8 @@ def test_row_reduce_matches_dense():
     rng = np.random.default_rng(7)
     A = _rand_mat(rng, 15, 9, 0.3, 1)
     dense = A.to_scipy().toarray()
-    out = BACKEND.row_reduce(A, 0, np.maximum, 0)
+    out = reduce_rows(DistMat((15, 9), ProcessGrid2D(1), [[A]], 1), 0,
+                      np.maximum, 0)
     expect = dense.max(axis=1).astype(np.int64)
     assert np.array_equal(out, np.maximum(expect, 0))
 
@@ -203,13 +209,13 @@ def test_row_reduce_matches_dense():
 
 @pytest.mark.parametrize("name", ["numpy", "scipy"])
 def test_empty_operands(name):
-    bk = get_backend(name)
-    C, _ = bk.spgemm_with_path(CooMat.empty((3, 4)), CooMat.empty((4, 2)),
-                               PlusTimes())
+    get_backend(name)
+    C, _ = local_product(CooMat.empty((3, 4)), CooMat.empty((4, 2)),
+                         PlusTimes())
     assert C.nnz == 0 and C.shape == (3, 2) and C.nfields == 1
-    assert bk.merge([], PlusTimes(), (3, 3)).nnz == 0
-    C, _ = bk.spgemm_with_path(CooMat.empty((3, 4)),
-                               CooMat.empty((2, 4)).T, PlusTimes())
+    assert multiway_merge([], PlusTimes(), (3, 3)).nnz == 0
+    C, _ = local_product(CooMat.empty((3, 4)),
+                         CooMat.empty((2, 4)).T, PlusTimes())
     assert C.nnz == 0 and C.shape == (3, 2)
 
 

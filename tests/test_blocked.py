@@ -11,7 +11,6 @@ from repro.core.overlap import AlignmentFilter, align_candidates, \
     summa_positions
 from repro.core.semirings import R_NFIELDS
 from repro.core.transitive_reduction import transitive_reduction
-from repro.dsparse.backend import get_backend
 from repro.dsparse.distmat import DistMat
 from repro.mpisim import CommTracker, ProcessGrid2D, SimComm, StageTimer
 from repro.mpisim.grid import block_bounds
@@ -123,8 +122,10 @@ def test_blocked_empty_r_keeps_semiring_field_count(clean_dataset):
 
 
 @pytest.mark.parametrize("executor,workers", [("thread", 2), ("process", 2)])
-def test_blocked_parallel_strips_identical(clean_dataset, executor, workers):
-    """Strips on a pool: R, tracker records, and peaks match serial."""
+def test_blocked_strip_work_on_pool_identical(clean_dataset, executor,
+                                              workers):
+    """Each strip's SUMMA blocks and alignment chunks on a pool: R, tracker
+    records, and peaks match serial."""
     from repro.exec import get_executor
     _genome, reads, _layout = clean_dataset
     A, comm, timer = _setup(reads, P=4)
@@ -219,8 +220,8 @@ def test_full_product_nnz_matches_every_strip(noisy_dataset, strips):
     bounds = block_bounds(A.shape[0], strips)
     upper, census = [], 0
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        C = summa_positions(A, A.row_slice(lo, hi).T, comm, timer,
-                            get_backend(None), None, "masked", col_offset=lo)
+        C = summa_positions(A, A.row_slice(lo, hi).T, comm, timer, None,
+                            "masked", col_offset=lo)
         upper.append(C.nnz())
         census = census + row_census(C, bounds)
     assert list(full_product_nnz(A, bounds, upper, census)) == \
@@ -250,10 +251,10 @@ def test_strips_are_row_slices_viewed_transposed(noisy_dataset, P):
         formed = DistMat.from_coo(want.shape, A.grid, want.row, want.col,
                                   want.vals)
         C = summa_positions(A, strip, SimComm(P, CommTracker(P)),
-                            StageTimer(), get_backend(None), None, "masked",
+                            StageTimer(), None, "masked",
                             col_offset=lo).to_global()
         C_ref = summa_positions(A, formed, SimComm(P, CommTracker(P)),
-                                StageTimer(), get_backend(None), None, "esc",
+                                StageTimer(), None, "esc",
                                 col_offset=lo).to_global()
         assert np.array_equal(C.row, C_ref.row)
         assert np.array_equal(C.col, C_ref.col)

@@ -38,6 +38,11 @@ KMER_UPPER = 24
 
 EXECUTORS = [("serial", 1), ("thread", 3), ("process", 2)]
 OVERLAP_MODES = ["monolithic", "blocked"]
+#: Overlap leg -> (overlap_mode, n_strips, GOLDEN tracker/peaks key).  One
+#: blocked strip is the unsplit product, so it carries monolithic's digests.
+OVERLAP_LEGS = {"monolithic": ("monolithic", None, "monolithic"),
+                "blocked": ("blocked", 3, "blocked"),
+                "blocked1": ("blocked", 1, "monolithic")}
 ALIGN_IMPLS = ["loop", "batch"]
 KMER_IMPLS = ["loop", "batch"]
 
@@ -139,18 +144,19 @@ def _peaks_digest(timer) -> str:
     return _sha_text(repr(sorted(peaks.items())))
 
 
-def _config(executor, workers, overlap_mode, align_impl, kmer_impl,
+def _config(executor, workers, leg, align_impl, kmer_impl,
             spgemm_impl="auto"):
+    overlap_mode, n_strips, _key = OVERLAP_LEGS[leg]
     return PipelineConfig(
         k=K, nprocs=NPROCS, align_mode="xdrop", fuzz=60,
         kmer_upper=KMER_UPPER, executor=executor, workers=workers,
-        overlap_mode=overlap_mode, n_strips=3 if overlap_mode == "blocked"
-        else None, align_impl=align_impl, kmer_impl=kmer_impl,
-        spgemm_impl=spgemm_impl)
+        overlap_mode=overlap_mode, n_strips=n_strips, align_impl=align_impl,
+        kmer_impl=kmer_impl, spgemm_impl=spgemm_impl)
 
 
 COMBOS = list(itertools.product(EXECUTORS, OVERLAP_MODES, ALIGN_IMPLS,
-                                KMER_IMPLS))
+                                KMER_IMPLS)) + \
+    [(("serial", 1), "blocked1", "batch", "batch")]
 
 
 @pytest.mark.parametrize(
@@ -178,8 +184,8 @@ def test_golden_pipeline(golden_reads, executor_workers, overlap_mode,
         "S": GOLDEN["S"],
         "contigs": GOLDEN["contigs"],
         "counts": GOLDEN["counts"],
-        "tracker": GOLDEN["tracker"][overlap_mode],
-        "peaks": GOLDEN[peaks_key][overlap_mode],
+        "tracker": GOLDEN["tracker"][OVERLAP_LEGS[overlap_mode][2]],
+        "peaks": GOLDEN[peaks_key][OVERLAP_LEGS[overlap_mode][2]],
         "alignment": GOLDEN["alignment"] if align_impl == "batch" else None,
     }
     assert got == expect, (

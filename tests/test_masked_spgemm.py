@@ -4,7 +4,7 @@ The contract under test (PR 6): for every shipped semiring, any sparsity
 pattern, and any mask pattern, ``spgemm_esc_masked(A, B, sr, mask)`` is
 **byte-identical** to ``mask_select(spgemm_esc(A, B, sr), mask)`` — same
 coordinates, same int64 values, same entry order — and the mask threads
-through every layer (Backend.spgemm_with_path, SUMMA, the transitive-reduction
+through every layer (SUMMA's local product, SUMMA, the transitive-reduction
 squaring, the full pipeline) without changing a single output byte.  The
 only observable differences are performance artifacts: kernel-dispatch
 counters and the recorded ``TrReduction`` live-set peak.
@@ -29,7 +29,6 @@ import repro.dsparse.masked as masked_mod
 from repro.core.overlap import build_a_matrix, candidate_overlaps
 from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.core.semirings import BidirectedMinPlus, PositionsSemiring
-from repro.dsparse.backend import get_backend
 from repro.dsparse.coomat import CooMat
 from repro.dsparse.distmat import DistMat
 from repro.dsparse.masked import (mask_select, masked_route,
@@ -44,8 +43,7 @@ from repro.seqs import ErrorModel, GenomeSpec, ReadSimSpec, simulate_reads
 from repro.seqs.kmer_counter import count_kmers
 
 from oracles.semirings import BoolOr, MinPlus, PlusTimes
-
-BACKEND = get_backend()
+from overlap_helpers import local_product
 
 #: semiring name -> (factory, operand nfields) — same table as
 #: tests/test_backends.py, so the masked kernel is pinned against exactly
@@ -128,7 +126,8 @@ def test_mask_select_empty_cases():
 def test_property_masked_kernel_identity(seed, semiring_name, da, db,
                                          dmask, negatives, b_is_at, window):
     """Both masked kernels ≡ unmasked ESC ∩ mask, for every semiring and
-    pattern — each called directly, then through the router and backends."""
+    pattern — each called directly, then through the router and SUMMA's
+    local product."""
     rng = np.random.default_rng(seed)
     cls, nf = SEMIRINGS[semiring_name]
     lo = -5 if negatives else 1
@@ -154,9 +153,9 @@ def test_property_masked_kernel_identity(seed, semiring_name, da, db,
         routed, path = spgemm_masked(A, B, semiring, mask)
         _assert_identical(routed, oracle)
         assert path in ("masked_esc", "masked_dot")
-        # The backend seam agrees too.
+        # SUMMA's local product agrees too.
         _assert_identical(
-            BACKEND.spgemm_with_path(A, B, semiring, mask=mask)[0], oracle)
+            local_product(A, B, semiring, mask=mask)[0], oracle)
 
 
 def _positions_operand(rng, rows, cols, density):
@@ -475,7 +474,7 @@ def test_masked_kernels_accept_read_only_operands():
         _assert_identical(run(A, B, semiring, mask), oracle)
 
 
-# -- backend dispatch paths ----------------------------------------------------
+# -- local-product dispatch paths -------------------------------------------
 
 def test_spgemm_with_path_labels():
     rng = np.random.default_rng(11)
@@ -485,18 +484,17 @@ def test_spgemm_with_path_labels():
     At2 = A2.transpose()
     mask2 = _rand_mat(rng, 12, 12, 0.25, 1)
 
-    _, path = BACKEND.spgemm_with_path(A1, A1, PlusTimes())
+    _, path = local_product(A1, A1, PlusTimes())
     assert path == "esc"
-    _, path = BACKEND.spgemm_with_path(A1, A1, PlusTimes(), mask=mask1)
+    _, path = local_product(A1, A1, PlusTimes(), mask=mask1)
     assert path == "masked_esc"
     # Masked, the kernel masked_route picks (ESC on this sparse,
     # low-compression input; the routing tests below cover the other side).
     assert not masked_route(A2, At2, mask2, 2).dot
     for B in (At2, A2.T):
-        _, path = BACKEND.spgemm_with_path(A2, B, PositionsSemiring(),
-                                           mask=mask2)
+        _, path = local_product(A2, B, PositionsSemiring(), mask=mask2)
         assert path == "masked_esc"
-        _, path = BACKEND.spgemm_with_path(A2, B, PositionsSemiring())
+        _, path = local_product(A2, B, PositionsSemiring())
         assert path == "esc"
 
 
@@ -526,7 +524,7 @@ def _read_kmer_operands(rng, n_reads, read_len, genome, keep=0.9):
 def test_route_follows_compression():
     """Many shared columns per masked pair (long, clean reads) take the dot
     kernel; few (short, noisy reads at equal nnz) take ESC — through the
-    backend's path label, the same rule on both."""
+    local product's path label, the same rule on both."""
     semiring = PositionsSemiring()
     rng = np.random.default_rng(31)
     labels = {}
@@ -534,12 +532,11 @@ def test_route_follows_compression():
                        ("low", (1200, 150, 40000, 0.2))):
         A, At, mask = _read_kmer_operands(rng, *args)
         route = masked_route(A, At, mask, semiring.product_reduce_depth)
-        out, labels[name] = BACKEND.spgemm_with_path(A, At, semiring,
-                                                     mask=mask)
+        out, labels[name] = local_product(A, At, semiring, mask=mask)
         _assert_identical(out, spgemm_esc_masked(A, At, semiring, mask))
         # The view routes the same way, to the same bytes.
         assert masked_route(A, A.T, mask, 2) == route
-        view, label = BACKEND.spgemm_with_path(A, A.T, semiring, mask=mask)
+        view, label = local_product(A, A.T, semiring, mask=mask)
         assert label == labels[name]
         _assert_identical(view, out)
         # The rule's inputs, so a failure names the quantity that moved.
@@ -727,7 +724,7 @@ def test_summa_counts_kernel_paths():
     mask, _ = _rand_dist(rng, (16, 16), 0.3, grid)
     comm = SimComm(4, CommTracker(4))
     timer = StageTimer()
-    summa(A, A, PlusTimes(), comm, "Stage", timer, backend="auto", mask=mask)
+    summa(A, A, PlusTimes(), comm, "Stage", timer, mask=mask)
     counts = timer.kernel_counts()
     # q=2 SUMMA: 2 stages x 4 block products, every one on the pruned ESC
     # (PlusTimes declares no truncation depth, so the dot kernel is out).
@@ -786,7 +783,7 @@ def test_property_upper_kernel_identity(seed, da, db, row0, shift, offset,
                                             _upper_groups(A, B, origin),
                                             window=window, sized=True),
                           oracle)
-        out, _ = BACKEND.spgemm_with_path(A, B, semiring, upper=origin)
+        out, _ = local_product(A, B, semiring, upper=origin)
         _assert_identical(out, oracle)
 
 

@@ -146,6 +146,13 @@ def test_plan_empty_matrix():
     assert plan_strips(0, 0, 0, memory_budget=1).n_strips == 1
 
 
+@pytest.mark.parametrize("n_strips", [0, -3])
+def test_plan_rejects_explicit_count_below_one(n_strips):
+    """An explicit count below 1 is refused, not clamped to one strip."""
+    with pytest.raises(ValueError, match="n_strips"):
+        plan_strips(1000, 100, 500, n_strips=n_strips)
+
+
 def test_plan_rejects_nonpositive_budget():
     with pytest.raises(ValueError):
         plan_strips(1000, 100, 500, memory_budget=0)

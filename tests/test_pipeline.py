@@ -125,3 +125,21 @@ def test_bad_counting_parameters_are_refused_by_name(clean_dataset, bad,
         refresh(AssemblyState.initial(), reads.subset(np.arange(8)),
                 ServiceConfig(pipeline=_cfg(**bad)))
     assert _cfg(kmer_batches=1, kmer_upper=2).resolved().kmer_upper == 2
+
+
+@pytest.mark.parametrize("bad, match", [
+    (dict(n_strips=0), "n_strips"),
+    (dict(n_strips=-3), "n_strips"),
+    (dict(memory_budget=0), "memory_budget"),
+    (dict(memory_budget=-5), "memory_budget"),
+])
+def test_bad_strip_parameters_are_refused_by_name(tmp_path, bad, match):
+    """A non-positive strip count used to run silently as one strip, and a
+    non-positive budget failed only after the reads were in; the config
+    refuses both by name before any read is parsed (the FASTA named here
+    does not exist)."""
+    with pytest.raises(ValueError, match=match):
+        _cfg(overlap_mode="blocked", **bad).resolved()
+    with pytest.raises(ValueError, match=match):
+        run_pipeline_from_fasta(str(tmp_path / "missing.fa"),
+                                _cfg(overlap_mode="blocked", **bad))
