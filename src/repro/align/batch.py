@@ -1,11 +1,12 @@
 """Batched structure-of-arrays x-drop alignment engine.
 
-:mod:`repro.align.xdrop` vectorizes one pair's extension over its *diagonals*
-— which still leaves the pipeline issuing one Python call (and dozens of tiny
-numpy kernels) per candidate pair.  This module adds the second vectorization
-axis: every function here operates on **whole batches of extension problems
-at once**, advancing all of them in lockstep so each edit round is a fixed
-number of flat kernel calls instead of thousands of small ones.
+The per-pair reference engine (``tests/oracles/align_loop.py``) vectorizes
+one pair's extension over its *diagonals* — which leaves one Python call
+(and dozens of tiny numpy kernels) per candidate pair.  This module adds the
+second vectorization axis: every function here operates on **whole batches
+of extension problems at once**, advancing all of them in lockstep so each
+edit round is a fixed number of flat kernel calls instead of thousands of
+small ones.
 
 A batch describes its sequences as structure-of-arrays views into one
 shared ``codes`` buffer (all reads concatenated, one 2-bit code per *byte*):
@@ -17,7 +18,7 @@ gathers the bases its problems read — the union of their ranges, nothing
 else, so a memory-mapped ``codes`` stays out of core — and lays them out
 once in every orientation, as its *oriented window buffer*.
 
-The sweep mirrors :func:`repro.align.xdrop.xdrop_extend` *exactly* — the same
+The sweep mirrors the reference's ``xdrop_extend`` *exactly* — the same
 greedy Landau–Vishkin recurrence, score, tie-break and x-drop rules — but its
 cost follows the cells that are alive, not a bounding box:
 
@@ -31,7 +32,7 @@ cost follows the cells that are alive, not a bounding box:
   diagonal, matches on that path; both below ``2**30``) with the
   recurrence's preference order (substitution, insertion, deletion) in the
   two bits between them — a plain ``max`` of the three shifted candidates
-  picks the winning ``F`` *and* carries its ``M``, with the serial engine's
+  picks the winning ``F`` *and* carries its ``M``, with the reference's
   strictly-greater tie rule, without a select.
 * **Forward-only, word-at-a-time snakes.**  The window buffer is
   ``[c | c[::-1] | c ^ 3 | (c ^ 3)[::-1]]`` for the gathered bases ``c``,
@@ -43,9 +44,8 @@ cost follows the cells that are alive, not a bounding box:
   the room left.  Only cells that match a whole word load another, eight
   bytes further on both walks.
 
-The per-pair path stays the reference oracle behind the ``align_impl`` axis
-(:data:`repro.options.ALIGN_IMPL`), and the parity suite pins byte-identical
-results between the two.
+The parity suite (``tests/test_align_batch.py``) pins byte-identical
+results against the per-pair reference, kernel by kernel and on whole R.
 """
 
 from __future__ import annotations
@@ -72,8 +72,9 @@ _SUB = (1 << _F_SHIFT) + (2 << 30)      # same diagonal: i + 1, ranks first
 _INS = (1 << _F_SHIFT) + (1 << 30)      # from diagonal d - 1: i + 1
 _STATE = ~(3 << 30)                     # clears the rank bits
 _RUN = (1 << _F_SHIFT) + 1              # a snake advances F and M together
-#: Dead cell — this engine's own sentinel (the serial engine's ``LV_NEG`` is
-#: a different value): stays negative under ``+ _SUB`` and loses every max.
+#: Dead cell — this engine's own sentinel (the per-pair reference's
+#: ``LV_NEG`` is a different value): stays negative under ``+ _SUB`` and
+#: loses every max.
 _DEAD = -(1 << 62)
 #: Score of a dead cell (below every real one).
 _NO_SCORE = _DEAD
@@ -187,7 +188,8 @@ def xdrop_extend_batch(codes: np.ndarray,
     ``+1`` or ``-1`` — the SoA views that make forward suffixes, reversed
     prefixes, and reverse-complemented sequences all zero-copy.  Returns
     per-problem ``(best_score, ext_s, ext_t)`` arrays, each element exactly
-    equal to :func:`repro.align.xdrop.xdrop_extend` on the materialized pair.
+    equal to the per-pair reference's ``xdrop_extend`` on the materialized
+    pair.
 
     ``tally`` (optional dict) accumulates the sweep's exact work, each a sum
     over problems and therefore independent of how problems are batched:
@@ -224,7 +226,7 @@ def xdrop_extend_batch(codes: np.ndarray,
     if codes.dtype != np.uint8:
         raise ValueError(f"codes must be uint8 (one base per byte), "
                          f"got {codes.dtype}")
-    # Empty-side problems return (0, 0, 0) like the serial engine.
+    # Empty-side problems return (0, 0, 0) like the per-pair reference.
     ids = np.flatnonzero((s_len > 0) & (t_len > 0))
     if ids.size == 0:
         return out[0], out[1], out[2]
@@ -341,8 +343,9 @@ def xdrop_extend_batch(codes: np.ndarray,
             out[1, ids[wp]] = fw
             out[2, ids[wp]] = fw - (win + base[wp])
         # X-drop prune, then trim every span to its live cells; problems
-        # with none left retire.  (The serial engine's m + n round budget
-        # needs no test: i + j grows every round, so no cell outlives it.)
+        # with none left retire.  (The per-pair reference's m + n round
+        # budget needs no test: i + j grows every round, so no cell
+        # outlives it.)
         top -= sc.xdrop
         live = (scores >= top).nonzero()[0]
         if live.size == 0:
@@ -399,7 +402,7 @@ def extend_seeds_xdrop_batch(codes: np.ndarray, a_base: np.ndarray,
                              sc: Scoring, tally: dict | None = None
                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                         np.ndarray, np.ndarray]:
-    """Batched :func:`~repro.align.xdrop.seed_extend_align` over seed arrays.
+    """Batched seed-and-extend x-drop alignment over seed arrays.
 
     ``pa`` / ``pb`` are seed k-mer starts on each pair's read ``a`` and on
     the **forward** read ``b``; strand-1 seeds are mapped onto the oriented
@@ -448,7 +451,7 @@ def chain_extend_batch(a_len: np.ndarray, b_len: np.ndarray, pa: np.ndarray,
                        identity: float = 0.85
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                   np.ndarray, np.ndarray]:
-    """Batched :func:`~repro.align.xdrop.chain_extend` over seed arrays.
+    """Batched alignment-free coordinate estimate over seed arrays.
 
     Pure column arithmetic — the seed diagonal projected to the read ends,
     scored by the implied overlap length × identity estimate.  Returns the

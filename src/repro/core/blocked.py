@@ -36,18 +36,18 @@ import numpy as np
 
 from ..align.xdrop import Scoring
 from ..dsparse.distmat import DistMat
+from ..dsparse.summa import summa
 from ..exec import Executor, SERIAL
 from ..mpisim.comm import SimComm
 from ..mpisim.grid import block_bounds
 from ..mpisim.tracker import CommTracker, StageTimer
-from ..options import ALIGN_IMPL, SPGEMM_IMPL
 from ..resilience.checkpoint import StripCheckpoint
 from ..resilience.faults import maybe_fault
 from ..seqs.fasta import ReadSet
 from .memory import coo_nbytes
 from .overlap import (AlignmentFilter, align_candidates, full_product_nnz,
-                      row_census, summa_positions)
-from .semirings import C_NFIELDS, R_NFIELDS
+                      row_census)
+from .semirings import C_NFIELDS, PositionsSemiring, R_NFIELDS
 
 __all__ = ["BlockedOverlapResult", "candidate_overlaps_blocked"]
 
@@ -86,8 +86,7 @@ class BlockedOverlapResult:
 
 def _run_strip(A: DistMat, At: DistMat, lo: int, reads: ReadSet, k: int,
                starts: np.ndarray, executor: Executor, mode: str,
-               scoring: Scoring, filt: AlignmentFilter, fuzz: int,
-               align_impl: str, spgemm_impl: str) -> tuple:
+               scoring: Scoring, filt: AlignmentFilter, fuzz: int) -> tuple:
     """One strip (operand ``At``, first column ``lo``) on ``executor``,
     charged to a private tracker and timer.  Returns ``(R_strip,
     strip_nnz, census, timer, tracker)``: R entries in the ``n × n`` frame,
@@ -97,19 +96,17 @@ def _run_strip(A: DistMat, At: DistMat, lo: int, reads: ReadSet, k: int,
     timer = StageTimer()
     # The strip product, already restricted to the strict upper triangle
     # in *global* coordinates (the strip's columns start at ``lo``).
-    C_strip = summa_positions(A, At, comm, timer, executor, spgemm_impl,
-                              col_offset=lo)
+    C_strip = summa(A, At, PositionsSemiring(), comm, "SpGEMM", timer,
+                    executor=executor, upper=lo)
     # Align and prune this strip immediately (the memory saver).
     R_strip = align_candidates(C_strip, reads, k, comm, timer, mode=mode,
                                scoring=scoring, filt=filt, fuzz=fuzz,
-                               executor=executor, impl=align_impl,
-                               col_offset=lo)
+                               executor=executor, col_offset=lo)
     return R_strip, C_strip.nnz(), row_census(C_strip, starts), timer, tracker
 
 
 def _strip_fingerprint(A: DistMat, reads: ReadSet, k: int, nprocs: int,
                        mode: str, scoring, filt, fuzz: int,
-                       align_impl: str, spgemm_impl: str,
                        spans: list[tuple[int, int]]) -> str:
     """SHA-256 over everything a strip's result depends on.
 
@@ -126,7 +123,7 @@ def _strip_fingerprint(A: DistMat, reads: ReadSet, k: int, nprocs: int,
     # bounded chunks — either way the bases are never materialized here.
     h.update(reads.content_fingerprint().encode())
     h.update(repr((A.shape, A.grid.q, k, nprocs, mode, scoring, filt, fuzz,
-                   align_impl, spgemm_impl, spans)).encode())
+                   spans)).encode())
     return h.hexdigest()
 
 
@@ -138,8 +135,6 @@ def candidate_overlaps_blocked(A: DistMat, reads: ReadSet, k: int,
                                filt: AlignmentFilter | None = None,
                                fuzz: int = 100,
                                executor: Executor | None = None,
-                               align_impl: str | None = None,
-                               spgemm_impl: str | None = None,
                                checkpoint_dir: str | None = None
                                ) -> BlockedOverlapResult:
     """Strip-mined ``C = A·Aᵀ`` with per-strip alignment and pruning.
@@ -166,8 +161,6 @@ def candidate_overlaps_blocked(A: DistMat, reads: ReadSet, k: int,
     executor = executor if executor is not None else SERIAL
     scoring = scoring if scoring is not None else Scoring()
     filt = filt if filt is not None else AlignmentFilter()
-    align_impl = ALIGN_IMPL.resolve(align_impl)
-    spgemm_impl = SPGEMM_IMPL.resolve(spgemm_impl)
     n = A.shape[0]
     bounds = block_bounds(n, n_strips)
     # Empty strips are skipped; with no reads, one empty strip runs.
@@ -177,8 +170,7 @@ def candidate_overlaps_blocked(A: DistMat, reads: ReadSet, k: int,
     ckpt = None
     if checkpoint_dir is not None:
         fingerprint = _strip_fingerprint(A, reads, k, comm.nprocs, mode,
-                                         scoring, filt, fuzz, align_impl,
-                                         spgemm_impl, spans)
+                                         scoring, filt, fuzz, spans)
         ckpt = StripCheckpoint(checkpoint_dir, fingerprint,
                                len(spans)).open()
 
@@ -195,8 +187,7 @@ def candidate_overlaps_blocked(A: DistMat, reads: ReadSet, k: int,
             # transpose view, with no copy of A's rows.
             At = A.T if len(spans) == 1 else A.row_slice(lo, hi).T
             R_s, *acct = _run_strip(A, At, lo, reads, k, starts, executor,
-                                    mode, scoring, filt, fuzz, align_impl,
-                                    spgemm_impl)
+                                    mode, scoring, filt, fuzz)
             if ckpt is not None:
                 # Fires *before* the save: an injected crash here models
                 # dying mid-checkpoint — the strip is lost, the directory

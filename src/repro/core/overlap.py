@@ -22,15 +22,13 @@ This module covers Algorithm 1 lines 4–8:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..align.batch import chain_extend_batch, extend_seeds_xdrop_batch
-from ..align.overlapper import (OverlapClass, classify_overlap,
-                                classify_overlap_batch)
-from ..align.xdrop import AlignmentResult, Scoring, chain_extend, \
-    seed_extend_align
+from ..align.overlapper import classify_overlap_batch
+from ..align.xdrop import Scoring
 from ..dsparse.backend import get_backend
 from ..dsparse.coomat import CooMat
 from ..dsparse.distmat import DistMat
@@ -46,10 +44,10 @@ from ..seqs.fasta import ReadSet
 from ..seqs.kmer_counter import KmerTable, _extract_batch_task
 from ..seqs.seeding import FullKScheme, SeedScheme
 from .memory import coo_nbytes
-from .semirings import (A_NFIELDS, C_COUNT, C_NFIELDS, C_PA1, C_PA2,
-                        C_PB1, C_PB2, C_STRAND1, C_STRAND2,
-                        PositionsSemiring, R_CONTAINED, R_CONTAINS, R_END_I,
-                        R_END_J, R_NFIELDS, R_NO_END, R_OLEN, R_SUFFIX)
+from .semirings import (A_NFIELDS, C_NFIELDS, C_PA1, C_PA2, C_PB1, C_PB2,
+                        C_STRAND1, C_STRAND2, PositionsSemiring, R_CONTAINED,
+                        R_CONTAINS, R_END_I, R_END_J, R_NFIELDS, R_NO_END,
+                        R_OLEN, R_SUFFIX)
 
 __all__ = ["AlignmentFilter", "build_a_matrix", "charge_a_routing",
            "candidate_overlaps", "exchange_reads", "align_candidates"]
@@ -106,43 +104,6 @@ def _block_cuts(key: np.ndarray, lo: int, span: int, m: int,
         key, (np.arange(q)[:, None] * span + first[None, :]) * np.int64(m))
 
 
-def _a_scan_task(ctx, span):
-    """Executor task: one 1D rank's (read, seed k-mer) entry scan.
-
-    Scans read by read (the reference oracle of the batch task below) and
-    returns the same ``(entries | None, tally)``, entries grouped by
-    destination block; ``tally`` is the dictionary lookup's exact work
-    (:meth:`~repro.seqs.kmer_counter.KmerTable.lookup`).
-    """
-    reads, table, scheme, bounds = ctx
-    lo, hi = span
-    rr, cc, vv = [], [], []
-    tally: dict[str, int] = {}
-    for gi in range(lo, hi):
-        keys, seed_pos, seed_flip = scheme.seeds_of_read(reads[gi])
-        if keys.shape[0] == 0:
-            continue
-        col = table.lookup(keys, tally)
-        ok = col >= 0
-        if not ok.any():
-            continue
-        pos = seed_pos[ok]
-        col = col[ok]
-        flip = seed_flip[ok].astype(np.int64)
-        # Keep the first occurrence per (read, k-mer).
-        _, first = np.unique(col, return_index=True)
-        rr.append(np.full(first.shape[0], gi, dtype=np.int64))
-        cc.append(col[first])
-        vv.append(np.stack([pos[first], flip[first]], axis=1))
-    if not rr:
-        return None, tally
-    row, col, vals = np.concatenate(rr), np.concatenate(cc), np.vstack(vv)
-    key = _block_key(row - lo, col, hi - lo, len(table), bounds[1])
-    order = np.argsort(key, kind="stable")
-    return (row[order], col[order], vals[order],
-            _block_cuts(key[order], lo, hi - lo, len(table), bounds)), tally
-
-
 def _a_scan_batch_task(ctx, task):
     """Executor task: one 1D rank's (read, k-mer) scan as pure column ops.
 
@@ -159,7 +120,8 @@ def _a_scan_batch_task(ctx, task):
     ``(row, col, vals, cuts)`` in (block column, read, column) order —
     the slice of each 2D destination block row-major and contiguous, where
     :func:`_block_cuts` says — with the first-occurrence position/flip per
-    (read, k-mer); the loop task's output, byte for byte.
+    (read, k-mer); ``tally`` is the dictionary lookup's exact work
+    (:meth:`~repro.seqs.kmer_counter.KmerTable.lookup`).
     """
     table, scheme, reads, bounds = ctx
     lo, hi, stream = task
@@ -220,24 +182,24 @@ def build_a_matrix(reads: ReadSet, table: KmerTable, grid: ProcessGrid2D,
     (``windows``, ``probes``, ``leftover``) comes back with each scan and
     is summed into ``timer``'s work counters.
 
-    ``impl`` selects the scan engine (:data:`repro.options.KMER_IMPL`):
-    ``"batch"`` runs each rank's scan as column ops over its whole seed
-    stream — lookup, hits-only read/position columns, dedup; ``"loop"``
-    scans read by read (the reference oracle).  A is byte-identical either
-    way.  The batch scan extracts nothing when ``table`` carries the seed
-    stream CountKmer extracted from this ``reads`` object under the same
-    ``scheme`` and rank spans (an unbudgeted batch count keeps it): each
-    window is then packed once per run.  The stream is taken off the table
-    whatever the engine, and dropped as soon as the scan superstep has
-    returned; without a matching one each rank re-extracts.  ``scheme`` picks
-    which windows seed A (``None`` = full-k, the paper's every-window
+    Each rank's scan runs as column ops over its whole seed stream —
+    lookup, hits-only read/position columns, dedup
+    (:func:`_a_scan_batch_task`).  It extracts nothing when ``table``
+    carries the seed stream CountKmer extracted from this ``reads`` object
+    under the same ``scheme`` and rank spans (an unbudgeted count keeps
+    it): each window is then packed once per run.  The stream is taken off
+    the table either way, and dropped as soon as the scan superstep has
+    returned; without a matching one each rank re-extracts.  ``scheme``
+    picks which windows seed A (``None`` = full-k, the paper's every-window
     behavior); sparse schemes shrink nnz(A) by their seed density while
     the entry layout (first occurrence per (read, k-mer), position/flip
-    payload) is unchanged.
+    payload) is unchanged.  ``impl`` names the k-mer engine
+    (:data:`repro.options.KMER_IMPL`); it is validated and selects
+    nothing, since ``"batch"`` is the only one.
     """
     timer = timer if timer is not None else StageTimer()
     executor = executor if executor is not None else SERIAL
-    impl = KMER_IMPL.resolve(impl)
+    KMER_IMPL.resolve(impl)
     scheme = scheme if scheme is not None else FullKScheme(table.k)
     stage = "CreateSpMat"
     P = comm.nprocs
@@ -248,20 +210,14 @@ def build_a_matrix(reads: ReadSet, table: KmerTable, grid: ProcessGrid2D,
 
     spans = [(int(read_bounds[p]), int(read_bounds[p + 1])) for p in range(P)]
     streams = table.take_stream(reads, scheme, spans) or [None] * P
+    pre = np.concatenate(([0], np.cumsum(reads.lengths)))
+    tasks = [(lo, hi, s) for (lo, hi), s in zip(spans, streams)]
     with timer.superstep(stage) as step:
-        if impl == "batch":
-            pre = np.concatenate(([0], np.cumsum(reads.lengths)))
-            tasks = [(lo, hi, s) for (lo, hi), s in zip(spans, streams)]
-            parts, secs = executor.run_timed(
-                _a_scan_batch_task, tasks,
-                context=(table, scheme, reads, bounds),
-                weights=[int(pre[hi] - pre[lo]) for lo, hi in spans])
-            del tasks
-        else:
-            parts, secs = executor.run_timed(
-                _a_scan_task, spans, context=(reads, table, scheme, bounds),
-                weights=[hi - lo for lo, hi in spans])
+        parts, secs = executor.run_timed(
+            _a_scan_batch_task, tasks, context=(table, scheme, reads, bounds),
+            weights=[int(pre[hi] - pre[lo]) for lo, hi in spans])
         step.charge_many(range(P), secs)
+    del tasks
     del streams
     for _, tally in parts:
         for name, count in tally.items():
@@ -370,42 +326,6 @@ def charge_a_routing(row: np.ndarray, col: np.ndarray, n_reads: int,
     return moved.sum(axis=0).reshape(grid.q, grid.q)
 
 
-def summa_positions(A: DistMat, At: DistMat, comm: SimComm,
-                    timer: StageTimer, executor: Executor | None,
-                    spgemm_impl: str, col_offset: int = 0) -> DistMat:
-    """The candidate product ``C = A·Aᵀ`` under the positions semiring,
-    strict upper triangle only.
-
-    ``col_offset`` is the global index of ``At``'s first column (a blocked
-    strip's ``lo``), so "upper" is always global row < global column.
-
-    ``spgemm_impl="masked"`` runs **one** positions-semiring SUMMA with the
-    triangle as a coordinate predicate (``summa(upper=col_offset)``): each
-    block task gets its block's global origin; a block wholly on or below
-    the diagonal is skipped without computing; elsewhere each block product
-    takes the kernel :func:`repro.dsparse.masked.spgemm_upper` picks — ESC
-    filtered by the predicate below the dot kernel's flops floor, above it
-    one pattern product whose upper part routes the block and sizes the
-    dot kernel's groups.  ``"esc"`` runs the monolithic 7-field product and
-    prunes to the triangle afterwards.
-
-    Output and entry order are byte-identical between the two engines, and
-    so is the traffic: both broadcast the same full 2-field blocks.  The
-    SpGEMM peak (the unpruned product's footprint) is the caller's to
-    record — see :func:`full_product_nnz`.
-    """
-    if spgemm_impl == "masked":
-        return summa(A, At, PositionsSemiring(), comm, "SpGEMM", timer,
-                     executor=executor, upper=col_offset)
-    C = summa(A, At, PositionsSemiring(), comm, "SpGEMM", timer,
-              executor=executor)
-    blocks = [[b.select(b.row + C.row_bounds[i] <
-                        b.col + C.col_bounds[j] + col_offset)
-               for j, b in enumerate(brow)]
-              for i, brow in enumerate(C.blocks)]
-    return DistMat(C.shape, C.grid, blocks, C.nfields)
-
-
 def _global_rows(M: DistMat) -> np.ndarray:
     """The global row of every entry of ``M``, block by block."""
     return np.concatenate([b.row + M.row_bounds[i]
@@ -454,11 +374,17 @@ def candidate_overlaps(A: DistMat, comm: SimComm,
     alignment.  Diagonal entries (a read with itself) are discarded.
     ``Aᵀ`` is :attr:`DistMat.T <repro.dsparse.distmat.DistMat.T>`, a view
     of A's own blocks: nothing is transposed or copied, and the kernels
-    read A's rows as Aᵀ's columns.  ``backend`` is validated and otherwise
-    unused; ``executor`` parallelizes SUMMA's local block work;
-    ``spgemm_impl`` (:data:`repro.options.SPGEMM_IMPL`) picks the product
-    engine — ``"masked"`` prunes to the triangle inside the one SUMMA
-    (:func:`summa_positions`), ``"esc"`` is the monolithic oracle.
+    read A's rows as Aᵀ's columns.  The product is **one**
+    positions-semiring SUMMA with the triangle as a coordinate predicate
+    (``summa(upper=0)``): each block task gets its block's global origin; a
+    block wholly on or below the diagonal is skipped without computing;
+    elsewhere each block product takes the kernel
+    :func:`repro.dsparse.masked.spgemm_upper` picks — ESC filtered by the
+    predicate below the dot kernel's flops floor, above it one pattern
+    product whose upper part routes the block and sizes the dot kernel's
+    groups.  ``executor`` parallelizes SUMMA's local block work;
+    ``backend`` (:data:`repro.options.BACKEND`) and ``spgemm_impl``
+    (:data:`repro.options.SPGEMM_IMPL`) are validated and select nothing.
 
     The recorded ``SpGEMM`` peak is the full product as an unpruned SUMMA
     would hold it, ``2·nnz(C) + non-empty rows of A``
@@ -466,8 +392,9 @@ def candidate_overlaps(A: DistMat, comm: SimComm,
     """
     timer = timer if timer is not None else StageTimer()
     get_backend(backend)
-    spgemm_impl = SPGEMM_IMPL.resolve(spgemm_impl)
-    C = summa_positions(A, A.T, comm, timer, executor, spgemm_impl)
+    SPGEMM_IMPL.resolve(spgemm_impl)
+    C = summa(A, A.T, PositionsSemiring(), comm, "SpGEMM", timer,
+              executor=executor, upper=0)
     one_strip = np.array([0, A.shape[0]])
     full = full_product_nnz(A, one_strip, [C.nnz()], [C.nnz()])
     timer.record_peak_bytes("SpGEMM", coo_nbytes(int(full[0]), C_NFIELDS))
@@ -511,32 +438,14 @@ def exchange_reads(reads: ReadSet, grid: ProcessGrid2D, comm: SimComm
                 comm.tracker.record(stage, p, range_bytes(s_lo, s_hi), 1)
 
 
-def _align_one(reads: ReadSet, gi: int, gj: int, cval: np.ndarray,
-               k: int, mode: str, scoring: Scoring) -> AlignmentResult | None:
-    """Align one candidate pair using its stored seeds (best of up to two)."""
-    a, b = reads[gi], reads[gj]
-    best: AlignmentResult | None = None
-    seeds = [(int(cval[C_PA1]), int(cval[C_PB1]), int(cval[C_STRAND1]))]
-    if cval[C_PA2] >= 0:
-        seeds.append((int(cval[C_PA2]), int(cval[C_PB2]), int(cval[C_STRAND2])))
-    for pa, pb, strand in seeds:
-        if mode == "chain":
-            res = chain_extend(a.shape[0], b.shape[0], pa, pb, k, strand)
-        else:
-            res = seed_extend_align(a, b, pa, pb, k, strand, scoring)
-        if best is None or res.score > best.score:
-            best = res
-    return best
-
-
 def _dedup_second_seeds(cvals: np.ndarray, b_len: np.ndarray, k: int,
                         mode: str) -> np.ndarray:
     """Drop redundant second seeds so each pair extends the minimum needed.
 
-    A second seed is provably redundant — the per-pair loop would compute an
-    identical :class:`~repro.align.xdrop.AlignmentResult` for it and discard
-    it on the strictly-greater score test — when it **equals** the first
-    (same ``pa/pb/strand``), or, in chain mode, when it shares the first
+    A second seed is provably redundant — its extension would give the
+    first's score and coordinates, and the strictly-greater score test
+    (:func:`_align_pairs_batch`) keeps the first — when it **equals** the
+    first (same ``pa/pb/strand``), or, in chain mode, when it shares the first
     seed's strand and oriented diagonal (the chain estimate depends on the
     seed only through that diagonal).  X-drop extensions from *different*
     positions on one diagonal can genuinely differ, so the diagonal rule is
@@ -564,33 +473,6 @@ def _dedup_second_seeds(cvals: np.ndarray, b_len: np.ndarray, k: int,
     cvals[redundant, C_PB2] = -1
     cvals[redundant, C_STRAND2] = -1
     return cvals
-
-
-def _align_task(ctx, task):
-    """Executor task: align one candidate pair, filter, classify.
-
-    Returns the two directed R payload rows ``(gi, gj)`` and ``(gj, gi)`` of
-    a surviving dovetail or containment overlap, or ``None`` for pairs
-    pruned by score or classified internal.
-    """
-    reads, k, mode, scoring, filt, fuzz = ctx
-    gi, gj, cval = task
-    res = _align_one(reads, gi, gj, cval, k, mode, scoring)
-    if res is None:
-        return None
-    olen = res.ea - res.ba
-    if not filt.passes(res.score, olen):
-        return None
-    oc = classify_overlap(reads[gi].shape[0], reads[gj].shape[0], res, fuzz)
-    if oc.kind == "dovetail":
-        return ((oc.suffix_ij, oc.end_i, oc.end_j, oc.overlap_len),
-                (oc.suffix_ji, oc.end_j, oc.end_i, oc.overlap_len))
-    if oc.kind == "internal":
-        return None
-    inner, outer = ((R_CONTAINED, R_CONTAINS) if oc.kind == "contained_i"
-                    else (R_CONTAINS, R_CONTAINED))
-    return ((inner, R_NO_END, R_NO_END, oc.overlap_len),
-            (outer, R_NO_END, R_NO_END, oc.overlap_len))
 
 
 #: Ceiling on candidate pairs per batch-kernel call (the ``max_items`` cap
@@ -651,8 +533,8 @@ def _align_pairs_batch(codes: np.ndarray, offsets: np.ndarray,
     lockstep sweep over both seeds and both directions, so the chunk pays
     the sweep's per-round overhead once (``tally`` collects its work
     counters).  Results are per seed, so seed 2's is then kept exactly where
-    its score is strictly greater — the same strictly-greater rule as the
-    per-pair loop's seed iteration.  Returns per-pair
+    its score is strictly greater, as a seed-by-seed iteration keeping the
+    best would keep it.  Returns per-pair
     ``(score, ba, ea, bb, eb, strand)`` columns.
     """
     n_pairs = gi.shape[0]
@@ -682,7 +564,7 @@ def _align_chunk_task(ctx, task):
     score filter, and overlap classification all run as column operations,
     and the surviving dovetail and containment pairs come back as
     ready-to-concatenate R COO arrays (two directed rows per pair, in chunk
-    order — :func:`_align_task`'s payloads) followed by the
+    order: ``(gi, gj)`` then ``(gj, gi)``) followed by the
     x-drop sweep's work counters (empty in chain mode).  The context
     carries the ReadSet itself (not its SoA arrays): a store-backed set
     ships as just the store path, and each worker's ``soa()`` call maps
@@ -743,85 +625,34 @@ def align_candidates(C: DistMat, reads: ReadSet, k: int, comm: SimComm,
     transitive_reduction` goes one step further, as Myers does, and drops
     the contained *reads* on entry.
 
-    ``impl`` selects the alignment engine
-    (:data:`repro.options.ALIGN_IMPL`):
-
-    * ``"batch"`` (the ``auto`` default) packs the candidate pairs into
-      structure-of-arrays buffers and aligns **nnz-weighted chunks of
-      pairs** per executor task — one lockstep batched x-drop sweep per
-      chunk instead of one Python dispatch per pair; chunk compute time is
-      charged to the grid ranks owning each chunk's pairs in proportion to
-      their weight share.
-    * ``"loop"`` runs one executor task per pair (weighted by the two read
-      lengths — the x-drop cost driver), charged to the owning rank
-      exactly; it is the reference oracle the batch engine is pinned
-      against.
-
-    Either way survivors are appended in C's canonical block/entry order,
-    so R is byte-identical for every engine, executor, and worker count.
-    ``C`` may be a column strip whose first column is read ``col_offset``;
-    R is always ``n × n``.
+    Candidate pairs are packed into structure-of-arrays buffers and
+    aligned in **nnz-weighted chunks** per executor task — one lockstep
+    batched x-drop sweep per chunk (:func:`_align_chunk_task`) instead of
+    one Python dispatch per pair; chunk compute time is charged to the
+    grid ranks owning each chunk's pairs in proportion to their weight
+    share.  Survivors are appended in C's canonical block/entry order, so
+    R is byte-identical for every executor, worker count and chunking.
+    ``impl`` names the alignment engine (:data:`repro.options.ALIGN_IMPL`);
+    it is validated and selects nothing, since ``"batch"`` is the only
+    one.  ``C`` may be a column strip whose first column is read
+    ``col_offset``; R is always ``n × n``.
     """
     timer = timer if timer is not None else StageTimer()
     scoring = scoring if scoring is not None else Scoring()
     filt = filt if filt is not None else AlignmentFilter()
     executor = executor if executor is not None else SERIAL
-    impl = ALIGN_IMPL.resolve(impl)
+    ALIGN_IMPL.resolve(impl)
     stage = "Alignment"
     n = C.shape[0]
     lengths = reads.lengths
 
     gi, gj, cvals, ranks, weights = _gather_pairs(C, lengths, col_offset)
     cvals = _dedup_second_seeds(cvals, lengths[gj], k, mode)
-
-    if impl == "batch":
-        row, col, vals = _run_batch_impl(reads, gi, gj, cvals, ranks,
-                                         weights, k, mode, scoring, filt,
-                                         fuzz, executor, timer, stage)
-    else:
-        row, col, vals = _run_loop_impl(reads, gi, gj, cvals, ranks,
-                                        weights, k, mode, scoring, filt,
-                                        fuzz, executor, timer, stage)
-    timer.record_peak_bytes(stage, coo_nbytes(row.shape[0], R_NFIELDS))
-    return DistMat.from_coo((n, n), C.grid, row, col, vals)
-
-
-def _run_loop_impl(reads, gi, gj, cvals, ranks, weights, k, mode, scoring,
-                   filt, fuzz, executor, timer, stage):
-    """Per-pair reference engine: one executor task per candidate pair."""
-    tasks = list(zip(gi.tolist(), gj.tolist(), cvals))
-    ctx = (reads, k, mode, scoring, filt, fuzz)
-    with timer.superstep(stage) as step:
-        results, secs = executor.run_timed(_align_task, tasks, context=ctx,
-                                           weights=weights.tolist())
-        step.charge_many(ranks.tolist(), secs)
-
-    rows: list[int] = []
-    cols: list[int] = []
-    val_rows: list[tuple] = []
-    for (pair_i, pair_j, _), hit in zip(tasks, results):
-        if hit is None:
-            continue
-        rows.extend((pair_i, pair_j))
-        cols.extend((pair_j, pair_i))
-        val_rows.extend(hit)
-    if rows:
-        return (np.array(rows, dtype=np.int64),
-                np.array(cols, dtype=np.int64),
-                np.array(val_rows, dtype=np.int64))
-    return (np.empty(0, np.int64), np.empty(0, np.int64),
-            np.empty((0, R_NFIELDS), np.int64))
-
-
-def _run_batch_impl(reads, gi, gj, cvals, ranks, weights, k, mode, scoring,
-                    filt, fuzz, executor, timer, stage):
-    """Batched engine: nnz-weighted chunks of pairs per executor task."""
-    n_pairs = gi.shape[0]
-    if n_pairs == 0:
+    if gi.shape[0] == 0:
         with timer.superstep(stage):
             pass
-        return (np.empty(0, np.int64), np.empty(0, np.int64),
-                np.empty((0, R_NFIELDS), np.int64))
+        timer.record_peak_bytes(stage, coo_nbytes(0, R_NFIELDS))
+        return DistMat.empty((n, n), C.grid, R_NFIELDS)
     # All reads in one shared SoA buffer (cached on the ReadSet, so blocked
     # mode's per-strip calls reuse it; a store-backed set maps it from
     # disk): the batch kernels address sequences by (offset, stride,
@@ -839,8 +670,8 @@ def _run_batch_impl(reads, gi, gj, cvals, ranks, weights, k, mode, scoring,
             _align_chunk_task, tasks, context=ctx,
             weights=[float(weights[lo:hi].sum()) for lo, hi in spans])
         # Charge each chunk's measured compute to the grid ranks owning its
-        # pairs, split by weight share (the loop engine's per-pair charging,
-        # aggregated per rank).
+        # pairs, split by weight share (per-pair charging, aggregated per
+        # rank).
         for (lo, hi), sec in zip(spans, secs):
             w = weights[lo:hi].astype(np.float64)
             total = float(w.sum())
@@ -855,6 +686,8 @@ def _run_batch_impl(reads, gi, gj, cvals, ranks, weights, k, mode, scoring,
         for name, count in tally.items():
             timer.count_kernel(stage, name, count)
 
-    return (np.concatenate([r[0] for r in results]),
-            np.concatenate([r[1] for r in results]),
-            np.vstack([r[2] for r in results]))
+    row = np.concatenate([r[0] for r in results])
+    timer.record_peak_bytes(stage, coo_nbytes(row.shape[0], R_NFIELDS))
+    return DistMat.from_coo((n, n), C.grid, row,
+                            np.concatenate([r[1] for r in results]),
+                            np.vstack([r[2] for r in results]))

@@ -353,12 +353,12 @@ def _run_pipeline_inner(reads, cfg, read_fastq_seconds):
     with active_plan(faults), get_executor(cfg.executor, cfg.workers) as ex:
         table = count_kmers(reads, cfg.k, comm, timer,
                             batches=cfg.kmer_batches, upper=upper,
-                            executor=ex, impl=cfg.kmer_impl, scheme=scheme,
+                            executor=ex, scheme=scheme,
                             table_budget=(budget.tables if budget else None),
                             spill_dir=cfg.store_dir)
 
         A = build_a_matrix(reads, table, grid, comm, timer, executor=ex,
-                           impl=cfg.kmer_impl, scheme=scheme)
+                           scheme=scheme)
         nnz_a = A.nnz()
         # Read exchange is issued right after partitioning so it overlaps
         # with counting and SpGEMM (paper Section IV-D); accounting order is
@@ -371,13 +371,11 @@ def _run_pipeline_inner(reads, cfg, read_fastq_seconds):
         blk = candidate_overlaps_blocked(
             A, reads, cfg.k, comm, n_strips, timer, mode=cfg.align_mode,
             scoring=cfg.scoring, filt=cfg.filt, fuzz=cfg.fuzz, executor=ex,
-            align_impl=cfg.align_impl, spgemm_impl=cfg.spgemm_impl,
             checkpoint_dir=cfg.checkpoint_dir)
         R = blk.R
         nnz_r = R.nnz()
         tr = transitive_reduction(R, comm, timer, fuzz=cfg.fuzz,
-                                  max_rounds=cfg.max_tr_rounds, executor=ex,
-                                  spgemm_impl=cfg.spgemm_impl)
+                                  max_rounds=cfg.max_tr_rounds, executor=ex)
     S_global = tr.S.to_global()
     return PipelineResult(
         config=cfg, n_reads=len(reads), n_kmers=len(table),

@@ -215,48 +215,6 @@ class StringGraph:
                 return False
         return True
 
-    def transitive_edges_bruteforce(self, fuzz: int = 0,
-                                    use_rowmax: bool = True
-                                    ) -> set[tuple[int, int]]:
-        """Reference transitive-edge enumeration (O(E·deg), tests only).
-
-        For every two-edge valid walk ``i→k→j`` with end attachments matching
-        a direct edge ``i→j``, mark the direct edge transitive when the walk
-        suffix sum is at most the tolerance bound: the direct edge's own
-        suffix + ``fuzz`` (Myers' rule, ``use_rowmax=False``) or row i's max
-        suffix + ``fuzz`` (the paper's Algorithm 2, ``use_rowmax=True``).
-        """
-        by_src: dict[int, list[int]] = {}
-        for idx in range(self.n_edges):
-            by_src.setdefault(int(self.src[idx]), []).append(idx)
-        direct: dict[tuple[int, int], int] = {
-            (int(self.src[e]), int(self.dst[e])): e
-            for e in range(self.n_edges)}
-        rowmax: dict[int, int] = {}
-        for e in range(self.n_edges):
-            s = int(self.src[e])
-            rowmax[s] = max(rowmax.get(s, 0), int(self.suffix[e]))
-        marked: set[tuple[int, int]] = set()
-        for e1 in range(self.n_edges):
-            i, k = int(self.src[e1]), int(self.dst[e1])
-            for e2 in by_src.get(k, ()):
-                j = int(self.dst[e2])
-                if j == i:
-                    continue
-                if self.end_dst[e1] == self.end_src[e2]:
-                    continue  # invalid walk through k
-                d = direct.get((i, j))
-                if d is None:
-                    continue
-                if self.end_src[d] != self.end_src[e1]:
-                    continue
-                if self.end_dst[d] != self.end_dst[e2]:
-                    continue
-                bound = (rowmax[i] if use_rowmax else int(self.suffix[d])) + fuzz
-                if int(self.suffix[e1]) + int(self.suffix[e2]) <= bound:
-                    marked.add((i, j))
-        return marked
-
     def subgraph_without(self, edges: set[tuple[int, int]]) -> "StringGraph":
         """New graph dropping the listed directed entries."""
         keep = np.array([(int(s), int(d)) not in edges

@@ -217,19 +217,19 @@ def transitive_reduction(R: DistMat, comm: SimComm,
         SUMMA products (the runtime-dominating part of the loop) and the
         per-block mask + prune tasks; ``None`` runs them serially.
     spgemm_impl:
-        SpGEMM engine (:data:`repro.options.SPGEMM_IMPL`).
-        The transitive mask only consults ``N`` at ``nonzeros(R) ∩
-        nonzeros(N)``, so under ``"masked"`` the squaring passes ``R``'s own
-        pattern as the output mask — every product landing outside it is
-        wasted work, and on the symmetric overlap graph that is the
-        overwhelming majority.  Round counts and the surviving ``S`` are
-        byte-identical; only the recorded ``TrReduction`` live-set peak
-        shrinks (``N`` genuinely holds fewer entries).
+        A ``spgemm_impl`` option name (:data:`repro.options.SPGEMM_IMPL`):
+        validated, selects nothing.
+
+    The transitive mask only consults ``N`` at ``nonzeros(R) ∩
+    nonzeros(N)``, so the squaring passes ``R``'s own pattern as the
+    output mask — every product landing outside it is wasted work, and on
+    the symmetric overlap graph that is the overwhelming majority.  The
+    recorded ``TrReduction`` live set is ``R`` plus that masked ``N``.
     """
     timer = timer if timer is not None else StageTimer()
     get_backend(backend)
     executor = executor if executor is not None else SERIAL
-    spgemm_impl = SPGEMM_IMPL.resolve(spgemm_impl)
+    SPGEMM_IMPL.resolve(spgemm_impl)
     grid = R.grid
     q = grid.q
     ij = [(i, j) for i in range(q) for j in range(q)]
@@ -242,8 +242,7 @@ def transitive_reduction(R: DistMat, comm: SimComm,
             break
         rounds += 1
         N = summa(R, R, BidirectedMinPlus(), comm, STAGE, timer,
-                  executor=executor,
-                  mask=R if spgemm_impl == "masked" else None)
+                  executor=executor, mask=R)
         # Live set while masking: the round's R plus its two-hop product N.
         timer.record_peak_bytes(STAGE, coo_nbytes(prev, R.nfields) +
                                 coo_nbytes(N.nnz(), N.nfields))

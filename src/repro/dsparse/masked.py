@@ -61,10 +61,9 @@ first-two-seeds backfill) are therefore preserved verbatim by either.
 Which kernel wins depends on the block: ESC pays per product, the dot
 kernel per probed row/column element.  :func:`masked_route` decides from
 quantities known *before* expanding — see its docstring for the rule and
-the sweep behind its constant.  The ``spgemm_impl`` axis
-(:data:`repro.options.SPGEMM_IMPL`) selects between these kernels' callers
-and the monolithic ESC path, which stays available as the byte-identical
-oracle.
+the sweep behind its constant.  The overlap product and the
+transitive-reduction squaring always take these kernels; the test suite
+checks them against a plain ESC product filtered afterwards.
 """
 
 from __future__ import annotations

@@ -102,28 +102,26 @@ def _worker_count(text: Any) -> int:
 
 ALIGN_IMPL = Axis(
     "align_impl", "--align-impl", None, "batch",
-    "alignment engine: 'batch' runs one vectorized x-drop sweep over whole "
-    "chunks of candidate pairs, 'loop' aligns pair by pair (the reference "
-    "oracle)",
-    choices=("loop", "batch"), service=True)
+    "alignment engine, one choice: 'batch' runs one vectorized x-drop sweep "
+    "over whole chunks of candidate pairs (the per-pair reference lives in "
+    "the test suite)",
+    choices=("batch",), service=True)
 
 KMER_IMPL = Axis(
     "kmer_impl", "--kmer-impl", None, "batch",
-    "k-mer engine: 'batch' counts through exact per-owner histograms (one "
-    "vectorized extraction per rank, which the CreateSpMat scan reuses "
-    "unless the count is budgeted), 'loop' runs the Bloom-filtered "
-    "per-read / per-key dict reference oracle",
-    choices=("loop", "batch"), service=True)
+    "k-mer engine, one choice: 'batch' counts through exact per-owner "
+    "histograms (one vectorized extraction per rank, which the CreateSpMat "
+    "scan reuses unless the count is budgeted; the Bloom-filtered per-read "
+    "reference lives in the test suite)",
+    choices=("batch",), service=True)
 
 SPGEMM_IMPL = Axis(
     "spgemm_impl", "--spgemm-impl", None, "masked",
-    "SpGEMM engine for the multi-field semiring products: 'masked' "
-    "computes C = A*At in one SUMMA that keeps the strict upper triangle "
-    "by coordinate, each block on the dot or pruned ESC kernel, and "
-    "squares R under its own pattern in transitive reduction, 'esc' runs "
-    "the monolithic expand-sort-compress reference oracle (only the "
-    "TrReduction live-set peak differs)",
-    choices=("esc", "masked"), service=True)
+    "SpGEMM engine for the multi-field semiring products, one choice: "
+    "'masked' computes C = A*At in one SUMMA that keeps the strict upper "
+    "triangle by coordinate, each block on the dot or pruned ESC kernel, "
+    "and squares R under its own pattern in transitive reduction",
+    choices=("masked",), service=True)
 
 BACKEND = Axis(
     "backend", "--backend", None, "auto",

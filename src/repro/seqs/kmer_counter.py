@@ -25,21 +25,20 @@ Because the lower bound is at least 2, the protocol's *result* never
 depends on the Bloom filter: false positives only admit singletons, which
 selection discards, and admitted keys are counted exactly — so the reliable
 table is precisely ``{key: lower <= count <= upper}`` of each owner's exact
-histogram (:func:`table_from_histogram`).  The production engine
-(``impl="batch"``) therefore keeps no admission state at all: per exchange
-round each owner reduces its incoming k-mers to a sorted ``(key, count)``
-histogram, the second pass is replayed for its communication cost only, and
-selection is one merge-sum plus filter per owner.  ``table_budget`` decides
-only where that state lives (re-extracted seeds and on-disk sorted runs
-instead of resident arrays); "resident" is the zero-spill case of the same
-code, and hands its per-rank seed streams on the table to CreateSpMat, so
-a run extracts each window once.
+histogram (:func:`table_from_histogram`).  This engine therefore keeps no
+admission state at all: per exchange round each owner reduces its incoming
+k-mers to a sorted ``(key, count)`` histogram, the second pass is replayed
+for its communication cost only, and selection is one merge-sum plus filter
+per owner.  ``table_budget`` decides only where that state lives
+(re-extracted seeds and on-disk sorted runs instead of resident arrays);
+"resident" is the zero-spill case of the same code, and hands its per-rank
+seed streams on the table to CreateSpMat, so a run extracts each window
+once.
 
-``impl="loop"`` (:data:`repro.options.KMER_IMPL`) keeps the literal protocol
-— per-read extraction, a real Bloom filter, ``dict[int, int]`` tables, both
-passes — as the reference oracle.  The resulting :class:`KmerTable` and the
-communication records are byte-identical between the two, pinned by the
-parity and golden suites.
+The literal protocol — per-read extraction, a real Bloom filter,
+``dict[int, int]`` tables, both passes — is the reference the parity suites
+hold this engine to (``tests/oracles/kmer_loop.py``): the same
+:class:`KmerTable` and the same communication records, byte for byte.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ from ..mpisim.comm import SimComm
 from ..mpisim.grid import block_bounds, partition_by_owner
 from ..mpisim.tracker import StageTimer, add_work
 from ..options import KMER_IMPL
-from .bloom import BloomFilter
 from .fasta import ReadSet
 from .kmers import splitmix64
 from .seeding import FullKScheme, SeedScheme
@@ -92,9 +90,9 @@ def _extract_batch_task(ctx, span):
     window ``i`` of the rank is recoverable from the read lengths alone,
     so CreateSpMat derives them for its hits only.  The worker takes its
     block from the ReadSet in the context, so with the mmap read store a
-    process pool ships only the store path.  Key order (read-major, window
-    order within a read) matches the loop oracle's concatenation exactly
-    for every :class:`~repro.seqs.seeding.SeedScheme`.
+    process pool ships only the store path.  Key order is read-major,
+    window order within a read, for every
+    :class:`~repro.seqs.seeding.SeedScheme`.
     """
     scheme, reads = ctx
     keys, ridx, pos, flip = scheme.seeds_of_block(*reads.soa_block(*span))
@@ -205,61 +203,6 @@ def _reliable_hist_task(ctx, task):
         kparts.append(keys[keep])
         cparts.append(counts[keep])
     return np.concatenate(kparts), np.concatenate(cparts)
-
-
-# -- loop-oracle tasks -------------------------------------------------------
-
-def _extract_task(ctx, owned_idx):
-    """One rank's seed extraction over its block of reads (loop engine)."""
-    reads, scheme = ctx
-    parts = [scheme.seeds_of_read(reads[int(i)])[0] for i in owned_idx]
-    return np.concatenate(parts) if parts else np.empty(0, np.uint64)
-
-
-def _pass1_task(ctx, task):
-    """First-pass handling at one owner rank: Bloom insert + admission.
-
-    Takes and returns the rank's filter (a process pool ships it back
-    mutated) plus the keys the Bloom test admitted; the admission table
-    itself stays in the parent so it is never pickled.
-    """
-    bloom, incoming = task
-    seen = bloom.add_and_test(incoming)
-    return bloom, incoming[seen]
-
-
-def _pass2_task(ctx, task):
-    """Second-pass handling at one owner rank: exact counting.
-
-    ``admitted_keys`` is the rank's sorted admitted-key array, a compact
-    stand-in for the admission table.  Returns the (admitted key, count)
-    arrays for the parent to fold into its table.
-    """
-    admitted_keys, incoming = task
-    if admitted_keys.shape[0] == 0 or incoming.size == 0:
-        return np.empty(0, np.uint64), np.empty(0, np.int64)
-    uniq, cnt = np.unique(incoming, return_counts=True)
-    idx = np.searchsorted(admitted_keys, uniq)
-    idx = np.minimum(idx, admitted_keys.shape[0] - 1)
-    hit = admitted_keys[idx] == uniq
-    return uniq[hit], cnt[hit]
-
-
-def _reliable_task(ctx, table):
-    """Reliable selection at one owner rank (the oracle's dict table)."""
-    lower, upper = ctx
-    if not table:
-        return np.empty(0, np.uint64), np.empty(0, np.int64)
-    kk = np.fromiter(table.keys(), dtype=np.uint64, count=len(table))
-    cc = np.fromiter(table.values(), dtype=np.int64, count=len(table))
-    keep = (cc >= lower) & (cc <= upper)
-    return kk[keep], cc[keep]
-
-
-def _group_by_dest_masks(sl: np.ndarray, dl: np.ndarray, nprocs: int
-                         ) -> list[np.ndarray]:
-    """Reference send-list construction: one boolean mask per rank."""
-    return [sl[dl == q] for q in range(nprocs)]
 
 
 def kmer_histogram(reads: ReadSet, k: int,
@@ -593,14 +536,13 @@ def _poisson_quantile(q: float, mu: float) -> int:
 
 def count_kmers(reads: ReadSet, k: int, comm: SimComm,
                 timer: StageTimer | None = None, *,
-                batches: int = 1, bloom_fp: float = 0.01,
-                lower: int = 2, upper: int = 8,
+                batches: int = 1, lower: int = 2, upper: int = 8,
                 executor: Executor | None = None,
                 impl: str | None = None,
                 scheme: SeedScheme | None = None,
                 table_budget: int | None = None,
                 spill_dir: str | None = None) -> KmerTable:
-    """Distributed two-pass k-mer counting.
+    """Distributed two-pass k-mer counting, as exact per-owner histograms.
 
     Parameters
     ----------
@@ -614,23 +556,20 @@ def count_kmers(reads: ReadSet, k: int, comm: SimComm,
         Optional stage timer (per-rank compute, max-reduced per superstep).
     batches:
         Number of exchange rounds per pass (``b`` in Table I's ``Y = bP``).
-    bloom_fp:
-        Bloom filter false-positive target (``loop`` oracle only; the
-        result never depends on the filter).
     lower, upper:
         Reliable multiplicity range (inclusive); compute ``upper`` with
         :func:`reliable_upper_bound` for dataset-driven values.  ``lower``
-        must be at least 2: a two-pass Bloom count cannot observe
-        singletons.
+        must be at least 2: the paper's two-pass Bloom-filtered count
+        cannot observe singletons, and that bound is what makes the exact
+        histogram's filter its table.
     executor:
         :class:`~repro.exec.Executor` spreading each superstep's per-rank
-        work over real workers; ``None`` keeps the serial reference loop.
+        work over real workers; ``None`` runs them serially.
         The resulting table is byte-identical either way.
     impl:
-        K-mer engine (:data:`repro.options.KMER_IMPL`): ``"batch"`` is the
-        histogram engine (:func:`_count_kmers_hist`), ``"loop"`` the
-        literal Bloom-filtered protocol (:func:`_count_kmers_loop`), kept
-        as the parity reference.  Byte-identical table and traffic.
+        A ``kmer_impl`` option name (:data:`repro.options.KMER_IMPL`):
+        validated, selects nothing (``"batch"`` is the one engine,
+        :func:`_count_kmers_hist`).
     scheme:
         :class:`~repro.seqs.seeding.SeedScheme` choosing which windows of
         each read are counted; ``None`` keeps the full-k default (every
@@ -644,8 +583,7 @@ def count_kmers(reads: ReadSet, k: int, comm: SimComm,
         each round's seeds are re-extracted instead of held, an owner
         whose buffered histograms reach its ``table_budget / P`` share
         flushes them to a sorted disk run, and no stream is kept.  Output
-        and traffic cannot move (see :func:`_count_kmers_hist`).  Ignored
-        by ``loop``, which keeps no stream either.
+        and traffic cannot move (see :func:`_count_kmers_hist`).
     spill_dir:
         Directory under which the spill runs' temporary directory is
         created (``None`` = the system temp dir).  Always removed on exit.
@@ -655,8 +593,8 @@ def count_kmers(reads: ReadSet, k: int, comm: SimComm,
     KmerTable
         The sorted reliable k-mer dictionary with counts, and ``seeds``
         (the seed instances counted), from which it picks its lookup
-        prefilter (:data:`_PREFILTER_BELOW`).  An unbudgeted batch count
-        also leaves its seed stream on it
+        prefilter (:data:`_PREFILTER_BELOW`).  An unbudgeted count also
+        leaves its seed stream on it
         (:meth:`KmerTable.take_stream`).
 
     ``batches < 1`` and ``upper < lower`` are refused: either would count
@@ -677,14 +615,10 @@ def count_kmers(reads: ReadSet, k: int, comm: SimComm,
     timer = timer if timer is not None else StageTimer()
     executor = executor if executor is not None else SERIAL
     scheme = scheme if scheme is not None else FullKScheme(k)
-    if KMER_IMPL.resolve(impl) == "loop":
-        rel_parts, seeds, stream = _count_kmers_loop(
-            reads, comm, timer, batches, bloom_fp, lower, upper, executor,
-            scheme)
-    else:
-        rel_parts, seeds, stream = _count_kmers_hist(
-            reads, comm, timer, batches, lower, upper, executor, scheme,
-            table_budget, spill_dir)
+    KMER_IMPL.resolve(impl)
+    rel_parts, seeds, stream = _count_kmers_hist(
+        reads, comm, timer, batches, lower, upper, executor, scheme,
+        table_budget, spill_dir)
     # Global dictionary assembly: an allgather of the per-rank reliable
     # sets; column ids are the sorted order.
     comm.allgather([p[0] for p in rel_parts], stage=STAGE)
@@ -834,71 +768,3 @@ def _count_kmers_hist(reads: ReadSet, comm: SimComm, timer: StageTimer,
             [sum(r.n for r in runs[q]) + sum(u.shape[0] for u, _ in parts[q])
              for q in range(P)], (lower, upper))
     return rel_parts, seeds, stream
-
-
-def _count_kmers_loop(reads: ReadSet, comm: SimComm, timer: StageTimer,
-                      batches: int, bloom_fp: float, lower: int, upper: int,
-                      executor: Executor, scheme: SeedScheme
-                      ) -> tuple[list, int, None]:
-    """The parity oracle: the two-pass protocol as the paper states it.
-
-    Per-read extraction, mask-built send lists, a Bloom filter per owner
-    whose ``add_and_test`` admits keys into a ``dict[int, int]`` table in
-    pass 1, exact counting of admitted keys in pass 2, reliable selection
-    over the dicts — no counting code shared with the histogram engine,
-    which is what makes the parity suites mean something.
-    """
-    P = comm.nprocs
-    superstep = functools.partial(_superstep, timer, executor)
-    bounds = block_bounds(len(reads), P)
-    owned = [np.arange(bounds[p], bounds[p + 1], dtype=np.int64)
-             for p in range(P)]
-
-    # Extract (canonical) seed k-mers per rank once; reused by both passes.
-    rank_kmers = superstep(_extract_task, owned,
-                           [idx.shape[0] for idx in owned], (reads, scheme))
-    dest = [(splitmix64(km) % np.uint64(P)).astype(np.int64)
-            for km in rank_kmers]
-
-    total_kmers = sum(km.shape[0] for km in rank_kmers)
-    blooms = [BloomFilter(max(64, total_kmers // max(1, P)), bloom_fp)
-              for _ in range(P)]
-    admitted: list[dict[int, int]] = [dict() for _ in range(P)]
-
-    def exchange_rounds(run_round) -> None:
-        """One pass = ``batches`` alltoallv rounds + local handling."""
-        for b in range(batches):
-            send = []
-            for km, dl in zip(rank_kmers, dest):
-                n = km.shape[0]
-                lo, hi = (n * b) // batches, (n * (b + 1)) // batches
-                send.append(_group_by_dest_masks(km[lo:hi], dl[lo:hi], P))
-            recv = comm.alltoallv(send, stage=STAGE)
-            run_round([np.concatenate(recv[q]) if recv[q] else
-                       np.empty(0, np.uint64) for q in range(P)])
-
-    def pass1(incoming: list[np.ndarray]) -> None:
-        out = superstep(_pass1_task, list(zip(blooms, incoming)),
-                        [inc.shape[0] for inc in incoming])
-        for q, (bloom, new_keys) in enumerate(out):
-            blooms[q] = bloom
-            for kv in new_keys:
-                admitted[q].setdefault(int(kv), 0)
-
-    def pass2(incoming: list[np.ndarray]) -> None:
-        out = superstep(_pass2_task, list(zip(pass2_keys, incoming)),
-                        [inc.shape[0] for inc in incoming])
-        for q, (hit_keys, counts) in enumerate(out):
-            for kv, c in zip(hit_keys, counts):
-                admitted[q][int(kv)] += int(c)
-
-    exchange_rounds(pass1)
-    # The admitted key sets are frozen once pass 1 completes, so the sorted
-    # key arrays the pass-2 workers search are materialized exactly once.
-    pass2_keys = [np.sort(np.fromiter(table.keys(), dtype=np.uint64,
-                                      count=len(table)))
-                  for table in admitted]
-    exchange_rounds(pass2)
-    rel_parts = superstep(_reliable_task, admitted,
-                          [len(t) for t in admitted], (lower, upper))
-    return rel_parts, total_kmers, None

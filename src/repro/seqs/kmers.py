@@ -9,8 +9,9 @@ positions.
 both strands of the block's code buffer by binary doubling, each doubling
 level in the narrowest unsigned dtype that holds it, and takes canonical
 form and flip as one ``minimum`` and one ``<`` over the two strands'
-windows — no per-window bit reversal.  :func:`revcomp_kmers` (a bit-reversal cascade on
-packed words) serves the per-read :func:`pack_kmers` callers.
+windows — no per-window bit reversal.  :func:`revcomp_kmers` (a
+bit-reversal cascade on packed words) canonicalizes packed k-mers one array
+at a time.
 
 The functions here are the workhorses of both the k-mer counter
 (:mod:`repro.seqs.kmer_counter`) and the construction of the ``A`` matrix
@@ -23,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "MAX_K",
-    "pack_kmers",
     "revcomp_kmers",
     "canonical_kmers",
     "read_kmers_batch",
@@ -36,31 +36,6 @@ MAX_K = 31
 def _check_k(k: int) -> None:
     if not 1 <= k <= MAX_K:
         raise ValueError(f"k must be in [1, {MAX_K}], got {k}")
-
-
-def pack_kmers(codes: np.ndarray, k: int) -> np.ndarray:
-    """Pack every length-``k`` window of a 2-bit code array into ``uint64``.
-
-    Parameters
-    ----------
-    codes:
-        ``uint8`` code array for one read.
-    k:
-        K-mer length (``<= 31`` so the packed value fits 62 bits).
-
-    Returns
-    -------
-    numpy.ndarray
-        ``uint64`` array of length ``len(codes) - k + 1`` (empty if the read
-        is shorter than ``k``).
-    """
-    _check_k(k)
-    n = codes.shape[0]
-    if n < k:
-        return np.empty(0, dtype=np.uint64)
-    windows = np.lib.stride_tricks.sliding_window_view(codes, k).astype(np.uint64)
-    weights = (np.uint64(1) << (np.uint64(2) * np.arange(k - 1, -1, -1, dtype=np.uint64)))
-    return windows @ weights
 
 
 def revcomp_kmers(kmers: np.ndarray, k: int) -> np.ndarray:
@@ -117,10 +92,11 @@ def _pack_all_windows(buf: np.ndarray, k: int) -> np.ndarray:
     Binary-doubling sweep: width-``w`` packs combine pairwise into
     width-``2w`` packs, then the binary decomposition of ``k`` is stitched
     together — ``O(log k)`` full-buffer operations instead of ``k``, with
-    exactly :func:`pack_kmers`' integer values (pure shifts and ORs).
-    Each level runs in the narrowest dtype that holds it (``uint8`` up to 4
-    bases, ``uint16`` up to 8, ``uint32`` up to 16, ``uint64`` beyond), so
-    the result's dtype is that of a ``k``-base pack, not always ``uint64``.
+    exactly the integer values of a window-by-weight product (pure shifts
+    and ORs).  Each level runs in the narrowest dtype that holds it
+    (``uint8`` up to 4 bases, ``uint16`` up to 8, ``uint32`` up to 16,
+    ``uint64`` beyond), so the result's dtype is that of a ``k``-base pack,
+    not always ``uint64``.
     """
     n = buf.shape[0]
     val = np.asarray(buf, dtype=np.uint8)
@@ -155,9 +131,9 @@ def read_kmers_batch(codes: np.ndarray, offsets: np.ndarray,
     :meth:`repro.seqs.fasta.ReadSet.soa`).  Every read's windows are packed,
     canonicalized, and position/flip-annotated as column operations over the
     whole batch: no Python-level dispatch per read.  Values are exactly those
-    of packing each read's windows with :func:`pack_kmers` (canonicalized by
-    :func:`canonical_kmers`) and concatenating (same packing
-    arithmetic, same canonical rule), in the same read-major order.
+    of packing each read's windows on their own (two bits per base, most
+    significant first; canonicalized by :func:`canonical_kmers`) and
+    concatenating, in the same read-major order.
 
     Parameters
     ----------
@@ -214,7 +190,7 @@ def read_kmers_batch(codes: np.ndarray, offsets: np.ndarray,
         np.minimum(fwd, rev, out=fwd)
         return fwd.astype(np.uint64, copy=False), read_idx, pos, flip
     # Otherwise gather each window's bases and pack with a Horner sweep over
-    # the k base columns (identical to pack_kmers' window/weight product).
+    # the k base columns (identical to a window/weight product).
     windows = codes[gstart[:, None] + np.arange(k, dtype=np.int64)[None, :]]
     km = np.zeros(total, dtype=np.uint64)
     for j in range(k):

@@ -40,8 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..options import SEED_MODE
-from .kmers import (canonical_kmers, pack_kmers, read_kmers_batch,
-                    splitmix64)
+from .kmers import read_kmers_batch, splitmix64
 from .minimizers import minimizers_batch
 
 __all__ = ["DEFAULT_SEED_W", "make_scheme", "SeedScheme", "FullKScheme",
@@ -99,11 +98,6 @@ class SeedScheme(abc.ABC):
         ascending-position order.
         """
 
-    @abc.abstractmethod
-    def seeds_of_read(self, codes: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Seeds of one read: ``(keys, pos, flip)`` in position order."""
-
 
 @dataclass(frozen=True)
 class FullKScheme(SeedScheme):
@@ -126,12 +120,6 @@ class FullKScheme(SeedScheme):
 
     def seeds_of_block(self, codes, offsets, lengths):
         return read_kmers_batch(codes, offsets, lengths, self.k)
-
-    def seeds_of_read(self, codes):
-        fwd = pack_kmers(codes, self.k)
-        canon = canonical_kmers(fwd, self.k)
-        pos = np.arange(fwd.shape[0], dtype=np.int64)
-        return canon, pos, canon != fwd
 
 
 @dataclass(frozen=True)
@@ -162,13 +150,6 @@ class MinimizerScheme(SeedScheme):
 
     def seeds_of_block(self, codes, offsets, lengths):
         return minimizers_batch(codes, offsets, lengths, self.k, self.w)
-
-    def seeds_of_read(self, codes):
-        codes = np.asarray(codes, dtype=np.uint8)
-        keys, _ridx, pos, flip = minimizers_batch(
-            codes, np.zeros(1, np.int64),
-            np.array([codes.shape[0]], np.int64), self.k, self.w)
-        return keys, pos, flip
 
 
 @dataclass(frozen=True)
@@ -227,10 +208,3 @@ class SyncmerScheme(SeedScheme):
         # reversal-invariant under tied hashes (repeated s-mers).
         keep = np.where(flip, h[g + n_s - 1], h[g]) == wmin[g]
         return canon[keep], ridx[keep], pos[keep], flip[keep]
-
-    def seeds_of_read(self, codes):
-        codes = np.asarray(codes, dtype=np.uint8)
-        keys, _ridx, pos, flip = self.seeds_of_block(
-            codes, np.zeros(1, np.int64),
-            np.array([codes.shape[0]], np.int64))
-        return keys, pos, flip

@@ -13,7 +13,7 @@ Layers
 ------
 ``config``
     :class:`ServiceConfig` + the ``refresh_mode`` axis
-    (``incremental | recompute``, mirroring ``align_impl``/``kmer_impl``).
+    (``incremental | recompute``: the delta refresh or a from-scratch run).
 ``state``
     Versioned, copy-on-write :class:`AssemblyState` snapshots and the
     thread-safe :class:`SessionStore` holding the current one.

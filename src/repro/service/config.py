@@ -1,12 +1,13 @@
 """Service configuration.
 
-``refresh_mode`` (:data:`repro.options.REFRESH_MODE`) mirrors the pipeline's
-``align_impl`` / ``kmer_impl`` / ``spgemm_impl`` switches: two
-interchangeable engines with byte-identical output, one fast
+``refresh_mode`` (:data:`repro.options.REFRESH_MODE`) picks between two
+interchangeable engines with byte-identical output: one fast
 (``incremental`` — fold the batch into the live state via delta products)
-and one reference oracle (``recompute`` — rerun
+and one reference (``recompute`` — rerun
 :func:`~repro.core.pipeline.run_pipeline` from scratch on the concatenated
-reads).
+reads).  Unlike the pipeline's reference engines, which live in the test
+suite, ``recompute`` is a runtime path: an empty state bootstraps through
+it, and it is how a state is rebuilt under a new seeding scheme.
 """
 
 from __future__ import annotations

@@ -478,8 +478,7 @@ def _incremental(state: AssemblyState, batch: ReadSet,
             Rd = align_candidates(Cd, combined, k, shadow, timer,
                                   mode=pcfg.align_mode,
                                   scoring=pcfg.scoring, filt=pcfg.filt,
-                                  fuzz=pcfg.fuzz, executor=ex,
-                                  impl=pcfg.align_impl).to_global()
+                                  fuzz=pcfg.fuzz, executor=ex).to_global()
             cd_pack = Cd.to_global()
             cd_pack = cd_pack.row * np.int64(n) + cd_pack.col
         else:
@@ -507,8 +506,7 @@ def _incremental(state: AssemblyState, batch: ReadSet,
                                   R_global.vals)
         tr = transitive_reduction(
             R_dist, comm, timer, fuzz=pcfg.fuzz,
-            max_rounds=pcfg.max_tr_rounds, executor=ex,
-            spgemm_impl=pcfg.spgemm_impl)
+            max_rounds=pcfg.max_tr_rounds, executor=ex)
 
     S_global = tr.S.to_global()
     graph = StringGraph.from_coomat(S_global)

@@ -1,8 +1,8 @@
 """Parity suite: batched alignment engine vs per-pair loop vs DP oracle.
 
 The batch engine's contract is *byte identity* with the per-pair reference
-for every input — same R entries, same coordinates, same payloads — since
-``align_impl`` must be a pure performance axis.  These tests pin that
+(``tests/oracles/align_loop.py``) for every input — same R entries, same
+coordinates, same payloads.  These tests pin that
 contract with hypothesis-driven random read sets (both strands, both
 alignment modes, boundary seeds) plus the edge cases a lockstep sweep can
 get wrong: empty batches, empty extension sides, pairs that all retire in
@@ -23,8 +23,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.align.batch import (chain_extend_batch, extend_seeds_xdrop_batch,
                                xdrop_extend_batch)
-from repro.align.xdrop import (Scoring, chain_extend, seed_extend_align,
-                               xdrop_extend)
+from repro.align.xdrop import Scoring
 from repro.core.overlap import AlignmentFilter, align_candidates
 from repro.core.semirings import (C_NFIELDS, R_CONTAINED, R_CONTAINS,
                                   R_END_I, R_END_J, R_NO_END, R_SUFFIX)
@@ -33,6 +32,8 @@ from repro.exec import get_executor
 from repro.mpisim import CommTracker, ProcessGrid2D, SimComm, StageTimer
 from repro.seqs.fasta import ReadSet
 
+from oracles.align_loop import (align_candidates_loop, chain_extend,
+                                seed_extend_align, xdrop_extend)
 from oracles.xdrop_dp import xdrop_extend_dp
 
 SC = Scoring()
@@ -572,7 +573,8 @@ def test_seed_extension_parity_long_noisy_both_strands(rate):
 
 
 # ---------------------------------------------------------------------------
-# align_candidates parity: impl="loop" vs impl="batch" on synthetic C.
+# align_candidates parity: the per-pair reference vs the runtime on
+# synthetic C.
 # ---------------------------------------------------------------------------
 
 def _make_candidates(reads, entries, nprocs=4):
@@ -598,11 +600,10 @@ def _make_candidates(reads, entries, nprocs=4):
 def _align_both(reads, C, mode="xdrop", filt=None, fuzz=10, executor=None,
                 scoring=None):
     out = []
-    for impl in ("loop", "batch"):
+    for align in (align_candidates_loop, align_candidates):
         comm = SimComm(C.grid.nprocs, CommTracker(C.grid.nprocs))
-        R = align_candidates(C, reads, K, comm, StageTimer(), mode=mode,
-                             scoring=scoring, filt=filt, fuzz=fuzz,
-                             executor=executor, impl=impl)
+        R = align(C, reads, K, comm, StageTimer(), mode=mode,
+                  scoring=scoring, filt=filt, fuzz=fuzz, executor=executor)
         out.append(R.to_global())
     return out
 
@@ -744,7 +745,7 @@ def test_batch_impl_identical_across_executors(executor, workers):
         with ex:
             R = align_candidates(C, reads, K, comm, timer,
                                  mode="xdrop", filt=filt, fuzz=30,
-                                 executor=ex, impl="batch")
+                                 executor=ex)
         return R.to_global(), timer.kernel_counts()["Alignment"]
 
     ref, ref_work = run(get_executor("serial", 1))
@@ -820,16 +821,16 @@ def test_align_candidates_parity_on_store_backed_reads(tmp_path, executor,
     C = _make_candidates(reads, list(entries.values()))
     filt = AlignmentFilter(min_score=5, min_overlap=20, ratio=0.1)
 
-    def run(rs, impl, ex):
+    def run(align, rs, ex):
         comm = SimComm(C.grid.nprocs, CommTracker(C.grid.nprocs))
         with ex:
-            return align_candidates(C, rs, K, comm, StageTimer(), filt=filt,
-                                    fuzz=30, executor=ex,
-                                    impl=impl).to_global()
+            return align(C, rs, K, comm, StageTimer(), filt=filt, fuzz=30,
+                         executor=ex).to_global()
 
-    ref = run(reads, "loop", get_executor("serial", 1))
+    ref = run(align_candidates_loop, reads, get_executor("serial", 1))
     assert isinstance(stored.soa()[0], np.memmap)
-    _assert_same(ref, run(stored, "batch", get_executor(executor, workers)))
+    _assert_same(ref, run(align_candidates, stored,
+                          get_executor(executor, workers)))
     assert ref.nnz > 0
 
 
@@ -849,13 +850,12 @@ def test_duplicate_second_seed_leaves_r_unchanged(mode):
         seed = (int(lengths[0]) // 3, int(lengths[1]) // 3, strand)
         dup = _make_candidates(reads, [(0, 1, seed, seed)])
         single = _make_candidates(reads, [(0, 1, seed, None)])
-        for impl in ("loop", "batch"):
+        for align in (align_candidates_loop, align_candidates):
             out = []
             for C in (dup, single):
                 comm = SimComm(C.grid.nprocs, CommTracker(C.grid.nprocs))
-                R = align_candidates(C, reads, K, comm, StageTimer(),
-                                     mode=mode, filt=filt, fuzz=30,
-                                     impl=impl)
+                R = align(C, reads, K, comm, StageTimer(), mode=mode,
+                          filt=filt, fuzz=30)
                 out.append(R.to_global())
             _assert_same(out[0], out[1])
 
@@ -872,8 +872,7 @@ def test_same_diagonal_second_seed_chain_mode():
         C = _make_candidates(reads, entries)
         comm = SimComm(C.grid.nprocs, CommTracker(C.grid.nprocs))
         return align_candidates(C, reads, K, comm, StageTimer(),
-                                mode="chain", filt=filt, fuzz=30,
-                                impl="batch").to_global()
+                                mode="chain", filt=filt, fuzz=30).to_global()
 
     seed1 = (30, 10, 0)
     same_diag = (45, 25, 0)       # pa - pb identical -> same diagonal

@@ -7,14 +7,15 @@ import scipy.sparse as sp
 from repro.core.blocked import candidate_overlaps_blocked
 from repro.core.memory import coo_nbytes
 from repro.core.overlap import AlignmentFilter, align_candidates, \
-    build_a_matrix, candidate_overlaps, full_product_nnz, row_census, \
-    summa_positions
+    build_a_matrix, candidate_overlaps, full_product_nnz, row_census
 from repro.core.semirings import R_NFIELDS
 from repro.core.transitive_reduction import transitive_reduction
 from repro.dsparse.distmat import DistMat
 from repro.mpisim import CommTracker, ProcessGrid2D, SimComm, StageTimer
 from repro.mpisim.grid import block_bounds
 from repro.seqs.kmer_counter import count_kmers
+
+from overlap_helpers import esc_upper, summa_upper
 
 
 def _setup(reads, P=1):
@@ -185,22 +186,18 @@ def _brute_force_strip_peak(A, n_strips):
 def test_blocked_peak_equals_brute_force(request, dataset, strips, executor):
     """The recorded SpGEMM peak — counted by symmetry from each strip's
     upper triangle and row census — equals the brute-force full strip
-    product, on any executor, and the masked engine's equals the ESC
-    oracle's (which prunes its full product only after forming it)."""
+    product, on any executor, although no strip ever forms more than its
+    upper triangle."""
     from repro.exec import get_executor
     _genome, reads, _layout = request.getfixturevalue(dataset)
     A, comm, _timer = _setup(reads, P=4)
     expect = _brute_force_strip_peak(A, strips)
-    peaks = {}
-    for impl in ("masked", "esc"):
-        timer = StageTimer()
-        with get_executor(executor, 2) as ex:
-            res = candidate_overlaps_blocked(
-                A, reads, 17, SimComm(4, CommTracker(4)), strips, timer,
-                mode="chain", fuzz=20, executor=ex, spgemm_impl=impl)
-        assert res.peak_strip_bytes == timer.peak_bytes()["SpGEMM"]
-        peaks[impl] = res.peak_strip_bytes
-    assert peaks == {"masked": expect, "esc": expect}
+    timer = StageTimer()
+    with get_executor(executor, 2) as ex:
+        res = candidate_overlaps_blocked(
+            A, reads, 17, SimComm(4, CommTracker(4)), strips, timer,
+            mode="chain", fuzz=20, executor=ex)
+    assert res.peak_strip_bytes == timer.peak_bytes()["SpGEMM"] == expect
     if strips == 1:
         timer = StageTimer()
         candidate_overlaps(A, SimComm(4, CommTracker(4)), timer)
@@ -220,8 +217,8 @@ def test_full_product_nnz_matches_every_strip(noisy_dataset, strips):
     bounds = block_bounds(A.shape[0], strips)
     upper, census = [], 0
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        C = summa_positions(A, A.row_slice(lo, hi).T, comm, timer, None,
-                            "masked", col_offset=lo)
+        C = summa_upper(A, A.row_slice(lo, hi).T, comm, timer,
+                        col_offset=lo)
         upper.append(C.nnz())
         census = census + row_census(C, bounds)
     assert list(full_product_nnz(A, bounds, upper, census)) == \
@@ -250,12 +247,10 @@ def test_strips_are_row_slices_viewed_transposed(noisy_dataset, P):
         assert np.array_equal(got.vals, want.vals)
         formed = DistMat.from_coo(want.shape, A.grid, want.row, want.col,
                                   want.vals)
-        C = summa_positions(A, strip, SimComm(P, CommTracker(P)),
-                            StageTimer(), None, "masked",
-                            col_offset=lo).to_global()
-        C_ref = summa_positions(A, formed, SimComm(P, CommTracker(P)),
-                                StageTimer(), None, "esc",
-                                col_offset=lo).to_global()
+        C = summa_upper(A, strip, SimComm(P, CommTracker(P)),
+                        col_offset=lo).to_global()
+        C_ref = esc_upper(A, formed, SimComm(P, CommTracker(P)),
+                          col_offset=lo).to_global()
         assert np.array_equal(C.row, C_ref.row)
         assert np.array_equal(C.col, C_ref.col)
         assert np.array_equal(C.vals, C_ref.vals)

@@ -1,10 +1,11 @@
-"""Unit and property tests for the Bloom filter."""
+"""Unit and property tests for the Bloom filter of the k-mer reference
+(CountKmer's singleton-eliminating first pass)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.seqs.bloom import BloomFilter
+from oracles.kmer_loop import BloomFilter
 
 keys_arrays = st.lists(st.integers(0, 2 ** 62), min_size=0,
                        max_size=200).map(

@@ -71,7 +71,8 @@ def test_random_genome_deterministic():
 
 
 def test_random_genome_repeats_increase_duplicate_kmers():
-    from repro.seqs.kmers import canonical_kmers, pack_kmers
+    from oracles.kmers import pack_kmers
+    from repro.seqs.kmers import canonical_kmers
     plain = random_genome(GenomeSpec(length=20_000, seed=2))
     repeated = random_genome(GenomeSpec(length=20_000, n_repeats=10,
                                         repeat_len=2_000, seed=2))

@@ -4,10 +4,12 @@ Every PR so far has *claimed* "byte-identical output" along some axis —
 backends (PR 1), executors (PR 2), blocked overlap (PR 3), alignment
 engines (PR 4), k-mer engines (PR 5).  This suite finally pins the claim
 globally: one fixed-seed dataset runs through the full pipeline across the
-``executor × overlap-mode × align-impl × kmer-impl`` cross-product, and the
-digests of S, R, the contig layout, the communication records, and the
-peak-memory marks — and the batched alignment sweep's work counters — must
-all equal the stored golden values.
+``executor × overlap-mode`` cross-product, and the digests of S, R, the
+contig layout, the communication records, and the peak-memory marks — and
+the batched alignment sweep's work counters — must all equal the stored
+golden values.  The reference engines (``tests/oracles``: the
+Bloom-filtered counter, the read-by-read A scan, the per-pair aligner) are
+composed into the same run once and must reach the same R and S.
 
 If a future PR *intentionally* changes pipeline output, it must update the
 ``GOLDEN`` constants below (the assertion message prints the new digests) —
@@ -28,9 +30,13 @@ from repro.core.contigs import extract_contigs
 from repro.core.overlap import (align_candidates, build_a_matrix,
                                 candidate_overlaps)
 from repro.core.pipeline import PipelineConfig, run_pipeline
+from repro.core.transitive_reduction import transitive_reduction
 from repro.mpisim import CommTracker, ProcessGrid2D, SimComm, StageTimer
 from repro.seqs import ErrorModel, GenomeSpec, ReadSimSpec, simulate_reads
 from repro.seqs.kmer_counter import count_kmers
+
+from oracles.align_loop import align_candidates_loop
+from oracles.kmer_loop import build_a_matrix_loop, count_kmers_loop
 
 K = 17
 NPROCS = 4
@@ -43,8 +49,9 @@ OVERLAP_MODES = ["monolithic", "blocked"]
 OVERLAP_LEGS = {"monolithic": ("monolithic", None, "monolithic"),
                 "blocked": ("blocked", 3, "blocked"),
                 "blocked1": ("blocked", 1, "monolithic")}
-ALIGN_IMPLS = ["loop", "batch"]
-KMER_IMPLS = ["loop", "batch"]
+#: The engines every leg pins, as the benchmark does (each axis has one
+#: choice; the ids keep naming them).
+ENGINES = dict(align_impl="batch", kmer_impl="batch", spgemm_impl="masked")
 
 #: Golden digests of the fixed-seed run.  S and the contig layout are
 #: invariant across *every* axis; the communication records and peak marks
@@ -53,13 +60,11 @@ KMER_IMPLS = ["loop", "batch"]
 #: SUMMA per strip and holds smaller candidate peaks — that is its point).
 #:
 #: PR 6 (masked SpGEMM engine) updated only the two ``peaks`` digests:
-#: under the now-default masked engine the transitive reduction squares R
-#: within R's own pattern, so the recorded ``TrReduction`` live set
-#: (R + N) genuinely shrinks (180288 → 93600 bytes here).  Every other
-#: digest — S, R, contigs, counts, both trackers, and the ``SpGEMM``
-#: peak inside the peaks dicts — is byte-identical to the PR 5 values;
-#: ``test_golden_pipeline_esc_engine`` still pins the full pre-PR-6 peaks
-#: through the ESC oracle.
+#: the transitive reduction squares R within R's own pattern, so the
+#: recorded ``TrReduction`` live set (R + N) genuinely shrinks (180288 →
+#: 93600 bytes here).  Every other digest — S, R, contigs, counts, both
+#: trackers, and the ``SpGEMM`` peak inside the peaks dicts — is
+#: byte-identical to the PR 5 values.
 #:
 #: Contained-read removal moved every digest once: R keeps the containment
 #: pairs (nnz 1338 → 1926), the transitive reduction drops the contained
@@ -85,18 +90,10 @@ GOLDEN = {
     },
     # The batched x-drop sweep's exact work (``kernel_counts["Alignment"]``,
     # sums over problems, so the same under every executor, overlap mode
-    # and chunking; the ``loop`` engine records none).  These reads are
-    # error-free, so every extension ends on its seed diagonal: no edit
-    # round runs, and the word compares are the whole of the work.
+    # and chunking).  These reads are error-free, so every extension ends
+    # on its seed diagonal: no edit round runs, and the word compares are
+    # the whole of the work.
     "alignment": {"rounds": 0, "cells": 0, "words": 110777},
-    # The monolithic/blocked peaks of the ESC (pre-PR-6 default) engine,
-    # whose TrReduction live set is the full unmasked N.
-    "peaks_esc": {
-        "monolithic":
-            "40a0459e460cb4c6bae9f5b3b523e408efd24262eb0b9210decaaa2aa895160f",
-        "blocked":
-            "41d91dea0eefdd53084835421cc034bc327e60194c9b64a49705c15be443f281",
-    },
 }
 
 
@@ -144,30 +141,25 @@ def _peaks_digest(timer) -> str:
     return _sha_text(repr(sorted(peaks.items())))
 
 
-def _config(executor, workers, leg, align_impl, kmer_impl,
-            spgemm_impl="auto"):
+def _config(executor, workers, leg):
     overlap_mode, n_strips, _key = OVERLAP_LEGS[leg]
     return PipelineConfig(
         k=K, nprocs=NPROCS, align_mode="xdrop", fuzz=60,
         kmer_upper=KMER_UPPER, executor=executor, workers=workers,
-        overlap_mode=overlap_mode, n_strips=n_strips, align_impl=align_impl,
-        kmer_impl=kmer_impl, spgemm_impl=spgemm_impl)
+        overlap_mode=overlap_mode, n_strips=n_strips, **ENGINES)
 
 
-COMBOS = list(itertools.product(EXECUTORS, OVERLAP_MODES, ALIGN_IMPLS,
-                                KMER_IMPLS)) + \
-    [(("serial", 1), "blocked1", "batch", "batch")]
+COMBOS = list(itertools.product(EXECUTORS, OVERLAP_MODES)) + \
+    [(("serial", 1), "blocked1")]
 
 
 @pytest.mark.parametrize(
-    "executor_workers,overlap_mode,align_impl,kmer_impl", COMBOS,
-    ids=[f"{e[0]}{e[1]}-{o}-a{a}-k{km}" for e, o, a, km in COMBOS])
-def test_golden_pipeline(golden_reads, executor_workers, overlap_mode,
-                         align_impl, kmer_impl):
+    "executor_workers,overlap_mode", COMBOS,
+    ids=[f"{e[0]}{e[1]}-{o}-abatch-kbatch" for e, o in COMBOS])
+def test_golden_pipeline(golden_reads, executor_workers, overlap_mode):
     executor, workers = executor_workers
     result = run_pipeline(golden_reads,
-                          _config(executor, workers, overlap_mode,
-                                  align_impl, kmer_impl))
+                          _config(executor, workers, overlap_mode))
     got = {
         "S": _sha(result.S.row, result.S.col, result.S.vals),
         "contigs": _contig_digest(result.string_graph),
@@ -176,69 +168,50 @@ def test_golden_pipeline(golden_reads, executor_workers, overlap_mode,
         "peaks": _peaks_digest(result.timer),
         "alignment": result.kernel_counts.get("Alignment"),
     }
-    # Both SpGEMM engines are golden (the CI matrix pins each); only the
-    # TrReduction live-set peak legitimately differs between them.
-    peaks_key = "peaks" if result.config.spgemm_impl == "masked" \
-        else "peaks_esc"
     expect = {
         "S": GOLDEN["S"],
         "contigs": GOLDEN["contigs"],
         "counts": GOLDEN["counts"],
         "tracker": GOLDEN["tracker"][OVERLAP_LEGS[overlap_mode][2]],
-        "peaks": GOLDEN[peaks_key][OVERLAP_LEGS[overlap_mode][2]],
-        "alignment": GOLDEN["alignment"] if align_impl == "batch" else None,
-    }
-    assert got == expect, (
-        f"golden pipeline drift under executor={executor}/{workers} "
-        f"overlap={overlap_mode} align={align_impl} kmer={kmer_impl}.\n"
-        f"If this change is intentional, update GOLDEN to:\n{got!r}")
-
-
-@pytest.mark.parametrize("overlap_mode", OVERLAP_MODES)
-def test_golden_pipeline_esc_engine(golden_reads, overlap_mode):
-    """The ESC oracle engine still reproduces the full pre-PR-6 goldens,
-    including the unmasked TrReduction peak."""
-    result = run_pipeline(golden_reads,
-                          _config("serial", 1, overlap_mode, "batch",
-                                  "batch", spgemm_impl="esc"))
-    got = {
-        "S": _sha(result.S.row, result.S.col, result.S.vals),
-        "contigs": _contig_digest(result.string_graph),
-        "counts": (result.nnz_a, result.nnz_c, result.nnz_r, result.nnz_s),
-        "tracker": _tracker_digest(result.tracker),
-        "peaks": _peaks_digest(result.timer),
-        "alignment": result.kernel_counts.get("Alignment"),
-    }
-    expect = {
-        "S": GOLDEN["S"],
-        "contigs": GOLDEN["contigs"],
-        "counts": GOLDEN["counts"],
-        "tracker": GOLDEN["tracker"][overlap_mode],
-        "peaks": GOLDEN["peaks_esc"][overlap_mode],
+        "peaks": GOLDEN["peaks"][OVERLAP_LEGS[overlap_mode][2]],
         "alignment": GOLDEN["alignment"],
     }
     assert got == expect, (
-        f"golden pipeline drift under spgemm_impl=esc "
-        f"overlap={overlap_mode}.\nIf intentional, update GOLDEN to:\n"
-        f"{got!r}")
+        f"golden pipeline drift under executor={executor}/{workers} "
+        f"overlap={overlap_mode}.\n"
+        f"If this change is intentional, update GOLDEN to:\n{got!r}")
 
 
-@pytest.mark.parametrize("align_impl", ALIGN_IMPLS)
-@pytest.mark.parametrize("kmer_impl", KMER_IMPLS)
-def test_golden_overlap_r(golden_reads, align_impl, kmer_impl):
-    """R itself (not just its cardinality) matches the stored digest for
-    every engine combination."""
+def test_golden_overlap_r(golden_reads):
+    """R itself (not just its cardinality) matches the stored digest."""
     comm = SimComm(NPROCS, CommTracker(NPROCS))
     timer = StageTimer()
-    table = count_kmers(golden_reads, K, comm, timer, upper=KMER_UPPER,
-                        impl=kmer_impl)
+    table = count_kmers(golden_reads, K, comm, timer, upper=KMER_UPPER)
     A = build_a_matrix(golden_reads, table, ProcessGrid2D(NPROCS), comm,
-                       timer, impl=kmer_impl)
+                       timer)
     C = candidate_overlaps(A, comm, timer)
     R = align_candidates(C, golden_reads, K, comm, timer, mode="xdrop",
-                         fuzz=60, impl=align_impl)
+                         fuzz=60)
     g = R.to_global()
     got = _sha(g.row, g.col, g.vals)
-    assert got == GOLDEN["R"], (
-        f"golden R drift under align={align_impl} kmer={kmer_impl}; "
-        f"new digest {got}")
+    assert got == GOLDEN["R"], f"golden R drift; new digest {got}"
+
+
+def test_golden_reference_engines(golden_reads):
+    """The reference engines composed around the runtime's candidate
+    product — the Bloom-filtered two-pass count, the read-by-read A scan,
+    then the per-pair aligner — reach the golden R, and the runtime
+    transitive reduction of that R the golden S and counts."""
+    comm = SimComm(NPROCS, CommTracker(NPROCS))
+    timer = StageTimer()
+    table = count_kmers_loop(golden_reads, K, comm, timer, upper=KMER_UPPER)
+    A = build_a_matrix_loop(golden_reads, table, ProcessGrid2D(NPROCS),
+                            comm, timer)
+    C = candidate_overlaps(A, comm, timer)
+    R = align_candidates_loop(C, golden_reads, K, comm, timer, mode="xdrop",
+                              fuzz=60)
+    g = R.to_global()
+    assert _sha(g.row, g.col, g.vals) == GOLDEN["R"]
+    S = transitive_reduction(R, comm, timer, fuzz=60).S.to_global()
+    assert _sha(S.row, S.col, S.vals) == GOLDEN["S"]
+    assert (A.nnz(), C.nnz(), R.nnz(), S.nnz) == GOLDEN["counts"]

@@ -1,12 +1,12 @@
 """Parity suite: the histogram k-mer engine vs the dict-loop oracle.
 
-``kmer_impl="batch"`` must be a pure performance axis: the reliable
-:class:`~repro.seqs.kmer_counter.KmerTable`, the A matrix, and the
-communication records have to be byte-identical to the Bloom-filtered
-per-read / per-key reference for every process count, batch count,
-multiplicity window (``lower >= 2``), executor, and adversarial input shape
-(intra-batch duplicates, canonical self-complement k-mers, empty ranks,
-all-unreliable tables).
+The reliable :class:`~repro.seqs.kmer_counter.KmerTable`, the A matrix, and
+the communication records have to be byte-identical to the Bloom-filtered
+per-read / per-key reference (``tests/oracles/kmer_loop.py``, the ``"loop"``
+legs below) for every process count, batch count, multiplicity window
+(``lower >= 2``), executor, and adversarial input shape (intra-batch
+duplicates, canonical self-complement k-mers, empty ranks, all-unreliable
+tables).
 """
 
 import pickle
@@ -21,13 +21,18 @@ from repro.exec import get_executor
 from repro.mpisim import CommTracker, ProcessGrid2D, SimComm, StageTimer
 from repro.seqs.dna import encode
 from repro.seqs.fasta import ReadSet
-from repro.seqs.kmer_counter import (KmerTable, _group_by_dest_masks,
-                                     _group_by_dest_sorted, _send_lists,
-                                     count_kmers)
-from repro.seqs.kmers import (MAX_K, _pack_all_windows, pack_kmers,
-                              read_kmers_batch, splitmix64)
+from repro.seqs.kmer_counter import (KmerTable, _group_by_dest_sorted,
+                                     _send_lists, count_kmers)
+from repro.seqs.kmers import (MAX_K, _pack_all_windows, read_kmers_batch,
+                              splitmix64)
 
-from oracles.kmers import read_kmers, string_to_kmer
+from oracles.kmer_loop import (build_a_matrix_loop, count_kmers_loop,
+                               group_by_dest_masks)
+from oracles.kmers import pack_kmers, read_kmers, string_to_kmer
+
+#: The two engines of every parity leg: the reference, then the runtime.
+COUNTERS = {"loop": count_kmers_loop, "batch": count_kmers}
+A_BUILDERS = {"loop": build_a_matrix_loop, "batch": build_a_matrix}
 
 
 def _readset(arrays):
@@ -38,9 +43,8 @@ def _readset(arrays):
 def _count(reads, impl, *, P=1, batches=1, lower=2, upper=10, executor=None):
     tracker = CommTracker(P)
     comm = SimComm(P, tracker)
-    table = count_kmers(reads, 5, comm, StageTimer(), batches=batches,
-                        lower=lower, upper=upper, executor=executor,
-                        impl=impl)
+    table = COUNTERS[impl](reads, 5, comm, StageTimer(), batches=batches,
+                           lower=lower, upper=upper, executor=executor)
     return table, tracker
 
 
@@ -182,10 +186,9 @@ def test_canonical_self_complement_kmers():
     # ACGT's reverse complement is ACGT.
     pal = encode("ACGT")
     reads = ReadSet(["p1", "p2"], [pal.copy(), pal.copy()])
-    for impl in ("loop", "batch"):
+    for count in COUNTERS.values():
         comm = SimComm(1, CommTracker(1))
-        table = count_kmers(reads, 4, comm, StageTimer(), upper=10,
-                            impl=impl)
+        table = count(reads, 4, comm, StageTimer(), upper=10)
         km, _ = read_kmers(pal, 4)
         assert set(km.tolist()) == set(table.kmers.tolist())
 
@@ -286,7 +289,7 @@ def test_send_lists_match_the_mask_oracle(nprocs):
     got = _group_by_dest_sorted(keys, dest, nprocs)
     assert len(got) == nprocs
     dense = nprocs <= 300                     # 70 000 masks would be slow
-    want = _group_by_dest_masks(keys, dest, nprocs) if dense else \
+    want = group_by_dest_masks(keys, dest, nprocs) if dense else \
         {q: keys[dest == q] for q in np.unique(dest)}
     for q in (range(nprocs) if dense else want):
         assert np.array_equal(got[q], want[q])
@@ -294,7 +297,7 @@ def test_send_lists_match_the_mask_oracle(nprocs):
     if dense:    # and through the hash, as count_kmers calls it
         owner = (splitmix64(keys) % np.uint64(nprocs)).astype(np.int64)
         for a, b in zip(_send_lists(keys, nprocs),
-                        _group_by_dest_masks(keys, owner, nprocs)):
+                        group_by_dest_masks(keys, owner, nprocs)):
             assert np.array_equal(a, b)
 
 
@@ -313,8 +316,8 @@ def _build_a(reads, table, impl, P=4, executor=None):
     tracker = CommTracker(P)
     comm = SimComm(P, tracker)
     timer = StageTimer()
-    A = build_a_matrix(reads, table, ProcessGrid2D(P), comm, timer,
-                       executor=executor, impl=impl)
+    A = A_BUILDERS[impl](reads, table, ProcessGrid2D(P), comm, timer,
+                         executor=executor)
     return A.to_global(), tracker, timer
 
 
@@ -394,7 +397,7 @@ def _a_run(reads, table, P, scheme, executor=None):
     tracker = CommTracker(P)
     timer = StageTimer()
     A = build_a_matrix(reads, table, ProcessGrid2D(P), SimComm(P, tracker),
-                       timer, executor=executor, impl="batch", scheme=scheme)
+                       timer, executor=executor, scheme=scheme)
     return A, tracker, timer
 
 
@@ -454,7 +457,7 @@ def test_unbudgeted_batch_run_extracts_each_rank_once(clean_dataset,
     _genome, reads, _layout = clean_dataset
     reads = reads.subset(np.arange(60))
     base = dict(k=17, nprocs=4, align_mode="chain", depth_hint=12,
-                error_hint=0.0, fuzz=20, kmer_impl="batch", seed_mode="full",
+                error_hint=0.0, fuzz=20, seed_mode="full",
                 overlap_mode="monolithic", read_store="inmem",
                 workers=1, executor="serial", fault_plan="")
     calls = _counted_seeds(monkeypatch)
@@ -504,9 +507,10 @@ def test_only_the_unbudgeted_batch_count_keeps_a_stream(tmp_path):
     kept = count_kmers(reads, 9, comm, StageTimer(), upper=100)
     assert kept._stream is not None
     assert pickle.loads(pickle.dumps(kept))._stream is None
-    for kw in (dict(impl="loop"),
-               dict(table_budget=64, spill_dir=str(tmp_path))):
-        other = count_kmers(reads, 9, comm, StageTimer(), upper=100, **kw)
+    for count, kw in ((count_kmers_loop, {}),
+                      (count_kmers,
+                       dict(table_budget=64, spill_dir=str(tmp_path)))):
+        other = count(reads, 9, comm, StageTimer(), upper=100, **kw)
         assert other._stream is None
         assert other.seeds == kept.seeds
         _assert_tables_equal(other, kept)

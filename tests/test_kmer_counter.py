@@ -15,6 +15,7 @@ from repro.seqs.fasta import ReadSet
 from repro.seqs.kmer_counter import (KmerTable, count_kmers,
                                      reliable_upper_bound)
 
+from oracles.kmer_loop import build_a_matrix_loop, count_kmers_loop
 from oracles.kmers import read_kmers
 
 
@@ -197,11 +198,12 @@ def test_reliable_upper_bound_refuses_bad_inputs_by_name(kwargs, match):
     (dict(lower=5, upper=4), "upper >= lower"),
 ])
 def test_bad_counting_parameters_are_refused(impl, bad, match):
-    """Both engines used to return an empty table for these."""
+    """Both engines used to return an empty table for these (``loop`` is
+    the reference in ``tests/oracles/kmer_loop.py``)."""
     reads = ReadSet(["a", "b"], [encode("ACGTACGGTCAG" * 4)] * 2)
+    count = count_kmers if impl == "batch" else count_kmers_loop
     with pytest.raises(ValueError, match=match):
-        count_kmers(reads, 5, SimComm(1, CommTracker(1)), StageTimer(),
-                    impl=impl, **bad)
+        count(reads, 5, SimComm(1, CommTracker(1)), StageTimer(), **bad)
 
 
 def test_empty_reads():
@@ -407,9 +409,10 @@ def test_prefilter_selection_reads_the_reliable_fraction(clean_dataset):
     windows = sum(max(0, len(sub[i]) - 16) for i in range(len(sub)))
     hist = kmer_counter.kmer_histogram(sub, 17)
     got = [count_kmers(sub, 17, SimComm(P, CommTracker(P)), StageTimer(),
-                       upper=40, impl=impl, **kw).seeds
-           for P in (1, 4) for impl in ("loop", "batch")
-           for kw in ({}, {"table_budget": 4096})]
+                       upper=40, **kw).seeds
+           for P in (1, 4) for kw in ({}, {"table_budget": 4096})]
+    got += [count_kmers_loop(sub, 17, SimComm(P, CommTracker(P)),
+                             StageTimer(), upper=40).seeds for P in (1, 4)]
     got.append(kmer_counter.table_from_histogram(*hist, 17, upper=40).seeds)
     assert got == [windows] * len(got)
 
@@ -433,23 +436,23 @@ def test_lookup_index_travels_with_a_pickled_table(clean_dataset,
     assert np.array_equal(clone._starts, table._starts)
     assert clone._shift == table._shift
 
-    def build(executor, impl):
+    def build(executor, build_a=build_a_matrix):
         timer = StageTimer()
-        A = build_a_matrix(sub, table, ProcessGrid2D(4),
-                           SimComm(4, CommTracker(4)), timer,
-                           executor=executor, impl=impl)
+        A = build_a(sub, table, ProcessGrid2D(4),
+                    SimComm(4, CommTracker(4)), timer, executor=executor)
         return A.to_global(), timer.work_counts()["CreateSpMat"]
 
-    ref, ref_work = build(None, "batch")
+    ref, ref_work = build(None)
     assert set(ref_work) == {"windows", "probes", "leftover"}
     assert ref_work["windows"] == sum(max(0, len(sub[i]) - 16)
                                       for i in range(len(sub)))
     with get_executor("process", 2) as ex:
-        got, work = build(ex, "batch")
+        got, work = build(ex)
     assert not builds
     assert work == ref_work
     assert np.array_equal(got.row, ref.row)
     assert np.array_equal(got.col, ref.col)
     assert np.array_equal(got.vals, ref.vals)
-    # Per-query sums do not depend on the scan engine's batching either.
-    assert build(None, "loop")[1] == ref_work
+    # Per-query sums do not depend on the scan's batching either: the
+    # read-by-read reference scan counts the same work.
+    assert build(None, build_a_matrix_loop)[1] == ref_work

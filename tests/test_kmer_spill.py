@@ -2,11 +2,12 @@
 
 The reliable table (keys AND counts), the per-rank communication record,
 and the seeding-scheme interaction have to be byte-identical to the
-Bloom-filtered ``loop`` oracle for every budget (``None`` = resident, no
-disk; tiny = a run per round; generous = re-extraction but no spill),
-process count, batch count, and executor — a budgeted owner flushes sorted
-``(key, count)`` runs to disk when its buffered histograms reach its share
-and k-way merges them at selection time.
+Bloom-filtered loop oracle (``tests/oracles/kmer_loop.py``) for every
+budget (``None`` = resident, no disk; tiny = a run per round; generous =
+re-extraction but no spill), process count, batch count, and executor — a
+budgeted owner flushes sorted ``(key, count)`` runs to disk when its
+buffered histograms reach its share and k-way merges them at selection
+time.
 """
 
 import tempfile
@@ -22,6 +23,8 @@ from repro.seqs.kmer_counter import count_kmers, kmer_histogram
 from repro.seqs.spill import (PAIR_DTYPE, combine_histograms,
                               merge_pair_runs, write_pair_run)
 
+from oracles.kmer_loop import count_kmers_loop
+
 
 @pytest.fixture(scope="module")
 def spill_reads():
@@ -33,13 +36,15 @@ def spill_reads():
 
 
 def _count(reads, *, P=1, batches=1, scheme=None, executor=None,
-           table_budget=None, spill_dir=None, impl="batch"):
+           **budget):
+    """The runtime count, or with ``count=count_kmers_loop`` the oracle's
+    (which takes no budget)."""
+    count = budget.pop("count", count_kmers)
     tracker = CommTracker(P)
     comm = SimComm(P, tracker)
-    table = count_kmers(reads, 17, comm, StageTimer(), batches=batches,
-                        lower=2, upper=40, executor=executor,
-                        impl=impl, scheme=scheme,
-                        table_budget=table_budget, spill_dir=spill_dir)
+    table = count(reads, 17, comm, StageTimer(), batches=batches,
+                  lower=2, upper=40, executor=executor, scheme=scheme,
+                  **budget)
     return table, tracker
 
 
@@ -55,7 +60,7 @@ BUDGETS = (None, 1, "share", 1 << 40)
 def test_budget_sweep_matches_loop_oracle(spill_reads, tmp_path, monkeypatch,
                                           P, batches, table_budget):
     ref, ref_tracker = _count(spill_reads, P=P, batches=batches,
-                              impl="loop")
+                              count=count_kmers_loop)
     if table_budget == "share":
         keys, _ = kmer_histogram(spill_reads, 17)
         table_budget = keys.shape[0] * PAIR_DTYPE.itemsize // P

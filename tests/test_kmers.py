@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.seqs.dna import encode, revcomp
-from repro.seqs.kmers import (canonical_kmers, pack_kmers, revcomp_kmers,
-                              splitmix64)
+from repro.seqs.kmers import canonical_kmers, revcomp_kmers, splitmix64
 
-from oracles.kmers import kmer_to_string, read_kmers, string_to_kmer
+from oracles.kmers import (kmer_to_string, pack_kmers, read_kmers,
+                           string_to_kmer)
 
 dna_strings = st.text(alphabet="ACGT", min_size=1, max_size=120)
 ks = st.integers(min_value=1, max_value=31)

@@ -26,9 +26,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import repro.core.overlap as overlap_mod
 import repro.dsparse.masked as masked_mod
-from repro.core.overlap import build_a_matrix, candidate_overlaps
+from repro.core.overlap import (align_candidates, build_a_matrix,
+                                candidate_overlaps)
 from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.core.semirings import BidirectedMinPlus, PositionsSemiring
+from repro.core.transitive_reduction import transitive_reduction
 from repro.dsparse.coomat import CooMat
 from repro.dsparse.distmat import DistMat
 from repro.dsparse.masked import (mask_select, masked_route,
@@ -38,12 +40,12 @@ from repro.dsparse.spgemm import packed_order, spgemm_esc, stable_key_order
 from repro.dsparse.summa import summa
 from repro.exec import SERIAL, ProcessExecutor, ThreadExecutor
 from repro.mpisim import CommTracker, ProcessGrid2D, SimComm, StageTimer
-from repro.options import SPGEMM_IMPL
+from repro.mpisim.grid import block_bounds
 from repro.seqs import ErrorModel, GenomeSpec, ReadSimSpec, simulate_reads
-from repro.seqs.kmer_counter import count_kmers
+from repro.seqs.kmer_counter import count_kmers, reliable_upper_bound
 
 from oracles.semirings import BoolOr, MinPlus, PlusTimes
-from overlap_helpers import local_product
+from overlap_helpers import esc_upper, local_product
 
 #: semiring name -> (factory, operand nfields) — same table as
 #: tests/test_backends.py, so the masked kernel is pinned against exactly
@@ -855,28 +857,40 @@ def tiny_reads():
 
 @pytest.mark.parametrize("overlap_mode", ["monolithic", "blocked"])
 def test_pipeline_byte_identical_across_engines(tiny_reads, overlap_mode):
-    results = {}
-    for impl in SPGEMM_IMPL.choices:
-        cfg = PipelineConfig(nprocs=4, align_mode="chain", fuzz=20,
-                             depth_hint=9, error_hint=0.0,
-                             overlap_mode=overlap_mode,
-                             n_strips=3 if overlap_mode == "blocked"
-                             else None, spgemm_impl=impl)
-        results[impl] = run_pipeline(tiny_reads, cfg)
-    esc, masked = results["esc"], results["masked"]
-    _assert_identical(esc.S, masked.S)
-    assert (esc.nnz_a, esc.nnz_c, esc.nnz_r, esc.nnz_s) == \
-           (masked.nnz_a, masked.nnz_c, masked.nnz_r, masked.nnz_s)
-    assert esc.tr_rounds == masked.tr_rounds
-    # Identical communication: both engines broadcast the same operand
-    # blocks once per SUMMA stage, so the tracker records match bytewise.
-    assert esc.tracker.summary() == masked.tracker.summary()
-    # The one intended divergence: the masked TrReduction live set (R + the
-    # pattern-pruned N) can only be smaller than the unmasked one.
-    peaks_esc = esc.timer.peak_bytes()
-    peaks_masked = masked.timer.peak_bytes()
-    assert peaks_masked["TrReduction"] < peaks_esc["TrReduction"]
-    assert peaks_masked["SpGEMM"] == peaks_esc["SpGEMM"]
+    """A run's candidate product, strip by strip, is the unmasked ESC
+    product pruned to the triangle afterwards: composed by hand from the
+    run's stages with that product in its place, nnz(C), R and S are the
+    run's, and so is the SpGEMM traffic (both broadcast the same operand
+    blocks once per SUMMA stage)."""
+    n_strips = 3 if overlap_mode == "blocked" else 1
+    result = run_pipeline(tiny_reads, PipelineConfig(
+        nprocs=4, align_mode="chain", fuzz=20, depth_hint=9, error_hint=0.0,
+        overlap_mode=overlap_mode,
+        n_strips=n_strips if overlap_mode == "blocked" else None))
+    P = 4
+    tracker = CommTracker(P)
+    comm = SimComm(P, tracker)
+    table = count_kmers(tiny_reads, 17, comm,
+                        upper=reliable_upper_bound(9, 0.0, 17))
+    A = build_a_matrix(tiny_reads, table, ProcessGrid2D(P), comm)
+    bounds = block_bounds(A.shape[0], n_strips)
+    parts, nnz_c = [], 0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        At = A.T if n_strips == 1 else A.row_slice(lo, hi).T
+        C = esc_upper(A, At, comm, col_offset=lo)
+        nnz_c += C.nnz()
+        parts.append(align_candidates(C, tiny_reads, 17, comm, mode="chain",
+                                      fuzz=20, col_offset=lo).to_global())
+    n = A.shape[0]
+    R = DistMat.from_coo((n, n), A.grid,
+                         np.concatenate([p.row for p in parts]),
+                         np.concatenate([p.col for p in parts]),
+                         np.vstack([p.vals for p in parts]))
+    assert nnz_c == result.nnz_c
+    _assert_identical(R.to_global(), result.R)
+    assert tracker.summary()["SpGEMM"] == result.tracker.summary()["SpGEMM"]
+    S = transitive_reduction(R, comm, fuzz=20).S.to_global()
+    _assert_identical(S, result.S)
 
 
 def test_pipeline_reports_engine_and_paths(tiny_reads):
@@ -897,15 +911,6 @@ def test_pipeline_reports_engine_and_paths(tiny_reads):
     work = result.work_counts
     assert set(work["SpGEMM"]) == {"probes"} and work["SpGEMM"]["probes"] > 0
     assert set(work["TrReduction"]) == {"products"}
-    esc = run_pipeline(tiny_reads,
-                       PipelineConfig(nprocs=4, align_mode="chain", fuzz=20,
-                                      depth_hint=9, error_hint=0.0,
-                                      spgemm_impl="esc"))
-    assert esc.config.spgemm_impl == "esc"
-    assert set(esc.kernel_counts["SpGEMM"]) == {"esc"}
-    assert set(esc.kernel_counts["TrReduction"]) == {"esc"}
-    # The oracle engine passes no mask: only the A scan's lookup counts.
-    assert set(esc.work_counts) == {"CreateSpMat"}
 
 
 def test_candidate_overlaps_is_one_product(tiny_reads, monkeypatch):
@@ -935,8 +940,7 @@ def test_candidate_overlaps_is_one_product(tiny_reads, monkeypatch):
     assert paths.get("masked_dot", 0) > 0 and big > 0
     assert len(matmuls) <= big, (len(matmuls), big)
     monkeypatch.undo()
-    oracle = candidate_overlaps(A, SimComm(P, CommTracker(P)), StageTimer(),
-                                spgemm_impl="esc")
+    oracle = esc_upper(A, A.T, SimComm(P, CommTracker(P)))
     _assert_identical(C.to_global(), oracle.to_global())
 
 
@@ -952,7 +956,7 @@ def test_candidate_overlaps_reads_one_copy_of_a(tiny_reads, monkeypatch):
     calls = {"transpose": 0, "csc": 0}
     operands = []
     real_csc, real_transpose = CooMat._columns, CooMat.transpose
-    real_summa = overlap_mod.summa_positions
+    real_summa = overlap_mod.summa
 
     def counting(name, fn):
         def wrapped(*args):
@@ -967,7 +971,7 @@ def test_candidate_overlaps_reads_one_copy_of_a(tiny_reads, monkeypatch):
     monkeypatch.setattr(CooMat, "_columns", counting("csc", real_csc))
     monkeypatch.setattr(CooMat, "transpose",
                         counting("transpose", real_transpose))
-    monkeypatch.setattr(overlap_mod, "summa_positions", recording)
+    monkeypatch.setattr(overlap_mod, "summa", recording)
     timer = StageTimer()
     C = candidate_overlaps(A, comm, timer, spgemm_impl="masked")
     monkeypatch.undo()
@@ -983,8 +987,7 @@ def test_candidate_overlaps_reads_one_copy_of_a(tiny_reads, monkeypatch):
             assert np.shares_memory(t.row, a.col)
             assert np.shares_memory(t.col, a.row)
             assert np.shares_memory(t.vals, a.vals)
-    oracle = candidate_overlaps(A, SimComm(P, CommTracker(P)), StageTimer(),
-                                spgemm_impl="esc")
+    oracle = esc_upper(A, A.T, SimComm(P, CommTracker(P)))
     _assert_identical(C.to_global(), oracle.to_global())
 
 

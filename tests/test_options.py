@@ -9,12 +9,22 @@ import glob
 import os
 import re
 
+import numpy as np
 import pytest
 
 from repro import options
 from repro.cli import build_parser, main
+from repro.core.overlap import (align_candidates, build_a_matrix,
+                                candidate_overlaps)
 from repro.core.pipeline import PipelineConfig, run_pipeline
-from repro.options import AXES, WORKERS
+from repro.core.semirings import A_NFIELDS, C_NFIELDS, R_NFIELDS
+from repro.core.transitive_reduction import transitive_reduction
+from repro.dsparse.distmat import DistMat
+from repro.mpisim import CommTracker, ProcessGrid2D, SimComm
+from repro.options import (AXES, ALIGN_IMPL, KMER_IMPL, SPGEMM_IMPL,
+                           WORKERS)
+from repro.seqs.fasta import ReadSet
+from repro.seqs.kmer_counter import count_kmers
 from repro.service import AssemblyState, ServiceConfig, refresh
 
 ENV_AXES = [a for a in AXES if a.env]
@@ -27,9 +37,9 @@ def _params(axes):
 
 
 def _two_values(axis):
-    """Two distinct valid values of ``axis``."""
+    """Two valid values of ``axis``, distinct unless it has one choice."""
     if axis.choices:
-        return axis.choices[0], axis.choices[1]
+        return axis.choices[0], axis.choices[-1]
     return {"workers": (3, 5),
             "fault_plan": ("exec.chunk:exc@2", "summa.block:exc@1")
             }.get(axis.name, ("/some/dir", "/other/dir"))
@@ -164,6 +174,75 @@ def test_cited_paths_exist():
                 path = os.path.join("benchmarks", path)
             assert glob.glob(os.path.join(root, path)), \
                 f"{doc} cites {path}, which does not exist"
+
+
+# -- the one-choice engine axes -------------------------------------------------
+
+#: The reference engines each engine axis used to accept; they live in
+#: ``tests/oracles`` now.
+REFERENCES = [(ALIGN_IMPL, "loop"), (KMER_IMPL, "loop"), (SPGEMM_IMPL, "esc")]
+
+#: The engine values the benchmark pins (``bench/workloads.py``).
+BENCH_PINS = {"align_impl": "batch", "kmer_impl": "batch",
+              "spgemm_impl": "masked"}
+
+
+def _keyword_calls(impl: dict):
+    """The five stage calls that keep an engine keyword, each handed
+    ``impl`` (``{"impl": ...}`` / ``{"spgemm_impl": ...}`` as it applies)
+    on inputs too small to cost anything."""
+    reads = ReadSet(["a"], [np.zeros(30, dtype=np.uint8)])
+    grid = ProcessGrid2D(1)
+
+    def comm():
+        return SimComm(1, CommTracker(1))
+
+    table = count_kmers(reads, 5, comm())
+    A = DistMat.empty((1, len(table)), grid, A_NFIELDS)
+    kmer = {"impl": impl["kmer_impl"]}
+    spgemm = {"spgemm_impl": impl["spgemm_impl"]}
+    return [
+        lambda: count_kmers(reads, 5, comm(), **kmer),
+        lambda: build_a_matrix(reads, table, grid, comm(), **kmer),
+        lambda: candidate_overlaps(A, comm(), **spgemm),
+        lambda: align_candidates(DistMat.empty((1, 1), grid, C_NFIELDS),
+                                 reads, 5, comm(),
+                                 impl=impl["align_impl"]),
+        lambda: transitive_reduction(DistMat.empty((1, 1), grid, R_NFIELDS),
+                                     comm(), **spgemm),
+    ]
+
+
+@pytest.mark.parametrize("axis, value", REFERENCES,
+                         ids=[a.name for a, _ in REFERENCES])
+def test_reference_engines_are_refused_by_name(axis, value):
+    """Each engine axis has one choice; its old reference value is refused
+    by name by the config and by every stage keyword that names the axis
+    (the CLI flags: ``test_cli.py``)."""
+    assert axis.choices == (axis.default,)
+    with pytest.raises(ValueError) as exc:
+        PipelineConfig(**{axis.name: value}).resolved()
+    for part in (axis.name, repr(value), axis.accepts):
+        assert part in str(exc.value)
+    calls = _keyword_calls({**BENCH_PINS, axis.name: value})
+    refused = 0
+    for call in calls:
+        try:
+            call()
+        except ValueError as err:
+            assert f"unknown {axis.name} {value!r}" in str(err)
+            refused += 1
+    assert refused == {"align_impl": 1, "kmer_impl": 2,
+                       "spgemm_impl": 2}[axis.name]
+
+
+def test_bench_pins_still_resolve():
+    """What ``bench/`` passes — the config fields and the five stage
+    keywords — is accepted until the axes themselves go."""
+    cfg = PipelineConfig(**BENCH_PINS).resolved()
+    assert {name: getattr(cfg, name) for name in BENCH_PINS} == BENCH_PINS
+    for call in _keyword_calls(BENCH_PINS):
+        call()
 
 
 # -- PipelineConfig.resolved / run_pipeline -------------------------------------

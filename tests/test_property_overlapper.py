@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.align.overlapper import (B_END, E_END, classify_overlap,
-                                    classify_overlap_batch)
-from repro.align.xdrop import AlignmentResult
+from repro.align.overlapper import B_END, E_END, classify_overlap_batch
+
+from oracles.align_loop import AlignmentResult, classify_overlap
 
 
 def _true_alignment(si, li, fi, sj, lj, fj):

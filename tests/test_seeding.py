@@ -42,7 +42,7 @@ from repro.seqs.seeding import (DEFAULT_SEED_W, FullKScheme, MinimizerScheme,
                                 SyncmerScheme, make_scheme)
 from repro.service import AssemblyState, ServiceConfig, refresh
 
-from oracles.kmers import minimizers
+from oracles.kmers import minimizers, seeds_of_read
 
 K = 17
 W = 8
@@ -138,7 +138,7 @@ def test_seeds_of_read_matches_block():
         keys, ridx, pos, flip = scheme.seeds_of_block(*reads.soa())
         for i in range(len(reads)):
             sel = ridx == i
-            k_i, p_i, f_i = scheme.seeds_of_read(reads[i])
+            k_i, p_i, f_i = seeds_of_read(scheme, reads[i])
             np.testing.assert_array_equal(k_i, keys[sel])
             np.testing.assert_array_equal(p_i, pos[sel])
             np.testing.assert_array_equal(f_i, flip[sel])
@@ -168,8 +168,8 @@ def test_block_partition_independence():
 # ---------------------------------------------------------------------------
 
 def _strand_seed_multisets(scheme, codes):
-    fwd = scheme.seeds_of_read(codes)
-    rev = scheme.seeds_of_read(revcomp_codes(codes))
+    fwd = seeds_of_read(scheme, codes)
+    rev = seeds_of_read(scheme, revcomp_codes(codes))
     k = scheme.k
     # A seed at position p on the forward read sits at L - k - p on the
     # reverse complement.

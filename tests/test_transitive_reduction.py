@@ -17,6 +17,7 @@ from repro.core.transitive_reduction import transitive_reduction
 from repro.dsparse.distmat import DistMat
 from repro.mpisim import CommTracker, ProcessGrid2D, SimComm
 
+from oracles.string_graph import transitive_edges_bruteforce
 from overlap_helpers import build_overlap_graph
 
 
@@ -147,8 +148,8 @@ def test_single_round_matches_bruteforce(clean_overlap_graph):
     res = transitive_reduction(D, comm, fuzz=20, max_rounds=1)
     out = StringGraph.from_coomat(res.S.to_global()).edge_set()
     kept = g.without_contained()
-    expected = kept.edge_set() - kept.transitive_edges_bruteforce(
-        fuzz=20, use_rowmax=True)
+    expected = kept.edge_set() - transitive_edges_bruteforce(
+        kept, fuzz=20, use_rowmax=True)
     assert out == expected
 
 

@@ -1,13 +1,14 @@
-"""Tests for x-drop alignment (fast LV engine vs exact DP reference)."""
+"""Tests for the per-pair x-drop reference (greedy LV engine vs the exact
+DP), the engine the batched sweep is pinned against."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.align.xdrop import Scoring
 from repro.seqs.dna import encode, revcomp
-from repro.align.xdrop import (Scoring, chain_extend, seed_extend_align,
-                               xdrop_extend)
 
+from oracles.align_loop import chain_extend, seed_extend_align, xdrop_extend
 from oracles.xdrop_dp import xdrop_extend_dp
 
 SC = Scoring()
