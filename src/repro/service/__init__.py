@@ -24,7 +24,8 @@ Layers
     *is* the scratch run — the oracle the incremental path is pinned to).
 ``query_cache`` / ``server``
     LRU result cache keyed on ``(endpoint, params, dataset_version)`` and
-    the stdlib ``http.server`` JSON API around it.
+    the HTTP/1.1 JSON API around it: one selector loop answers queries
+    inline and hands ingests to one thread.
 """
 
 from .config import ServiceConfig

@@ -2,8 +2,7 @@
 
 :class:`AssemblyService` is the transport-free core — ingest a batch,
 answer overlap/contig/stats queries against the current version through
-the cache — and :func:`make_server` wraps it in a stdlib ``HTTPServer``
-speaking JSON:
+the cache — and :func:`make_server` serves it as an HTTP/1.1 JSON API:
 
 ========  =================  ==========================================
 method    path               effect
@@ -29,28 +28,40 @@ surfaces as a structured ``503`` (:class:`RefreshFailed`) so clients can
 retry the same batch against the unchanged state.  Every error reply
 carries a machine-readable ``code`` beside its ``error`` message.
 
-**Transport.**  Each accepted connection is queued to a fixed pool of
-:data:`POOL_THREADS` long-lived handler threads rather than given a
-thread of its own: starting a thread costs more than parsing and
-answering a query.  Since ingests wait on one lock, up to
-``POOL_THREADS - 1`` concurrent ingests still leave a thread free for
-readers.  A connection that stays silent for :data:`READ_TIMEOUT_S` —
-before its request line, or inside its headers or body — is dropped, so
-a stalled client cannot hold a pool thread forever.  Each reply (status
-line, headers and body) leaves in one write.  ``server_close()`` stops
-the pool: queued connections are dropped, live ones have their read side
-shut (a silent client lets go at once, a reply being computed still goes
-out), and every pool thread is joined.
+**Transport.**  One selector loop, run by ``serve_forever``, owns every
+socket.  It accepts a connection and tries a read at once; a connection
+whose request has not arrived yet is parked in the selector, not in a
+thread.  The loop parses the request line and headers itself (at most
+64 KiB of them) and answers each ``GET`` inline from the current
+version: answering costs microseconds, less than handing the socket to
+another thread.  A complete ``POST /reads`` body goes to one long-lived
+ingest thread, so readers keep being answered from the old version while
+a refresh runs; ingests serialize on a lock anyway.  Each reply leaves
+in one write when the socket buffer takes it, the rest on
+write-readiness.  An HTTP/1.1 request without ``Connection: close``
+keeps its connection open for the next request (pipelined requests are
+answered in order); HTTP/1.0 and HTTP/0.9 requests close after their
+reply.  A connection that stays silent for :data:`READ_TIMEOUT_S` —
+before its request line, inside its headers or body, or between
+keep-alive requests — is dropped.  ``server_close()`` waits for a
+running ingest, sends the replies still owed, closes every connection
+and joins the ingest thread.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import json
-import queue
+import math
+import re
+import selectors
 import socket
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
+import traceback
+from concurrent.futures import ThreadPoolExecutor
+from http import HTTPStatus
 
 from ..core.semirings import R_END_I, R_END_J, R_OLEN, R_SUFFIX
 from ..options import FAULT_PLAN
@@ -63,15 +74,12 @@ from .query_cache import QueryCache
 from .state import AssemblyState, SessionStore
 
 __all__ = ["AssemblyService", "BadBatch", "RefreshFailed", "make_server",
-           "MAX_BODY_BYTES", "POOL_THREADS", "READ_TIMEOUT_S"]
+           "MAX_BODY_BYTES", "READ_TIMEOUT_S"]
 
 #: Largest ``POST /reads`` body the server will read (413 beyond this) —
 #: far above any sane batch, present so a bogus Content-Length cannot make
 #: the handler allocate unboundedly.
 MAX_BODY_BYTES = 256 * 1024 * 1024
-
-#: Long-lived handler threads per server; see the module docstring.
-POOL_THREADS = 8
 
 #: Seconds a connection may stay silent before the server drops it.
 READ_TIMEOUT_S = 30.0
@@ -212,107 +220,379 @@ class AssemblyService:
         return result
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """JSON request handler bound to one :class:`AssemblyService`."""
+#: Largest request line plus headers the loop will buffer (431 beyond).
+_HEAD_LIMIT = 64 * 1024
+_RECV_BYTES = 64 * 1024
+_HEAD_END = re.compile(rb"\n\r?\n")
+_HTTP_VERSION = re.compile(r"HTTP/(\d+)\.(\d+)")
 
-    service: AssemblyService  # set by make_server's subclass
 
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass  # keep test output and demo terminals quiet
+class _HttpError(Exception):
+    """A request refused before it is routed: answered with ``status`` and
+    ``code``, then the connection closes (its body, if any, is unread)."""
 
-    def _reply(self, payload: dict, status: int = 200) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if self.request_version == "HTTP/0.9":
-            self.wfile.write(body)  # 0.9 replies have no header block
-            return
-        # send_header only buffers; end the header block and queue the body
-        # behind it, so flush_headers() sends the whole reply in one write
-        # where end_headers() and a second write would send two.
-        self._headers_buffer += [b"\r\n", body]
-        self.flush_headers()
+    def __init__(self, status: int, code: str, message: str,
+                 headers: str = "") -> None:
+        super().__init__(message)
+        self.status, self.code, self.headers = status, code, headers
 
-    def _fail(self, status: int, code: str, message: str) -> None:
-        """Structured error body: machine-readable code + human message."""
-        self._reply({"error": message, "code": code}, status)
 
-    def _internal(self, exc: Exception) -> None:
-        """A handler bug: log the traceback, answer a structured 500."""
-        self.server.handle_error(self.request, self.client_address)
-        self._fail(500, "internal", str(exc))
+def _json(status: int, payload: dict) -> tuple[int, bytes]:
+    return status, json.dumps(payload).encode()
 
-    def _read_body(self) -> bytes | None:
-        """The request body, or ``None`` after replying with the error.
 
-        Socket-level malformations get precise statuses instead of a
-        hang or a stack trace: missing Content-Length → 411, non-integer
-        or negative → 400, absurdly large → 413, a body shorter than the
-        header promised (client died mid-send) → 400.
-        """
-        raw = self.headers.get("Content-Length")
-        if raw is None:
-            self._fail(411, "length-required",
-                       "Content-Length header is required")
-            return None
+def _error(status: int, code: str, message: str) -> tuple[int, bytes]:
+    """Structured error body: machine-readable code + human message."""
+    return _json(status, {"error": message, "code": code})
+
+
+def _internal(exc: Exception) -> tuple[int, bytes]:
+    """A handler bug: log the traceback, answer a structured 500."""
+    traceback.print_exc()
+    return _error(500, "internal", str(exc))
+
+
+def _render(status: int, body: bytes, keep_alive: bool,
+            headers: str = "") -> bytes:
+    """Status line, headers and body as one buffer, for one write."""
+    if not keep_alive:
+        headers += "Connection: close\r\n"
+    return (f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n{headers}\r\n"
+            ).encode("latin-1") + body
+
+
+def _incomplete(buf: bytearray) -> None:
+    """A head still arriving, unless it has outgrown the limit."""
+    if len(buf) >= _HEAD_LIMIT:
+        raise _HttpError(431, "headers-too-large", f"request head exceeds "
+                         f"the {_HEAD_LIMIT}-byte limit")
+
+
+def _parse_head(buf: bytearray):
+    """The request head at the front of ``buf``, or ``None`` while it is
+    incomplete.
+
+    Returns ``(size, method, path, headers, bare, keep_alive)``: ``size``
+    bytes of ``buf`` are the head, ``headers`` maps lower-case names to
+    their first value, and ``bare`` marks an HTTP/0.9 request, whose reply
+    is the body alone.
+    """
+    eol = buf.find(b"\n", 0, _HEAD_LIMIT)
+    if eol < 0:
+        return _incomplete(buf)
+    line = buf[:eol].decode("latin-1")
+    words = line.split()
+    if len(words) == 2 and words[0] == "GET":
+        return eol + 1, "GET", words[1], {}, True, False
+    version = _HTTP_VERSION.fullmatch(words[2]) if len(words) == 3 else None
+    if version is None:
+        raise _HttpError(400, "bad-request-line",
+                         f"malformed request line {line.strip()[:80]!r}")
+    if version[1] != "1":
+        raise _HttpError(505, "bad-http-version",
+                         f"{words[2]} is not supported; speak HTTP/1.x")
+    if words[0] not in ("GET", "POST"):
+        raise _HttpError(405, "method-not-allowed",
+                         f"method {words[0]} is not allowed",
+                         "Allow: GET, POST\r\n")
+    end = _HEAD_END.search(buf, eol, _HEAD_LIMIT)
+    if end is None:
+        return _incomplete(buf)
+    headers: dict[str, str] = {}
+    for line in buf[eol + 1:end.start()].decode("latin-1").splitlines():
+        name, sep, value = line.partition(":")
+        if sep:
+            headers.setdefault(name.strip().lower(), value.strip())
+    connection = {t.strip() for t in
+                  headers.get("connection", "").lower().split(",")}
+    keep_alive = version[2] != "0" and "close" not in connection
+    return end.end(), words[0], words[1], headers, False, keep_alive
+
+
+def _content_length(headers: dict[str, str]) -> int:
+    """The POST body's length, refused with a precise status: missing
+    Content-Length → 411, non-integer or negative → 400, absurdly
+    large → 413."""
+    raw = headers.get("content-length")
+    if raw is None:
+        raise _HttpError(411, "length-required",
+                         "Content-Length header is required")
+    try:
+        length = int(raw)
+    except ValueError:
+        raise _HttpError(400, "bad-content-length", f"Content-Length must "
+                         f"be an integer, got {raw!r}") from None
+    if length < 0:
+        raise _HttpError(400, "bad-content-length", f"Content-Length must "
+                         f"be non-negative, got {length}")
+    if length > MAX_BODY_BYTES:
+        raise _HttpError(413, "payload-too-large", f"body of {length} bytes "
+                         f"exceeds the {MAX_BODY_BYTES}-byte limit")
+    return length
+
+
+class _Conn:
+    """One client connection, owned by the loop thread."""
+
+    __slots__ = ("sock", "inbuf", "out", "deadline", "events",
+                 "body_length", "keep_alive")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.inbuf = bytearray()
+        self.out: memoryview | None = None  # reply bytes not yet sent
+        self.deadline = time.monotonic() + READ_TIMEOUT_S
+        self.events = 0                     # selector interest
+        self.body_length: int | None = None  # a POST body is arriving
+        self.keep_alive = False
+
+
+class _Server:
+    """The selector loop of :func:`make_server`; see the module docstring.
+
+    Only the loop thread touches connections; the ingest thread hands its
+    replies back through ``_done`` and a wake-up socket.
+    """
+
+    def __init__(self, service: AssemblyService, host: str,
+                 port: int) -> None:
+        self.service = service
+        self._listener = socket.create_server((host, port))
+        self._listener.setblocking(False)
+        self.server_address = self._listener.getsockname()
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
+        self._sel = selectors.DefaultSelector()
+        self._sel.register(self._listener, selectors.EVENT_READ,
+                           self._accept)
+        self._sel.register(self._wake_r, selectors.EVENT_READ, self._collect)
+        self._conns: set[_Conn] = set()
+        self._done: collections.deque = collections.deque()
+        self._ingests = ThreadPoolExecutor(
+            1, thread_name_prefix=f"repro-http-{self.server_address[1]}")
+        self._stop = False
+        self._stopped = threading.Event()
+
+    # -- the loop ----------------------------------------------------------
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """Run the loop until :meth:`shutdown` (from another thread)."""
+        self._stopped.clear()
         try:
-            length = int(raw)
-        except ValueError:
-            self._fail(400, "bad-content-length",
-                       f"Content-Length must be an integer, got {raw!r}")
-            return None
-        if length < 0:
-            self._fail(400, "bad-content-length",
-                       f"Content-Length must be non-negative, got {length}")
-            return None
-        if length > MAX_BODY_BYTES:
-            self._fail(413, "payload-too-large",
-                       f"body of {length} bytes exceeds the "
-                       f"{MAX_BODY_BYTES}-byte limit")
-            return None
-        body = self.rfile.read(length)
-        if len(body) < length:
-            self._fail(400, "truncated-body",
-                       f"body ended after {len(body)} of the {length} "
-                       f"bytes Content-Length promised")
-            return None
-        return body
+            while not self._stop:
+                for key, events in self._sel.select(poll_interval):
+                    conn = key.data
+                    try:
+                        if not isinstance(conn, _Conn):
+                            conn()  # the listener or the wake-up socket
+                        elif events & selectors.EVENT_WRITE:
+                            if self._flush(conn):
+                                self._advance(conn)
+                        else:
+                            self._read(conn)
+                    except Exception:  # a bug must not stop the loop
+                        traceback.print_exc()
+                        if isinstance(conn, _Conn):
+                            self._close(conn)
+                now = time.monotonic()
+                for conn in [c for c in self._conns if c.deadline <= now]:
+                    self._close(conn)
+        finally:
+            self._stop = False
+            self._stopped.set()
 
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        path = self.path.rstrip("/") or "/"
+    def shutdown(self) -> None:
+        """Stop :meth:`serve_forever` and wait until it has returned."""
+        self._stop = True
+        self._wake()
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        """Close the listener, finish the running ingest, send the replies
+        still owed, close every connection and join the ingest thread."""
+        self._listener.close()
+        self._ingests.shutdown(wait=True, cancel_futures=True)
+        while self._done:
+            conn, status, body = self._done.popleft()
+            conn.out = memoryview(_render(status, body, conn.keep_alive))
+        for conn in list(self._conns):
+            if conn.out is not None:
+                with contextlib.suppress(OSError):  # peer gone or stuck
+                    conn.sock.settimeout(READ_TIMEOUT_S)
+                    conn.sock.sendall(conn.out)
+            self._close(conn)
+        self._sel.close()
+        self._wake_r.close()
+        self._wake_w.close()
+
+    def _wake(self) -> None:
+        with contextlib.suppress(BlockingIOError):  # a wake-up is pending
+            self._wake_w.send(b"\0")
+
+    def _watch(self, conn: _Conn, events: int) -> None:
+        if events == conn.events:
+            return
+        if not conn.events:
+            self._sel.register(conn.sock, events, conn)
+        elif not events:
+            self._sel.unregister(conn.sock)
+        else:
+            self._sel.modify(conn.sock, events, conn)
+        conn.events = events
+
+    def _close(self, conn: _Conn) -> None:
+        self._watch(conn, 0)
+        conn.sock.close()
+        self._conns.discard(conn)
+
+    # -- connections -------------------------------------------------------
+    def _accept(self) -> None:
+        # One per readiness: the selector reports the listener again while
+        # connections are pending.
+        try:
+            sock, _addr = self._listener.accept()
+        except OSError:  # none pending after all, or the client gave up
+            return
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        conn = _Conn(sock)
+        self._conns.add(conn)
+        self._watch(conn, selectors.EVENT_READ)
+        self._read(conn)
+
+    def _read(self, conn: _Conn) -> None:
+        try:
+            chunk = conn.sock.recv(_RECV_BYTES)
+        except BlockingIOError:
+            return
+        except OSError:
+            self._close(conn)
+            return
+        if chunk:
+            conn.inbuf += chunk
+            conn.deadline = time.monotonic() + READ_TIMEOUT_S
+            self._advance(conn)
+        elif conn.body_length is None:
+            self._close(conn)
+        else:  # the client died mid-send
+            conn.keep_alive = False
+            self._send(conn, *_error(
+                400, "truncated-body", f"body ended after "
+                f"{len(conn.inbuf)} of the {conn.body_length} bytes "
+                f"Content-Length promised"))
+
+    def _advance(self, conn: _Conn) -> None:
+        """Answer the requests at the front of ``conn.inbuf`` in order,
+        until one is incomplete, a reply is pending or an ingest runs."""
+        while True:
+            try:
+                if conn.body_length is None:
+                    head = _parse_head(conn.inbuf) if conn.inbuf else None
+                    if head is None:
+                        return
+                    size, method, path, headers, bare, conn.keep_alive = head
+                    del conn.inbuf[:size]
+                    if method == "GET":
+                        if not self._send(conn, *self._get(path), bare=bare):
+                            return
+                        continue
+                    if path.rstrip("/") != "/reads":
+                        raise _HttpError(404, "not-found",
+                                         f"unknown endpoint {path}")
+                    conn.body_length = _content_length(headers)
+            except _HttpError as exc:
+                conn.keep_alive = False
+                self._send(conn, *_error(exc.status, exc.code, str(exc)),
+                           headers=exc.headers)
+                return
+            if len(conn.inbuf) < conn.body_length:
+                return
+            body = conn.inbuf[:conn.body_length]
+            del conn.inbuf[:conn.body_length]
+            conn.body_length = None
+            conn.deadline = math.inf  # the server is busy, not the client
+            self._watch(conn, 0)
+            self._ingests.submit(self._ingest, conn, body)
+            return
+
+    def _send(self, conn: _Conn, status: int, body: bytes,
+              bare: bool = False, headers: str = "") -> bool:
+        """Queue one reply and write it; True when it left whole and the
+        connection waits for its next request.  An HTTP/0.9 (``bare``)
+        reply is the body alone."""
+        conn.out = memoryview(body if bare else _render(
+            status, body, conn.keep_alive, headers))
+        return self._flush(conn)
+
+    def _flush(self, conn: _Conn) -> bool:
+        try:
+            sent = conn.sock.send(conn.out)
+        except BlockingIOError:
+            sent = 0
+        except OSError:
+            self._close(conn)
+            return False
+        conn.out = conn.out[sent:]
+        conn.deadline = time.monotonic() + READ_TIMEOUT_S
+        if conn.out:
+            self._watch(conn, selectors.EVENT_WRITE)
+            return False
+        conn.out = None
+        if not conn.keep_alive:
+            with contextlib.suppress(OSError):  # peer already gone
+                conn.sock.shutdown(socket.SHUT_WR)
+            self._close(conn)
+            return False
+        self._watch(conn, selectors.EVENT_READ)
+        return True
+
+    def _collect(self) -> None:
+        """Send the replies of finished ingests (wake-up readable)."""
+        with contextlib.suppress(BlockingIOError):
+            self._wake_r.recv(4096)
+        while self._done:
+            conn, status, body = self._done.popleft()
+            if self._send(conn, status, body):
+                self._advance(conn)
+
+    # -- answers -----------------------------------------------------------
+    def _get(self, path: str) -> tuple[int, bytes]:
+        path = path.rstrip("/") or "/"
         try:
             if path == "/version":
-                self._reply(self.service.version())
-            elif path == "/stats":
-                self._reply(self.service.stats())
-            elif path == "/contigs":
-                self._reply(self.service.contigs())
-            elif path.startswith("/overlaps/"):
+                return _json(200, self.service.version())
+            if path == "/stats":
+                return _json(200, self.service.stats())
+            if path == "/contigs":
+                return _json(200, self.service.contigs())
+            if path.startswith("/overlaps/"):
                 try:
                     read = int(path.rsplit("/", 1)[1])
                 except ValueError:
-                    self._fail(400, "bad-read-id",
-                               "read id must be an integer")
-                    return
-                self._reply(self.service.overlaps(read))
-            else:
-                self._fail(404, "not-found", f"unknown endpoint {path}")
+                    return _error(400, "bad-read-id",
+                                  "read id must be an integer")
+                return _json(200, self.service.overlaps(read))
+            return _error(404, "not-found", f"unknown endpoint {path}")
         except Exception as exc:
-            self._internal(exc)
+            return _internal(exc)
 
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        if self.path.rstrip("/") != "/reads":
-            self._fail(404, "not-found", f"unknown endpoint {self.path}")
-            return
-        body = self._read_body()
-        if body is None:
-            return
+    def _ingest(self, conn: _Conn, body: bytearray) -> None:
+        """On the ingest thread: answer one POST body, hand the reply to
+        the loop."""
+        try:
+            reply = self._post(body)
+        except Exception as exc:
+            reply = _internal(exc)
+        self._done.append((conn, *reply))
+        self._wake()
+
+    def _post(self, body: bytearray) -> tuple[int, bytes]:
         try:
             payload = json.loads(body or b"{}")
         except ValueError as exc:
-            self._fail(400, "bad-json", f"body is not valid JSON: {exc}")
-            return
+            return _error(400, "bad-json", f"body is not valid JSON: {exc}")
         try:
             if not isinstance(payload, dict):
                 raise TypeError(f"expected a JSON object, got "
@@ -321,95 +601,31 @@ class _Handler(BaseHTTPRequestHandler):
             names = [str(r["name"]) for r in reads]
             seqs = [str(r["seq"]) for r in reads]
         except (ValueError, KeyError, TypeError) as exc:
-            self._fail(400, "bad-batch", f"bad request body: {exc}")
-            return
+            return _error(400, "bad-batch", f"bad request body: {exc}")
         try:
-            self._reply(self.service.ingest(names, seqs))
+            return _json(200, self.service.ingest(names, seqs))
         except BadBatch as exc:
-            self._fail(400, "bad-batch", str(exc))
+            return _error(400, "bad-batch", str(exc))
         except RefreshFailed as exc:
             # Nothing was committed; the client may retry the same batch.
-            self._reply({"error": str(exc), "code": "refresh-failed",
-                         "version": exc.version, "retryable": True}, 503)
+            return _json(503, {"error": str(exc), "code": "refresh-failed",
+                               "version": exc.version, "retryable": True})
         except ValueError as exc:
             # Refused ingests (e.g. a cross-scheme delta against the
             # session's seeding scheme) are a client-state conflict, not a
             # server fault.
-            self._reply({"error": str(exc), "code": "conflict"}, 409)
-        except Exception as exc:
-            self._internal(exc)
-
-
-class _PooledHTTPServer(HTTPServer):
-    """``HTTPServer`` that answers connections on a fixed thread pool.
-
-    ``process_request`` queues the accepted socket; each pool thread runs
-    the finish / handle_error / shutdown sequence ``ThreadingMixIn`` runs
-    on a fresh thread per connection.
-    """
-
-    def __init__(self, address, handler) -> None:
-        super().__init__(address, handler)
-        self._pending: queue.SimpleQueue = queue.SimpleQueue()
-        self._lock = threading.Lock()  # guards _closing and _live
-        self._closing = False
-        self._live: set[socket.socket] = set()
-        port = self.server_address[1]
-        self._pool = [threading.Thread(target=self._work, daemon=True,
-                                       name=f"repro-http-{port}-{i}")
-                      for i in range(POOL_THREADS)]
-        for thread in self._pool:
-            thread.start()
-
-    def process_request(self, request, client_address) -> None:
-        self._pending.put((request, client_address))
-
-    def _work(self) -> None:
-        while (item := self._pending.get()) is not None:
-            request, client_address = item
-            with self._lock:
-                serve = not self._closing
-                if serve:
-                    self._live.add(request)
-            try:
-                if serve:
-                    self.finish_request(request, client_address)
-            except Exception:
-                self.handle_error(request, client_address)
-            finally:
-                with self._lock:
-                    self._live.discard(request)
-                self.shutdown_request(request)
-
-    def server_close(self) -> None:
-        super().server_close()
-        with self._lock:
-            self._closing = True
-            for request in self._live:
-                with contextlib.suppress(OSError):  # peer already gone
-                    request.shutdown(socket.SHUT_RD)
-        for _ in self._pool:
-            self._pending.put(None)
-        for thread in self._pool:
-            thread.join()
+            return _json(409, {"error": str(exc), "code": "conflict"})
 
 
 def make_server(service: AssemblyService, host: str | None = None,
-                port: int | None = None) -> HTTPServer:
+                port: int | None = None) -> _Server:
     """A ready-to-``serve_forever`` HTTP server bound to ``service``.
 
     ``port=0`` asks the OS for a free port (the test suite's mode); the
-    bound address is on ``server.server_address``.  The server's
-    :data:`POOL_THREADS` handler threads start here and stop in
+    bound address is on ``server.server_address``.  The server's one
+    ingest thread starts with its first ``POST`` and stops in
     ``server_close()``.
     """
     host = host if host is not None else service.config.host
     port = port if port is not None else service.config.port
-
-    class BoundHandler(_Handler):
-        pass
-
-    BoundHandler.service = service
-    # StreamRequestHandler.setup applies this to each connection's socket.
-    BoundHandler.timeout = READ_TIMEOUT_S
-    return _PooledHTTPServer((host, port), BoundHandler)
+    return _Server(service, host, port)

@@ -1,7 +1,8 @@
 """HTTP layer: endpoints, cache behaviour, ingest → version bump, and the
-handler pool (bounded threads, read timeout, readers beside a writer)."""
+transport (one loop, read timeout, keep-alive, readers beside writers)."""
 
 import contextlib
+import http.client
 import json
 import socket
 import threading
@@ -201,20 +202,34 @@ def _address(base_url: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def _raw_request(base_url: str, request: bytes):
-    """Send raw bytes over a socket; parse the status + JSON body back.
+def _raw_reply(base_url: str, request: bytes) -> bytes:
+    """Send raw bytes over a socket; return every byte sent back.
 
     Drives malformations urllib cannot produce (missing or lying
-    Content-Length headers, truncated bodies)."""
+    Content-Length headers, truncated bodies, bad request lines).  A
+    server that refuses a request before reading all of it may reset the
+    connection after its reply; the reply still counts."""
     with socket.create_connection(_address(base_url), timeout=10) as s:
         s.sendall(request)
-        s.shutdown(socket.SHUT_WR)
+        with contextlib.suppress(OSError):  # already reset: read the reply
+            s.shutdown(socket.SHUT_WR)
         resp = b""
         while True:
-            chunk = s.recv(65536)
+            try:
+                chunk = s.recv(65536)
+            except ConnectionResetError:
+                if not resp:
+                    raise
+                break
             if not chunk:
                 break
             resp += chunk
+    return resp
+
+
+def _raw_request(base_url: str, request: bytes):
+    """Status and JSON body of the reply to raw request bytes."""
+    resp = _raw_reply(base_url, request)
     status = int(resp.split(b" ", 2)[1])
     return status, json.loads(resp.split(b"\r\n\r\n", 1)[1])
 
@@ -269,6 +284,32 @@ def test_post_malformed_json_is_structured_400(base_url):
     assert body["code"] == "bad-batch"
 
 
+@pytest.mark.parametrize("request_bytes, status, code", [
+    (b"PUT /reads HTTP/1.1\r\nHost: t\r\n\r\n", 405, "method-not-allowed"),
+    (b"DELETE /reads HTTP/1.1\r\n\r\n", 405, "method-not-allowed"),
+    (b"HEAD /version HTTP/1.1\r\n\r\n", 405, "method-not-allowed"),
+    (b"garbage\r\n\r\n", 400, "bad-request-line"),
+    (b"GET /version HTTP/one\r\n\r\n", 400, "bad-request-line"),
+    (b"GET /version HTTP/2.0\r\n\r\n", 505, "bad-http-version"),
+    (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 431,
+     "headers-too-large"),
+    (b"GET /version HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n",
+     431, "headers-too-large"),
+], ids=["put", "delete", "head", "garbage", "bad-version", "http2",
+        "long-uri", "long-headers"])
+def test_unparseable_requests_get_structured_errors(base_url, request_bytes,
+                                                    status, code):
+    reply = _raw_reply(base_url, request_bytes)
+    head, body = reply.split(b"\r\n\r\n", 1)
+    lines = head.decode().split("\r\n")
+    assert lines[0].startswith(f"HTTP/1.1 {status} ")
+    assert "Connection: close" in lines
+    assert ("Allow: GET, POST" in lines) == (status == 405)
+    body = json.loads(body)
+    assert body["code"] == code and body["error"]
+    assert _get(f"{base_url}/version") == (200, {"version": 0, "n_reads": 0})
+
+
 def test_malformed_posts_leave_version_untouched(base_url):
     _raw_request(base_url, b"POST /reads HTTP/1.1\r\nHost: t\r\n"
                            b"Content-Length: 500\r\n\r\n{\"reads\": [")
@@ -277,7 +318,7 @@ def test_malformed_posts_leave_version_untouched(base_url):
     assert body["version"] == 0
 
 
-# -- the handler pool ---------------------------------------------------------
+# -- the transport ------------------------------------------------------------
 
 def _closed_by_server(sock: socket.socket) -> bool:
     """True if the server closes ``sock`` (EOF or reset) within 5 s."""
@@ -294,10 +335,10 @@ def test_stalled_clients_do_not_hold_the_pool(service, monkeypatch):
     monkeypatch.setattr(server_mod, "READ_TIMEOUT_S", 0.2)
     with _serving(service) as base_url, contextlib.ExitStack() as stack:
         addr = _address(base_url)
-        # More silent connections than the pool has threads, plus a POST
-        # whose body stops short of its Content-Length and stays open.
+        # Ten silent connections, plus a POST whose body stops short of
+        # its Content-Length and stays open.
         stalled = [stack.enter_context(socket.create_connection(addr))
-                   for _ in range(server_mod.POOL_THREADS + 2)]
+                   for _ in range(10)]
         post = stack.enter_context(socket.create_connection(addr))
         post.sendall(b"POST /reads HTTP/1.0\r\nContent-Length: 500\r\n\r\n"
                      b'{"reads": [')
@@ -364,45 +405,61 @@ def test_no_thread_per_request(base_url, monkeypatch):
 
 
 def test_server_close_stops_the_pool_despite_a_silent_client(service):
+    """``server_close()`` returns promptly with a silent client connected,
+    closes that client, and joins every thread the server started."""
     server = make_server(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
     base_url = f"http://{host}:{port}"
-    pool = [t for t in threading.enumerate()
-            if t.name.startswith(f"repro-http-{port}-")]
-    assert len(pool) == server_mod.POOL_THREADS
+
+    def server_threads():
+        return [t for t in threading.enumerate()
+                if t.name.startswith(f"repro-http-{port}")]
+
     with socket.create_connection((host, port)) as silent:
-        assert _get(f"{base_url}/version")[0] == 200
+        # An ingest starts the server's one ingest thread.
+        assert _post(f"{base_url}/reads", {"reads": []})[1]["version"] == 1
+        assert len(server_threads()) == 1
         server.shutdown()
         thread.join(timeout=5)
+        assert not thread.is_alive()
         t0 = time.perf_counter()
         server.server_close()
         assert time.perf_counter() - t0 < 2.0
-        assert not any(t.is_alive() for t in pool)  # joined by the close
+        assert server_threads() == []
         assert _closed_by_server(silent)
 
 
-def test_each_reply_is_one_write(service, monkeypatch):
+@contextlib.contextmanager
+def _counting_sends(port: int):
+    """Record every write the server makes on its client sockets."""
     writes = []
-    real_setup = server_mod._Handler.setup
 
-    def counting_setup(self):
-        real_setup(self)
-        write = self.wfile.write
+    def counting(real):
+        def counted(self, data, *args):
+            if (self.family == socket.AF_INET
+                    and self.getsockname()[1] == port):
+                writes.append(bytes(data))
+            return real(self, data, *args)
+        return counted
 
-        def counted(data):
-            writes.append(bytes(data))
-            return write(data)
-        self.wfile.write = counted
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("send", "sendall"):
+            mp.setattr(socket.socket, name,
+                       counting(getattr(socket.socket, name)))
+        yield writes
 
-    monkeypatch.setattr(server_mod._Handler, "setup", counting_setup)
-    with _serving(service) as base_url:
+
+def test_each_reply_is_one_write(service):
+    with _serving(service) as base_url, \
+            _counting_sends(_address(base_url)[1]) as writes:
         status, body = _get(f"{base_url}/version")
         assert status == 200
         assert len(writes) == 1
         head, payload = writes[0].split(b"\r\n\r\n", 1)
-        assert head.startswith(b"HTTP/1.0 200 OK\r\n")
+        assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert b"\r\nConnection: close" in head  # urllib asked for it
         assert json.loads(payload) == body
 
         status, body = _error(_get, f"{base_url}/nope")
@@ -414,3 +471,116 @@ def test_each_reply_is_one_write(service, monkeypatch):
             s.sendall(b"GET /version\r\n\r\n")
             reply = b"".join(iter(lambda: s.recv(65536), b""))
         assert json.loads(reply) == {"version": 0, "n_reads": 0}
+        assert writes[2:] == [reply]
+
+
+def test_keep_alive_gets_reuse_one_connection(base_url):
+    # One write per reply, so no request waits on a delayed ACK (~40 ms).
+    conn = http.client.HTTPConnection(*_address(base_url), timeout=10)
+    try:
+        sock = None
+        for i in range(200):
+            t0 = time.perf_counter()
+            conn.request("GET", "/version" if i % 2 else "/overlaps/3")
+            reply = conn.getresponse()
+            body = json.loads(reply.read())
+            assert time.perf_counter() - t0 < 0.005
+            assert (reply.status, reply.version, body["version"]) == (
+                200, 11, 0)
+            assert sock in (None, conn.sock)
+            sock = conn.sock
+    finally:
+        conn.close()
+
+
+def _split_replies(data: bytes) -> list[tuple[int, dict]]:
+    """(status, JSON body) of each reply in a stream of HTTP/1.1 replies."""
+    replies = []
+    while data:
+        head, data = data.split(b"\r\n\r\n", 1)
+        lines = head.decode().split("\r\n")
+        length = next(int(line.split(":", 1)[1]) for line in lines
+                      if line.lower().startswith("content-length:"))
+        replies.append((int(lines[0].split()[1]), json.loads(data[:length])))
+        data = data[length:]
+    return replies
+
+
+def test_pipelined_requests_are_answered_in_order(base_url):
+    # The POST between the GETs runs on the ingest thread; the GET behind
+    # it must still be answered after it, from the version it committed.
+    post = b'{"reads": []}'
+    reply = _raw_reply(base_url, (
+        b"GET /version HTTP/1.1\r\nHost: t\r\n\r\n"
+        b"POST /reads HTTP/1.1\r\nHost: t\r\nContent-Length: " +
+        str(len(post)).encode() + b"\r\n\r\n" + post +
+        b"GET /nope HTTP/1.1\r\nHost: t\r\n\r\n"
+        b"GET /version HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"))
+    replies = _split_replies(reply)
+    assert [(status, body.get("version", body.get("code")))
+            for status, body in replies] == [
+        (200, 0), (200, 1), (404, "not-found"), (200, 1)]
+
+
+def test_reply_larger_than_the_send_buffer_arrives_whole(service,
+                                                        monkeypatch):
+    blob = "x" * (8 << 20)
+    monkeypatch.setattr(service, "stats",
+                        lambda: {"version": 0, "blob": blob})
+    with _serving(service) as base_url, \
+            _counting_sends(_address(base_url)[1]) as writes:
+        slow = socket.socket()
+        slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        with slow:
+            slow.connect(_address(base_url))
+            slow.sendall(b"GET /stats HTTP/1.1\r\nHost: t\r\n"
+                         b"Connection: close\r\n\r\n")
+            # While this reader lags, the loop keeps answering others.
+            time.sleep(0.2)
+            assert _get(f"{base_url}/version")[1]["version"] == 0
+            slow.settimeout(10)
+            reply = b"".join(iter(lambda: slow.recv(1 << 20), b""))
+        [(status, body)] = _split_replies(reply)
+        assert (status, body["blob"] == blob) == (200, True)
+        # One write for /version; the big reply's tail went out on
+        # write-readiness, so it took more than one.
+        assert len(writes) > 2
+
+
+def test_concurrent_ingests_commit_in_turn_while_readers_are_served(
+        service, server_reads, monkeypatch):
+    entered, release = threading.Event(), threading.Event()
+    real_refresh = server_mod.refresh
+
+    def held_refresh(*args, **kwargs):
+        entered.set()
+        release.wait(timeout=60)
+        return real_refresh(*args, **kwargs)
+
+    third = len(server_reads) // 3
+    with _serving(service) as base_url:
+        _post(f"{base_url}/reads", _batch_payload(server_reads, 0, third))
+        monkeypatch.setattr(server_mod, "refresh", held_refresh)
+        replies = []
+        writers = [threading.Thread(target=lambda lo=lo: replies.append(
+            _post(f"{base_url}/reads",
+                  _batch_payload(server_reads, lo, lo + third))[1]))
+            for lo in (third, 2 * third)]
+        for writer in writers:
+            writer.start()
+        try:
+            assert entered.wait(timeout=30)
+            time.sleep(0.2)  # let the second POST reach the server
+            for _ in range(10):
+                t0 = time.perf_counter()
+                assert _get(f"{base_url}/version")[1]["version"] == 1
+                assert time.perf_counter() - t0 < 1.0
+        finally:
+            release.set()
+            for writer in writers:
+                writer.join(timeout=60)
+        assert not any(writer.is_alive() for writer in writers)
+        assert sorted(body["version"] for body in replies) == [2, 3]
+        assert sorted(body["ingested"] for body in replies) == [third, third]
+        assert _get(f"{base_url}/version")[1] == {"version": 3,
+                                                 "n_reads": 3 * third}
