@@ -657,8 +657,9 @@ def align_candidates(C: DistMat, reads: ReadSet, k: int, comm: SimComm,
     # mode's per-strip calls reuse it; a store-backed set maps it from
     # disk): the batch kernels address sequences by (offset, stride,
     # length) views into it, so neither the chunks nor the oriented
-    # sequences are ever copied out per pair.  Warmed here once so serial
-    # and thread executors never rebuild it per chunk.
+    # sequences are ever copied out per pair.  Warmed here once so chunks
+    # run in this process (the serial executor, a pool's fallback to the
+    # parent) never rebuild it.
     reads.soa()
 
     spans = weighted_chunks(weights, executor.workers * 2,

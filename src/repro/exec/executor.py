@@ -9,13 +9,10 @@ list:
 
 * :class:`SerialExecutor` — the deterministic reference (and default): a
   plain in-order loop with zero overhead.
-* :class:`ThreadExecutor` — a ``concurrent.futures`` thread pool; wins when
-  the tasks spend their time in numpy/scipy kernels that release the GIL.
-* :class:`ProcessExecutor` — a fork-safe process pool for pure-Python-heavy
-  tasks (the x-drop loop); chunks are pickled to workers, results shipped
-  back.
+* :class:`ProcessExecutor` — a fork-safe process pool; chunks are pickled
+  to workers, results shipped back.
 
-All three share one contract, which is what makes ``--workers`` a pure
+Both share one contract, which is what makes ``--workers`` a pure
 performance axis:
 
 1. tasks are batched into weight-balanced **contiguous** chunks
@@ -31,13 +28,12 @@ owning simulated rank (:class:`~repro.mpisim.tracker.StageTimer`'s
 critical-path max semantics survive parallel execution).
 
 Failures are survived, not propagated wholesale: a worker exception or a
-broken pool loses *chunks*, and the pool executors re-run exactly the lost
-chunks (respawning a broken pool) under a bounded
-:class:`~repro.resilience.retry.RetryPolicy`, degrading
-process → thread → serial when a pool keeps breaking.  Because the
-ordered reduction never moves a chunk's slot and every task is a pure
-function, a run that survived any number of injected or real faults
-returns byte-identical results.
+broken pool loses *chunks*.  The process pool re-runs exactly the lost
+chunks, respawning a broken pool first, up to :data:`MAX_ATTEMPTS`
+times; chunks still lost then run in the parent, where a genuine task
+error finally propagates.  Because the ordered reduction never moves a
+chunk's slot and every task is a pure function, a run that survived any
+number of injected or real faults returns byte-identical results.
 """
 
 from __future__ import annotations
@@ -46,18 +42,17 @@ import logging
 import multiprocessing
 import pickle
 import time
-from concurrent.futures import (BrokenExecutor, Future, ProcessPoolExecutor,
-                                ThreadPoolExecutor)
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from typing import Any, Callable
 
 from ..options import EXECUTOR, WORKERS
 from ..resilience.faults import check_fault, trip
-from ..resilience.retry import DEFAULT_RETRY, RetryPolicy
 from .partition import weighted_chunks
 
 __all__ = [
-    "Executor", "SerialExecutor", "ThreadExecutor", "ProcessExecutor",
+    "Executor", "SerialExecutor", "ProcessExecutor",
     "get_executor", "executor_name", "SERIAL", "CHUNK_FAULT_SITE",
+    "MAX_ATTEMPTS",
 ]
 
 log = logging.getLogger("repro.resilience")
@@ -69,6 +64,9 @@ CHUNK_FAULT_SITE = "exec.chunk"
 
 #: Name resolved by ``get_executor("auto", workers)`` when ``workers > 1``.
 PARALLEL_DEFAULT = "process"
+
+#: Attempts a lost chunk gets on the pool, and again in the parent.
+MAX_ATTEMPTS = 3
 
 #: Chunks submitted per worker — enough slack for uneven chunks to
 #: rebalance across the pool without drowning in submission overhead
@@ -83,10 +81,10 @@ def _run_chunk(fn: TaskFn, context: Any, tasks: list,
                inject: str | None = None) -> list[tuple[Any, float]]:
     """Run one chunk in-order, timing each task (executes in the worker).
 
-    Tasks are timed with per-thread CPU time, not wall-clock: under a
-    thread pool a wall-clock span would include every co-scheduled
-    thread's execution (GIL hand-offs), inflating the compute charged to
-    each simulated rank roughly workers-fold.  CPU time attributes to a
+    Tasks are timed with per-thread CPU time, not wall-clock: a service
+    refresh runs its chunks serially on the ingest thread while the
+    server's loop thread answers queries, and a wall-clock span would
+    charge those queries to the simulated rank.  CPU time attributes to a
     rank only the cycles its own task burned, so
     :class:`~repro.mpisim.tracker.StageTimer` breakdowns stay comparable
     across executors (for the compute-bound kernels here, serial CPU time
@@ -128,52 +126,50 @@ class Executor:
     estimates (nonzero counts, read lengths) driving chunk balance; results
     never depend on them.
 
-    ``retry`` bounds how failed chunks are re-run (see
-    :class:`~repro.resilience.retry.RetryPolicy`); ``recovery`` accumulates
-    one record per retry, pool respawn, or tier downgrade the executor
-    performed — empty on the fault-free path.
+    ``recovery`` accumulates one record per retry, pool respawn, or
+    fallback to the parent the executor performed — empty on the
+    fault-free path.
     """
 
     #: Registry name; set by subclasses.
     name: str = "abstract"
 
-    def __init__(self, workers: int = 1,
-                 retry: RetryPolicy | None = None) -> None:
-        self.workers = max(1, int(workers))
-        self.retry = retry if retry is not None else DEFAULT_RETRY
+    def __init__(self, workers: int = 1) -> None:
+        self.workers = WORKERS.resolve(workers)
         self.recovery: list[dict] = []
 
     def _note(self, event: str, **fields) -> None:
         self.recovery.append({"event": event, "executor": self.name,
                               **fields})
 
-    def _backoff(self, attempt: int, tier: str, error: str) -> None:
-        """Record (and optionally sleep) the scheduled backoff delay."""
-        delay = self.retry.delay(attempt)
-        self._note("retry", tier=tier, attempt=attempt, delay=delay,
-                   error=error)
-        log.info("repro.exec %s: attempt %d failed at tier %s (%s); "
-                 "retrying after %.3fs%s", self.name, attempt, tier, error,
-                 delay, "" if self.retry.sleep else " (recorded, not slept)")
-        if self.retry.sleep and delay > 0:
-            time.sleep(delay)
+    def _retried(self, attempt: int, tier: str, exc: BaseException) -> None:
+        self._note("retry", tier=tier, attempt=attempt, error=repr(exc))
+        log.info("repro.exec %s: attempt %d failed at tier %s (%r); "
+                 "retrying", self.name, attempt, tier, exc)
 
-    def _run_serial(self, fn: TaskFn, tasks: list, context: Any
-                    ) -> tuple[list, list[float]]:
-        """In-process execution with bounded retry of the (single) chunk."""
-        if not tasks:
-            return [], []
+    def _run_in_parent(self, fn: TaskFn, context: Any, tasks: list,
+                       inject: bool = True) -> list[tuple[Any, float]]:
+        """Run one chunk here, retried in place up to :data:`MAX_ATTEMPTS`
+        times; ``inject`` consults the ``exec.chunk`` site per attempt."""
         attempt = 1
         while True:
             try:
-                pairs = _run_chunk(fn, context, tasks,
-                                   check_fault(CHUNK_FAULT_SITE))
-                return [r for r, _ in pairs], [s for _, s in pairs]
+                return _run_chunk(
+                    fn, context, tasks,
+                    check_fault(CHUNK_FAULT_SITE) if inject else None)
             except Exception as exc:
-                if attempt >= self.retry.max_attempts:
+                if attempt >= MAX_ATTEMPTS:
                     raise
-                self._backoff(attempt, "serial", repr(exc))
+                self._retried(attempt, "serial", exc)
                 attempt += 1
+
+    def _run_serial(self, fn: TaskFn, tasks: list, context: Any
+                    ) -> tuple[list, list[float]]:
+        """In-process execution of the whole list as one chunk."""
+        if not tasks:
+            return [], []
+        pairs = self._run_in_parent(fn, context, tasks)
+        return [r for r, _ in pairs], [s for _, s in pairs]
 
     def run_timed(self, fn: TaskFn, tasks: list, *, context: Any = None,
                   weights=None) -> tuple[list, list[float]]:
@@ -208,57 +204,50 @@ class SerialExecutor(Executor):
         return self._run_serial(fn, list(tasks), context)
 
 
-class _PoolExecutor(Executor):
-    """Shared chunk-submit / ordered-gather / recovery logic for pools.
+class ProcessExecutor(Executor):
+    """Process-pool executor for pure-Python-bound task loops.
 
-    Chunks are re-run under :attr:`retry` when a worker raises or the pool
-    breaks; a broken pool is discarded and respawned before the re-run.
-    When a tier exhausts its attempt budget the executor *degrades* along
-    :attr:`_TIERS` (process → thread → serial) with a logged downgrade —
-    the last-resort serial tier runs chunks in the parent, where real task
-    exceptions finally propagate.  Results stay byte-identical because
-    only whole chunks are re-run and each lands back in its own slot of
-    the ordered reduction.
+    Uses the ``fork`` start method where the platform offers it (cheap
+    worker startup, parent globals inherited) and falls back to ``spawn``
+    elsewhere; either way task functions and payloads must be picklable —
+    which is why the pipeline's task functions are module-level and carry
+    their state via ``context``.  The pool is created lazily on first use
+    and reused across calls, so per-stage dispatch costs a round of chunk
+    pickles, not a pool spin-up.
+
+    Chunks a worker raised on or a dying worker lost
+    (``BrokenProcessPool``) are re-run on the pool, a broken pool being
+    discarded and respawned first, up to :data:`MAX_ATTEMPTS` times.
+    Chunks still lost then run in the parent with the ``exec.chunk`` site
+    switched off (recovery must terminate), each retried in place like a
+    serial run, so a fault a task checks itself can fire there once more
+    and be absorbed.  A pool that broke on its last attempt sends later
+    calls straight to the parent instead of breaking again.
     """
 
-    #: Degradation chain; index 0 is the native tier.
-    _TIERS: tuple[str, ...] = ()
+    name = "process"
 
-    def __init__(self, workers: int = 1,
-                 retry: RetryPolicy | None = None) -> None:
-        super().__init__(workers, retry)
-        self._pools: dict[str, Any] = {}
-        #: Sticky degradation floor: once pool breakage forces a tier
-        #: down, later calls start there instead of re-breaking.
-        self._tier_floor = 0
+    def __init__(self, workers: int = 1) -> None:
+        super().__init__(workers)
+        self._pool: ProcessPoolExecutor | None = None
+        self._in_parent = False
 
-    def _make_pool(self, tier: str):
-        if tier == "thread":
-            return ThreadPoolExecutor(max_workers=self.workers,
-                                      thread_name_prefix="repro-exec")
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else None)
-        return ProcessPoolExecutor(max_workers=self.workers, mp_context=ctx)
+    def _get_pool(self) -> ProcessPoolExecutor:
+        if self._pool is None:
+            methods = multiprocessing.get_all_start_methods()
+            ctx = multiprocessing.get_context(
+                "fork" if "fork" in methods else None)
+            self._pool = ProcessPoolExecutor(max_workers=self.workers,
+                                             mp_context=ctx)
+        return self._pool
 
-    def _pool(self, tier: str):
-        pool = self._pools.get(tier)
-        if pool is None:
-            pool = self._pools[tier] = self._make_pool(tier)
-        return pool
-
-    def _discard_pool(self, tier: str) -> None:
-        """Drop (and best-effort shut down) a pool — broken or not."""
-        pool = self._pools.pop(tier, None)
+    def close(self) -> None:
+        pool, self._pool = self._pool, None
         if pool is not None:
             try:
                 pool.shutdown(wait=True, cancel_futures=True)
             except Exception:  # pragma: no cover - defensive
                 pass
-
-    def close(self) -> None:
-        for tier in list(self._pools):
-            self._discard_pool(tier)
 
     def run_timed(self, fn, tasks, *, context=None, weights=None):
         tasks = list(tasks)
@@ -271,89 +260,13 @@ class _PoolExecutor(Executor):
         ranges = weighted_chunks(weights, self.workers * _CHUNKS_PER_WORKER)
         chunk_out: list = [None] * len(ranges)
         pending = list(range(len(ranges)))
-        tier_i = self._tier_floor
-        attempt = 1
-        while pending:
-            tier = self._TIERS[tier_i]
-            if tier == "serial":
-                # Last resort: run the lost chunks in the parent, without
-                # injection (recovery must terminate) and without retry
-                # (a failure here is a real, deterministic task error).
-                for ci in pending:
-                    lo, hi = ranges[ci]
-                    chunk_out[ci] = _run_chunk(fn, context, tasks[lo:hi])
-                pending = []
-                break
-            failed: list[int] = []
-            broken = False
-            last_exc: BaseException | None = None
-            # For the process tier, serialize the shared context once and
-            # ship the same bytes with every chunk (a big context would
-            # otherwise be re-pickled per chunk by submit()).  Anything
-            # unpicklable falls back to plain submission so the pool's own
-            # error path (and the degradation ladder) still applies.
-            ctx_payload: bytes | None = None
-            if tier == "process" and context is not None:
-                try:
-                    ctx_payload = pickle.dumps(
-                        context, protocol=pickle.HIGHEST_PROTOCOL)
-                except Exception:
-                    ctx_payload = None
-            try:
-                pool = self._pool(tier)
-                futures: dict[int, Future] = {}
-                for ci in pending:
-                    lo, hi = ranges[ci]
-                    if ctx_payload is not None:
-                        futures[ci] = pool.submit(
-                            _run_chunk_pickled, fn, ctx_payload,
-                            tasks[lo:hi], check_fault(CHUNK_FAULT_SITE))
-                    else:
-                        futures[ci] = pool.submit(
-                            _run_chunk, fn, context, tasks[lo:hi],
-                            check_fault(CHUNK_FAULT_SITE))
-            except BrokenExecutor as exc:
-                broken, failed, last_exc = True, list(pending), exc
-            else:
-                for ci in pending:
-                    try:
-                        chunk_out[ci] = futures[ci].result()
-                    except BrokenExecutor as exc:
-                        broken = True
-                        failed.append(ci)
-                        last_exc = exc
-                    except Exception as exc:
-                        failed.append(ci)
-                        last_exc = exc
-            if broken:
-                # A dead worker poisons the whole pool: discard it so the
-                # next attempt submits to a freshly spawned one.
-                self._discard_pool(tier)
-                self._note("respawn", tier=tier, chunks=len(failed))
-                log.warning("repro.exec %s: %s pool broke (%r); respawning "
-                            "(%d chunks lost)", self.name, tier, last_exc,
-                            len(failed))
-            if not failed:
-                break
-            pending = failed
-            if attempt >= self.retry.max_attempts:
-                if tier_i + 1 < len(self._TIERS):
-                    tier_i += 1
-                    attempt = 1
-                    if broken:
-                        self._tier_floor = max(self._tier_floor, tier_i)
-                    self._note("downgrade", tier=self._TIERS[tier_i],
-                               from_tier=tier, sticky=broken)
-                    log.warning(
-                        "repro.exec %s: tier %s exhausted %d attempts; "
-                        "degrading to %s%s", self.name, tier,
-                        self.retry.max_attempts, self._TIERS[tier_i],
-                        " (sticky: pool kept breaking)" if broken else "")
-                else:  # pragma: no cover - serial tier never exhausts
-                    raise last_exc
-            else:
-                self._backoff(attempt, tier, repr(last_exc))
-                attempt += 1
+        if not self._in_parent:
+            pending = self._run_on_pool(fn, context, tasks, ranges,
+                                        chunk_out)
+        for ci in pending:
+            lo, hi = ranges[ci]
+            chunk_out[ci] = self._run_in_parent(fn, context, tasks[lo:hi],
+                                                inject=False)
         results: list = []
         seconds: list[float] = []
         # Gather in chunk order = task order: the ordered reduction.
@@ -363,39 +276,72 @@ class _PoolExecutor(Executor):
                 seconds.append(sec)
         return results, seconds
 
-
-class ThreadExecutor(_PoolExecutor):
-    """Thread-pool executor; shines on GIL-releasing numpy/scipy kernels."""
-
-    name = "thread"
-    _TIERS = ("thread", "serial")
-
-
-class ProcessExecutor(_PoolExecutor):
-    """Process-pool executor for pure-Python-bound task loops.
-
-    Uses the ``fork`` start method where the platform offers it (cheap
-    worker startup, parent globals inherited) and falls back to ``spawn``
-    elsewhere; either way task functions and payloads must be picklable —
-    which is why the pipeline's task functions are module-level and carry
-    their state via ``context``.  The pool is created lazily on first use
-    and reused across calls, so per-stage dispatch costs a round of chunk
-    pickles, not a pool spin-up.  A chunk lost to a dying worker
-    (``BrokenProcessPool``) is re-run on a respawned pool; persistent
-    breakage degrades to a thread pool and finally to in-process serial
-    execution.
-    """
-
-    name = "process"
-    _TIERS = ("process", "thread", "serial")
+    def _run_on_pool(self, fn: TaskFn, context: Any, tasks: list,
+                     ranges: list, chunk_out: list) -> list[int]:
+        """Fill ``chunk_out`` on the pool; the chunks still lost after
+        :data:`MAX_ATTEMPTS` attempts."""
+        # Serialize the shared context once and ship the same bytes with
+        # every chunk (submit() would re-pickle it per chunk).  Anything
+        # unpicklable goes through plain submission, so the pool's own
+        # error path still applies.
+        entry, ctx_arg = _run_chunk, context
+        if context is not None:
+            try:
+                entry, ctx_arg = _run_chunk_pickled, pickle.dumps(
+                    context, protocol=pickle.HIGHEST_PROTOCOL)
+            except Exception:
+                pass
+        pending = list(range(len(ranges)))
+        for attempt in range(1, MAX_ATTEMPTS + 1):
+            failed: list[int] = []
+            broken = False
+            last_exc: BaseException | None = None
+            try:
+                pool = self._get_pool()
+                futures: dict[int, Future] = {}
+                for ci in pending:
+                    lo, hi = ranges[ci]
+                    futures[ci] = pool.submit(entry, fn, ctx_arg,
+                                              tasks[lo:hi],
+                                              check_fault(CHUNK_FAULT_SITE))
+            except BrokenExecutor as exc:
+                broken, failed, last_exc = True, list(pending), exc
+            else:
+                for ci in pending:
+                    try:
+                        chunk_out[ci] = futures[ci].result()
+                    except Exception as exc:
+                        broken = broken or isinstance(exc, BrokenExecutor)
+                        failed.append(ci)
+                        last_exc = exc
+            if broken:
+                # A dead worker poisons the whole pool: discard it so the
+                # next attempt submits to a freshly spawned one.
+                self.close()
+                self._note("respawn", tier="process", chunks=len(failed))
+                log.warning("repro.exec %s: pool broke (%r); respawning "
+                            "(%d chunks lost)", self.name, last_exc,
+                            len(failed))
+            if not failed:
+                return []
+            pending = failed
+            if attempt < MAX_ATTEMPTS:
+                self._retried(attempt, "process", last_exc)
+        self._in_parent = broken
+        self._note("downgrade", tier="serial", from_tier="process",
+                   sticky=broken)
+        log.warning("repro.exec %s: pool exhausted %d attempts; running "
+                    "%d chunks in the parent%s", self.name, MAX_ATTEMPTS,
+                    len(pending),
+                    " (sticky: pool kept breaking)" if broken else "")
+        return pending
 
 
 #: Shared zero-state serial instance — the default for library call sites.
 SERIAL = SerialExecutor()
 
 _EXECUTORS: dict[str, type[Executor]] = {
-    "serial": SerialExecutor, "thread": ThreadExecutor,
-    "process": ProcessExecutor}
+    "serial": SerialExecutor, "process": ProcessExecutor}
 
 
 def executor_name(name: str | None, workers: int) -> str:

@@ -139,7 +139,7 @@ EXECUTOR = Axis(
     "executor", "--executor", "REPRO_EXECUTOR", "auto",
     "execution engine: 'auto' runs serial for one worker and a fork-safe "
     "process pool otherwise",
-    choices=("serial", "thread", "process"), service=True)
+    choices=("serial", "process"), service=True)
 
 OVERLAP_MODE = Axis(
     "overlap_mode", "--overlap-mode", "REPRO_OVERLAP_MODE", "monolithic",

@@ -62,10 +62,16 @@ class FaultInjected(RuntimeError):
         self.kind = kind
         self.count = count
 
+    def __reduce__(self):
+        # ``args`` holds the message, not the constructor's arguments: an
+        # ``exc`` fault raised in a process worker must unpickle in the
+        # parent as a failed chunk, not break the pool.
+        return type(self), (self.site, self.kind, self.count)
+
 
 class InjectedWorkerCrash(FaultInjected):
-    """A ``crash`` injection hit in a context that cannot ``os._exit``
-    (the main process, or a thread-pool worker sharing it)."""
+    """A ``crash`` injection hit in the parent process, which must survive
+    to recover and so cannot ``os._exit``."""
 
 
 def _parse_counts(text: str):

@@ -121,12 +121,9 @@ class SessionStore:
     lock and this check is the backstop.
     """
 
-    def __init__(self, state: AssemblyState | None = None,
-                 keep_versions: int = 4) -> None:
+    def __init__(self, state: AssemblyState | None = None) -> None:
         self._lock = threading.Lock()
         self._state = state if state is not None else AssemblyState.initial()
-        self._keep = max(1, keep_versions)
-        self._history: list[AssemblyState] = [self._state]
 
     def current(self) -> AssemblyState:
         with self._lock:
@@ -139,11 +136,4 @@ class SessionStore:
                     f"stale commit: version {state.version} on top of "
                     f"{self._state.version}")
             self._state = state
-            self._history.append(state)
-            del self._history[:-self._keep]
             return state
-
-    def history(self) -> list[AssemblyState]:
-        """The retained trailing versions, oldest first (current last)."""
-        with self._lock:
-            return list(self._history)

@@ -718,7 +718,7 @@ def test_align_candidates_all_pairs_pruned():
 
 
 @pytest.mark.parametrize("executor,workers",
-                         [("thread", 4), ("process", 4)])
+                         [("process", 4)])
 def test_batch_impl_identical_across_executors(executor, workers):
     """Chunked batch tasks reassemble in order on every executor, and the
     sweep's work counters — sums over problems — do not depend on how the

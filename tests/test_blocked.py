@@ -122,7 +122,7 @@ def test_blocked_empty_r_keeps_semiring_field_count(clean_dataset):
     assert R.to_global().vals.shape == (0, R_NFIELDS)
 
 
-@pytest.mark.parametrize("executor,workers", [("thread", 2), ("process", 2)])
+@pytest.mark.parametrize("executor,workers", [("process", 2)])
 def test_blocked_strip_work_on_pool_identical(clean_dataset, executor,
                                               workers):
     """Each strip's SUMMA blocks and alignment chunks on a pool: R, tracker

@@ -12,7 +12,7 @@ import pytest
 from repro import PipelineConfig, extract_contigs, run_pipeline
 
 STRIP_COUNTS = (1, 2, 4, 7)
-EXECUTORS = (("serial", 1), ("thread", 2), ("process", 2))
+EXECUTORS = (("serial", 1), ("process", 2))
 
 
 def _cfg(**kw):

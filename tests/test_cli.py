@@ -118,11 +118,13 @@ def test_stats_prints_kmer_engine(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["stats", "serve"])
 @pytest.mark.parametrize("flag, value", [("--align-impl", "loop"),
                                          ("--kmer-impl", "loop"),
-                                         ("--spgemm-impl", "esc")])
+                                         ("--spgemm-impl", "esc"),
+                                         ("--executor", "thread")])
 def test_reference_engines_are_refused_by_name(command, flag, value,
                                                capsys):
     """The per-pair aligner, the Bloom-filtered counter and the unmasked
-    product are test-suite references, not engines a run can pick."""
+    product are test-suite references, not engines a run can pick; the
+    thread pool is gone."""
     argv = [command] if command == "serve" else [command, "x.fa"]
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv + [flag, value])

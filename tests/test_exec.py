@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exec import (ProcessExecutor, SERIAL, SerialExecutor,
-                        ThreadExecutor, get_executor, weighted_chunks)
+                        get_executor, weighted_chunks)
 from repro.exec.executor import Executor
 
 
@@ -98,7 +98,7 @@ def _fail_on_three(ctx, x):
     return x
 
 
-EXECUTORS = [SerialExecutor(4), ThreadExecutor(4), ProcessExecutor(2)]
+EXECUTORS = [SerialExecutor(4), ProcessExecutor(2)]
 
 
 @pytest.mark.parametrize("ex", EXECUTORS, ids=lambda e: e.name)
@@ -135,14 +135,14 @@ def test_results_identical_across_executors_and_worker_counts():
     tasks = list(np.arange(97))
     weights = list(np.arange(97) % 7 + 1)
     ref = SERIAL.run(_square, tasks, weights=weights)
-    for cls in (SerialExecutor, ThreadExecutor, ProcessExecutor):
+    for cls in (SerialExecutor, ProcessExecutor):
         for w in (1, 3, 8):
             with cls(w) as ex:
                 assert ex.run(_square, tasks, weights=weights) == ref
 
 
 def test_pool_reuse_across_calls():
-    with ThreadExecutor(2) as ex:
+    with ProcessExecutor(2) as ex:
         assert ex.run(_square, [1, 2]) == [1, 4]
         assert ex.run(_square, [3]) == [9]
 
@@ -154,7 +154,6 @@ def test_available_and_get_executor(monkeypatch):
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
     monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
     assert isinstance(get_executor("serial", 1), SerialExecutor)
-    assert isinstance(get_executor("thread", 2), ThreadExecutor)
     ex = get_executor("process", 2)
     assert isinstance(ex, ProcessExecutor) and ex.workers == 2
     # auto: serial for 1 worker, process pool beyond.
@@ -164,10 +163,19 @@ def test_available_and_get_executor(monkeypatch):
     assert get_executor(SERIAL) is SERIAL
     with pytest.raises(ValueError, match="unknown executor"):
         get_executor("gpu")
+    with pytest.raises(ValueError, match="unknown executor 'thread'"):
+        get_executor("thread", 2)
 
 
 def test_get_executor_env_name(monkeypatch):
-    monkeypatch.setenv("REPRO_EXECUTOR", "thread")
+    monkeypatch.setenv("REPRO_EXECUTOR", "process")
     monkeypatch.setenv("REPRO_WORKERS", "3")
     ex = get_executor(None)
-    assert isinstance(ex, ThreadExecutor) and ex.workers == 3
+    assert isinstance(ex, ProcessExecutor) and ex.workers == 3
+
+
+@pytest.mark.parametrize("cls", [SerialExecutor, ProcessExecutor])
+def test_constructors_refuse_workers_below_one(cls):
+    # Validated through the workers axis, not clamped to 1.
+    with pytest.raises(ValueError, match="unknown workers 0"):
+        cls(0)

@@ -18,8 +18,7 @@ from repro.mpisim import CommTracker, SimComm, StageTimer
 from repro.seqs import ErrorModel, GenomeSpec, ReadSimSpec, simulate_reads
 from repro.seqs.kmer_counter import count_kmers
 
-COMBOS = [("serial", 1), ("serial", 4), ("thread", 1), ("thread", 4),
-          ("process", 1), ("process", 4)]
+COMBOS = [("serial", 1), ("serial", 4), ("process", 1), ("process", 4)]
 
 
 def _simulate(length=8_000, depth=10, err=0.05, seed=11):
@@ -69,7 +68,7 @@ def test_pipeline_identical_across_executors_chain(chain_reads, chain_ref,
 
 
 @pytest.mark.parametrize("executor,workers",
-                         [("thread", 4), ("process", 4)])
+                         [("process", 4)])
 def test_pipeline_identical_across_executors_xdrop(executor, workers):
     """x-drop mode exercises the parallel alignment loop end to end."""
     reads = _simulate(length=4_000, depth=8, seed=23)
@@ -86,7 +85,7 @@ def test_pipeline_identical_across_executors_xdrop(executor, workers):
 @settings(max_examples=4, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.integers(0, 1000))
-def test_kmer_counting_identical_thread_vs_serial(seed):
+def test_kmer_counting_identical_process_vs_serial(seed):
     """Hypothesis: counting matches serially for random tiny read sets."""
     _genome, reads, _layout = simulate_reads(
         ReadSimSpec(GenomeSpec(length=3_000, seed=seed), depth=6,
@@ -101,7 +100,7 @@ def test_kmer_counting_identical_thread_vs_serial(seed):
         return table, comm.tracker.summary()
 
     ref_table, ref_comm = count(get_executor("serial", 1))
-    tab, com = count(get_executor("thread", 4))
+    tab, com = count(get_executor("process", 4))
     assert np.array_equal(tab.kmers, ref_table.kmers)
     assert np.array_equal(tab.counts, ref_table.counts)
     assert com == ref_comm

@@ -42,7 +42,7 @@ K = 17
 NPROCS = 4
 KMER_UPPER = 24
 
-EXECUTORS = [("serial", 1), ("thread", 3), ("process", 2)]
+EXECUTORS = [("serial", 1), ("process", 2)]
 OVERLAP_MODES = ["monolithic", "blocked"]
 #: Overlap leg -> (overlap_mode, n_strips, GOLDEN tracker/peaks key).  One
 #: blocked strip is the unsplit product, so it carries monolithic's digests.

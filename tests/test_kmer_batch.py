@@ -157,8 +157,7 @@ def test_lower_below_two_is_refused(impl):
         _count(reads, impl, lower=1)
 
 
-@pytest.mark.parametrize("executor,workers", [("serial", 1), ("thread", 3),
-                                              ("process", 2)])
+@pytest.mark.parametrize("executor,workers", [("serial", 1), ("process", 2)])
 def test_count_parity_across_executors(clean_dataset, executor, workers):
     _genome, reads, _layout = clean_dataset
     sub = reads.subset(np.arange(30))
@@ -336,14 +335,14 @@ def test_a_matrix_parity(clean_dataset):
 
 
 def test_a_matrix_parity_palindromes_and_executors():
-    """Flip bits for self-complement k-mers, under a thread pool too."""
+    """Flip bits for self-complement k-mers, under a process pool too."""
     rng = np.random.default_rng(5)
     base = rng.integers(0, 4, 50)
     reads = _readset([base, base.copy(), np.array([0, 1, 2, 3] * 5)])
     comm = SimComm(1, CommTracker(1))
     table = count_kmers(reads, 4, comm, StageTimer(), upper=100)
     ga, _, _ = _build_a(reads, table, "loop", P=1)
-    with get_executor("thread", 2) as ex:
+    with get_executor("process", 2) as ex:
         gb, _, _ = _build_a(reads, table, "batch", P=1, executor=ex)
     assert np.array_equal(ga.row, gb.row)
     assert np.array_equal(ga.col, gb.col)

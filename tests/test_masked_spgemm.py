@@ -38,7 +38,7 @@ from repro.dsparse.masked import (mask_select, masked_route,
                                   spgemm_masked, spgemm_upper)
 from repro.dsparse.spgemm import packed_order, spgemm_esc, stable_key_order
 from repro.dsparse.summa import summa
-from repro.exec import SERIAL, ProcessExecutor, ThreadExecutor
+from repro.exec import SERIAL, ProcessExecutor
 from repro.mpisim import CommTracker, ProcessGrid2D, SimComm, StageTimer
 from repro.mpisim.grid import block_bounds
 from repro.seqs import ErrorModel, GenomeSpec, ReadSimSpec, simulate_reads
@@ -660,8 +660,8 @@ def _rand_dist(rng, shape, density, grid, nfields=1):
 
 @pytest.mark.parametrize("P", [1, 4, 9])
 @pytest.mark.parametrize("make_executor",
-                         [lambda: SERIAL, lambda: ThreadExecutor(3)],
-                         ids=["serial", "thread3"])
+                         [lambda: SERIAL, lambda: ProcessExecutor(3)],
+                         ids=["serial", "process3"])
 def test_summa_masked_matches_filtered(P, make_executor):
     rng = np.random.default_rng(P)
     grid = ProcessGrid2D(P)
@@ -677,9 +677,8 @@ def test_summa_masked_matches_filtered(P, make_executor):
 
 @pytest.mark.parametrize("P", [1, 4, 9])
 @pytest.mark.parametrize("make_executor",
-                         [lambda: SERIAL, lambda: ThreadExecutor(3),
-                          lambda: ProcessExecutor(2)],
-                         ids=["serial", "thread3", "process2"])
+                         [lambda: SERIAL, lambda: ProcessExecutor(2)],
+                         ids=["serial", "process2"])
 def test_summa_masked_dot_matches_filtered(P, make_executor):
     """The positions product under a mask, on blocks the router sends to
     the dot kernel: same bytes as the global ESC ∩ mask on every grid and

@@ -100,6 +100,17 @@ def test_workers_below_one_are_refused_by_name(monkeypatch):
         assert part in str(exc.value)
 
 
+def test_thread_executor_is_refused_by_name(monkeypatch):
+    """Two executors remain; ``thread`` names neither."""
+    assert options.EXECUTOR.choices == ("serial", "process")
+    monkeypatch.setenv("REPRO_EXECUTOR", "thread")
+    with pytest.raises(ValueError) as exc:
+        PipelineConfig().resolved()
+    for part in ("executor", "'thread'", "REPRO_EXECUTOR",
+                 "serial, process, auto"):
+        assert part in str(exc.value)
+
+
 def test_empty_fault_plan_is_explicit(monkeypatch):
     """``""`` pins fault-free: it must not fall through to the env."""
     monkeypatch.setenv("REPRO_FAULT_SPEC", "exec.chunk:exc@1")

@@ -13,6 +13,7 @@ service rollback-at-every-version tests.
 import hashlib
 import json
 import os
+import pickle
 import socket
 import threading
 import urllib.error
@@ -26,12 +27,10 @@ from hypothesis import strategies as st
 from repro.core.blocked import candidate_overlaps_blocked
 from repro.core.contigs import extract_contigs
 from repro.core.pipeline import PipelineConfig, run_pipeline
-from repro.exec import (ProcessExecutor, SerialExecutor, ThreadExecutor,
-                        get_executor)
-from repro.resilience import (DEFAULT_RETRY, CheckpointMismatch,
-                              FaultInjected, FaultPlan, InjectedWorkerCrash,
-                              RetryPolicy, StripCheckpoint, active_plan,
-                              current_plan)
+from repro.exec import ProcessExecutor, SerialExecutor, get_executor
+from repro.resilience import (CheckpointMismatch, FaultInjected, FaultPlan,
+                              InjectedWorkerCrash, StripCheckpoint,
+                              active_plan, current_plan)
 from repro.resilience.checkpoint import MANIFEST_VERSION
 from repro.seqs import ErrorModel, GenomeSpec, ReadSimSpec, simulate_reads
 from repro.seqs.dna import decode
@@ -145,6 +144,15 @@ def test_fault_plan_rejects_bad_clauses(bad):
         FaultPlan(bad)
 
 
+@pytest.mark.parametrize("cls", [FaultInjected, InjectedWorkerCrash])
+def test_injected_faults_survive_pickling(cls):
+    # A process worker's exception reaches the parent through pickle.
+    err = pickle.loads(pickle.dumps(cls("summa.block", "exc", 1)))
+    assert type(err) is cls
+    assert (err.site, err.kind, err.count) == ("summa.block", "exc", 1)
+    assert str(err) == str(cls("summa.block", "exc", 1))
+
+
 def test_active_plan_nesting():
     outer = FaultPlan("exec.chunk:exc@1")
     with active_plan(outer):
@@ -156,20 +164,6 @@ def test_active_plan_nesting():
             assert current_plan() is inner
         assert current_plan() is outer
     assert current_plan() is not outer
-
-
-# ---------------------------------------------------------------------------
-# retry policy
-
-def test_retry_policy_schedule():
-    policy = RetryPolicy(max_attempts=4, backoff_base=0.1,
-                         backoff_factor=2.0, backoff_max=0.3)
-    assert policy.schedule() == [0.1, 0.2, 0.3]
-    assert policy.delay(10) == 0.3
-    with pytest.raises(ValueError):
-        RetryPolicy(max_attempts=0)
-    with pytest.raises(ValueError):
-        policy.delay(0)
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +185,8 @@ WANT = [x * 2 for x in TASKS]
 
 @pytest.mark.parametrize("make", [
     lambda: SerialExecutor(1),
-    lambda: ThreadExecutor(3),
     lambda: ProcessExecutor(2),
-], ids=["serial", "thread", "process"])
+], ids=["serial", "process"])
 @pytest.mark.parametrize("kind", ["exc", "crash"])
 def test_executor_survives_single_fault(make, kind):
     # @1 fires on the very first chunk check of every executor (the serial
@@ -212,39 +205,29 @@ def test_process_pool_respawns_after_crash():
         assert ex.run(_double, TASKS) == WANT
 
 
-def test_thread_executor_degrades_to_serial_under_persistent_faults():
-    with ThreadExecutor(3) as ex, \
-            active_plan(FaultPlan("exec.chunk:exc@*")):
+def test_process_worker_exception_is_a_failed_chunk_not_a_broken_pool():
+    # An injected exception pickles back to the parent intact, so the
+    # chunk is retried on the same pool instead of respawning it.
+    with ProcessExecutor(2) as ex, \
+            active_plan(FaultPlan("exec.chunk:exc@1")):
         assert ex.run(_double, TASKS) == WANT
     events = [e["event"] for e in ex.recovery]
-    assert "downgrade" in events
-    downgrades = [e for e in ex.recovery if e["event"] == "downgrade"]
-    assert downgrades[-1]["tier"] == "serial"
+    assert "retry" in events and "respawn" not in events
 
 
-def test_process_executor_degrades_through_thread_to_serial():
+def test_process_executor_degrades_to_serial():
     with ProcessExecutor(2) as ex, \
             active_plan(FaultPlan("exec.chunk:exc@*")):
         assert ex.run(_double, TASKS) == WANT
     tiers = [e["tier"] for e in ex.recovery if e["event"] == "downgrade"]
-    assert tiers == ["thread", "serial"]
-
-
-def test_backoff_is_recorded_not_slept():
-    assert DEFAULT_RETRY.sleep is False
-    with ThreadExecutor(2) as ex, \
-            active_plan(FaultPlan("exec.chunk:exc@1,2")):
-        ex.run(_double, TASKS)
+    assert tiers == ["serial"]
     retries = [e for e in ex.recovery if e["event"] == "retry"]
-    assert retries, "expected recorded retry events"
-    for e in retries:
-        assert e["delay"] == DEFAULT_RETRY.delay(e["attempt"])
+    assert [e["attempt"] for e in retries] == [1, 2]
 
 
 def test_real_task_exception_still_propagates_everywhere():
     # Bounded retry must not swallow genuine, deterministic task bugs.
-    for make in (lambda: SerialExecutor(1), lambda: ThreadExecutor(3),
-                 lambda: ProcessExecutor(2)):
+    for make in (lambda: SerialExecutor(1), lambda: ProcessExecutor(2)):
         with make() as ex:
             with pytest.raises(ValueError, match="exploded"):
                 ex.run(_fail_on_three, [1, 2, 3, 4])
@@ -267,19 +250,9 @@ def test_close_is_idempotent_and_reusable_via_context():
     assert ex.run(_double, TASKS) == WANT
     ex.close()
     ex.close()  # second close is a no-op, not an error
-    with ThreadExecutor(2) as ex2:
+    with ProcessExecutor(2) as ex2:
         assert ex2.run(_double, TASKS) == WANT
     ex2.close()
-
-
-def test_custom_retry_policy_is_honored():
-    policy = RetryPolicy(max_attempts=1)
-    ex = ThreadExecutor(3, retry=policy)
-    with active_plan(FaultPlan("exec.chunk:exc@1")):
-        # One attempt per tier: thread fails once, serial finishes.
-        assert ex.run(_double, TASKS) == WANT
-    assert [e["event"] for e in ex.recovery] == ["downgrade"]
-    ex.close()
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +264,7 @@ CHAOS_SPECS = [
     "summa.block:exc@1",
     "exec.chunk:exc@1;summa.block:exc@2",
 ]
-CHAOS_EXECUTORS = [("serial", 1), ("thread", 3), ("process", 2)]
+CHAOS_EXECUTORS = [("serial", 1), ("process", 2)]
 
 
 @pytest.mark.parametrize("executor,workers", CHAOS_EXECUTORS,
@@ -318,7 +291,7 @@ def test_chaos_hypothesis_schedules(chaos_reads, baseline, clauses):
     spec = ";".join(f"{site}:{kind}@{count}"
                     for site, kind, count in clauses)
     result = run_pipeline(chaos_reads,
-                          _config("thread", 3, "blocked", fault_plan=spec))
+                          _config("process", 3, "blocked", fault_plan=spec))
     assert _digests(result) == baseline["blocked"], (
         f"faulted run drifted under generated spec {spec!r}")
 
@@ -326,7 +299,7 @@ def test_chaos_hypothesis_schedules(chaos_reads, baseline, clauses):
 def test_fault_spec_env_is_honored(chaos_reads, baseline, monkeypatch):
     monkeypatch.setenv("REPRO_FAULT_SPEC", "exec.chunk:exc@2")
     result = run_pipeline(chaos_reads,
-                          _config("thread", 2, fault_plan=None))
+                          _config("process", 2, fault_plan=None))
     assert _digests(result) == baseline["monolithic"]
 
 
@@ -434,10 +407,10 @@ def test_checkpoint_resume_under_executor(chaos_reads, baseline, tmp_path):
     ckdir = str(tmp_path / "ck")
     with pytest.raises(FaultInjected):
         run_pipeline(chaos_reads,
-                     _config("thread", 2, "blocked", checkpoint_dir=ckdir,
+                     _config("process", 2, "blocked", checkpoint_dir=ckdir,
                              fault_plan="strip.checkpoint:exc@1"))
     resumed = run_pipeline(chaos_reads,
-                           _config("process", 2, "blocked",
+                           _config("serial", 1, "blocked",
                                    checkpoint_dir=ckdir))
     assert _digests(resumed) == baseline["blocked"]
 
@@ -582,11 +555,11 @@ def test_chaos_checkpoint_and_executor_faults(chaos_reads, baseline,
     ckdir = str(tmp_path / "ck")
     with pytest.raises(FaultInjected):
         run_pipeline(chaos_reads,
-                     _config("thread", 2, "blocked", checkpoint_dir=ckdir,
+                     _config("process", 2, "blocked", checkpoint_dir=ckdir,
                              fault_plan="exec.chunk:exc@1;"
                                         "strip.checkpoint:exc@2"))
     resumed = run_pipeline(chaos_reads,
-                           _config("thread", 2, "blocked",
+                           _config("process", 2, "blocked",
                                    checkpoint_dir=ckdir,
                                    fault_plan="exec.chunk:exc@2"))
     assert _digests(resumed) == baseline["blocked"]

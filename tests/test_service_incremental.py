@@ -33,7 +33,7 @@ NPROCS = 4
 KMER_UPPER = 12
 FUZZ = 60
 
-EXECUTORS = [("serial", 1), ("thread", 3), ("process", 2)]
+EXECUTORS = [("serial", 1), ("process", 2)]
 
 #: Uneven batch boundaries (as fractions of the read count): a bulk load,
 #: a mid-sized follow-up, and a small trailing batch.

@@ -77,16 +77,6 @@ def test_store_commit_discipline():
         store.commit(replace(AssemblyState.initial(), version=5))
 
 
-def test_store_history_retention():
-    from dataclasses import replace
-    store = SessionStore(keep_versions=3)
-    for v in range(1, 6):
-        store.commit(replace(AssemblyState.initial(), version=v))
-    kept = [s.version for s in store.history()]
-    assert kept == [3, 4, 5]
-    assert store.current().version == 5
-
-
 def test_query_cache_lru_and_stats():
     cache = QueryCache(max_entries=2)
     k1 = cache.key("overlaps", {"read": 1}, version=1)
