@@ -566,9 +566,12 @@ def _align_chunk_task(ctx, task):
     ready-to-concatenate R COO arrays (two directed rows per pair, in chunk
     order: ``(gi, gj)`` then ``(gj, gi)``) followed by the
     x-drop sweep's work counters (empty in chain mode).  The context
-    carries the ReadSet itself (not its SoA arrays): a store-backed set
-    ships as just the store path, and each worker's ``soa()`` call maps
-    the shared on-disk buffer instead of receiving the bases.
+    carries the ReadSet itself: its ``soa()`` is the one code buffer the
+    batch kernels address by (offset, stride, length) views, so neither
+    chunks nor oriented sequences are copied out per pair.  An in-memory
+    set ships its buffer once per chunk; a store-backed set ships as just
+    the store path, and each worker maps the shared on-disk buffer instead
+    of receiving the bases.
     """
     reads, k, mode, scoring, filt, fuzz = ctx
     codes, offsets, lengths = reads.soa()
@@ -653,15 +656,6 @@ def align_candidates(C: DistMat, reads: ReadSet, k: int, comm: SimComm,
             pass
         timer.record_peak_bytes(stage, coo_nbytes(0, R_NFIELDS))
         return DistMat.empty((n, n), C.grid, R_NFIELDS)
-    # All reads in one shared SoA buffer (cached on the ReadSet, so blocked
-    # mode's per-strip calls reuse it; a store-backed set maps it from
-    # disk): the batch kernels address sequences by (offset, stride,
-    # length) views into it, so neither the chunks nor the oriented
-    # sequences are ever copied out per pair.  Warmed here once so chunks
-    # run in this process (the serial executor, a pool's fallback to the
-    # parent) never rebuild it.
-    reads.soa()
-
     spans = weighted_chunks(weights, executor.workers * 2,
                             max_items=_MAX_BATCH_PAIRS)
     tasks = [(gi[lo:hi], gj[lo:hi], cvals[lo:hi]) for lo, hi in spans]

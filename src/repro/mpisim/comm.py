@@ -28,18 +28,18 @@ __all__ = ["SimComm", "nbytes_of"]
 
 
 def nbytes_of(obj) -> int:
-    """Best-effort payload size in bytes for accounting purposes.
+    """Payload size in bytes for accounting purposes.
 
     numpy arrays report their true buffer size; scipy sparse matrices the sum
     of their component arrays; ``bytes``/``str`` their encoded length;
-    lists/tuples recurse; anything else is charged a nominal 8 bytes per
-    object (the pipeline only ships arrays in practice).
+    lists/tuples/dicts recurse.  Anything else raises :class:`TypeError`
+    naming its type rather than being charged a made-up size.
     """
     if obj is None:
         return 0
     # True payload for raw byte/character buffers — checked before the
-    # duck-typed array probes so they never fall through to the 8-byte
-    # catch-all (an MPI rank would ship every one of these characters).
+    # duck-typed array probes (an MPI rank would ship every one of these
+    # characters).
     if isinstance(obj, (bytes, bytearray)):
         return len(obj)
     if isinstance(obj, memoryview):
@@ -72,7 +72,7 @@ def nbytes_of(obj) -> int:
         return sum(nbytes_of(x) for x in obj)
     if isinstance(obj, dict):
         return sum(nbytes_of(v) for v in obj.values())
-    return 8
+    raise TypeError(f"cannot size a {type(obj).__name__} payload")
 
 
 class SimComm:
@@ -152,9 +152,10 @@ class SimComm:
         acc = values[0]
         for v in values[1:]:
             acc = op(acc, v)
-        nb = item_bytes if item_bytes is not None else nbytes_of(values[0])
-        for p in range(self.nprocs):
-            if self.nprocs > 1:
+        # A single rank ships nothing, so its payload is never sized.
+        if self.nprocs > 1:
+            nb = item_bytes if item_bytes is not None else nbytes_of(values[0])
+            for p in range(self.nprocs):
                 self._charge(stage, p, nb, 1)
         return acc
 

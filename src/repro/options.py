@@ -161,10 +161,10 @@ SEED_MODE = Axis(
 
 READ_STORE = Axis(
     "read_store", "--read-store", "REPRO_READ_STORE", "inmem",
-    "read-base backend: 'inmem' keeps per-read arrays resident, 'mmap' "
-    "persists the code buffer (one byte per base) to disk once and serves "
-    "all SoA views as read-only memmaps (workers reopen by path; RSS stops "
-    "scaling with input size)",
+    "read-base backend: 'inmem' keeps the code buffer (one byte per base) "
+    "resident, 'mmap' persists it to disk once and serves all SoA views as "
+    "read-only memmaps (workers reopen by path; RSS stops scaling with "
+    "input size)",
     choices=("inmem", "mmap"))
 
 STORE_DIR = Axis(

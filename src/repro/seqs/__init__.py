@@ -1,9 +1,9 @@
 """Genomics substrate: DNA primitives, k-mers, FASTA I/O, read simulation,
 minimizers, and the distributed k-mer counter."""
 
-from .dna import (ALPHABET, GenomeSpec, canonical, decode, encode,
-                  random_genome, revcomp, revcomp_codes)
-from .kmers import MAX_K, canonical_kmers, revcomp_kmers, splitmix64
+from .dna import (ALPHABET, GenomeSpec, decode, encode, random_genome,
+                  revcomp_codes)
+from .kmers import MAX_K, splitmix64
 from .fasta import ReadSet, read_fasta, read_fasta_to_store, write_fasta
 from .read_store import (MmapReadStore, MmapStoreWriter, StoreMismatch,
                          content_digest)
@@ -14,9 +14,9 @@ from .seeding import (FullKScheme, MinimizerScheme, SeedScheme,
 from .kmer_counter import KmerTable, count_kmers, reliable_upper_bound
 
 __all__ = [
-    "ALPHABET", "GenomeSpec", "canonical", "decode", "encode",
-    "random_genome", "revcomp", "revcomp_codes",
-    "MAX_K", "canonical_kmers", "revcomp_kmers", "splitmix64",
+    "ALPHABET", "GenomeSpec", "decode", "encode",
+    "random_genome", "revcomp_codes",
+    "MAX_K", "splitmix64",
     "ReadSet", "read_fasta", "read_fasta_to_store", "write_fasta",
     "MmapReadStore", "MmapStoreWriter", "StoreMismatch", "content_digest",
     "ErrorModel", "ReadSimSpec", "TrueLayout", "simulate_reads",

@@ -22,8 +22,6 @@ __all__ = [
     "encode",
     "decode",
     "revcomp_codes",
-    "revcomp",
-    "canonical",
     "random_genome",
     "GenomeSpec",
 ]
@@ -84,18 +82,6 @@ def revcomp_codes(codes: np.ndarray) -> np.ndarray:
     ``3 - c``, so the whole operation is a single vectorized expression.
     """
     return (np.uint8(3) - codes)[::-1]
-
-
-def revcomp(seq: str) -> str:
-    """Reverse complement of an ACGT string."""
-    return decode(revcomp_codes(encode(seq)))
-
-
-def canonical(seq: str) -> str:
-    """Canonical form: the lexicographically smaller of ``seq`` and its
-    reverse complement (the paper, Section II)."""
-    rc = revcomp(seq)
-    return seq if seq <= rc else rc
 
 
 class GenomeSpec:

@@ -1,11 +1,14 @@
 """FASTA input/output.
 
-A :class:`ReadSet` is backed either by in-memory per-read code arrays or by
-an on-disk :class:`~repro.seqs.read_store.MmapReadStore` (the out-of-core
-path): both serve the identical ``soa()``/``soa_block()`` contract, so
-every downstream stage is backend-oblivious.  :func:`read_fasta_to_store`
-streams a FASTA file straight into a store — at no point are all bases
-resident — which is how the pipeline ingests inputs larger than memory.
+A :class:`ReadSet` is one structure-of-arrays read buffer: ``codes`` holds
+every read's 2-bit codes concatenated, and read ``i`` is
+``codes[offsets[i]:offsets[i] + lengths[i]]``.  An in-memory set keeps the
+three arrays resident; a store-backed set maps them read-only from an
+on-disk :class:`~repro.seqs.read_store.MmapReadStore` (the out-of-core
+path).  Either way ``soa()``/``soa_block()`` serve the same arrays, so every
+downstream stage is backend-oblivious.  :func:`read_fasta_to_store` streams
+a FASTA file straight into a store — at no point are all bases resident —
+which is how the pipeline ingests inputs larger than memory.
 
 The parser is strict: empty records, duplicate headers, nameless headers,
 and sequence data before the first header all raise :class:`ValueError`
@@ -32,52 +35,34 @@ __all__ = [
 ]
 
 
-class _StoreSeqs:
-    """List-like facade over a store's per-read code slices.
-
-    Lets store-backed ReadSets keep the ``reads.seqs[i]`` / iteration
-    contract without materializing the concatenated buffer: each access
-    slices the codes memmap, so only the touched pages are faulted in.
-    """
-
-    def __init__(self, store: MmapReadStore) -> None:
-        self._store = store
-
-    def __len__(self) -> int:
-        return self._store.n_reads
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        codes, offsets, lengths = self._store.arrays()
-        off = int(offsets[i])
-        return codes[off:off + int(lengths[i])]
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
-
 class ReadSet:
-    """A set of reads (names + 2-bit code arrays), in memory or on disk.
+    """A set of reads (names + one 2-bit code buffer), in memory or on disk.
 
     This is the unit of data handed to the pipeline.  Reads keep insertion
     order; their index is the row index of the ``A``/``C``/``R``/``S``
-    matrices throughout the pipeline.
+    matrices throughout the pipeline.  ``reads[i]`` is a view into
+    ``codes``, never a copy.
 
-    The default backend holds per-read arrays in memory; a store-backed
-    set (:meth:`from_store`) serves the same interface from memmaps and
-    pickles as just the store path + fingerprint, so process-executor
-    workers reopen the files instead of receiving the bases over the pipe.
+    ``ReadSet(names, seqs)`` concatenates per-read arrays into a resident
+    buffer once; :meth:`from_store` maps a store's arrays instead (bases
+    stay on disk), and such a set pickles as its names and the store's path
+    + fingerprint, so process-executor workers reopen the files instead of
+    receiving the bases over the pipe.  Sets are never mutated in place.
     """
 
     def __init__(self, names: list[str], seqs: list[np.ndarray]) -> None:
         if len(names) != len(seqs):
             raise ValueError("names and seqs must have equal length")
+        lengths = np.array([s.shape[0] for s in seqs], dtype=np.int64)
+        codes = np.concatenate(seqs) if seqs else np.empty(0, np.uint8)
+        self._bind(names, codes, np.cumsum(lengths) - lengths, lengths, None)
+
+    def _bind(self, names, codes, offsets, lengths, store) -> "ReadSet":
         self.names = names
-        self.seqs = seqs
-        self._store: MmapReadStore | None = None
-        # Lazily-built structure-of-arrays view (reads are immutable once
-        # constructed): one concatenated code buffer + per-read offsets.
-        self._soa: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self.codes, self.offsets, self.lengths = codes, offsets, lengths
+        #: The backing store, or ``None`` for an in-memory set.
+        self.store: MmapReadStore | None = store
+        return self
 
     @classmethod
     def from_store(cls, store: MmapReadStore, names: list[str]) -> "ReadSet":
@@ -85,46 +70,39 @@ class ReadSet:
         if len(names) != store.n_reads:
             raise ValueError(f"store holds {store.n_reads} reads but "
                              f"{len(names)} names were given")
-        rs = cls.__new__(cls)
-        rs.names = names
-        rs.seqs = _StoreSeqs(store)
-        rs._store = store
-        rs._soa = None
-        return rs
+        return cls.__new__(cls)._bind(names, *store.arrays(), store)
 
-    @property
-    def store(self) -> MmapReadStore | None:
-        """The backing store, or ``None`` for an in-memory set."""
-        return self._store
+    def __reduce__(self):
+        if self.store is not None:
+            return ReadSet.from_store, (self.store, self.names)
+        return _from_arrays, (self.names, self.codes, self.offsets,
+                           self.lengths)
 
     def __len__(self) -> int:
-        return len(self.seqs)
+        return len(self.names)
 
     def __getitem__(self, i: int) -> np.ndarray:
-        return self.seqs[i]
+        off = int(self.offsets[i])
+        return self.codes[off:off + int(self.lengths[i])]
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    @property
+    def seqs(self) -> "ReadSet":
+        """The per-read code views: ``reads.seqs[i]`` is ``reads[i]``."""
+        return self
 
     def soa(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(codes, offsets, lengths)`` structure-of-arrays view, cached.
+        """``(codes, offsets, lengths)``: the set's own arrays, read-only.
 
         ``codes`` is every read concatenated (read ``i`` occupies
         ``codes[offsets[i]:offsets[i] + lengths[i]]``) — the shared buffer
         the batched alignment engine addresses by (offset, stride, length)
-        views.  In-memory sets build it once per ReadSet; store-backed sets
-        return the store's memmaps, so the "concatenated buffer" is pages
-        on disk, not resident bytes.  Treat all three arrays as read-only.
+        views.  For a store-backed set they are the store's memmaps, so the
+        buffer is pages on disk, not resident bytes.
         """
-        if self._store is not None:
-            return self._store.arrays()
-        if self._soa is None:
-            lengths = np.array([s.shape[0] for s in self.seqs],
-                               dtype=np.int64)
-            offsets = np.zeros(lengths.shape[0], dtype=np.int64)
-            if lengths.shape[0] > 1:
-                np.cumsum(lengths[:-1], out=offsets[1:])
-            codes = np.concatenate(self.seqs) if self.seqs else \
-                np.empty(0, np.uint8)
-            self._soa = (codes, offsets, lengths)
-        return self._soa
+        return self.codes, self.offsets, self.lengths
 
     def soa_block(self, lo: int, hi: int
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -135,7 +113,7 @@ class ReadSet:
         work the batched k-mer engine hands an executor task, so a process
         pool ships each worker just its own reads instead of the whole
         concatenated buffer.  All three arrays are views/derived from the
-        cached :meth:`soa` buffers; treat them as read-only.
+        :meth:`soa` buffers; treat them as read-only.
         """
         codes, offsets, lengths = self.soa()
         if lo >= hi:
@@ -145,56 +123,16 @@ class ReadSet:
         end = offsets[hi - 1] + lengths[hi - 1]
         return codes[base:end], offsets[lo:hi] - base, lengths[lo:hi]
 
-    def extend(self, names: list[str], seqs: list[np.ndarray]) -> None:
-        """Append reads in place, invalidating the cached SoA view.
-
-        The ``(codes, offsets, lengths)`` view is built lazily and cached;
-        mutating the read lists behind it would keep serving the stale
-        buffers (wrong lengths, missing bases), so any append must drop the
-        cache and let the next :meth:`soa` call rebuild it over the full
-        set.  Existing read indices are stable — new reads take the next
-        indices — which is what the incremental assembly service relies on.
-
-        Store-backed sets are immutable (the on-disk buffer is sealed by
-        its fingerprint); use :meth:`concat` to grow them.
-        """
-        if self._store is not None:
-            raise ValueError("cannot extend a store-backed ReadSet "
-                             "(the on-disk buffer is sealed); use concat()")
-        if len(names) != len(seqs):
-            raise ValueError("names and seqs must have equal length")
-        self.names.extend(names)
-        self.seqs.extend(seqs)
-        self._soa = None
-
     def concat(self, other: "ReadSet") -> "ReadSet":
-        """New ReadSet of this set's reads followed by ``other``'s.
+        """New in-memory ReadSet of this set's reads followed by ``other``'s.
 
-        The per-read code arrays are shared, not copied — the copy-on-write
-        append the service's versioned states use (every version keeps its
-        own name/seq *lists*, so older snapshots never see later reads).
-        The result is always in-memory-backed (store slices are views onto
-        the mapped pages, still not copies of the whole buffer).
+        The result owns a fresh code buffer, so the service's versioned
+        states never see reads appended after them.
         """
-        return ReadSet(list(self.names) + list(other.names),
-                       list(self.seqs) + list(other.seqs))
-
-    def __getstate__(self):
-        # Drop the SoA cache from pickles (executor workers rebuild it
-        # lazily) so shipping a ReadSet never pays for the bases twice.
-        # Store-backed sets additionally drop the seqs facade: the store
-        # itself pickles as (directory, fingerprint) and the facade is
-        # rebuilt over the reopened store on the other side.
-        state = self.__dict__.copy()
-        state["_soa"] = None
-        if self._store is not None:
-            state["seqs"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        if self._store is not None and self.seqs is None:
-            self.seqs = _StoreSeqs(self._store)
+        lengths = np.concatenate([self.lengths, other.lengths])
+        return _from_arrays([*self.names, *other.names],
+                            np.concatenate([self.codes, other.codes]),
+                            np.cumsum(lengths) - lengths, lengths)
 
     def content_fingerprint(self) -> str:
         """SHA-256 of the code + length bytes (backend-invariant).
@@ -205,30 +143,31 @@ class ReadSet:
         checkpoints that cover the read bases get the same fingerprint
         whether the reads live in RAM or on disk.
         """
-        if self._store is not None:
-            return self._store.fingerprint
-        codes, _offsets, lengths = self.soa()
-        return content_digest(codes, lengths)
+        if self.store is not None:
+            return self.store.fingerprint
+        return content_digest(self.codes, self.lengths)
 
     def to_store(self, directory: str) -> "ReadSet":
         """Persist this set into ``directory``; return a store-backed twin."""
-        store = MmapReadStore.create(directory, self.seqs)
+        store = MmapReadStore.create(directory, self)
         return ReadSet.from_store(store, list(self.names))
-
-    @property
-    def lengths(self) -> np.ndarray:
-        """``int64`` array of read lengths (cached; treat as read-only)."""
-        return self.soa()[2]
 
     def total_bases(self) -> int:
         return int(self.lengths.sum())
 
     def subset(self, idx: np.ndarray) -> "ReadSet":
-        """New ReadSet containing reads at positions ``idx`` (in order)."""
-        return ReadSet([self.names[i] for i in idx], [self.seqs[i] for i in idx])
+        """New ReadSet of the reads at positions ``idx`` (in order), in its
+        own buffer."""
+        return ReadSet([self.names[i] for i in idx], [self[i] for i in idx])
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ReadSet(n={len(self)}, bases={self.total_bases()})"
+
+
+def _from_arrays(names, codes, offsets, lengths) -> ReadSet:
+    """An in-memory ReadSet over arrays it takes ownership of."""
+    return ReadSet.__new__(ReadSet)._bind(names, codes, offsets, lengths,
+                                          None)
 
 
 def write_fasta(path: str | Path | io.TextIOBase, reads: ReadSet,

@@ -1,17 +1,16 @@
-"""Vectorized k-mer extraction, canonicalization, and hashing.
+"""Vectorized k-mer extraction and hashing.
 
 K-mers with ``k <= 31`` are packed into ``uint64`` values, two bits per base,
 most-significant base first.  All operations are numpy-vectorized; a read of
 length *l* yields its ``l - k + 1`` k-mers with no Python-level loop over
 positions.
 
-:func:`read_kmers_batch` extracts a whole block of reads at once.  It packs
-both strands of the block's code buffer by binary doubling, each doubling
-level in the narrowest unsigned dtype that holds it, and takes canonical
-form and flip as one ``minimum`` and one ``<`` over the two strands'
-windows — no per-window bit reversal.  :func:`revcomp_kmers` (a
-bit-reversal cascade on packed words) canonicalizes packed k-mers one array
-at a time.
+:func:`read_kmers_batch` extracts a whole block of reads at once from one
+contiguous stretch of a :meth:`~repro.seqs.fasta.ReadSet.soa` code buffer.
+It packs both strands of the block by binary doubling, each doubling level
+in the narrowest unsigned dtype that holds it, and takes canonical form and
+flip as one ``minimum`` and one ``<`` over the two strands' windows — no
+per-window bit reversal.
 
 The functions here are the workhorses of both the k-mer counter
 (:mod:`repro.seqs.kmer_counter`) and the construction of the ``A`` matrix
@@ -24,8 +23,6 @@ import numpy as np
 
 __all__ = [
     "MAX_K",
-    "revcomp_kmers",
-    "canonical_kmers",
     "read_kmers_batch",
     "splitmix64",
 ]
@@ -36,36 +33,6 @@ MAX_K = 31
 def _check_k(k: int) -> None:
     if not 1 <= k <= MAX_K:
         raise ValueError(f"k must be in [1, {MAX_K}], got {k}")
-
-
-def revcomp_kmers(kmers: np.ndarray, k: int) -> np.ndarray:
-    """Reverse-complement packed k-mers, vectorized with bit tricks.
-
-    Complementing a 2-bit code ``c`` is ``3 - c``, which over the packed word
-    is bitwise NOT restricted to the low ``2k`` bits.  Reversal of the k
-    two-bit groups is done with the classic swap cascade (pairs, nibbles,
-    bytes, ...) followed by a right shift to drop the unused high bits.
-    """
-    _check_k(k)
-    x = (~kmers).astype(np.uint64)
-    # Swap adjacent 2-bit groups' order progressively: 2-bit groups inside
-    # 4-bit, then 4 inside 8, 8 inside 16, 16 inside 32, 32 inside 64.
-    m = np.uint64
-    x = ((x & m(0x3333333333333333)) << m(2)) | ((x >> m(2)) & m(0x3333333333333333))
-    x = ((x & m(0x0F0F0F0F0F0F0F0F)) << m(4)) | ((x >> m(4)) & m(0x0F0F0F0F0F0F0F0F))
-    x = ((x & m(0x00FF00FF00FF00FF)) << m(8)) | ((x >> m(8)) & m(0x00FF00FF00FF00FF))
-    x = ((x & m(0x0000FFFF0000FFFF)) << m(16)) | ((x >> m(16)) & m(0x0000FFFF0000FFFF))
-    x = (x << m(32)) | (x >> m(32))
-    return x >> m(64 - 2 * k)
-
-
-def canonical_kmers(kmers: np.ndarray, k: int) -> np.ndarray:
-    """Canonical (lexicographically smaller of self / revcomp) packed k-mers.
-
-    With the MSB-first 2-bit packing, integer order on packed words equals
-    lexicographic order on the strings, so ``min`` suffices.
-    """
-    return np.minimum(kmers, revcomp_kmers(kmers, k))
 
 
 def _word(bases: int) -> type:
@@ -121,44 +88,40 @@ def _pack_all_windows(buf: np.ndarray, k: int) -> np.ndarray:
 
 
 def read_kmers_batch(codes: np.ndarray, offsets: np.ndarray,
-                     lengths: np.ndarray, k: int, canonical: bool = True
+                     lengths: np.ndarray, k: int
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                 np.ndarray]:
-    """K-mers of *many* reads in one vectorized pass over a SoA view.
+    """Canonical k-mers of *many* reads in one vectorized pass over a SoA
+    view.
 
     The reads live in one shared ``codes`` buffer (read ``i`` occupies
     ``codes[offsets[i]:offsets[i] + lengths[i]]`` — the layout of
-    :meth:`repro.seqs.fasta.ReadSet.soa`).  Every read's windows are packed,
-    canonicalized, and position/flip-annotated as column operations over the
-    whole batch: no Python-level dispatch per read.  Values are exactly those
-    of packing each read's windows on their own (two bits per base, most
-    significant first; canonicalized by :func:`canonical_kmers`) and
-    concatenating, in the same read-major order.
-
-    Parameters
-    ----------
-    codes:
-        ``uint8`` 2-bit code buffer shared by all addressed reads.
-    offsets, lengths:
-        Per-read start offsets into ``codes`` and read lengths (any subset
-        or ordering of a ReadSet's rows; reads shorter than ``k`` simply
-        contribute no windows).
-    k:
-        K-mer length.
-    canonical:
-        Canonicalize (and report which windows were flipped).
+    :meth:`repro.seqs.fasta.ReadSet.soa`) and must tile one contiguous
+    stretch of it, as a :meth:`~repro.seqs.fasta.ReadSet.soa` or
+    :meth:`~repro.seqs.fasta.ReadSet.soa_block` slice does; other offsets
+    are refused with :class:`ValueError`.  Every read's windows are packed,
+    canonicalized, and position/flip-annotated as column operations over
+    the whole batch: no Python-level dispatch per read.  Values are exactly
+    those of packing each read's windows on their own (two bits per base,
+    most significant first), taking the smaller of each window and its
+    reverse complement, and concatenating, in the same read-major order.
+    Reads shorter than ``k`` simply contribute no windows.
 
     Returns
     -------
     (kmers, read_idx, pos, flip):
-        Packed ``uint64`` k-mers; the index **into** ``offsets``/``lengths``
-        of each k-mer's read; the window start position within the read; and
-        a boolean marking windows whose canonical form is the reverse
-        complement (all ``False`` when ``canonical=False``).
+        Packed ``uint64`` canonical k-mers; the index **into**
+        ``offsets``/``lengths`` of each k-mer's read; the window start
+        position within the read; and a boolean marking windows whose
+        canonical form is the reverse complement.
     """
     _check_k(k)
     offsets = np.asarray(offsets, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
+    if not np.array_equal(offsets[1:], offsets[:-1] + lengths[:-1]):
+        raise ValueError("read_kmers_batch needs reads that tile one "
+                         "contiguous stretch of codes (a soa() or "
+                         "soa_block() slice); these offsets do not")
     n_win = np.maximum(lengths - (k - 1), 0)
     total = int(n_win.sum())
     if total == 0:
@@ -168,37 +131,20 @@ def read_kmers_batch(codes: np.ndarray, offsets: np.ndarray,
     first_slot = np.zeros(lengths.shape[0], dtype=np.int64)
     np.cumsum(n_win[:-1], out=first_slot[1:])
     pos = np.arange(total, dtype=np.int64) - first_slot[read_idx]
-    gstart = offsets[read_idx] + pos
-    # When the reads tile a contiguous stretch of ``codes`` (the SoA
-    # layout), pack every window of the raw buffer by binary doubling and
-    # gather the valid window starts.  The reverse strand is the same sweep
-    # over the reversed complement buffer: its window q is the reverse
-    # complement of forward window n - k - q, so reversing the pack lines
-    # both strands up, and canonical form and flip are one minimum and one
-    # comparison over the gathered windows.
+    # Pack every window of the block's stretch of ``codes`` by binary
+    # doubling and gather the valid window starts.  The reverse strand is
+    # the same sweep over the reversed complement buffer: its window q is
+    # the reverse complement of forward window n - k - q, so reversing the
+    # pack lines both strands up, and canonical form and flip are one
+    # minimum and one comparison over the gathered windows.
     lo, hi = int(offsets[0]), int(offsets[-1] + lengths[-1])
-    contiguous = bool(np.all(offsets[1:] == offsets[:-1] + lengths[:-1]))
-    if contiguous and hi - lo >= k:
-        buf = np.asarray(codes[lo:hi], dtype=np.uint8)
-        gstart -= lo
-        fwd = _pack_all_windows(buf, k)[gstart]
-        if not canonical:
-            return (fwd.astype(np.uint64, copy=False), read_idx, pos,
-                    np.zeros(total, dtype=bool))
-        rev = _pack_all_windows(3 - buf[::-1], k)[::-1][gstart]
-        flip = rev < fwd
-        np.minimum(fwd, rev, out=fwd)
-        return fwd.astype(np.uint64, copy=False), read_idx, pos, flip
-    # Otherwise gather each window's bases and pack with a Horner sweep over
-    # the k base columns (identical to a window/weight product).
-    windows = codes[gstart[:, None] + np.arange(k, dtype=np.int64)[None, :]]
-    km = np.zeros(total, dtype=np.uint64)
-    for j in range(k):
-        km = (km << np.uint64(2)) | windows[:, j]
-    if not canonical:
-        return km, read_idx, pos, np.zeros(total, dtype=bool)
-    canon = canonical_kmers(km, k)
-    return canon, read_idx, pos, canon != km
+    buf = np.asarray(codes[lo:hi], dtype=np.uint8)
+    gstart = offsets[read_idx] + pos - lo
+    fwd = _pack_all_windows(buf, k)[gstart]
+    rev = _pack_all_windows(3 - buf[::-1], k)[::-1][gstart]
+    flip = rev < fwd
+    np.minimum(fwd, rev, out=fwd)
+    return fwd.astype(np.uint64, copy=False), read_idx, pos, flip
 
 
 def splitmix64(x: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ reopen the files by path instead of receiving the bases over the pipe,
 which is also what makes the store cheap to fan out.
 
 The ``read_store`` axis (:data:`repro.options.READ_STORE`) selects between
-this store and resident per-read arrays.
+this store and the same three arrays held resident.
 """
 
 from __future__ import annotations

@@ -31,12 +31,13 @@ Layers
 from .config import ServiceConfig
 from .incremental import refresh
 from .query_cache import QueryCache
-from .server import (AssemblyService, BadBatch, RefreshFailed, make_server)
+from .server import (AssemblyService, BadBatch, RefreshFailed, UnknownRead,
+                     make_server)
 from .state import AssemblyState, SessionStore
 
 __all__ = [
     "ServiceConfig",
     "AssemblyState", "SessionStore", "refresh",
     "QueryCache", "AssemblyService", "make_server",
-    "BadBatch", "RefreshFailed",
+    "BadBatch", "RefreshFailed", "UnknownRead",
 ]

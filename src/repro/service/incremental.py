@@ -87,7 +87,8 @@ import scipy.sparse as sp
 from ..core.contigs import extract_contigs
 from ..core.overlap import (align_candidates, charge_a_routing,
                             exchange_reads)
-from ..core.pipeline import PipelineConfig, run_pipeline
+from ..core.pipeline import (PipelineConfig, _require_nonempty_reads,
+                             run_pipeline)
 from ..core.semirings import A_NFIELDS, PositionsSemiring, R_NFIELDS
 from ..core.string_graph import StringGraph
 from ..core.transitive_reduction import transitive_reduction
@@ -117,7 +118,7 @@ def service_pipeline(config: ServiceConfig) -> PipelineConfig:
     """The resolved pipeline config every refresh under ``config`` runs.
 
     Pin the in-memory read backend too: the service's versioned states
-    extend/concat their ReadSets across refreshes, and a per-refresh store
+    concat their ReadSets across refreshes, and a per-refresh store
     rebuild would put an ingest-sized disk write on every delta.  The
     blocked-only options go with the blocked path.
     """
@@ -543,12 +544,15 @@ def refresh(state: AssemblyState, batch: ReadSet,
     tagged in ``state.scheme_id``, so an incremental refresh under a
     different ``seed_mode``/``seed_w`` raises ``ValueError`` instead of
     splicing incompatible state.  A ``recompute`` refresh rebuilds from
-    scratch under the new scheme and re-tags the state.
+    scratch under the new scheme and re-tags the state.  A zero-length read
+    in the batch raises ``ValueError`` naming it, in either mode, before
+    any engine runs.
     """
     config = config if config is not None else ServiceConfig()
     mode = REFRESH_MODE.resolve(mode if mode is not None
                                 else config.refresh_mode)
     pcfg = service_pipeline(config)
+    _require_nonempty_reads(batch)
     # Injection point for the chaos suite: fires before any new state is
     # built, so a failed refresh leaves nothing half-made to roll back.
     maybe_fault("service.refresh")

@@ -12,7 +12,8 @@ method    path               effect
 ``GET``   ``/version``       current dataset version + read count
 ``GET``   ``/overlaps/<i>``  read ``i``'s R row, containment entries
                              included (negative ``suffix`` markers;
-                             cached)
+                             cached); ``404`` for a read the version
+                             does not hold
 ``GET``   ``/contigs``       contig layout, largest first, each with its
                              ``contained`` reads (cached)
 ``GET``   ``/stats``         counts, per-stage comm, cache counters
@@ -63,6 +64,7 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from http import HTTPStatus
 
+from ..core.pipeline import _require_nonempty_reads
 from ..core.semirings import R_END_I, R_END_J, R_OLEN, R_SUFFIX
 from ..options import FAULT_PLAN
 from ..resilience.faults import FaultPlan, active_plan
@@ -73,8 +75,8 @@ from .incremental import refresh, service_pipeline
 from .query_cache import QueryCache
 from .state import AssemblyState, SessionStore
 
-__all__ = ["AssemblyService", "BadBatch", "RefreshFailed", "make_server",
-           "MAX_BODY_BYTES", "READ_TIMEOUT_S"]
+__all__ = ["AssemblyService", "BadBatch", "RefreshFailed", "UnknownRead",
+           "make_server", "MAX_BODY_BYTES", "READ_TIMEOUT_S"]
 
 #: Largest ``POST /reads`` body the server will read (413 beyond this) —
 #: far above any sane batch, present so a bogus Content-Length cannot make
@@ -86,8 +88,14 @@ READ_TIMEOUT_S = 30.0
 
 
 class BadBatch(ValueError):
-    """The ingest payload itself is invalid (e.g. non-DNA characters) —
-    a client error (HTTP 400), distinct from a state conflict (409)."""
+    """The ingest payload itself is invalid (non-DNA characters, an empty
+    sequence) — a client error (HTTP 400), distinct from a state conflict
+    (409)."""
+
+
+class UnknownRead(LookupError):
+    """An overlap query names a read the answering version does not hold
+    (HTTP 404) — told apart from a read with no overlaps."""
 
 
 class RefreshFailed(RuntimeError):
@@ -137,6 +145,7 @@ class AssemblyService:
         """
         try:
             batch = ReadSet(list(names), [encode(s) for s in seqs])
+            _require_nonempty_reads(batch)
         except ValueError as exc:
             raise BadBatch(str(exc)) from exc
         with self._ingest_lock:
@@ -174,20 +183,22 @@ class AssemblyService:
 
     def overlaps(self, read: int) -> dict:
         def compute(state: AssemblyState) -> dict:
-            out = []
-            R = state.R
+            # Refused here, against the state that would answer; a negative
+            # id would otherwise index R from the end.
+            n = len(state.reads)
+            if not 0 <= read < n:
+                raise UnknownRead(f"read {read} does not exist: version "
+                                  f"{state.version} holds {n} reads")
             # R is canonical, so row ``read`` is one slice of its cached row
-            # pointer — guarded, as a negative id would index from the end.
-            if R is not None and 0 <= read < R.shape[0]:
-                indptr = R.csr_indptr()
-                sel = slice(int(indptr[read]), int(indptr[read + 1]))
-                for col, vals in zip(R.col[sel].tolist(),
-                                     R.vals[sel].tolist()):
-                    out.append({"read": col,
-                                "suffix": vals[R_SUFFIX],
-                                "end_i": vals[R_END_I],
-                                "end_j": vals[R_END_J],
-                                "overlap_len": vals[R_OLEN]})
+            # pointer.
+            R = state.R
+            indptr = R.csr_indptr()
+            sel = slice(int(indptr[read]), int(indptr[read + 1]))
+            out = [{"read": col, "suffix": vals[R_SUFFIX],
+                    "end_i": vals[R_END_I], "end_j": vals[R_END_J],
+                    "overlap_len": vals[R_OLEN]}
+                   for col, vals in zip(R.col[sel].tolist(),
+                                        R.vals[sel].tolist())]
             return {"version": state.version, "read": read,
                     "overlaps": out}
         return self._cached("overlaps", {"read": int(read)}, compute)
@@ -575,6 +586,8 @@ class _Server:
                                   "read id must be an integer")
                 return _json(200, self.service.overlaps(read))
             return _error(404, "not-found", f"unknown endpoint {path}")
+        except UnknownRead as exc:
+            return _error(404, "unknown-read", str(exc))
         except Exception as exc:
             return _internal(exc)
 

@@ -4,9 +4,11 @@ Every ingested batch produces a brand-new :class:`AssemblyState` with
 ``version + 1`` — copy-on-write, never mutation, so a request handler that
 grabbed version ``v`` keeps a fully consistent view (reads, tables, R, S,
 contigs all from the same refresh) while the next batch commits ``v + 1``
-behind it.  The arrays inside a state are shared with its successor
-wherever the refresh left them untouched (old read codes, unchanged
-histogram prefixes), which is what keeps snapshots cheap.
+behind it.  Each version owns its read buffer (a refresh concatenates
+the batch onto a fresh copy), so no later read is ever visible to an
+older version; other arrays are shared with the successor wherever the
+refresh left them untouched (unchanged histogram prefixes), which is what
+keeps snapshots cheap.
 
 :class:`SessionStore` is the one mutable cell: it holds the current state
 behind a lock and hands out whatever version was current at call time.

@@ -1,6 +1,7 @@
-"""Per-read k-mer references: one read's packed windows, its k-mers, its
-(w, k)-minimizers, its seeds under a seed scheme, and packing to and from
-ACGT strings.  The batched extractors
+"""Per-read k-mer references: reverse complement and canonical form of a
+DNA string and of packed k-mers, one read's packed windows, its k-mers,
+its (w, k)-minimizers, its seeds under a seed scheme, and packing to and
+from ACGT strings.  The batched extractors
 (:func:`repro.seqs.kmers.read_kmers_batch` and its doubling pack,
 :func:`repro.seqs.minimizers.minimizers_batch`,
 :meth:`repro.seqs.seeding.SeedScheme.seeds_of_block`) must equal these
@@ -10,8 +11,51 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.seqs.kmers import _check_k, canonical_kmers, splitmix64
+from repro.seqs.dna import decode, encode, revcomp_codes
+from repro.seqs.kmers import _check_k, splitmix64
 from repro.seqs.seeding import FullKScheme
+
+
+def revcomp(seq: str) -> str:
+    """Reverse complement of an ACGT string."""
+    return decode(revcomp_codes(encode(seq)))
+
+
+def canonical(seq: str) -> str:
+    """Canonical form: the lexicographically smaller of ``seq`` and its
+    reverse complement (the paper, Section II)."""
+    rc = revcomp(seq)
+    return seq if seq <= rc else rc
+
+
+def revcomp_kmers(kmers: np.ndarray, k: int) -> np.ndarray:
+    """Reverse-complement packed k-mers, vectorized with bit tricks.
+
+    Complementing a 2-bit code ``c`` is ``3 - c``, which over the packed word
+    is bitwise NOT restricted to the low ``2k`` bits.  Reversal of the k
+    two-bit groups is done with the classic swap cascade (pairs, nibbles,
+    bytes, ...) followed by a right shift to drop the unused high bits.
+    """
+    _check_k(k)
+    x = (~kmers).astype(np.uint64)
+    # Swap adjacent 2-bit groups' order progressively: 2-bit groups inside
+    # 4-bit, then 4 inside 8, 8 inside 16, 16 inside 32, 32 inside 64.
+    m = np.uint64
+    x = ((x & m(0x3333333333333333)) << m(2)) | ((x >> m(2)) & m(0x3333333333333333))
+    x = ((x & m(0x0F0F0F0F0F0F0F0F)) << m(4)) | ((x >> m(4)) & m(0x0F0F0F0F0F0F0F0F))
+    x = ((x & m(0x00FF00FF00FF00FF)) << m(8)) | ((x >> m(8)) & m(0x00FF00FF00FF00FF))
+    x = ((x & m(0x0000FFFF0000FFFF)) << m(16)) | ((x >> m(16)) & m(0x0000FFFF0000FFFF))
+    x = (x << m(32)) | (x >> m(32))
+    return x >> m(64 - 2 * k)
+
+
+def canonical_kmers(kmers: np.ndarray, k: int) -> np.ndarray:
+    """Canonical (lexicographically smaller of self / revcomp) packed k-mers.
+
+    With the MSB-first 2-bit packing, integer order on packed words equals
+    lexicographic order on the strings, so ``min`` suffices.
+    """
+    return np.minimum(kmers, revcomp_kmers(kmers, k))
 
 
 def pack_kmers(codes: np.ndarray, k: int) -> np.ndarray:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.seqs.dna import (GenomeSpec, canonical, decode, encode,
-                            random_genome, revcomp, revcomp_codes)
+from repro.seqs.dna import (GenomeSpec, decode, encode, random_genome,
+                            revcomp_codes)
+
+from oracles.kmers import canonical, revcomp
 
 dna_strings = st.text(alphabet="ACGT", min_size=0, max_size=200)
 
@@ -71,8 +73,7 @@ def test_random_genome_deterministic():
 
 
 def test_random_genome_repeats_increase_duplicate_kmers():
-    from oracles.kmers import pack_kmers
-    from repro.seqs.kmers import canonical_kmers
+    from oracles.kmers import canonical_kmers, pack_kmers
     plain = random_genome(GenomeSpec(length=20_000, seed=2))
     repeated = random_genome(GenomeSpec(length=20_000, n_repeats=10,
                                         repeat_len=2_000, seed=2))

@@ -1,6 +1,7 @@
 """Unit tests for FASTA I/O and the parallel-I/O record partitioning."""
 
 import io
+import pickle
 
 import numpy as np
 import pytest
@@ -52,37 +53,6 @@ def test_readset_helpers():
 def test_readset_validation():
     with pytest.raises(ValueError):
         ReadSet(["a"], [])
-
-
-def test_readset_extend_invalidates_soa_cache():
-    """Regression: extend() must drop the cached SoA view.
-
-    The (codes, offsets, lengths) tuple is built lazily and cached; before
-    the invalidation, appending reads kept serving the stale buffers and
-    the batched engines silently ignored every read added after the first
-    soa() call.
-    """
-    rs = _toy_reads()
-    codes0, offsets0, lengths0 = rs.soa()     # prime the cache
-    n0, total0 = len(rs), codes0.shape[0]
-
-    extra = np.array([0, 1, 2, 3, 3, 2], dtype=np.uint8)
-    rs.extend(["late"], [extra])
-
-    codes1, offsets1, lengths1 = rs.soa()
-    assert len(rs) == n0 + 1
-    assert lengths1.shape[0] == n0 + 1
-    assert codes1.shape[0] == total0 + extra.shape[0]
-    assert lengths1[-1] == extra.shape[0]
-    assert np.array_equal(codes1[offsets1[-1]:], extra)
-    # Pre-existing reads keep their indices and bytes.
-    assert np.array_equal(codes1[:total0], codes0)
-    assert np.array_equal(lengths1[:n0], lengths0)
-    assert np.array_equal(offsets1[:n0], offsets0)
-    # Length mismatch is rejected before any mutation.
-    with pytest.raises(ValueError):
-        rs.extend(["a", "b"], [extra])
-    assert len(rs) == n0 + 1
 
 
 # -- malformed-input rejection ---------------------------------------------
@@ -205,16 +175,34 @@ def test_read_fasta_ignores_blank_lines_and_descriptions(records, data):
 
 
 def test_readset_concat_is_copy_on_write():
-    """concat() builds fresh lists; extending either set never leaks into
-    the other (the versioned-snapshot property the service relies on)."""
+    """concat() builds a new buffer: the older set keeps its length and
+    its bytes, and shares no memory with the result (the versioned-snapshot
+    property the service relies on)."""
     a = _toy_reads()
-    n_a = len(a)
+    before = [arr.copy() for arr in a.soa()]
     b = ReadSet(["x"], [np.array([1, 2, 3], dtype=np.uint8)])
     both = a.concat(b)
     assert len(both) == len(a) + len(b)
     assert both.names == a.names + b.names
+    assert [decode(s) for s in both] == [decode(s) for s in a] + ["CGT"]
 
-    both.extend(["y"], [np.array([0], dtype=np.uint8)])
-    assert len(a) == n_a and len(b) == 1
-    a.extend(["z"], [np.array([2], dtype=np.uint8)])
-    assert len(both) == n_a + 2  # unaffected by a's growth
+    assert len(a) == 3 and len(b) == 1
+    for got, want in zip(a.soa(), before):
+        assert np.array_equal(got, want)
+    assert not np.shares_memory(both.soa()[0], a.soa()[0])
+
+
+def test_readset_is_one_buffer_across_pickle():
+    """An in-memory set is its codes/offsets/lengths arrays: ``soa()``
+    returns the same objects on every call, ``reads[i]`` is a view into
+    the code buffer, and a pickle round trip keeps both."""
+    reads = _toy_reads()
+    assert all(x is y for x, y in zip(reads.soa(), reads.soa()))
+    back = pickle.loads(pickle.dumps(reads))
+    assert back.names == reads.names and back.store is None
+    for got, want in zip(back.soa(), reads.soa()):
+        assert np.array_equal(got, want)
+    for rs in (reads, back):
+        for i in range(len(rs)):
+            assert np.shares_memory(rs[i], rs.soa()[0])
+            assert np.array_equal(rs[i], reads.seqs[i])

@@ -76,47 +76,49 @@ def test_pack_all_windows_matches_pack_kmers(k):
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(st.lists(st.integers(0, 3), min_size=0, max_size=60),
                 min_size=0, max_size=12),
-       st.booleans(), st.booleans())
-def test_read_kmers_batch_matches_per_read(read_lists, canonical, read_only):
-    """Every k, canonical or not, over a writable or a read-only code
-    buffer (the mmap read store hands the kernel a read-only one)."""
+       st.booleans())
+def test_read_kmers_batch_matches_per_read(read_lists, read_only):
+    """Every k, over a writable or a read-only code buffer (the mmap read
+    store hands the kernel a read-only one): canonical k-mers, and a flip
+    wherever the canonical k-mer is not the forward window."""
     reads = _readset(read_lists)
     codes, offsets, lengths = reads.soa()
     if read_only:
         codes = codes.copy()
         codes.flags.writeable = False
     for k in range(1, MAX_K + 1):
-        km, ridx, pos, flip = read_kmers_batch(codes, offsets, lengths, k,
-                                               canonical=canonical)
-        exp_km, exp_ridx, exp_pos = [], [], []
+        km, ridx, pos, flip = read_kmers_batch(codes, offsets, lengths, k)
+        exp_km, exp_fwd, exp_ridx, exp_pos = [], [], [], []
         for i in range(len(reads)):
-            one_km, one_pos = read_kmers(reads[i], k, canonical=canonical)
+            one_km, one_pos = read_kmers(reads[i], k)
             exp_km.append(one_km)
+            exp_fwd.append(read_kmers(reads[i], k, canonical=False)[0])
             exp_pos.append(one_pos)
             exp_ridx.append(np.full(one_km.shape[0], i, dtype=np.int64))
-        exp_km = np.concatenate(exp_km) if exp_km else np.empty(0, np.uint64)
+        empty = np.empty(0, np.uint64)
+        exp_km = np.concatenate(exp_km) if exp_km else empty
+        exp_fwd = np.concatenate(exp_fwd) if exp_fwd else empty
         assert km.dtype == np.uint64
         assert np.array_equal(km, exp_km)
+        assert np.array_equal(flip, exp_km != exp_fwd)
         assert np.array_equal(ridx, np.concatenate(exp_ridx)
                               if exp_ridx else np.empty(0, np.int64))
         assert np.array_equal(pos, np.concatenate(exp_pos)
                               if exp_pos else np.empty(0, np.int64))
-        if canonical:
-            fwd = read_kmers_batch(codes, offsets, lengths, k,
-                                   canonical=False)[0]
-            assert np.array_equal(flip, km != fwd)
-        else:
-            assert not flip.any()
 
 
 def test_read_kmers_batch_noncontiguous_subset():
-    """Arbitrary read subsets (gather path) must match the fast path."""
+    """Reads that do not tile one contiguous stretch of ``codes`` (an
+    arbitrary subset of a SoA view's rows) are refused by name."""
     rng = np.random.default_rng(7)
     reads = _readset([rng.integers(0, 4, n) for n in (30, 3, 25, 40, 12)])
     codes, offsets, lengths = reads.soa()
     sel = np.array([4, 0, 2])
-    km, ridx, pos, _ = read_kmers_batch(codes, offsets[sel], lengths[sel], 5)
-    exp = [read_kmers(reads[int(i)], 5)[0] for i in sel]
+    with pytest.raises(ValueError, match="contiguous"):
+        read_kmers_batch(codes, offsets[sel], lengths[sel], 5)
+    # A contiguous slice of the rows is fine.
+    km, ridx, _pos, _ = read_kmers_batch(codes, offsets[1:4], lengths[1:4], 5)
+    exp = [read_kmers(reads[i], 5)[0] for i in (1, 2, 3)]
     assert np.array_equal(km, np.concatenate(exp))
     assert np.array_equal(
         ridx, np.repeat(np.arange(3), [e.shape[0] for e in exp]))

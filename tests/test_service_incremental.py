@@ -21,7 +21,8 @@ from repro.core.contigs import extract_contigs
 from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.dsparse.coomat import CooMat
 from repro.dsparse.distmat import DistMat
-from repro.seqs import ErrorModel, GenomeSpec, ReadSimSpec, simulate_reads
+from repro.seqs import (ErrorModel, GenomeSpec, ReadSet, ReadSimSpec,
+                        simulate_reads)
 from repro.seqs.seeding import FullKScheme
 from repro.service import AssemblyState, ServiceConfig, refresh
 from repro.service import incremental
@@ -289,6 +290,20 @@ def test_refresh_stays_delta_sized(service_reads, monkeypatch):
     assert At_aff.shape == A_aff.shape[::-1]
     assert all(b.transposed and b.T.transposed is False
                for brow in At_aff.blocks for b in brow)
+
+
+def test_zero_length_read_refused_by_both_modes(service_reads):
+    """A batch holding a zero-length read is refused by name before either
+    engine runs, so incremental and recompute agree on it."""
+    config = ServiceConfig(refresh_mode="incremental",
+                           pipeline=_pipeline_config())
+    state = refresh(AssemblyState.initial(),
+                    service_reads.subset(np.arange(40)), config)
+    batch = ReadSet(["r40", "e"], [service_reads[40],
+                                   np.empty(0, np.uint8)])
+    for mode in ("incremental", "recompute"):
+        with pytest.raises(ValueError, match="'e'.*length 0"):
+            refresh(state, batch, config, mode=mode)
 
 
 def test_empty_batch_bumps_version_only(service_reads):

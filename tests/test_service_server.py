@@ -168,6 +168,7 @@ def _error(request, *args):
 def test_error_paths(base_url, service, monkeypatch):
     cases = [((_get, f"{base_url}/nope"), 404, "not-found"),
              ((_get, f"{base_url}/overlaps/banana"), 400, "bad-read-id"),
+             ((_get, f"{base_url}/overlaps/0"), 404, "unknown-read"),
              ((_post, f"{base_url}/reads", {"reads": [{"name": "x"}]}),
               400, "bad-batch"),  # no seq
              ((_post, f"{base_url}/nope", {}), 404, "not-found")]
@@ -189,12 +190,31 @@ def test_error_paths(base_url, service, monkeypatch):
                                                          "boom")
 
 
-def test_overlaps_unknown_read_is_empty(base_url, server_reads):
+def test_overlaps_unknown_read_is_404(base_url, server_reads):
+    """A read the version does not hold is a 404 naming the id and the
+    version's read count, not an empty overlap list."""
     _post(f"{base_url}/reads", _batch_payload(server_reads, 0, 20))
-    for read in (999999, -1):
-        status, body = _get(f"{base_url}/overlaps/{read}")
-        assert status == 200
-        assert body["overlaps"] == []
+    for read in (20, 999999, -1):
+        status, body = _error(_get, f"{base_url}/overlaps/{read}")
+        assert (status, body["code"]) == (404, "unknown-read")
+        assert f"read {read} " in body["error"]
+        assert "version 1 holds 20 reads" in body["error"]
+    assert _get(f"{base_url}/overlaps/19")[0] == 200
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_zero_length_read_is_bad_batch(base_url, server_reads, first):
+    """An empty sequence is refused as 400 ``bad-batch`` naming the read,
+    as the first batch or into a live session, and commits nothing."""
+    if not first:
+        _post(f"{base_url}/reads", _batch_payload(server_reads, 0, 20))
+    version = _get(f"{base_url}/version")[1]
+    batch = _batch_payload(server_reads, 20, 22)
+    batch["reads"].append({"name": "e", "seq": ""})
+    status, body = _error(_post, f"{base_url}/reads", batch)
+    assert (status, body["code"]) == (400, "bad-batch")
+    assert "'e'" in body["error"]
+    assert _get(f"{base_url}/version")[1] == version
 
 
 def _address(base_url: str) -> tuple[str, int]:
@@ -481,7 +501,7 @@ def test_keep_alive_gets_reuse_one_connection(base_url):
         sock = None
         for i in range(200):
             t0 = time.perf_counter()
-            conn.request("GET", "/version" if i % 2 else "/overlaps/3")
+            conn.request("GET", "/version" if i % 2 else "/contigs")
             reply = conn.getresponse()
             body = json.loads(reply.read())
             assert time.perf_counter() - t0 < 0.005

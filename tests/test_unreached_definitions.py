@@ -83,4 +83,10 @@ def test_allowlist_is_short_and_live():
     (a stale entry would hide the next definition of that name)."""
     assert len(ALLOWED) <= 5
     assert all(reason for reason in ALLOWED.values())
-    assert sorted(ALLOWED) == sorted(d for d in _unreached() if d in ALLOWED)
+    defined = {dotted for dotted, _node, _path in _definitions()}
+    gone = sorted(set(ALLOWED) - defined)
+    assert not gone, "ALLOWED entries naming no definition: " + \
+        ", ".join(gone)
+    reached = sorted(set(ALLOWED) - set(_unreached()))
+    assert not reached, "ALLOWED entries whose definition is now reached: " \
+        + ", ".join(reached)

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.align.xdrop import Scoring
-from repro.seqs.dna import encode, revcomp
+from repro.seqs.dna import encode
 
 from oracles.align_loop import chain_extend, seed_extend_align, xdrop_extend
+from oracles.kmers import revcomp
 from oracles.xdrop_dp import xdrop_extend_dp
 
 SC = Scoring()
