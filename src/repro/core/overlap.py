@@ -297,33 +297,44 @@ def _charge_routing(moved: np.ndarray, comm: SimComm, stage: str) -> None:
                             int(n_dests[p]))
 
 
-def charge_a_routing(row: np.ndarray, col: np.ndarray, n_reads: int,
-                     n_kmers: int, grid: ProcessGrid2D, comm: SimComm
-                     ) -> np.ndarray:
+def charge_a_routing(indptr: np.ndarray, col: np.ndarray, n_kmers: int,
+                     grid: ProcessGrid2D, comm: SimComm) -> np.ndarray:
     """Charge the ``CreateSpMat`` routing of global A entries to the grid.
 
-    Every entry moves from its 1D source rank (the balanced block owner of
-    its read) to the 2D grid owner of its ``(row, col)`` block, charged by
-    :func:`_charge_routing` exactly as :func:`build_a_matrix` charges its
-    scan's slices.  The incremental service uses this to replay the
-    stage's traffic from the merged entry arrays without re-running the
-    scan.
+    A is given in CSR: row ``r``'s entries are ``col[indptr[r]:indptr[r +
+    1]]``, ascending.  Every entry moves from its 1D source rank (the
+    balanced block owner of its read) to the 2D grid owner of its
+    ``(row, col)`` block, charged by :func:`_charge_routing` exactly as
+    :func:`build_a_matrix` charges its scan's slices.  The incremental
+    service uses this to replay the stage's traffic from the merged entry
+    arrays without re-running the scan.
+
+    No entry's owner is located: the packed row-major keys ``row · m +
+    col`` are sorted, so ``n · (q + 1)`` binary searches for each row's
+    column-block bounds count every row's entries per column block, and
+    a row's source rank and block row are those of all its entries.
 
     Returns the ``q × q`` array of A's per-block entry counts — what the
     grid owners receive, and all SUMMA's traffic depends on
     (:func:`~repro.dsparse.summa.summa_comm_replay`).
     """
-    P = comm.nprocs
-    # One census of (source, destination) pairs answers both questions for
-    # every rank at once.  The pair id ``src * P + dest`` is built in place
-    # on the 1D source ranks.
-    pair = np.searchsorted(block_bounds(n_reads, P), row, side="right")
-    pair -= 1
-    pair *= P
-    pair += grid.owners_of(row, col, n_reads, n_kmers)
-    moved = np.bincount(pair, minlength=P * P).reshape(P, P)
+    P, q = comm.nprocs, grid.q
+    n = indptr.shape[0] - 1
+    first = np.arange(n, dtype=np.int64) * np.int64(n_kmers)
+    pack = np.repeat(first, np.diff(indptr)) + col
+    cuts = np.searchsorted(pack, first[:, None] + grid.col_bounds(n_kmers))
+    per_block = np.diff(cuts, axis=1)
+    # Pair id ``src * P + dest`` of each (row, column block).
+    src = np.repeat(np.arange(P, dtype=np.int64) * P,
+                    np.diff(block_bounds(n, P)))
+    dest = np.repeat(np.arange(q, dtype=np.int64) * q,
+                     np.diff(grid.row_bounds(n)))
+    pair = (src + dest)[:, None] + np.arange(q, dtype=np.int64)
+    moved = np.zeros(P * P, np.int64)
+    np.add.at(moved, pair.ravel(), per_block.ravel())
+    moved = moved.reshape(P, P)
     _charge_routing(moved, comm, "CreateSpMat")
-    return moved.sum(axis=0).reshape(grid.q, grid.q)
+    return moved.sum(axis=0).reshape(q, q)
 
 
 def _global_rows(M: DistMat) -> np.ndarray:

@@ -249,7 +249,7 @@ def merge_histograms(keys: np.ndarray, counts: np.ndarray,
     inb = idx < keys.shape[0]
     present[inb] = keys[idx[inb]] == new_keys[inb]
     merged_counts = counts.copy()
-    np.add.at(merged_counts, idx[present], new_counts[present])
+    merged_counts[idx[present]] += new_counts[present]   # keys are unique
     fresh = ~present
     if not fresh.any():
         return keys, merged_counts

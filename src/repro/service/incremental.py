@@ -18,43 +18,59 @@ Why the incremental path is exact
   table_from_histogram` — provably equal to the two-pass Bloom counter's
   output).  Multiplicities only grow, so a key's reliability changes in
   exactly two ways: it enters ``[lower, upper]`` from below (**added**)
-  or leaves above ``upper`` (**removed**).
+  or leaves above ``upper`` (**removed**).  Only the batch's keys change
+  count, so their old and new counts, read off the merge, name both sets
+  — which holds only while the bounds stay put, so a delta under other
+  bounds is refused.
 
 * **A.**  The state keeps the reliability-independent occurrence table —
   first-window occurrence per (read, distinct canonical k-mer), sorted by
-  (read, key) — so A for the new version is a filter of the merged table
-  through the new reliable set.  New read indices exceed all old ones, so
-  the batch's occurrences splice in by appending.  Column ids are the
-  sorted order of the reliable keys, so the filter emits A's entries in
-  canonical row-major order and A's row pointer is one ``bincount``:
-  nothing A-sized is ever sorted.
+  (read, key) — with each occurrence's column in this version's A
+  (``occ_col``; ``-1`` while its key is unreliable), and a key-major index
+  of it (``key_ptr``/``key_occ``: each histogram key's occurrences,
+  ascending, hence one per read in read order).  A is the occurrences
+  that have a column; column ids are the sorted order of the reliable
+  keys, so they are A's entries in canonical row-major order.  A is
+  updated, not re-filtered: old columns are renumbered through the old →
+  new column map (surviving columns keep their order and fill the ids no
+  added key takes, removed ones map to ``-1``), the added keys' old
+  occurrences — read off the index — take their columns, and the batch's
+  occurrences append (new read indices exceed all old ones), each spliced
+  at the end of its key's index list.  Only the batch's keys are looked
+  up, and nothing A-sized is sorted.
 
 * **C.**  A pair's C entry is the ordered reduce over its shared reliable
   columns, and relabeling columns (sorted keys → sorted ids) preserves
   that order.  A pair's entry can therefore only change if it gains a
   shared **added** column, loses a shared **removed** column, or involves
-  a **new** read — the affected set ``P₁ ∪ P₂ ∪ P₃``, computed by three
-  scipy pattern products.  The delta product runs the rows of A for the
-  affected row coordinates against the rows of A for the affected column
-  coordinates, viewed transposed (:attr:`~repro.dsparse.distmat.DistMat.T`),
-  under the affected-pair mask.  ``C(i, j)`` reduces over
-  ``A(i, k) ⊗ Aᵀ(k, j)`` and reads row ``i`` of A and column ``j`` of Aᵀ
-  and nothing else, and both operands keep the full product's dimensions
-  and block bounds, so each surviving entry reduces over exactly the same
-  ordered product list as the monolithic product (masked ≡ unmasked ∩
-  mask; the two masked kernels are byte-identical, so the smaller operands
-  flipping a block's route changes nothing).  The full A is never
-  distributed, and nothing is transposed.
+  a **new** read — the affected set ``P₁ ∪ P₂ ∪ P₃``: the pairs within an
+  added key's occurrence list, within a removed key's old list, and each
+  new read with the reads listed under its reliable keys.  Each is a
+  pattern product over those lists, the size of the lists, not of A.  The
+  delta C is one masked product on global operands
+  (:func:`~repro.dsparse.masked.spgemm_masked`, the kernel SUMMA runs per
+  block): A's rows for the affected row coordinates times A's rows for
+  the affected column coordinates, viewed transposed
+  (:attr:`~repro.dsparse.coomat.CooMat.T`), under the affected-pair mask;
+  row entries in a column no partner row holds pair with nothing and are
+  left out.  ``C(i, j)`` reduces over ``A(i, k) ⊗ Aᵀ(k, j)``, and the
+  positions semiring keeps the count and the first two seeds in ascending
+  ``k`` — exactly what SUMMA's stage-ordered merge of block partials
+  keeps — so each entry is byte-identical to the monolithic product's
+  (masked ≡ unmasked ∩ mask; the two masked kernels are byte-identical,
+  so the route the smaller operands take changes nothing).  Nothing is
+  distributed or transposed for it.
 
 * **R.**  Alignment is per-pair and deterministic, so R is determined by
-  the set of C entries: drop old rows whose unordered pair is affected,
-  append the delta alignment's rows, re-canonicalize.  An old pair
-  outside the affected set still shares an unchanged reliable column
-  (else it lost every shared column and is in ``P₂``), so it stays in C
-  with an identical entry — keeping its R rows verbatim is exact.  That
-  holds for containment pairs too: a batch read that contains a resident
-  one forms a new-read pair (``P₃``), and the transitive reduction derives
-  which reads are contained from R on every version.
+  the set of C entries: drop old rows whose unordered pair is affected
+  and merge in the delta alignment's rows (both canonical, no pair in
+  common: one sorted insert).  An old pair outside the affected set still
+  shares an unchanged reliable column (else it lost every shared column
+  and is in ``P₂``), so it stays in C with an identical entry — keeping
+  its R rows verbatim is exact.  That holds for containment pairs too: a
+  batch read that contains a resident one forms a new-read pair (``P₃``),
+  and the transitive reduction derives which reads are contained from R
+  on every version.
 
 * **S / contigs.**  Transitive reduction is re-run in full on the real
   communicator — it is global (any edge can unlock a reduction anywhere)
@@ -65,9 +81,10 @@ Why the incremental path is exact
   tracker from the merged state: the two ``CountKmer`` alltoallv passes
   and the reliable-set allgather (payload sizes come from the cached
   per-read routing census, so old reads' k-mers are never re-extracted),
-  ``CreateSpMat`` entry routing, ``ExchangeRead``, and SUMMA's broadcast
-  schedule (a pure function of the operand block sizes —
-  :func:`~repro.dsparse.summa.summa_comm_replay`; A's per-block counts
+  ``CreateSpMat`` entry routing (per-row column-block counts of A's CSR,
+  :func:`~repro.core.overlap.charge_a_routing`), ``ExchangeRead``, and
+  SUMMA's broadcast schedule (a pure function of the operand block sizes
+  — :func:`~repro.dsparse.summa.summa_comm_replay`; A's per-block counts
   come out of the routing census, and block ``(i, j)`` of Aᵀ holds as
   many entries as block ``(j, i)`` of A).  Replays cost array scans, not
   products.
@@ -94,15 +111,15 @@ from ..core.string_graph import StringGraph
 from ..core.transitive_reduction import transitive_reduction
 from ..dsparse.coomat import CooMat
 from ..dsparse.distmat import DistMat
-from ..dsparse.masked import _ranges
+from ..dsparse.masked import _ranges, spgemm_masked
 from ..dsparse.membership import in_sorted
-from ..dsparse.summa import summa, summa_comm_replay
+from ..dsparse.summa import summa_comm_replay
 from ..exec import get_executor
 from ..mpisim.comm import SimComm
 from ..mpisim.grid import ProcessGrid2D, block_bounds
 from ..mpisim.tracker import CommTracker, StageTimer
 from ..options import REFRESH_MODE
-from ..resilience.faults import maybe_fault
+from ..resilience.faults import FaultPlan, active_plan, maybe_fault
 from ..seqs.fasta import ReadSet
 from ..seqs.kmer_counter import (merge_histograms, reliable_upper_bound,
                                  table_from_histogram)
@@ -172,15 +189,6 @@ def batch_occurrences(seeds: tuple[np.ndarray, np.ndarray, np.ndarray,
             flip[order][head].astype(np.int64))
 
 
-def _a_entries(occ_key, occ_read, occ_pos, occ_flip, table
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A's global COO entries, row-major: the occurrence table filtered to
-    ``table`` (column ids ascend with the keys, which ascend per read)."""
-    col = table.lookup(occ_key)
-    ok = np.flatnonzero(col >= 0)
-    return occ_read[ok], col[ok], occ_pos[ok], occ_flip[ok]
-
-
 def _row_pointer(rows: np.ndarray, n: int) -> np.ndarray:
     """CSR row pointer of ``n`` rows over row-major row indices."""
     indptr = np.zeros(n + 1, np.int64)
@@ -188,10 +196,51 @@ def _row_pointer(rows: np.ndarray, n: int) -> np.ndarray:
     return indptr
 
 
-def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Entry indices of the given rows, in row order."""
-    start = indptr[rows]
-    return _ranges(start, indptr[rows + 1] - start)
+def _key_index(hist_keys: np.ndarray, occ_key: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Key-major CSR ``(key_ptr, key_occ)`` of an occurrence table.
+
+    The occurrences of ``hist_keys[h]`` are ``key_occ[key_ptr[h]:
+    key_ptr[h + 1]]``, ascending — hence in ascending read order, one per
+    read.  Built once, by the bootstrap; refreshes splice into it.
+    """
+    h = np.searchsorted(hist_keys, occ_key)
+    return (_row_pointer(h, hist_keys.shape[0]),
+            np.argsort(h, kind="stable").astype(np.int64))
+
+
+def _a_csr(occ_read: np.ndarray, occ_col: np.ndarray, n: int
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A in CSR, ``(a_ptr, a_col, a_occ)``, with each entry's occurrence id.
+
+    The occurrence table is sorted by (read, key) and column ids ascend
+    with the keys, so the occurrences that have a column are A's entries
+    already in row-major order.
+    """
+    a_occ = np.flatnonzero(occ_col >= 0)
+    occ_ptr = np.searchsorted(occ_read, np.arange(n + 1))
+    return np.searchsorted(a_occ, occ_ptr), occ_col[a_occ], a_occ
+
+
+def _a_rows(rows: np.ndarray, a_ptr: np.ndarray, a_col: np.ndarray,
+            a_occ: np.ndarray, occ_pos: np.ndarray, occ_flip: np.ndarray,
+            m: int, cols: np.ndarray | None = None) -> CooMat:
+    """Rows ``rows`` (ascending) of A as a global ``n × m`` matrix.
+
+    With ``cols`` (a boolean mask over the column ids) only the entries in
+    those columns are kept.  Only the rows' entries are touched.
+    """
+    start = a_ptr[rows]
+    lens = a_ptr[rows + 1] - start
+    at = _ranges(start, lens)
+    row = np.repeat(rows, lens)
+    if cols is not None:
+        hit = cols[a_col[at]]
+        at, row = at[hit], row[hit]
+    occ = a_occ[at]
+    return CooMat((a_ptr.shape[0] - 1, m), row, a_col[at],
+                  np.stack([occ_pos[occ], occ_flip[occ]], axis=1),
+                  checked=True)
 
 
 def _pattern(indptr: np.ndarray, cols: np.ndarray, m: int
@@ -201,66 +250,126 @@ def _pattern(indptr: np.ndarray, cols: np.ndarray, m: int
                          shape=(indptr.shape[0] - 1, m))
 
 
-def _pair_product(left: sp.csr_matrix, right: sp.csr_matrix, n: int,
-                  col_offset: int = 0) -> np.ndarray:
-    """Packed strict-upper pairs ``lo·n + hi`` with a shared column.
+def _pair_set(product: sp.spmatrix, n: int, row_offset: int = 0
+              ) -> np.ndarray:
+    """Packed strict-upper pairs ``lo·n + hi`` of a pattern product.
 
-    ``(i, j + col_offset)`` is emitted when row ``i`` of the left pattern
-    and row ``j`` of the right pattern share a column — one scipy pattern
-    product, canonicalized to unordered off-diagonal pairs.  scipy
-    converts ``right`` to its transpose's CSR, so the smaller pattern goes
-    there.
+    Entry ``(i, j)`` of ``product`` pairs read ``i + row_offset`` with
+    read ``j``; pairs are canonicalized to unordered, off-diagonal ones.
     """
-    if left.nnz == 0 or right.nnz == 0:
-        return np.empty(0, np.int64)
-    prod = (left @ right.T).tocoo()
-    i = prod.row.astype(np.int64)
-    j = prod.col.astype(np.int64) + col_offset
+    prod = product.tocoo()
+    i = prod.row.astype(np.int64) + row_offset
+    j = prod.col.astype(np.int64)
     off = i != j
     i, j = i[off], j[off]
     return np.unique(np.minimum(i, j) * np.int64(n) + np.maximum(i, j))
 
 
-def _affected_pairs(arow, acol, indptr, state: AssemblyState, table,
-                    n_old: int) -> np.ndarray:
+def _sharers(key_ptr: np.ndarray, key_occ: np.ndarray, keys: np.ndarray,
+             occ_read: np.ndarray, n: int) -> sp.csr_matrix:
+    """``keys`` × reads incidence pattern, read off the keys' occurrence
+    lists in the key-major index: its size is the lists', not A's."""
+    start = key_ptr[keys]
+    lens = key_ptr[keys + 1] - start
+    ptr = np.zeros(keys.shape[0] + 1, np.int64)
+    np.cumsum(lens, out=ptr[1:])
+    return _pattern(ptr, occ_read[key_occ[_ranges(start, lens)]], n)
+
+
+def _affected_pairs(state: AssemblyState, key_ptr: np.ndarray,
+                    key_occ: np.ndarray, occ_read: np.ndarray,
+                    added: np.ndarray, removed: np.ndarray,
+                    reliable: np.ndarray, new_rows: sp.csr_matrix
+                    ) -> np.ndarray:
     """``P₁ ∪ P₂ ∪ P₃``: the pairs whose C entry may differ from version v.
 
     ``P₁`` — pairs sharing an **added** reliable column (count grew into
     range) in the new A; ``P₂`` — pairs sharing a **removed** column
     (count grew past ``upper``) in the *old* A; ``P₃`` — pairs involving a
-    new read.  Counts only grow, so added/removed are disjoint and no
-    other pair's ordered shared-column list changes.  A's entries are
-    row-major with row pointer ``indptr``; every pattern below is too
-    (filters keep that order), so each is built without a sort.
+    new read: the batch's rows of A (``new_rows``, over the batch's
+    ``reliable`` keys) times those keys' reads.  Counts only grow, so
+    added/removed are disjoint and no other pair's ordered shared-column
+    list changes.  ``added`` and ``reliable`` index the new key-major
+    index, ``removed`` the old one; the three pattern products are the
+    size of those keys' occurrence lists.
     """
-    n = indptr.shape[0] - 1
-    old_table = state.table
-    added_keys = table.kmers[old_table.lookup(table.kmers) < 0]
-    removed_keys = old_table.kmers[table.lookup(old_table.kmers) < 0]
-
-    parts = []
-    if added_keys.shape[0]:
-        added_cols = table.lookup(added_keys)
-        sel = in_sorted(added_cols, acol)
-        p1 = _pattern(_row_pointer(arow[sel], n),
-                      np.searchsorted(added_cols, acol[sel]),
-                      added_cols.shape[0])
-        parts.append(_pair_product(p1, p1, n))
-    if removed_keys.shape[0]:
-        sel = in_sorted(removed_keys, state.occ_key)
-        p2 = _pattern(_row_pointer(state.occ_read[sel], n),
-                      np.searchsorted(removed_keys, state.occ_key[sel]),
-                      removed_keys.shape[0])
-        parts.append(_pair_product(p2, p2, n))
-    first_new = int(indptr[n_old])
-    if first_new < acol.shape[0]:
-        new_rows = _pattern(indptr[n_old:] - first_new, acol[first_new:],
-                            len(table))
-        parts.append(_pair_product(_pattern(indptr, acol, len(table)),
-                                   new_rows, n, col_offset=n_old))
-    if not parts:
-        return np.empty(0, np.int64)
+    n_old = len(state.reads)
+    n = n_old + new_rows.shape[0]
+    parts = [_pair_set(new_rows @ _sharers(key_ptr, key_occ, reliable,
+                                           occ_read, n), n, n_old)]
+    for ptr, occ, keys in ((key_ptr, key_occ, added),
+                           (state.key_ptr, state.key_occ, removed)):
+        if keys.shape[0]:
+            lists = _sharers(ptr, occ, keys, occ_read, n)
+            parts.append(_pair_set(lists.T @ lists, n))
     return np.unique(np.concatenate(parts))
+
+
+def _column_map(m_old: int, removed_cols: np.ndarray, m: int,
+                added_cols: np.ndarray) -> np.ndarray:
+    """Old column id → new column id (``-1``: removed), as a lookup array.
+
+    Column ids are the sorted order of the reliable keys, so the surviving
+    old columns keep their order and fill, in order, the new ids that no
+    added key takes.
+    """
+    survives = np.ones(m_old, dtype=bool)
+    survives[removed_cols] = False
+    free = np.ones(m, dtype=bool)
+    free[added_cols] = False
+    colmap = np.full(m_old, -1, np.int64)
+    colmap[survives] = np.flatnonzero(free)
+    return colmap
+
+
+def _delta_c(aff: np.ndarray, a: tuple, n: int, m: int,
+             timer: StageTimer) -> CooMat:
+    """The delta C over the affected pairs ``aff`` (packed ``lo·n + hi``).
+
+    One masked product on global operands: A's rows ``lo`` times A's rows
+    ``hi`` viewed transposed, under the affected-pair mask (module
+    docstring, **C**).  Row entries in a column no partner row holds pair
+    with nothing and are left out.  ``a`` is ``(a_ptr, a_col, a_occ,
+    occ_pos, occ_flip)``; the kernel's time and work go to ``timer``.
+    """
+    if aff.shape[0] == 0:
+        return CooMat.empty((n, n), PositionsSemiring().out_nfields)
+    lo, hi = aff // np.int64(n), aff % np.int64(n)
+    partners = _a_rows(np.unique(hi), *a, m)
+    held = np.zeros(m, dtype=bool)
+    held[partners.col] = True
+    rows = _a_rows(np.unique(lo), *a, m, cols=held)
+    mask = CooMat((n, n), lo, hi, np.ones((lo.shape[0], 1), np.int64),
+                  checked=True)
+    tally: dict[str, int] = {}
+    t0 = time.perf_counter()
+    Cd, path = spgemm_masked(rows, partners.T, PositionsSemiring(), mask,
+                             tally)
+    timer.add("SpGEMM", time.perf_counter() - t0)
+    timer.count_kernel("SpGEMM", path)
+    for name, count in tally.items():
+        timer.count_work("SpGEMM", name, count)
+    return Cd
+
+
+def _splice_r(old: CooMat | None, aff: np.ndarray, Rd: CooMat) -> CooMat:
+    """R of the new version: ``old`` less the affected pairs' rows, with
+    the delta alignment's rows ``Rd`` merged in.  Both are canonical and
+    share no pair, so one sorted insert keeps R canonical without a sort.
+    """
+    n = Rd.shape[0]
+    if old is not None and old.nnz:
+        opack = np.minimum(old.row, old.col) * np.int64(n) + \
+            np.maximum(old.row, old.col)
+        keep = ~in_sorted(aff, opack)
+        kept = CooMat((n, n), old.row[keep], old.col[keep], old.vals[keep],
+                      checked=True)
+    else:
+        kept = CooMat.empty((n, n), R_NFIELDS)
+    spot = np.searchsorted(kept.keys(), Rd.keys())
+    return CooMat((n, n), np.insert(kept.row, spot, Rd.row),
+                  np.insert(kept.col, spot, Rd.col),
+                  np.insert(kept.vals, spot, Rd.vals, axis=0), checked=True)
 
 
 def _route_census(seeds: tuple[np.ndarray, ...], n: int, P: int
@@ -388,14 +497,18 @@ def _recompute(state: AssemblyState, batch: ReadSet, pcfg: PipelineConfig
         combined, scheme, pcfg.nprocs)
     table = table_from_histogram(hist_keys, hist_counts, pcfg.k, lower=2,
                                  upper=_resolved_upper(pcfg))
-    arow, acol, _apos, _aflip = _a_entries(*occ, table)
-    a_pattern = _pattern(_row_pointer(arow, n), acol, len(table))
-    c_pack = _pair_product(a_pattern, a_pattern, n)
+    occ_key, occ_read, occ_pos, occ_flip = occ
+    occ_col = table.lookup(occ_key)
+    key_ptr, key_occ = _key_index(hist_keys, occ_key)
+    a_ptr, a_col, _a_occ = _a_csr(occ_read, occ_col, n)
+    a_pattern = _pattern(a_ptr, a_col, len(table))
+    c_pack = _pair_set(a_pattern @ a_pattern.T, n)
     graph = result.string_graph
     return AssemblyState(
         version=state.version + 1, reads=combined,
         hist_keys=hist_keys, hist_counts=hist_counts, table=table,
-        occ_key=occ[0], occ_read=occ[1], occ_pos=occ[2], occ_flip=occ[3],
+        occ_read=occ_read, occ_pos=occ_pos, occ_flip=occ_flip,
+        occ_col=occ_col, key_ptr=key_ptr, key_occ=key_occ,
         R=result.R, S=result.S, graph=graph,
         contigs=extract_contigs(graph),
         c_ri=c_pack // np.int64(n), c_rj=c_pack % np.int64(n),
@@ -410,6 +523,7 @@ def _incremental(state: AssemblyState, batch: ReadSet,
                  pcfg: PipelineConfig) -> AssemblyState:
     """Delta refresh of a non-empty state (see the module docstring)."""
     k = pcfg.k
+    lower, upper = 2, _resolved_upper(pcfg)
     scheme = _scheme_of(pcfg)
     n_old = len(state.reads)
     combined = state.reads.concat(batch)
@@ -418,29 +532,70 @@ def _incremental(state: AssemblyState, batch: ReadSet,
     grid = ProcessGrid2D(P)
     tracker = CommTracker(P)
     comm = SimComm(P, tracker)
-    # Delta products run against a throwaway communicator: their traffic is
-    # *not* the refreshed dataset's — the replays below charge that.
-    shadow = SimComm(P, CommTracker(P))
     timer = StageTimer()
 
-    # Counting state from the batch's one seed stream: histogram merge,
-    # reliable filter, occurrence append, census rows.
-    (bk, bc), batch_occ, batch_census = _seed_tables(batch, scheme, P,
-                                                     row_offset=n_old)
+    # Counting state from the batch's one seed stream: histogram merge and
+    # reliable filter.  Only the batch's keys change count, so only they
+    # can enter or leave [lower, upper]: their old and new counts decide.
+    (bk, bc), (b_key, b_read, b_pos, b_flip), batch_census = _seed_tables(
+        batch, scheme, P, row_offset=n_old)
     hist_keys, hist_counts = merge_histograms(state.hist_keys,
                                               state.hist_counts, bk, bc)
-    table = table_from_histogram(hist_keys, hist_counts, k, lower=2,
-                                 upper=_resolved_upper(pcfg))
-    occ_key, occ_read, occ_pos, occ_flip = (
-        np.concatenate([old, new]) for old, new in zip(
-            (state.occ_key, state.occ_read, state.occ_pos, state.occ_flip),
-            batch_occ))
-
-    arow, acol, apos, aflip = _a_entries(occ_key, occ_read, occ_pos,
-                                         occ_flip, table)
+    table = table_from_histogram(hist_keys, hist_counts, k, lower=lower,
+                                 upper=upper)
     m = len(table)
-    indptr = _row_pointer(arow, n)
-    aff = _affected_pairs(arow, acol, indptr, state, table, n_old)
+    at = np.searchsorted(hist_keys, bk)        # batch keys, merged ids
+    new_count = hist_counts[at]
+    old_count = new_count - bc
+    fresh = old_count == 0
+    old_at = at - (np.cumsum(fresh) - fresh)   # old ids / insertion points
+    was = (old_count >= lower) & (old_count <= upper)
+    now = (new_count >= lower) & (new_count <= upper)
+    added, removed = now & ~was, was & ~now
+    bcol = np.full(bk.shape[0], -1, np.int64)   # batch keys' new columns
+    bcol[now] = table.lookup(bk[now])
+
+    # Key-major index: the batch's occurrences (ids past every old one)
+    # go at the end of their keys' lists — one sorted splice.
+    n_occ = state.occ_col.shape[0]
+    b_of = np.searchsorted(bk, b_key)          # each occurrence's batch key
+    by_key = np.argsort(b_of, kind="stable")
+    # Where each batch key's list ends in the old index (a fresh key's
+    # empty list sits where the next old key's starts).
+    ends = state.key_ptr[old_at + ~fresh]
+    key_occ = np.insert(state.key_occ, ends[b_of[by_key]], n_occ + by_key)
+    key_ptr = np.insert(state.key_ptr, old_at[fresh],
+                        state.key_ptr[old_at[fresh]])
+    key_ptr[1:] += np.cumsum(np.bincount(at[b_of],
+                                         minlength=hist_keys.shape[0]))
+
+    # Occurrence table: renumber old columns, give the added keys' old
+    # occurrences their columns, append the batch's rows.
+    occ_col = state.occ_col
+    if added.any() or removed.any():
+        colmap = _column_map(len(state.table),
+                             state.table.lookup(bk[removed]), m,
+                             bcol[added])
+        occ_col = np.append(colmap, -1)[occ_col]   # -1 stays -1
+        revived = added & ~fresh                    # added, seen before
+        start = state.key_ptr[old_at[revived]]
+        lens = state.key_ptr[old_at[revived] + 1] - start
+        occ_col[state.key_occ[_ranges(start, lens)]] = np.repeat(
+            bcol[revived], lens)
+    occ_col = np.concatenate([occ_col, bcol[b_of]])
+    occ_read, occ_pos, occ_flip = (
+        np.concatenate([old, new]) for old, new in zip(
+            (state.occ_read, state.occ_pos, state.occ_flip),
+            (b_read, b_pos, b_flip)))
+    a_ptr, a_col, a_occ = _a_csr(occ_read, occ_col, n)
+
+    # The batch's rows of A over its reliable keys, for P₃.
+    hit = now[b_of]
+    local = np.cumsum(now) - 1
+    new_rows = _pattern(_row_pointer(b_read[hit] - n_old, len(batch)),
+                        local[b_of[hit]], int(now.sum()))
+    aff = _affected_pairs(state, key_ptr, key_occ, occ_read, at[added],
+                          old_at[removed], at[now], new_rows)
 
     if state.route_counts.shape == (n_old, P):
         route_counts = np.vstack([state.route_counts, batch_census])
@@ -453,55 +608,31 @@ def _incremental(state: AssemblyState, batch: ReadSet,
     # on A's and Aᵀ's block sizes: Aᵀ's block (i, j) is A's block (j, i).
     _replay_count_kmers(combined, route_counts, table, comm,
                         pcfg.kmer_batches, scheme=scheme)
-    a_counts = charge_a_routing(arow, acol, n, m, grid, comm)
+    a_counts = charge_a_routing(a_ptr, a_col, m, grid, comm)
     exchange_reads(combined, grid, comm)
     summa_comm_replay(grid, a_counts, a_counts.T, A_NFIELDS, comm, "SpGEMM")
 
-    old_r = state.R
-    with get_executor(pcfg.executor, pcfg.workers) as ex:
-        if aff.shape[0]:
-            lo, hi = aff // np.int64(n), aff % np.int64(n)
-            # The column operand: A's rows ``hi``, viewed transposed.  The
-            # row operand: A's affected rows, less the entries whose inner
-            # index k the column operand lacks (they pair with nothing, so
-            # every C(i, j) keeps its ordered product list).
-            cols = _row_entries(indptr, np.unique(hi))
-            rows = _row_entries(indptr, np.unique(lo))
-            rows = rows[in_sorted(np.unique(acol[cols]), acol[rows])]
-            A_aff, A_cols = (DistMat.from_coo(
-                (n, m), grid, arow[sel], acol[sel],
-                np.stack([apos[sel], aflip[sel]], axis=1))
-                for sel in (rows, cols))
-            mask = DistMat.from_coo((n, n), grid, lo, hi,
-                                    np.ones((lo.shape[0], 1), np.int64))
-            Cd = summa(A_aff, A_cols.T, PositionsSemiring(), shadow,
-                       "SpGEMM", timer, executor=ex, mask=mask)
-            Rd = align_candidates(Cd, combined, k, shadow, timer,
-                                  mode=pcfg.align_mode,
-                                  scoring=pcfg.scoring, filt=pcfg.filt,
-                                  fuzz=pcfg.fuzz, executor=ex).to_global()
-            cd_pack = Cd.to_global()
-            cd_pack = cd_pack.row * np.int64(n) + cd_pack.col
-        else:
-            Rd = CooMat.empty((n, n), R_NFIELDS)
-            cd_pack = np.empty(0, np.int64)
+    # The run's fault plan, armed as run_pipeline arms it (an armed plan,
+    # such as the service's, stays in place when the config names none).
+    faults = (FaultPlan(pcfg.fault_plan) if pcfg.fault_plan is not None
+              else None)
+    with active_plan(faults), get_executor(pcfg.executor, pcfg.workers) as ex:
+        Cd = _delta_c(aff, (a_ptr, a_col, a_occ, occ_pos, occ_flip), n, m,
+                      timer)
+        Rd = align_candidates(
+            DistMat.from_coo((n, n), grid, Cd.row, Cd.col, Cd.vals),
+            combined, k, comm, timer, mode=pcfg.align_mode,
+            scoring=pcfg.scoring, filt=pcfg.filt, fuzz=pcfg.fuzz,
+            executor=ex).to_global()
+        R_global = _splice_r(state.R, aff, Rd)
 
-        # R splice: drop affected pairs' old rows, append the delta's.
-        if old_r is not None and old_r.nnz:
-            opack = np.minimum(old_r.row, old_r.col) * np.int64(n) + \
-                np.maximum(old_r.row, old_r.col)
-            keep = ~in_sorted(aff, opack)
-            r_row = np.concatenate([old_r.row[keep], Rd.row])
-            r_col = np.concatenate([old_r.col[keep], Rd.col])
-            r_vals = np.vstack([old_r.vals[keep], Rd.vals])
-        else:
-            r_row, r_col, r_vals = Rd.row, Rd.col, Rd.vals
-        R_global = CooMat((n, n), r_row, r_col, r_vals)
-
-        # Candidate-pair bookkeeping (nnz_c without re-forming A·Aᵀ).
+        # Candidate-pair bookkeeping (nnz_c without re-forming A·Aᵀ): the
+        # kept pairs and the delta's are sorted and disjoint, so one sorted
+        # insert merges them.
         opc = state.c_ri * np.int64(n) + state.c_rj
-        c_pack = np.unique(np.concatenate([opc[~in_sorted(aff, opc)],
-                                           cd_pack]))
+        opc = opc[~in_sorted(aff, opc)]
+        cd_pack = Cd.row * np.int64(n) + Cd.col
+        c_pack = np.insert(opc, np.searchsorted(opc, cd_pack), cd_pack)
 
         R_dist = DistMat.from_coo((n, n), grid, R_global.row, R_global.col,
                                   R_global.vals)
@@ -514,13 +645,13 @@ def _incremental(state: AssemblyState, batch: ReadSet,
     return AssemblyState(
         version=state.version + 1, reads=combined,
         hist_keys=hist_keys, hist_counts=hist_counts, table=table,
-        occ_key=occ_key, occ_read=occ_read, occ_pos=occ_pos,
-        occ_flip=occ_flip,
+        occ_read=occ_read, occ_pos=occ_pos, occ_flip=occ_flip,
+        occ_col=occ_col, key_ptr=key_ptr, key_occ=key_occ,
         R=R_global, S=S_global, graph=graph,
         contigs=extract_contigs(graph),
         c_ri=c_pack // np.int64(n), c_rj=c_pack % np.int64(n),
         route_counts=route_counts,
-        counts=_counts(n, m, arow.shape[0], c_pack.shape[0],
+        counts=_counts(n, m, a_ptr[-1], c_pack.shape[0],
                        R_global.nnz, S_global.nnz, tr.rounds),
         tracker=tracker, timer=timer, refresh_mode="incremental",
         scheme_id=scheme.scheme_id)
@@ -544,9 +675,12 @@ def refresh(state: AssemblyState, batch: ReadSet,
     tagged in ``state.scheme_id``, so an incremental refresh under a
     different ``seed_mode``/``seed_w`` raises ``ValueError`` instead of
     splicing incompatible state.  A ``recompute`` refresh rebuilds from
-    scratch under the new scheme and re-tags the state.  A zero-length read
-    in the batch raises ``ValueError`` naming it, in either mode, before
-    any engine runs.
+    scratch under the new scheme and re-tags the state.  So are deltas
+    under different reliable bounds (``kmer_upper`` or the hints it is
+    derived from): the incremental engine finds the keys that enter or
+    leave the reliable set among the batch's keys alone, which holds only
+    while the bounds stay put.  A zero-length read in the batch raises
+    ``ValueError`` naming it, in either mode, before any engine runs.
     """
     config = config if config is not None else ServiceConfig()
     mode = REFRESH_MODE.resolve(mode if mode is not None
@@ -569,5 +703,13 @@ def refresh(state: AssemblyState, batch: ReadSet,
                 f"built with seeding scheme {state.scheme_id!r} but the "
                 f"config resolves to {scheme_id!r}; refresh with "
                 f"mode='recompute' to rebuild under the new scheme")
+        bounds = (state.table.lower, state.table.upper)
+        if bounds != (2, _resolved_upper(pcfg)):
+            raise ValueError(
+                f"reliable-bounds delta refused: state v{state.version} "
+                f"keeps k-mers counted in [{bounds[0]}, {bounds[1]}] but "
+                f"the config resolves to [2, {_resolved_upper(pcfg)}]; "
+                f"refresh with mode='recompute' to rebuild under the new "
+                f"bounds")
         new = _incremental(state, batch, pcfg)
     return replace(new, refresh_seconds=time.perf_counter() - t0)

@@ -112,6 +112,23 @@ class RefreshFailed(RuntimeError):
         self.cause = cause
 
 
+#: What a sequence may hold: ``encode`` would turn any other character
+#: into a base, so text that is not DNA would commit as reads.
+_NOT_DNA = re.compile(r"[^ACGTNacgtn]")
+
+
+def _require_dna(names: list[str], seqs: list[str]) -> None:
+    """Refuse a sequence holding anything but ``ACGTN`` (either case),
+    naming the read, the character and its position."""
+    for name, seq in zip(names, seqs):
+        bad = _NOT_DNA.search(seq)
+        if bad is not None:
+            raise ValueError(
+                f"read {name!r} holds {bad.group()!r} at position "
+                f"{bad.start()}; a sequence may hold only A, C, G, T or N "
+                f"(either case)")
+
+
 class AssemblyService:
     """Session store + refresh engine + query cache, behind plain methods.
 
@@ -144,6 +161,7 @@ class AssemblyService:
         untouched.
         """
         try:
+            _require_dna(names, seqs)
             batch = ReadSet(list(names), [encode(s) for s in seqs])
             _require_nonempty_reads(batch)
         except ValueError as exc:

@@ -50,12 +50,21 @@ class AssemblyState:
     * ``hist_keys``/``hist_counts`` — the exact global k-mer histogram
       (sorted), the mergeable form of the counting state; the reliable
       table is a pure filter of it.
-    * ``occ_*`` — the first-window occurrence per (read, distinct canonical
-      k-mer), sorted by (read, k-mer key), *independent* of reliability; A
-      for any version is the occurrence table filtered through that
-      version's reliable set — already in A's row-major order — so
-      admission churn never forces a rescan of old reads, and a batch's
-      occurrences (new, larger read ids) are appended.
+    * ``occ_read``/``occ_pos``/``occ_flip`` — the first-window occurrence
+      per (read, distinct canonical k-mer), sorted by (read, k-mer key),
+      *independent* of reliability, so admission churn never forces a
+      rescan of old reads, and a batch's occurrences (new, larger read
+      ids) are appended.
+    * ``occ_col`` — each occurrence's column in this version's A, ``-1``
+      while its key is unreliable: A is the occurrences that have one,
+      already in A's row-major order.  A refresh renumbers it through the
+      old → new column map and sets the added keys' occurrences.
+    * ``key_ptr``/``key_occ`` — the occurrence table's key-major index,
+      a CSR over ``hist_keys``: the occurrences of ``hist_keys[h]`` are
+      ``key_occ[key_ptr[h]:key_ptr[h + 1]]``, ascending.  It lists an
+      added or removed key's reads, and a batch key's sharers, without a
+      scan; the bootstrap builds it and each refresh splices the batch's
+      occurrences in.
     * ``R`` — the pre-reduction overlap matrix, which delta refreshes
       splice rows into.
     * ``c_ri``/``c_rj`` — the strict-upper candidate pair list (sorted
@@ -79,10 +88,12 @@ class AssemblyState:
     hist_keys: np.ndarray
     hist_counts: np.ndarray
     table: KmerTable | None
-    occ_key: np.ndarray
     occ_read: np.ndarray
     occ_pos: np.ndarray
     occ_flip: np.ndarray
+    occ_col: np.ndarray
+    key_ptr: np.ndarray
+    key_occ: np.ndarray
     R: CooMat | None
     S: CooMat | None
     graph: StringGraph | None
@@ -104,8 +115,9 @@ class AssemblyState:
             version=0, reads=ReadSet([], []),
             hist_keys=_empty_u64(), hist_counts=_empty_i64(),
             table=None,
-            occ_key=_empty_u64(), occ_read=_empty_i64(),
-            occ_pos=_empty_i64(), occ_flip=_empty_i64(),
+            occ_read=_empty_i64(), occ_pos=_empty_i64(),
+            occ_flip=_empty_i64(), occ_col=_empty_i64(),
+            key_ptr=np.zeros(1, np.int64), key_occ=_empty_i64(),
             R=None, S=None, graph=None, contigs=[],
             c_ri=_empty_i64(), c_rj=_empty_i64(),
             route_counts=np.empty((0, 0), np.int64),

@@ -109,7 +109,7 @@ def test_build_a_matrix_routes_at_the_source(clean_dataset, monkeypatch, P,
     assert A.shape == (n, len(table)) and A.nfields == 2 and g.nnz
     want = DistMat.from_coo(A.shape, grid, g.row, g.col, g.vals)
     oracle = _RecordingTracker()
-    counts = charge_a_routing(g.row, g.col, n, len(table), grid,
+    counts = charge_a_routing(g.csr_indptr(), g.col, len(table), grid,
                               SimComm(P, oracle))
     assert tracker.calls == oracle.calls
     for i in range(grid.q):
@@ -137,13 +137,18 @@ def test_charge_a_routing_matches_per_rank_masks(P):
     # Rank 0's reads sit in block row 0; keep their columns in block (0, 0).
     home = row < block_bounds(n, P)[1]
     col[home] = rng.integers(0, grid.col_bounds(m)[1], int(home.sum()))
+    key = np.unique(row * m + col)          # A in CSR: row-major, no repeats
+    row, col = key // m, key % m
+    indptr = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
     tracker = _RecordingTracker()
-    charge_a_routing(row, col, n, m, grid, SimComm(P, tracker))
+    charge_a_routing(indptr, col, m, grid, SimComm(P, tracker))
     assert tracker.calls == _routing_by_rank_masks(row, col, n, m, grid, P)
     assert all(type(x) is int for call in tracker.calls for x in call[1:])
     assert [call[1] for call in tracker.calls] == list(range(1, P))
     nothing = _RecordingTracker()
-    charge_a_routing(row[:0], col[:0], n, m, grid, SimComm(P, nothing))
+    charge_a_routing(np.zeros(n + 1, np.int64), col[:0], m, grid,
+                     SimComm(P, nothing))
     assert nothing.calls == []
 
 

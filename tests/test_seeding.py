@@ -37,6 +37,7 @@ from repro.seqs import (ErrorModel, GenomeSpec, ReadSet, ReadSimSpec,
                         simulate_reads)
 from repro.seqs.dna import revcomp_codes
 from repro.seqs.kmers import read_kmers_batch
+from repro.seqs import minimizers as minimizers_mod
 from repro.seqs.minimizers import minimizers_batch
 from repro.seqs.seeding import (DEFAULT_SEED_W, FullKScheme, MinimizerScheme,
                                 SyncmerScheme, make_scheme)
@@ -129,6 +130,37 @@ def test_minimizers_batch_matches_per_read():
         np.testing.assert_array_equal(km, np.concatenate(exp_km))
         np.testing.assert_array_equal(ridx, np.concatenate(exp_ridx))
         np.testing.assert_array_equal(pos, np.concatenate(exp_pos))
+
+
+def test_minimizers_batch_matches_per_read_on_ties():
+    """Tie-heavy hash streams: poly-A, short tandem repeats and their
+    mixes make many windows hold several equal minima, where the batch
+    argmin must keep the first, as the per-read reference does.  The block
+    spans more windows than one argmin chunk, so chunk seams are crossed
+    mid-read."""
+    rng = np.random.default_rng(404)
+    units = [[0], [3], [0, 1], [2, 3, 1], [0, 0, 1, 3], [1, 2, 2, 0, 3]]
+    seqs = []
+    for i in range(48):
+        unit = np.array(units[i % len(units)], dtype=np.uint8)
+        length = int(rng.integers(20, 900))
+        seq = np.resize(unit, length)
+        if i % 3 == 0:      # a random island inside the repeat
+            at = int(rng.integers(0, length))
+            seq[at:at + 30] = rng.integers(0, 4, seq[at:at + 30].shape[0])
+        seqs.append(seq.astype(np.uint8))
+    reads = ReadSet([f"t{i}" for i in range(len(seqs))], seqs)
+    assert int(np.maximum(reads.lengths - 8, 0).sum()) > \
+        minimizers_mod._ARGMIN_CHUNK
+    for k, w in ((9, 8), (5, 3), (11, 12), (3, 1)):
+        km, ridx, pos, _flip = minimizers_batch(*reads.soa(), k, w)
+        want = [minimizers(reads[i], k, w) for i in range(len(reads))]
+        np.testing.assert_array_equal(km, np.concatenate([kv for kv, _ in
+                                                          want]))
+        np.testing.assert_array_equal(pos, np.concatenate([pv for _, pv in
+                                                           want]))
+        np.testing.assert_array_equal(ridx, np.concatenate(
+            [np.full(kv.shape[0], i) for i, (kv, _) in enumerate(want)]))
 
 
 def test_seeds_of_read_matches_block():

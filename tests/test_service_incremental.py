@@ -23,6 +23,7 @@ from repro.dsparse.coomat import CooMat
 from repro.dsparse.distmat import DistMat
 from repro.seqs import (ErrorModel, GenomeSpec, ReadSet, ReadSimSpec,
                         simulate_reads)
+from repro.seqs.kmer_counter import KmerTable
 from repro.seqs.seeding import FullKScheme
 from repro.service import AssemblyState, ServiceConfig, refresh
 from repro.service import incremental
@@ -183,8 +184,8 @@ def regime_batches():
     before 55 % of the genome, ``far`` reads start past 65 % (so no read
     ingested before them covers their region), ``bridge`` reads are the
     rest.  After the bootstrap: four covered-region reads, one single read,
-    the first far reads, the bridge, then the remaining far reads in two
-    batches — six deltas.
+    the first far reads, the bridge, the remaining far reads in two
+    batches, then three copies of a dozen bootstrap reads — seven deltas.
     """
     _genome, reads, layout = simulate_reads(
         ReadSimSpec(GenomeSpec(length=8_000, seed=31), depth=10,
@@ -201,7 +202,12 @@ def regime_batches():
     assert all(gr.shape[0] for gr in groups)
     assert layout.end[np.concatenate(groups[:3])].max() < \
         layout.start[groups[3]].min()
-    return [reads.subset(gr) for gr in groups]
+    batches = [reads.subset(gr) for gr in groups]
+    # Three more copies of a dozen resident reads: their k-mers' counts
+    # climb past kmer_upper, so reliable columns leave A (P₂).
+    copies = reads.subset(np.tile(resident[:12], 3))
+    return batches + [ReadSet([f"copy{i}" for i in range(len(copies))],
+                              list(copies.seqs))]
 
 
 @pytest.fixture(scope="module")
@@ -231,36 +237,41 @@ def _regime_config(seed_mode, executor="serial", workers=1):
 def test_incremental_matches_scratch_in_chain_regime(regime_batches,
                                                      regime_refs, seed_mode,
                                                      executor, workers):
-    """Chain alignment over 1 % error reads, full-k and minimizer seeds, six
-    small deltas (one a single read, one in a region nothing resident
-    covers): every version equals the scratch run on its prefix."""
+    """Chain alignment over 1 % error reads, full-k and minimizer seeds,
+    seven small deltas (one a single read, one in a region nothing resident
+    covers, one re-ingesting resident reads so reliable columns leave A):
+    every version equals the scratch run on its prefix."""
     config = ServiceConfig(refresh_mode="incremental",
                            pipeline=_regime_config(seed_mode, executor,
                                                    workers))
     state = AssemblyState.initial()
     for batch, ref in zip(regime_batches, regime_refs(seed_mode)):
-        state = refresh(state, batch, config)
+        prev, state = state, refresh(state, batch, config)
         assert _state_digests(state) == ref, f"version {state.version}"
     assert state.refresh_mode == "incremental"
+    removed = state.table.lookup(prev.table.kmers) < 0
+    assert removed.any(), "the re-ingest removed no reliable column"
 
 
 def test_refresh_stays_delta_sized(service_reads, monkeypatch):
     """One incremental refresh extracts seeds once (the batch's), transposes
-    nothing — the delta product's column operand is a view of A's rows —
-    and distributes nothing as large as A."""
+    nothing, runs no SUMMA and forms the delta C in one masked product on
+    global operands (one kernel call, where SUMMA made q³): A's affected
+    rows against A's partner rows viewed transposed, neither as large as
+    A, and nothing as large as A is distributed."""
     config = ServiceConfig(refresh_mode="incremental",
                            pipeline=replace(_pipeline_config(),
                                             seed_mode="full",
-                                            kmer_batches=1))
+                                            kmer_batches=1, fault_plan=""))
     n = len(service_reads)
     state = refresh(AssemblyState.initial(),
                     service_reads.subset(np.arange(n - 12)), config)
     calls = {"seeds": 0, "transpose": 0}
-    sizes, operands = [], []
+    sizes, products = [], []
     seeds_of_block = FullKScheme.seeds_of_block
     transpose = CooMat.transpose
     from_coo = DistMat.from_coo.__func__
-    summa = incremental.summa
+    spgemm_masked = incremental.spgemm_masked
 
     def counting_seeds(self, *args):
         calls["seeds"] += 1
@@ -270,9 +281,9 @@ def test_refresh_stays_delta_sized(service_reads, monkeypatch):
         calls["transpose"] += 1
         return transpose(self)
 
-    def recording_summa(A, B, *args, **kwargs):
-        operands.append((A, B))
-        return summa(A, B, *args, **kwargs)
+    def recording_spgemm(A, B, semiring, mask, tally=None):
+        products.append((A, B, mask))
+        return spgemm_masked(A, B, semiring, mask, tally)
 
     def sized_from_coo(cls, shape, grid, row, col, vals):
         sizes.append(len(row))
@@ -281,15 +292,93 @@ def test_refresh_stays_delta_sized(service_reads, monkeypatch):
     monkeypatch.setattr(FullKScheme, "seeds_of_block", counting_seeds)
     monkeypatch.setattr(CooMat, "transpose", counting_transpose)
     monkeypatch.setattr(DistMat, "from_coo", classmethod(sized_from_coo))
-    monkeypatch.setattr(incremental, "summa", recording_summa)
+    monkeypatch.setattr(incremental, "spgemm_masked", recording_spgemm)
     new = refresh(state, service_reads.subset(np.arange(n - 12, n)), config)
     assert new.refresh_mode == "incremental"
     assert calls == {"seeds": 1, "transpose": 0}
     assert sizes and max(sizes) < new.counts["nnz_a"]
-    (A_aff, At_aff), = operands
-    assert At_aff.shape == A_aff.shape[::-1]
-    assert all(b.transposed and b.T.transposed is False
-               for brow in At_aff.blocks for b in brow)
+    assert sum(new.timer.kernel_counts()["SpGEMM"].values()) == 1
+    (A_aff, At_aff, mask), = products
+    nnz_a = new.counts["nnz_a"]
+    assert A_aff.shape == (n, len(new.table)) and A_aff.nnz < nnz_a
+    assert At_aff.transposed and At_aff.T.transposed is False
+    assert At_aff.shape == A_aff.shape[::-1] and At_aff.nnz < nnz_a
+    assert mask.shape == (n, n) and bool((mask.row < mask.col).all())
+    # Every new read's pairs are in the mask.
+    assert set(range(n - 12, n)) <= set(mask.row) | set(mask.col)
+
+
+def _lookup_queries(monkeypatch, state, delta, config) -> int:
+    """Queries one incremental refresh sends to ``KmerTable.lookup`` and to
+    membership tests on an array at least half as long as A."""
+    big = state.counts["nnz_a"] // 2
+    queries = [0]
+    lookup = KmerTable.lookup
+    in_sorted = incremental.in_sorted
+
+    def counting_lookup(self, kmers, tally=None):
+        queries[0] += len(kmers)
+        return lookup(self, kmers, tally)
+
+    def counting_in_sorted(hay, q):
+        if max(len(hay), len(q)) >= big:
+            queries[0] += len(q)
+        return in_sorted(hay, q)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(KmerTable, "lookup", counting_lookup)
+        patch.setattr(incremental, "in_sorted", counting_in_sorted)
+        new = refresh(state, delta, config)
+    assert new.refresh_mode == "incremental"
+    return queries[0]
+
+
+def test_refresh_lookups_stay_delta_sized(monkeypatch):
+    """The same 20-read delta against a resident set four times larger:
+    the k-mer lookups and the membership tests on occurrence-table- or
+    A-sized arrays that one refresh makes grow well under 1.5× — the
+    refresh finds added and removed keys, A's new entries and the affected
+    pairs from the batch and the key-major index, not by scanning what is
+    resident (a resident-sized pass would grow them about 4×)."""
+    _genome, pool, layout = simulate_reads(
+        ReadSimSpec(GenomeSpec(length=24_000, seed=41), depth=12,
+                    mean_len=600, min_len=350, sigma_len=0.2,
+                    error=ErrorModel(rate=0.0), seed=42))
+    config = ServiceConfig(refresh_mode="incremental", pipeline=replace(
+        _pipeline_config(), kmer_upper=200, fault_plan=""))
+    # The delta lies in the genome's first quarter, and so does the small
+    # resident set; the large one spans all of it, so it holds about 4×
+    # the reads, occurrences and reliable k-mers.
+    picked = np.flatnonzero(layout.end <= 6_000)[::2][:20]
+    delta = pool.subset(picked)
+    rest = np.setdiff1d(np.arange(len(pool)), picked)
+    counts, sizes = [], []
+    for resident in (rest[layout.start[rest] < 6_000], rest):
+        state = refresh(AssemblyState.initial(), pool.subset(resident),
+                        config)
+        sizes.append(state.counts["nnz_a"])
+        counts.append(_lookup_queries(monkeypatch, state, delta, config))
+    assert sizes[1] > 3.5 * sizes[0]
+    assert counts[0] > 0
+    assert counts[1] < 1.5 * counts[0], (counts, sizes)
+
+
+def test_reliable_bounds_change_refused(service_reads):
+    """A delta under different reliable bounds is refused by name (the
+    batch's keys alone no longer decide which keys change reliability);
+    recompute rebuilds under the new bounds."""
+    config = ServiceConfig(refresh_mode="incremental",
+                           pipeline=_pipeline_config())
+    state = refresh(AssemblyState.initial(),
+                    service_reads.subset(np.arange(40)), config)
+    wider = replace(config, pipeline=replace(config.pipeline,
+                                             kmer_upper=KMER_UPPER + 1))
+    batch = service_reads.subset(np.arange(40, 50))
+    with pytest.raises(ValueError, match=r"reliable-bounds delta refused.*"
+                                         r"\[2, 12\].*\[2, 13\]"):
+        refresh(state, batch, wider)
+    rebuilt = refresh(state, batch, wider, mode="recompute")
+    assert rebuilt.table.upper == KMER_UPPER + 1
 
 
 def test_zero_length_read_refused_by_both_modes(service_reads):

@@ -16,7 +16,8 @@ import pytest
 from repro.core.pipeline import PipelineConfig
 from repro.seqs import ErrorModel, GenomeSpec, ReadSimSpec, simulate_reads
 from repro.seqs.dna import decode
-from repro.service import AssemblyService, ServiceConfig, make_server
+from repro.service import (AssemblyService, BadBatch, ServiceConfig,
+                           make_server)
 from repro.service import server as server_mod
 
 K = 17
@@ -215,6 +216,46 @@ def test_zero_length_read_is_bad_batch(base_url, server_reads, first):
     assert (status, body["code"]) == (400, "bad-batch")
     assert "'e'" in body["error"]
     assert _get(f"{base_url}/version")[1] == version
+
+
+@pytest.mark.parametrize("seq,char,at", [
+    ("hello world, not dna", "h", 0),
+    (12345, "1", 0),
+    ("ACGTNacgtn" * 30 + "ACGU", "U", 303),
+])
+def test_non_dna_read_is_bad_batch(base_url, server_reads, seq, char, at):
+    """A sequence holding anything but ACGTN (either case) is refused as
+    400 ``bad-batch`` naming the read, the character and its position,
+    and commits nothing (it used to commit as a run of ``A``)."""
+    _post(f"{base_url}/reads", _batch_payload(server_reads, 0, 20))
+    batch = _batch_payload(server_reads, 20, 22)
+    batch["reads"].append({"name": "junk", "seq": seq})
+    status, body = _error(_post, f"{base_url}/reads", batch)
+    assert (status, body["code"]) == (400, "bad-batch")
+    assert f"read 'junk' holds {char!r} at position {at}" in body["error"]
+    assert _get(f"{base_url}/version")[1] == {"version": 1, "n_reads": 20}
+
+
+@pytest.mark.parametrize("mode", ["incremental", "recompute"])
+def test_non_dna_read_refused_in_both_refresh_modes(server_reads, mode):
+    """The DNA check runs before either engine, as the first batch or
+    into a live session, so both refresh modes refuse the same input;
+    ``N`` and lower case are still accepted."""
+    service = AssemblyService(ServiceConfig(
+        refresh_mode=mode,
+        pipeline=PipelineConfig(k=K, nprocs=NPROCS, kmer_upper=12,
+                                fuzz=60)))
+    good = _batch_payload(server_reads, 0, 20)["reads"]
+    names = [r["name"] for r in good]
+    seqs = [r["seq"] for r in good]
+    for version in (0, 1):
+        with pytest.raises(BadBatch, match=r"read 'x' holds '-' at "
+                                           r"position 2"):
+            service.ingest(names[:3] + ["x"], seqs[:3] + ["AC-GT"])
+        assert service.store.current().version == version
+        service.ingest(names, [s.lower() if version else "N" + s[1:]
+                               for s in seqs])
+        assert service.store.current().version == version + 1
 
 
 def _address(base_url: str) -> tuple[str, int]:
@@ -495,22 +536,25 @@ def test_each_reply_is_one_write(service):
 
 
 def test_keep_alive_gets_reuse_one_connection(base_url):
-    # One write per reply, so no request waits on a delayed ACK (~40 ms).
+    # One write per reply, so no request waits on a delayed ACK: that
+    # defect stalls every reply by about 40 ms, so the median GET shows it,
+    # while a host scheduling hiccup on one GET does not fail the test.
     conn = http.client.HTTPConnection(*_address(base_url), timeout=10)
     try:
-        sock = None
+        sock, took = None, []
         for i in range(200):
             t0 = time.perf_counter()
             conn.request("GET", "/version" if i % 2 else "/contigs")
             reply = conn.getresponse()
             body = json.loads(reply.read())
-            assert time.perf_counter() - t0 < 0.005
+            took.append(time.perf_counter() - t0)
             assert (reply.status, reply.version, body["version"]) == (
                 200, 11, 0)
             assert sock in (None, conn.sock)
             sock = conn.sock
     finally:
         conn.close()
+    assert float(np.median(took)) < 0.005
 
 
 def _split_replies(data: bytes) -> list[tuple[int, dict]]:

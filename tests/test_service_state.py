@@ -39,7 +39,9 @@ def test_refresh_is_copy_on_write(small_reads):
         "n_reads": len(v1.reads),
         "hist_keys": v1.hist_keys.copy(),
         "hist_counts": v1.hist_counts.copy(),
-        "occ_key": v1.occ_key.copy(),
+        "occ_col": v1.occ_col.copy(),
+        "key_ptr": v1.key_ptr.copy(),
+        "key_occ": v1.key_occ.copy(),
         "R": (v1.R.row.copy(), v1.R.col.copy(), v1.R.vals.copy()),
         "S": (v1.S.row.copy(), v1.S.col.copy(), v1.S.vals.copy()),
         "contigs": [(tuple(c.reads), tuple(c.orientations))
@@ -53,7 +55,8 @@ def test_refresh_is_copy_on_write(small_reads):
     assert len(v1.reads) == held["n_reads"]
     assert np.array_equal(v1.hist_keys, held["hist_keys"])
     assert np.array_equal(v1.hist_counts, held["hist_counts"])
-    assert np.array_equal(v1.occ_key, held["occ_key"])
+    for name in ("occ_col", "key_ptr", "key_occ"):
+        assert np.array_equal(getattr(v1, name), held[name])
     for got, want in zip((v1.R.row, v1.R.col, v1.R.vals), held["R"]):
         assert np.array_equal(got, want)
     for got, want in zip((v1.S.row, v1.S.col, v1.S.vals), held["S"]):
