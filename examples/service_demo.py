@@ -8,12 +8,18 @@ overlaps, the contig layout, and the stats endpoint's cache counters —
 which show the second identical query hitting the version-keyed cache
 and every ingest sweeping the stale entries.
 
+The pipeline's k-mer hints match the simulated reads (depth 10, no
+errors), so the reliable band keeps their true k-mers as batches arrive
+and the assembly improves with the data: the demo exits non-zero if the
+last version has more contigs than the bulk load did.
+
 Usage::
 
     python examples/service_demo.py
 """
 
 import json
+import sys
 import threading
 import urllib.request
 
@@ -38,16 +44,20 @@ def _post(url: str, payload: dict) -> dict:
         return json.loads(resp.read())
 
 
-def main() -> None:
+DEPTH, ERROR = 10, 0.0
+
+
+def main() -> int:
     _genome, reads, _layout = simulate_reads(
-        ReadSimSpec(GenomeSpec(length=30_000, seed=11), depth=10,
+        ReadSimSpec(GenomeSpec(length=30_000, seed=11), depth=DEPTH,
                     mean_len=1_500, min_len=700,
-                    error=ErrorModel(rate=0.0), seed=12))
+                    error=ErrorModel(rate=ERROR), seed=12))
     print(f"simulated {len(reads)} reads from a 30 kb genome")
 
     service = AssemblyService(ServiceConfig(
         refresh_mode="incremental",
-        pipeline=PipelineConfig(k=17, nprocs=4)))
+        pipeline=PipelineConfig(k=17, nprocs=4, depth_hint=DEPTH,
+                                error_hint=ERROR)))
     server = make_server(service, port=0)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     host, port = server.server_address[:2]
@@ -57,16 +67,18 @@ def main() -> None:
     # One bulk load, then a stream of small delta batches.
     n = len(reads)
     splits = [0, int(0.7 * n), int(0.8 * n), int(0.9 * n), n]
+    n_contigs = []
     for lo, hi in zip(splits[:-1], splits[1:]):
         sub = reads.subset(np.arange(lo, hi))
         reply = _post(f"{base}/reads", {"reads": [
             {"name": name, "seq": decode(seq)}
             for name, seq in zip(sub.names, sub.seqs)]})
         c = reply["counts"]
+        n_contigs.append(len(_get(f"{base}/contigs")["contigs"]))
         print(f"v{reply['version']}: +{reply['ingested']} reads via "
               f"{reply['refresh_mode']} in {reply['refresh_seconds']:.2f}s "
               f"-> {c['n_reads']} reads, nnz(R)={c['nnz_r']}, "
-              f"{len(_get(f'{base}/contigs')['contigs'])} contigs")
+              f"{n_contigs[-1]} contigs")
 
     print()
     contigs = _get(f"{base}/contigs")["contigs"]
@@ -85,7 +97,13 @@ def main() -> None:
 
     server.shutdown()
     server.server_close()
+    if n_contigs[-1] > n_contigs[0]:
+        print(f"FAIL: the assembly degraded as reads arrived: "
+              f"{n_contigs[0]} contigs after the bulk load, "
+              f"{n_contigs[-1]} after the last batch", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

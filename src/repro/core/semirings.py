@@ -93,7 +93,10 @@ class PositionsSemiring(Semiring):
     #: A freshly multiplied group's reduce reads only its first two products
     #: (the stored seed pair) and its size (the count field — every product
     #: carries count 1), so the masked kernels may multiply just two
-    #: products per output coordinate.  See Semiring.reduce_truncated.
+    #: products per output coordinate.  Accumulating SUMMA's partials reads
+    #: the first row whole, the counts, and the second row's first seed only
+    #: when the first holds one: the first two products of the partials'
+    #: concatenated stream.  See Semiring.reduce_truncated.
     product_reduce_depth = 2
 
     def multiply(self, avals, bvals):
@@ -117,19 +120,26 @@ class PositionsSemiring(Semiring):
         out[need2, C_STRAND2] = vals[src[need2], C_STRAND1]
         return out
 
-    def reduce_truncated(self, vals, starts, counts):
-        # Same fold over groups clipped to their first two products: the
-        # count field is the true group size (every fresh product carries
-        # count 1, so the full reduce's segment sum equals it) and the
-        # second seed comes from the group's second product when present.
-        out = vals[starts].copy()
+    def reduce_truncated(self, vals, starts, counts, taken):
+        # Same fold over groups clipped to their first ``taken`` (≤ 2)
+        # products: the count field is the true group size (every fresh
+        # product carries count 1, so the full reduce's segment sum equals
+        # it), the first seed comes from the first product and the second
+        # from the second, where taken; a seed not taken stays -1, as the
+        # multiply leaves an unfilled one.
+        out = np.full((starts.shape[0], 7), -1, dtype=np.int64)
+        one = taken >= 1
+        out[one] = vals[starts[one]]
         out[:, C_COUNT] = counts
-        need2 = counts >= 2
-        src = starts + 1
-        out[need2, C_PA2] = vals[src[need2], C_PA1]
-        out[need2, C_PB2] = vals[src[need2], C_PB1]
-        out[need2, C_STRAND2] = vals[src[need2], C_STRAND1]
+        two = taken >= 2
+        src = starts[two] + 1
+        out[two, C_PA2] = vals[src, C_PA1]
+        out[two, C_PB2] = vals[src, C_PB1]
+        out[two, C_STRAND2] = vals[src, C_STRAND1]
         return out
+
+    def group_sizes(self, vals):
+        return vals[:, C_COUNT]
 
 
 class BidirectedMinPlus(Semiring):

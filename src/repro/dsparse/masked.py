@@ -20,15 +20,25 @@ formulation).
     For semirings that declare ``product_reduce_depth = d`` (the positions
     semiring: its reduce reads a group's first two products plus the group
     size).  Group sizes come from the scalar pattern product
-    ``pattern(A) @ pattern(B)`` on scipy CSR (32-bit indices where the
-    block fits), intersected with the mask (or handed in already
-    intersected, ``sized=True``); the first ``d`` products of each
-    surviving ``(i, j)`` come from intersecting row ``i`` of ``A`` with
-    column ``j`` of ``B``: the shorter of the two is walked in
-    geometrically growing windows and looked up in the other operand's
-    sorted keys until ``d`` commons have shown.  No elementary product is
-    expanded: cost tracks the mask's nnz and how deep into a line its
-    pairs' first commons sit, not the product's flops.
+    ``pattern(A) @ pattern(B)`` (:func:`pattern_matmul`: scipy's numeric
+    kernel ``scipy.sparse._sparsetools.csr_matmat`` called directly, 32-bit
+    indices where the block fits, its output sized from ``min(flops, rows
+    × cols)`` instead of ``@``'s symbolic ``csr_matmat_maxnnz`` pass —
+    ``test_pattern_product_is_one_sized_kernel_pass`` pins the private
+    name), intersected with the mask (or handed in already intersected,
+    ``sized=True``); the first ``d`` products of each surviving ``(i, j)``
+    come from intersecting row ``i`` of ``A`` with column ``j`` of ``B``:
+    the shorter of the two is walked and looked up in the other operand's
+    sorted keys until ``d`` commons have shown, in windows that start where
+    the ``d``-th of the group's ``count`` commons would sit were they
+    spread evenly (``⌈d·(len + 1)/(count + 1)⌉``) and double from there.
+    No elementary product is expanded: cost tracks the mask's nnz and how
+    deep into a line its pairs' first commons sit, not the product's flops.
+    Under SUMMA a block task also gets its block's partials from earlier
+    stages, and ``d`` shrinks per pair to what they left short (none: a
+    count-only row), which the accumulating merge folds to the same bytes
+    (contract (c) of :attr:`~repro.dsparse.semiring.Semiring.
+    product_reduce_depth`).
 
 Either kernel takes ``B`` as a transposed view (:attr:`~repro.dsparse.
 coomat.CooMat.T`), which is how ``C = A·Aᵀ`` runs: both read ``B`` through
@@ -68,10 +78,13 @@ checks them against a plain ESC product filtered afterwards.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+# scipy's numeric CSR product, the pass ``@`` runs after sizing its output
+# with a symbolic one; renamed in a scipy release, this import fails loudly.
+from scipy.sparse._sparsetools import csr_matmat as _csr_matmat
 
 from ..mpisim.tracker import add_work
 from .coomat import CooMat, Lines
@@ -82,12 +95,7 @@ from .spgemm import (_sort_reduce, expand_products, spgemm_esc,
 
 __all__ = ["mask_select", "spgemm_masked", "spgemm_esc_masked",
            "spgemm_dot_masked", "spgemm_upper", "masked_route",
-           "MaskedRoute"]
-
-#: First window of the dot kernel's walk; it doubles for the pairs it does
-#: not resolve.  Eight resolves most pairs of a block whose rows are dense
-#: in commons; 4 and 16 measured within 15 % of it on ``hifi_deep``.
-_WINDOW = 8
+           "MaskedRoute", "pattern_matmul"]
 
 #: The dot kernel is chosen when ESC's products outnumber its *estimated*
 #: probes at least this many times, and there are enough of them for its
@@ -156,11 +164,16 @@ class MaskedRoute(NamedTuple):
     dot: bool           #: take the dot kernel
 
 
+def _col_lens(M: CooMat) -> np.ndarray:
+    """Entries per column: a view's are its base's cached row lengths."""
+    return np.diff(M.T.csr_indptr())
+
+
 def _flops(A: CooMat, B: CooMat) -> int:
-    """Elementary products of ``A ⊗ B``, read off ``B``'s row pointer (for
-    a view, its base's column counts)."""
-    b_ptr = B.csr_indptr()
-    return int((b_ptr[A.col + 1] - b_ptr[A.col]).sum())
+    """Elementary products of ``A ⊗ B``: ``A``'s column lengths against
+    ``B``'s row lengths, read off ``B``'s row pointer (for a view, its
+    base's column counts) without a gather per entry."""
+    return int(_col_lens(A) @ np.diff(B.csr_indptr()))
 
 
 def masked_route(A: CooMat, B: CooMat, mask: CooMat, depth: int,
@@ -189,16 +202,17 @@ def masked_route(A: CooMat, B: CooMat, mask: CooMat, depth: int,
     The estimate itself is optimistic by 2–10× (sizes vary inside a
     block, a triangle mask holds half the flops, windows round up); the
     factor absorbs that.  On the benchmark (seed 14): ``hifi_deep``'s
-    blocks sit at ``g`` = 68–303 (dot, 6.6–7.5× faster), ``service_stream``'s
-    deltas at 19–83 000 (dot, 1.7–2×), ``chain_wide``'s at 0.07–1.9 (ESC,
-    1.5–2.4× faster there) and ``clr_xdrop``'s at 0.4–6 with ≤ 2 700
-    products a block (ESC, 4×).  A caller that has already counted
-    ``flops`` passes it in.
+    blocks sit at ``g`` = 68–304 (dot, pattern product included and no
+    earlier stage's seeds, 5.1–7.6× faster on a 2-vCPU x86 host),
+    ``service_stream``'s deltas at 19–83 000 (dot, 1.7–2×),
+    ``chain_wide``'s at 0.07–1.9 (ESC, 1.5–2.4× faster there) and
+    ``clr_xdrop``'s at 0.4–6 with ≤ 2 700 products a block (ESC, 4×).  A
+    caller that has already counted ``flops`` passes it in.
     """
     if flops is None:
         flops = _flops(A, B)
     a_len = np.diff(A.csr_indptr())
-    b_len = np.bincount(B.col, minlength=B.shape[1])
+    b_len = _col_lens(B)
     span = int(np.minimum(a_len[mask.row], b_len[mask.col]).sum())
     est = span * min(1.0, depth * mask.nnz / max(1, flops))
     return MaskedRoute(flops, mask.nnz, span, est,
@@ -206,25 +220,29 @@ def masked_route(A: CooMat, B: CooMat, mask: CooMat, depth: int,
 
 
 def spgemm_masked(A: CooMat, B: CooMat, semiring: Semiring, mask: CooMat,
-                  tally: dict | None = None) -> tuple[CooMat, str]:
+                  tally: dict | None = None, prior: Sequence[CooMat] = ()
+                  ) -> tuple[CooMat, str]:
     """``(A ⊗ B) ∩ mask`` on the kernel :func:`masked_route` picks.
 
     Returns the product and the path label (``"masked_dot"`` or
     ``"masked_esc"``); semirings without ``product_reduce_depth``, empty
     operands and non-packable shapes always take ESC.  ``tally`` receives
-    the chosen kernel's exact work.
+    the chosen kernel's exact work; ``prior`` (earlier SUMMA stages'
+    partials of this block) goes to the dot kernel, see
+    :func:`spgemm_dot_masked`.
     """
     _output_shape(A, B, mask)
     depth = semiring.product_reduce_depth
     if depth is not None and mask.nnz and A.nnz and B.nnz and \
             _dot_packable(A, B) and masked_route(A, B, mask, depth).dot:
-        return spgemm_dot_masked(A, B, semiring, mask, tally), "masked_dot"
+        return spgemm_dot_masked(A, B, semiring, mask, tally,
+                                 prior=prior), "masked_dot"
     return spgemm_esc_masked(A, B, semiring, mask, tally), "masked_esc"
 
 
 def spgemm_upper(A: CooMat, B: CooMat, semiring: Semiring,
-                 origin: tuple[int, int], tally: dict | None = None
-                 ) -> tuple[CooMat, str]:
+                 origin: tuple[int, int], tally: dict | None = None,
+                 prior: Sequence[CooMat] = ()) -> tuple[CooMat, str]:
     """``A ⊗ B`` restricted to the strict upper triangle of a global frame.
 
     The block's entry ``(i, j)`` sits at global ``(r0 + i, c0 + j)`` for
@@ -241,7 +259,8 @@ def spgemm_upper(A: CooMat, B: CooMat, semiring: Semiring,
     * at or above, the pattern product is formed once and its upper part is
       both :func:`masked_route`'s mask and the dot kernel's group sizes.
 
-    ``tally`` gains the chosen kernel's work, as in :func:`spgemm_masked`.
+    ``tally`` gains the chosen kernel's work and ``prior`` goes to the dot
+    kernel, as in :func:`spgemm_masked`.
     """
     out_shape = _output_shape(A, B)
     diag = np.int64(origin[1] - origin[0])    # keep local (i, j): i - j < diag
@@ -251,13 +270,13 @@ def spgemm_upper(A: CooMat, B: CooMat, semiring: Semiring,
     flops = _flops(A, B)
     if depth is not None and _dot_packable(A, B) and \
             flops >= _DOT_MIN_FLOPS:
-        upper = _pattern_product(A, B)
+        upper = _pattern_product(A, B, flops)
         upper = upper.select(upper.row - upper.col < diag)
         if upper.nnz == 0:
             return CooMat.empty(out_shape, semiring.out_nfields), "masked_esc"
         if masked_route(A, B, upper, depth, flops).dot:
             return spgemm_dot_masked(A, B, semiring, upper, tally,
-                                     sized=True), "masked_dot"
+                                     sized=True, prior=prior), "masked_dot"
     if not _packable(out_shape):
         C = spgemm_esc(A, B, semiring)
         return C.select(C.row - C.col < diag), "masked_esc"
@@ -355,21 +374,23 @@ def _truncated_sort_reduce(out_shape, keys, a_idx, b_at, b_rows: Lines, A,
     tstarts = np.cumsum(clipped) - clipped
     sel = order[_ranges(starts, clipped)]
     ci, cj = np.divmod(sk[starts], np.int64(out_shape[1]))
-    return _reduce_selected(out_shape, ci, cj, counts, tstarts, a_idx[sel],
-                            b_rows.stored(b_at[sel]), A, B, semiring)
+    return _reduce_selected(out_shape, ci, cj, counts, clipped, tstarts,
+                            a_idx[sel], b_rows.stored(b_at[sel]), A, B,
+                            semiring)
 
 
-def _reduce_selected(out_shape, ci, cj, counts, tstarts, a_sel, b_sel, A, B,
-                     semiring) -> CooMat:
-    """The tail both kernels share: multiply each group's selected products
-    (``a_sel``/``b_sel`` index the operands' storage, groups back to back
-    from ``tstarts``) and fold them with the true group sizes ``counts``."""
+def _reduce_selected(out_shape, ci, cj, counts, taken, tstarts, a_sel, b_sel,
+                     A, B, semiring) -> CooMat:
+    """The tail both kernels share: multiply each group's ``taken``
+    selected products (``a_sel``/``b_sel`` index the operands' storage,
+    groups back to back from ``tstarts``) and fold them with the true group
+    sizes ``counts``."""
     cvals, valid = semiring.multiply(A.vals[a_sel], B.vals[b_sel])
     if valid is not None:  # the depth contract forbids validity masks
         raise ValueError(f"{type(semiring).__name__} sets "
                          f"product_reduce_depth but multiply returned a "
                          f"validity mask")
-    reduced = semiring.reduce_truncated(cvals, tstarts, counts)
+    reduced = semiring.reduce_truncated(cvals, tstarts, counts, taken)
     return CooMat(out_shape, ci, cj, reduced, checked=True)
 
 
@@ -391,40 +412,108 @@ def _pattern(M: CooMat) -> sp.csr_matrix | sp.csc_matrix:
     return pat
 
 
-def _pattern_product(A: CooMat, B: CooMat) -> CooMat:
-    """``pattern(A) @ pattern(B)`` on scipy: every coordinate of ``A ⊗ B``
-    with its group size (one product per common inner index, since the
-    depth contract rules out validity masks)."""
-    return CooMat.from_csr(_pattern(A) @ _pattern(B), checked=True)
+def pattern_matmul(a: sp.spmatrix, b: sp.spmatrix,
+                   flops: int | None = None) -> sp.csr_matrix:
+    """``a @ b`` in scipy's numeric pass alone, its indices unsorted.
+
+    scipy's ``@`` runs a symbolic pass (``csr_matmat_maxnnz``) to size
+    the output before its numeric one (``csr_matmat``).  Here the output
+    of a range of ``a``'s rows is sized from an upper bound instead:
+    ``min(flops, rows × cols)`` for all rows at once, and per row when
+    that bound exceeds ``nnz(a) + nnz(b)`` entries, in which case the rows
+    are cut greedily into ranges whose bounds stay within it.  A row
+    without repeated indices bounds at most ``nnz(b)`` products, so no
+    buffer outgrows the operands (a row that alone exceeds the budget gets
+    a range of its own), and the pages a range does not fill are never
+    touched.  The kernel writes without bounds checks; both bounds count
+    products with multiplicity, so they hold for repeated indices too.
+    ``flops`` (``Σ`` over ``a``'s entries of the matching row length of
+    ``b``) is read off the operands unless the caller has it.
+    """
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"inner dimensions differ: {a.shape} x {b.shape}")
+    a, b = a.tocsr(), b.tocsr()
+    n_rows, n_cols = a.shape[0], b.shape[1]
+    b_len = np.diff(b.indptr)
+    if flops is None:
+        flops = int(np.bincount(a.indices, minlength=a.shape[1]) @ b_len)
+    budget = a.nnz + b.nnz
+    if min(flops, n_rows * n_cols) <= budget:
+        cuts = [0, n_rows]
+        sizes = [min(flops, n_rows * n_cols)]
+    else:
+        cum = np.zeros(a.nnz + 1, dtype=np.int64)
+        np.cumsum(b_len[a.indices], out=cum[1:])
+        bound = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(np.minimum(np.diff(cum[a.indptr]), n_cols), out=bound[1:])
+        cuts = [0]
+        while cuts[-1] < n_rows:
+            lo = cuts[-1]
+            hi = int(np.searchsorted(bound, bound[lo] + budget, "right")) - 1
+            cuts.append(max(hi, lo + 1))
+        sizes = np.diff(bound[cuts]).tolist()
+    arrays = (a.indptr, a.indices, b.indptr, b.indices)
+    idx = np.int64 if sum(sizes) > _INDEX32_MAX else np.result_type(*arrays)
+    a_ptr, a_idx, b_ptr, b_idx = (x.astype(idx, copy=False) for x in arrays)
+    val = np.result_type(a.data, b.data)
+    a_val, b_val = a.data.astype(val, copy=False), b.data.astype(val, copy=False)
+    ptrs, cols, data = [np.zeros(1, dtype=idx)], [], []
+    filled = 0
+    for lo, hi, size in zip(cuts[:-1], cuts[1:], sizes):
+        cp = np.empty(hi - lo + 1, dtype=idx)
+        cj = np.empty(size, dtype=idx)
+        cx = np.empty(size, dtype=val)
+        _csr_matmat(hi - lo, n_cols, a_ptr[lo:hi + 1], a_idx, a_val, b_ptr,
+                    b_idx, b_val, cp, cj, cx)
+        nnz = int(cp[-1])
+        ptrs.append(cp[1:] + filled)
+        cols.append(cj[:nnz])
+        data.append(cx[:nnz])
+        filled += nnz
+    return sp.csr_matrix((np.concatenate(data), np.concatenate(cols),
+                          np.concatenate(ptrs)), shape=(n_rows, n_cols))
+
+
+def _pattern_product(A: CooMat, B: CooMat, flops: int | None = None
+                     ) -> CooMat:
+    """``pattern(A) @ pattern(B)``: every coordinate of ``A ⊗ B`` with its
+    group size (one product per common inner index, since the depth
+    contract rules out validity masks), in one sized kernel pass."""
+    return CooMat.from_csr(pattern_matmul(_pattern(A), _pattern(B), flops),
+                           checked=True)
 
 
 def spgemm_dot_masked(A: CooMat, B: CooMat, semiring: Semiring,
-                      mask: CooMat, tally: dict | None = None,
-                      window: int = _WINDOW, *, sized: bool = False
+                      mask: CooMat, tally: dict | None = None, *,
+                      sized: bool = False, prior: Sequence[CooMat] = ()
                       ) -> CooMat:
     """``(A ⊗ B) ∩ mask`` from one row and one column per masked pair.
 
     Requires ``semiring.product_reduce_depth``.  Byte-identical to
     :func:`spgemm_esc_masked` (module docstring); shapes that cannot pack
-    fall back to it.  ``window`` is the first probe window (it doubles; any
-    value ≥ 1 gives the same bytes).  ``tally`` (optional dict) gains
-    ``probes``: the row/column elements looked up, each at most once — so
-    at most ``Σ min(len_i, len_j)`` over the masked pairs that have
-    products, whatever their group sizes.
+    fall back to it.  ``tally`` (optional dict) gains ``probes``: the
+    row/column elements looked up, each at most once — so at most
+    ``Σ min(len_i, len_j)`` over the masked pairs that have products,
+    whatever their group sizes.
 
     The group sizes come from the pattern product intersected with
     ``mask``.  ``sized=True`` declares that ``mask`` already is such an
     intersection — a subset of ``pattern(A) @ pattern(B)`` carrying the
     group sizes as its values, as :func:`spgemm_upper` hands it on — so the
     pattern product is not formed a second time.
+
+    ``prior`` are the partial results earlier SUMMA stages produced for
+    this output block, in stage order.  A pair they already supplied
+    ``Σ min(count, depth) ≥ depth`` products for needs none of its own,
+    and otherwise only the ones left short (the semiring's depth contract:
+    the accumulating reduce reads no more), so its row carries fewer
+    products — none: a count-only row.  The merged result is unchanged.
     """
     depth = semiring.product_reduce_depth
     if depth is None:
         raise ValueError(f"{type(semiring).__name__} declares no "
                          f"product_reduce_depth; the dot kernel cannot "
                          f"truncate its groups")
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
     out_shape = _output_shape(A, B, mask)
     if not _dot_packable(A, B):
         return spgemm_esc_masked(A, B, semiring, mask, tally)
@@ -434,13 +523,29 @@ def spgemm_dot_masked(A: CooMat, B: CooMat, semiring: Semiring,
     if groups.nnz == 0:
         return CooMat.empty(out_shape, semiring.out_nfields)
     counts = groups.vals[:, 0]
-    need = np.minimum(counts, depth)
+    need = np.minimum(counts, np.maximum(
+        0, depth - _supplied(groups.keys(), prior, semiring, depth)))
     tstarts = np.cumsum(need) - need
-    a_sel, b_sel, probes = _first_commons(A, B, groups.row, groups.col, need,
-                                          tstarts, window)
+    a_sel, b_sel, probes = _first_commons(A, B, groups.row, groups.col,
+                                          counts, need, tstarts)
     add_work(tally, probes=probes)
-    return _reduce_selected(out_shape, groups.row, groups.col, counts,
+    return _reduce_selected(out_shape, groups.row, groups.col, counts, need,
                             tstarts, a_sel, b_sel, A, B, semiring)
+
+
+def _supplied(keys: np.ndarray, prior: Sequence[CooMat], semiring: Semiring,
+              depth: int) -> np.ndarray | int:
+    """``Σ min(count, depth)`` over the ``prior`` rows at each of the
+    (sorted) output ``keys``: the products earlier stages already hold."""
+    supplied = np.zeros(keys.shape[0], dtype=np.int64) if prior else 0
+    for part in prior:
+        held = part.keys()
+        at = np.searchsorted(held, keys)
+        at[at == held.shape[0]] = 0       # past the end: cannot be equal
+        hit = np.flatnonzero(held[at] == keys)
+        supplied[hit] += np.minimum(
+            semiring.group_sizes(part.vals)[at[hit]], depth)
+    return supplied
 
 
 def _line_keys(lines: Lines, inner: np.int64) -> np.ndarray:
@@ -450,17 +555,18 @@ def _line_keys(lines: Lines, inner: np.int64) -> np.ndarray:
                      np.diff(lines.indptr)) + lines.index
 
 
-def _first_commons(A, B, pi, pj, need, tstarts, window):
+def _first_commons(A, B, pi, pj, counts, need, tstarts):
     """Storage indices of each pair's first ``need`` common inner indices.
 
     Pair ``p`` is row ``pi[p]`` of ``A`` against column ``pj[p]`` of ``B``,
-    known to share at least ``need[p] ≥ 1`` inner indices ``k``.  The
-    shorter of the two is walked k-ascending and each element looked up in
-    the other operand's sorted ``(row | column, k)`` keys: ``A``'s rows
-    come from its CSR, ``B``'s columns from its CSC — for a view ``B`` its
-    base's CSR rows, so neither operand is permuted.  Returns ``(a_sel,
-    b_sel, probes)``, the selections laid out group by group from
-    ``tstarts``, k ascending inside a group.
+    known to share exactly ``counts[p] ≥ need[p]`` inner indices ``k``;
+    pairs with ``need[p] = 0`` are not walked.  The shorter of the two is
+    walked k-ascending and each element looked up in the other operand's
+    sorted ``(row | column, k)`` keys: ``A``'s rows come from its CSR,
+    ``B``'s columns from its CSC — for a view ``B`` its base's CSR rows, so
+    neither operand is permuted.  Returns ``(a_sel, b_sel, probes)``, the
+    selections laid out group by group from ``tstarts``, k ascending inside
+    a group.
     """
     inner = np.int64(A.shape[1])
     a_rows, b_cols = A.csr(), B.csc()
@@ -469,36 +575,45 @@ def _first_commons(A, B, pi, pj, need, tstarts, window):
     b_len = b_ptr[pj + 1] - b_ptr[pj]
     a_at = np.empty(int(need.sum()), dtype=np.int64)
     b_at = np.empty_like(a_at)
-    by_row = a_len <= b_len
-    by_col = ~by_row
-    probes = _probe(a_ptr[pi[by_row]], a_len[by_row], a_rows.index,
-                    _line_keys(b_cols, inner), pj[by_row] * inner,
-                    need[by_row], tstarts[by_row], window, a_at, b_at)
-    probes += _probe(b_ptr[pj[by_col]], b_len[by_col], b_cols.index,
-                     _line_keys(a_rows, inner), pi[by_col] * inner,
-                     need[by_col], tstarts[by_col], window, b_at, a_at)
+    by_row = (a_len <= b_len) & (need > 0)
+    by_col = (a_len > b_len) & (need > 0)
+    probes = 0
+    if by_row.any():
+        probes += _probe(a_ptr[pi[by_row]], a_len[by_row], a_rows.index,
+                         _line_keys(b_cols, inner), pj[by_row] * inner,
+                         counts[by_row], need[by_row], tstarts[by_row], a_at,
+                         b_at)
+    if by_col.any():
+        probes += _probe(b_ptr[pj[by_col]], b_len[by_col], b_cols.index,
+                         _line_keys(a_rows, inner), pi[by_col] * inner,
+                         counts[by_col], need[by_col], tstarts[by_col], b_at,
+                         a_at)
     return a_rows.stored(a_at), b_cols.stored(b_at), probes
 
 
-def _probe(lo, length, inner_of, hay, base, need, dest, window, walked_sel,
+def _probe(lo, length, inner_of, hay, base, count, need, dest, walked_sel,
            found_sel) -> int:
     """Walk each pair's segment in growing windows until ``need`` hits.
 
     Pair ``p`` walks ``inner_of[lo[p] : lo[p] + length[p]]`` (ascending)
-    and looks each ``k`` up as ``base[p] + k`` in the sorted ``hay``.  A
+    and looks each ``k`` up as ``base[p] + k`` in the sorted ``hay``.  Its
+    first window is ``⌈need·(length + 1) / (count + 1)⌉`` elements, where
+    its ``need``-th of ``count`` commons spread evenly over the segment
+    would sit, and each window it does not resolve doubles the next.  A
     window's hits are exactly the pair's commons up to the window's end,
     i.e. its *next* commons in order, so a pair retires once it has
-    ``need[p]`` of them and only unresolved pairs see the next, doubled,
-    window; no element is looked up twice.  The ``r``-th hit of pair ``p``
-    lands at ``dest[p] + r`` of ``walked_sel`` (position in ``inner_of``)
-    and ``found_sel`` (position in ``hay``).  Returns the elements looked up.
+    ``need[p]`` of them and no element is looked up twice.  The ``r``-th
+    hit of pair ``p`` lands at ``dest[p] + r`` of ``walked_sel`` (position
+    in ``inner_of``) and ``found_sel`` (position in ``hay``).  Returns the
+    elements looked up.
     """
+    window = -(-need * (length + 1) // (count + 1))
     used = np.zeros(lo.shape[0], dtype=np.int64)
     got = np.zeros_like(used)
     active = np.arange(lo.shape[0], dtype=np.int64)
     probes = 0
     while active.shape[0]:
-        width = np.minimum(length[active] - used[active], window)
+        width = np.minimum(length[active] - used[active], window[active])
         walked = _ranges(lo[active] + used[active], width)
         probes += walked.shape[0]
         pair = np.repeat(active, width)
@@ -516,6 +631,6 @@ def _probe(lo, length, inner_of, hay, base, need, dest, window, walked_sel,
         found_sel[at] = found[hit[take]]
         used[active] += width
         got[active] += hits
+        window[active] *= 2
         active = active[got[active] < need[active]]
-        window *= 2
     return probes

@@ -55,7 +55,13 @@ class Semiring:
     #: ``k`` per group and fold them with :meth:`reduce_truncated` instead of
     #: materializing every product value, and the mask-driven dot kernel
     #: may fetch just those ``k`` without expanding any product
-    #: (:mod:`repro.dsparse.masked`).  ``None`` (default) disables the
+    #: (:mod:`repro.dsparse.masked`); and (c) :meth:`reduce` over partial
+    #: results (SUMMA's accumulation, rows in stage order) depends only on
+    #: the rows' group sizes (:meth:`group_sizes`) and the first ``k``
+    #: products of their concatenated product stream — so a stage whose
+    #: earlier partials already hold ``s = Σ min(size, k)`` products of a
+    #: group may fold just ``min(size, max(0, k − s))`` of its own (none: a
+    #: row that carries only its size).  ``None`` (default) disables the
     #: fast path; reduces that consume every product (MinPlus-style minima,
     #: sums of non-constant values) must leave it off.
     product_reduce_depth: int | None = None
@@ -81,14 +87,23 @@ class Semiring:
         raise NotImplementedError
 
     def reduce_truncated(self, vals: np.ndarray, starts: np.ndarray,
-                         counts: np.ndarray) -> np.ndarray:
-        """Fold groups truncated to :attr:`product_reduce_depth` products.
+                         counts: np.ndarray, taken: np.ndarray) -> np.ndarray:
+        """Fold groups truncated to their first ``taken`` products.
 
-        ``vals`` holds only the first ``min(depth, counts[g])`` freshly
-        multiplied products of each group (``starts`` indexes into this
-        truncated array); ``counts`` carries the **true** group sizes.  Must
-        be byte-identical to :meth:`reduce` over the full groups — the
-        contract that makes the masked kernel's truncation invisible.
-        Required iff :attr:`product_reduce_depth` is set.
+        ``vals`` holds only the first ``taken[g] ≤ min(depth, counts[g])``
+        freshly multiplied products of each group (``starts`` indexes into
+        this truncated array; a group may hold none); ``counts`` carries
+        the **true** group sizes.  With ``taken = min(depth, counts)`` the
+        result must be byte-identical to :meth:`reduce` over the full groups
+        — the contract that makes the masked kernels' truncation invisible;
+        with fewer, it is the row a later SUMMA stage may contribute under
+        contract (c) of :attr:`product_reduce_depth`.  Required iff
+        :attr:`product_reduce_depth` is set.
         """
+        raise NotImplementedError
+
+    def group_sizes(self, vals: np.ndarray) -> np.ndarray:
+        """Group size each reduced value row stands for (the products
+        folded into it).  Required iff :attr:`product_reduce_depth` is
+        set."""
         raise NotImplementedError

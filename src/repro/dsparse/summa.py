@@ -40,17 +40,20 @@ __all__ = ["summa", "summa_comm_replay"]
 def _spgemm_task(semiring, operands):
     """Executor task: one local block product (module-level for pickling).
 
-    Returns ``(block, path, work)`` so process-pool workers carry the kernel
-    path (``"esc" | "masked_esc" | "masked_dot"``) and the masked kernels'
-    exact work tally back to the parent for the per-stage counters.
+    ``operands`` is ``(a, b, mask, origin, prior)``: ``prior`` holds the
+    block's partials from earlier stages, which the masked kernels read to
+    fetch only the products those left short.  Returns ``(block, path,
+    work)`` so process-pool workers carry the kernel path (``"esc" |
+    "masked_esc" | "masked_dot"``) and the masked kernels' exact work tally
+    back to the parent for the per-stage counters.
     """
-    a, b, m, origin = operands
+    a, b, m, origin, prior = operands
     maybe_fault("summa.block")
     work: dict[str, int] = {}
     if origin is not None:
-        block, path = spgemm_upper(a, b, semiring, origin, work)
+        block, path = spgemm_upper(a, b, semiring, origin, work, prior)
     elif m is not None:
-        block, path = spgemm_masked(a, b, semiring, m, work)
+        block, path = spgemm_masked(a, b, semiring, m, work, prior)
     else:
         block, path = spgemm_esc(a, b, semiring), "esc"
     return block, path, work
@@ -157,6 +160,11 @@ def summa(A: DistMat, B: DistMat, semiring: Semiring, comm: SimComm,
         is ``(A ⊗ B) ∩ mask``, with each rank pruning its local products to
         its own mask block before the sort/reduce (CombBLAS masked SpGEMM;
         the mask is already distributed, so no extra communication moves).
+        Under a mask or ``upper``, a semiring with a
+        ``product_reduce_depth`` hands each stage's block task the block's
+        partials so far (held by the block's owner, so nothing moves):
+        the dot kernel then fetches only the products earlier stages left
+        short of that depth, and the final merge gives the same bytes.
     upper:
         Instead of a mask, keep the strict upper triangle of the global
         frame: entry ``(r, c)`` survives iff ``r < c + upper``, where
@@ -196,6 +204,9 @@ def summa(A: DistMat, B: DistMat, semiring: Semiring, comm: SimComm,
     origins = [None if upper is None else
                (int(rb[i]), int(cb[j]) + upper) for i, j in ij]
 
+    staged = semiring.product_reduce_depth is not None and \
+        (mask is not None or upper is not None)
+
     # Partial products accumulated per output block.
     partials: list[list[list[CooMat]]] = [[[] for _ in range(q)] for _ in range(q)]
 
@@ -204,9 +215,10 @@ def summa(A: DistMat, B: DistMat, semiring: Semiring, comm: SimComm,
                                          stage)
 
         tasks = [(recvA[i][j], recvB[j][i],
-                  mask.blocks[i][j] if mask is not None else None, origin)
+                  mask.blocks[i][j] if mask is not None else None, origin,
+                  tuple(partials[i][j]) if staged else ())
                  for (i, j), origin in zip(ij, origins)]
-        weights = [a.nnz + b.nnz for a, b, _m, _o in tasks]
+        weights = [task[0].nnz + task[1].nnz for task in tasks]
         with timer.superstep(stage) as step:
             results, secs = executor.run_timed(_spgemm_task, tasks,
                                                context=semiring,

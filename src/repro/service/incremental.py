@@ -111,7 +111,7 @@ from ..core.string_graph import StringGraph
 from ..core.transitive_reduction import transitive_reduction
 from ..dsparse.coomat import CooMat
 from ..dsparse.distmat import DistMat
-from ..dsparse.masked import _ranges, spgemm_masked
+from ..dsparse.masked import _ranges, pattern_matmul, spgemm_masked
 from ..dsparse.membership import in_sorted
 from ..dsparse.summa import summa_comm_replay
 from ..exec import get_executor
@@ -295,13 +295,13 @@ def _affected_pairs(state: AssemblyState, key_ptr: np.ndarray,
     """
     n_old = len(state.reads)
     n = n_old + new_rows.shape[0]
-    parts = [_pair_set(new_rows @ _sharers(key_ptr, key_occ, reliable,
-                                           occ_read, n), n, n_old)]
+    parts = [_pair_set(pattern_matmul(new_rows, _sharers(
+        key_ptr, key_occ, reliable, occ_read, n)), n, n_old)]
     for ptr, occ, keys in ((key_ptr, key_occ, added),
                            (state.key_ptr, state.key_occ, removed)):
         if keys.shape[0]:
             lists = _sharers(ptr, occ, keys, occ_read, n)
-            parts.append(_pair_set(lists.T @ lists, n))
+            parts.append(_pair_set(pattern_matmul(lists.T, lists), n))
     return np.unique(np.concatenate(parts))
 
 
@@ -502,7 +502,7 @@ def _recompute(state: AssemblyState, batch: ReadSet, pcfg: PipelineConfig
     key_ptr, key_occ = _key_index(hist_keys, occ_key)
     a_ptr, a_col, _a_occ = _a_csr(occ_read, occ_col, n)
     a_pattern = _pattern(a_ptr, a_col, len(table))
-    c_pack = _pair_set(a_pattern @ a_pattern.T, n)
+    c_pack = _pair_set(pattern_matmul(a_pattern, a_pattern.T), n)
     graph = result.string_graph
     return AssemblyState(
         version=state.version + 1, reads=combined,

@@ -23,7 +23,7 @@ def local_product(A, B, semiring, mask=None, upper=None):
     """One SUMMA block product and the kernel path it took: with ``upper``
     (a block origin) the strict upper triangle, with ``mask`` the masked
     product, else plain ESC."""
-    block, path, _work = _spgemm_task(semiring, (A, B, mask, upper))
+    block, path, _work = _spgemm_task(semiring, (A, B, mask, upper, ()))
     return block, path
 
 

@@ -18,6 +18,7 @@ import socket
 import threading
 import urllib.error
 import urllib.request
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from repro.core.blocked import candidate_overlaps_blocked
 from repro.core.contigs import extract_contigs
 from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.exec import ProcessExecutor, SerialExecutor, get_executor
+from repro.exec.executor import MAX_ATTEMPTS
 from repro.resilience import (CheckpointMismatch, FaultInjected, FaultPlan,
                               InjectedWorkerCrash, StripCheckpoint,
                               active_plan, current_plan)
@@ -281,12 +283,19 @@ def test_chaos_pipeline_byte_identical(chaos_reads, baseline, spec,
         f"{workers} overlap={overlap_mode}")
 
 
+def _absorbable(clauses) -> bool:
+    """At most ``MAX_ATTEMPTS - 1`` clauses per site: more can land on one
+    chunk's in-place attempts and exhaust them (see the test below)."""
+    return max(Counter(site for site, _, _ in clauses).values()) < \
+        MAX_ATTEMPTS
+
+
 @settings(max_examples=5, deadline=None)
 @given(st.lists(
     st.tuples(st.sampled_from(["exec.chunk", "summa.block"]),
               st.sampled_from(["exc", "crash"]),
               st.integers(min_value=1, max_value=4)),
-    min_size=1, max_size=3))
+    min_size=1, max_size=3).filter(_absorbable))
 def test_chaos_hypothesis_schedules(chaos_reads, baseline, clauses):
     spec = ";".join(f"{site}:{kind}@{count}"
                     for site, kind, count in clauses)
@@ -294,6 +303,18 @@ def test_chaos_hypothesis_schedules(chaos_reads, baseline, clauses):
                           _config("process", 3, "blocked", fault_plan=spec))
     assert _digests(result) == baseline["blocked"], (
         f"faulted run drifted under generated spec {spec!r}")
+
+
+def test_chaos_three_faults_at_one_site_exhaust_the_retries(chaos_reads):
+    """Three ``summa.block`` faults on consecutive checks: every pool
+    attempt loses its chunks, and the parent's in-place retries of one
+    chunk meet checks 1, 2 and 3 — one per attempt — so the last fault
+    escapes by name instead of the run drifting."""
+    spec = ("summa.block:exc@1;summa.block:exc@2;summa.block:crash@3")
+    with pytest.raises(InjectedWorkerCrash,
+                       match=r"crash at summa\.block \(check #3\)"):
+        run_pipeline(chaos_reads,
+                     _config("process", 3, "blocked", fault_plan=spec))
 
 
 def test_fault_spec_env_is_honored(chaos_reads, baseline, monkeypatch):
