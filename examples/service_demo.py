@@ -55,7 +55,6 @@ def main() -> int:
     print(f"simulated {len(reads)} reads from a 30 kb genome")
 
     service = AssemblyService(ServiceConfig(
-        refresh_mode="incremental",
         pipeline=PipelineConfig(k=17, nprocs=4, depth_hint=DEPTH,
                                 error_hint=ERROR)))
     server = make_server(service, port=0)
@@ -75,8 +74,8 @@ def main() -> int:
             for name, seq in zip(sub.names, sub.seqs)]})
         c = reply["counts"]
         n_contigs.append(len(_get(f"{base}/contigs")["contigs"]))
-        print(f"v{reply['version']}: +{reply['ingested']} reads via "
-              f"{reply['refresh_mode']} in {reply['refresh_seconds']:.2f}s "
+        print(f"v{reply['version']}: +{reply['ingested']} reads in "
+              f"{reply['refresh_seconds']:.2f}s "
               f"-> {c['n_reads']} reads, nnz(R)={c['nnz_r']}, "
               f"{n_contigs[-1]} contigs")
 

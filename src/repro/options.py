@@ -155,7 +155,8 @@ SEED_MODE = Axis(
     "paper's behavior), 'minimizer'/'syncmer' sketch reads to ~2/(w+1) / "
     "1/w of their windows before counting and A construction, shrinking "
     "nnz(A)/nnz(C) ~w-fold at a small recall cost (w is --seed-w); the "
-    "service refuses incremental batches under a different scheme",
+    "service rebuilds its state when a batch arrives under a different "
+    "scheme",
     choices=("full", "minimizer", "syncmer"), service=True,
     changes_output=True)
 
@@ -191,10 +192,11 @@ FAULT_PLAN = Axis(
 
 REFRESH_MODE = Axis(
     "refresh_mode", "--refresh-mode", None, "incremental",
-    "service refresh engine: 'incremental' folds each batch into the live "
-    "state via delta products, 'recompute' reruns the pipeline from "
-    "scratch (the byte-identical oracle)",
-    choices=("incremental", "recompute"), pipeline=False, service=True)
+    "service refresh engine, one choice: 'incremental' folds each batch "
+    "into the live state via delta products, and rebuilds (a delta from "
+    "the empty state with every read) when the seeding scheme, reliable "
+    "bounds, alignment settings or grid change",
+    choices=("incremental",), pipeline=False, service=True)
 
 #: Every axis, in CLI / README order.  All but ``refresh_mode`` (a
 #: ``ServiceConfig`` field) are ``PipelineConfig`` fields.

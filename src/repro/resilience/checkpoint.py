@@ -11,8 +11,7 @@ The manifest carries a **fingerprint** of everything the strip results
 depend on (the A matrix's entries, the read bases, k, alignment mode and
 parameters, the strip spans).  Resuming against a directory whose
 fingerprint differs raises :class:`CheckpointMismatch` instead of
-silently merging strips of a different run — the checkpoint equivalent of
-the service's cross-scheme refusal.
+silently merging strips of a different run.
 
 Payloads are pickled verbatim (a strip's R entries as COO arrays, its
 candidate count, its row census and its private timer/tracker), so a

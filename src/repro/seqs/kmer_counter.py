@@ -64,7 +64,7 @@ from .seeding import FullKScheme, SeedScheme
 from .spill import combine_histograms, merge_pair_runs, write_pair_run
 
 __all__ = ["KmerTable", "reliable_upper_bound", "count_kmers",
-           "kmer_histogram", "merge_histograms", "table_from_histogram"]
+           "merge_histograms", "table_from_histogram"]
 
 STAGE = "CountKmer"
 
@@ -203,30 +203,6 @@ def _reliable_hist_task(ctx, task):
         kparts.append(keys[keep])
         cparts.append(counts[keep])
     return np.concatenate(kparts), np.concatenate(cparts)
-
-
-def kmer_histogram(reads: ReadSet, k: int,
-                   scheme: SeedScheme | None = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact global ``(keys, counts)`` histogram of canonical seed k-mers.
-
-    One vectorized sweep over the whole read set; keys come back sorted
-    ascending.  This is the *mergeable* form of the counting state the
-    incremental service keeps per version: unlike the Bloom-filtered
-    two-pass tables (whose admission decisions depend on how occurrences
-    were batched), exact histograms of two read batches combine losslessly
-    with :func:`merge_histograms`, and the reliable table is a pure filter
-    of the merged histogram (:func:`table_from_histogram`).  Both
-    properties hold for any :class:`~repro.seqs.seeding.SeedScheme` —
-    schemes are pure per-read functions, so the seed multiset of a batch
-    union is the union of the batches' seed multisets.
-    """
-    scheme = scheme if scheme is not None else FullKScheme(k)
-    canon = scheme.seeds_of_block(*reads.soa())[0]
-    if canon.size == 0:
-        return np.empty(0, np.uint64), np.empty(0, np.int64)
-    keys, counts = np.unique(canon, return_counts=True)
-    return keys, counts.astype(np.int64)
 
 
 def merge_histograms(keys: np.ndarray, counts: np.ndarray,

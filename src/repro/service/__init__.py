@@ -12,16 +12,19 @@ version.
 Layers
 ------
 ``config``
-    :class:`ServiceConfig` + the ``refresh_mode`` axis
-    (``incremental | recompute``: the delta refresh or a from-scratch run).
+    :class:`ServiceConfig`: host, port, cache size and the pipeline
+    config every refresh runs.
 ``state``
-    Versioned, copy-on-write :class:`AssemblyState` snapshots and the
+    Versioned, copy-on-write :class:`AssemblyState` snapshots, the
+    :class:`~repro.service.state.Basis` each was built on, and the
     thread-safe :class:`SessionStore` holding the current one.
 ``incremental``
-    The refresh engine: :func:`refresh` produces version ``v+1`` from
+    The one refresh engine: :func:`refresh` produces version ``v+1`` from
     version ``v`` plus a read batch, byte-identical to a from-scratch
-    :func:`~repro.core.pipeline.run_pipeline` either way (``recompute``
-    *is* the scratch run — the oracle the incremental path is pinned to).
+    :func:`~repro.core.pipeline.run_pipeline` on all reads.  The bootstrap
+    and every rebuild (a batch under another basis) are deltas from the
+    empty state; the scratch run itself is a test oracle
+    (``tests/oracles/service.py``).
 ``query_cache`` / ``server``
     LRU result cache keyed on ``(endpoint, params, dataset_version)`` and
     the HTTP/1.1 JSON API around it: one selector loop answers queries

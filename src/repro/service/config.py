@@ -1,13 +1,10 @@
 """Service configuration.
 
-``refresh_mode`` (:data:`repro.options.REFRESH_MODE`) picks between two
-interchangeable engines with byte-identical output: one fast
-(``incremental`` — fold the batch into the live state via delta products)
-and one reference (``recompute`` — rerun
-:func:`~repro.core.pipeline.run_pipeline` from scratch on the concatenated
-reads).  Unlike the pipeline's reference engines, which live in the test
-suite, ``recompute`` is a runtime path: an empty state bootstraps through
-it, and it is how a state is rebuilt under a new seeding scheme.
+``refresh_mode`` (:data:`repro.options.REFRESH_MODE`) has one choice,
+``incremental``: every refresh folds its batch into the live state via
+delta products, and a bootstrap or a rebuild under new settings is the
+same delta from the empty state.  The scratch-run reference it is pinned
+to lives in the test suite, like the pipeline's reference engines.
 """
 
 from __future__ import annotations

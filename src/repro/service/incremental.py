@@ -4,9 +4,10 @@
 ``v + 1``, byte-identical to running the whole pipeline from scratch on
 the concatenated reads — for *every* field the batch pipeline produces
 (S, R, contigs, the sparsity counts, and the per-stage communication
-records).  ``refresh_mode="recompute"`` *is* that scratch run, kept as
-the oracle; ``"incremental"`` earns the speedup by never re-aligning a
-pair whose candidate evidence is unchanged.
+records).  It earns its speed by never re-aligning a pair whose
+candidate evidence is unchanged.  There is one engine: the bootstrap and
+every rebuild are deltas from the empty state, whose batch is the whole
+read set (so every pair is affected and the delta is the whole run).
 
 Why the incremental path is exact
 ---------------------------------
@@ -20,8 +21,8 @@ Why the incremental path is exact
   exactly two ways: it enters ``[lower, upper]`` from below (**added**)
   or leaves above ``upper`` (**removed**).  Only the batch's keys change
   count, so their old and new counts, read off the merge, name both sets
-  — which holds only while the bounds stay put, so a delta under other
-  bounds is refused.
+  — which holds only while the bounds stay put, so a refresh under other
+  bounds rebuilds.
 
 * **A.**  The state keeps the reliability-independent occurrence table —
   first-window occurrence per (read, distinct canonical k-mer), sorted by
@@ -104,8 +105,7 @@ import scipy.sparse as sp
 from ..core.contigs import extract_contigs
 from ..core.overlap import (align_candidates, charge_a_routing,
                             exchange_reads)
-from ..core.pipeline import (PipelineConfig, _require_nonempty_reads,
-                             run_pipeline)
+from ..core.pipeline import PipelineConfig, _require_nonempty_reads
 from ..core.semirings import A_NFIELDS, PositionsSemiring, R_NFIELDS
 from ..core.string_graph import StringGraph
 from ..core.transitive_reduction import transitive_reduction
@@ -124,9 +124,9 @@ from ..seqs.fasta import ReadSet
 from ..seqs.kmer_counter import (merge_histograms, reliable_upper_bound,
                                  table_from_histogram)
 from ..seqs.kmers import splitmix64
-from ..seqs.seeding import FullKScheme, SeedScheme, make_scheme
+from ..seqs.seeding import SeedScheme, make_scheme
 from .config import ServiceConfig
-from .state import AssemblyState
+from .state import AssemblyState, Basis
 
 __all__ = ["refresh", "batch_occurrences", "service_pipeline"]
 
@@ -137,22 +137,28 @@ def service_pipeline(config: ServiceConfig) -> PipelineConfig:
     Pin the in-memory read backend too: the service's versioned states
     concat their ReadSets across refreshes, and a per-refresh store
     rebuild would put an ingest-sized disk write on every delta.  The
-    blocked-only options go with the blocked path.
+    blocked-only options go with the blocked path.  The config's
+    ``refresh_mode`` is validated here too.
     """
+    REFRESH_MODE.resolve(config.refresh_mode)
     return replace(config.pipeline, overlap_mode="monolithic",
                    read_store="inmem", n_strips=None,
                    checkpoint_dir=None).resolved()
 
 
-def _resolved_upper(pcfg: PipelineConfig) -> int:
-    if pcfg.kmer_upper is not None:
-        return pcfg.kmer_upper
-    return reliable_upper_bound(pcfg.depth_hint, pcfg.error_hint, pcfg.k)
-
-
 def _scheme_of(pcfg: PipelineConfig) -> SeedScheme:
     """The seeding scheme a pipeline config resolves to."""
     return make_scheme(pcfg.seed_mode, pcfg.k, pcfg.seed_w)
+
+
+def _basis(pcfg: PipelineConfig) -> Basis:
+    """The :class:`~repro.service.state.Basis` a refresh under ``pcfg``
+    builds on."""
+    upper = pcfg.kmer_upper
+    if upper is None:
+        upper = reliable_upper_bound(pcfg.depth_hint, pcfg.error_hint, pcfg.k)
+    return Basis(_scheme_of(pcfg).scheme_id, 2, upper, pcfg.align_mode,
+                 pcfg.scoring, pcfg.filt, pcfg.fuzz, pcfg.nprocs)
 
 
 def batch_occurrences(seeds: tuple[np.ndarray, np.ndarray, np.ndarray,
@@ -194,19 +200,6 @@ def _row_pointer(rows: np.ndarray, n: int) -> np.ndarray:
     indptr = np.zeros(n + 1, np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return indptr
-
-
-def _key_index(hist_keys: np.ndarray, occ_key: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Key-major CSR ``(key_ptr, key_occ)`` of an occurrence table.
-
-    The occurrences of ``hist_keys[h]`` are ``key_occ[key_ptr[h]:
-    key_ptr[h + 1]]``, ascending — hence in ascending read order, one per
-    read.  Built once, by the bootstrap; refreshes splice into it.
-    """
-    h = np.searchsorted(hist_keys, occ_key)
-    return (_row_pointer(h, hist_keys.shape[0]),
-            np.argsort(h, kind="stable").astype(np.int64))
 
 
 def _a_csr(occ_read: np.ndarray, occ_col: np.ndarray, n: int
@@ -395,8 +388,8 @@ def _seed_tables(reads: ReadSet, scheme: SeedScheme, P: int,
     """Histogram, occurrence table and routing census of ``reads``.
 
     All three come from one seed extraction: ``((keys, counts), occ,
-    census)``, with the histogram sorted by key
-    (:func:`~repro.seqs.kmer_counter.kmer_histogram`'s form) and ``occ``
+    census)``, with the histogram sorted by key (the form
+    :func:`~repro.seqs.kmer_counter.merge_histograms` merges) and ``occ``
     as :func:`batch_occurrences` returns it.
     """
     seeds = scheme.seeds_of_block(*reads.soa())
@@ -408,7 +401,7 @@ def _seed_tables(reads: ReadSet, scheme: SeedScheme, P: int,
 
 def _replay_count_kmers(reads: ReadSet, route_counts: np.ndarray, table,
                         comm: SimComm, batches: int,
-                        scheme: SeedScheme | None = None) -> None:
+                        scheme: SeedScheme) -> None:
     """Re-issue ``CountKmer``'s exact traffic from the routing census.
 
     Both counting passes ship the same per-rank seed streams (uint64
@@ -423,7 +416,6 @@ def _replay_count_kmers(reads: ReadSet, route_counts: np.ndarray, table,
     allgather ships each owner's reliable keys (owner =
     ``splitmix64(key) mod P``).
     """
-    scheme = scheme if scheme is not None else FullKScheme(table.k)
     P = comm.nprocs
     bounds = block_bounds(len(reads), P)
     per_rank: list[list[np.ndarray]] = []
@@ -473,57 +465,18 @@ def _replay_count_kmers(reads: ReadSet, route_counts: np.ndarray, table,
                    stage="CountKmer")
 
 
-def _bumped_empty(state: AssemblyState, mode: str) -> AssemblyState:
-    empty = AssemblyState.initial()
-    return replace(empty, version=state.version + 1, refresh_mode=mode)
-
-
 def _counts(n, m, nnz_a, nnz_c, nnz_r, nnz_s, rounds) -> dict[str, int]:
     return {"n_reads": int(n), "n_kmers": int(m), "nnz_a": int(nnz_a),
             "nnz_c": int(nnz_c), "nnz_r": int(nnz_r), "nnz_s": int(nnz_s),
             "tr_rounds": int(rounds)}
 
 
-def _recompute(state: AssemblyState, batch: ReadSet, pcfg: PipelineConfig
-               ) -> AssemblyState:
-    """The oracle: scratch pipeline run + derivation of the service layers."""
-    combined = state.reads.concat(batch)
-    n = len(combined)
-    if n == 0:
-        return _bumped_empty(state, "recompute")
-    result = run_pipeline(combined, pcfg)
-    scheme = _scheme_of(pcfg)
-    (hist_keys, hist_counts), occ, route_counts = _seed_tables(
-        combined, scheme, pcfg.nprocs)
-    table = table_from_histogram(hist_keys, hist_counts, pcfg.k, lower=2,
-                                 upper=_resolved_upper(pcfg))
-    occ_key, occ_read, occ_pos, occ_flip = occ
-    occ_col = table.lookup(occ_key)
-    key_ptr, key_occ = _key_index(hist_keys, occ_key)
-    a_ptr, a_col, _a_occ = _a_csr(occ_read, occ_col, n)
-    a_pattern = _pattern(a_ptr, a_col, len(table))
-    c_pack = _pair_set(pattern_matmul(a_pattern, a_pattern.T), n)
-    graph = result.string_graph
-    return AssemblyState(
-        version=state.version + 1, reads=combined,
-        hist_keys=hist_keys, hist_counts=hist_counts, table=table,
-        occ_read=occ_read, occ_pos=occ_pos, occ_flip=occ_flip,
-        occ_col=occ_col, key_ptr=key_ptr, key_occ=key_occ,
-        R=result.R, S=result.S, graph=graph,
-        contigs=extract_contigs(graph),
-        c_ri=c_pack // np.int64(n), c_rj=c_pack % np.int64(n),
-        route_counts=route_counts,
-        counts=_counts(n, result.n_kmers, result.nnz_a, result.nnz_c,
-                       result.nnz_r, result.nnz_s, result.tr_rounds),
-        tracker=result.tracker, timer=result.timer,
-        refresh_mode="recompute", scheme_id=scheme.scheme_id)
-
-
 def _incremental(state: AssemblyState, batch: ReadSet,
-                 pcfg: PipelineConfig) -> AssemblyState:
-    """Delta refresh of a non-empty state (see the module docstring)."""
+                 pcfg: PipelineConfig, basis: Basis) -> AssemblyState:
+    """Delta refresh of a state built on ``basis`` (see the module
+    docstring); the empty state is one, with no table and no census."""
     k = pcfg.k
-    lower, upper = 2, _resolved_upper(pcfg)
+    lower, upper = basis.lower, basis.upper
     scheme = _scheme_of(pcfg)
     n_old = len(state.reads)
     combined = state.reads.concat(batch)
@@ -570,9 +523,10 @@ def _incremental(state: AssemblyState, batch: ReadSet,
                                          minlength=hist_keys.shape[0]))
 
     # Occurrence table: renumber old columns, give the added keys' old
-    # occurrences their columns, append the batch's rows.
+    # occurrences their columns, append the batch's rows (a state without
+    # occurrences has nothing to renumber).
     occ_col = state.occ_col
-    if added.any() or removed.any():
+    if n_occ and (added.any() or removed.any()):
         colmap = _column_map(len(state.table),
                              state.table.lookup(bk[removed]), m,
                              bcol[added])
@@ -597,11 +551,9 @@ def _incremental(state: AssemblyState, batch: ReadSet,
     aff = _affected_pairs(state, key_ptr, key_occ, occ_read, at[added],
                           old_at[removed], at[now], new_rows)
 
-    if state.route_counts.shape == (n_old, P):
-        route_counts = np.vstack([state.route_counts, batch_census])
-    else:  # census missing or built for a different grid: rebuild once
-        route_counts = _route_census(scheme.seeds_of_block(*combined.soa()),
-                                     n, P)
+    # The empty state's census has no columns yet: the batch's is the whole.
+    route_counts = (np.vstack([state.route_counts, batch_census]) if n_old
+                    else batch_census)
 
     # Traffic replays for the stages the delta path skips (TrReduction runs
     # for real below and charges itself).  SUMMA's broadcasts depend only
@@ -653,63 +605,41 @@ def _incremental(state: AssemblyState, batch: ReadSet,
         route_counts=route_counts,
         counts=_counts(n, m, a_ptr[-1], c_pack.shape[0],
                        R_global.nnz, S_global.nnz, tr.rounds),
-        tracker=tracker, timer=timer, refresh_mode="incremental",
-        scheme_id=scheme.scheme_id)
+        tracker=tracker, timer=timer, basis=basis)
 
 
 def refresh(state: AssemblyState, batch: ReadSet,
-            config: ServiceConfig | None = None,
-            mode: str | None = None) -> AssemblyState:
+            config: ServiceConfig | None = None) -> AssemblyState:
     """Version ``v + 1`` from version ``v`` plus a read batch.
 
-    ``mode`` overrides the config's ``refresh_mode``; both it and the
-    pipeline config's axes are resolved here, once per refresh
-    (:data:`repro.options.AXES`).  Whatever the pipeline config's
-    ``overlap_mode`` says, the candidate path is monolithic — the blocked
-    mode strip-mines a batch-sized product that the incremental engine
-    never forms.  An empty initial state always bootstraps through the
-    scratch run (there is nothing to be incremental against).
+    The pipeline config's axes are resolved here, once per refresh
+    (:data:`repro.options.AXES`).  Whatever its ``overlap_mode`` says, the
+    candidate path is monolithic — the blocked mode strip-mines a
+    batch-sized product that the delta never forms.
 
-    Cross-scheme deltas are refused: the state's cached histogram,
-    occurrence table, and routing census are seed streams of the scheme
-    tagged in ``state.scheme_id``, so an incremental refresh under a
-    different ``seed_mode``/``seed_w`` raises ``ValueError`` instead of
-    splicing incompatible state.  A ``recompute`` refresh rebuilds from
-    scratch under the new scheme and re-tags the state.  So are deltas
-    under different reliable bounds (``kmer_upper`` or the hints it is
-    derived from): the incremental engine finds the keys that enter or
-    leave the reliable set among the batch's keys alone, which holds only
-    while the bounds stay put.  A zero-length read in the batch raises
-    ``ValueError`` naming it, in either mode, before any engine runs.
+    A state takes a delta only under the
+    :class:`~repro.service.state.Basis` it was built on.  Under any other
+    — the empty state has none; a new seeding scheme, reliable bounds,
+    alignment settings or grid — the refresh rebuilds: the delta runs on
+    the empty state with the whole read set as its batch, and the new
+    version carries the config's basis.  The bootstrap is the first such
+    rebuild.  A zero-length read in the batch raises ``ValueError`` naming
+    it before anything runs.
     """
     config = config if config is not None else ServiceConfig()
-    mode = REFRESH_MODE.resolve(mode if mode is not None
-                                else config.refresh_mode)
     pcfg = service_pipeline(config)
     _require_nonempty_reads(batch)
     # Injection point for the chaos suite: fires before any new state is
     # built, so a failed refresh leaves nothing half-made to roll back.
     maybe_fault("service.refresh")
     t0 = time.perf_counter()
-    if len(state.reads) == 0 and len(batch) == 0:
-        new = _bumped_empty(state, mode)
-    elif mode == "recompute" or len(state.reads) == 0:
-        new = _recompute(state, batch, pcfg)
+    basis = _basis(pcfg)
+    if state.basis != basis:
+        state, batch = (replace(AssemblyState.initial(),
+                                version=state.version),
+                        state.reads.concat(batch))
+    if len(state.reads) + len(batch) == 0:
+        new = replace(state, version=state.version + 1)
     else:
-        scheme_id = _scheme_of(pcfg).scheme_id
-        if state.scheme_id and state.scheme_id != scheme_id:
-            raise ValueError(
-                f"cross-scheme delta refused: state v{state.version} was "
-                f"built with seeding scheme {state.scheme_id!r} but the "
-                f"config resolves to {scheme_id!r}; refresh with "
-                f"mode='recompute' to rebuild under the new scheme")
-        bounds = (state.table.lower, state.table.upper)
-        if bounds != (2, _resolved_upper(pcfg)):
-            raise ValueError(
-                f"reliable-bounds delta refused: state v{state.version} "
-                f"keeps k-mers counted in [{bounds[0]}, {bounds[1]}] but "
-                f"the config resolves to [2, {_resolved_upper(pcfg)}]; "
-                f"refresh with mode='recompute' to rebuild under the new "
-                f"bounds")
-        new = _incremental(state, batch, pcfg)
+        new = _incremental(state, batch, pcfg, basis)
     return replace(new, refresh_seconds=time.perf_counter() - t0)

@@ -89,8 +89,8 @@ READ_TIMEOUT_S = 30.0
 
 class BadBatch(ValueError):
     """The ingest payload itself is invalid (non-DNA characters, an empty
-    sequence) — a client error (HTTP 400), distinct from a state conflict
-    (409)."""
+    sequence) — a client error (HTTP 400), distinct from a failed refresh
+    (503)."""
 
 
 class UnknownRead(LookupError):
@@ -171,16 +171,11 @@ class AssemblyService:
             try:
                 with active_plan(self.fault_plan):
                     state = refresh(old, batch, self.config)
-            except ValueError:
-                # State conflicts (cross-scheme deltas) pass through: the
-                # client must change its request, not retry it.
-                raise
             except Exception as exc:
                 raise RefreshFailed(old.version, exc) from exc
             self.store.commit(state)
             self.cache.invalidate_stale(state.version)
         return {"version": state.version, "ingested": len(batch),
-                "refresh_mode": state.refresh_mode,
                 "refresh_seconds": state.refresh_seconds,
                 "counts": state.counts}
 
@@ -239,7 +234,6 @@ class AssemblyService:
                     comm[stage] = {"bytes": int(rec.total_bytes),
                                    "messages": int(rec.total_messages)}
             return {"version": state.version, "counts": state.counts,
-                    "refresh_mode": state.refresh_mode,
                     "refresh_seconds": state.refresh_seconds,
                     "scheme": state.scheme_id,
                     "comm": comm}
@@ -641,11 +635,6 @@ class _Server:
             # Nothing was committed; the client may retry the same batch.
             return _json(503, {"error": str(exc), "code": "refresh-failed",
                                "version": exc.version, "retryable": True})
-        except ValueError as exc:
-            # Refused ingests (e.g. a cross-scheme delta against the
-            # session's seeding scheme) are a client-state conflict, not a
-            # server fault.
-            return _json(409, {"error": str(exc), "code": "conflict"})
 
 
 def make_server(service: AssemblyService, host: str | None = None,

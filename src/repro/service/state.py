@@ -17,18 +17,21 @@ behind a lock and hands out whatever version was current at call time.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from ..align.xdrop import Scoring
 from ..core.contigs import Contig
+from ..core.overlap import AlignmentFilter
 from ..core.string_graph import StringGraph
 from ..dsparse.coomat import CooMat
 from ..mpisim.tracker import CommTracker, StageTimer
 from ..seqs.fasta import ReadSet
 from ..seqs.kmer_counter import KmerTable
 
-__all__ = ["AssemblyState", "SessionStore"]
+__all__ = ["AssemblyState", "Basis", "SessionStore"]
 
 
 def _empty_u64() -> np.ndarray:
@@ -37,6 +40,29 @@ def _empty_u64() -> np.ndarray:
 
 def _empty_i64() -> np.ndarray:
     return np.empty(0, np.int64)
+
+
+class Basis(NamedTuple):
+    """The resolved settings a state's cached intermediates and R depend on.
+
+    ``scheme`` is the seeding scheme's
+    :attr:`~repro.seqs.seeding.SeedScheme.scheme_id` (it names ``k``), and
+    ``lower``/``upper`` the reliable bounds: histogram, occurrence table
+    and census are seed streams of the scheme, and which keys enter or
+    leave the reliable set is read off the batch's keys alone only while
+    the bounds stay put.  ``align_mode``, ``scoring``, ``filt`` and
+    ``fuzz`` decide R's kept rows, and ``nprocs`` the census's columns.
+    A refresh under another basis rebuilds from the empty state.
+    """
+
+    scheme: str
+    lower: int
+    upper: int
+    align_mode: str
+    scoring: Scoring
+    filt: AlignmentFilter
+    fuzz: int
+    nprocs: int
 
 
 @dataclass(frozen=True)
@@ -63,8 +89,7 @@ class AssemblyState:
       a CSR over ``hist_keys``: the occurrences of ``hist_keys[h]`` are
       ``key_occ[key_ptr[h]:key_ptr[h + 1]]``, ascending.  It lists an
       added or removed key's reads, and a batch key's sharers, without a
-      scan; the bootstrap builds it and each refresh splices the batch's
-      occurrences in.
+      scan; each refresh splices the batch's occurrences in.
     * ``R`` — the pre-reduction overlap matrix, which delta refreshes
       splice rows into.
     * ``c_ri``/``c_rj`` — the strict-upper candidate pair list (sorted
@@ -75,12 +100,11 @@ class AssemblyState:
       read's row never changes, so the census grows by appending the
       batch's rows, and the CountKmer traffic replay becomes prefix-sum
       arithmetic instead of re-extracting every old read's k-mers.
-    * ``scheme_id`` — the seeding scheme
-      (:attr:`repro.seqs.seeding.SeedScheme.scheme_id`) every cached
-      intermediate was extracted under.  Histogram, occurrence table, and
-      census are all seed streams of that scheme, so a delta refresh under
-      a *different* scheme would splice incompatible state — the refresh
-      engine refuses cross-scheme deltas (recompute rebuilds and re-tags).
+    * ``basis`` — the :class:`Basis` every cached intermediate and R
+      were built under (``None`` before the first read arrives).  A delta
+      under another basis would splice incompatible state, so the refresh
+      engine rebuilds instead: the whole read set, as one batch, on the
+      empty state.
     """
 
     version: int
@@ -104,9 +128,8 @@ class AssemblyState:
     counts: dict[str, int]
     tracker: CommTracker | None
     timer: StageTimer | None
-    refresh_mode: str
+    basis: Basis | None = None
     refresh_seconds: float = 0.0
-    scheme_id: str = ""
 
     @classmethod
     def initial(cls) -> "AssemblyState":
@@ -123,7 +146,12 @@ class AssemblyState:
             route_counts=np.empty((0, 0), np.int64),
             counts={"n_reads": 0, "n_kmers": 0, "nnz_a": 0, "nnz_c": 0,
                     "nnz_r": 0, "nnz_s": 0, "tr_rounds": 0},
-            tracker=None, timer=None, refresh_mode="none")
+            tracker=None, timer=None)
+
+    @property
+    def scheme_id(self) -> str:
+        """The seeding scheme the state was built under (``""`` if none)."""
+        return self.basis.scheme if self.basis is not None else ""
 
 
 class SessionStore:

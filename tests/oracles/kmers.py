@@ -5,7 +5,10 @@ from ACGT strings.  The batched extractors
 (:func:`repro.seqs.kmers.read_kmers_batch` and its doubling pack,
 :func:`repro.seqs.minimizers.minimizers_batch`,
 :meth:`repro.seqs.seeding.SeedScheme.seeds_of_block`) must equal these
-applied read by read.  Test-only: nothing under ``src/`` imports them."""
+applied read by read.  Also the exact whole-set seed histogram
+(:func:`kmer_histogram`) that the counting engines and the service's
+per-batch histogram merge are checked against.  Test-only: nothing under
+``src/`` imports them."""
 
 from __future__ import annotations
 
@@ -13,7 +16,8 @@ import numpy as np
 
 from repro.seqs.dna import decode, encode, revcomp_codes
 from repro.seqs.kmers import _check_k, splitmix64
-from repro.seqs.seeding import FullKScheme
+from repro.seqs.fasta import ReadSet
+from repro.seqs.seeding import FullKScheme, SeedScheme
 
 
 def revcomp(seq: str) -> str:
@@ -172,3 +176,26 @@ def string_to_kmer(s: str) -> int:
     for ch in s:
         val = (val << 2) | "ACGT".index(ch)
     return val
+
+
+def kmer_histogram(reads: ReadSet, k: int,
+                   scheme: SeedScheme | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Exact global ``(keys, counts)`` histogram of canonical seed k-mers.
+
+    One vectorized sweep over the whole read set; keys come back sorted
+    ascending.  This is the *mergeable* form of the counting state the
+    incremental service keeps per version: exact histograms of two read
+    batches combine losslessly
+    (:func:`~repro.seqs.kmer_counter.merge_histograms`), and the reliable
+    table is a pure filter of the merged histogram
+    (:func:`~repro.seqs.kmer_counter.table_from_histogram`).  Both hold for
+    any seed scheme — schemes are pure per-read functions, so the seed
+    multiset of a batch union is the union of the batches' seed multisets.
+    """
+    scheme = scheme if scheme is not None else FullKScheme(k)
+    canon = scheme.seeds_of_block(*reads.soa())[0]
+    if canon.size == 0:
+        return np.empty(0, np.uint64), np.empty(0, np.int64)
+    keys, counts = np.unique(canon, return_counts=True)
+    return keys, counts.astype(np.int64)

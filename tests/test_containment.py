@@ -18,7 +18,6 @@ pins what that buys and what must hold for it to be right:
   baselines' drop-then-reduce order.
 """
 
-import hashlib
 import json
 import threading
 import urllib.request
@@ -45,6 +44,8 @@ from repro.seqs.dna import decode
 from repro.seqs.fasta import ReadSet, write_fasta
 from repro.service import (AssemblyService, AssemblyState, ServiceConfig,
                            make_server, refresh)
+
+from oracles.service import differing_fields, recompute
 
 HIFI_GENOME = 10_000
 
@@ -135,8 +136,7 @@ def _payload(reads: ReadSet) -> bytes:
 
 def test_get_contigs_places_every_read_once(hifi):
     reads = hifi[1]
-    service = AssemblyService(ServiceConfig(refresh_mode="incremental",
-                                            pipeline=_hifi_config()))
+    service = AssemblyService(ServiceConfig(pipeline=_hifi_config()))
     server = make_server(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -181,29 +181,17 @@ def test_s_is_identical_across_strips_and_executors(hifi, hifi_run,
 
 # -- the service under churn --------------------------------------------------------
 
-def _digest(state: AssemblyState) -> dict:
-    h = hashlib.sha256()
-    for mat in (state.S, state.R):
-        for a in (mat.row, mat.col, mat.vals):
-            h.update(np.ascontiguousarray(a).tobytes())
-    return {"matrices": h.hexdigest(), "counts": state.counts,
-            "contigs": [(c.reads, c.orientations, c.contained)
-                        for c in state.contigs],
-            "comm": sorted(state.tracker.summary().items())}
-
-
 def test_service_matches_recompute_when_a_long_read_contains_a_resident(
         hifi):
     genome, reads, layout = hifi
-    config = ServiceConfig(refresh_mode="incremental",
-                           pipeline=_hifi_config())
+    config = ServiceConfig(pipeline=_hifi_config())
     batches = [reads.subset(np.arange(0, 80)),
                reads.subset(np.arange(80, len(reads)))]
     inc = rec = AssemblyState.initial()
     for batch in batches:
         inc = refresh(inc, batch, config)
-        rec = refresh(rec, batch, config, mode="recompute")
-        assert _digest(inc) == _digest(rec)
+        rec = recompute(rec, batch, config)
+        assert differing_fields(inc, rec) == []
     # A resident read nothing contains yet, well inside the genome; one
     # long read covering it with 300 bp to spare on each side.
     container = inc.graph.container
@@ -213,9 +201,8 @@ def test_service_matches_recompute_when_a_long_read_contains_a_resident(
     lo, hi = int(layout.start[victim]) - 300, int(layout.end[victim]) + 300
     long_read = ReadSet(["long"], [genome[lo:hi].copy()])
     inc = refresh(inc, long_read, config)
-    rec = refresh(rec, long_read, config, mode="recompute")
-    assert inc.refresh_mode == "incremental"
-    assert _digest(inc) == _digest(rec)
+    rec = recompute(rec, long_read, config)
+    assert differing_fields(inc, rec) == []
     assert inc.graph.container[victim] >= 0    # newly contained
     assert _placements(inc.contigs) == list(range(len(reads) + 1))
 

@@ -16,7 +16,7 @@ from repro.seqs.kmer_counter import (KmerTable, count_kmers,
                                      reliable_upper_bound)
 
 from oracles.kmer_loop import build_a_matrix_loop, count_kmers_loop
-from oracles.kmers import read_kmers
+from oracles.kmers import kmer_histogram, read_kmers
 
 
 def _exact_counts(reads, k):
@@ -407,7 +407,7 @@ def test_prefilter_selection_reads_the_reliable_fraction(clean_dataset):
     _genome, reads, _layout = clean_dataset
     sub = reads.subset(np.arange(30))
     windows = sum(max(0, len(sub[i]) - 16) for i in range(len(sub)))
-    hist = kmer_counter.kmer_histogram(sub, 17)
+    hist = kmer_histogram(sub, 17)
     got = [count_kmers(sub, 17, SimComm(P, CommTracker(P)), StageTimer(),
                        upper=40, **kw).seeds
            for P in (1, 4) for kw in ({}, {"table_budget": 4096})]

@@ -19,11 +19,12 @@ from hypothesis import given, settings, strategies as st
 from repro.exec import get_executor
 from repro.mpisim import CommTracker, SimComm, StageTimer
 from repro.seqs import (ErrorModel, GenomeSpec, ReadSimSpec, simulate_reads)
-from repro.seqs.kmer_counter import count_kmers, kmer_histogram
+from repro.seqs.kmer_counter import count_kmers
 from repro.seqs.spill import (PAIR_DTYPE, combine_histograms,
                               merge_pair_runs, write_pair_run)
 
 from oracles.kmer_loop import count_kmers_loop
+from oracles.kmers import kmer_histogram
 
 
 @pytest.fixture(scope="module")

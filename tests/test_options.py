@@ -315,7 +315,7 @@ def test_service_drops_blocked_only_options(clean_dataset):
                           n_strips=3, checkpoint_dir="/nonexistent/ck")
     state = refresh(AssemblyState.initial(), reads,
                     ServiceConfig(pipeline=pcfg))
-    assert state.version == 1 and state.refresh_mode == "recompute"
+    assert state.version == 1 and state.counts["n_reads"] == len(reads)
 
 
 def test_run_pipeline_reads_each_env_var_once(clean_dataset, monkeypatch):

@@ -450,7 +450,6 @@ def service_reads():
 
 def _service(fault_spec=""):
     return AssemblyService(ServiceConfig(
-        refresh_mode="incremental",
         pipeline=PipelineConfig(k=K, nprocs=NPROCS, kmer_upper=KMER_UPPER,
                                 fuzz=60, fault_plan="")),
         fault_spec=fault_spec)

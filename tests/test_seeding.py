@@ -10,10 +10,11 @@ The :mod:`repro.seqs.seeding` contract has three legs:
   workers, strips, service batches) yields identical seeds, and a read and
   its reverse complement select the same canonical seeds (strand
   symmetry, including hash ties on homopolymers).
-* **Schemes are session state** — the incremental service refuses deltas
-  whose config resolves to a different scheme than the one the cached
-  occurrence table was built with (HTTP 409 at the server), and
-  ``recompute`` re-tags the state under the new scheme.
+* **Schemes are session state** — a batch whose config resolves to a
+  different scheme than the one the cached occurrence table was built
+  with makes the incremental service rebuild its state under the new
+  scheme and re-tag it (also through the server, which answers 200 and
+  reports the new scheme in ``/stats``).
 
 This file is also the tier-1 payload of the ``seed-minimizer`` /
 ``seed-syncmer`` CI legs (``REPRO_SEED_MODE``), so one test runs the full
@@ -44,6 +45,7 @@ from repro.seqs.seeding import (DEFAULT_SEED_W, FullKScheme, MinimizerScheme,
 from repro.service import AssemblyState, ServiceConfig, refresh
 
 from oracles.kmers import minimizers, seeds_of_read
+from oracles.service import differing_fields, recompute
 
 K = 17
 W = 8
@@ -371,7 +373,7 @@ def test_sketch_pipeline_deterministic_across_executors(seeding_dataset,
 
 
 # ---------------------------------------------------------------------------
-# Service: scheme_id tagging and cross-scheme refusal
+# Service: scheme_id tagging and cross-scheme rebuilds
 # ---------------------------------------------------------------------------
 
 def _service_config(seed_mode: str) -> ServiceConfig:
@@ -380,7 +382,7 @@ def _service_config(seed_mode: str) -> ServiceConfig:
         seed_w=W))
 
 
-def test_service_tags_and_refuses_cross_scheme(seeding_dataset):
+def test_service_tags_and_rebuilds_cross_scheme(seeding_dataset):
     half = len(seeding_dataset) // 2
     first = seeding_dataset.subset(np.arange(half))
     second = seeding_dataset.subset(np.arange(half, len(seeding_dataset)))
@@ -389,37 +391,33 @@ def test_service_tags_and_refuses_cross_scheme(seeding_dataset):
                     _service_config("minimizer"))
     assert state.scheme_id == f"minimizer:k={K},w={W}"
 
-    # Same scheme: the incremental path accepts the delta.
-    state2 = refresh(state, second, _service_config("minimizer"),
-                     mode="incremental")
+    # Same scheme: a delta.
+    state2 = refresh(state, second, _service_config("minimizer"))
     assert state2.version == state.version + 1
     assert state2.scheme_id == state.scheme_id
 
-    # Different scheme: incremental splice would mix seed streams.
-    with pytest.raises(ValueError, match="cross-scheme"):
-        refresh(state, second, _service_config("syncmer"),
-                mode="incremental")
-    with pytest.raises(ValueError, match="cross-scheme"):
-        refresh(state, second, _service_config("full"), mode="incremental")
-
-    # Recompute rebuilds from scratch and re-tags the session.
-    rebuilt = refresh(state, second, _service_config("full"),
-                      mode="recompute")
-    assert rebuilt.scheme_id == f"full:k={K}"
-    assert rebuilt.version == state.version + 1
+    # Another scheme: splicing would mix seed streams, so the refresh
+    # rebuilds from the empty state under the new scheme and re-tags —
+    # the scratch run's state, field for field.
+    for mode, tag in (("syncmer", f"syncmer:k={K},s={K - W + 1}"),
+                      ("full", f"full:k={K}")):
+        rebuilt = refresh(state, second, _service_config(mode))
+        assert rebuilt.scheme_id == tag
+        assert rebuilt.version == state.version + 1
+        assert differing_fields(rebuilt, recompute(
+            state, second, _service_config(mode))) == []
 
 
-def test_server_rejects_cross_scheme_with_409(seeding_dataset):
+def test_server_rebuilds_cross_scheme(seeding_dataset):
+    """A batch under a new scheme answers 200 and re-tags ``/stats``."""
     import json
     import threading
-    import urllib.error
     import urllib.request
 
     from repro.seqs.dna import decode
     from repro.service import AssemblyService, make_server
 
     service = AssemblyService(ServiceConfig(
-        refresh_mode="incremental",
         pipeline=PipelineConfig(k=K, nprocs=4, kmer_upper=12, fuzz=60,
                                 seed_mode="minimizer", seed_w=W)))
     server = make_server(service, port=0)
@@ -448,20 +446,18 @@ def test_server_rejects_cross_scheme_with_409(seeding_dataset):
         assert stats["scheme"] == f"minimizer:k={K},w={W}"
 
         # Flip the service's scheme under the live session: the next
-        # incremental delta must be refused as a conflict, not a crash.
+        # ingest rebuilds the whole session under it.
         service.config = ServiceConfig(
-            refresh_mode="incremental",
             pipeline=PipelineConfig(k=K, nprocs=4, kmer_upper=12, fuzz=60,
                                     seed_mode="syncmer", seed_w=W))
-        with pytest.raises(urllib.error.HTTPError) as err:
-            post_batch(half, len(seeding_dataset))
-        assert err.value.code == 409
-        assert "cross-scheme" in json.loads(err.value.read())["error"]
+        status, body = post_batch(half, len(seeding_dataset))
+        assert status == 200 and body["version"] == 2
+        assert body["counts"]["n_reads"] == len(seeding_dataset)
 
-        # The session is untouched by the refused ingest.
-        with urllib.request.urlopen(f"{url}/version") as resp:
-            version = json.loads(resp.read())
-        assert version == {"version": 1, "n_reads": half}
+        with urllib.request.urlopen(f"{url}/stats") as resp:
+            stats = json.loads(resp.read())
+        assert stats["scheme"] == f"syncmer:k={K},s={K - W + 1}"
+        assert stats["version"] == 2
     finally:
         server.shutdown()
         server.server_close()

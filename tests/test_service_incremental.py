@@ -1,10 +1,12 @@
 """Incremental-refresh equivalence: delta updates vs from-scratch runs.
 
 The service's contract is byte-identity: after any sequence of ingested
-batches, the state produced by ``refresh_mode="incremental"`` must match a
+batches, the state :func:`~repro.service.refresh` produces must match a
 from-scratch :func:`~repro.core.pipeline.run_pipeline` on the concatenated
 reads — same S, same R, same contig layout, same sparsity counts, and the
-same per-stage communication records — for every executor.  The dataset
+same per-stage communication records — for every executor, and every
+cached intermediate must match the oracle that derives it from the whole
+read set (``tests/oracles/service.py``).  The dataset
 uses a deliberately low ``kmer_upper`` so that later batches push k-mer
 multiplicities *past* the reliable ceiling: the hard case where columns
 leave the reliable set and previously-aligned pairs must be re-examined
@@ -27,6 +29,8 @@ from repro.seqs.kmer_counter import KmerTable
 from repro.seqs.seeding import FullKScheme
 from repro.service import AssemblyState, ServiceConfig, refresh
 from repro.service import incremental
+
+from oracles.service import differing_fields, recompute
 
 K = 17
 NPROCS = 4
@@ -125,13 +129,17 @@ def scratch_refs(service_reads):
     return refs
 
 
-def _run_batches(reads, config, mode=None) -> list[AssemblyState]:
+def _batches(reads) -> list[ReadSet]:
     splits = _splits(len(reads))
+    return [reads.subset(np.arange(lo, hi))
+            for lo, hi in zip(splits[:-1], splits[1:])]
+
+
+def _run_batches(reads, config) -> list[AssemblyState]:
     state = AssemblyState.initial()
     states = []
-    for lo, hi in zip(splits[:-1], splits[1:]):
-        batch = reads.subset(np.arange(lo, hi))
-        state = refresh(state, batch, config, mode=mode)
+    for batch in _batches(reads):
+        state = refresh(state, batch, config)
         states.append(state)
     return states
 
@@ -141,31 +149,50 @@ def test_incremental_matches_scratch(service_reads, scratch_refs, executor,
                                      workers):
     """Every version's S, R, contigs, counts, and comm records match the
     from-scratch pipeline on the concatenated prefix — for every executor."""
-    config = ServiceConfig(refresh_mode="incremental",
-                           pipeline=_pipeline_config(executor, workers))
+    config = ServiceConfig(pipeline=_pipeline_config(executor, workers))
     states = _run_batches(service_reads, config)
     assert [s.version for s in states] == [1, 2, 3]
-    assert states[0].refresh_mode == "recompute"  # bootstrap
-    assert all(s.refresh_mode == "incremental" for s in states[1:])
     for state, ref in zip(states, scratch_refs):
         assert _state_digests(state) == ref
 
 
 def test_recompute_mode_matches_incremental(service_reads, scratch_refs):
-    """The oracle engine produces the identical versioned states."""
-    config = ServiceConfig(refresh_mode="recompute",
-                           pipeline=_pipeline_config())
-    states = _run_batches(service_reads, config)
-    assert all(s.refresh_mode == "recompute" for s in states)
-    for state, ref in zip(states, scratch_refs):
-        assert _state_digests(state) == ref
+    """The oracle (``recompute``: a scratch run, every cached intermediate
+    derived from the whole read set) produces the scratch digests, and
+    the states refreshed on the process executor equal it on every field:
+    the bootstrap (a delta from the empty state) and both later deltas."""
+    config = ServiceConfig(pipeline=_pipeline_config("process", 2))
+    state = oracle = AssemblyState.initial()
+    for batch, ref in zip(_batches(service_reads), scratch_refs):
+        state = refresh(state, batch, config)
+        oracle = recompute(oracle, batch, config)
+        assert _state_digests(oracle) == ref
+        assert differing_fields(state, oracle) == [], state.version
+
+
+@pytest.mark.parametrize("align_mode", ["chain", "xdrop"])
+@pytest.mark.parametrize("seed_mode", ["full", "minimizer"])
+@pytest.mark.parametrize("nprocs", [1, 4, 16])
+def test_every_field_matches_oracle(service_reads, nprocs, seed_mode,
+                                    align_mode):
+    """Histogram, occurrence table, key-major index, candidate pairs,
+    census, table, R, S, graph, contigs, counts and comm records all
+    equal the oracle's, at the bootstrap and each version of a 3-batch
+    chain, on every grid, seed scheme and alignment mode."""
+    config = ServiceConfig(pipeline=replace(
+        _pipeline_config(), nprocs=nprocs, seed_mode=seed_mode,
+        align_mode=align_mode))
+    state = oracle = AssemblyState.initial()
+    for batch in _batches(service_reads):
+        state = refresh(state, batch, config)
+        oracle = recompute(oracle, batch, config)
+        assert differing_fields(state, oracle) == [], state.version
 
 
 def test_reliability_churn_actually_exercised(service_reads):
     """The dataset must remove reliable columns between versions — else the
     suite isn't covering the admission-churn path (P2) at all."""
-    config = ServiceConfig(refresh_mode="incremental",
-                           pipeline=_pipeline_config())
+    config = ServiceConfig(pipeline=_pipeline_config())
     states = _run_batches(service_reads, config)
     removed_any = False
     for prev, cur in zip(states[:-1], states[1:]):
@@ -241,14 +268,12 @@ def test_incremental_matches_scratch_in_chain_regime(regime_batches,
     seven small deltas (one a single read, one in a region nothing resident
     covers, one re-ingesting resident reads so reliable columns leave A):
     every version equals the scratch run on its prefix."""
-    config = ServiceConfig(refresh_mode="incremental",
-                           pipeline=_regime_config(seed_mode, executor,
+    config = ServiceConfig(pipeline=_regime_config(seed_mode, executor,
                                                    workers))
     state = AssemblyState.initial()
     for batch, ref in zip(regime_batches, regime_refs(seed_mode)):
         prev, state = state, refresh(state, batch, config)
         assert _state_digests(state) == ref, f"version {state.version}"
-    assert state.refresh_mode == "incremental"
     removed = state.table.lookup(prev.table.kmers) < 0
     assert removed.any(), "the re-ingest removed no reliable column"
 
@@ -259,8 +284,7 @@ def test_refresh_stays_delta_sized(service_reads, monkeypatch):
     global operands (one kernel call, where SUMMA made q³): A's affected
     rows against A's partner rows viewed transposed, neither as large as
     A, and nothing as large as A is distributed."""
-    config = ServiceConfig(refresh_mode="incremental",
-                           pipeline=replace(_pipeline_config(),
+    config = ServiceConfig(pipeline=replace(_pipeline_config(),
                                             seed_mode="full",
                                             kmer_batches=1, fault_plan=""))
     n = len(service_reads)
@@ -294,7 +318,6 @@ def test_refresh_stays_delta_sized(service_reads, monkeypatch):
     monkeypatch.setattr(DistMat, "from_coo", classmethod(sized_from_coo))
     monkeypatch.setattr(incremental, "spgemm_masked", recording_spgemm)
     new = refresh(state, service_reads.subset(np.arange(n - 12, n)), config)
-    assert new.refresh_mode == "incremental"
     assert calls == {"seeds": 1, "transpose": 0}
     assert sizes and max(sizes) < new.counts["nnz_a"]
     assert sum(new.timer.kernel_counts()["SpGEMM"].values()) == 1
@@ -328,8 +351,7 @@ def _lookup_queries(monkeypatch, state, delta, config) -> int:
     with monkeypatch.context() as patch:
         patch.setattr(KmerTable, "lookup", counting_lookup)
         patch.setattr(incremental, "in_sorted", counting_in_sorted)
-        new = refresh(state, delta, config)
-    assert new.refresh_mode == "incremental"
+        refresh(state, delta, config)
     return queries[0]
 
 
@@ -344,7 +366,7 @@ def test_refresh_lookups_stay_delta_sized(monkeypatch):
         ReadSimSpec(GenomeSpec(length=24_000, seed=41), depth=12,
                     mean_len=600, min_len=350, sigma_len=0.2,
                     error=ErrorModel(rate=0.0), seed=42))
-    config = ServiceConfig(refresh_mode="incremental", pipeline=replace(
+    config = ServiceConfig(pipeline=replace(
         _pipeline_config(), kmer_upper=200, fault_plan=""))
     # The delta lies in the genome's first quarter, and so does the small
     # resident set; the large one spans all of it, so it holds about 4×
@@ -363,44 +385,56 @@ def test_refresh_lookups_stay_delta_sized(monkeypatch):
     assert counts[1] < 1.5 * counts[0], (counts, sizes)
 
 
-def test_reliable_bounds_change_refused(service_reads):
-    """A delta under different reliable bounds is refused by name (the
-    batch's keys alone no longer decide which keys change reliability);
-    recompute rebuilds under the new bounds."""
-    config = ServiceConfig(refresh_mode="incremental",
-                           pipeline=_pipeline_config())
-    state = refresh(AssemblyState.initial(),
-                    service_reads.subset(np.arange(40)), config)
-    wider = replace(config, pipeline=replace(config.pipeline,
-                                             kmer_upper=KMER_UPPER + 1))
-    batch = service_reads.subset(np.arange(40, 50))
-    with pytest.raises(ValueError, match=r"reliable-bounds delta refused.*"
-                                         r"\[2, 12\].*\[2, 13\]"):
-        refresh(state, batch, wider)
-    rebuilt = refresh(state, batch, wider, mode="recompute")
-    assert rebuilt.table.upper == KMER_UPPER + 1
+@pytest.mark.parametrize("change", [
+    {"seed_mode": "minimizer"}, {"kmer_upper": KMER_UPPER + 1},
+    {"align_mode": "xdrop"}, {"fuzz": FUZZ + 20}, {"nprocs": 16},
+], ids=["scheme", "bounds", "align_mode", "fuzz", "nprocs"])
+def test_basis_change_rebuilds(regime_batches, change):
+    """A refresh under settings the state was not built on (its basis)
+    rebuilds: the result equals the scratch run on all reads under the new
+    settings, on every field.  A delta spliced into the old state would
+    mix seed streams, miss keys that change reliability under the new
+    bounds, or keep R rows found under the old alignment settings (on
+    these 1 % error reads, chain and x-drop keep different R values)."""
+    config = ServiceConfig(pipeline=_regime_config("full"))
+    first = regime_batches[0]
+    batch = regime_batches[1]
+    for more in regime_batches[2:7]:
+        batch = batch.concat(more)
+    state = refresh(AssemblyState.initial(), first, config)
+    changed = replace(config, pipeline=replace(config.pipeline, **change))
+    rebuilt = refresh(state, batch, changed)
+    assert rebuilt.version == state.version + 1
+    assert rebuilt.basis != state.basis
+    assert differing_fields(rebuilt, recompute(state, batch, changed)) == []
+    assert _state_digests(rebuilt) == _scratch_digests(run_pipeline(
+        first.concat(batch), changed.pipeline))
 
 
 def test_zero_length_read_refused_by_both_modes(service_reads):
-    """A batch holding a zero-length read is refused by name before either
-    engine runs, so incremental and recompute agree on it."""
-    config = ServiceConfig(refresh_mode="incremental",
-                           pipeline=_pipeline_config())
+    """A batch holding a zero-length read is refused by name before
+    anything runs, whether the refresh would be a delta or a rebuild."""
+    config = ServiceConfig(pipeline=_pipeline_config())
     state = refresh(AssemblyState.initial(),
                     service_reads.subset(np.arange(40)), config)
     batch = ReadSet(["r40", "e"], [service_reads[40],
                                    np.empty(0, np.uint8)])
-    for mode in ("incremental", "recompute"):
+    wider = replace(config, pipeline=replace(config.pipeline,
+                                             kmer_upper=KMER_UPPER + 1))
+    for cfg in (config, wider):
         with pytest.raises(ValueError, match="'e'.*length 0"):
-            refresh(state, batch, config, mode=mode)
+            refresh(state, batch, cfg)
 
 
 def test_empty_batch_bumps_version_only(service_reads):
-    """An empty batch is a no-op refresh: new version, identical products."""
-    config = ServiceConfig(refresh_mode="incremental",
-                           pipeline=_pipeline_config())
-    state = refresh(AssemblyState.initial(),
-                    service_reads.subset(np.arange(40)), config)
-    bumped = refresh(state, service_reads.subset(np.arange(0)), config)
+    """An empty batch is a no-op refresh: new version, identical products,
+    on the empty state as on a live one."""
+    config = ServiceConfig(pipeline=_pipeline_config())
+    empty = service_reads.subset(np.arange(0))
+    bumped = refresh(AssemblyState.initial(), empty, config)
+    assert bumped.version == 1
+    assert differing_fields(bumped, AssemblyState.initial()) == ["version"]
+    state = refresh(bumped, service_reads.subset(np.arange(40)), config)
+    bumped = refresh(state, empty, config)
     assert bumped.version == state.version + 1
     assert _state_digests(bumped) == _state_digests(state)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import PipelineConfig
+from repro.options import REFRESH_MODE
 from repro.seqs import ErrorModel, GenomeSpec, ReadSimSpec, simulate_reads
 from repro.seqs.dna import decode
 from repro.service import (AssemblyService, BadBatch, ServiceConfig,
@@ -36,7 +37,6 @@ def server_reads():
 @pytest.fixture()
 def service():
     return AssemblyService(ServiceConfig(
-        refresh_mode="incremental",
         pipeline=PipelineConfig(k=K, nprocs=NPROCS, kmer_upper=12, fuzz=60)))
 
 
@@ -94,14 +94,12 @@ def test_ingest_then_query(base_url, service, server_reads):
     assert status == 200
     assert body["version"] == 1
     assert body["ingested"] == half
-    assert body["refresh_mode"] == "recompute"  # bootstrap from empty
 
     status, body = _post(f"{base_url}/reads",
                          _batch_payload(server_reads, half,
                                         len(server_reads)))
     assert status == 200
     assert body["version"] == 2
-    assert body["refresh_mode"] == "incremental"
 
     status, body = _get(f"{base_url}/version")
     assert body == {"version": 2, "n_reads": len(server_reads)}
@@ -236,11 +234,12 @@ def test_non_dna_read_is_bad_batch(base_url, server_reads, seq, char, at):
     assert _get(f"{base_url}/version")[1] == {"version": 1, "n_reads": 20}
 
 
-@pytest.mark.parametrize("mode", ["incremental", "recompute"])
+@pytest.mark.parametrize("mode", REFRESH_MODE.choices)
 def test_non_dna_read_refused_in_both_refresh_modes(server_reads, mode):
-    """The DNA check runs before either engine, as the first batch or
-    into a live session, so both refresh modes refuse the same input;
-    ``N`` and lower case are still accepted."""
+    """The DNA check runs before the refresh, as the first batch (a
+    rebuild from the empty state) or into a live session (a delta), so
+    both refuse the same input under every ``refresh_mode``; ``N`` and
+    lower case are still accepted."""
     service = AssemblyService(ServiceConfig(
         refresh_mode=mode,
         pipeline=PipelineConfig(k=K, nprocs=NPROCS, kmer_upper=12,

@@ -24,8 +24,7 @@ def small_reads():
 
 
 def _config() -> ServiceConfig:
-    return ServiceConfig(refresh_mode="incremental",
-                         pipeline=PipelineConfig(k=K, nprocs=NPROCS,
+    return ServiceConfig(pipeline=PipelineConfig(k=K, nprocs=NPROCS,
                                                  kmer_upper=12, fuzz=60))
 
 

@@ -21,9 +21,6 @@ SCANNED = ("src", "bench", "examples")
 ALLOWED = {
     "repro.options.markdown_table":
         "renders the README option table that test_options.py pins",
-    "repro.seqs.kmer_counter.kmer_histogram":
-        "the whole-set histogram the service's per-batch merge is checked "
-        "against",
 }
 
 
