@@ -32,7 +32,7 @@ from ..align.xdrop import Scoring
 from ..dsparse.backend import get_backend
 from ..dsparse.coomat import CooMat
 from ..dsparse.distmat import DistMat
-from ..dsparse.spgemm import stable_key_order
+from ..dsparse.spgemm import stable_key_sort
 from ..dsparse.summa import summa
 from ..exec import Executor, SERIAL
 from ..exec.partition import weighted_chunks
@@ -78,10 +78,13 @@ def _block_key(ridx: np.ndarray, col: np.ndarray, span: int, m: int,
 
     ``ridx`` counts reads from the rank's first.  Sorted by this key a
     rank's entries come grouped by destination block column, row-major
-    inside each group — the order :func:`_block_cuts` slices.
+    inside each group — the order :func:`_block_cuts` slices.  The block
+    column is the number of the ``q - 1`` inner column bounds at or below
+    the column: ``q - 1`` vector comparisons, no binary search.
     """
-    key = np.searchsorted(col_bounds, col, side="right")
-    key -= 1
+    key = np.zeros(col.shape[0], dtype=np.int64)
+    for bound in col_bounds[1:-1]:
+        key += col >= bound
     key *= span
     key += ridx
     key *= np.int64(m)
@@ -114,14 +117,17 @@ def _a_scan_batch_task(ctx, task):
     context (:meth:`~repro.seqs.fasta.ReadSet.soa_block`, so a
     store-backed set ships only its path).  The stream is only read, so a
     retried or respawned task sees the same input.  Lookup runs over every
-    key; read index and position are then formed for the hits only — for
-    full-k from each hit's window index, by a ``searchsorted`` over the
-    reads' first windows.  Returns ``(entries | None, tally)``: entries
-    ``(row, col, vals, cuts)`` in (block column, read, column) order —
-    the slice of each 2D destination block row-major and contiguous, where
-    :func:`_block_cuts` says — with the first-occurrence position/flip per
-    (read, k-mer); ``tally`` is the dictionary lookup's exact work
-    (:meth:`~repro.seqs.kmer_counter.KmerTable.lookup`).
+    key; everything after it works on the hits only.  For full-k, each
+    read's hits are counted by cutting the hit indices at the reads' last
+    windows, and the read index is an ``np.repeat`` over those counts.
+    The entries are ordered by one index-tagged sort of their (block
+    column, read, column) keys, which yields the order and the sorted keys
+    together (:func:`~repro.dsparse.spgemm.stable_key_sort`).  Returns
+    ``(entries | None, tally)``: entries ``(row, col, vals, cuts)`` in
+    that order — the slice of each 2D destination block row-major and
+    contiguous, where :func:`_block_cuts` says — with the first-occurrence
+    position/flip per (read, k-mer); ``tally`` is the dictionary lookup's
+    exact work (:meth:`~repro.seqs.kmer_counter.KmerTable.lookup`).
     """
     table, scheme, reads, bounds = ctx
     lo, hi, stream = task
@@ -134,15 +140,12 @@ def _a_scan_batch_task(ctx, task):
     if hit.shape[0] == 0:
         return None, tally
     col = col[hit]
-    flip = flip[hit].astype(np.int64)
     if ridx is None:
         n_win = np.maximum(reads.lengths[lo:hi] - (scheme.k - 1), 0)
-        first_win = np.zeros(hi - lo, dtype=np.int64)
-        np.cumsum(n_win[:-1], out=first_win[1:])
-        # Reads without windows share their successor's first window;
-        # "right" lands on the last of them, the one the window is in.
-        ridx = np.searchsorted(first_win, hit, side="right") - 1
-        pos = hit - first_win[ridx]
+        last = np.cumsum(n_win)
+        hits = np.diff(np.searchsorted(hit, last), prepend=0)
+        ridx = np.repeat(np.arange(hi - lo, dtype=np.int64), hits)
+        pos = hit - np.repeat(last - n_win, hits)
     else:
         ridx, pos = ridx[hit], pos[hit]
     # Keep the first occurrence per (read, k-mer): entries arrive in (read,
@@ -150,14 +153,15 @@ def _a_scan_batch_task(ctx, task):
     # key the head of each run of equal keys is the earliest window, and
     # the runs come out grouped by destination block, row-major inside.
     m, span = len(table), hi - lo
-    key = _block_key(ridx, col, span, m, bounds[1])
-    order = stable_key_order(key, (bounds[1].shape[0] - 1) * span * m)
-    key = key[order]
+    key, order = stable_key_sort(_block_key(ridx, col, span, m, bounds[1]),
+                                 (bounds[1].shape[0] - 1) * span * m)
     head = np.ones(key.shape[0], dtype=bool)
-    head[1:] = key[1:] != key[:-1]
+    np.not_equal(key[1:], key[:-1], out=head[1:])
     first = order[head]
-    return (ridx[first] + lo, col[first],
-            np.stack([pos[first], flip[first]], axis=1),
+    vals = np.empty((first.shape[0], 2), dtype=np.int64)
+    vals[:, 0] = pos[first]
+    vals[:, 1] = flip[hit[first]]
+    return (ridx[first] + lo, col[first], vals,
             _block_cuts(key[head], lo, span, m, bounds)), tally
 
 

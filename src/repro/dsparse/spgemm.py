@@ -19,7 +19,7 @@ from .coomat import CooMat
 from .semiring import Semiring
 
 __all__ = ["expand_products", "packed_order", "stable_key_order",
-           "key_packs", "spgemm_esc", "multiway_merge"]
+           "stable_key_sort", "key_packs", "spgemm_esc", "multiway_merge"]
 
 _INT64_MAX = 2 ** 63 - 1
 
@@ -27,6 +27,22 @@ _INT64_MAX = 2 ** 63 - 1
 def key_packs(shape: tuple[int, int]) -> bool:
     """Whether every ``row * ncols + col`` key of ``shape`` fits int64."""
     return int(shape[0]) * int(shape[1]) <= _INT64_MAX
+
+
+def _tagged_sort(keys: np.ndarray, bound: int
+                 ) -> tuple[np.ndarray, int] | None:
+    """``keys`` shifted left with each one's index in the low bits, sorted
+    (ties break by index), and the shift; ``None`` when key and index bits
+    together do not fit 63."""
+    n = keys.shape[0]
+    shift = n.bit_length()
+    if int(bound).bit_length() + shift > 63:
+        return None
+    tagged = keys.astype(np.int64)
+    tagged <<= np.int64(shift)
+    tagged |= np.arange(n, dtype=np.int64)
+    tagged.sort()
+    return tagged, shift
 
 
 def stable_key_order(keys: np.ndarray, bound: int) -> np.ndarray:
@@ -38,16 +54,25 @@ def stable_key_order(keys: np.ndarray, bound: int) -> np.ndarray:
     stable argsort of the same keys.  Falls back to the stable argsort when
     key and index bits together do not fit 63.
     """
-    n = keys.shape[0]
-    shift = n.bit_length()
-    if int(bound).bit_length() + shift > 63:
+    sort = _tagged_sort(keys, bound)
+    if sort is None:
         return np.argsort(keys, kind="stable")
-    tagged = keys.astype(np.int64)
-    tagged <<= np.int64(shift)
-    tagged |= np.arange(n, dtype=np.int64)
-    tagged.sort()
+    tagged, shift = sort
     tagged &= np.int64((1 << shift) - 1)
     return tagged
+
+
+def stable_key_sort(keys: np.ndarray, bound: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """``(keys[order], order)`` for ``order = stable_key_order(keys,
+    bound)``, both read off the one tagged sort: the high bits are the
+    sorted keys, so nothing is gathered through the order."""
+    sort = _tagged_sort(keys, bound)
+    if sort is None:
+        order = np.argsort(keys, kind="stable")
+        return keys[order], order
+    tagged, shift = sort
+    return tagged >> np.int64(shift), tagged & np.int64((1 << shift) - 1)
 
 
 def packed_order(rows: np.ndarray, cols: np.ndarray,

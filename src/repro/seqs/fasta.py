@@ -10,11 +10,20 @@ downstream stage is backend-oblivious.  :func:`read_fasta_to_store` streams
 a FASTA file straight into a store — at no point are all bases resident —
 which is how the pipeline ingests inputs larger than memory.
 
+Both readers share one parser.  It reads fixed-size chunks cut at record
+boundaries, splits each header once, and encodes a chunk's bases with one
+``bytes.translate`` that also drops the newlines.  A chunk whose sequence
+lines hold anything but ``ACGTNacgtn`` (a CR, padding, other letters,
+non-ASCII) or that is malformed goes through the line rules instead:
+strip each line, skip blank ones, and check as it goes.  Both routes give
+the same reads.
+
 The parser is strict: empty records, duplicate headers, nameless headers,
 and sequence data before the first header all raise :class:`ValueError`
-naming the offending record.  Zero-length reads would otherwise flow
-silently into k-mer extraction and alignment as degenerate rows.  Gzip
-files and FASTQ input are refused by name rather than parsed as noise.
+naming the offending record and line.  Zero-length reads would otherwise
+flow silently into k-mer extraction and alignment as degenerate rows.
+Gzip files and FASTQ input are refused by name rather than parsed as
+noise.
 """
 
 from __future__ import annotations
@@ -187,25 +196,132 @@ def write_fasta(path: str | Path | io.TextIOBase, reads: ReadSet,
             fh.write("\n")
 
 
-def _fasta_records(source):
-    """Yield ``(name, sequence_string)`` per record, validating as it goes.
 
-    Raises :class:`ValueError` naming the offending record for every
-    malformed shape that would otherwise corrupt the read set silently:
+
+#: Characters (bytes, for a binary handle) read per parse step.  A step is
+#: carried on to the last line in it that starts with ``>``, so every chunk
+#: the parser sees holds whole records.
+_CHUNK = 1 << 20
+
+#: Base byte -> 2-bit code for ``bytes.translate``: what
+#: :func:`~repro.seqs.dna.encode` gives ``ACGTNacgtn`` (``N`` is ``A``).
+#: Every other byte maps to 4, which sends its chunk to the line rules.
+_BASE_CODES = bytearray(b"\x04" * 256)
+for _code, _pair in enumerate((b"Aa", b"Cc", b"Gg", b"Tt")):
+    for _byte in _pair:
+        _BASE_CODES[_byte] = _code
+_BASE_CODES[ord("N")] = _BASE_CODES[ord("n")] = 0
+_BASE_CODES = bytes(_BASE_CODES)
+
+
+def _chunks(fh):
+    """Yield ``(chunk, text, at_eof)``: the input as bytes, cut only just
+    before a line that starts with ``>``.
+
+    ``text`` says the handle returned ``str`` (encoded here as UTF-8, lone
+    surrogates passed through); a binary handle is read as ``open(path)``
+    would read it, universal newlines included.
+    """
+    held: list[bytes] = []
+    text = False
+    while True:
+        piece = fh.read(_CHUNK)
+        if isinstance(piece, str):
+            text = True
+            piece = piece.encode("utf-8", "surrogatepass")
+        if not piece:
+            if held:
+                yield b"".join(held), text, True
+            return
+        cut = piece.rfind(b"\n>") + 1
+        if not cut and held and held[-1].endswith(b"\n") and \
+                piece.startswith(b">"):
+            yield b"".join(held), text, False
+            held = [piece]
+        elif not cut:
+            held.append(piece)
+        else:
+            held.append(piece[:cut])
+            yield b"".join(held), text, False
+            held = [piece[cut:]]
+
+
+def _fast_chunk(buf: bytes, text: bool, seen: set[str]):
+    """``(names, codes, lengths, lines)`` of a chunk of well-formed records
+    whose sequence lines hold only ``ACGTNacgtn``, else ``None``.
+
+    Header lines are the lines that start with ``>``, found in one pass
+    over the chunk's newlines, and each is split once.  The records'
+    sequence lines are joined and encoded by one ``translate`` that also
+    drops the newlines.  Anything the line rules would treat differently —
+    a CR, padding, another byte, a record without bases, a nameless or
+    repeated name, a chunk not starting with a header — returns ``None``.
+    """
+    if not buf.startswith(b">") or b"\r" in buf:
+        return None
+    raw = np.frombuffer(buf, dtype=np.uint8)
+    breaks = np.flatnonzero(raw == 10)
+    after = breaks + 1
+    if breaks.shape[0] and after[-1] == raw.shape[0]:
+        after = after[:-1]
+    starts = np.concatenate(([0], after[raw[after] == 62]))
+    # Header ``r`` ends at the chunk's ``row[r]``-th newline.
+    row = np.searchsorted(breaks, starts)
+    if row[-1] == breaks.shape[0]:
+        return None
+    eol = breaks[row]
+    ends = np.append(starts[1:], raw.shape[0])
+    lengths = ends - eol - np.diff(row, append=breaks.shape[0])
+    if lengths.min() == 0:
+        return None
+    errors = "surrogatepass" if text else "strict"
+    names = []
+    for at, stop in zip(starts.tolist(), eol.tolist()):
+        fields = buf[at + 1:stop].decode("utf-8", errors).split()
+        if not fields:
+            return None
+        names.append(fields[0])
+    if len(set(names)) < len(names) or not seen.isdisjoint(names):
+        return None
+    view = memoryview(buf)
+    codes = np.frombuffer(b"".join(
+        [view[a + 1:b] for a, b in zip(eol.tolist(), ends.tolist())]
+    ).translate(_BASE_CODES, b"\n"), dtype=np.uint8)
+    if codes.max() > 3:
+        return None
+    seen.update(names)
+    return names, codes, lengths.tolist(), breaks.shape[0]
+
+
+def _line_chunk(buf: bytes, text: bool, seen: set[str], lineno: int,
+                at_eof: bool):
+    """``(names, codes, lengths, lines)`` of a chunk by the line rules.
+
+    Each line is stripped; blank lines are skipped, a line starting with
+    ``>`` opens a record named by its first word, any other line is
+    sequence.  Raises :class:`ValueError` naming the offending record or
+    line (numbered from the file's start, ``lineno`` lines before this
+    chunk) for every malformed shape that would otherwise corrupt the read
+    set silently:
 
     * a header immediately followed by another header or EOF (the record
-      would become a zero-length read — the bug this replaces: the old
-      ``len(seqs) != len(names)`` check could never fire because the empty
-      record *was* appended),
+      would become a zero-length read),
     * a bare ``>`` with no name,
     * two records with the same name (row indices would silently alias),
     * sequence data before any header (a leading ``@`` is named as FASTQ).
     """
-    seen: set[str] = set()
+    data = buf.decode("utf-8", "surrogatepass" if text else "strict")
+    if not text:
+        data = data.replace("\r\n", "\n").replace("\r", "\n")
+    rows = data.split("\n")
+    if rows[-1] == "":
+        rows.pop()
+    names: list[str] = []
+    seqs: list[np.ndarray] = []
     name: str | None = None
     cur: list[str] = []
-    lineno = 0
-    for line in source:
+    start = lineno
+    for line in rows:
         lineno += 1
         line = line.strip()
         if not line:
@@ -215,7 +331,8 @@ def _fasta_records(source):
                 if not cur:
                     raise ValueError(f"malformed FASTA: record {name!r} "
                                      f"(line {lineno}) has no sequence")
-                yield name, "".join(cur)
+                names.append(name)
+                seqs.append(encode("".join(cur)))
             fields = line[1:].split()
             if not fields:
                 raise ValueError(f"malformed FASTA: header with no name "
@@ -236,48 +353,77 @@ def _fasta_records(source):
             cur.append(line)
     if name is not None:
         if not cur:
-            raise ValueError(f"malformed FASTA: record {name!r} at end of "
-                             f"file has no sequence")
-        yield name, "".join(cur)
+            where = "at end of file" if at_eof else f"(line {lineno + 1})"
+            raise ValueError(f"malformed FASTA: record {name!r} {where} has "
+                             f"no sequence")
+        names.append(name)
+        seqs.append(encode("".join(cur)))
+    codes = np.concatenate(seqs) if seqs else np.empty(0, np.uint8)
+    return names, codes, [s.shape[0] for s in seqs], lineno - start
 
 
-def _open_fasta(path: str | Path) -> io.TextIOBase:
-    """Open a FASTA path as text, refusing gzip (magic ``1f 8b``) by name
-    instead of dying on a ``UnicodeDecodeError`` mid-parse."""
-    with open(path, "rb") as fh:
-        if fh.read(2) == b"\x1f\x8b":
-            raise ValueError(f"{path}: gzip-compressed input is not "
-                             f"supported; decompress first")
-    return open(path)
+def _fasta_chunks(fh):
+    """Yield ``(names, codes, lengths)`` per chunk of an open FASTA handle:
+    the chunk's record names, their 2-bit codes concatenated and each
+    record's base count.  A chunk of clean records takes
+    :func:`_fast_chunk`; any other takes :func:`_line_chunk`, which also
+    raises every parse error, so both give what the line rules give."""
+    seen: set[str] = set()
+    lineno = 0
+    for buf, text, at_eof in _chunks(fh):
+        parsed = _fast_chunk(buf, text, seen) or \
+            _line_chunk(buf, text, seen, lineno, at_eof)
+        lineno += parsed[3]
+        yield parsed[:3]
 
 
-def read_fasta(source: str | Path | io.TextIOBase) -> ReadSet:
-    """Parse a FASTA file (or open text handle) into an in-memory ReadSet.
+def _open_fasta(path: str | Path) -> io.BufferedReader:
+    """Open a FASTA path as bytes, refusing gzip (magic ``1f 8b``) by name
+    instead of parsing compressed bytes as noise."""
+    fh = open(path, "rb")
+    if fh.read(2) == b"\x1f\x8b":
+        fh.close()
+        raise ValueError(f"{path}: gzip-compressed input is not "
+                         f"supported; decompress first")
+    fh.seek(0)
+    return fh
 
+
+def read_fasta(source: str | Path | io.IOBase) -> ReadSet:
+    """Parse a FASTA file (or open text or binary handle) into an in-memory
+    ReadSet.
+
+    The input is read in chunks of whole records (:func:`_fasta_chunks`):
+    each header is split once and each chunk's bases are encoded in one
+    pass, and only the chunk's codes are held besides the growing result.
     Malformed input — empty records, duplicate or nameless headers,
     sequence before the first header, gzip or FASTQ — raises
-    :class:`ValueError` naming the offence.  An empty file parses as an
-    empty ReadSet.
+    :class:`ValueError` naming the offence and its line.  An empty file
+    parses as an empty ReadSet.
     """
     if isinstance(source, (str, Path)):
         with _open_fasta(source) as fh:
             return read_fasta(fh)
     names: list[str] = []
-    seqs: list[np.ndarray] = []
-    for name, seq in _fasta_records(source):
-        names.append(name)
-        seqs.append(encode(seq))
-    return ReadSet(names, seqs)
+    parts: list[np.ndarray] = []
+    lengths: list[int] = []
+    for chunk_names, codes, chunk_lengths in _fasta_chunks(source):
+        names += chunk_names
+        parts.append(codes)
+        lengths += chunk_lengths
+    lens = np.array(lengths, dtype=np.int64)
+    codes = np.concatenate(parts) if parts else np.empty(0, np.uint8)
+    return _from_arrays(names, codes, np.cumsum(lens) - lens, lens)
 
 
-def read_fasta_to_store(source: str | Path | io.TextIOBase,
+def read_fasta_to_store(source: str | Path | io.IOBase,
                         directory: str) -> ReadSet:
     """Stream a FASTA file into an on-disk store; return the backed ReadSet.
 
-    Each record's codes go straight from the parser to the store's code
-    file, so the resident footprint is one read plus the name list — the
-    ingest path for inputs larger than memory.  Validation is identical to
-    :func:`read_fasta`; on any parse error the partial store build is
+    Each chunk's codes go straight from the parser to the store's code
+    file, so the resident footprint is one chunk plus the name list — the
+    ingest path for inputs larger than memory.  Parsing and validation are
+    :func:`read_fasta`'s; on any parse error the partial store build is
     discarded.
     """
     if isinstance(source, (str, Path)):
@@ -286,9 +432,9 @@ def read_fasta_to_store(source: str | Path | io.TextIOBase,
     names: list[str] = []
     writer = MmapStoreWriter(directory)
     try:
-        for name, seq in _fasta_records(source):
-            names.append(name)
-            writer.add_read(encode(seq))
+        for chunk_names, codes, lengths in _fasta_chunks(source):
+            names += chunk_names
+            writer.add_reads(codes, lengths)
     except BaseException:
         writer.abort()
         raise

@@ -86,18 +86,20 @@ def _extract_batch_task(ctx, span):
 
     Returns ``(keys, flip, ridx, pos)``: the canonical seed keys and their
     flip bits, plus — for sparse schemes only — each seed's rank-local read
-    index and window position.  A full-k stream leaves those two ``None``:
-    window ``i`` of the rank is recoverable from the read lengths alone,
-    so CreateSpMat derives them for its hits only.  The worker takes its
-    block from the ReadSet in the context, so with the mmap read store a
-    process pool ships only the store path.  Key order is read-major,
-    window order within a read, for every
+    index and window position.  The full-k stream is ``(keys, flip, None,
+    None)``, packed over the span's whole code stretch with the straddling
+    windows compressed away and nothing gathered per window
+    (:meth:`~repro.seqs.seeding.SeedScheme.seeds_of_block` without
+    positions): window ``i`` of the rank is recoverable from the read
+    lengths alone, so CreateSpMat derives read and position for its hits
+    only.  The worker takes its block from the ReadSet in the context, so
+    with the mmap read store a process pool ships only the store path.
+    Key order is read-major, window order within a read, for every
     :class:`~repro.seqs.seeding.SeedScheme`.
     """
     scheme, reads = ctx
-    keys, ridx, pos, flip = scheme.seeds_of_block(*reads.soa_block(*span))
-    if isinstance(scheme, FullKScheme):
-        return keys, flip, None, None
+    keys, ridx, pos, flip = scheme.seeds_of_block(*reads.soa_block(*span),
+                                                  False)
     return keys, flip, ridx, pos
 
 

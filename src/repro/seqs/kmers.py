@@ -8,9 +8,10 @@ positions.
 :func:`read_kmers_batch` extracts a whole block of reads at once from one
 contiguous stretch of a :meth:`~repro.seqs.fasta.ReadSet.soa` code buffer.
 It packs both strands of the block by binary doubling, each doubling level
-in the narrowest unsigned dtype that holds it, and takes canonical form and
-flip as one ``minimum`` and one ``<`` over the two strands' windows — no
-per-window bit reversal.
+in the narrowest unsigned dtype that holds it, drops the windows that
+straddle two reads with one boolean compress per strand, and takes
+canonical form and flip as one ``minimum`` and one ``<`` over the two
+strands' windows — no per-window gather and no bit reversal.
 
 The functions here are the workhorses of both the k-mer counter
 (:mod:`repro.seqs.kmer_counter`) and the construction of the ``A`` matrix
@@ -88,9 +89,9 @@ def _pack_all_windows(buf: np.ndarray, k: int) -> np.ndarray:
 
 
 def read_kmers_batch(codes: np.ndarray, offsets: np.ndarray,
-                     lengths: np.ndarray, k: int
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                np.ndarray]:
+                     lengths: np.ndarray, k: int, positions: bool = True
+                     ) -> tuple[np.ndarray, np.ndarray | None,
+                                np.ndarray | None, np.ndarray]:
     """Canonical k-mers of *many* reads in one vectorized pass over a SoA
     view.
 
@@ -99,13 +100,15 @@ def read_kmers_batch(codes: np.ndarray, offsets: np.ndarray,
     :meth:`repro.seqs.fasta.ReadSet.soa`) and must tile one contiguous
     stretch of it, as a :meth:`~repro.seqs.fasta.ReadSet.soa` or
     :meth:`~repro.seqs.fasta.ReadSet.soa_block` slice does; other offsets
-    are refused with :class:`ValueError`.  Every read's windows are packed,
-    canonicalized, and position/flip-annotated as column operations over
-    the whole batch: no Python-level dispatch per read.  Values are exactly
-    those of packing each read's windows on their own (two bits per base,
-    most significant first), taking the smaller of each window and its
-    reverse complement, and concatenating, in the same read-major order.
-    Reads shorter than ``k`` simply contribute no windows.
+    are refused with :class:`ValueError`.  Both strands of the whole
+    stretch are packed; one boolean mask, applied to each, drops the
+    ``k - 1`` windows at the end of each read that run into the next one
+    (every window of a read shorter than ``k``), and canonical form and
+    flip are one ``minimum`` and one ``<`` over the windows kept.  Nothing
+    is gathered per window.  Values are exactly those of packing each
+    read's windows on their own (two bits per base, most significant
+    first), taking the smaller of each window and its reverse complement,
+    and concatenating, in the same read-major order.
 
     Returns
     -------
@@ -113,7 +116,9 @@ def read_kmers_batch(codes: np.ndarray, offsets: np.ndarray,
         Packed ``uint64`` canonical k-mers; the index **into**
         ``offsets``/``lengths`` of each k-mer's read; the window start
         position within the read; and a boolean marking windows whose
-        canonical form is the reverse complement.
+        canonical form is the reverse complement.  With
+        ``positions=False`` the two middle columns are ``None``: window
+        ``i`` of the stretch is recoverable from ``lengths`` alone.
     """
     _check_k(k)
     offsets = np.asarray(offsets, dtype=np.int64)
@@ -125,26 +130,32 @@ def read_kmers_batch(codes: np.ndarray, offsets: np.ndarray,
     n_win = np.maximum(lengths - (k - 1), 0)
     total = int(n_win.sum())
     if total == 0:
-        return (np.empty(0, np.uint64), np.empty(0, np.int64),
-                np.empty(0, np.int64), np.zeros(0, dtype=bool))
+        none = np.empty(0, np.int64) if positions else None
+        return np.empty(0, np.uint64), none, none, np.zeros(0, dtype=bool)
+    # Read i's stretch is its n_win[i] windows, then lengths[i] - n_win[i]
+    # starts whose window runs past its end (the last read's are not packed).
+    lo, hi = int(offsets[0]), int(offsets[-1] + lengths[-1])
+    inside = np.repeat(np.tile(np.array([True, False]), lengths.shape[0]),
+                       np.stack([n_win, lengths - n_win], axis=1).ravel()
+                       )[:hi - lo - k + 1]
+    # The reverse strand is the same doubling sweep over the reversed
+    # complement buffer: its window q is the reverse complement of forward
+    # window n - k - q, so reversing the pack lines both strands up.  Each
+    # strand's pack is compressed as soon as it exists, so only one
+    # all-window pack is ever held.
+    buf = np.asarray(codes[lo:hi], dtype=np.uint8)
+    fwd = _pack_all_windows(buf, k)[inside]
+    rev = _pack_all_windows(3 - buf[::-1], k)[::-1][inside]
+    flip = rev < fwd
+    np.minimum(fwd, rev, out=fwd)
+    keys = fwd.astype(np.uint64, copy=False)
+    if not positions:
+        return keys, None, None, flip
     read_idx = np.repeat(np.arange(lengths.shape[0], dtype=np.int64), n_win)
     first_slot = np.zeros(lengths.shape[0], dtype=np.int64)
     np.cumsum(n_win[:-1], out=first_slot[1:])
     pos = np.arange(total, dtype=np.int64) - first_slot[read_idx]
-    # Pack every window of the block's stretch of ``codes`` by binary
-    # doubling and gather the valid window starts.  The reverse strand is
-    # the same sweep over the reversed complement buffer: its window q is
-    # the reverse complement of forward window n - k - q, so reversing the
-    # pack lines both strands up, and canonical form and flip are one
-    # minimum and one comparison over the gathered windows.
-    lo, hi = int(offsets[0]), int(offsets[-1] + lengths[-1])
-    buf = np.asarray(codes[lo:hi], dtype=np.uint8)
-    gstart = offsets[read_idx] + pos - lo
-    fwd = _pack_all_windows(buf, k)[gstart]
-    rev = _pack_all_windows(3 - buf[::-1], k)[::-1][gstart]
-    flip = rev < fwd
-    np.minimum(fwd, rev, out=fwd)
-    return fwd.astype(np.uint64, copy=False), read_idx, pos, flip
+    return keys, read_idx, pos, flip
 
 
 def splitmix64(x: np.ndarray) -> np.ndarray:

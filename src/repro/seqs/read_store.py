@@ -184,7 +184,8 @@ class MmapStoreWriter:
     """Streaming store builder: bases go straight to disk, never resident.
 
     ``add_read`` appends one read's codes to the growing ``codes.bin``
-    (hashed incrementally as written); :meth:`finish` fsyncs the code file
+    and ``add_reads`` a run of reads' (hashed incrementally as written);
+    :meth:`finish` fsyncs the code file
     into place, writes the index arrays and the manifest **last** — so a
     crash at any instant leaves either no manifest (directory won't open)
     or a complete store.
@@ -201,11 +202,16 @@ class MmapStoreWriter:
         self._done = False
 
     def add_read(self, codes: np.ndarray) -> None:
+        self.add_reads(codes, [codes.shape[0]])
+
+    def add_reads(self, codes: np.ndarray, lengths) -> None:
+        """Append reads whose codes are ``codes``, concatenated, and whose
+        lengths are ``lengths``."""
         buf = np.ascontiguousarray(codes, dtype=np.uint8)
         view = memoryview(buf).cast("B")
         self._fh.write(view)
         self._hash.update(view)
-        self._lengths.append(buf.shape[0])
+        self._lengths.extend(lengths)
         self._total += buf.shape[0]
 
     def finish(self) -> MmapReadStore:

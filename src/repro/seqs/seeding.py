@@ -85,9 +85,9 @@ class SeedScheme(abc.ABC):
 
     @abc.abstractmethod
     def seeds_of_block(self, codes: np.ndarray, offsets: np.ndarray,
-                       lengths: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                  np.ndarray]:
+                       lengths: np.ndarray, positions: bool = True
+                       ) -> tuple[np.ndarray, np.ndarray | None,
+                                  np.ndarray | None, np.ndarray]:
         """Seeds of a whole SoA block, as one vectorized pass.
 
         Mirrors :func:`~repro.seqs.kmers.read_kmers_batch`: returns
@@ -95,7 +95,10 @@ class SeedScheme(abc.ABC):
         k-mers, the index into ``offsets``/``lengths`` of each seed's
         read, the window start position within the read, and whether the
         canonical form is the reverse complement — in read-major,
-        ascending-position order.
+        ascending-position order.  ``positions=False`` lets a scheme that
+        keeps every window leave ``read_idx`` and ``pos`` as ``None``
+        (they follow from ``lengths``); a sparse scheme returns them
+        regardless.
         """
 
 
@@ -105,7 +108,8 @@ class FullKScheme(SeedScheme):
 
     ``seeds_of_block`` is a passthrough to
     :func:`~repro.seqs.kmers.read_kmers_batch`, so full mode is
-    byte-identical to the pre-refactor pipeline at every layer.
+    byte-identical to the pre-refactor pipeline at every layer, and
+    without ``positions`` it forms no per-window read or position column.
     """
 
     k: int
@@ -118,8 +122,8 @@ class FullKScheme(SeedScheme):
     def expected_seed_fraction(self) -> float:
         return 1.0
 
-    def seeds_of_block(self, codes, offsets, lengths):
-        return read_kmers_batch(codes, offsets, lengths, self.k)
+    def seeds_of_block(self, codes, offsets, lengths, positions=True):
+        return read_kmers_batch(codes, offsets, lengths, self.k, positions)
 
 
 @dataclass(frozen=True)
@@ -148,7 +152,7 @@ class MinimizerScheme(SeedScheme):
     def expected_seed_fraction(self) -> float:
         return min(1.0, 2.0 / (self.w + 1))
 
-    def seeds_of_block(self, codes, offsets, lengths):
+    def seeds_of_block(self, codes, offsets, lengths, positions=True):
         return minimizers_batch(codes, offsets, lengths, self.k, self.w)
 
 
@@ -187,7 +191,7 @@ class SyncmerScheme(SeedScheme):
     def expected_seed_fraction(self) -> float:
         return 1.0 / self.w
 
-    def seeds_of_block(self, codes, offsets, lengths):
+    def seeds_of_block(self, codes, offsets, lengths, positions=True):
         k, s = self.k, self.s
         canon, ridx, pos, flip = read_kmers_batch(codes, offsets, lengths, k)
         if canon.shape[0] == 0 or s == k:

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from repro.core.memory import coo_nbytes
-from repro.core.overlap import (_block_cuts, _block_key, _charge_routing,
+from repro.core.overlap import (_block_cuts, _charge_routing,
                                 _gather_blocks)
 from repro.core.semirings import A_NFIELDS
 from repro.dsparse.distmat import DistMat
@@ -303,7 +303,10 @@ def a_scan_task(ctx, span):
     if not rr:
         return None, tally
     row, col, vals = np.concatenate(rr), np.concatenate(cc), np.vstack(vv)
-    key = _block_key(row - lo, col, hi - lo, len(table), bounds[1])
+    # The (block column, rank-local read, column) key, its block column
+    # found by binary search over the column bounds.
+    blk = np.searchsorted(bounds[1], col, side="right") - 1
+    key = (blk * (hi - lo) + row - lo) * np.int64(len(table)) + col
     order = np.argsort(key, kind="stable")
     return (row[order], col[order], vals[order],
             _block_cuts(key[order], lo, hi - lo, len(table), bounds)), tally

@@ -5,7 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.seqs.dna import decode, encode
 from repro.seqs.fasta import (ReadSet, read_fasta, read_fasta_to_store,
@@ -206,3 +206,101 @@ def test_readset_is_one_buffer_across_pickle():
         for i in range(len(rs)):
             assert np.shares_memory(rs[i], rs.soa()[0])
             assert np.array_equal(rs[i], reads.seqs[i])
+
+
+# -- property: the chunked parser equals the line-by-line reference ---------
+
+_POOL = st.sampled_from(["r0", "r1", "a"])     # draws repeat: duplicates
+_CLEAN = "ACGTNacgtn"
+_DIRTY = _CLEAN + "RYKMSWBDHVrykU-* \t\r\xe9"
+
+
+@st.composite
+def _fasta_text(draw):
+    """FASTA text with wrapped, blank-line-split, lowercase and N-bearing
+    records and description text; a "dirty" file adds CRLF or padded
+    lines, other IUPAC letters, CR, tabs and non-ASCII; a "broken" one adds
+    the malformed shapes the parser refuses: an empty record, a nameless
+    header, a repeated name, data, FASTQ or a BOM before the first header,
+    a header at EOF."""
+    dirty, broken = draw(st.booleans()), draw(st.integers(0, 2)) == 0
+
+    def rarely(n=4):
+        return draw(st.integers(0, n)) == 0
+
+    lines = []
+    if broken and rarely(2):
+        lines.append(draw(st.sampled_from(["ACGT", "@r0", "  ", "",
+                                           "\ufeff>x"])))
+    for _ in range(draw(st.integers(0, 6))):
+        name = draw(_POOL if broken and rarely(3) else _NAME)
+        if broken and rarely():
+            name = draw(st.sampled_from(["", " ", "\t"]))
+        desc = draw(st.sampled_from(["", "", " desc words", "\tlen=5 x"]))
+        lines.append(">" + name + desc)
+        alphabet = _DIRTY if dirty and rarely(1) else _CLEAN
+        seq = draw(st.text(alphabet=alphabet, min_size=1, max_size=90))
+        if broken and rarely():
+            seq = ""
+        width = draw(st.integers(1, 30))
+        for off in range(0, len(seq), width):
+            line = seq[off:off + width]
+            if dirty and rarely(6):
+                line = " " + line + "  "
+            lines.append(line)
+            if rarely(7):
+                lines.append("")
+    eol = "\r\n" if dirty and rarely(2) else "\n"
+    text = eol.join(lines)
+    if lines and not (broken and rarely()):
+        text += eol
+    return text
+
+
+def _parsed_or_error(parse):
+    try:
+        return parse()
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=_fasta_text(),
+       chunk=st.sampled_from([1, 2, 3, 5, 8, 17, 64, 1 << 20]))
+def test_chunked_parser_matches_line_reference(text, chunk):
+    """``read_fasta`` (path and text handle) and ``read_fasta_to_store``
+    give the reference's names, codes and lengths byte for byte, or raise
+    its ``ValueError`` word for word — with chunks cut down to a few bytes,
+    so records straddle every boundary."""
+    import tempfile
+    from unittest import mock
+
+    from repro.seqs import fasta
+    from oracles.fasta import read_fasta_reference
+
+    def arrays(rs):
+        codes, _offsets, lengths = rs.soa()
+        return rs.names, np.asarray(codes), np.asarray(lengths)
+
+    def same(got, want):
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want
+            return
+        assert got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(fasta, "_CHUNK", chunk):
+        path = f"{tmp}/reads.fa"
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        want_handle = _parsed_or_error(
+            lambda: read_fasta_reference(io.StringIO(text)))
+        same(_parsed_or_error(lambda: arrays(read_fasta(io.StringIO(text)))),
+             want_handle)
+        want_path = _parsed_or_error(lambda: read_fasta_reference(path))
+        same(_parsed_or_error(lambda: arrays(read_fasta(path))), want_path)
+        same(_parsed_or_error(lambda: arrays(
+            read_fasta_to_store(path, f"{tmp}/store"))), want_path)

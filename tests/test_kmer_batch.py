@@ -80,14 +80,31 @@ def test_pack_all_windows_matches_pack_kmers(k):
 def test_read_kmers_batch_matches_per_read(read_lists, read_only):
     """Every k, over a writable or a read-only code buffer (the mmap read
     store hands the kernel a read-only one): canonical k-mers, and a flip
-    wherever the canonical k-mer is not the forward window."""
+    wherever the canonical k-mer is not the forward window.  The full-k
+    stream CountKmer keeps for a rank (``_extract_batch_task``) is the same
+    keys and flips over every span of the reads, empty ones and ones of
+    reads shorter than k included, with no read or position columns."""
+    from repro.seqs.fasta import _from_arrays
+    from repro.seqs.kmer_counter import _extract_batch_task
+    from repro.seqs.seeding import FullKScheme
     reads = _readset(read_lists)
     codes, offsets, lengths = reads.soa()
     if read_only:
         codes = codes.copy()
         codes.flags.writeable = False
+        reads = _from_arrays(reads.names, codes, offsets, lengths)
+    n = len(reads)
+    spans = [(0, n), (0, 0), (n, n), (n // 2, n), (0, n // 2),
+             (n // 3, min(n // 3 + 1, n))]
     for k in range(1, MAX_K + 1):
         km, ridx, pos, flip = read_kmers_batch(codes, offsets, lengths, k)
+        for lo, hi in spans:
+            stream = _extract_batch_task((FullKScheme(k), reads), (lo, hi))
+            at = (ridx >= lo) & (ridx < hi)
+            assert stream[2:] == (None, None)
+            assert stream[0].dtype == np.uint64
+            assert np.array_equal(stream[0], km[at])
+            assert np.array_equal(stream[1], flip[at])
         exp_km, exp_fwd, exp_ridx, exp_pos = [], [], [], []
         for i in range(len(reads)):
             one_km, one_pos = read_kmers(reads[i], k)
@@ -323,17 +340,21 @@ def _build_a(reads, table, impl, P=4, executor=None):
 
 
 def test_a_matrix_parity(clean_dataset):
+    """On a 2×2 grid and on a 3×3 one, whose balanced column bounds are
+    uneven (the reference finds each entry's block column by binary
+    search)."""
     _genome, reads, _layout = clean_dataset
     sub = reads.subset(np.arange(40))
     comm = SimComm(1, CommTracker(1))
     table = count_kmers(sub, 17, comm, StageTimer(), upper=40)
-    ga, tra, tma = _build_a(sub, table, "loop")
-    gb, trb, tmb = _build_a(sub, table, "batch")
-    assert np.array_equal(ga.row, gb.row)
-    assert np.array_equal(ga.col, gb.col)
-    assert np.array_equal(ga.vals, gb.vals)
-    assert tra.summary() == trb.summary()
-    assert tma.peak_bytes() == tmb.peak_bytes()
+    for P in (4, 9):
+        ga, tra, tma = _build_a(sub, table, "loop", P=P)
+        gb, trb, tmb = _build_a(sub, table, "batch", P=P)
+        assert np.array_equal(ga.row, gb.row)
+        assert np.array_equal(ga.col, gb.col)
+        assert np.array_equal(ga.vals, gb.vals)
+        assert tra.summary() == trb.summary()
+        assert tma.peak_bytes() == tmb.peak_bytes()
 
 
 def test_a_matrix_parity_palindromes_and_executors():
@@ -404,13 +425,14 @@ def _a_run(reads, table, P, scheme, executor=None):
 
 @pytest.mark.parametrize("executor", ["serial", "process"])
 @pytest.mark.parametrize("mode", ["full", "minimizer", "syncmer"])
-@pytest.mark.parametrize("P", [1, 4, 16])
+@pytest.mark.parametrize("P", [1, 4, 9, 16])
 def test_a_matrix_from_the_kept_stream(P, mode, executor):
     """A table carrying its seed stream builds the same A blocks,
     CreateSpMat records and lookup counters as the same table without it
     (which re-extracts), for every scheme, with reads shorter than k,
     leading ranks whose streams are empty, and the stream crossing a
-    process pool."""
+    process pool — on 1×1 to 4×4 grids, a 3×3 one's uneven column bounds
+    included."""
     from repro.seqs.seeding import make_scheme
     reads = _genome_reads(P * 7 + len(mode))
     scheme = make_scheme(mode, 9, 4)

@@ -37,7 +37,7 @@ from repro.dsparse.masked import (mask_select, masked_route,
                                   spgemm_dot_masked, spgemm_esc_masked,
                                   spgemm_masked, spgemm_upper)
 from repro.dsparse.spgemm import (multiway_merge, packed_order, spgemm_esc,
-                                  stable_key_order)
+                                  stable_key_order, stable_key_sort)
 from repro.dsparse.summa import summa
 from repro.exec import SERIAL, ProcessExecutor
 from repro.mpisim import CommTracker, ProcessGrid2D, SimComm, StageTimer
@@ -277,12 +277,17 @@ def test_packed_order_overflow_guard_matches_lexsort():
 def test_stable_key_order_is_the_stable_argsort(small, scale):
     """Heavy ties (four distinct keys), empty and one-element inputs, and
     key scales where key and index bits no longer fit 63 — there the
-    tagged sort would overflow, so only the fallback gives this answer."""
+    tagged sort would overflow, so only the fallback gives this answer.
+    ``stable_key_sort`` gives the same order and the keys in it."""
     keys = np.array(small, dtype=np.int64) << np.int64(scale)
     bound = (3 << scale) + 1
     order = stable_key_order(keys, bound)
     assert order.dtype == np.int64
     assert np.array_equal(order, np.argsort(keys, kind="stable"))
+    sorted_keys, same = stable_key_sort(keys, bound)
+    assert np.array_equal(same, order)
+    assert sorted_keys.dtype == np.int64
+    assert np.array_equal(sorted_keys, keys[order])
 
 
 # -- reduce truncation (product_reduce_depth) ----------------------------------
@@ -1172,7 +1177,7 @@ def test_pattern_product_is_one_sized_kernel_pass(monkeypatch):
     operands with empty rows and columns, on formed and viewed ``Aᵀ``, on
     one range of rows and, where ``min(flops, rows × cols)`` exceeds
     ``nnz(A) + nnz(B)``, on many, each buffer within that budget; on 32-
-    and 64-bit indices."""
+    and 64-bit indices; and on a view whose kept CSR lends its arrays."""
     from scipy.sparse import _sparsetools
     # A scipy release that renames the kernel fails masked.py's import; one
     # that rebinds the name elsewhere fails here.
@@ -1183,8 +1188,12 @@ def test_pattern_product_is_one_sized_kernel_pass(monkeypatch):
                          ~np.isin(holey.col, np.arange(10, 15)))
     thin = _positions_operand(rng, 120, 6, 0.8)      # flops ≫ nnz: split
     deep, _, _ = _read_kmer_operands(rng, 40, 300, 1500, 0.9)
+    kept = holey.T
+    kept.csr()          # an earlier ESC product built the view's CSR
+    assert kept.csr_ready and not holey.T.csr_ready
     cases = {"holey_b": (holey, _positions_operand(rng, 50, 20, 0.2)),
-             "holey_at": (holey, holey.T), "thin": (thin, thin.T),
+             "holey_at": (holey, holey.T), "holey_kept": (holey, kept),
+             "thin": (thin, thin.T),
              "thin_formed": (thin, thin.transpose()), "deep": (deep, deep.T)}
     oracles = {name: CooMat.from_scipy(_pattern_csr(A) @ _pattern_csr(B))
                for name, (A, B) in cases.items()}
