@@ -53,8 +53,6 @@ class CooMat:
 
     #: Storage is row-major; a :attr:`T` view's is column-major.
     transposed = False
-    #: :meth:`csr` runs no pass: storage is CSR order.
-    csr_ready = True
 
     def __init__(self, shape: tuple[int, int], row: np.ndarray,
                  col: np.ndarray, vals: np.ndarray, *,
@@ -266,11 +264,6 @@ class _Transposed(CooMat):
     @property
     def T(self) -> CooMat:
         return self._base
-
-    @property
-    def csr_ready(self) -> bool:
-        """Whether the view's CSR is built and kept already."""
-        return self._csc is not None
 
     def csr(self) -> Lines:
         if self._csc is None:

@@ -400,39 +400,20 @@ def _reduce_selected(out_shape, ci, cj, counts, taken, tstarts, a_sel, b_sel,
 
 # -- mask-driven dot kernel ----------------------------------------------------
 
-def _unit_csr(shape: tuple[int, int], indptr: np.ndarray,
-              indices: np.ndarray) -> sp.csr_matrix:
-    """Unit data over a CSR pointer and index array, all 32-bit whenever
-    the dimensions and nnz fit (scipy picks its kernel's index type from
-    these dtypes) and 64-bit otherwise."""
-    nnz = indices.shape[0]
-    dtype = np.int32 if max(*shape, nnz) <= _INDEX32_MAX else np.int64
-    pat = sp.csr_matrix(shape, dtype=dtype)
-    pat.indptr = indptr.astype(dtype, copy=False)
-    pat.indices = indices.astype(dtype, copy=False)
-    pat.data = np.ones(nnz, dtype=dtype)
-    return pat
-
-
 def _pattern(M: CooMat) -> sp.csr_matrix | sp.csc_matrix:
     """``pattern(M)`` as scipy sees it: unit data over ``M``'s row pointer
-    and column indices (:func:`_unit_csr`).  A view is its base's pattern
-    transposed — a CSC matrix over the same arrays."""
+    and column indices, all 32-bit whenever ``M``'s dimensions and nnz fit
+    (scipy picks its kernel's index type from these dtypes) and 64-bit
+    otherwise.  A view is its base's pattern transposed — a CSC matrix
+    over the same arrays, which the product converts in C."""
     if M.transposed:
         return _pattern(M.T).T
-    return _unit_csr(M.shape, M.csr_indptr(), M.col)
-
-
-def _pattern_rows(M: CooMat) -> sp.csr_matrix:
-    """:func:`_pattern` as CSR, what the product kernel reads.  A matrix
-    whose CSR is at hand (:attr:`~repro.dsparse.coomat.CooMat.csr_ready`:
-    always for a stored matrix, and for a view once an ESC product has
-    built and kept its CSR) lends its pointer and indices; any other view's
-    CSC is converted in C."""
-    if not M.csr_ready:
-        return _pattern(M).tocsr()
-    lines = M.csr()
-    return _unit_csr(M.shape, lines.indptr, lines.index)
+    dtype = np.int32 if max(*M.shape, M.nnz) <= _INDEX32_MAX else np.int64
+    pat = sp.csr_matrix(M.shape, dtype=dtype)
+    pat.indptr = M.csr_indptr().astype(dtype, copy=False)
+    pat.indices = M.col.astype(dtype, copy=False)
+    pat.data = np.ones(M.nnz, dtype=dtype)
+    return pat
 
 
 def pattern_matmul(a: sp.spmatrix, b: sp.spmatrix,
@@ -502,8 +483,8 @@ def _pattern_product(A: CooMat, B: CooMat, flops: int | None = None
     """``pattern(A) @ pattern(B)``: every coordinate of ``A ⊗ B`` with its
     group size (one product per common inner index, since the depth
     contract rules out validity masks), in one sized kernel pass."""
-    return CooMat.from_csr(pattern_matmul(_pattern_rows(A), _pattern_rows(B),
-                                          flops), checked=True)
+    return CooMat.from_csr(pattern_matmul(_pattern(A), _pattern(B), flops),
+                           checked=True)
 
 
 def spgemm_dot_masked(A: CooMat, B: CooMat, semiring: Semiring,

@@ -220,21 +220,23 @@ def _chunks(fh):
 
     ``text`` says the handle returned ``str`` (encoded here as UTF-8, lone
     surrogates passed through); a binary handle is read as ``open(path)``
-    would read it, universal newlines included.
+    would read it, universal newlines included, so there a line also ends
+    at a lone CR and a CR-only file is cut like any other.
     """
     held: list[bytes] = []
     text = False
+    eols = (b"\n", b"\r")
     while True:
         piece = fh.read(_CHUNK)
         if isinstance(piece, str):
-            text = True
+            text, eols = True, (b"\n",)
             piece = piece.encode("utf-8", "surrogatepass")
         if not piece:
             if held:
                 yield b"".join(held), text, True
             return
-        cut = piece.rfind(b"\n>") + 1
-        if not cut and held and held[-1].endswith(b"\n") and \
+        cut = max(piece.rfind(eol + b">") for eol in eols) + 1
+        if not cut and held and held[-1].endswith(eols) and \
                 piece.startswith(b">"):
             yield b"".join(held), text, False
             held = [piece]
@@ -421,7 +423,8 @@ def read_fasta_to_store(source: str | Path | io.IOBase,
     """Stream a FASTA file into an on-disk store; return the backed ReadSet.
 
     Each chunk's codes go straight from the parser to the store's code
-    file, so the resident footprint is one chunk plus the name list — the
+    file, so the resident footprint is one chunk (whole records, at least
+    one) plus the name list — the
     ingest path for inputs larger than memory.  Parsing and validation are
     :func:`read_fasta`'s; on any parse error the partial store build is
     discarded.

@@ -154,7 +154,7 @@ def _round_extract_task(ctx, task):
     """
     scheme, reads, nprocs = ctx
     r0, r1, skip, take = task
-    keys = scheme.seeds_of_block(*reads.soa_block(r0, r1))[0]
+    keys = scheme.seeds_of_block(*reads.soa_block(r0, r1), False)[0]
     return _send_lists(keys[skip:skip + take], nprocs)
 
 

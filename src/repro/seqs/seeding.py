@@ -95,9 +95,11 @@ class SeedScheme(abc.ABC):
         k-mers, the index into ``offsets``/``lengths`` of each seed's
         read, the window start position within the read, and whether the
         canonical form is the reverse complement — in read-major,
-        ascending-position order.  ``positions=False`` lets a scheme that
-        keeps every window leave ``read_idx`` and ``pos`` as ``None``
-        (they follow from ``lengths``); a sparse scheme returns them
+        ascending-position order.  ``positions=False`` is a hint from a
+        caller that reads no ``read_idx`` or ``pos`` (every caller that
+        reads only keys and flips passes it): a scheme that keeps every
+        window then leaves both ``None`` (they follow from ``lengths``);
+        a sparse scheme, which selects by position, returns them
         regardless.
         """
 

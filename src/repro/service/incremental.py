@@ -441,7 +441,7 @@ def _replay_count_kmers(reads: ReadSet, route_counts: np.ndarray, table,
                 res = cumdst[i]
             else:  # boundary splits read blo + i: count its seed prefix
                 canon = scheme.seeds_of_block(
-                    *reads.soa_block(blo + i, blo + i + 1))[0]
+                    *reads.soa_block(blo + i, blo + i + 1), False)[0]
                 dst = (splitmix64(canon[:within]) %
                        np.uint64(P)).astype(np.int64)
                 res = cumdst[i] + np.bincount(dst, minlength=P)

@@ -218,7 +218,7 @@ _DIRTY = _CLEAN + "RYKMSWBDHVrykU-* \t\r\xe9"
 @st.composite
 def _fasta_text(draw):
     """FASTA text with wrapped, blank-line-split, lowercase and N-bearing
-    records and description text; a "dirty" file adds CRLF or padded
+    records and description text; a "dirty" file adds CRLF, CR-only or padded
     lines, other IUPAC letters, CR, tabs and non-ASCII; a "broken" one adds
     the malformed shapes the parser refuses: an empty record, a nameless
     header, a repeated name, data, FASTQ or a BOM before the first header,
@@ -250,7 +250,8 @@ def _fasta_text(draw):
             lines.append(line)
             if rarely(7):
                 lines.append("")
-    eol = "\r\n" if dirty and rarely(2) else "\n"
+    eol = draw(st.sampled_from(["\r\n", "\r"])) if dirty and rarely(2) \
+        else "\n"
     text = eol.join(lines)
     if lines and not (broken and rarely()):
         text += eol
@@ -304,3 +305,16 @@ def test_chunked_parser_matches_line_reference(text, chunk):
         same(_parsed_or_error(lambda: arrays(read_fasta(path))), want_path)
         same(_parsed_or_error(lambda: arrays(
             read_fasta_to_store(path, f"{tmp}/store"))), want_path)
+
+
+@pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"])
+def test_binary_input_is_cut_at_every_record(monkeypatch, eol):
+    """A binary handle is cut before each header line whatever its line
+    ends, so a CR-only file is parsed a record at a time, not whole."""
+    from repro.seqs import fasta
+    monkeypatch.setattr(fasta, "_CHUNK", 4)
+    records = [b">r%d" % i + eol + b"ACGTACGT" + eol + b"GG" + eol
+               for i in range(5)]
+    chunks = list(fasta._chunks(io.BytesIO(b"".join(records))))
+    assert [c for c, _, _ in chunks] == records
+    assert [at_eof for _, _, at_eof in chunks] == [False] * 4 + [True]
