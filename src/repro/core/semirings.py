@@ -100,12 +100,13 @@ class PositionsSemiring(Semiring):
     product_reduce_depth = 2
 
     def multiply(self, avals, bvals):
-        n = avals.shape[0]
-        out = np.full((n, 7), -1, dtype=np.int64)
+        out = np.empty((avals.shape[0], 7), dtype=np.int64)
         out[:, C_COUNT] = 1
         out[:, C_PA1] = avals[:, A_POS]
         out[:, C_PB1] = bvals[:, A_POS]
-        out[:, C_STRAND1] = avals[:, A_FLIP] ^ bvals[:, A_FLIP]
+        np.bitwise_xor(avals[:, A_FLIP], bvals[:, A_FLIP],
+                       out=out[:, C_STRAND1])
+        out[:, C_PA2:] = -1
         return out, None
 
     def reduce(self, vals, starts, counts):
@@ -124,18 +125,20 @@ class PositionsSemiring(Semiring):
         # Same fold over groups clipped to their first ``taken`` (≤ 2)
         # products: the count field is the true group size (every fresh
         # product carries count 1, so the full reduce's segment sum equals
-        # it), the first seed comes from the first product and the second
-        # from the second, where taken; a seed not taken stays -1, as the
-        # multiply leaves an unfilled one.
-        out = np.full((starts.shape[0], 7), -1, dtype=np.int64)
-        one = taken >= 1
-        out[one] = vals[starts[one]]
+        # it), the first seed is the group head's and the second the next
+        # product's, where taken.  A seed not taken reads a -1 row past the
+        # products' seeds, as the multiply leaves an unfilled one: each
+        # seed slot is one row gather at the group heads.
+        seeds = np.empty((vals.shape[0] + 1, 3), dtype=np.int64)
+        seeds[:-1] = vals[:, C_PA1:C_STRAND1 + 1]
+        seeds[-1] = -1
+        none = vals.shape[0]
+        out = np.empty((starts.shape[0], 7), dtype=np.int64)
         out[:, C_COUNT] = counts
-        two = taken >= 2
-        src = starts[two] + 1
-        out[two, C_PA2] = vals[src, C_PA1]
-        out[two, C_PB2] = vals[src, C_PB1]
-        out[two, C_STRAND2] = vals[src, C_STRAND1]
+        out[:, C_PA1:C_STRAND1 + 1] = seeds.take(
+            np.where(taken >= 1, starts, none), axis=0)
+        out[:, C_PA2:C_STRAND2 + 1] = seeds.take(
+            np.where(taken >= 2, starts + 1, none), axis=0)
         return out
 
     def group_sizes(self, vals):

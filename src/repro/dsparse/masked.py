@@ -53,11 +53,15 @@ The overlap product ``C = A·Aᵀ`` keeps only its strict upper triangle, and
 needs no mask for it: :func:`spgemm_upper` takes the block's global origin
 and keeps ``row < col`` by coordinate.  Every partial product of a SUMMA
 stage lies inside the final product's pattern, so the predicate selects
-exactly what a mask of the final pattern's triangle would.  Below
-``2¹⁵`` products ESC filters by the predicate; above, the block's pattern
-product is formed once and its upper part is both the route's mask and the
-dot kernel's group sizes (ESC, if routed there, still filters by the
-predicate).
+exactly what a mask of the final pattern's triangle would.  A *symmetric*
+diagonal block — origin row = origin column, ``B`` the view ``A.T`` of the
+block itself — never forms the rest: ESC pairs each entry of a column of
+``A`` only with the entries after it, ``Σ c(c − 1)/2`` products over the
+column lengths ``c`` (no self-product, no mirror), and the route is sized
+by that count.  Below ``2¹⁵`` products (a symmetric block's triangle ones)
+ESC runs directly; above, the block's pattern product is formed once and
+its upper part is both the route's mask and the dot kernel's group sizes
+(ESC, if routed there, still expands only what it keeps).
 
 Byte-identity with ``unmasked ∩ mask`` is structural in both.  ESC's
 coordinate filter removes only *whole* output groups and the surviving
@@ -90,7 +94,7 @@ from ..mpisim.tracker import add_work
 from .coomat import CooMat, Lines
 from .membership import in_sorted
 from .semiring import Semiring
-from .spgemm import (_sort_reduce, expand_products, spgemm_esc,
+from .spgemm import (_ranges, _sort_reduce, expand_products, spgemm_esc,
                      stable_key_sort)
 
 __all__ = ["mask_select", "spgemm_masked", "spgemm_esc_masked",
@@ -143,13 +147,6 @@ def _output_shape(A: CooMat, B: CooMat,
         raise ValueError(f"mask shape {mask.shape} != output shape "
                          f"{out_shape}")
     return out_shape
-
-
-def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """``concatenate([arange(s, s + n) for s, n in zip(starts, lens)])``."""
-    offsets = np.cumsum(lens) - lens
-    return np.repeat(starts - offsets, lens) + \
-        np.arange(int(lens.sum()), dtype=np.int64)
 
 
 # -- kernel choice -------------------------------------------------------------
@@ -205,14 +202,21 @@ def masked_route(A: CooMat, B: CooMat, mask: CooMat, depth: int,
     under a millisecond on either kernel and the dot kernel's fixed cost
     (one scipy matmul, a few window rounds) is most of it.
     The estimate itself is optimistic by 2–10× (sizes vary inside a
-    block, a triangle mask holds half the flops, windows round up); the
-    factor absorbs that.  On the benchmark (seed 14): ``hifi_deep``'s
-    blocks sit at ``g`` = 68–304 (dot, pattern product included and no
-    earlier stage's seeds, 5.1–7.6× faster on a 2-vCPU x86 host),
-    ``service_stream``'s deltas at 19–83 000 (dot, 1.7–2×),
-    ``chain_wide``'s at 0.07–1.9 (ESC, 1.5–2.4× faster there) and
-    ``clr_xdrop``'s at 0.4–6 with ≤ 2 700 products a block (ESC, 4×).  A
-    caller that has already counted ``flops`` passes it in.
+    block, a triangle mask across the diagonal holds part of the flops,
+    windows round up); the factor absorbs that.  On the benchmark (seed
+    14, a symmetric diagonal block's ``flops`` counted as its strict-upper
+    products, as :func:`spgemm_upper` passes them): ``hifi_deep``'s
+    blocks sit at
+    ``g`` = 65–68 on the diagonal and 68 off it (dot; 291–304 on the
+    diagonal under full flops), ``service_stream``'s deltas at 53–149
+    (dot), ``chain_wide``'s at 0.12–0.15 (ESC; 2.6–3.3 on the diagonal
+    under full flops) and ``clr_xdrop``'s at 0.27–0.48 with ≤ 1 500
+    products a block (ESC; 5.3–7.1 on the diagonal under full flops).
+    In the sweep the dot kernel was 5.1–7.6× faster on ``hifi_deep``
+    (pattern product included, no earlier stage's seeds, a 2-vCPU x86
+    host) and 1.7–2× on the deltas, ESC 1.5–2.4× on ``chain_wide`` and
+    4× on ``clr_xdrop``.  A caller that has already counted ``flops``
+    passes it in.
     """
     if flops is None:
         flops = _flops(A, B)
@@ -258,8 +262,15 @@ def spgemm_upper(A: CooMat, B: CooMat, semiring: Semiring,
 
     * a block wholly on or below the diagonal is empty without computing
       (``"masked_esc"``, as an empty mask is);
+    * a *symmetric* block (``r0 == c0`` and ``B`` the view ``A.T``, as
+      ``summa(A, A.T, upper=0)`` hands its diagonal blocks) counts the
+      products ESC would really expand, its strict-upper pairs
+      ``(flops − nnz(A))/2``, against the floor and in
+      :func:`masked_route`; on ESC it expands only those
+      (:func:`_upper_pairs`);
     * below ``2¹⁵`` products, where :func:`masked_route` never picks the
-      dot kernel, ESC expands and filters by the predicate (shapes that
+      dot kernel, ESC expands and keeps what the predicate selects (none
+      is evaluated for a block wholly above the diagonal; shapes that
       cannot pack keys filter the unmasked product instead);
     * at or above, the pattern product is formed once and its upper part is
       both :func:`masked_route`'s mask and the dot kernel's group sizes.
@@ -271,23 +282,52 @@ def spgemm_upper(A: CooMat, B: CooMat, semiring: Semiring,
     diag = np.int64(origin[1] - origin[0])    # keep local (i, j): i - j < diag
     if A.nnz == 0 or B.nnz == 0 or diag <= 1 - out_shape[1]:
         return CooMat.empty(out_shape, semiring.out_nfields), "masked_esc"
+    symmetric = diag == 0 and B.transposed and B.T is A
     depth = semiring.product_reduce_depth
     flops = _flops(A, B)
+    # What ESC would expand: a symmetric block's strict-upper pairs.
+    work = (flops - A.nnz) // 2 if symmetric else flops
     if depth is not None and _dot_packable(A, B) and \
-            flops >= _DOT_MIN_FLOPS:
+            work >= _DOT_MIN_FLOPS:
         upper = _pattern_product(A, B, flops)
         upper = upper.select(upper.row - upper.col < diag)
         if upper.nnz == 0:
             return CooMat.empty(out_shape, semiring.out_nfields), "masked_esc"
-        if masked_route(A, B, upper, depth, flops).dot:
+        if masked_route(A, B, upper, depth, work).dot:
             return spgemm_dot_masked(A, B, semiring, upper, tally,
                                      sized=True, prior=prior), "masked_dot"
     if not _packable(out_shape):
         C = spgemm_esc(A, B, semiring)
         return C.select(C.row - C.col < diag), "masked_esc"
-    return _esc_pruned(A, B, semiring, out_shape,
-                       lambda keys, ci, cj: ci - cj < diag,
+    if symmetric:
+        return _esc_pruned(A, B, semiring, out_shape, None, tally,
+                           _upper_pairs), "masked_esc"
+    # A block wholly above the diagonal keeps every product.
+    keep_of = None if diag >= out_shape[0] else \
+        (lambda keys, ci, cj: ci - cj < diag)
+    return _esc_pruned(A, B, semiring, out_shape, keep_of,
                        tally), "masked_esc"
+
+
+def _upper_pairs(A: CooMat, B: CooMat) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`~repro.dsparse.spgemm.expand_products` of ``A ⊗ Aᵀ`` (``B``
+    the view ``A.T``) cut to its strict upper triangle.
+
+    ``B``'s rows are ``A``'s columns, rows ascending; pairing each entry of
+    such a line with the entries *after* it gives every product ``(i, j)``
+    with ``i < j`` once — ``Σ c(c − 1)/2`` over the line lengths ``c``, no
+    self-product and no mirror — in line order, so each output group still
+    meets its common ``k`` ascending.  Returns ``(a_idx, b_at)`` as
+    ``expand_products`` does: ``A``'s storage indices and positions in
+    ``B``'s CSR.
+    """
+    lines = B.csr()
+    ptr = lines.indptr
+    multi = np.flatnonzero(np.diff(ptr) > 1)      # lines holding a pair
+    first, last = ptr[multi], ptr[multi + 1] - 1
+    pos = _ranges(first, last - first)            # entries with partners
+    after = np.repeat(last, last - first) - pos
+    return lines.stored(np.repeat(pos, after)), _ranges(pos + 1, after)
 
 
 # -- expand-sort-compress, pruned ----------------------------------------------
@@ -313,14 +353,17 @@ def spgemm_esc_masked(A: CooMat, B: CooMat, semiring: Semiring,
                        tally)
 
 
-def _esc_pruned(A, B, semiring, out_shape, keep_of, tally) -> CooMat:
-    """The pruned ESC both masked forms share: expand, keep the products
-    ``keep_of(keys, ci, cj)`` selects, multiply and sort-compress those.
-    ``B`` is read along its CSR; its values are gathered (through the
-    line order, for a view) only for the kept products."""
+def _esc_pruned(A, B, semiring, out_shape, keep_of, tally,
+                expand=expand_products) -> CooMat:
+    """The pruned ESC both masked forms share: expand (``expand(A, B)``,
+    :func:`~repro.dsparse.spgemm.expand_products`' contract), keep the
+    products ``keep_of(keys, ci, cj)`` selects (all of them for ``None``),
+    multiply and sort-compress those.  ``B`` is read along its CSR; its
+    values are gathered (through the line order, for a view) only for the
+    kept products."""
     if A.nnz == 0 or B.nnz == 0:
         return CooMat.empty(out_shape, semiring.out_nfields)
-    a_idx, b_at = expand_products(A, B)
+    a_idx, b_at = expand(A, B)
     if a_idx.shape[0] == 0:
         return CooMat.empty(out_shape, semiring.out_nfields)
     add_work(tally, products=a_idx.shape[0])
@@ -330,19 +373,21 @@ def _esc_pruned(A, B, semiring, out_shape, keep_of, tally) -> CooMat:
     # Coordinate prune FIRST: products outside the mask never reach the
     # semiring multiply or the sort.
     keys = ci * np.int64(out_shape[1]) + cj
-    keep = keep_of(keys, ci, cj)
+    keep = None if keep_of is None else keep_of(keys, ci, cj)
+    if keep is not None and keep.all():
+        keep = None
     depth = semiring.product_reduce_depth
     if depth is not None:
         # The truncated reduce reads coordinates at group leads only, where
         # the packed key gives them back: nothing else rides along.
         del ci, cj
-        if not keep.all():
+        if keep is not None:
             a_idx, b_at, keys = a_idx[keep], b_at[keep], keys[keep]
         if keys.shape[0] == 0:
             return CooMat.empty(out_shape, semiring.out_nfields)
         return _truncated_sort_reduce(out_shape, keys, a_idx, b_at, b_rows,
                                       A, B, semiring, depth)
-    if not keep.all():
+    if keep is not None:
         a_idx, b_at, ci, cj = a_idx[keep], b_at[keep], ci[keep], cj[keep]
     if ci.shape[0] == 0:
         return CooMat.empty(out_shape, semiring.out_nfields)
@@ -389,7 +434,10 @@ def _reduce_selected(out_shape, ci, cj, counts, taken, tstarts, a_sel, b_sel,
     selected products (``a_sel``/``b_sel`` index the operands' storage,
     groups back to back from ``tstarts``) and fold them with the true group
     sizes ``counts``."""
-    cvals, valid = semiring.multiply(A.vals[a_sel], B.vals[b_sel])
+    # ``take`` along rows: a fancy index of a narrow 2-D array copies row
+    # by row, several times slower.
+    cvals, valid = semiring.multiply(A.vals.take(a_sel, axis=0),
+                                     B.vals.take(b_sel, axis=0))
     if valid is not None:  # the depth contract forbids validity masks
         raise ValueError(f"{type(semiring).__name__} sets "
                          f"product_reduce_depth but multiply returned a "

@@ -107,6 +107,13 @@ def _sort_reduce(out_shape: tuple[int, int], ci: np.ndarray, cj: np.ndarray,
     return CooMat(out_shape, ci[starts], cj[starts], reduced, checked=True)
 
 
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + n) for s, n in zip(starts, lens)])``."""
+    offsets = np.cumsum(lens) - lens
+    return np.repeat(starts - offsets, lens) + \
+        np.arange(int(lens.sum()), dtype=np.int64)
+
+
 def expand_products(A: CooMat, B: CooMat):
     """Materialize all elementary products of A's nnz with B's rows.
 
@@ -116,21 +123,15 @@ def expand_products(A: CooMat, B: CooMat):
     implied output rows are non-decreasing), and ``b_at`` into B's CSR
     (:meth:`~repro.dsparse.coomat.CooMat.csr`: ``B.csr().index[b_at]`` are
     the output columns, ``B.csr().stored(b_at)`` the storage indices — the
-    same array unless ``B`` is a transposed view).  This is the expansion
+    same array unless ``B`` is a transposed view).  Only the A entries
+    whose row of B is non-empty are expanded.  This is the expansion
     half of ESC, also reused by the 1D baseline's per-owner outer product.
     """
     b_indptr = B.csr_indptr()
     counts = b_indptr[A.col + 1] - b_indptr[A.col]
-    total = int(counts.sum())
-    if total == 0:
-        return (np.empty(0, np.int64),) * 2
-    a_idx = np.repeat(np.arange(A.nnz, dtype=np.int64), counts)
-    # Vectorized concatenation of the ranges [indptr[k], indptr[k]+count):
-    # within-group offsets are a global arange minus each group's start.
-    group_starts = np.cumsum(counts) - counts
-    within = np.arange(total, dtype=np.int64) - np.repeat(group_starts, counts)
-    b_idx = np.repeat(b_indptr[A.col], counts) + within
-    return a_idx, b_idx
+    has = np.flatnonzero(counts)
+    counts = counts[has]
+    return np.repeat(has, counts), _ranges(b_indptr[A.col[has]], counts)
 
 
 def spgemm_esc(A: CooMat, B: CooMat, semiring: Semiring) -> CooMat:

@@ -111,8 +111,9 @@ from ..core.string_graph import StringGraph
 from ..core.transitive_reduction import transitive_reduction
 from ..dsparse.coomat import CooMat
 from ..dsparse.distmat import DistMat
-from ..dsparse.masked import _ranges, pattern_matmul, spgemm_masked
+from ..dsparse.masked import pattern_matmul, spgemm_masked
 from ..dsparse.membership import in_sorted
+from ..dsparse.spgemm import _ranges
 from ..dsparse.summa import summa_comm_replay
 from ..exec import get_executor
 from ..mpisim.comm import SimComm

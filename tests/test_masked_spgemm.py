@@ -970,23 +970,121 @@ def test_property_summa_upper_matches_triangle(seed, P, lo, width):
     assert sum(timer.kernel_counts()["t"].values()) == grid.q ** 3
 
 
+def _strict_upper_pairs(X: CooMat) -> int:
+    """``Σ c(c − 1)/2`` over ``X``'s column lengths ``c``: the products a
+    symmetric block ``X·Xᵀ`` has strictly above its diagonal."""
+    c = np.bincount(X.col, minlength=X.shape[1])
+    return int((c * (c - 1) // 2).sum())
+
+
 def test_upper_routes_like_the_triangle_mask():
-    """On a single block the predicate kernel takes the same route, does
-    the same work and gives the same bytes as the masked router under the
-    triangle of the product's own pattern — on both sides of the floor."""
+    """On a single block the predicate kernel gives the masked router's
+    bytes under the triangle of the product's own pattern, on both sides
+    of the floor.  Against a formed ``Aᵀ`` it also takes the router's route
+    and does its work.  Against the view ``A.T`` at ``(0, 0)`` the block is
+    symmetric, and both are sized by the strict-upper products ESC would
+    expand: the route is :func:`masked_route`'s at that count, and ESC's
+    tally is exactly it.  The last case routes to the dot kernel by its
+    full flops but to ESC by its triangle."""
     semiring = PositionsSemiring()
     rng = np.random.default_rng(35)
     paths = []
     for args in ((60, 600, 4000, 0.9), (1200, 150, 40000, 0.2),
-                 (40, 60, 2000, 0.9)):
+                 (40, 60, 2000, 0.9), (400, 60, 6000, 0.9)):
         A, At, mask = _read_kmer_operands(rng, *args)
-        want_tally, got_tally = {}, {}
+        want_tally, got_tally, sym_tally = {}, {}, {}
         want, want_path = spgemm_masked(A, At, semiring, mask, want_tally)
         got, got_path = spgemm_upper(A, At, semiring, (0, 0), got_tally)
         _assert_identical(got, want)
         assert (got_path, got_tally) == (want_path, want_tally)
-        paths.append(got_path)
-    assert paths == ["masked_dot", "masked_esc", "masked_esc"]
+        sym, sym_path = spgemm_upper(A, A.T, semiring, (0, 0), sym_tally)
+        _assert_identical(sym, want)
+        pairs = _strict_upper_pairs(A)
+        if pairs >= 2 ** 15 and masked_route(A, At, mask, 2, pairs).dot:
+            dot_tally = {}
+            spgemm_dot_masked(A, At, semiring, mask, dot_tally)
+            assert (sym_path, sym_tally) == ("masked_dot", dot_tally)
+        else:
+            assert (sym_path, sym_tally) == ("masked_esc",
+                                             {"products": pairs})
+        paths.append((got_path, sym_path))
+    assert paths == [("masked_dot", "masked_dot"),
+                     ("masked_esc", "masked_esc"),
+                     ("masked_esc", "masked_esc"),
+                     ("masked_dot", "masked_esc")]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 31), st.integers(1, 24), st.integers(1, 40),
+       st.floats(0.0, 0.6), st.integers(0, 50), st.booleans(),
+       st.booleans())
+@example(seed=1, rows=1, cols=1, density=0.0, r=0, shared=False,
+         holes=False)
+@example(seed=2, rows=24, cols=40, density=0.0, r=7, shared=True,
+         holes=False)
+def test_property_symmetric_block_expands_each_pair_once(seed, rows, cols,
+                                                         density, r, shared,
+                                                         holes):
+    """A block times its own transpose view at a diagonal origin
+    ``(r, r)`` is symmetric: ESC pairs each column entry only with the
+    entries after it.  Byte-identical to the unmasked ESC product over a
+    formed ``Xᵀ`` cut to the strict upper triangle, and its ``products``
+    tally is ``Σ c(c − 1)/2`` over the column lengths — exactly, so
+    pairing an entry with itself as well fails.  ``shared`` puts column 0
+    in every row; ``holes`` empties every third row and column; sparse
+    draws leave single-entry and empty columns."""
+    rng = np.random.default_rng(seed)
+    X = _positions_operand(rng, rows, cols, density)
+    if shared:
+        X = X.select(X.col != 0)
+        X = CooMat(X.shape, np.concatenate([X.row, np.arange(rows)]),
+                   np.concatenate([X.col, np.zeros(rows, np.int64)]),
+                   np.vstack([X.vals, rng.integers(0, 2, (rows, 2))]))
+    if holes:
+        X = X.select((X.row % 3 != 1) & (X.col % 3 != 1))
+    semiring = PositionsSemiring()
+    oracle = mask_select(spgemm_esc(X, X.transpose(), semiring),
+                         _triangle((rows, rows), (r, r)))
+    tally = {}
+    out, path = spgemm_upper(X, X.T, semiring, (r, r), tally)
+    _assert_identical(out, oracle)
+    assert path == "masked_esc"
+    assert tally.get("products", 0) == _strict_upper_pairs(X)
+
+
+@pytest.mark.parametrize("P", [4, 9])
+@pytest.mark.parametrize("make_executor",
+                         [lambda: SERIAL, lambda: ProcessExecutor(2)],
+                         ids=["serial", "process2"])
+def test_summa_products_count_each_diagonal_pair_once(P, make_executor):
+    """``A·Aᵀ`` under ``upper=0``: a diagonal block-stage expands only its
+    strict-upper pairs, a block above the diagonal every product, one below
+    none — on the serial and the process pool, where a block task and its
+    transpose view cross a pickle together and must stay one block.  The
+    kernel paths are ESC throughout (every block under the floor)."""
+    rng = np.random.default_rng(50 + P)
+    GA = _positions_operand(rng, 45, 120, 0.15)
+    grid = ProcessGrid2D(P)
+    A = DistMat.from_coo(GA.shape, grid, GA.row, GA.col, GA.vals)
+    semiring = PositionsSemiring()
+    timer = StageTimer()
+    with make_executor() as executor:
+        C = summa(A, A.T, semiring, SimComm(P, CommTracker(P)), "t", timer,
+                  executor=executor, upper=0)
+    n = GA.shape[0]
+    _assert_identical(C.to_global(),
+                      mask_select(spgemm_esc(GA, GA.transpose(), semiring),
+                                  _triangle((n, n), (0, 0))))
+    q = grid.q
+    expect = 0
+    for k in range(q):
+        blocks = [A.blocks[i][k] for i in range(q)]
+        lens = [np.bincount(b.col, minlength=b.shape[1]) for b in blocks]
+        for i in range(q):
+            expect += _strict_upper_pairs(blocks[i])
+            expect += sum(int(lens[i] @ lens[j]) for j in range(i + 1, q))
+    assert timer.work_counts()["t"] == {"products": expect}
+    assert timer.kernel_counts()["t"] == {"masked_esc": q ** 3}
 
 
 def test_summa_rejects_mask_and_upper_together():
@@ -1070,18 +1168,28 @@ def test_pipeline_reports_engine_and_paths(tiny_reads):
 def test_candidate_overlaps_is_one_product(tiny_reads, monkeypatch):
     """C = A·Aᵀ is one SUMMA: q³ block products, with no count pass before
     it, and a pattern product (one pass of scipy's numeric kernel, never
-    its symbolic one) only on the block-stages the dot kernel may take
-    (≥ 2¹⁵ elementary products) — not one per block for a mask, and never
-    a second one for the dot kernel's group sizes."""
+    its symbolic one) exactly on the block-stages the dot kernel may take
+    (≥ 2¹⁵ products ESC would expand, a diagonal block-stage's counted by
+    its strict-upper pairs) — not one per block for a mask, and never a
+    second one for the dot kernel's group sizes."""
     P = 4
     grid = ProcessGrid2D(P)
     comm = SimComm(P, CommTracker(P))
     table = count_kmers(tiny_reads, 17, comm, StageTimer(), upper=40)
     A = build_a_matrix(tiny_reads, table, grid, comm, StageTimer())
     At = A.T
-    big = sum(int((_pattern_csr(A.blocks[i][k]) @
-                   _pattern_csr(At.blocks[k][j])).sum()) >= 2 ** 15
-              for i in range(grid.q) for j in range(grid.q)
+
+    def expanded(i, j, k):
+        """Products ESC would expand: a diagonal block-stage's are its
+        strict-upper pairs."""
+        if i == j:
+            return _strict_upper_pairs(A.blocks[i][k])
+        return int((_pattern_csr(A.blocks[i][k]) @
+                    _pattern_csr(At.blocks[k][j])).sum())
+
+    # Blocks wholly below the diagonal (i > j) are skipped uncomputed.
+    big = sum(expanded(i, j, k) >= 2 ** 15
+              for i in range(grid.q) for j in range(i, grid.q)
               for k in range(grid.q))
     matmuls = []
     real = masked_mod._csr_matmat
@@ -1094,7 +1202,7 @@ def test_candidate_overlaps_is_one_product(tiny_reads, monkeypatch):
     paths = timer.kernel_counts()["SpGEMM"]
     assert sum(paths.values()) == grid.q ** 3
     assert paths.get("masked_dot", 0) > 0 and big > 0
-    assert 0 < len(matmuls) <= big, (len(matmuls), big)
+    assert 0 < len(matmuls) == big, (len(matmuls), big)
     monkeypatch.undo()
     oracle = esc_upper(A, A.T, SimComm(P, CommTracker(P)))
     _assert_identical(C.to_global(), oracle.to_global())
