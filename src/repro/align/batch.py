@@ -110,8 +110,7 @@ def _window_buffer(codes: np.ndarray, lo: np.ndarray, length: np.ndarray,
     n = int(offset[-1] + span[-1])
     buf = np.zeros(4 * n + _WORD, dtype=np.uint8)
     c = buf[:n]
-    # One slice copy per interval: no index array, and a memmap is read
-    # only where the walks are.
+    # One slice copy per interval: no index array.
     for src, dst, size in zip(start.tolist(), offset.tolist(),
                               span.tolist()):
         c[dst:dst + size] = codes[src:src + size]

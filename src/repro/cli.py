@@ -113,10 +113,12 @@ def _add_run_flags(p, service: bool = False) -> None:
         p.add_argument("--memory-budget", type=_budget_bytes,
                        default=cfg.memory_budget, metavar="BYTES",
                        help="byte budget for the run's big consumers, e.g. "
-                            "64M or 2G: half drives blocked mode's strip "
-                            "count, a quarter caps the k-mer engine's "
+                            "64M or 2G: a quarter caps the k-mer engine's "
                             "buffered histograms (sorted runs spill to disk "
-                            "beyond it), the rest is headroom")
+                            "beyond it); half drives the strip count under "
+                            "--overlap-mode blocked only (monolithic runs "
+                            "one strip whatever the budget); the rest is "
+                            "headroom")
     p.add_argument("--k", type=int, default=cfg.k)
     p.add_argument("--nprocs", type=int, default=cfg.nprocs,
                    help="simulated process count (perfect square)")
@@ -177,8 +179,11 @@ def _print_stats(result, machine_name: str) -> None:
             print(f"{axis.name}: {value}{notes.get(axis.name, '')}")
     if cfg.memory_budget is not None:
         bp = apportion_budget(cfg.memory_budget)
+        candidate = (format_bytes(bp.candidate)
+                     if cfg.overlap_mode == "blocked"
+                     else "unused: monolithic runs one strip")
         print(f"memory budget: {format_bytes(bp.total)} "
-              f"(candidate {format_bytes(bp.candidate)}, "
+              f"(candidate {candidate}, "
               f"tables {format_bytes(bp.tables)}, "
               f"headroom {format_bytes(bp.headroom)})")
     print(f"nnz(C) = {result.nnz_c}  (c = {result.c_density:.1f})")

@@ -118,9 +118,6 @@ def _strip_fingerprint(A: DistMat, reads: ReadSet, k: int, nprocs: int,
     g = A.to_global()
     for arr in (g.row, g.col, g.vals):
         h.update(np.ascontiguousarray(arr).tobytes())
-    # Store-invariant read fingerprint: the mmap store returns its
-    # manifest digest, in-memory sets hash the same byte stream in
-    # bounded chunks — either way the bases are never materialized here.
     h.update(reads.content_fingerprint().encode())
     h.update(repr((A.shape, A.grid.q, k, nprocs, mode, scoring, filt, fuzz,
                    spans)).encode())

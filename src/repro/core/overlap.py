@@ -116,12 +116,12 @@ def _a_scan_batch_task(ctx, task):
     hi, stream)``: CountKmer's stream for the span when it kept one
     (:meth:`~repro.seqs.kmer_counter.KmerTable.take_stream`), else
     ``None`` and the worker extracts it here from the ReadSet in the
-    context (:meth:`~repro.seqs.fasta.ReadSet.soa_block`, so a
-    store-backed set ships only its path).  The stream is only read, so a
-    retried or respawned task sees the same input.  Lookup runs over every
-    key; everything after it works on the hits only.  For full-k, each
-    read's hits are counted by cutting the hit indices at the reads' last
-    windows, and the read index is an ``np.repeat`` over those counts.
+    context (:meth:`~repro.seqs.fasta.ReadSet.soa_block`).  The stream
+    is only read, so a retried or respawned task sees the same input.
+    Lookup runs over every key; everything after it works on the hits
+    only.  For full-k, each read's hits are counted by cutting the hit
+    indices at the reads' last windows, and the read index is an
+    ``np.repeat`` over those counts.
     The entries are ordered by one index-tagged sort of their (block
     column, read, column) keys, which yields the order and the sorted keys
     together (:func:`~repro.dsparse.spgemm.stable_key_sort`).  Returns
@@ -585,10 +585,8 @@ def _align_chunk_task(ctx, task):
     x-drop sweep's work counters (empty in chain mode).  The context
     carries the ReadSet itself: its ``soa()`` is the one code buffer the
     batch kernels address by (offset, stride, length) views, so neither
-    chunks nor oriented sequences are copied out per pair.  An in-memory
-    set ships its buffer once per chunk; a store-backed set ships as just
-    the store path, and each worker maps the shared on-disk buffer instead
-    of receiving the bases.
+    chunks nor oriented sequences are copied out per pair.  A process
+    pool ships the buffer once per chunk.
     """
     reads, k, mode, scoring, filt, fuzz = ctx
     codes, offsets, lengths = reads.soa()

@@ -16,10 +16,6 @@ plot.
 
 from __future__ import annotations
 
-import contextlib
-import os
-import shutil
-import tempfile
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -34,7 +30,7 @@ from ..mpisim.machine import MachineModel
 from ..mpisim.tracker import CommTracker, StageTimer
 from ..options import AXES, EXECUTOR, FAULT_PLAN
 from ..resilience.faults import FaultPlan, active_plan, current_plan
-from ..seqs.fasta import ReadSet, read_fasta, read_fasta_to_store
+from ..seqs.fasta import ReadSet, read_fasta
 from ..seqs.kmer_counter import count_kmers, reliable_upper_bound
 from ..seqs.seeding import DEFAULT_SEED_W, make_scheme
 from .blocked import candidate_overlaps_blocked
@@ -61,7 +57,7 @@ class PipelineConfig:
     coordinate estimate for large runs.
 
     The option axes — engines, backend, workers/executor, overlap mode,
-    seeding, read store, directories, fault plan — are declared once in
+    seeding, directories, fault plan — are declared once in
     :data:`repro.options.AXES` (the README's "Options" table): flag,
     environment variable, accepted values, default and meaning.  Their
     fields here default to *unset* (``"auto"`` / ``None``);
@@ -75,12 +71,13 @@ class PipelineConfig:
       persistent cross-ingest plan) stays in place, and only with neither
       does ``REPRO_FAULT_SPEC`` get a say.
     * ``memory_budget`` is apportioned across the big consumers
-      (:func:`repro.core.memory.apportion_budget`): half bounds the live
-      candidate strip (:func:`repro.core.memory.plan_strips` picks the
-      blocked strip count from the measured ``nnz(A)``), a quarter caps the
-      k-mer engine's buffered histograms (sorted runs spill beyond it), the
-      rest is headroom — the same split for every read store, so a
-      budgeted run is byte-identical between ``inmem`` and ``mmap``.
+      (:func:`repro.core.memory.apportion_budget`): a quarter caps the
+      k-mer engine's buffered histograms (sorted runs spill beyond it), and
+      under ``overlap_mode='blocked'`` only, half sizes the live candidate
+      strip (:func:`repro.core.memory.plan_strips` picks the strip count
+      from the measured ``nnz(A)``).  ``monolithic`` runs one strip
+      whatever the budget, so its candidate half goes unused.  A budgeted
+      run is byte-identical to an unbudgeted one.
     * ``n_strips`` (explicit strip count, beats the budget) and
       ``checkpoint_dir`` only mean something on the blocked path; under
       ``monolithic`` they are refused, not ignored.
@@ -294,24 +291,6 @@ def _require_nonempty_reads(reads: ReadSet) -> None:
             f"zero-length reads cannot enter k-mer extraction")
 
 
-@contextlib.contextmanager
-def _store_target(cfg: PipelineConfig):
-    """Directory for this run's mmap read store.
-
-    ``<store_dir>/reads`` when a store directory is configured, else a
-    temporary directory removed when the block exits.
-    """
-    if cfg.store_dir is not None:
-        os.makedirs(cfg.store_dir, exist_ok=True)
-        yield os.path.join(cfg.store_dir, "reads")
-        return
-    tmp = tempfile.mkdtemp(prefix="repro-read-store-")
-    try:
-        yield tmp
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-
-
 def run_pipeline(reads: ReadSet, config: PipelineConfig | None = None, *,
                  read_fastq_seconds: float = 0.0) -> PipelineResult:
     """Run overlap detection + transitive reduction on a ReadSet.
@@ -319,19 +298,11 @@ def run_pipeline(reads: ReadSet, config: PipelineConfig | None = None, *,
     The config is resolved here, once (:meth:`PipelineConfig.resolved`);
     the result carries the resolved copy.  ``read_fastq_seconds`` lets
     :func:`run_pipeline_from_fasta` charge the parse time it measured to
-    the ``ReadFastq`` stage.  With ``read_store="mmap"`` an in-memory
-    ReadSet is persisted to an on-disk store first (under ``store_dir``
-    when set, else a temporary directory removed when the run finishes);
-    store-backed ReadSets pass through unchanged.
+    the ``ReadFastq`` stage.
     """
     cfg = (config if config is not None else PipelineConfig()).resolved()
     _require_nonempty_reads(reads)
-    with contextlib.ExitStack() as stack:
-        if reads.store is not None:
-            cfg = replace(cfg, read_store="mmap")
-        elif cfg.read_store == "mmap":
-            reads = reads.to_store(stack.enter_context(_store_target(cfg)))
-        return _run_pipeline_inner(reads, cfg, read_fastq_seconds)
+    return _run_pipeline_inner(reads, cfg, read_fastq_seconds)
 
 
 def _run_pipeline_inner(reads, cfg, read_fastq_seconds):
@@ -387,22 +358,11 @@ def _run_pipeline_inner(reads, cfg, read_fastq_seconds):
 
 def run_pipeline_from_fasta(path, config: PipelineConfig | None = None
                             ) -> PipelineResult:
-    """Run the pipeline on a FASTA file, timing the parse as ``ReadFastq``.
-
-    With ``read_store="mmap"`` the FASTA is streamed straight into the
-    on-disk store (:func:`~repro.seqs.fasta.read_fasta_to_store`) — the
-    bases are never all resident, which is the ingest path for inputs
-    larger than memory.
-    """
+    """Run the pipeline on a FASTA file, timing the parse as ``ReadFastq``."""
     cfg = (config if config is not None else PipelineConfig()).resolved()
-    with contextlib.ExitStack() as stack:
-        t0 = time.perf_counter()
-        if cfg.read_store == "mmap":
-            reads = read_fasta_to_store(
-                path, stack.enter_context(_store_target(cfg)))
-        else:
-            reads = read_fasta(path)
-        parse_seconds = time.perf_counter() - t0
-        # Parallel MPI-IO splits the parse across ranks; charge the share.
-        return run_pipeline(reads, cfg,
-                            read_fastq_seconds=parse_seconds / cfg.nprocs)
+    t0 = time.perf_counter()
+    reads = read_fasta(path)
+    parse_seconds = time.perf_counter() - t0
+    # Parallel MPI-IO splits the parse across ranks; charge the share.
+    return run_pipeline(reads, cfg,
+                        read_fastq_seconds=parse_seconds / cfg.nprocs)

@@ -111,8 +111,7 @@ def _run_chunk_pickled(fn: TaskFn, ctx_bytes: bytes, tasks: list,
     The parent serializes the context once per ``run_timed`` call and
     submits the same bytes to every chunk, so a large shared context (the
     read set, a k-mer table) costs one ``pickle.dumps`` instead of one per
-    chunk.  Unpickling happens here in the worker — for a store-backed
-    ReadSet that is just reopening the memmaps by path.
+    chunk.  Unpickling happens here in the worker.
     """
     return _run_chunk(fn, pickle.loads(ctx_bytes), tasks, inject)
 

@@ -161,17 +161,15 @@ SEED_MODE = Axis(
     changes_output=True)
 
 READ_STORE = Axis(
-    "read_store", "--read-store", "REPRO_READ_STORE", "inmem",
-    "read-base backend: 'inmem' keeps the code buffer (one byte per base) "
-    "resident, 'mmap' persists it to disk once and serves all SoA views as "
-    "read-only memmaps (workers reopen by path; RSS stops scaling with "
-    "input size)",
-    choices=("inmem", "mmap"))
+    "read_store", "--read-store", None, "inmem",
+    "validated and otherwise unused, one choice: 'inmem' keeps the read "
+    "bases as one resident code buffer (one byte per base)",
+    choices=("inmem",))
 
 STORE_DIR = Axis(
     "store_dir", "--store-dir", None, None,
-    "directory for the mmap read store and k-mer spill runs (default: a "
-    "self-cleaning temporary directory)",
+    "directory for the k-mer engine's spill runs under --memory-budget, "
+    "removed when counting ends (default: the system temporary directory)",
     metavar="DIR")
 
 CHECKPOINT_DIR = Axis(

@@ -44,10 +44,9 @@ class CheckpointMismatch(ValueError):
 def atomic_write(path: str, data: bytes) -> None:
     """Write ``data`` to ``path`` so a crash never leaves a torn file.
 
-    Shared by every durable artifact in the tree (strip checkpoints, the
-    mmap read-store manifest and index arrays): temp file in the same
-    directory, ``fsync``, ``os.replace`` — a reader observes either the old
-    bytes or the new bytes, never a mix.
+    The strip checkpoints' manifest and payloads go through it: temp file
+    in the same directory, ``fsync``, ``os.replace`` — a reader observes
+    either the old bytes or the new bytes, never a mix.
     """
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",

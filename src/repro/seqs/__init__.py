@@ -4,9 +4,7 @@ minimizers, and the distributed k-mer counter."""
 from .dna import (ALPHABET, GenomeSpec, decode, encode, random_genome,
                   revcomp_codes)
 from .kmers import MAX_K, splitmix64
-from .fasta import ReadSet, read_fasta, read_fasta_to_store, write_fasta
-from .read_store import (MmapReadStore, MmapStoreWriter, StoreMismatch,
-                         content_digest)
+from .fasta import ReadSet, read_fasta, write_fasta
 from .simulator import ErrorModel, ReadSimSpec, TrueLayout, simulate_reads
 from .minimizers import minimizers_batch
 from .seeding import (FullKScheme, MinimizerScheme, SeedScheme,
@@ -17,8 +15,7 @@ __all__ = [
     "ALPHABET", "GenomeSpec", "decode", "encode",
     "random_genome", "revcomp_codes",
     "MAX_K", "splitmix64",
-    "ReadSet", "read_fasta", "read_fasta_to_store", "write_fasta",
-    "MmapReadStore", "MmapStoreWriter", "StoreMismatch", "content_digest",
+    "ReadSet", "read_fasta", "write_fasta",
     "ErrorModel", "ReadSimSpec", "TrueLayout", "simulate_reads",
     "minimizers_batch",
     "SeedScheme", "FullKScheme", "MinimizerScheme", "SyncmerScheme",

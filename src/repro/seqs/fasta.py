@@ -2,13 +2,9 @@
 
 A :class:`ReadSet` is one structure-of-arrays read buffer: ``codes`` holds
 every read's 2-bit codes concatenated, and read ``i`` is
-``codes[offsets[i]:offsets[i] + lengths[i]]``.  An in-memory set keeps the
-three arrays resident; a store-backed set maps them read-only from an
-on-disk :class:`~repro.seqs.read_store.MmapReadStore` (the out-of-core
-path).  Either way ``soa()``/``soa_block()`` serve the same arrays, so every
-downstream stage is backend-oblivious.  :func:`read_fasta_to_store` streams
-a FASTA file straight into a store — at no point are all bases resident —
-which is how the pipeline ingests inputs larger than memory.
+``codes[offsets[i]:offsets[i] + lengths[i]]``.  The three arrays are
+resident, and ``soa()``/``soa_block()`` serve them to every downstream
+stage.
 
 Both readers share one parser.  It reads fixed-size chunks cut at record
 boundaries, splits each header once, and encodes a chunk's bases with one
@@ -28,35 +24,32 @@ noise.
 
 from __future__ import annotations
 
+import hashlib
 import io
 from pathlib import Path
 
 import numpy as np
 
 from .dna import encode, decode
-from .read_store import MmapReadStore, MmapStoreWriter, content_digest
 
 __all__ = [
     "ReadSet",
     "write_fasta",
     "read_fasta",
-    "read_fasta_to_store",
 ]
 
 
 class ReadSet:
-    """A set of reads (names + one 2-bit code buffer), in memory or on disk.
+    """A set of reads: names + one resident 2-bit code buffer.
 
     This is the unit of data handed to the pipeline.  Reads keep insertion
     order; their index is the row index of the ``A``/``C``/``R``/``S``
     matrices throughout the pipeline.  ``reads[i]`` is a view into
     ``codes``, never a copy.
 
-    ``ReadSet(names, seqs)`` concatenates per-read arrays into a resident
-    buffer once; :meth:`from_store` maps a store's arrays instead (bases
-    stay on disk), and such a set pickles as its names and the store's path
-    + fingerprint, so process-executor workers reopen the files instead of
-    receiving the bases over the pipe.  Sets are never mutated in place.
+    ``ReadSet(names, seqs)`` concatenates per-read arrays into the buffer
+    once, and a pickle (a process worker's context) carries the three
+    arrays as they are.  Sets are never mutated in place.
     """
 
     def __init__(self, names: list[str], seqs: list[np.ndarray]) -> None:
@@ -64,28 +57,16 @@ class ReadSet:
             raise ValueError("names and seqs must have equal length")
         lengths = np.array([s.shape[0] for s in seqs], dtype=np.int64)
         codes = np.concatenate(seqs) if seqs else np.empty(0, np.uint8)
-        self._bind(names, codes, np.cumsum(lengths) - lengths, lengths, None)
+        self._bind(names, codes, np.cumsum(lengths) - lengths, lengths)
 
-    def _bind(self, names, codes, offsets, lengths, store) -> "ReadSet":
+    def _bind(self, names, codes, offsets, lengths) -> "ReadSet":
         self.names = names
         self.codes, self.offsets, self.lengths = codes, offsets, lengths
-        #: The backing store, or ``None`` for an in-memory set.
-        self.store: MmapReadStore | None = store
         return self
 
-    @classmethod
-    def from_store(cls, store: MmapReadStore, names: list[str]) -> "ReadSet":
-        """ReadSet over an opened store (bases stay on disk)."""
-        if len(names) != store.n_reads:
-            raise ValueError(f"store holds {store.n_reads} reads but "
-                             f"{len(names)} names were given")
-        return cls.__new__(cls)._bind(names, *store.arrays(), store)
-
     def __reduce__(self):
-        if self.store is not None:
-            return ReadSet.from_store, (self.store, self.names)
         return _from_arrays, (self.names, self.codes, self.offsets,
-                           self.lengths)
+                              self.lengths)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -108,8 +89,7 @@ class ReadSet:
         ``codes`` is every read concatenated (read ``i`` occupies
         ``codes[offsets[i]:offsets[i] + lengths[i]]``) — the shared buffer
         the batched alignment engine addresses by (offset, stride, length)
-        views.  For a store-backed set they are the store's memmaps, so the
-        buffer is pages on disk, not resident bytes.
+        views.
         """
         return self.codes, self.offsets, self.lengths
 
@@ -144,22 +124,14 @@ class ReadSet:
                             np.cumsum(lengths) - lengths, lengths)
 
     def content_fingerprint(self) -> str:
-        """SHA-256 of the code + length bytes (backend-invariant).
+        """SHA-256 over the code bytes, then the int64 length bytes.
 
-        Store-backed sets return the manifest fingerprint (computed once at
-        write time over the identical byte stream); in-memory sets hash
-        their SoA buffers with the same algorithm — so the resilience
-        checkpoints that cover the read bases get the same fingerprint
-        whether the reads live in RAM or on disk.
+        The strip checkpoints record it, so a resume against reads whose
+        bases changed is refused.
         """
-        if self.store is not None:
-            return self.store.fingerprint
-        return content_digest(self.codes, self.lengths)
-
-    def to_store(self, directory: str) -> "ReadSet":
-        """Persist this set into ``directory``; return a store-backed twin."""
-        store = MmapReadStore.create(directory, self)
-        return ReadSet.from_store(store, list(self.names))
+        h = hashlib.sha256(np.ascontiguousarray(self.codes, np.uint8).data)
+        h.update(np.ascontiguousarray(self.lengths, np.int64).data)
+        return h.hexdigest()
 
     def total_bases(self) -> int:
         return int(self.lengths.sum())
@@ -175,8 +147,7 @@ class ReadSet:
 
 def _from_arrays(names, codes, offsets, lengths) -> ReadSet:
     """An in-memory ReadSet over arrays it takes ownership of."""
-    return ReadSet.__new__(ReadSet)._bind(names, codes, offsets, lengths,
-                                          None)
+    return ReadSet.__new__(ReadSet)._bind(names, codes, offsets, lengths)
 
 
 def write_fasta(path: str | Path | io.TextIOBase, reads: ReadSet,
@@ -417,28 +388,3 @@ def read_fasta(source: str | Path | io.IOBase) -> ReadSet:
     codes = np.concatenate(parts) if parts else np.empty(0, np.uint8)
     return _from_arrays(names, codes, np.cumsum(lens) - lens, lens)
 
-
-def read_fasta_to_store(source: str | Path | io.IOBase,
-                        directory: str) -> ReadSet:
-    """Stream a FASTA file into an on-disk store; return the backed ReadSet.
-
-    Each chunk's codes go straight from the parser to the store's code
-    file, so the resident footprint is one chunk (whole records, at least
-    one) plus the name list — the
-    ingest path for inputs larger than memory.  Parsing and validation are
-    :func:`read_fasta`'s; on any parse error the partial store build is
-    discarded.
-    """
-    if isinstance(source, (str, Path)):
-        with _open_fasta(source) as fh:
-            return read_fasta_to_store(fh, directory)
-    names: list[str] = []
-    writer = MmapStoreWriter(directory)
-    try:
-        for chunk_names, codes, lengths in _fasta_chunks(source):
-            names += chunk_names
-            writer.add_reads(codes, lengths)
-    except BaseException:
-        writer.abort()
-        raise
-    return ReadSet.from_store(writer.finish(), names)

@@ -92,8 +92,7 @@ def _extract_batch_task(ctx, span):
     (:meth:`~repro.seqs.seeding.SeedScheme.seeds_of_block` without
     positions): window ``i`` of the rank is recoverable from the read
     lengths alone, so CreateSpMat derives read and position for its hits
-    only.  The worker takes its block from the ReadSet in the context, so
-    with the mmap read store a process pool ships only the store path.
+    only.  The worker takes its block from the ReadSet in the context.
     Key order is read-major, window order within a read, for every
     :class:`~repro.seqs.seeding.SeedScheme`.
     """

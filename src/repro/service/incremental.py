@@ -135,16 +135,13 @@ __all__ = ["refresh", "batch_occurrences", "service_pipeline"]
 def service_pipeline(config: ServiceConfig) -> PipelineConfig:
     """The resolved pipeline config every refresh under ``config`` runs.
 
-    Pin the in-memory read backend too: the service's versioned states
-    concat their ReadSets across refreshes, and a per-refresh store
-    rebuild would put an ingest-sized disk write on every delta.  The
-    blocked-only options go with the blocked path.  The config's
-    ``refresh_mode`` is validated here too.
+    A refresh runs the one-strip product, so the blocked-only options go
+    with the blocked path.  The config's ``refresh_mode`` is validated
+    here too.
     """
     REFRESH_MODE.resolve(config.refresh_mode)
     return replace(config.pipeline, overlap_mode="monolithic",
-                   read_store="inmem", n_strips=None,
-                   checkpoint_dir=None).resolved()
+                   n_strips=None, checkpoint_dir=None).resolved()
 
 
 def _scheme_of(pcfg: PipelineConfig) -> SeedScheme:

@@ -285,8 +285,8 @@ def test_kernel_at_both_ends_of_a_minimal_buffer(view):
 
 
 def test_kernel_reads_a_readonly_memmap(tmp_path):
-    """``read_store=mmap`` hands the kernel a read-only ``np.memmap``; the
-    strided word view must work on it without a copy or a write."""
+    """The kernel takes read-only codes (here an ``np.memmap``): the
+    strided word view must work on them without a copy or a write."""
     rng = np.random.default_rng(11)
     pairs = []
     for length in (5, 8, 40, 300):
@@ -798,40 +798,6 @@ def test_align_candidates_second_seed_selection():
     gl, gb = _align_both(reads, C, filt=filt, fuzz=200, scoring=sc)
     _assert_same(gl, gb)
     assert gb.nnz > 0
-
-
-@pytest.mark.parametrize("executor,workers", [("serial", 1), ("process", 2)])
-def test_align_candidates_parity_on_store_backed_reads(tmp_path, executor,
-                                                       workers):
-    """A store-backed set hands the kernel memmap'd ``codes`` (process
-    workers reopen the store by path); R must equal the loop oracle's on
-    the in-memory set."""
-    rng = np.random.default_rng(13)
-    reads = _overlapping_readset(rng, n_reads=10)
-    stored = reads.to_store(str(tmp_path / "store"))
-    lengths = reads.lengths
-    entries = {}
-    for _ in range(25):
-        i, j = sorted(int(x) for x in rng.integers(0, len(reads), 2))
-        if i != j:
-            entries[(i, j)] = (i, j, *(
-                (int(rng.integers(0, lengths[i] - K + 1)),
-                 int(rng.integers(0, lengths[j] - K + 1)),
-                 int(rng.integers(0, 2))) for _ in range(2)))
-    C = _make_candidates(reads, list(entries.values()))
-    filt = AlignmentFilter(min_score=5, min_overlap=20, ratio=0.1)
-
-    def run(align, rs, ex):
-        comm = SimComm(C.grid.nprocs, CommTracker(C.grid.nprocs))
-        with ex:
-            return align(C, rs, K, comm, StageTimer(), filt=filt, fuzz=30,
-                         executor=ex).to_global()
-
-    ref = run(align_candidates_loop, reads, get_executor("serial", 1))
-    assert isinstance(stored.soa()[0], np.memmap)
-    _assert_same(ref, run(align_candidates, stored,
-                          get_executor(executor, workers)))
-    assert ref.nnz > 0
 
 
 # ---------------------------------------------------------------------------

@@ -72,9 +72,39 @@ def test_stats_blocked_mode(tmp_path, capsys):
     assert "SpGEMM" in out
 
 
+@pytest.mark.parametrize("mode, share", [
+    ("monolithic", "candidate unused: monolithic runs one strip"),
+    ("blocked", "candidate 32.0 MiB"),
+])
+def test_stats_marks_where_the_budget_applies(tmp_path, capsys, mode, share):
+    """The budget's candidate half sizes strips under ``blocked`` only;
+    under ``monolithic`` the budget line says the half goes unused."""
+    reads = tmp_path / "reads.fa"
+    main(["simulate", str(reads), "--genome-length", "6000",
+          "--depth", "8", "--error-rate", "0.0", "--seed", "2"])
+    rc = main(["stats", str(reads), "--nprocs", "4", "--fuzz", "20",
+               "--align-mode", "chain", "--depth-hint", "8",
+               "--error-hint", "0.0", "--overlap-mode", mode,
+               "--memory-budget", "64M"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert (f"memory budget: 64.0 MiB ({share}, tables 16.0 MiB, "
+            f"headroom 16.0 MiB)") in out
+
+
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])
+
+
+def test_parser_refuses_the_mmap_read_store(capsys):
+    """``--read-store`` accepts ``inmem`` only."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["assemble", "x.fa", "--read-store",
+                                   "mmap"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--read-store" in err and "'mmap'" in err
 
 
 def test_parser_defaults():

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.seqs.dna import decode, encode
-from repro.seqs.fasta import (ReadSet, read_fasta, read_fasta_to_store,
-                              write_fasta)
+from repro.seqs.fasta import ReadSet, read_fasta, write_fasta
 
 
 def _toy_reads():
@@ -98,9 +97,6 @@ def test_read_fasta_refuses_gzip_by_name(tmp_path):
     with pytest.raises(ValueError, match="gzip-compressed input is not "
                                          "supported; decompress first"):
         read_fasta(path)
-    with pytest.raises(ValueError, match="gzip-compressed"):
-        read_fasta_to_store(path, str(tmp_path / "store"))
-    assert not (tmp_path / "store").exists()
 
 
 def test_read_fasta_refuses_fastq_by_name(tmp_path):
@@ -113,7 +109,7 @@ def test_read_fasta_refuses_fastq_by_name(tmp_path):
     path = tmp_path / "reads.fq"
     path.write_text(fastq)
     with pytest.raises(ValueError, match="looks like FASTQ"):
-        read_fasta_to_store(path, str(tmp_path / "store"))
+        read_fasta(path)
 
 
 def test_read_fasta_empty_file_is_empty_readset():
@@ -199,7 +195,7 @@ def test_readset_is_one_buffer_across_pickle():
     reads = _toy_reads()
     assert all(x is y for x, y in zip(reads.soa(), reads.soa()))
     back = pickle.loads(pickle.dumps(reads))
-    assert back.names == reads.names and back.store is None
+    assert back.names == reads.names
     for got, want in zip(back.soa(), reads.soa()):
         assert np.array_equal(got, want)
     for rs in (reads, back):
@@ -270,10 +266,10 @@ def _parsed_or_error(parse):
 @given(text=_fasta_text(),
        chunk=st.sampled_from([1, 2, 3, 5, 8, 17, 64, 1 << 20]))
 def test_chunked_parser_matches_line_reference(text, chunk):
-    """``read_fasta`` (path and text handle) and ``read_fasta_to_store``
-    give the reference's names, codes and lengths byte for byte, or raise
-    its ``ValueError`` word for word — with chunks cut down to a few bytes,
-    so records straddle every boundary."""
+    """``read_fasta`` (path and text handle) gives the reference's names,
+    codes and lengths byte for byte, or raises its ``ValueError`` word for
+    word — with chunks cut down to a few bytes, so records straddle every
+    boundary."""
     import tempfile
     from unittest import mock
 
@@ -303,8 +299,6 @@ def test_chunked_parser_matches_line_reference(text, chunk):
              want_handle)
         want_path = _parsed_or_error(lambda: read_fasta_reference(path))
         same(_parsed_or_error(lambda: arrays(read_fasta(path))), want_path)
-        same(_parsed_or_error(lambda: arrays(
-            read_fasta_to_store(path, f"{tmp}/store"))), want_path)
 
 
 @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"])

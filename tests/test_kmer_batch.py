@@ -78,8 +78,8 @@ def test_pack_all_windows_matches_pack_kmers(k):
                 min_size=0, max_size=12),
        st.booleans())
 def test_read_kmers_batch_matches_per_read(read_lists, read_only):
-    """Every k, over a writable or a read-only code buffer (the mmap read
-    store hands the kernel a read-only one): canonical k-mers, and a flip
+    """Every k, over a writable or a read-only code buffer (a caller may
+    hand the kernel either): canonical k-mers, and a flip
     wherever the canonical k-mer is not the forward window.  The full-k
     stream CountKmer keeps for a rank (``_extract_batch_task``) is the same
     keys and flips over every span of the reads, empty ones and ones of

@@ -484,8 +484,8 @@ def test_dot_mask_entries_without_products_and_empty_lines():
 
 
 def test_masked_kernels_accept_read_only_operands():
-    """Operands mapped read-only (a store-backed block, a forked worker's
-    pages) go through both kernels untouched."""
+    """Operands mapped read-only (a forked worker's pages) go through both
+    kernels untouched."""
     rng = np.random.default_rng(24)
     A = _positions_operand(rng, 12, 30, 0.5)
     B = _positions_operand(rng, 30, 9, 0.5)

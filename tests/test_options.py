@@ -135,7 +135,7 @@ def test_table_matches_config_fields():
         assert {n for n, v in owner.items() if v == "auto"} <= named
     assert len(named) == len(AXES) == len({a.flag for a in AXES})
     envs = [a.env for a in ENV_AXES]
-    assert len(set(envs)) == len(envs) == 6
+    assert len(set(envs)) == len(envs) == 5
 
 
 @pytest.mark.parametrize("command", ["assemble", "stats", "serve"])

@@ -282,34 +282,3 @@ def test_exchange_reads_volume(clean_dataset):
     assert rec.total_bytes == pytest.approx(2.5 * nl, rel=0.05)
     # Per-rank received volume bound: 2nl/√P.
     assert rec.max_bytes <= 2 * nl / np.sqrt(P) * 1.1
-
-
-@pytest.mark.parametrize("executor", ["serial", "process"])
-def test_a_matrix_from_a_store_backed_stream(clean_dataset, tmp_path,
-                                             executor):
-    """CountKmer's kept seed stream is bound to the ReadSet object it was
-    cut from, store-backed ones included: A built from a memmap'd store's
-    stream — scanned in the parent or shipped to process workers — equals
-    the in-memory scan's, records and lookup counters too."""
-    from repro.exec import get_executor
-    _genome, reads, _layout = clean_dataset
-    reads = reads.subset(np.arange(48))
-    stored = reads.to_store(str(tmp_path / "store"))
-
-    def build(rs, ex):
-        P = 4
-        tracker, timer = CommTracker(P), StageTimer()
-        comm = SimComm(P, tracker)
-        table = count_kmers(rs, 17, comm, timer, upper=40, executor=ex)
-        assert table._stream is not None
-        A = build_a_matrix(rs, table, ProcessGrid2D(P), comm, timer,
-                           executor=ex)
-        assert table._stream is None
-        return A.to_global(), tracker.summary(), timer.work_counts()
-
-    with get_executor(executor, 2) as ex:
-        got = build(stored, ex)
-    want = build(reads, None)
-    for name in ("row", "col", "vals"):
-        assert np.array_equal(getattr(got[0], name), getattr(want[0], name))
-    assert got[1:] == want[1:]

@@ -132,12 +132,14 @@ def test_bad_counting_parameters_are_refused_by_name(clean_dataset, bad,
     (dict(n_strips=-3), "n_strips"),
     (dict(memory_budget=0), "memory_budget"),
     (dict(memory_budget=-5), "memory_budget"),
+    (dict(read_store="mmap"), r"read_store 'mmap'.*accepted: inmem, auto"),
 ])
 def test_bad_strip_parameters_are_refused_by_name(tmp_path, bad, match):
     """A non-positive strip count used to run silently as one strip, and a
     non-positive budget failed only after the reads were in; the config
     refuses both by name before any read is parsed (the FASTA named here
-    does not exist)."""
+    does not exist).  A read store other than ``inmem`` is refused the
+    same way."""
     with pytest.raises(ValueError, match=match):
         _cfg(overlap_mode="blocked", **bad).resolved()
     with pytest.raises(ValueError, match=match):

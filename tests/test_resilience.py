@@ -34,8 +34,9 @@ from repro.resilience import (CheckpointMismatch, FaultInjected, FaultPlan,
                               InjectedWorkerCrash, StripCheckpoint,
                               active_plan, current_plan)
 from repro.resilience.checkpoint import MANIFEST_VERSION
-from repro.seqs import ErrorModel, GenomeSpec, ReadSimSpec, simulate_reads
-from repro.seqs.dna import decode
+from repro.seqs import (ErrorModel, GenomeSpec, ReadSet, ReadSimSpec,
+                        simulate_reads)
+from repro.seqs.dna import decode, encode
 from repro.service import (AssemblyService, RefreshFailed, ServiceConfig,
                            make_server)
 
@@ -420,6 +421,29 @@ def test_checkpoint_refuses_mismatched_config(chaos_reads, tmp_path):
     with pytest.raises(CheckpointMismatch):
         run_pipeline(chaos_reads, _config(overlap_mode="blocked",
                                           checkpoint_dir=ckdir, fuzz=61))
+
+
+def test_checkpoint_refuses_changed_bases(chaos_reads, tmp_path):
+    """A resume against the same reads with one base changed is refused.
+    The base sits in a read shorter than k: it seeds nothing, so A (which
+    the fingerprint also covers) is the same both times, and only the
+    fingerprint of the bases themselves tells the runs apart."""
+    short = encode("ACGTACGTAC")
+    changed = short.copy()
+    changed[4] ^= 1
+
+    def with_short(codes):
+        return ReadSet([*chaos_reads.names, "short"], [*chaos_reads, codes])
+
+    before, after = with_short(short), with_short(changed)
+    assert before.content_fingerprint() != after.content_fingerprint()
+    ckdir = str(tmp_path / "ck")
+    cfg = _config(overlap_mode="blocked", checkpoint_dir=ckdir)
+    first = run_pipeline(before, cfg)
+    with pytest.raises(CheckpointMismatch):
+        run_pipeline(after, cfg)
+    # The same bases resume from every strip on disk.
+    assert _digests(run_pipeline(before, cfg)) == _digests(first)
 
 
 def test_checkpoint_resume_under_executor(chaos_reads, baseline, tmp_path):
