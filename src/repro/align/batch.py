@@ -43,6 +43,20 @@ cost follows the cells that are alive, not a bounding box:
   index of the lowest non-zero byte of the XOR of the two words, clipped to
   the room left.  Only cells that match a whole word load another, eight
   bytes further on both walks.
+* **Retirement.**  A problem leaves the sweep in the first round where no
+  cell can lead to a strictly higher score than its best — its
+  ``(best, ext_s, ext_t)`` are final then.  With ``room'`` the bases a cell
+  has left after its snake, that is when ``max(score + match·room')`` over
+  the round's valid cells, plus ``penalty = min(mismatch, gap)``, is at
+  most the best.  Exact because dead cells never revive (every later cell
+  descends from a valid cell of this round), each later match consumes a
+  base of both sequences (a descendant gains at most ``room'`` matches),
+  and every later round adds ``penalty <= 0`` (at least one such round
+  comes first); the answer changes only on a strictly greater score.  It
+  needs ``match >= 0 >= penalty``, the domain
+  :class:`~repro.align.xdrop.Scoring` enforces.  A problem whose best cell
+  reaches a read end so retires at once instead of stepping its band until
+  every diagonal falls x below the best.
 
 The parity suite (``tests/test_align_batch.py``) pins byte-identical
 results against the per-pair reference, kernel by kernel and on whole R.
@@ -194,7 +208,8 @@ def xdrop_extend_batch(codes: np.ndarray,
     over problems and therefore independent of how problems are batched:
     ``rounds`` (edit rounds, summed over the problems in each),  ``cells``
     (cell words the recurrence stepped: every span plus its two flanks,
-    every round) and ``words`` (64-bit snake compares).
+    every round) and ``words`` (64-bit snake compares).  All three stop at
+    a problem's retirement (see the module docstring).
 
     Raises :class:`ValueError`, naming the problem, for one with
     ``s_len + t_len >= 2**30`` (its ``F`` / ``M`` would not fit their cell
@@ -309,6 +324,7 @@ def xdrop_extend_batch(codes: np.ndarray,
             run, more = _slide_words(words, s_at[p] + i,
                                      (t_at - base)[p] + (i - at), room[at])
             n_words += more
+            room[at] -= run
             ext = np.zeros(size, dtype=np.int64)
             ext[at] = run
             ext *= _RUN
@@ -318,17 +334,22 @@ def xdrop_extend_batch(codes: np.ndarray,
         scores += e * penalty
         np.putmask(scores, ~valid, _NO_SCORE)
         sbest = np.maximum.reduceat(scores, start)
+        # Retirement bound: a valid cell's descendants score at most its
+        # score plus a match per base of room left, plus one round's
+        # penalty (see Retirement above); an invalid cell's bound stays far
+        # below every real score.
+        room *= sc.match
+        room += scores
+        bound = np.maximum.reduceat(room, start)
+        bound += penalty
         best = out[0, ids]
         upd = sbest > best
         np.maximum(best, sbest, out=best)
-        # Every cell's problem best after this round: the tie-break's
-        # candidates equal it, and cells within x-drop of it stay live.
-        top = best.repeat(seg)
         if upd.any():
             # Tie-break equal scores toward the farthest-reaching cell
             # (largest i + j), first in diagonal order — as the 1D engine.
             # Candidates are few, so rank them with one key per problem.
-            cand = (scores == top).nonzero()[0]
+            cand = (scores == best.repeat(seg)).nonzero()[0]
             cp = pid[cand]
             hit = upd[cp]
             cand, cp = cand[hit], cp[hit]
@@ -342,11 +363,13 @@ def xdrop_extend_batch(codes: np.ndarray,
             out[1, ids[wp]] = fw
             out[2, ids[wp]] = fw - (win + base[wp])
         # X-drop prune, then trim every span to its live cells; problems
-        # with none left retire.  (The per-pair reference's m + n round
-        # budget needs no test: i + j grows every round, so no cell
-        # outlives it.)
-        top -= sc.xdrop
-        live = (scores >= top).nonzero()[0]
+        # with none left retire, and so do those whose bound cannot beat
+        # their best: their floor is above every score.  (The per-pair
+        # reference's m + n round budget needs no test: i + j grows every
+        # round, so no cell outlives it.)
+        floor = best - sc.xdrop
+        floor[bound <= best] = -_NO_SCORE
+        live = (scores >= floor.repeat(seg)).nonzero()[0]
         if live.size == 0:
             break
         lp = pid[live]

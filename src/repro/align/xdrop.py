@@ -23,9 +23,26 @@ __all__ = ["Scoring"]
 
 @dataclass(frozen=True)
 class Scoring:
-    """Alignment scoring scheme (defaults follow BELLA: 1/-1/-1, x=50)."""
+    """Alignment scoring scheme (defaults follow BELLA: 1/-1/-1, x=50).
+
+    The greedy engines assume ``match >= 0 >= mismatch, gap`` and
+    ``xdrop >= 0``: the furthest points dominate only then, and the batched
+    sweep's early retirement bound needs it.  A scheme outside that domain
+    raises :class:`ValueError` naming the field.
+    """
 
     match: int = 1
     mismatch: int = -1
     gap: int = -1
     xdrop: int = 50
+
+    def __post_init__(self) -> None:
+        for name, ok in (("match", self.match >= 0),
+                         ("mismatch", self.mismatch <= 0),
+                         ("gap", self.gap <= 0),
+                         ("xdrop", self.xdrop >= 0)):
+            if not ok:
+                raise ValueError(
+                    f"Scoring.{name} = {getattr(self, name)} is outside the "
+                    f"greedy x-drop domain (match >= 0 >= mismatch, gap; "
+                    f"xdrop >= 0)")

@@ -110,7 +110,7 @@ class PositionsSemiring(Semiring):
         return out, None
 
     def reduce(self, vals, starts, counts):
-        out = vals[starts].copy()
+        out = vals.take(starts, axis=0)
         out[:, C_COUNT] = np.add.reduceat(vals[:, C_COUNT], starts)
         # Back-fill the second seed from the following group row when the
         # leading row carries only one seed.

@@ -391,8 +391,9 @@ def _esc_pruned(A, B, semiring, out_shape, keep_of, tally,
         a_idx, b_at, ci, cj = a_idx[keep], b_at[keep], ci[keep], cj[keep]
     if ci.shape[0] == 0:
         return CooMat.empty(out_shape, semiring.out_nfields)
-    cvals, valid = semiring.multiply(A.vals[a_idx],
-                                     B.vals[b_rows.stored(b_at)])
+    cvals, valid = semiring.multiply(A.vals.take(a_idx, axis=0),
+                                     B.vals.take(b_rows.stored(b_at),
+                                                 axis=0))
     if valid is not None:
         ci, cj, cvals = ci[valid], cj[valid], cvals[valid]
         if ci.shape[0] == 0:

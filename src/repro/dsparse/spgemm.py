@@ -98,7 +98,7 @@ def _sort_reduce(out_shape: tuple[int, int], ci: np.ndarray, cj: np.ndarray,
     (stable, so each group keeps expansion order) and fold each group with
     the semiring's segmented reduce."""
     order = packed_order(ci, cj, out_shape)
-    ci, cj, cvals = ci[order], cj[order], cvals[order]
+    ci, cj, cvals = ci[order], cj[order], cvals.take(order, axis=0)
     new_group = np.ones(ci.shape[0], dtype=bool)
     new_group[1:] = (ci[1:] != ci[:-1]) | (cj[1:] != cj[:-1])
     starts = np.flatnonzero(new_group)

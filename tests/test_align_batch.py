@@ -225,7 +225,45 @@ def test_kernel_work_is_pinned():
     problems, so they do not depend on how the buffer is laid out."""
     tally = {}
     _assert_kernel_parity(_long_noisy_pairs(0.2), tally=tally)
-    assert tally == {"rounds": 1339, "cells": 41609, "words": 30139}
+    assert tally == {"rounds": 824, "cells": 22128, "words": 22000}
+
+
+def test_sweep_retires_when_the_best_reaches_an_end():
+    """Once the best cell sits at both read ends, no cell can lead past it:
+    the problem retires in that round instead of stepping its band until
+    every diagonal falls x below the best (28 rounds here)."""
+    rng = np.random.default_rng(45)
+    s = rng.integers(0, 4, 500).astype(np.uint8)
+    t = s.copy()
+    t[[480, 485, 490]] = (t[[480, 485, 490]] + 1) % 4
+    assert xdrop_extend(s, t, SC) == (494, 500, 500)
+    tally = {}
+    _assert_kernel_parity([(s, t)], tally=tally)
+    assert tally["rounds"] == 3
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2 ** 31), st.integers(1, 14),
+       st.builds(Scoring, st.integers(1, 3), st.integers(-4, -1),
+                 st.integers(-4, -1), st.integers(0, 120)))
+def test_retirement_is_exact_under_drawn_scorings(seed, n_prob, sc):
+    """Retiring a problem once no cell can lead past its best changes no
+    answer, under any scoring in the greedy domain: problems that end at the
+    end of ``s``, at the end of ``t`` or by the x-drop, on every view."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(n_prob):
+        s = rng.integers(0, 4, int(rng.integers(1, 401))).astype(np.uint8)
+        t = _mutate(rng, s, float(rng.uniform(0, 0.35)))
+        cut = int(rng.integers(0, 3))
+        if cut == 1:
+            s = s[:s.size // 2]
+        elif cut == 2:
+            t = t[:t.size // 2]
+        pairs.append((s, t))
+    views = [VIEWS[v] for v in rng.integers(0, len(VIEWS), n_prob)]
+    _assert_kernel_parity(pairs, sc, views)
 
 
 @pytest.mark.parametrize("view", VIEWS)

@@ -15,6 +15,15 @@ from oracles.xdrop_dp import xdrop_extend_dp
 SC = Scoring()
 
 
+@pytest.mark.parametrize("field,value", [("match", -1), ("mismatch", 1),
+                                         ("gap", 2), ("xdrop", -1)])
+def test_scoring_refuses_a_scheme_outside_the_greedy_domain(field, value):
+    """The greedy engines need match >= 0 >= mismatch, gap and xdrop >= 0;
+    a scheme outside that is refused by the field's name and value."""
+    with pytest.raises(ValueError, match=rf"Scoring\.{field} = {value} "):
+        Scoring(**{field: value})
+
+
 def test_identical_sequences_full_extension():
     s = encode("ACGTACGTACGTACGT")
     score, ei, ej = xdrop_extend(s, s, SC)
