@@ -2,7 +2,7 @@
 
 The offline evaluation environment lacks the ``wheel`` package, which PEP 660
 editable installs require; this file lets ``pip install -e .`` fall back to
-``setup.py develop``.  All metadata lives in pyproject.toml.
+``setup.py develop``.  All metadata lives here, in ``setup.py``.
 """
 
 from setuptools import find_packages, setup

@@ -26,6 +26,7 @@ import math
 import re
 from dataclasses import dataclass
 
+from ..dsparse.coomat import coo_nbytes
 from .semirings import C_NFIELDS
 
 __all__ = [
@@ -39,16 +40,6 @@ __all__ = [
 #: Strip count used in blocked mode when neither ``n_strips`` nor a
 #: ``memory_budget`` is given.
 DEFAULT_N_STRIPS = 4
-
-
-def coo_nbytes(nnz: int, nfields: int) -> int:
-    """Bytes of an ``nnz``-entry COO matrix with ``nfields`` value fields.
-
-    Every array is int64: one row index, one column index, ``nfields``
-    payload fields per entry — the storage layout of
-    :class:`~repro.dsparse.coomat.CooMat`.
-    """
-    return int(nnz) * 8 * (2 + int(nfields))
 
 
 def estimate_candidate_nnz(nnz_a: int, n_kmers: int) -> int:

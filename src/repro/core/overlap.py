@@ -30,7 +30,7 @@ from ..align.batch import chain_extend_batch, extend_seeds_xdrop_batch
 from ..align.overlapper import classify_overlap_batch
 from ..align.xdrop import Scoring
 from ..dsparse.backend import get_backend
-from ..dsparse.coomat import CooMat
+from ..dsparse.coomat import CooMat, coo_nbytes
 from ..dsparse.distmat import DistMat
 from ..dsparse.spgemm import stable_key_sort
 from ..dsparse.summa import summa
@@ -43,7 +43,6 @@ from ..options import ALIGN_IMPL, KMER_IMPL, SPGEMM_IMPL
 from ..seqs.fasta import ReadSet
 from ..seqs.kmer_counter import KmerTable, _extract_batch_task
 from ..seqs.seeding import FullKScheme, SeedScheme
-from .memory import coo_nbytes
 from .semirings import (A_NFIELDS, C_NFIELDS, C_PA1, C_PA2, C_PB1, C_PB2,
                         C_STRAND1, C_STRAND2, PositionsSemiring, R_CONTAINED,
                         R_CONTAINS, R_END_I, R_END_J, R_NFIELDS, R_NO_END,
@@ -282,15 +281,12 @@ def _gather_blocks(parts: list, spans: list[tuple[int, int]],
     return blocks, moved
 
 
-#: ``CreateSpMat`` bytes per routed entry: row, col, pos, flip.
-_A_ENTRY_BYTES = 8 * 4
-
-
 def _charge_routing(moved: np.ndarray, comm: SimComm, stage: str) -> None:
     """Charge a ``P × P`` (source rank, destination rank) entry census.
 
-    Each source rank, ascending, sends its off-rank entries at
-    :data:`_A_ENTRY_BYTES` each in one message per distinct destination;
+    Each source rank, ascending, sends its off-rank entries, sized as A's
+    blocks are (:func:`~repro.dsparse.coomat.coo_nbytes`: row, col, pos,
+    flip), in one message per distinct destination;
     entries that stay home cost nothing, and a rank that sends nothing
     gets no record.
     """
@@ -299,7 +295,7 @@ def _charge_routing(moved: np.ndarray, comm: SimComm, stage: str) -> None:
     n_off = off.sum(axis=1)
     n_dests = np.count_nonzero(off, axis=1)
     for p in np.flatnonzero(n_off):
-        comm.tracker.record(stage, int(p), int(n_off[p]) * _A_ENTRY_BYTES,
+        comm.tracker.record(stage, int(p), coo_nbytes(n_off[p], A_NFIELDS),
                             int(n_dests[p]))
 
 

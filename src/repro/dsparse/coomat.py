@@ -8,19 +8,23 @@ kept in canonical row-major order with unique coordinates, which every kernel
 
 Because the canonical order *is* CSR order, a ``CooMat`` doubles as CSR
 storage: :meth:`csr_indptr` is computed once and cached, and the shared
-``col`` array is the CSR index array — no conversion pass.  The CSR side is
-what the ESC kernel's expansion step indexes, and a
-:class:`scipy.sparse.csr_matrix` over it (sharing those arrays) is what the
-masked kernels' pattern product and the column pass run on.
+``col`` array is the CSR index array — no conversion pass.  :class:`Lines`
+(row pointer, index, storage order) is the one line format every kernel
+reads: the ESC kernel's expansion, the dot kernel's walks and the pattern
+product's operands.  :func:`lines_by` is the one transposition: it lays
+entries out along their other coordinate with one stable tagged sort.
 
 :attr:`CooMat.T` is the transpose as a **view**: it shares ``row``,
 ``col`` and ``vals`` with its base (swapped), and its storage order is its
 own column-major order.  Kernels read lines through :meth:`CooMat.csr` /
 :meth:`CooMat.csc`, which list each line's entries and, where storage is
 not in that line order, the storage index of every one.  A view's CSR is
-its base's CSC (one counting pass over the base, kept by the view) and
-its CSC is its base's CSR (free), so ``A · Aᵀ`` reads both operands out
+its base's CSC (one :func:`lines_by` pass over the base, kept by the view)
+and its CSC is its base's CSR (free), so ``A · Aᵀ`` reads both operands out
 of one copy of ``A``.
+
+:func:`coo_nbytes` is the byte size of a block of this layout — the one
+entry-size rule that traffic charges and memory plans share.
 """
 
 from __future__ import annotations
@@ -28,9 +32,22 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
-__all__ = ["CooMat", "Lines"]
+__all__ = ["CooMat", "Lines", "coo_nbytes", "key_packs", "lines_by"]
+
+_INT64_MAX = 2 ** 63 - 1
+
+
+def coo_nbytes(nnz: int, nfields: int) -> int:
+    """Bytes of an ``nnz``-entry :class:`CooMat` with ``nfields`` value
+    fields: one int64 row index, one int64 column index and ``nfields``
+    int64 payload fields per entry."""
+    return int(nnz) * 8 * (2 + int(nfields))
+
+
+def key_packs(shape: tuple[int, int]) -> bool:
+    """Whether every ``row * ncols + col`` key of ``shape`` fits int64."""
+    return int(shape[0]) * int(shape[1]) <= _INT64_MAX
 
 
 class Lines(NamedTuple):
@@ -46,6 +63,40 @@ class Lines(NamedTuple):
     def stored(self, at: np.ndarray) -> np.ndarray:
         """Storage indices of the entries at line positions ``at``."""
         return at if self.order is None else self.order[at]
+
+
+def lines_by(line: np.ndarray, index: np.ndarray, n_lines: int,
+             n_index: int | None = None) -> Lines:
+    """Entries grouped into ``n_lines`` lines by ``line``, storage order
+    kept inside each line: the transposition.
+
+    For a matrix stored row-major, ``lines_by(col, row, n_cols)`` is its
+    CSC with rows ascending in each column, the order a counting-sort
+    CSR → CSC conversion gives.  One stable tagged sort of ``line``
+    (:func:`~repro.dsparse.spgemm.stable_key_order`) gives each position's
+    storage index; the pointer comes from the line counts, and no value
+    moves.
+
+    A caller that needs the pattern only passes ``n_index`` (every index
+    below it, and each line's indices ascending in storage order, as in a
+    canonical matrix): the sort then carries the index itself in place of
+    the storage index, so nothing is gathered, and the lines come back as
+    a fresh CSR pattern (``order`` None; ``index`` int32 where the sort
+    ran on 32-bit words, a view of them, else int64).
+    """
+    from .spgemm import _tagged_sort, stable_key_order  # spgemm imports us
+    indptr = np.zeros(n_lines + 1, dtype=np.int64)
+    np.cumsum(np.bincount(line, minlength=n_lines), out=indptr[1:])
+    sort = None if n_index is None else \
+        _tagged_sort(line, n_lines, index, n_index)
+    if sort is not None:
+        tagged, shift = sort
+        tagged &= tagged.dtype.type((1 << shift) - 1)
+        if tagged.dtype == np.uint32:   # index < 2 ** 31: the same bits
+            tagged = tagged.view(np.int32)
+        return Lines(indptr, tagged, None)
+    order = stable_key_order(line, n_lines)
+    return Lines(indptr, index[order], order if n_index is None else None)
 
 
 class CooMat:
@@ -80,21 +131,9 @@ class CooMat:
         return cls(shape, np.empty(0, np.int64), np.empty(0, np.int64),
                    np.empty((0, nfields), np.int64), checked=True)
 
-    @classmethod
-    def from_scipy(cls, mat: sp.spmatrix | sp.sparray) -> "CooMat":
-        """Build from a scipy sparse matrix (values cast to int64)."""
-        coo = sp.coo_matrix(mat)
-        return cls(coo.shape, coo.row.astype(np.int64),
-                   coo.col.astype(np.int64), coo.data.astype(np.int64))
-
-    def to_scipy(self, field: int = 0) -> sp.coo_matrix:
-        """Export one value field as a scipy COO matrix (tests/inspection)."""
-        return sp.coo_matrix((self.vals[:, field].astype(np.float64),
-                              (self.row, self.col)), shape=self.shape)
-
     # -- invariants ---------------------------------------------------------
     def _canonicalize(self) -> None:
-        from .spgemm import key_packs, stable_key_order  # spgemm imports us
+        from .spgemm import stable_key_order  # spgemm imports us
         if self.row.shape[0] == 0:
             return
         # Builders that emit entries in row-major order (the batched A scan,
@@ -133,7 +172,11 @@ class CooMat:
 
     def keys(self) -> np.ndarray:
         """Packed (row, col) keys in storage order — unique per entry, and
-        sorted unless this is a :attr:`T` view."""
+        sorted unless this is a :attr:`T` view.  A shape whose keys would
+        overflow int64 is refused by name rather than wrapped."""
+        if not key_packs(self.shape):
+            raise ValueError(f"(row, col) keys of a {self.shape[0]} x "
+                             f"{self.shape[1]} matrix overflow int64")
         return self.row * np.int64(self.shape[1]) + self.col
 
     # -- derived forms --------------------------------------------------------
@@ -156,9 +199,8 @@ class CooMat:
     def csc(self) -> Lines:
         """The entries column by column, rows ascending (cached).
 
-        One linear CSR→CSC counting pass over a CSR whose ``data`` is
-        ``arange(nnz)`` yields the storage index of every CSC position;
-        nothing is compared or sorted, whatever the field count, and no
+        One :func:`lines_by` pass over the columns yields the storage
+        index of every CSC position, whatever the field count, and no
         value moves.  A :attr:`T` view reads the same pass as its own CSR
         and keeps it itself, so it lives no longer than the view.
         """
@@ -167,55 +209,12 @@ class CooMat:
         return self._csc
 
     def _columns(self) -> Lines:
-        csc = self._csr_over(np.arange(self.nnz, dtype=np.int64)).tocsc()
-        return Lines(csc.indptr.astype(np.int64, copy=False),
-                     self.row[csc.data], csc.data)
+        return lines_by(self.col, self.row, self.shape[1])
 
     @property
     def T(self) -> "CooMat":
         """The transpose as a view sharing this matrix's arrays."""
         return _Transposed(self)
-
-    def _csr_over(self, data: np.ndarray) -> sp.csr_matrix:
-        """A CSR matrix of ``data`` over this matrix's (shared) indices."""
-        lines = self.csr()
-        csr = sp.csr_matrix(self.shape, dtype=np.int64)
-        csr.indptr = lines.indptr
-        csr.indices = lines.index
-        csr.data = data
-        return csr
-
-    @classmethod
-    def from_csr(cls, mat: sp.csr_matrix, *, checked: bool = False
-                 ) -> "CooMat":
-        """Build from a duplicate-free CSR matrix without re-sorting.
-
-        CSR with sorted indices is already canonical COO order, so the only
-        work is expanding ``indptr`` back into a row array; the produced
-        matrix inherits the row pointer into its cache.  Duplicate
-        coordinates (legal in raw scipy CSR) are rejected unless
-        ``checked=True`` asserts the input has none — as with the
-        constructor, only for callers that can prove it (scipy matmul /
-        binop / conversion outputs cannot carry duplicates).
-
-        The result takes ownership of ``mat``'s arrays where dtypes allow
-        (no copy) and sorting may happen in place — do not mutate ``mat``
-        or its buffers afterwards.
-        """
-        if not mat.has_sorted_indices:
-            mat.sort_indices()
-        indptr = mat.indptr.astype(np.int64, copy=False)
-        col = mat.indices.astype(np.int64, copy=False)
-        row = np.repeat(np.arange(mat.shape[0], dtype=np.int64),
-                        np.diff(indptr))
-        if not checked and col.shape[0] and \
-                ((row[1:] == row[:-1]) & (col[1:] == col[:-1])).any():
-            raise ValueError("duplicate coordinates; reduce with a semiring "
-                             "first")
-        out = cls(mat.shape, row, col,
-                  mat.data.astype(np.int64, copy=False), checked=True)
-        out._indptr = indptr
-        return out
 
     def transpose(self) -> "CooMat":
         """``Aᵀ`` as a new, re-sorted matrix (the oracle :attr:`T` is

@@ -20,10 +20,12 @@ formulation).
     For semirings that declare ``product_reduce_depth = d`` (the positions
     semiring: its reduce reads a group's first two products plus the group
     size).  Group sizes come from the scalar pattern product
-    ``pattern(A) @ pattern(B)`` (:func:`pattern_matmul`: scipy's numeric
-    kernel ``scipy.sparse._sparsetools.csr_matmat`` called directly, 32-bit
-    indices where the block fits, its output sized from ``min(flops, rows
-    × cols)`` instead of ``@``'s symbolic ``csr_matmat_maxnnz`` pass —
+    ``pattern(A) @ pattern(B)`` (:func:`pattern_matmul`: the operands'
+    row lines handed to scipy's numeric kernel
+    ``scipy.sparse._sparsetools.csr_matmat``, imported on first use and
+    the only scipy code the package runs, 32-bit indices where the block
+    fits, its output sized from ``min(flops, rows × cols)`` instead of
+    ``@``'s symbolic ``csr_matmat_maxnnz`` pass —
     ``test_pattern_product_is_one_sized_kernel_pass`` pins the private
     name), intersected with the mask (or handed in already intersected,
     ``sized=True``); the first ``d`` products of each surviving ``(i, j)``
@@ -45,9 +47,11 @@ coomat.CooMat.T`), which is how ``C = A·Aᵀ`` runs: both read ``B`` through
 its lines (:meth:`~repro.dsparse.coomat.CooMat.csr` /
 :meth:`~repro.dsparse.coomat.CooMat.csc`).  The dot kernel walks a view's
 columns, which are its base's CSR rows — no permutation at all; ESC
-expands along a view's rows, its base's CSC (one counting pass per view
-block, kept by the view), and gathers values only for the products it
-keeps.
+expands along a view's rows, its base's CSC (one
+:func:`~repro.dsparse.coomat.lines_by` pass per view block, kept by the
+view), and gathers values only for the products it keeps.  The pattern
+product reads a view's rows from the same transposition in its
+pattern-only form, formed per call.
 
 The overlap product ``C = A·Aᵀ`` keeps only its strict upper triangle, and
 needs no mask for it: :func:`spgemm_upper` takes the block's global origin
@@ -85,17 +89,13 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-# scipy's numeric CSR product, the pass ``@`` runs after sizing its output
-# with a symbolic one; renamed in a scipy release, this import fails loudly.
-from scipy.sparse._sparsetools import csr_matmat as _csr_matmat
 
 from ..mpisim.tracker import add_work
-from .coomat import CooMat, Lines
+from .coomat import CooMat, Lines, key_packs, lines_by
 from .membership import in_sorted
 from .semiring import Semiring
-from .spgemm import (_ranges, _sort_reduce, expand_products, spgemm_esc,
-                     stable_key_sort)
+from .spgemm import (_ranges, _sort_reduce, expand_products, packed_order,
+                     spgemm_esc, stable_key_sort)
 
 __all__ = ["mask_select", "spgemm_masked", "spgemm_esc_masked",
            "spgemm_dot_masked", "spgemm_upper", "masked_route",
@@ -110,17 +110,19 @@ _DOT_MIN_FLOPS = 2 ** 15
 #: Largest dimension / nnz the pattern product runs on 32-bit indices.
 _INDEX32_MAX = 2 ** 31 - 1
 
-
-def _packable(shape: tuple[int, int]) -> bool:
-    """Whether (row, col) coordinates of ``shape`` pack into one int64 key."""
-    return not shape[0] or shape[0] <= (2 ** 63 - 1) // max(1, shape[1])
+#: scipy's numeric CSR product (``scipy.sparse._sparsetools.csr_matmat``),
+#: the pass ``@`` runs after sizing its output with a symbolic one.
+#: :func:`pattern_matmul` binds it on its first call, so a process that
+#: forms no pattern product never loads ``scipy.sparse``; renamed in a
+#: scipy release, that import fails loudly.
+_csr_matmat = None
 
 
 def _dot_packable(A: CooMat, B: CooMat) -> bool:
     """Whether the dot kernel's three key spaces fit int64: the output's
     (row, col), A's (row, k) and B's column-major (col, k)."""
-    return _packable((A.shape[0], B.shape[1])) and _packable(A.shape) and \
-        _packable((B.shape[1], B.shape[0]))
+    return key_packs((A.shape[0], B.shape[1])) and key_packs(A.shape) and \
+        key_packs((B.shape[1], B.shape[0]))
 
 
 def mask_select(A: CooMat, mask: CooMat) -> CooMat:
@@ -296,7 +298,7 @@ def spgemm_upper(A: CooMat, B: CooMat, semiring: Semiring,
         if masked_route(A, B, upper, depth, work).dot:
             return spgemm_dot_masked(A, B, semiring, upper, tally,
                                      sized=True, prior=prior), "masked_dot"
-    if not _packable(out_shape):
+    if not key_packs(out_shape):
         C = spgemm_esc(A, B, semiring)
         return C.select(C.row - C.col < diag), "masked_esc"
     if symmetric:
@@ -338,19 +340,18 @@ def spgemm_esc_masked(A: CooMat, B: CooMat, semiring: Semiring,
 
     ``mask`` is consulted for its coordinate pattern only (values ignored).
     Byte-identical to ``mask_select(spgemm_esc(A, B, semiring), mask)`` —
-    see the module docstring for why.  Shapes whose coordinates cannot pack
-    into int64 keys (beyond ~9.2e18 cells) fall back to exactly that
-    compute-then-filter form rather than wrapping keys silently.  ``tally``
-    (optional dict) gains ``products``: the index pairs expanded.
+    see the module docstring for why.  An output shape whose coordinates
+    cannot pack into int64 keys (beyond ~9.2e18 cells) is refused by name
+    (:meth:`~repro.dsparse.coomat.CooMat.keys`) before anything is
+    expanded.  ``tally`` (optional dict) gains ``products``: the index
+    pairs expanded.
     """
     out_shape = _output_shape(A, B, mask)
-    if not _packable(out_shape):
-        return mask_select(spgemm_esc(A, B, semiring), mask)
     if mask.nnz == 0:
         return CooMat.empty(out_shape, semiring.out_nfields)
+    held = mask.keys()
     return _esc_pruned(A, B, semiring, out_shape,
-                       lambda keys, ci, cj: in_sorted(mask.keys(), keys),
-                       tally)
+                       lambda keys, ci, cj: in_sorted(held, keys), tally)
 
 
 def _esc_pruned(A, B, semiring, out_shape, keep_of, tally,
@@ -449,25 +450,15 @@ def _reduce_selected(out_shape, ci, cj, counts, taken, tstarts, a_sel, b_sel,
 
 # -- mask-driven dot kernel ----------------------------------------------------
 
-def _pattern(M: CooMat) -> sp.csr_matrix | sp.csc_matrix:
-    """``pattern(M)`` as scipy sees it: unit data over ``M``'s row pointer
-    and column indices, all 32-bit whenever ``M``'s dimensions and nnz fit
-    (scipy picks its kernel's index type from these dtypes) and 64-bit
-    otherwise.  A view is its base's pattern transposed — a CSC matrix
-    over the same arrays, which the product converts in C."""
-    if M.transposed:
-        return _pattern(M.T).T
-    dtype = np.int32 if max(*M.shape, M.nnz) <= _INDEX32_MAX else np.int64
-    pat = sp.csr_matrix(M.shape, dtype=dtype)
-    pat.indptr = M.csr_indptr().astype(dtype, copy=False)
-    pat.indices = M.col.astype(dtype, copy=False)
-    pat.data = np.ones(M.nnz, dtype=dtype)
-    return pat
+def pattern_matmul(a: Lines, b: Lines, n_cols: int, flops: int | None = None
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``pattern(a) @ pattern(b)`` in scipy's numeric kernel alone.
 
-
-def pattern_matmul(a: sp.spmatrix, b: sp.spmatrix,
-                   flops: int | None = None) -> sp.csr_matrix:
-    """``a @ b`` in scipy's numeric pass alone, its indices unsorted.
+    ``a`` and ``b`` are row lines (``order`` is not read), ``b`` with
+    ``n_cols`` columns.  Returns the product's CSR ``(indptr, index,
+    counts)``, each row's indices unsorted, in the kernel's index type:
+    32-bit when every dimension, both operands' nnz and the output's size
+    fit (:data:`_INDEX32_MAX`), 64-bit otherwise.
 
     scipy's ``@`` runs a symbolic pass (``csr_matmat_maxnnz``) to size
     the output before its numeric one (``csr_matmat``).  Here the output
@@ -483,20 +474,21 @@ def pattern_matmul(a: sp.spmatrix, b: sp.spmatrix,
     ``flops`` (``Σ`` over ``a``'s entries of the matching row length of
     ``b``) is read off the operands unless the caller has it.
     """
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    a, b = a.tocsr(), b.tocsr()
-    n_rows, n_cols = a.shape[0], b.shape[1]
+    global _csr_matmat
+    if _csr_matmat is None:
+        from scipy.sparse._sparsetools import csr_matmat as _csr_matmat
+    n_rows, n_inner = a.indptr.shape[0] - 1, b.indptr.shape[0] - 1
+    a_nnz, b_nnz = a.index.shape[0], b.index.shape[0]
     b_len = np.diff(b.indptr)
     if flops is None:
-        flops = int(np.bincount(a.indices, minlength=a.shape[1]) @ b_len)
-    budget = a.nnz + b.nnz
+        flops = int(np.bincount(a.index, minlength=n_inner) @ b_len)
+    budget = a_nnz + b_nnz
     if min(flops, n_rows * n_cols) <= budget:
         cuts = [0, n_rows]
         sizes = [min(flops, n_rows * n_cols)]
     else:
-        cum = np.zeros(a.nnz + 1, dtype=np.int64)
-        np.cumsum(b_len[a.indices], out=cum[1:])
+        cum = np.zeros(a_nnz + 1, dtype=np.int64)
+        np.cumsum(b_len[a.index], out=cum[1:])
         bound = np.zeros(n_rows + 1, dtype=np.int64)
         np.cumsum(np.minimum(np.diff(cum[a.indptr]), n_cols), out=bound[1:])
         cuts = [0]
@@ -505,17 +497,18 @@ def pattern_matmul(a: sp.spmatrix, b: sp.spmatrix,
             hi = int(np.searchsorted(bound, bound[lo] + budget, "right")) - 1
             cuts.append(max(hi, lo + 1))
         sizes = np.diff(bound[cuts]).tolist()
-    arrays = (a.indptr, a.indices, b.indptr, b.indices)
-    idx = np.int64 if sum(sizes) > _INDEX32_MAX else np.result_type(*arrays)
-    a_ptr, a_idx, b_ptr, b_idx = (x.astype(idx, copy=False) for x in arrays)
-    val = np.result_type(a.data, b.data)
-    a_val, b_val = a.data.astype(val, copy=False), b.data.astype(val, copy=False)
+    idx = np.int32 if max(n_rows, n_inner, n_cols, a_nnz, b_nnz,
+                          sum(sizes)) <= _INDEX32_MAX else np.int64
+    a_ptr, a_idx, b_ptr, b_idx = (x.astype(idx, copy=False) for x in (
+        a.indptr, a.index, b.indptr, b.index))
+    ones = np.ones(max(a_nnz, b_nnz), dtype=idx)    # unit data, shared
+    a_val, b_val = ones[:a_nnz], ones[:b_nnz]
     ptrs, cols, data = [np.zeros(1, dtype=idx)], [], []
     filled = 0
     for lo, hi, size in zip(cuts[:-1], cuts[1:], sizes):
         cp = np.empty(hi - lo + 1, dtype=idx)
         cj = np.empty(size, dtype=idx)
-        cx = np.empty(size, dtype=val)
+        cx = np.empty(size, dtype=idx)
         _csr_matmat(hi - lo, n_cols, a_ptr[lo:hi + 1], a_idx, a_val, b_ptr,
                     b_idx, b_val, cp, cj, cx)
         nnz = int(cp[-1])
@@ -523,17 +516,25 @@ def pattern_matmul(a: sp.spmatrix, b: sp.spmatrix,
         cols.append(cj[:nnz])
         data.append(cx[:nnz])
         filled += nnz
-    return sp.csr_matrix((np.concatenate(data), np.concatenate(cols),
-                          np.concatenate(ptrs)), shape=(n_rows, n_cols))
+    return np.concatenate(ptrs), np.concatenate(cols), np.concatenate(data)
 
 
 def _pattern_product(A: CooMat, B: CooMat, flops: int | None = None
                      ) -> CooMat:
     """``pattern(A) @ pattern(B)``: every coordinate of ``A ⊗ B`` with its
     group size (one product per common inner index, since the depth
-    contract rules out validity masks), in one sized kernel pass."""
-    return CooMat.from_csr(pattern_matmul(_pattern(A), _pattern(B), flops),
-                           checked=True)
+    contract rules out validity masks), in one sized kernel pass, each
+    row's columns then sorted.  A view operand's rows are its base's
+    columns (:func:`~repro.dsparse.coomat.lines_by`'s pattern-only form),
+    formed for the call and not kept on the view, which lives through
+    SUMMA."""
+    out_shape = (A.shape[0], B.shape[1])
+    a, b = (lines_by(M.row, M.col, *M.shape) if M.transposed else M.csr()
+            for M in (A, B))
+    indptr, col, counts = pattern_matmul(a, b, out_shape[1], flops)
+    row = np.repeat(np.arange(out_shape[0], dtype=np.int64), np.diff(indptr))
+    order = packed_order(row, col, out_shape)
+    return CooMat(out_shape, row, col[order], counts[order], checked=True)
 
 
 def spgemm_dot_masked(A: CooMat, B: CooMat, semiring: Semiring,

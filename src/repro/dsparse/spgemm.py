@@ -15,32 +15,33 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coomat import CooMat
+from .coomat import CooMat, key_packs
 from .semiring import Semiring
 
 __all__ = ["expand_products", "packed_order", "stable_key_order",
-           "stable_key_sort", "key_packs", "spgemm_esc", "multiway_merge"]
-
-_INT64_MAX = 2 ** 63 - 1
+           "stable_key_sort", "spgemm_esc", "multiway_merge"]
 
 
-def key_packs(shape: tuple[int, int]) -> bool:
-    """Whether every ``row * ncols + col`` key of ``shape`` fits int64."""
-    return int(shape[0]) * int(shape[1]) <= _INT64_MAX
-
-
-def _tagged_sort(keys: np.ndarray, bound: int
+def _tagged_sort(keys: np.ndarray, bound: int,
+                 tags: np.ndarray | None = None, tag_bound: int | None = None
                  ) -> tuple[np.ndarray, int] | None:
-    """``keys`` shifted left with each one's index in the low bits, sorted
-    (ties break by index), and the shift; ``None`` when key and index bits
-    together do not fit 63."""
+    """``keys`` shifted left with a tag in the low bits, sorted (ties break
+    by tag), and the shift; ``None`` when key and tag bits together do not
+    fit 63.  The tag is each key's index unless ``tags`` (each below
+    ``tag_bound``) are given.  Where the bits fit 32 the words are
+    ``uint32``, which the vectorized sort orders about twice as fast."""
     n = keys.shape[0]
-    shift = n.bit_length()
-    if int(bound).bit_length() + shift > 63:
+    shift = int(n if tags is None else tag_bound).bit_length()
+    bits = int(bound).bit_length() + shift
+    if bits > 63:
         return None
-    tagged = keys.astype(np.int64)
-    tagged <<= np.int64(shift)
-    tagged |= np.arange(n, dtype=np.int64)
+    word = np.uint32 if bits <= 32 else np.int64
+    tagged = keys.astype(word)
+    tagged <<= word(shift)
+    if tags is None:
+        tagged |= np.arange(n, dtype=word)
+    else:
+        np.bitwise_or(tagged, tags, out=tagged, casting="unsafe")
     tagged.sort()
     return tagged, shift
 
@@ -52,27 +53,29 @@ def stable_key_order(keys: np.ndarray, bound: int) -> np.ndarray:
     break by index and one in-place (vectorized, unstable) ``sort`` of the
     tagged keys yields the stable order — several times faster than a
     stable argsort of the same keys.  Falls back to the stable argsort when
-    key and index bits together do not fit 63.
+    key and index bits together do not fit 63.  The order is int64.
     """
     sort = _tagged_sort(keys, bound)
     if sort is None:
         return np.argsort(keys, kind="stable")
     tagged, shift = sort
-    tagged &= np.int64((1 << shift) - 1)
-    return tagged
+    tagged &= tagged.dtype.type((1 << shift) - 1)
+    return tagged.astype(np.int64, copy=False)
 
 
 def stable_key_sort(keys: np.ndarray, bound: int
                     ) -> tuple[np.ndarray, np.ndarray]:
     """``(keys[order], order)`` for ``order = stable_key_order(keys,
-    bound)``, both read off the one tagged sort: the high bits are the
-    sorted keys, so nothing is gathered through the order."""
+    bound)``, both read off the one tagged sort (int64): the high bits are
+    the sorted keys, so nothing is gathered through the order."""
     sort = _tagged_sort(keys, bound)
     if sort is None:
         order = np.argsort(keys, kind="stable")
         return keys[order], order
     tagged, shift = sort
-    return tagged >> np.int64(shift), tagged & np.int64((1 << shift) - 1)
+    word = tagged.dtype.type
+    return ((tagged >> word(shift)).astype(np.int64, copy=False),
+            (tagged & word((1 << shift) - 1)).astype(np.int64, copy=False))
 
 
 def packed_order(rows: np.ndarray, cols: np.ndarray,

@@ -28,7 +28,7 @@ from ..mpisim.comm import SimComm
 from ..mpisim.grid import ProcessGrid2D
 from ..resilience.faults import maybe_fault
 from ..mpisim.tracker import StageTimer
-from .coomat import CooMat
+from .coomat import CooMat, coo_nbytes
 from .distmat import DistMat
 from .masked import spgemm_masked, spgemm_upper
 from .semiring import Semiring
@@ -110,14 +110,12 @@ def summa_comm_replay(grid: ProcessGrid2D, a_counts: np.ndarray,
     if a_counts.shape != (q, q) or b_counts.shape != (q, q):
         raise ValueError(f"block counts must be {q}x{q}, got "
                          f"{a_counts.shape} and {b_counts.shape}")
-    # A block ships its int64 row and col arrays plus an (nnz, nfields)
-    # int64 value array.  Payload contents never reach the charge
-    # accounting — only nbytes do — so uninitialized buffers of the block's
-    # byte size are exact, and their pages are never touched.
-    entry_bytes = 8 * (2 + nfields)
-
+    # A block ships its row, col and value arrays: coo_nbytes, the size
+    # nbytes_of charges a shipped CooMat.  Payload contents never reach the
+    # charge accounting — only nbytes do — so uninitialized buffers of the
+    # block's byte size are exact, and their pages are never touched.
     def payloads(counts: np.ndarray) -> list[list[np.ndarray]]:
-        return [[np.empty(int(c) * entry_bytes, np.uint8) for c in row]
+        return [[np.empty(coo_nbytes(c, nfields), np.uint8) for c in row]
                 for row in counts]
 
     a_blocks, b_blocks = payloads(a_counts), payloads(b_counts)

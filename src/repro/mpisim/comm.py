@@ -30,10 +30,12 @@ __all__ = ["SimComm", "nbytes_of"]
 def nbytes_of(obj) -> int:
     """Payload size in bytes for accounting purposes.
 
-    numpy arrays report their true buffer size; scipy sparse matrices the sum
-    of their component arrays; ``bytes``/``str`` their encoded length;
-    lists/tuples/dicts recurse.  Anything else raises :class:`TypeError`
-    naming its type rather than being charged a made-up size.
+    numpy arrays report their true buffer size; a
+    :class:`~repro.dsparse.coomat.CooMat` (or a view of one) the sum of its
+    ``row``, ``col`` and ``vals`` arrays; ``bytes``/``str`` their encoded
+    length; lists/tuples/dicts recurse.  Anything else — a scipy sparse
+    matrix included — raises :class:`TypeError` naming its type rather than
+    being charged a made-up size.
     """
     if obj is None:
         return 0
@@ -55,19 +57,6 @@ def nbytes_of(obj) -> int:
     if isinstance(vrow, np.ndarray) and isinstance(vcol, np.ndarray) \
             and isinstance(vvals, np.ndarray):
         return int(vrow.nbytes) + int(vcol.nbytes) + int(vvals.nbytes)
-    data = getattr(obj, "data", None)
-    indices = getattr(obj, "indices", None)
-    indptr = getattr(obj, "indptr", None)
-    if isinstance(data, np.ndarray) and isinstance(indices, np.ndarray):
-        total = int(data.nbytes) + int(indices.nbytes)
-        if isinstance(indptr, np.ndarray):
-            total += int(indptr.nbytes)
-        return total
-    row = getattr(obj, "row", None)
-    col = getattr(obj, "col", None)
-    if isinstance(data, np.ndarray) and isinstance(row, np.ndarray) \
-            and isinstance(col, np.ndarray):
-        return int(data.nbytes) + int(row.nbytes) + int(col.nbytes)
     if isinstance(obj, (list, tuple)):
         return sum(nbytes_of(x) for x in obj)
     if isinstance(obj, dict):

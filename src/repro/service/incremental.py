@@ -47,7 +47,10 @@ Why the incremental path is exact
   a **new** read — the affected set ``P₁ ∪ P₂ ∪ P₃``: the pairs within an
   added key's occurrence list, within a removed key's old list, and each
   new read with the reads listed under its reliable keys.  Each is a
-  pattern product over those lists, the size of the lists, not of A.  The
+  pattern product over those lists, the size of the lists, not of A:
+  :func:`~repro.dsparse.masked.pattern_matmul` on their row lines, a key
+  list's transpose (each read's keys) formed by
+  :func:`~repro.dsparse.coomat.lines_by`, the one transposition.  The
   delta C is one masked product on global operands
   (:func:`~repro.dsparse.masked.spgemm_masked`, the kernel SUMMA runs per
   block): A's rows for the affected row coordinates times A's rows for
@@ -100,7 +103,6 @@ import time
 from dataclasses import replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..core.contigs import extract_contigs
 from ..core.overlap import (align_candidates, charge_a_routing,
@@ -109,7 +111,7 @@ from ..core.pipeline import PipelineConfig, _require_nonempty_reads
 from ..core.semirings import A_NFIELDS, PositionsSemiring, R_NFIELDS
 from ..core.string_graph import StringGraph
 from ..core.transitive_reduction import transitive_reduction
-from ..dsparse.coomat import CooMat
+from ..dsparse.coomat import CooMat, Lines, lines_by
 from ..dsparse.distmat import DistMat
 from ..dsparse.masked import pattern_matmul, spgemm_masked
 from ..dsparse.membership import in_sorted
@@ -234,43 +236,38 @@ def _a_rows(rows: np.ndarray, a_ptr: np.ndarray, a_col: np.ndarray,
                   checked=True)
 
 
-def _pattern(indptr: np.ndarray, cols: np.ndarray, m: int
-             ) -> sp.csr_matrix:
-    """Unit-valued CSR over a row pointer and its row-major columns."""
-    return sp.csr_matrix((np.ones(cols.shape[0], np.int64), cols, indptr),
-                         shape=(indptr.shape[0] - 1, m))
-
-
-def _pair_set(product: sp.spmatrix, n: int, row_offset: int = 0
+def _pair_set(a: Lines, b: Lines, n: int, row_offset: int = 0
               ) -> np.ndarray:
-    """Packed strict-upper pairs ``lo·n + hi`` of a pattern product.
+    """Packed strict-upper pairs ``lo·n + hi`` of ``pattern(a) @
+    pattern(b)`` (row lines, ``b`` over the ``n`` reads).
 
-    Entry ``(i, j)`` of ``product`` pairs read ``i + row_offset`` with
+    Entry ``(i, j)`` of the product pairs read ``i + row_offset`` with
     read ``j``; pairs are canonicalized to unordered, off-diagonal ones.
     """
-    prod = product.tocoo()
-    i = prod.row.astype(np.int64) + row_offset
-    j = prod.col.astype(np.int64)
+    indptr, col, _counts = pattern_matmul(a, b, n)
+    i = np.repeat(np.arange(row_offset, row_offset + indptr.shape[0] - 1,
+                            dtype=np.int64), np.diff(indptr))
+    j = col.astype(np.int64)
     off = i != j
     i, j = i[off], j[off]
     return np.unique(np.minimum(i, j) * np.int64(n) + np.maximum(i, j))
 
 
 def _sharers(key_ptr: np.ndarray, key_occ: np.ndarray, keys: np.ndarray,
-             occ_read: np.ndarray, n: int) -> sp.csr_matrix:
-    """``keys`` × reads incidence pattern, read off the keys' occurrence
+             occ_read: np.ndarray) -> Lines:
+    """``keys`` × reads incidence lines, read off the keys' occurrence
     lists in the key-major index: its size is the lists', not A's."""
     start = key_ptr[keys]
     lens = key_ptr[keys + 1] - start
     ptr = np.zeros(keys.shape[0] + 1, np.int64)
     np.cumsum(lens, out=ptr[1:])
-    return _pattern(ptr, occ_read[key_occ[_ranges(start, lens)]], n)
+    return Lines(ptr, occ_read[key_occ[_ranges(start, lens)]], None)
 
 
 def _affected_pairs(state: AssemblyState, key_ptr: np.ndarray,
                     key_occ: np.ndarray, occ_read: np.ndarray,
                     added: np.ndarray, removed: np.ndarray,
-                    reliable: np.ndarray, new_rows: sp.csr_matrix
+                    reliable: np.ndarray, new_rows: Lines
                     ) -> np.ndarray:
     """``P₁ ∪ P₂ ∪ P₃``: the pairs whose C entry may differ from version v.
 
@@ -282,17 +279,21 @@ def _affected_pairs(state: AssemblyState, key_ptr: np.ndarray,
     added/removed are disjoint and no other pair's ordered shared-column
     list changes.  ``added`` and ``reliable`` index the new key-major
     index, ``removed`` the old one; the three pattern products are the
-    size of those keys' occurrence lists.
+    size of those keys' occurrence lists.  A key's list transposed
+    (:func:`~repro.dsparse.coomat.lines_by`) gives each read its keys.
     """
     n_old = len(state.reads)
-    n = n_old + new_rows.shape[0]
-    parts = [_pair_set(pattern_matmul(new_rows, _sharers(
-        key_ptr, key_occ, reliable, occ_read, n)), n, n_old)]
+    n = n_old + new_rows.indptr.shape[0] - 1
+    parts = [_pair_set(new_rows, _sharers(key_ptr, key_occ, reliable,
+                                          occ_read), n, n_old)]
     for ptr, occ, keys in ((key_ptr, key_occ, added),
                            (state.key_ptr, state.key_occ, removed)):
         if keys.shape[0]:
-            lists = _sharers(ptr, occ, keys, occ_read, n)
-            parts.append(_pair_set(pattern_matmul(lists.T, lists), n))
+            lists = _sharers(ptr, occ, keys, occ_read)
+            key_of = np.repeat(np.arange(keys.shape[0], dtype=np.int64),
+                               np.diff(lists.indptr))
+            parts.append(_pair_set(lines_by(lists.index, key_of, n,
+                                            keys.shape[0]), lists, n))
     return np.unique(np.concatenate(parts))
 
 
@@ -544,8 +545,8 @@ def _incremental(state: AssemblyState, batch: ReadSet,
     # The batch's rows of A over its reliable keys, for P₃.
     hit = now[b_of]
     local = np.cumsum(now) - 1
-    new_rows = _pattern(_row_pointer(b_read[hit] - n_old, len(batch)),
-                        local[b_of[hit]], int(now.sum()))
+    new_rows = Lines(_row_pointer(b_read[hit] - n_old, len(batch)),
+                     local[b_of[hit]], None)
     aff = _affected_pairs(state, key_ptr, key_occ, occ_read, at[added],
                           old_at[removed], at[now], new_rows)
 

@@ -22,6 +22,7 @@ from repro.dsparse.spgemm import multiway_merge
 from repro.mpisim import ProcessGrid2D
 from repro.seqs import ErrorModel, GenomeSpec, ReadSimSpec, simulate_reads
 
+from oracles.scipy_ref import to_scipy
 from oracles.semirings import BoolOr, MinPlus, PlusTimes
 from overlap_helpers import local_product
 
@@ -198,7 +199,7 @@ def test_merge_into_larger_frame_parity():
 def test_row_reduce_matches_dense():
     rng = np.random.default_rng(7)
     A = _rand_mat(rng, 15, 9, 0.3, 1)
-    dense = A.to_scipy().toarray()
+    dense = to_scipy(A).toarray()
     out = reduce_rows(DistMat((15, 9), ProcessGrid2D(1), [[A]], 1), 0,
                       np.maximum, 0)
     expect = dense.max(axis=1).astype(np.int64)

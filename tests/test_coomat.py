@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from repro.dsparse.coomat import CooMat
+from repro.dsparse.coomat import CooMat, lines_by
 
 
 def test_canonical_sorting():
@@ -35,15 +36,6 @@ def test_unpackable_shape_is_ordered_by_both_coordinates():
         CooMat(shape, [2 ** 23, 2 ** 23], [7, 7], [1, 2])
 
 
-def test_from_to_scipy_roundtrip():
-    rng = np.random.default_rng(0)
-    s = sp.random(20, 30, density=0.1, format="coo",
-                  data_rvs=lambda n: rng.integers(1, 100, n))
-    m = CooMat.from_scipy(s)
-    back = m.to_scipy()
-    assert (abs(back - s.tocsr()) > 0).nnz == 0
-
-
 def test_keys_unique_sorted():
     m = CooMat((4, 5), [0, 1, 3], [4, 0, 2], [[1], [1], [1]])
     keys = m.keys()
@@ -60,28 +52,6 @@ def test_csr_indptr_cached():
     assert m.csr_indptr() is m.csr_indptr()
 
 
-def test_from_csr_rejects_duplicates():
-    # Raw scipy CSR may carry unsummed duplicates; the canonical invariant
-    # must hold here just like in the constructor.
-    dup = sp.csr_matrix((np.array([1, 2], dtype=np.int64),
-                         np.array([0, 0]), np.array([0, 2, 2])),
-                        shape=(2, 2))
-    with pytest.raises(ValueError, match="duplicate"):
-        CooMat.from_csr(dup)
-
-
-def test_from_csr_roundtrip():
-    rng = np.random.default_rng(5)
-    s = sp.random(25, 18, density=0.15, format="coo",
-                  data_rvs=lambda n: rng.integers(1, 100, n))
-    m = CooMat.from_scipy(s)
-    back = CooMat.from_csr(sp.csr_matrix((m.vals[:, 0], (m.row, m.col)),
-                                         shape=m.shape))
-    assert np.array_equal(back.row, m.row)
-    assert np.array_equal(back.col, m.col)
-    assert np.array_equal(back.vals, m.vals)
-
-
 def test_transpose():
     m = CooMat((2, 3), [0, 1], [2, 0], [[5], [6]])
     t = m.transpose()
@@ -90,15 +60,32 @@ def test_transpose():
     assert t.nnz == 2
 
 
-def test_csc_order_is_the_column_major_permutation():
-    rng = np.random.default_rng(8)
-    s = sp.random(17, 9, density=0.3, format="coo", random_state=rng)
-    m = CooMat((17, 9), s.row, s.col, rng.integers(0, 99, (s.nnz, 3)))
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31), st.integers(0, 12), st.integers(0, 12),
+       st.floats(0.0, 1.0), st.integers(1, 3))
+def test_csc_order_is_the_column_major_permutation(seed, n_rows, n_cols,
+                                                   density, nfields):
+    """``csc()`` and a view's ``csr()`` are one transposition, checked
+    against scipy's CSR → CSC conversion run over the storage indices, on
+    canonical matrices with empty rows and columns, no entries at all and
+    1–3 value fields."""
+    rng = np.random.default_rng(seed)
+    cells = np.flatnonzero(rng.random(n_rows * n_cols) < density)
+    rng.shuffle(cells)
+    row, col = np.divmod(cells, max(n_cols, 1))
+    m = CooMat((n_rows, n_cols), row, col,
+               rng.integers(-5, 99, (cells.shape[0], nfields)))
+    oracle = sp.csr_matrix((np.arange(1, m.nnz + 1), m.col, m.csr_indptr()),
+                           shape=m.shape).tocsc()
     indptr, index, order = m.csc()
     assert indptr.dtype == order.dtype == index.dtype == np.int64
+    assert np.array_equal(indptr, oracle.indptr)
+    assert np.array_equal(index, oracle.indices)
+    assert np.array_equal(order, oracle.data - 1)
     assert np.array_equal(order, np.lexsort((m.row, m.col)))
     assert np.array_equal(index, m.row[order])
-    assert np.array_equal(np.diff(indptr), np.bincount(m.col, minlength=9))
+    assert np.array_equal(np.diff(indptr), np.bincount(m.col,
+                                                       minlength=n_cols))
     assert m.csc() is m.csc()                       # one pass, cached
     # Read-only storage (a forked worker's pages) is enough.
     m = CooMat(m.shape, m.row, m.col, m.vals, checked=True)
@@ -109,6 +96,11 @@ def test_csc_order_is_the_column_major_permutation():
     view = m.T
     assert view.csr() is view.csr() and view.csc().order is None
     assert all(np.array_equal(a, b) for a, b in zip(view.csr(), m.csc()))
+    # The pattern-only form carries the index through the sort instead.
+    pattern = lines_by(view.row, view.col, *view.shape)
+    assert pattern.order is None
+    assert np.array_equal(pattern.indptr, oracle.indptr)
+    assert np.array_equal(pattern.index, oracle.indices)
     indptr, index, order = CooMat.empty((4, 6), 2).csc()
     assert order.shape == index.shape == (0,)
     assert np.array_equal(indptr, np.zeros(7))

@@ -11,6 +11,7 @@ from repro.dsparse.spgemm import spgemm_esc
 from repro.dsparse.summa import _stage_broadcasts, summa, summa_comm_replay
 from repro.mpisim import CommTracker, ProcessGrid2D, SimComm
 
+from oracles.scipy_ref import from_scipy, to_scipy
 from oracles.semirings import MinPlus, PlusTimes
 
 
@@ -18,7 +19,7 @@ def _rand_dist(rng, shape, density, grid):
     s = sp.random(*shape, density=density, format="coo", random_state=rng,
                   data_rvs=lambda n: rng.integers(1, 50, n))
     return DistMat.from_coo(shape, grid, s.row, s.col, s.data), \
-        CooMat.from_scipy(s)
+        from_scipy(s)
 
 
 def test_from_coo_to_global_roundtrip():
@@ -246,5 +247,5 @@ def test_property_summa_equals_scipy(seed):
     A, GA = _rand_dist(rng, (18, 22), 0.12, grid)
     B, GB = _rand_dist(rng, (22, 16), 0.12, grid)
     C = summa(A, B, PlusTimes(), comm, stage="t").to_global()
-    expect = (GA.to_scipy().tocsr() @ GB.to_scipy().tocsr())
-    assert (abs(C.to_scipy().tocsr() - expect) > 1e-9).nnz == 0
+    expect = (to_scipy(GA).tocsr() @ to_scipy(GB).tocsr())
+    assert (abs(to_scipy(C).tocsr() - expect) > 1e-9).nnz == 0

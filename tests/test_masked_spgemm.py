@@ -45,6 +45,7 @@ from repro.mpisim.grid import block_bounds
 from repro.seqs import ErrorModel, GenomeSpec, ReadSimSpec, simulate_reads
 from repro.seqs.kmer_counter import count_kmers, reliable_upper_bound
 
+from oracles.scipy_ref import from_scipy
 from oracles.semirings import BoolOr, MinPlus, PlusTimes
 from overlap_helpers import esc_upper, local_product
 
@@ -228,30 +229,26 @@ def test_masked_shape_validation():
                 CooMat.empty((3, 3)))
 
 
-def test_masked_unpackable_shape_falls_back():
-    """Shapes whose coordinates overflow the packed int64 key still give
-    the compute-then-filter answer (no silent key wraparound)."""
-    rows = 2 ** 40
-    cols = 2 ** 40  # rows * cols >> 2**63: packed keys would wrap
-    A = CooMat((rows, 8), [0, 5], [1, 3], [[2], [3]])
-    B = CooMat((8, cols), [1, 3], [0, 7], [[4], [5]])
-    # The mask keeps (0, 0) — one of the two product coordinates — and a
-    # coordinate with no product, so the fallback really filters.
-    mask = CooMat((rows, cols), [0, 5], [0, 0], [[1], [1]])
-    semiring = PlusTimes()
-    oracle = mask_select(spgemm_esc(A, B, semiring), mask)
-    _assert_identical(spgemm_esc_masked(A, B, semiring, mask), oracle)
-    assert oracle.nnz == 1 and oracle.row[0] == 0 and oracle.col[0] == 0
-    # The dot kernel and the router decline the same shapes the same way.
-    A2 = CooMat(A.shape, A.row, A.col, [[2, 0], [3, 1]])
-    B2 = CooMat(B.shape, B.row, B.col, [[4, 1], [5, 1]])
-    semiring = PositionsSemiring()
-    oracle = mask_select(spgemm_esc(A2, B2, semiring), mask)
-    assert oracle.nnz == 1
-    _assert_identical(spgemm_dot_masked(A2, B2, semiring, mask), oracle)
-    routed, path = spgemm_masked(A2, B2, semiring, mask)
-    _assert_identical(routed, oracle)
-    assert path == "masked_esc"
+def test_masked_unpackable_shape_is_refused_by_name():
+    """An output whose packed ``(row, col)`` keys would overflow int64 is
+    refused with a ``ValueError`` naming its shape — by ``mask_select``,
+    both masked kernels and the router alike — before anything is
+    expanded, instead of wrapping keys into a crash deep in the mask
+    lookup.  Here row ``2³¹ + 5`` times ``2³²`` columns wraps the key."""
+    big = 2 ** 32
+    A = CooMat((big, 1), [0, 2 ** 31 + 5], [0, 0], [[2, 0], [3, 1]])
+    B = CooMat((1, big), [0, 0], [3, 7], [[4, 1], [5, 1]])
+    mask = CooMat((big, big), [0, 2 ** 31 + 5], [3, 7], [[1], [1]])
+    named = f"keys of a {big} x {big} matrix overflow int64"
+    with pytest.raises(ValueError, match=named):
+        mask.keys()
+    with pytest.raises(ValueError, match=named):
+        spgemm_esc_masked(A, B, PlusTimes(), mask)
+    with pytest.raises(ValueError, match=named):
+        mask_select(mask, mask)
+    for kernel in (spgemm_dot_masked, spgemm_masked):
+        with pytest.raises(ValueError, match=named):
+            kernel(A, B, PositionsSemiring(), mask)
 
 
 def test_packed_order_overflow_guard_matches_lexsort():
@@ -270,13 +267,15 @@ def test_packed_order_overflow_guard_matches_lexsort():
 
 @settings(max_examples=120, deadline=None)
 @given(st.lists(st.integers(0, 3), max_size=300),
-       st.sampled_from([0, 1, 30, 60, 61]))
+       st.sampled_from([0, 1, 22, 30, 60, 61]))
 @example([], 0)
 @example([2], 0)
 @example([3, 3, 3, 3], 61)
 def test_stable_key_order_is_the_stable_argsort(small, scale):
-    """Heavy ties (four distinct keys), empty and one-element inputs, and
-    key scales where key and index bits no longer fit 63 — there the
+    """Heavy ties (four distinct keys), empty and one-element inputs, key
+    scales on both sides of the 32-bit sort word (at scale 22 up to 255
+    keys fit it, more do not), and key scales where key and index bits no
+    longer fit 63 — there the
     tagged sort would overflow, so only the fallback gives this answer.
     ``stable_key_sort`` gives the same order and the keys in it."""
     keys = np.array(small, dtype=np.int64) << np.int64(scale)
@@ -900,7 +899,7 @@ def _triangle(shape, origin):
 def _upper_groups(A, B, origin):
     """The dot kernel's pre-sized input, built independently with scipy:
     the pattern product's strict upper part, group sizes as values."""
-    full = CooMat.from_scipy(_pattern_csr(A) @ _pattern_csr(B))
+    full = from_scipy(_pattern_csr(A) @ _pattern_csr(B))
     return mask_select(full, _triangle(full.shape, origin))
 
 
@@ -1192,7 +1191,7 @@ def test_candidate_overlaps_is_one_product(tiny_reads, monkeypatch):
               for i in range(grid.q) for j in range(i, grid.q)
               for k in range(grid.q))
     matmuls = []
-    real = masked_mod._csr_matmat
+    real = sp._sparsetools.csr_matmat
     monkeypatch.setattr(masked_mod, "_csr_matmat",
                         lambda *args: matmuls.append(1) or real(*args))
     monkeypatch.delattr(sp._sparsetools, "csr_matmat_maxnnz")
@@ -1256,26 +1255,38 @@ def test_candidate_overlaps_reads_one_copy_of_a(tiny_reads, monkeypatch):
 
 
 def test_pattern_product_index_width(monkeypatch):
-    """The pattern product runs on 32-bit indices when a block fits and
-    keeps 64-bit ones otherwise — a block with more than 2³¹ − 1 columns,
-    or any block once the 32-bit bound is lowered under it — with the same
-    product bytes either way."""
-    huge = CooMat((3, 2 ** 31 + 5), [0, 2], [7, 2 ** 31 + 1], [[1], [2]])
-    for M in (huge, huge.T):
-        pat = masked_mod._pattern(M)
-        assert pat.indices.dtype == pat.indptr.dtype == np.int64
-        assert pat.shape == M.shape and pat.nnz == 2
+    """The pattern product's kernel receives 32-bit indices when a block
+    fits and 64-bit ones otherwise — a block with more than 2³¹ − 1
+    columns, or any block once the 32-bit bound is lowered under it — with
+    the same product bytes either way."""
+    widths = []
+
+    def recording(*args):
+        widths.append({a.dtype for a in args if isinstance(a, np.ndarray)})
+        return kernel(*args)
+
+    def no_product(*args):
+        args[-3][:] = 0     # an empty product: no O(columns) kernel scratch
+
+    monkeypatch.setattr(masked_mod, "_csr_matmat", recording)
+    kernel = no_product
+    huge = CooMat((4, 2 ** 31 + 5), [0, 2], [7, 2 ** 31 + 1], [[1], [2]])
+    small = CooMat((3, 4), [0, 1], [0, 2], [[1], [1]])
+    masked_mod.pattern_matmul(small.csr(), huge.csr(), huge.shape[1])
+    assert widths == [{np.dtype(np.int64)}]
+    kernel = sp._sparsetools.csr_matmat
     rng = np.random.default_rng(37)
     A, At, _mask = _read_kmer_operands(rng, 40, 300, 1500, 0.9)
+    widths.clear()
     narrow = [masked_mod._pattern_product(A, B) for B in (At, A.T)]
-    assert masked_mod._pattern(A).indices.dtype == np.int32
-    assert masked_mod._pattern(A.T).indices.dtype == np.int32
+    assert widths == [{np.dtype(np.int32)}] * 2
     monkeypatch.setattr(masked_mod, "_INDEX32_MAX", 10)
-    assert masked_mod._pattern(A).indices.dtype == np.int64
+    widths.clear()
     wide = masked_mod._pattern_product(A, A.T)
-    oracle = (_pattern_csr(A) @ _pattern_csr(At)).tocoo()
+    assert set().union(*widths) == {np.dtype(np.int64)}
+    oracle = from_scipy(_pattern_csr(A) @ _pattern_csr(At))
     for C in narrow + [wide]:
-        _assert_identical(C, CooMat.from_scipy(oracle))
+        _assert_identical(C, oracle)
 
 
 def test_pattern_product_is_one_sized_kernel_pass(monkeypatch):
@@ -1287,8 +1298,13 @@ def test_pattern_product_is_one_sized_kernel_pass(monkeypatch):
     ``nnz(A) + nnz(B)``, on many, each buffer within that budget; on 32-
     and 64-bit indices."""
     from scipy.sparse import _sparsetools
-    # A scipy release that renames the kernel fails masked.py's import; one
-    # that rebinds the name elsewhere fails here.
+    # The kernel is bound on the first product: a scipy release that
+    # renames it fails that import, one that rebinds the name elsewhere
+    # fails here.
+    monkeypatch.setattr(masked_mod, "_csr_matmat", None)
+    pair = CooMat((2, 3), [0, 1], [0, 0], [[1], [1]])
+    assert masked_mod._pattern_product(pair, pair.T).vals.tolist() == \
+        [[1], [1], [1], [1]]
     assert masked_mod._csr_matmat is _sparsetools.csr_matmat
     rng = np.random.default_rng(39)
     holey = _positions_operand(rng, 30, 50, 0.3)
@@ -1299,10 +1315,10 @@ def test_pattern_product_is_one_sized_kernel_pass(monkeypatch):
     cases = {"holey_b": (holey, _positions_operand(rng, 50, 20, 0.2)),
              "holey_at": (holey, holey.T), "thin": (thin, thin.T),
              "thin_formed": (thin, thin.transpose()), "deep": (deep, deep.T)}
-    oracles = {name: CooMat.from_scipy(_pattern_csr(A) @ _pattern_csr(B))
+    oracles = {name: from_scipy(_pattern_csr(A) @ _pattern_csr(B))
                for name, (A, B) in cases.items()}
     calls = []
-    real = masked_mod._csr_matmat
+    real = _sparsetools.csr_matmat
 
     def counting(*args):
         calls.append(args[-2].shape[0])          # the column buffer's size

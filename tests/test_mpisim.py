@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.dsparse.coomat import CooMat, coo_nbytes
 from repro.mpisim import (CORI_HASWELL, SUMMIT_CPU, CommTracker,
                           MachineModel, ProcessGrid2D, SimComm, StageTimer,
                           block_bounds, nbytes_of)
@@ -32,11 +33,21 @@ def test_nbytes_of_bytes_and_str_true_payload():
         nbytes_of(object())
 
 
-def test_nbytes_of_scipy():
+@pytest.mark.parametrize("nfields", [1, 2, 4, 7])
+def test_nbytes_of_a_block_is_coo_nbytes(nfields):
+    """A shipped block, or its transposed view, is charged the one
+    entry-size rule the traffic replays and memory plans use; a scipy
+    matrix is no payload of the package and is refused by name."""
     import scipy.sparse as sp
-    m = sp.random(50, 50, density=0.1, format="csr")
-    expected = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
-    assert nbytes_of(m) == expected
+    rng = np.random.default_rng(nfields)
+    cells = np.flatnonzero(rng.random(13 * 9) < 0.3)
+    M = CooMat((13, 9), cells // 9, cells % 9,
+               rng.integers(0, 99, (cells.shape[0], nfields)))
+    assert nbytes_of(M) == nbytes_of(M.T) == coo_nbytes(M.nnz, M.nfields)
+    assert nbytes_of(M.T.select(M.row < 5)) == coo_nbytes(
+        int((M.row < 5).sum()), nfields)
+    with pytest.raises(TypeError, match="csr_matrix"):
+        nbytes_of(sp.csr_matrix(np.eye(3)))
 
 
 # -- SimComm ------------------------------------------------------------------
