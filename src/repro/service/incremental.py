@@ -279,8 +279,7 @@ def _affected_pairs(state: AssemblyState, key_ptr: np.ndarray,
     added/removed are disjoint and no other pair's ordered shared-column
     list changes.  ``added`` and ``reliable`` index the new key-major
     index, ``removed`` the old one; the three pattern products are the
-    size of those keys' occurrence lists.  A key's list transposed
-    (:func:`~repro.dsparse.coomat.lines_by`) gives each read its keys.
+    size of those keys' occurrence lists.
     """
     n_old = len(state.reads)
     n = n_old + new_rows.indptr.shape[0] - 1
