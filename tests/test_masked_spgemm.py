@@ -275,9 +275,9 @@ def test_stable_key_order_is_the_stable_argsort(small, scale):
     """Heavy ties (four distinct keys), empty and one-element inputs, key
     scales on both sides of the 32-bit sort word (at scale 22 up to 255
     keys fit it, more do not), and key scales where key and index bits no
-    longer fit 63 — there the
-    tagged sort would overflow, so only the fallback gives this answer.
-    ``stable_key_sort`` gives the same order and the keys in it."""
+    longer fit 63 — there the tagged sort would overflow, so only the
+    fallback gives this answer.  ``stable_key_sort`` gives the same order
+    and the keys in it."""
     keys = np.array(small, dtype=np.int64) << np.int64(scale)
     bound = (3 << scale) + 1
     order = stable_key_order(keys, bound)
