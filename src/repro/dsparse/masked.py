@@ -22,10 +22,12 @@ formulation).
     size).  Group sizes come from the scalar pattern product
     ``pattern(A) @ pattern(B)`` (:func:`pattern_matmul`: the operands'
     row lines handed to scipy's numeric kernel
-    ``scipy.sparse._sparsetools.csr_matmat``, imported on first use and
-    the only scipy code the package runs, 32-bit indices where the block
-    fits, its output sized from ``min(flops, rows × cols)`` instead of
-    ``@``'s symbolic ``csr_matmat_maxnnz`` pass —
+    ``scipy.sparse._sparsetools.csr_matmat`` — the only scipy code the
+    package runs, loaded on first use from that one extension file
+    (:func:`_load_csr_matmat`: ≈ 0.2 MB and ≈ 1 ms, against ≈ 22 MB and
+    ≈ 0.16 s to import the ``scipy.sparse`` package) — 32-bit indices
+    where the block fits, its output sized from ``min(flops, rows ×
+    cols)`` instead of ``@``'s symbolic ``csr_matmat_maxnnz`` pass —
     ``test_pattern_product_is_one_sized_kernel_pass`` pins the private
     name), intersected with the mask (or handed in already intersected,
     ``sized=True``); the first ``d`` products of each surviving ``(i, j)``
@@ -86,7 +88,11 @@ checks them against a plain ESC product filtered afterwards.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+import importlib.machinery
+import importlib.util
+import os
+import sys
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -112,10 +118,59 @@ _INDEX32_MAX = 2 ** 31 - 1
 
 #: scipy's numeric CSR product (``scipy.sparse._sparsetools.csr_matmat``),
 #: the pass ``@`` runs after sizing its output with a symbolic one.
-#: :func:`pattern_matmul` binds it on its first call, so a process that
-#: forms no pattern product never loads ``scipy.sparse``; renamed in a
-#: scipy release, that import fails loudly.
+#: :func:`pattern_matmul` binds it on its first call from the one extension
+#: file that holds it (:func:`_load_csr_matmat`, ≈ 0.2 MB and ≈ 1 ms), so
+#: no process loads the ``scipy.sparse`` package, and one that forms no
+#: pattern product loads no scipy code at all.
 _csr_matmat = None
+
+_SPARSETOOLS = "scipy.sparse._sparsetools"
+
+
+def _scipy_sparse_dirs() -> list[str]:
+    """Where ``scipy.sparse``'s files are, found without importing scipy."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        return []
+    return [os.path.join(path, "sparse")
+            for path in scipy.submodule_search_locations or ()]
+
+
+def _load_csr_matmat() -> Callable:
+    """``csr_matmat`` from ``scipy/sparse/_sparsetools*.so`` alone.
+
+    A ``scipy.sparse._sparsetools`` already in ``sys.modules`` (the
+    package was imported) is reused.  Otherwise the extension file is
+    loaded by its spec under its own name, and ``sys.modules`` is left as
+    it was found: the extension's single-phase init registers itself
+    there, and an entry left behind would keep a later ``import
+    scipy.sparse`` from binding its ``_sparsetools`` attribute.  The
+    package's import then re-initialises the extension from the
+    interpreter's copy, so its ``csr_matmat`` is this same function.  A
+    missing or renamed extension or kernel is an :class:`ImportError`
+    naming what was searched.
+    """
+    module = sys.modules.get(_SPARSETOOLS)
+    if module is None:
+        where = _scipy_sparse_dirs()
+        found = importlib.machinery.PathFinder.find_spec("_sparsetools",
+                                                         where)
+        if found is None:
+            raise ImportError(f"no _sparsetools extension in {where}",
+                              name=_SPARSETOOLS)
+        spec = importlib.util.spec_from_file_location(_SPARSETOOLS,
+                                                      found.origin)
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        finally:
+            sys.modules.pop(_SPARSETOOLS, None)
+    kernel = getattr(module, "csr_matmat", None)
+    if kernel is None:
+        raise ImportError(f"{_SPARSETOOLS} has no csr_matmat "
+                          f"({getattr(module, '__file__', None)})",
+                          name=_SPARSETOOLS)
+    return kernel
 
 
 def _dot_packable(A: CooMat, B: CooMat) -> bool:
@@ -476,7 +531,7 @@ def pattern_matmul(a: Lines, b: Lines, n_cols: int, flops: int | None = None
     """
     global _csr_matmat
     if _csr_matmat is None:
-        from scipy.sparse._sparsetools import csr_matmat as _csr_matmat
+        _csr_matmat = _load_csr_matmat()
     n_rows, n_inner = a.indptr.shape[0] - 1, b.indptr.shape[0] - 1
     a_nnz, b_nnz = a.index.shape[0], b.index.shape[0]
     b_len = np.diff(b.indptr)

@@ -12,12 +12,16 @@ them.  Nor does it reach the test-only reference oracles under
 ``tests/oracles``, which the child can import (``tests`` is on its path) so
 that a guarded import would show.
 
-``scipy.sparse`` (about 22 MB resident and 0.1–0.2 s to import) is loaded
-only by the one kernel the package takes from it, the pattern product's
-``csr_matmat``, on its first call: a run whose SpGEMM forms no pattern
-product (the x-drop and chain pipelines on noisy reads, where every block
-stays on ESC) loads no scipy module at all, and the service's refresh,
-which forms its affected pairs with that kernel, loads it then.
+Nor does any process import the ``scipy.sparse`` package (about 22 MB
+resident and 0.1–0.2 s).  The one kernel the package takes from scipy, the
+pattern product's ``csr_matmat``, is loaded on its first call from its
+extension file alone (about 0.2 MB and 1 ms), and ``sys.modules`` is left
+as it was: a run whose SpGEMM forms no pattern product (the x-drop and
+chain pipelines on noisy reads, where every block stays on ESC) leaves the
+kernel unbound, and a clean, deep run on the dot route and a service
+refresh bind it, all without a ``scipy`` module in ``sys.modules``.  A
+later ``import scipy.sparse`` still works and shares the kernel, and a
+package imported first is reused, not loaded twice.
 
 Each check runs in a fresh interpreter, because this test process may have
 imported anything.  They need numpy, scipy and pytest only.
@@ -58,33 +62,85 @@ CHILD = textwrap.dedent("""
 """)
 
 
-LAZY_SPARSE = textwrap.dedent("""
+NO_SCIPY_MODULE = textwrap.dedent("""
     import sys
 
     import repro, repro.cli, repro.eval, repro.service
     from repro.core.pipeline import PipelineConfig, run_pipeline
+    from repro.dsparse import masked
     from repro.seqs import ErrorModel, GenomeSpec, ReadSimSpec, simulate_reads
     from repro.service import AssemblyState, ServiceConfig, refresh
 
     def scipy_modules():
         return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-    _genome, reads, _layout = simulate_reads(ReadSimSpec(
-        GenomeSpec(length=3_000, seed=1), depth=6, mean_len=500,
-        min_len=300, error=ErrorModel(rate=0.12), seed=2))
+    def reads_at(depth, error):
+        return simulate_reads(ReadSimSpec(
+            GenomeSpec(length=3_000, seed=1), depth=depth, mean_len=500,
+            min_len=300, error=ErrorModel(rate=error), seed=2))[1]
+
+    noisy = reads_at(6, 0.12)
     for mode in ("xdrop", "chain"):
         config = PipelineConfig(nprocs=4, align_mode=mode, depth_hint=6,
                                 error_hint=0.12)
-        result = run_pipeline(reads, config)
+        result = run_pipeline(noisy, config)
         paths = result.kernel_counts["SpGEMM"]
         print(mode, "SpGEMM paths:", paths, "nnz(S):", result.nnz_s)
         assert result.nnz_s and "masked_dot" not in paths, paths
-    print("scipy modules after both runs:", scipy_modules())
-    if scipy_modules():
-        sys.exit(1)
-    refresh(AssemblyState.initial(), reads, ServiceConfig(pipeline=config))
-    print("scipy.sparse loaded by the refresh:", "scipy.sparse" in sys.modules)
-    sys.exit(0 if "scipy.sparse" in sys.modules else 1)
+    print("after both runs: kernel", masked._csr_matmat,
+          "scipy modules", scipy_modules())
+    assert masked._csr_matmat is None and not scipy_modules()
+    clean = reads_at(12, 0.0)
+    config = PipelineConfig(nprocs=4, depth_hint=12, error_hint=0.0)
+    result = run_pipeline(clean, config)
+    paths = result.kernel_counts["SpGEMM"]
+    print("clean, deep SpGEMM paths:", paths, "nnz(S):", result.nnz_s)
+    assert result.nnz_s and "masked_dot" in paths, paths
+    refresh(AssemblyState.initial(), clean, ServiceConfig(pipeline=config))
+    print("after the dot route and a refresh: kernel", masked._csr_matmat,
+          "scipy modules", scipy_modules())
+    assert masked._csr_matmat is not None and not scipy_modules()
+""")
+
+
+PRODUCT_THEN_PACKAGE = textwrap.dedent("""
+    import sys
+
+    from repro.dsparse import masked
+    from repro.dsparse.coomat import CooMat
+
+    pair = CooMat((2, 3), [0, 1], [0, 0], [[1], [1]])
+    product = masked._pattern_product(pair, pair.T)
+    assert product.vals.tolist() == [[1], [1], [1], [1]]
+    assert "scipy.sparse._sparsetools" not in sys.modules
+    import numpy as np
+    import scipy.sparse as sp
+    assert sp._sparsetools.csr_matmat is masked._csr_matmat
+    a = sp.csr_matrix(np.array([[1, 0, 2], [0, 3, 0]]))
+    assert (a @ a.T).toarray().tolist() == [[5, 0], [0, 9]]
+""")
+
+
+PACKAGE_THEN_PRODUCT = textwrap.dedent("""
+    import importlib.util
+    import sys
+
+    import scipy.sparse as sp
+    from repro.dsparse import masked
+    from repro.dsparse.coomat import CooMat
+
+    loaded = sys.modules["scipy.sparse._sparsetools"]
+    specs = []
+    real = importlib.util.spec_from_file_location
+    importlib.util.spec_from_file_location = (
+        lambda *args, **kw: specs.append(args) or real(*args, **kw))
+    pair = CooMat((2, 3), [0, 1], [0, 0], [[1], [1]])
+    product = masked._pattern_product(pair, pair.T)
+    assert product.vals.tolist() == [[1], [1], [1], [1]]
+    assert specs == [], specs
+    assert sys.modules["scipy.sparse._sparsetools"] is loaded
+    assert masked._csr_matmat is loaded.csr_matmat
+    assert sp._sparsetools is loaded
 """)
 
 
@@ -103,5 +159,12 @@ def test_no_process_loads_scipy_stats():
     _run_child(CHILD)
 
 
-def test_scipy_sparse_loads_on_the_first_pattern_product():
-    _run_child(LAZY_SPARSE)
+def test_pattern_product_loads_no_scipy_module():
+    _run_child(NO_SCIPY_MODULE)
+
+
+def test_pattern_product_coexists_with_scipy_sparse():
+    """Either order of the pattern product's kernel and ``import
+    scipy.sparse`` leaves one extension, bound on the package."""
+    _run_child(PRODUCT_THEN_PACKAGE)
+    _run_child(PACKAGE_THEN_PRODUCT)

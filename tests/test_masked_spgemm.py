@@ -17,7 +17,10 @@ its label, its work counters and its memory.
 """
 
 import pickle
+import re
+import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -1341,6 +1344,31 @@ def test_pattern_product_is_one_sized_kernel_pass(monkeypatch):
             ranges[name] = len(calls)
         assert ranges["deep"] == ranges["holey_b"] == 1, ranges
         assert ranges["thin"] == ranges["thin_formed"] >= 10, ranges
+
+
+def test_pattern_product_kernel_loads_from_its_extension(monkeypatch,
+                                                         tmp_path):
+    """Without ``scipy.sparse`` loaded, the kernel comes from the
+    ``_sparsetools`` extension file, the same function the package binds,
+    and ``sys.modules`` is left as it was.  A directory without that file,
+    or an extension without ``csr_matmat``, is an ``ImportError`` naming
+    what was searched, and leaves the handle unbound."""
+    name = "scipy.sparse._sparsetools"
+    pair = CooMat((2, 3), [0, 1], [0, 0], [[1], [1]])
+    monkeypatch.setattr(masked_mod, "_csr_matmat", None)
+    monkeypatch.delitem(sys.modules, name)
+    assert masked_mod._load_csr_matmat() is sp._sparsetools.csr_matmat
+    assert name not in sys.modules
+    monkeypatch.setattr(masked_mod, "_scipy_sparse_dirs",
+                        lambda: [str(tmp_path)])
+    with pytest.raises(ImportError, match=re.escape(
+            f"no _sparsetools extension in {[str(tmp_path)]}")):
+        masked_mod._pattern_product(pair, pair.T)
+    assert masked_mod._csr_matmat is None and name not in sys.modules
+    monkeypatch.setitem(sys.modules, name, types.ModuleType(name))
+    with pytest.raises(ImportError, match=f"{name} has no csr_matmat"):
+        masked_mod._pattern_product(pair, pair.T)
+    assert masked_mod._csr_matmat is None
 
 
 @pytest.mark.parametrize("make_executor",
